@@ -4,8 +4,9 @@
 //!    adjustments) against a naive sorted-`Vec` that re-sorts after every
 //!    update, under the maintenance workload of Algorithm 1.
 //! 2. **Marginal-gain evaluation** — the incremental coverage state
-//!    (`CandidateState`) against recomputing `f(S ∪ {e}) − f(S)` from scratch
-//!    while greedily building a k-element result.
+//!    (`CandidateState`, read through once-per-element `ElementProfile`s)
+//!    against recomputing `f(S ∪ {e}) − f(S)` from scratch while greedily
+//!    building a k-element result.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -13,7 +14,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ksir_bench::{build_engine, ProcessingConfig};
-use ksir_core::QueryEvaluator;
+use ksir_core::{ProfileArena, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
 use ksir_stream::RankedList;
 use ksir_types::{ElementId, Timestamp, TopicVector};
@@ -107,16 +108,24 @@ fn bench_marginal_gain_ablation(c: &mut Criterion) {
     group.bench_function("incremental_state", |b| {
         b.iter(|| {
             let evaluator = QueryEvaluator::new(scorer, engine.window(), &tv_map, &vector);
+            // Each candidate element is scored once; every greedy round only
+            // reads the profiles.
+            let mut arena = ProfileArena::default();
+            let profiles: Vec<_> = candidates
+                .iter()
+                .map(|&id| evaluator.profile(&mut arena, id))
+                .collect();
             let mut state = evaluator.new_candidate();
             while state.len() < k {
-                let best = candidates
+                let best = profiles
                     .iter()
-                    .filter(|id| !state.contains(**id))
-                    .map(|&id| (id, evaluator.marginal_gain(&state, id)))
+                    .map(|&profile| arena.get(profile))
+                    .filter(|profile| !state.contains(profile.id()))
+                    .map(|profile| (profile, evaluator.gain_of(&state, profile)))
                     .max_by(|a, b| a.1.total_cmp(&b.1));
                 match best {
-                    Some((id, _)) => {
-                        evaluator.insert(&mut state, id);
+                    Some((profile, _)) => {
+                        evaluator.insert_profile(&mut state, profile);
                     }
                     None => break,
                 }

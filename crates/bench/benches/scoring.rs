@@ -1,6 +1,12 @@
 //! Micro-benchmarks of the representativeness scoring primitives: singleton
 //! scores, set scores and incremental marginal gains over a realistic active
 //! window.
+//!
+//! `marginal_gain/<candidates>` is the kernel's unit of work on the record:
+//! one *pass* = one retrieved element profiled once and tested against 1, 8
+//! or 31 candidate sets (31 is `|Φ|` at `k = 10`, `ε = 0.1`) that share the
+//! profile.  Time per iteration ÷ passes per iteration (printed once per
+//! profile) is ns-per-pass.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -8,7 +14,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ksir_bench::{build_engine, ProcessingConfig};
-use ksir_core::{KsirQuery, QueryEvaluator};
+use ksir_core::{KsirQuery, ProfileArena, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
 use ksir_types::{DenseTopicWordTable, ElementId, TopicVector};
 
@@ -75,15 +81,64 @@ fn bench_scoring(c: &mut Criterion) {
                     let evaluator =
                         QueryEvaluator::new(scorer, s.engine.window(), &tv_map, &vector);
                     let mut state = evaluator.new_candidate();
+                    let mut arena = ProfileArena::default();
                     let mut total = 0.0;
                     for &id in &sample {
-                        total += evaluator.marginal_gain(&state, id);
-                        evaluator.insert(&mut state, id);
+                        arena.clear();
+                        let profile = evaluator.profile(&mut arena, id);
+                        total += evaluator.gain_of(&state, arena.get(profile));
+                        evaluator.insert_profile(&mut state, arena.get(profile));
                     }
                     black_box(total)
                 })
             },
         );
+
+        // The MTTS / SieveStreaming shape: every probed element is profiled
+        // once and its gain read against each candidate.  Half of the
+        // elements relevant to the query pre-fill the candidates (so the
+        // coverage lookups hit), the other half are probed.
+        let evaluator = QueryEvaluator::new(scorer, s.engine.window(), &tv_map, &vector);
+        let relevant: Vec<ElementId> = s
+            .ids
+            .iter()
+            .copied()
+            .filter(|&id| evaluator.delta(id) > 0.0)
+            .collect();
+        let (members, probes) = relevant.split_at(relevant.len() / 2);
+        println!(
+            "scoring/marginal_gain/{name}: {} passes per iteration",
+            probes.len()
+        );
+        for candidates in [1usize, 8, 31] {
+            let states: Vec<_> = (0..candidates)
+                .map(|c| {
+                    let mut state = evaluator.new_candidate();
+                    for &id in members.iter().cycle().skip(c).take(members.len().min(5)) {
+                        evaluator.insert(&mut state, id);
+                    }
+                    state
+                })
+                .collect();
+            group.bench_function(
+                BenchmarkId::new(format!("marginal_gain/{candidates}"), &name),
+                |b| {
+                    let mut arena = ProfileArena::default();
+                    b.iter(|| {
+                        let mut total = 0.0;
+                        for &id in probes {
+                            arena.clear();
+                            let profile = evaluator.profile(&mut arena, id);
+                            let profile = arena.get(profile);
+                            for state in &states {
+                                total += evaluator.gain_of(state, profile);
+                            }
+                        }
+                        black_box(total)
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

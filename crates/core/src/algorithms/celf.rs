@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::evaluator::QueryEvaluator;
+use crate::evaluator::{ProfileArena, ProfileId, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,6 +22,8 @@ struct Entry {
     id: ElementId,
     /// Size of the candidate set the gain was computed against.
     round: usize,
+    /// The element's scoring profile (not part of the order).
+    profile: ProfileId,
 }
 
 impl Eq for Entry {}
@@ -49,11 +51,23 @@ pub(crate) fn run<D: TopicWordDistribution>(
     ids.sort_unstable();
     let evaluated = ids.len();
 
+    // Every element with a positive singleton score is buffered together
+    // with the profile that score was read from, so lazy re-evaluations and
+    // the final insert never rescore it.
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
+    let mut arena = ProfileArena::default();
     for id in ids {
-        let gain = evaluator.delta(id);
+        let profile = evaluator.profile(&mut arena, id);
+        let gain = evaluator.delta_of(arena.get(profile));
         if gain > 0.0 {
-            heap.push(Entry { gain, id, round: 0 });
+            heap.push(Entry {
+                gain,
+                id,
+                round: 0,
+                profile,
+            });
+        } else {
+            arena.pop();
         }
     }
 
@@ -62,18 +76,19 @@ pub(crate) fn run<D: TopicWordDistribution>(
         let Some(top) = heap.pop() else {
             break;
         };
+        let profile = arena.get(top.profile);
         if top.round == state.len() {
             if top.gain <= 0.0 {
                 break;
             }
-            evaluator.insert(&mut state, top.id);
+            evaluator.insert_profile(&mut state, profile);
         } else {
-            let gain = evaluator.marginal_gain(&state, top.id);
+            let gain = evaluator.gain_of(&state, profile);
             if gain > 0.0 {
                 heap.push(Entry {
                     gain,
-                    id: top.id,
                     round: state.len(),
+                    ..top
                 });
             }
         }

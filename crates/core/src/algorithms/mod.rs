@@ -12,6 +12,7 @@
 //! gains.
 
 pub(crate) mod celf;
+mod grid;
 pub(crate) mod mttd;
 pub(crate) mod mtts;
 pub(crate) mod sieve;
@@ -20,12 +21,19 @@ mod traversal;
 
 use ksir_types::ElementId;
 
+pub(crate) use grid::{Guess, GuessGrid};
 pub(crate) use traversal::SupportCursors;
 
-use crate::evaluator::{QueryEvaluator, SingletonCache};
+use crate::evaluator::{ProfileArena, ProfileId, QueryEvaluator, SingletonCache};
 
 /// Singleton score `δ(e, x)` through the optional memo: a hit replays the
 /// remembered value with no scoring pass, a miss evaluates and remembers.
+///
+/// A miss (or an unmemoised run) profiles the element into `arena` and
+/// returns the handle, so the caller's later gain evaluations of the same
+/// element reuse that one scoring pass; a hit returns no handle, so a
+/// memoised element is only ever profiled if some candidate goes on to
+/// evaluate it.
 ///
 /// The cache can only ever hold values a scoring pass produced for the same
 /// window state (see [`SingletonCache`]), so the retrieval order, admission
@@ -34,24 +42,27 @@ use crate::evaluator::{QueryEvaluator, SingletonCache};
 pub(crate) fn singleton_score<D: ksir_types::TopicWordDistribution>(
     evaluator: &QueryEvaluator<'_, D>,
     cache: &mut Option<&mut SingletonCache>,
+    arena: &mut ProfileArena,
     id: ElementId,
-) -> f64 {
-    match cache {
-        Some(memo) => {
-            let score = if let Some(score) = memo.get(id) {
-                memo.note_hit();
-                score
-            } else {
-                memo.note_miss();
-                let score = evaluator.delta(id);
-                memo.remember(id, score);
-                score
-            };
-            memo.consult(id);
-            score
-        }
-        None => evaluator.delta(id),
-    }
+) -> (f64, Option<ProfileId>) {
+    let mut score_fresh = || {
+        let profile = evaluator.profile(arena, id);
+        (evaluator.delta_of(arena.get(profile)), Some(profile))
+    };
+    let Some(memo) = cache else {
+        return score_fresh();
+    };
+    let scored = if let Some(score) = memo.get(id) {
+        memo.note_hit();
+        (score, None)
+    } else {
+        memo.note_miss();
+        let scored = score_fresh();
+        memo.remember(id, scored.0);
+        scored
+    };
+    memo.consult(id);
+    scored
 }
 
 /// A `(score, element)` pair with a total order (descending by score in a

@@ -15,9 +15,18 @@ use std::collections::{BinaryHeap, HashMap};
 use ksir_types::{ElementId, TopicWordDistribution};
 
 use crate::algorithms::{singleton_score, ScoredElement, SupportCursors};
-use crate::evaluator::{CandidateState, QueryEvaluator, SingletonCache};
+use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator, SingletonCache};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
+
+/// A retrieved-but-not-selected element: its current gain upper bound and
+/// its scoring profile, so lazy re-evaluations in later rounds and the insert
+/// after an admission never rescore it.  On the memoised path the profile
+/// stays unbuilt until the element's first gain evaluation.
+struct Buffered {
+    bound: f64,
+    profile: Option<ProfileId>,
+}
 
 pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
@@ -32,8 +41,10 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
 
     // Buffer E′ of retrieved-but-not-selected elements: cached gain upper
     // bounds plus a lazy max-heap over them.
-    let mut cached: HashMap<ElementId, f64> = HashMap::new();
+    let mut buffer: HashMap<ElementId, Buffered> = HashMap::new();
     let mut heap: BinaryHeap<ScoredElement> = BinaryHeap::new();
+    // The profiles of every buffered element, side by side.
+    let mut arena = ProfileArena::default();
 
     let mut tau = cursors.upper_bound();
     if tau <= 0.0 {
@@ -50,45 +61,57 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             let Some(id) = cursors.pop_next() else {
                 break;
             };
-            let delta = singleton_score(evaluator, &mut cache, id);
+            let (delta, profile) = singleton_score(evaluator, &mut cache, &mut arena, id);
             if delta > 0.0 {
-                cached.insert(id, delta);
+                buffer.insert(
+                    id,
+                    Buffered {
+                        bound: delta,
+                        profile,
+                    },
+                );
                 heap.push(ScoredElement { score: delta, id });
+            } else if profile.is_some() {
+                arena.pop();
             }
         }
 
         // Evaluation: admit buffered elements whose marginal gain reaches τ.
         while let Some(&top) = heap.peek() {
-            match cached.get(&top.id) {
+            let entry = match buffer.get_mut(&top.id) {
+                Some(entry) if entry.bound == top.score => entry,
                 // Stale heap entry (the element was admitted or its cached
                 // gain was lowered since this entry was pushed): discard.
-                Some(&current) if current == top.score => {}
                 _ => {
                     heap.pop();
                     continue;
                 }
-            }
+            };
             if top.score < tau {
                 break;
             }
             heap.pop();
-            let gain = evaluator.marginal_gain(&state, top.id);
+            let profile = *entry
+                .profile
+                .get_or_insert_with(|| evaluator.profile(&mut arena, top.id));
+            let profile = arena.get(profile);
+            let gain = evaluator.gain_of(&state, profile);
             if gain >= tau {
-                evaluator.insert(&mut state, top.id);
-                cached.remove(&top.id);
+                evaluator.insert_profile(&mut state, profile);
+                buffer.remove(&top.id);
                 if state.len() == k {
                     // τ at the moment the result filled is the admission bar:
                     // below it nothing could have joined the result.
                     return finish(state, &mut cursors, evaluator, Some(tau));
                 }
             } else if gain > 0.0 {
-                cached.insert(top.id, gain);
+                entry.bound = gain;
                 heap.push(ScoredElement {
                     score: gain,
                     id: top.id,
                 });
             } else {
-                cached.remove(&top.id);
+                buffer.remove(&top.id);
             }
         }
 
@@ -96,7 +119,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         tau *= 1.0 - epsilon;
 
         // Nothing left to retrieve or admit: no later round can make progress.
-        if cached.is_empty() && cursors.exhausted() {
+        if buffer.is_empty() && cursors.exhausted() {
             break;
         }
         if tau < f64::MIN_POSITIVE {
@@ -111,8 +134,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         // same order as the full rounds, so the τ grid — and with it every
         // later decision — is bit-identical to the unaccelerated loop.
         while let Some(&top) = heap.peek() {
-            match cached.get(&top.id) {
-                Some(&current) if current == top.score => break,
+            match buffer.get(&top.id) {
+                Some(entry) if entry.bound == top.score => break,
                 _ => {
                     heap.pop();
                 }

@@ -10,12 +10,10 @@
 //! practice prunes the vast majority of active elements.  The returned
 //! candidate is a `(1/2 − ε)`-approximation (Theorem 4.2).
 
-use std::collections::BTreeMap;
-
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{singleton_score, SupportCursors};
-use crate::evaluator::{CandidateState, QueryEvaluator, SingletonCache};
+use crate::algorithms::{singleton_score, Guess, GuessGrid, SupportCursors};
+use crate::evaluator::{ProfileArena, QueryEvaluator, SingletonCache};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
 
@@ -25,53 +23,43 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     query: &KsirQuery,
     mut cache: Option<&mut SingletonCache>,
 ) -> QueryResult {
-    let k = query.k() as f64;
-    let base = 1.0 + query.epsilon();
+    let k = query.k();
     let mut cursors = SupportCursors::new(view, evaluator.support());
-    let mut candidates: BTreeMap<i64, CandidateState> = BTreeMap::new();
-    let mut delta_max = 0.0_f64;
+    let mut grid = GuessGrid::new(query);
+    // One profile per retrieved element, shared by every guess that tests it
+    // and by the insert that follows an admission.
+    let mut arena = ProfileArena::default();
     let mut evaluated = 0_usize;
 
     loop {
         let ub = cursors.upper_bound();
-        if !candidates.is_empty() {
-            // TH: smallest admission threshold among unfilled candidates; if
-            // every candidate is full no element can be admitted anywhere.
-            let th = candidates
-                .iter()
-                .filter(|(_, state)| state.len() < query.k())
-                .map(|(&j, _)| base.powf(j as f64) / (2.0 * k))
-                .fold(f64::INFINITY, f64::min);
-            if ub < th {
-                break;
-            }
+        // TH: smallest admission threshold among unfilled candidates; if
+        // every candidate is full no element can be admitted anywhere.
+        if !grid.is_empty() && ub < grid.min_unfilled_threshold(k) {
+            break;
         }
         let Some(id) = cursors.pop_next() else {
             break;
         };
-        let delta = singleton_score(evaluator, &mut cache, id);
+        arena.clear();
+        let (delta, profile) = singleton_score(evaluator, &mut cache, &mut arena, id);
         evaluated += 1;
         if delta <= 0.0 {
             continue;
         }
-        if delta > delta_max {
-            delta_max = delta;
-            // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
-            let lo = (delta_max.ln() / base.ln()).ceil() as i64;
-            let hi = ((2.0 * k * delta_max).ln() / base.ln()).floor() as i64;
-            candidates.retain(|&j, _| j >= lo && j <= hi);
-            for j in lo..=hi {
-                candidates
-                    .entry(j)
-                    .or_insert_with(|| evaluator.new_candidate());
-            }
+        // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
+        grid.observe(delta, evaluator);
+        let admits = |guess: &Guess| delta >= guess.threshold && guess.state.len() < k;
+        if !grid.guesses().iter().any(admits) {
+            continue;
         }
-        for (&j, state) in candidates.iter_mut() {
-            let threshold = base.powf(j as f64) / (2.0 * k);
-            if delta >= threshold && state.len() < query.k() {
-                let gain = evaluator.marginal_gain(state, id);
-                if gain >= threshold {
-                    evaluator.insert(state, id);
+        let profile = profile.unwrap_or_else(|| evaluator.profile(&mut arena, id));
+        let profile = arena.get(profile);
+        for guess in grid.guesses_mut() {
+            if admits(guess) {
+                let gain = evaluator.gain_of(&guess.state, profile);
+                if gain >= guess.threshold {
+                    evaluator.insert_profile(&mut guess.state, profile);
                 }
             }
         }
@@ -82,26 +70,16 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     // candidate filled, fall back to the smallest grid threshold: an element
     // below it is rejected by every candidate regardless of fill.
     let bar = {
-        let unfilled = candidates
-            .iter()
-            .filter(|(_, state)| state.len() < query.k())
-            .map(|(&j, _)| base.powf(j as f64) / (2.0 * k))
-            .fold(f64::INFINITY, f64::min);
+        let unfilled = grid.min_unfilled_threshold(k);
         if unfilled.is_finite() {
             Some(unfilled)
         } else {
-            candidates
-                .keys()
-                .next()
-                .map(|&j| base.powf(j as f64) / (2.0 * k))
+            grid.guesses().first().map(|guess| guess.threshold)
         }
     };
     let mut frontier = cursors.frontier();
     frontier.bar = bar;
-    let best = candidates
-        .into_values()
-        .max_by(|a, b| a.score().total_cmp(&b.score()));
-    match best {
+    match grid.into_best() {
         Some(state) if !state.is_empty() => QueryResult {
             elements: state.members().to_vec(),
             score: state.score(),

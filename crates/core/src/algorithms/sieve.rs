@@ -8,12 +8,11 @@
 //! candidate is a `(1/2 − ε)`-approximation.  Unlike MTTS it has no index to
 //! lean on, so it evaluates every active element for every query.
 
-use std::collections::BTreeMap;
-
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::evaluator::{CandidateState, QueryEvaluator};
+use crate::algorithms::GuessGrid;
+use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 
 pub(crate) fn run<D: TopicWordDistribution>(
@@ -22,47 +21,35 @@ pub(crate) fn run<D: TopicWordDistribution>(
     query: &KsirQuery,
 ) -> QueryResult {
     let k = query.k();
-    let base = 1.0 + query.epsilon();
     let mut ids: Vec<ElementId> = window.ids().collect();
     ids.sort_unstable();
     let evaluated = ids.len();
 
-    let mut max_singleton = 0.0_f64;
-    let mut candidates: BTreeMap<i64, CandidateState> = BTreeMap::new();
+    let mut grid = GuessGrid::new(query);
+    let mut arena = ProfileArena::default();
 
     for id in ids {
-        let delta = evaluator.delta(id);
+        arena.clear();
+        let profile = evaluator.profile(&mut arena, id);
+        let profile = arena.get(profile);
+        let delta = evaluator.delta_of(profile);
         if delta <= 0.0 {
             continue;
         }
-        if delta > max_singleton {
-            max_singleton = delta;
-            let lo = (max_singleton.ln() / base.ln()).ceil() as i64;
-            let hi = ((2.0 * k as f64 * max_singleton).ln() / base.ln()).floor() as i64;
-            candidates.retain(|&j, _| j >= lo && j <= hi);
-            for j in lo..=hi {
-                candidates
-                    .entry(j)
-                    .or_insert_with(|| evaluator.new_candidate());
-            }
-        }
-        for (&j, state) in candidates.iter_mut() {
-            if state.len() >= k {
+        grid.observe(delta, evaluator);
+        for guess in grid.guesses_mut() {
+            if guess.state.len() >= k {
                 continue;
             }
-            let v = base.powf(j as f64);
-            let needed = (v / 2.0 - state.score()) / (k - state.len()) as f64;
-            let gain = evaluator.marginal_gain(state, id);
+            let needed = (guess.value / 2.0 - guess.state.score()) / (k - guess.state.len()) as f64;
+            let gain = evaluator.gain_of(&guess.state, profile);
             if gain >= needed {
-                evaluator.insert(state, id);
+                evaluator.insert_profile(&mut guess.state, profile);
             }
         }
     }
 
-    let best = candidates
-        .into_values()
-        .max_by(|a, b| a.score().total_cmp(&b.score()));
-    match best {
+    match grid.into_best() {
         Some(state) if !state.is_empty() => QueryResult {
             elements: state.members().to_vec(),
             score: state.score(),

@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use ksir_types::TopicWordDistribution;
 
 use crate::algorithms::{singleton_score, ScoredElement, SupportCursors};
-use crate::evaluator::{QueryEvaluator, SingletonCache};
+use crate::evaluator::{ProfileArena, QueryEvaluator, SingletonCache};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
 
@@ -29,6 +29,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     let mut cursors = SupportCursors::new(view, evaluator.support());
     // Min-heap of the current top-k singleton scores.
     let mut top: BinaryHeap<Reverse<ScoredElement>> = BinaryHeap::new();
+    let mut arena = ProfileArena::default();
     let mut evaluated = 0_usize;
 
     loop {
@@ -42,7 +43,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         let Some(id) = cursors.pop_next() else {
             break;
         };
-        let delta = singleton_score(evaluator, &mut cache, id);
+        arena.clear();
+        let (delta, _) = singleton_score(evaluator, &mut cache, &mut arena, id);
         evaluated += 1;
         if delta <= 0.0 {
             continue;

@@ -9,10 +9,35 @@
 //!   word covered by `S`, and
 //! * per query topic, the survival probability
 //!   `Π_{e'∈S∩e.ref}(1 − p_i(e' ⤳ e))` for every window element influenced by
-//!   some member of `S`,
+//!   some member of `S`.
 //!
-//! so that the marginal gain of `e` is computable in `O((|V_e| + |I_t(e)|)·d)`
-//! — the complexity the paper's analysis assumes.
+//! # Cost: one scoring pass per element, lookups per candidate
+//!
+//! Everything a gain needs *from the element* — `p_i(e)`, the word weights
+//! `σ_i(w, e)` and the propagation probabilities `p_i(e ⤳ c)` on every
+//! support topic — does not depend on the candidate.  An [`ElementProfile`]
+//! is exactly those columns.  Building one ([`QueryEvaluator::profile`]) is
+//! the `O((|V_e| + |I_t(e)|)·d)` scoring pass the paper's analysis charges
+//! per retrieved element (one `ln` per word × topic, one topic-vector probe
+//! per child), and the algorithms do it **at most once per element per
+//! query**, when the first consumer needs it.  `δ(e, x)`, every marginal gain
+//! against every candidate, and the insert that follows an admission then
+//! only read the profile: a gain is `(|V_e| + |I_t(e)|)·d` coverage lookups
+//! with no transcendental, no allocation and no window or topic-vector
+//! access.
+//!
+//! Profiles live in a [`ProfileArena`] — one set of contiguous columns per
+//! query, addressed by [`ProfileId`] — so keeping the profiles of every
+//! buffered element (MTTD, CELF) costs no allocation per element, and the
+//! one-element-at-a-time algorithms (MTTS, SieveStreaming, Top-k) clear and
+//! refill the same buffers.
+//!
+//! The id-taking [`QueryEvaluator::delta`] / [`QueryEvaluator::marginal_gain`]
+//! / [`QueryEvaluator::insert`] profile into a throw-away arena and delegate,
+//! so there is one word-weight loop and one child-propagation loop in the
+//! crate outside the from-scratch reference in [`crate::scorer`].  All three
+//! consumers sum in the order the per-call kernel used, so every `f64` they
+//! return is bit-identical to it (pinned by `tests/kernel_identity.rs`).
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -21,6 +46,216 @@ use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId};
 
 use crate::scorer::{propagation_prob, word_weight, Scorer};
+
+/// Column storage for the [`ElementProfile`]s of one query: every profile's
+/// `p_i(e)` run, word run, weight run, child run and propagation run sit back
+/// to back in five shared vectors, so profiling an element allocates nothing
+/// once the vectors have grown.
+///
+/// An arena is per-query scratch.  Only the evaluator that filled it can read
+/// it back meaningfully: the columns are parallel to that evaluator's query
+/// support and describe that evaluator's window state.
+///
+/// A dropped arena leaves its (emptied) vectors behind for the next arena
+/// created on the same thread.  A standing-query refresh is a handful of
+/// microseconds, and growing six fresh vectors was over one of them (7.7 µs
+/// per refresh against 6.1 µs with reuse, for a two-topic MTTD subscription
+/// over a 200-element window).
+#[derive(Debug)]
+pub struct ProfileArena {
+    columns: Columns,
+}
+
+#[derive(Debug, Default)]
+struct Columns {
+    /// Where each profile's runs start; a run ends where the next profile's
+    /// begins (or at the end of the column).
+    entries: Vec<ProfileEntry>,
+    /// `p_i(e)` per support slot.
+    topic_probs: Vec<f64>,
+    /// The document's distinct words, ascending.
+    words: Vec<WordId>,
+    /// `σ_i(w, e)`, slot-major within a profile: slot `s` owns the `s`-th
+    /// `|words|`-long stretch of the profile's run (zeros where `p_i(e) = 0`).
+    weights: Vec<f64>,
+    /// `I_t(e)` in influence (reference-arrival) order.
+    children: Vec<ElementId>,
+    /// `p_i(e ⤳ c)`, slot-major like `weights`.
+    propagation: Vec<f64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ProfileEntry {
+    id: ElementId,
+    active: bool,
+    start: ColumnOffsets,
+}
+
+/// One position in each of the five data columns.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnOffsets {
+    topic_probs: usize,
+    words: usize,
+    weights: usize,
+    children: usize,
+    propagation: usize,
+}
+
+/// Handle to one profile in the [`ProfileArena`] that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProfileId(u32);
+
+thread_local! {
+    /// The vectors of the last arena dropped on this thread.
+    static SPARE_COLUMNS: Cell<Option<Columns>> = const { Cell::new(None) };
+}
+
+/// Largest weight column (in entries) worth keeping for reuse: an arena that
+/// profiled a whole window for an exhaustive baseline gives its memory back.
+const SPARE_WEIGHTS_LIMIT: usize = 1 << 14;
+
+impl Default for ProfileArena {
+    fn default() -> Self {
+        ProfileArena {
+            columns: SPARE_COLUMNS.take().unwrap_or_default(),
+        }
+    }
+}
+
+impl Drop for ProfileArena {
+    fn drop(&mut self) {
+        let mut columns = std::mem::take(&mut self.columns);
+        if columns.weights.capacity() <= SPARE_WEIGHTS_LIMIT {
+            columns.clear();
+            // Unreachable thread-local storage (thread teardown) just means
+            // the buffers are freed like any others.
+            let _ = SPARE_COLUMNS.try_with(|spare| spare.set(Some(columns)));
+        }
+    }
+}
+
+impl Columns {
+    /// The position just past the last profile, in every data column.
+    fn end(&self) -> ColumnOffsets {
+        ColumnOffsets {
+            topic_probs: self.topic_probs.len(),
+            words: self.words.len(),
+            weights: self.weights.len(),
+            children: self.children.len(),
+            propagation: self.propagation.len(),
+        }
+    }
+
+    /// Cuts the arena back to its first `profiles` profiles, which end at
+    /// `end`.
+    fn truncate(&mut self, profiles: usize, end: ColumnOffsets) {
+        self.entries.truncate(profiles);
+        self.topic_probs.truncate(end.topic_probs);
+        self.words.truncate(end.words);
+        self.weights.truncate(end.weights);
+        self.children.truncate(end.children);
+        self.propagation.truncate(end.propagation);
+    }
+
+    fn clear(&mut self) {
+        self.truncate(0, ColumnOffsets::default());
+    }
+}
+
+impl ProfileArena {
+    /// Drops every profile, keeping the buffers.  Outstanding [`ProfileId`]s
+    /// become invalid.
+    pub fn clear(&mut self) {
+        self.columns.clear();
+    }
+
+    /// Drops the most recently added profile — for an element that turned out
+    /// not to be worth keeping.
+    pub fn pop(&mut self) {
+        if let Some(&ProfileEntry { start, .. }) = self.columns.entries.last() {
+            let profiles = self.columns.entries.len() - 1;
+            self.columns.truncate(profiles, start);
+        }
+    }
+
+    /// The columns of one profile.
+    ///
+    /// # Panics
+    ///
+    /// If `id` was not issued by this arena since its last
+    /// [`clear`](ProfileArena::clear).
+    pub fn get(&self, id: ProfileId) -> ElementProfile<'_> {
+        let columns = &self.columns;
+        let index = id.0 as usize;
+        let ProfileEntry { id, active, start } = columns.entries[index];
+        let end = columns
+            .entries
+            .get(index + 1)
+            .map_or_else(|| columns.end(), |next| next.start);
+        ElementProfile {
+            id,
+            active,
+            topic_probs: &columns.topic_probs[start.topic_probs..end.topic_probs],
+            words: &columns.words[start.words..end.words],
+            weights: &columns.weights[start.weights..end.weights],
+            children: &columns.children[start.children..end.children],
+            propagation: &columns.propagation[start.propagation..end.propagation],
+        }
+    }
+}
+
+/// The candidate-independent part of scoring one element against one query,
+/// as stored in a [`ProfileArena`]: per query-support slot, `p_i(e)`, the
+/// word-weight column `σ_i(w, e)` in [`Document`](ksir_types::Document)
+/// (ascending-word) order and the propagation column `p_i(e ⤳ c)` in
+/// influence (reference-arrival) order.
+///
+/// Built by [`QueryEvaluator::profile`]; read by
+/// [`QueryEvaluator::delta_of`], [`QueryEvaluator::gain_of`] and
+/// [`QueryEvaluator::insert_profile`].
+#[derive(Debug, Clone, Copy)]
+pub struct ElementProfile<'a> {
+    id: ElementId,
+    /// Whether the element was active when profiled; an inactive element has
+    /// no words, no children and zero gain.
+    active: bool,
+    topic_probs: &'a [f64],
+    words: &'a [WordId],
+    weights: &'a [f64],
+    children: &'a [ElementId],
+    propagation: &'a [f64],
+}
+
+impl<'a> ElementProfile<'a> {
+    /// The profiled element.
+    pub fn id(&self) -> ElementId {
+        self.id
+    }
+
+    /// Returns `true` if the element has non-zero probability on slot `slot`
+    /// of the query support — the only slots whose columns are populated.
+    fn scores_on(&self, slot: usize) -> bool {
+        self.topic_probs[slot] > 0.0
+    }
+
+    /// Slot `slot`'s word column: `(w, σ_i(w, e))` in document order.
+    fn word_column(&self, slot: usize) -> impl Iterator<Item = (WordId, f64)> + 'a {
+        let n = self.words.len();
+        self.words
+            .iter()
+            .zip(&self.weights[slot * n..(slot + 1) * n])
+            .map(|(&w, &weight)| (w, weight))
+    }
+
+    /// Slot `slot`'s child column: `(c, p_i(e ⤳ c))` in influence order.
+    fn child_column(&self, slot: usize) -> impl Iterator<Item = (ElementId, f64)> + 'a {
+        let m = self.children.len();
+        self.children
+            .iter()
+            .zip(&self.propagation[slot * m..(slot + 1) * m])
+            .map(|(&c, &p)| (c, p))
+    }
+}
 
 /// Incremental state of one candidate result set.
 #[derive(Debug, Clone)]
@@ -287,19 +522,112 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
         self.gain_evaluations.set(self.gain_evaluations.get() + 1);
     }
 
-    fn element_topic_prob(&self, id: ElementId, topic: TopicId) -> f64 {
-        self.topic_vectors
-            .get(&id)
-            .and_then(|tv| tv.get(topic))
-            .unwrap_or(0.0)
+    /// Profiles one element into `arena`: the single
+    /// `O((|V_e| + |I_t(e)|)·d)` pass every later `δ` / gain / insert of that
+    /// element reads from — and the one word-weight loop and one
+    /// child-propagation loop of the query path.  Not counted as a gain
+    /// evaluation; the consumers are.
+    ///
+    /// An element with zero probability on every support topic gets an empty
+    /// profile (no word, no child is looked at): it scores zero everywhere.
+    pub fn profile(&self, arena: &mut ProfileArena, id: ElementId) -> ProfileId {
+        let arena = &mut arena.columns;
+        let element = self.window.get(id);
+        let handle = ProfileId(arena.entries.len() as u32);
+        let start = arena.end();
+        arena.entries.push(ProfileEntry {
+            id,
+            active: element.is_some(),
+            start,
+        });
+
+        let tv = self.topic_vectors.get(&id);
+        arena.topic_probs.extend(
+            self.support
+                .iter()
+                .map(|&(topic, _)| tv.and_then(|tv| tv.get(topic)).unwrap_or(0.0)),
+        );
+        let topic_probs = &arena.topic_probs[start.topic_probs..];
+        let Some(element) = element else {
+            return handle;
+        };
+        if !topic_probs.iter().any(|&p| p > 0.0) {
+            return handle;
+        }
+        let scored_slots = || {
+            let slots = self.support.iter().zip(topic_probs).enumerate();
+            slots.filter(|(_, (_, &p_elem))| p_elem > 0.0)
+        };
+
+        let phi = self.scorer.phi();
+        let n = element.doc.distinct_words();
+        arena
+            .weights
+            .resize(start.weights + self.support.len() * n, 0.0);
+        let weights = &mut arena.weights[start.weights..];
+        for (i, (w, freq)) in element.doc.iter().enumerate() {
+            arena.words.push(w);
+            for (slot, (&(topic, _), &p_elem)) in scored_slots() {
+                weights[slot * n + i] = word_weight(freq, phi.word_prob(topic, w), p_elem);
+            }
+        }
+
+        arena.children.extend(self.window.influenced_iter(id));
+        let children = &arena.children[start.children..];
+        let m = children.len();
+        arena
+            .propagation
+            .resize(start.propagation + self.support.len() * m, 0.0);
+        let propagation = &mut arena.propagation[start.propagation..];
+        for (c, child) in children.iter().enumerate() {
+            let Some(child_tv) = self.topic_vectors.get(child) else {
+                continue;
+            };
+            for (slot, (&(topic, _), &p_elem)) in scored_slots() {
+                propagation[slot * m + c] =
+                    propagation_prob(p_elem, child_tv.get(topic).unwrap_or(0.0));
+            }
+        }
+        handle
+    }
+
+    /// Profiles `id` into a throw-away arena and hands the profile to `read`
+    /// — the id-taking wrappers' path.
+    fn with_profile<T>(&self, id: ElementId, read: impl FnOnce(ElementProfile<'_>) -> T) -> T {
+        let mut arena = ProfileArena::default();
+        let handle = self.profile(&mut arena, id);
+        read(arena.get(handle))
     }
 
     /// The singleton score `δ(e, x)` of one element.
     pub fn delta(&self, id: ElementId) -> f64 {
+        self.with_profile(id, |profile| self.delta_of(profile))
+    }
+
+    /// The singleton score `δ(e, x)` of a profiled element:
+    /// `Σ_i x_i · f_i({e})`, each `f_i` summing its columns in document /
+    /// influence order — bit-identical to
+    /// [`Scorer::delta`](crate::scorer::Scorer::delta) and to the weighted
+    /// sum of the element's stored ranked-list tuples.
+    pub fn delta_of(&self, profile: ElementProfile<'_>) -> f64 {
         self.bump();
+        let config = self.scorer.config();
         self.support
             .iter()
-            .map(|&(topic, weight)| weight * self.scorer.topicwise_element(topic, id))
+            .enumerate()
+            .map(|(slot, &(_, x_i))| {
+                let (semantic, influence) = if profile.scores_on(slot) {
+                    (
+                        profile.word_column(slot).map(|(_, weight)| weight).sum(),
+                        profile.child_column(slot).map(|(_, p)| p).sum(),
+                    )
+                } else {
+                    (0.0, 0.0)
+                };
+                // An inactive element has no document to sum over.
+                let semantic = if profile.active { semantic } else { 0.0 };
+                x_i * config.combine(semantic, influence)
+            })
             .sum()
     }
 
@@ -313,36 +641,33 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// Elements that are already members, or that are no longer active, have
     /// zero gain.
     pub fn marginal_gain(&self, state: &CandidateState, id: ElementId) -> f64 {
+        self.with_profile(id, |profile| self.gain_of(state, profile))
+    }
+
+    /// The marginal gain `Δ(e | S)` of a profiled element: coverage lookups
+    /// only.  Counted as one gain evaluation.
+    pub fn gain_of(&self, state: &CandidateState, profile: ElementProfile<'_>) -> f64 {
         self.bump();
-        if state.contains(id) || !self.window.contains(id) {
+        if !profile.active || state.contains(profile.id) {
             return 0.0;
         }
-        let Some(element) = self.window.get(id) else {
-            return 0.0;
-        };
         let config = self.scorer.config();
         let mut gain = 0.0;
-        for (slot, &(topic, x_i)) in self.support.iter().enumerate() {
-            let p_elem = self.element_topic_prob(id, topic);
+        for (slot, &(_, x_i)) in self.support.iter().enumerate() {
             let topic_state = &state.topics[slot];
-
-            // Semantic gain: words whose best weight improves.
             let mut semantic = 0.0;
-            if p_elem > 0.0 {
-                for (w, freq) in element.doc.iter() {
-                    let weight = word_weight(freq, self.phi_word_prob(topic, w), p_elem);
+            let mut influence = 0.0;
+            if profile.scores_on(slot) {
+                // Semantic gain: words whose best weight improves.
+                for (w, weight) in profile.word_column(slot) {
                     let current = topic_state.word_best.get(&w).copied().unwrap_or(0.0);
                     if weight > current {
                         semantic += weight - current;
                     }
                 }
-            }
-
-            // Influence gain: extra coverage probability on influenced elements.
-            let mut influence = 0.0;
-            if p_elem > 0.0 {
-                for child in self.window.influenced_by(id) {
-                    let p = propagation_prob(p_elem, self.element_topic_prob(child, topic));
+                // Influence gain: extra coverage probability on influenced
+                // elements.
+                for (child, p) in profile.child_column(slot) {
                     if p <= 0.0 {
                         continue;
                     }
@@ -354,14 +679,9 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
                     influence += survival * p;
                 }
             }
-
             gain += x_i * config.combine(semantic, influence);
         }
         gain
-    }
-
-    fn phi_word_prob(&self, topic: TopicId, word: WordId) -> f64 {
-        self.scorer.phi().word_prob(topic, word)
     }
 
     /// Inserts `id` into the candidate, updating coverage state and score.
@@ -369,34 +689,32 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// Returns the realised gain (equal to [`QueryEvaluator::marginal_gain`]
     /// at the moment of insertion).
     pub fn insert(&self, state: &mut CandidateState, id: ElementId) -> f64 {
-        if state.contains(id) || !self.window.contains(id) {
+        self.with_profile(id, |profile| self.insert_profile(state, profile))
+    }
+
+    /// Inserts a profiled element into the candidate, updating coverage state
+    /// and score.  Returns the realised gain — bit-equal to
+    /// [`QueryEvaluator::gain_of`] at the moment of insertion.  Not counted
+    /// as a gain evaluation.
+    pub fn insert_profile(&self, state: &mut CandidateState, profile: ElementProfile<'_>) -> f64 {
+        if !profile.active || state.contains(profile.id) {
             return 0.0;
         }
-        let Some(element) = self.window.get(id) else {
-            return 0.0;
-        };
         let config = self.scorer.config();
         let mut gain = 0.0;
-        for (slot, &(topic, x_i)) in self.support.iter().enumerate() {
-            let p_elem = self.element_topic_prob(id, topic);
+        for (slot, &(_, x_i)) in self.support.iter().enumerate() {
             let topic_state = &mut state.topics[slot];
-
             let mut semantic = 0.0;
-            if p_elem > 0.0 {
-                for (w, freq) in element.doc.iter() {
-                    let weight = word_weight(freq, self.phi_word_prob(topic, w), p_elem);
+            let mut influence = 0.0;
+            if profile.scores_on(slot) {
+                for (w, weight) in profile.word_column(slot) {
                     let entry = topic_state.word_best.entry(w).or_insert(0.0);
                     if weight > *entry {
                         semantic += weight - *entry;
                         *entry = weight;
                     }
                 }
-            }
-
-            let mut influence = 0.0;
-            if p_elem > 0.0 {
-                for child in self.window.influenced_by(id) {
-                    let p = propagation_prob(p_elem, self.element_topic_prob(child, topic));
+                for (child, p) in profile.child_column(slot) {
                     if p <= 0.0 {
                         continue;
                     }
@@ -405,10 +723,9 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
                     *survival *= 1.0 - p;
                 }
             }
-
             gain += x_i * config.combine(semantic, influence);
         }
-        state.members.push(id);
+        state.members.push(profile.id);
         state.score += gain;
         gain
     }
@@ -417,8 +734,11 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// score final results and in consistency checks).
     pub fn score_of(&self, ids: &[ElementId]) -> f64 {
         let mut state = self.new_candidate();
+        let mut arena = ProfileArena::default();
         for &id in ids {
-            self.insert(&mut state, id);
+            arena.clear();
+            let handle = self.profile(&mut arena, id);
+            self.insert_profile(&mut state, arena.get(handle));
         }
         state.score()
     }

@@ -164,8 +164,7 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
             return 0.0;
         }
         self.window
-            .influenced_by(id)
-            .into_iter()
+            .influenced_iter(id)
             .map(|child| propagation_prob(p_parent, self.element_topic_prob(child, topic)))
             .sum()
     }
@@ -178,7 +177,7 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         let mut survival: HashMap<ElementId, f64> = HashMap::new();
         for &id in ids {
             let p_parent = self.element_topic_prob(id, topic);
-            for child in self.window.influenced_by(id) {
+            for child in self.window.influenced_iter(id) {
                 let p = propagation_prob(p_parent, self.element_topic_prob(child, topic));
                 let s = survival.entry(child).or_insert(1.0);
                 *s *= 1.0 - p;

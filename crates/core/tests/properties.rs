@@ -7,6 +7,11 @@
 //!
 //! * Lemma 3.6 / 3.7: the scoring function is monotone and submodular.
 //! * The incremental marginal-gain state matches from-scratch scoring.
+//! * Element profiles — the once-per-element scoring pass every `δ`, gain and
+//!   insert reads — agree with the from-scratch [`Scorer`] and, bit for bit,
+//!   with the stored ranked-list tuples, on the awkward inputs: zero
+//!   probability on a query topic, inactive ids, repeated members, children
+//!   straddling the window start.
 //! * Theorems 4.2 / 4.4 and the baselines' guarantees hold against the
 //!   exhaustive optimum on small instances.
 //! * Algorithm 1 keeps the ranked-list tuples equal to the directly computed
@@ -26,8 +31,8 @@ use rand::{Rng as _, SeedableRng as _};
 
 use ksir_core::{
     prime_singleton_cache, Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery,
-    QueryEvaluator, QueryFrontier, QuerySource, RankedView, ScoringConfig, SingletonCache,
-    StoredScore,
+    ProfileArena, QueryEvaluator, QueryFrontier, QuerySource, RankedView, Scorer, ScoringConfig,
+    SingletonCache, StoredScore,
 };
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
@@ -90,6 +95,16 @@ struct StreamInstance {
 }
 
 fn build_stream_instance(p: &InstanceParams) -> StreamInstance {
+    build_sparsified_stream_instance(p, None)
+}
+
+/// [`build_stream_instance`] with the engine keeping only each element's
+/// `max_topics` most probable topics, so elements have exactly zero
+/// probability on the rest.
+fn build_sparsified_stream_instance(
+    p: &InstanceParams,
+    max_topics: Option<usize>,
+) -> StreamInstance {
     let mut rng = StdRng::seed_from_u64(p.seed);
 
     // Random topic-word table with normalised rows.
@@ -105,7 +120,7 @@ fn build_stream_instance(p: &InstanceParams) -> StreamInstance {
 
     let scoring = ScoringConfig::new(f64::from(p.lambda_tenths) / 10.0, 2.0).unwrap();
     let config = EngineConfig::new(WindowConfig::new(p.window_len, 1).unwrap(), scoring)
-        .with_max_topics_per_element(None);
+        .with_max_topics_per_element(max_topics);
     let engine = KsirEngine::new(phi, config).unwrap();
 
     // Random stream: increasing timestamps, random words, random references to
@@ -243,6 +258,120 @@ proptest! {
                 selected.push(id);
             }
             let full = scorer.set_score(&instance.query_vector, &selected);
+            prop_assert!((full - state.score()).abs() < 1e-9);
+        }
+    }
+
+    /// Element profiles against the references, on a window built to hit
+    /// the guards: topic vectors sparsified to two topics (zero probability
+    /// on some query topic), a parent given one child posted *before* the
+    /// window start and one inside it, an inactive id, and repeated picks
+    /// (ids that are already members).
+    #[test]
+    fn element_profiles_agree_with_the_references(p in instance_params()) {
+        let StreamInstance { mut engine, stream, query: _, query_vector } =
+            build_sparsified_stream_instance(&p, Some(2));
+        for (element, tv) in stream {
+            let end = element.ts;
+            engine.ingest_bucket(vec![(element, tv)], end).unwrap();
+        }
+        let ids = engine.active_ids();
+        prop_assume!(!ids.is_empty());
+        let support = query_vector.support();
+
+        // δ(e, x) read off a profile is, bit for bit, the weighted sum of the
+        // element's stored tuples — absent tuples being the topics where
+        // p_i(e) = 0 — and what the id-taking wrapper returns.
+        let evaluator = QueryEvaluator::new(
+            engine.scorer(),
+            engine.window(),
+            engine.topic_vectors(),
+            &query_vector,
+        );
+        let mut arena = ProfileArena::default();
+        for &id in &ids {
+            let profile = evaluator.profile(&mut arena, id);
+            prop_assert_eq!(arena.get(profile).id(), id);
+            let delta = evaluator.delta_of(arena.get(profile));
+            let mut stored = 0.0;
+            for &(topic, weight) in &support {
+                match engine.ranked_lists().stored_score(topic, id) {
+                    StoredScore::Score(score) => stored += weight * score,
+                    StoredScore::Absent => {}
+                    StoredScore::Unsupported => prop_assert!(false, "live lists serve lookups"),
+                }
+            }
+            prop_assert_eq!(delta.to_bits(), stored.to_bits(), "δ of {:?}", id);
+            prop_assert_eq!(delta.to_bits(), evaluator.delta(id).to_bits());
+        }
+
+        // A copy of the window in which one parent's children straddle the
+        // window start: the late child is recorded on the parent but lies
+        // outside W_t, so neither the reference nor the profile may count it.
+        let mut rng = StdRng::seed_from_u64(p.seed ^ 0x0f11e);
+        let mut window = engine.window().clone();
+        let mut tvs = engine.topic_vectors().clone();
+        let parent = ids[rng.gen_range(0..ids.len())];
+        let now = window.now().raw();
+        let (late, fresh) = (ElementId(10_000), ElementId(10_001));
+        if let Some(before_start) = window.window_start().raw().checked_sub(1) {
+            let child = SocialElementBuilder::new(late.raw())
+                .at(before_start)
+                .words([0, 1])
+                .referencing(parent.raw())
+                .build();
+            window.insert(child).unwrap();
+            tvs.insert(late, TopicVector::uniform(p.num_topics));
+        }
+        let child = SocialElementBuilder::new(fresh.raw())
+            .at(now)
+            .words([1, 2])
+            .referencing(parent.raw())
+            .build();
+        window.insert(child).unwrap();
+        tvs.insert(fresh, TopicVector::uniform(p.num_topics));
+        prop_assert!(!window.influenced_by(parent).contains(&late));
+        prop_assert!(window.influenced_by(parent).contains(&fresh));
+
+        let scoring = engine.config().scoring;
+        let scorer = Scorer::new(engine.phi(), scoring, &window, &tvs);
+        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query_vector);
+        let mut pool = ids.clone();
+        pool.extend([parent, fresh, ElementId(99_999)]);
+        pool.extend(window.contains(late).then_some(late));
+        let mut state = evaluator.new_candidate();
+        let mut selected: Vec<ElementId> = Vec::new();
+        // Profiles pile up in one arena (the MTTD / CELF usage), with a
+        // discarded one in between: earlier handles must keep reading back
+        // their own columns.
+        let mut arena = ProfileArena::default();
+        for _ in 0..pool.len().min(8) {
+            let id = pool[rng.gen_range(0..pool.len())];
+            let profile = evaluator.profile(&mut arena, id);
+            evaluator.profile(&mut arena, parent);
+            arena.pop();
+            let profile = arena.get(profile);
+            let before = evaluator.gain_evaluations();
+            let gain = evaluator.gain_of(&state, profile);
+            prop_assert_eq!(evaluator.gain_evaluations(), before + 1);
+            let scratch = scorer.marginal_gain(&query_vector, &selected, id);
+            prop_assert!((scratch - gain).abs() < 1e-9,
+                "{:?}: scratch {} vs profile {}", id, scratch, gain);
+            prop_assert_eq!(gain.to_bits(), evaluator.marginal_gain(&state, id).to_bits());
+            if selected.contains(&id) || !window.contains(id) {
+                prop_assert_eq!(gain, 0.0);
+            }
+            // The insert realises exactly the gain just reported, and is not
+            // itself a gain evaluation.
+            let before = evaluator.gain_evaluations();
+            let realised = evaluator.insert_profile(&mut state, profile);
+            prop_assert_eq!(evaluator.gain_evaluations(), before);
+            prop_assert_eq!(realised.to_bits(), gain.to_bits());
+            if window.contains(id) && !selected.contains(&id) {
+                selected.push(id);
+            }
+            prop_assert_eq!(state.members(), &selected[..]);
+            let full = scorer.set_score(&query_vector, &selected);
             prop_assert!((full - state.score()).abs() < 1e-9);
         }
     }

@@ -115,16 +115,22 @@ impl ActiveWindow {
     /// The set `I_t(e)`: ids of window elements that reference `id`,
     /// restricted to the current window.
     pub fn influenced_by(&self, id: ElementId) -> Vec<ElementId> {
+        self.influenced_iter(id).collect()
+    }
+
+    /// Borrowing form of [`ActiveWindow::influenced_by`]: the same ids in the
+    /// same (reference-arrival) order, without allocating — what the scoring
+    /// passes iterate.
+    pub fn influenced_iter(&self, id: ElementId) -> impl Iterator<Item = ElementId> + '_ {
         let start = self.window_start();
-        match self.entries.get(&id) {
-            Some(entry) => entry
-                .children
-                .iter()
-                .filter(|(ts, _)| *ts >= start)
-                .map(|(_, c)| *c)
-                .collect(),
-            None => Vec::new(),
-        }
+        let children = self
+            .entries
+            .get(&id)
+            .map_or(&[][..], |entry| entry.children.as_slice());
+        children
+            .iter()
+            .filter(move |(ts, _)| *ts >= start)
+            .map(|(_, c)| *c)
     }
 
     /// Number of window elements referencing `id` (`|I_t(e)|`).
@@ -350,6 +356,25 @@ mod tests {
         w.advance_to(Timestamp(5)).unwrap();
         // window is [3,5]: e2 fell out, only e3 counts
         assert_eq!(w.influenced_by(ElementId(1)), vec![ElementId(3)]);
+    }
+
+    #[test]
+    fn influenced_iter_filters_children_straddling_the_window_start() {
+        // A late child (timestamped before the window start) is recorded on
+        // its parent but must not count: both forms apply the same filter and
+        // keep reference-arrival order.
+        let mut w = window(3, 1);
+        w.insert(elem(1, 1, &[])).unwrap();
+        w.insert(elem(2, 5, &[1])).unwrap();
+        w.advance_to(Timestamp(6)).unwrap();
+        // window is [4,6]; e3 arrives late with ts 2, e4 on time.
+        w.insert(elem(3, 2, &[1])).unwrap();
+        w.insert(elem(4, 6, &[1])).unwrap();
+        let borrowed: Vec<ElementId> = w.influenced_iter(ElementId(1)).collect();
+        assert_eq!(borrowed, vec![ElementId(2), ElementId(4)]);
+        assert_eq!(w.influenced_by(ElementId(1)), borrowed);
+        assert_eq!(w.influence_count(ElementId(1)), 2);
+        assert_eq!(w.influenced_iter(ElementId(99)).count(), 0);
     }
 
     #[test]

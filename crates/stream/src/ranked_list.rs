@@ -10,6 +10,8 @@
 //! The list is a [`BTreeSet`] keyed by `(descending score, element id)` plus a
 //! hash map from element id to its current key, giving `O(log n)` insert,
 //! adjust and delete, and ordered traversal with zero allocation per step.
+//! Each ordered entry carries its `t_e` along (outside the ordering), so a
+//! traversal step reads one B-tree slot and never probes the hash map.
 //! An ablation benchmark (`crates/bench/benches/ablation.rs`) compares this
 //! layout against a re-sorted `Vec` baseline.
 //!
@@ -33,10 +35,27 @@ use ksir_types::{ElementId, Timestamp, TopicId};
 use crate::delta::{RankedDelta, FLOOR_SLACK};
 
 /// Key ordering entries by descending score, breaking ties by element id.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// `ts` rides along as payload: it takes no part in the ordering or in
+/// equality, so a key built with any timestamp finds (and removes) the entry
+/// stored under the same `(score, id)`.
+#[derive(Debug, Clone, Copy)]
 struct ScoreKey {
     score: f64,
     id: ElementId,
+    ts: Timestamp,
+}
+
+impl ScoreKey {
+    fn tuple(&self) -> (ElementId, f64, Timestamp) {
+        (self.id, self.score, self.ts)
+    }
+}
+
+impl PartialEq for ScoreKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
 }
 
 impl Eq for ScoreKey {}
@@ -66,17 +85,11 @@ struct ListCore {
 
 impl ListCore {
     fn first(&self) -> Option<(ElementId, f64, Timestamp)> {
-        self.order.iter().next().map(|k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.order.first().map(ScoreKey::tuple)
     }
 
     fn iter(&self) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
-        self.order.iter().map(move |k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.order.iter().map(ScoreKey::tuple)
     }
 
     /// Ordered iteration over the suffix of entries with score
@@ -88,11 +101,9 @@ impl ListCore {
         let start = ScoreKey {
             score: high + FLOOR_SLACK,
             id: ElementId(0),
+            ts: Timestamp::ZERO,
         };
-        self.order.range(start..).map(move |k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.order.range(start..).map(ScoreKey::tuple)
     }
 }
 
@@ -161,13 +172,18 @@ impl RankedList {
     pub fn upsert(&mut self, id: ElementId, score: f64, last_referenced: Timestamp) {
         debug_assert!(score.is_finite(), "ranked list scores must be finite");
         let core = self.core_mut();
-        if let Some((old_score, _)) = core.entries.insert(id, (score, last_referenced)) {
+        if let Some((old_score, old_ts)) = core.entries.insert(id, (score, last_referenced)) {
             core.order.remove(&ScoreKey {
                 score: old_score,
                 id,
+                ts: old_ts,
             });
         }
-        core.order.insert(ScoreKey { score, id });
+        core.order.insert(ScoreKey {
+            score,
+            id,
+            ts: last_referenced,
+        });
     }
 
     /// Removes an element (no-op if absent).  Returns the removed tuple so
@@ -178,7 +194,7 @@ impl RankedList {
         }
         let core = self.core_mut();
         let (score, ts) = core.entries.remove(&id)?;
-        core.order.remove(&ScoreKey { score, id });
+        core.order.remove(&ScoreKey { score, id, ts });
         Some((score, ts))
     }
 
@@ -579,6 +595,28 @@ mod tests {
         assert_eq!(c.advance().unwrap().0, id(3));
         assert_eq!(c.advance(), None);
         assert_eq!(c.current(), None);
+    }
+
+    #[test]
+    fn traversal_reports_the_current_last_referenced_time() {
+        // t_e rides in the ordered entry: a re-reference that moves only the
+        // timestamp (same score) must show up in every traversal form.
+        let mut rl = RankedList::new();
+        rl.upsert(id(1), 0.65, Timestamp(3));
+        rl.upsert(id(2), 0.48, Timestamp(4));
+        rl.upsert(id(1), 0.65, Timestamp(9));
+        assert_eq!(rl.len(), 2);
+        assert_eq!(rl.first(), Some((id(1), 0.65, Timestamp(9))));
+        let mut c = rl.cursor();
+        assert_eq!(c.current(), Some((id(1), 0.65, Timestamp(9))));
+        assert_eq!(c.advance(), Some((id(2), 0.48, Timestamp(4))));
+        drop(c);
+        for (e, score, ts) in rl.iter().chain(rl.share().iter()) {
+            assert_eq!(rl.get(e), Some((score, ts)));
+        }
+        // Removal finds the entry whatever timestamp it carries.
+        assert_eq!(rl.remove(id(1)), Some((0.65, Timestamp(9))));
+        assert_eq!(rl.iter().count(), 1);
     }
 
     #[test]
