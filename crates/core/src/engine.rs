@@ -6,14 +6,15 @@
 //! references and the per-topic ranked lists; ad-hoc k-SIR queries are then
 //! answered from the ranked lists without touching the raw stream.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ksir_stream::{ActiveWindow, RankedLists, WindowDelta};
 use ksir_types::{
-    ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId, TopicVector,
-    TopicWordDistribution,
+    Document, ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId,
+    TopicVector, TopicWordDistribution,
 };
 
 use crate::config::{ArchiveRetention, EngineConfig};
@@ -70,6 +71,40 @@ pub struct IngestReport {
     pub delta: WindowDelta,
 }
 
+/// What the index write needs of one element, fixed when it is ingested:
+/// its sparse support and, per support topic, the semantic score `R_i(e)`.
+///
+/// `R_i(e)` depends only on the document, `p_i(e)` and the topic-word
+/// distribution, none of which change while the element lives, so a tuple
+/// refresh is `combine(R_i(e), I_{i,t}(e))` with only the influence half
+/// recomputed — the same operands in the same order as
+/// [`Scorer::topicwise_element`], hence the same bits.
+#[derive(Debug)]
+struct ElementRow {
+    /// `(θ_i, p_i(e), R_i(e))` for every topic with `p_i(e) > 0`, ascending
+    /// by topic — the lists that hold the element's tuples.
+    support: Box<[(TopicId, f64, f64)]>,
+}
+
+impl ElementRow {
+    /// The dense topic distribution the row was built from.
+    fn topic_vector(&self, num_topics: usize) -> TopicVector {
+        let mut tv = TopicVector::zeros(num_topics);
+        for &(topic, p, _) in self.support.iter() {
+            tv.set(topic, p);
+        }
+        tv
+    }
+}
+
+/// An ingested element as the archive keeps it: the payload shared with the
+/// window (while the element is active) and its row.
+#[derive(Debug)]
+struct Archived {
+    element: Arc<SocialElement>,
+    row: Arc<ElementRow>,
+}
+
 /// The k-SIR engine over a fixed topic-word distribution.
 ///
 /// `D` is any [`TopicWordDistribution`] — a hand-specified table, a trained
@@ -89,10 +124,17 @@ pub struct KsirEngine<D> {
     ranked: RankedLists,
     /// Same copy-on-write scheme as the window.
     topic_vectors: Arc<HashMap<ElementId, TopicVector>>,
+    /// One row per active element, private to the index write.
+    rows: HashMap<ElementId, Arc<ElementRow>>,
     /// Every ingested element (subject to the retention policy), kept so that
     /// references from new arrivals can bring expired parents back into the
     /// active set, as required by the paper's definition of `A_t`.
-    archive: HashMap<ElementId, (SocialElement, TopicVector)>,
+    archive: HashMap<ElementId, Archived>,
+    /// Archived elements by post time, oldest first — what
+    /// [`ArchiveRetention::Ticks`] pruning pops (unused under the other
+    /// policies).  An entry whose element was since re-ingested under the
+    /// same id is recognised by its timestamp and skipped.
+    archive_by_time: BinaryHeap<Reverse<(Timestamp, ElementId)>>,
     stats: EngineStats,
     /// Queries served; atomic because [`KsirEngine::query`] takes `&self`.
     queries: AtomicUsize,
@@ -114,7 +156,9 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             window: Arc::new(ActiveWindow::new(config.window)),
             ranked: RankedLists::new(num_topics),
             topic_vectors: Arc::new(HashMap::new()),
+            rows: HashMap::new(),
             archive: HashMap::new(),
+            archive_by_time: BinaryHeap::new(),
             stats: EngineStats::default(),
             queries: AtomicUsize::new(0),
             config,
@@ -252,6 +296,11 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     /// Elements must carry their topic distributions; the engine sparsifies
     /// them according to [`EngineConfig`] before storing.  Returns a summary
     /// of the maintenance work performed.
+    ///
+    /// The call is all-or-nothing: a bucket that fails validation (wrong
+    /// dimensionality, a timestamp after `bucket_end`, an id that repeats
+    /// inside the bucket or names an active element) leaves the engine
+    /// exactly as it was.
     pub fn ingest_bucket(
         &mut self,
         bucket: Vec<(SocialElement, TopicVector)>,
@@ -263,23 +312,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                 offending: bucket_end,
             });
         }
-        for (element, tv) in &bucket {
-            if tv.num_topics() != self.num_topics() {
-                return Err(KsirError::DimensionMismatch {
-                    expected: self.num_topics(),
-                    actual: tv.num_topics(),
-                });
-            }
-            if element.ts > bucket_end {
-                return Err(KsirError::invalid_parameter(
-                    "bucket",
-                    format!(
-                        "element {} is timestamped {} after the bucket end {}",
-                        element.id, element.ts, bucket_end
-                    ),
-                ));
-            }
-        }
+        let bucket_ids = self.validate_bucket(&bucket, bucket_end)?;
 
         // Start the slide's touch log from a clean slate so the report's
         // delta only covers this bucket.
@@ -287,11 +320,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         self.ranked.clear_delta();
 
         // Parents whose influence sets will shrink once the window slides.
-        let mut touched: BTreeSet<ElementId> = self
-            .window
-            .parents_losing_children(bucket_end)
-            .into_iter()
-            .collect();
+        let mut touched = self.window.parents_losing_children(bucket_end);
 
         let mut new_ids = Vec::with_capacity(bucket.len());
         let mut resurrected = Vec::new();
@@ -301,39 +330,62 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             // reference to an already-expired parent brings it back from the
             // archive before the child is inserted.
             for &parent in &element.refs {
-                if !self.window.contains(parent) {
-                    if let Some((archived, archived_tv)) = self.archive.get(&parent).cloned() {
-                        self.window_mut().insert(archived)?;
-                        self.topic_vectors_mut().insert(parent, archived_tv);
-                        touched.insert(parent);
-                        resurrected.push(parent);
-                    }
+                if self.window.contains(parent) {
+                    continue;
                 }
+                let Some(archived) = self.archive.get(&parent) else {
+                    continue;
+                };
+                let (payload, row) = (Arc::clone(&archived.element), Arc::clone(&archived.row));
+                let vector = row.topic_vector(self.num_topics());
+                self.window_mut().insert(payload)?;
+                self.topic_vectors_mut().insert(parent, vector);
+                self.rows.insert(parent, row);
+                touched.push(parent);
+                resurrected.push(parent);
             }
             let sparsified = self.sparsify(tv);
+            let row = Arc::new(self.row_of(&element.doc, &sparsified));
+            let element = Arc::new(element);
             if self.config.archive != ArchiveRetention::Disabled {
-                self.archive
-                    .insert(id, (element.clone(), sparsified.clone()));
+                let archived = Archived {
+                    element: Arc::clone(&element),
+                    row: Arc::clone(&row),
+                };
+                self.archive.insert(id, archived);
+                if matches!(self.config.archive, ArchiveRetention::Ticks(_)) {
+                    self.archive_by_time.push(Reverse((element.ts, id)));
+                }
             }
             let parents = self.window_mut().insert(element)?;
             touched.extend(parents);
             self.topic_vectors_mut().insert(id, sparsified);
+            self.rows.insert(id, row);
             new_ids.push(id);
         }
 
         let expired = self.window_mut().advance_to(bucket_end)?;
         for id in &expired {
-            self.ranked.remove_everywhere(*id);
+            // The element's tuples sit in exactly its support lists.
+            if let Some(row) = self.rows.remove(id) {
+                for &(topic, _, _) in row.support.iter() {
+                    self.ranked.remove(topic, *id);
+                }
+            }
             self.topic_vectors_mut().remove(id);
-            touched.remove(id);
         }
         self.prune_archive(bucket_end);
 
+        // New elements first, then every other element whose influence set
+        // changed, in ascending id order.  A new element that was referenced
+        // inside its own bucket is in both and is written twice.
+        touched.sort_unstable();
+        touched.dedup();
         let mut refreshed = Vec::new();
         for &id in new_ids.iter().chain(touched.iter()) {
             if self.window.contains(id) {
                 self.refresh_tuples(id);
-                if !new_ids.contains(&id) {
+                if !bucket_ids.contains(&id) {
                     refreshed.push(id);
                 }
             }
@@ -360,11 +412,78 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         })
     }
 
+    /// Checks everything that can make [`KsirEngine::ingest_bucket`] fail
+    /// before it changes any state, and returns the ids of the bucket.
+    fn validate_bucket(
+        &self,
+        bucket: &[(SocialElement, TopicVector)],
+        bucket_end: Timestamp,
+    ) -> Result<HashSet<ElementId>> {
+        let mut ids = HashSet::with_capacity(bucket.len());
+        // Expired parents the bucket brings back from the archive before it
+        // inserts a later (or the referencing) element: active by then.
+        let mut resurrecting: HashSet<ElementId> = HashSet::new();
+        for (element, tv) in bucket {
+            if tv.num_topics() != self.num_topics() {
+                return Err(KsirError::DimensionMismatch {
+                    expected: self.num_topics(),
+                    actual: tv.num_topics(),
+                });
+            }
+            if element.ts > bucket_end {
+                return Err(KsirError::invalid_parameter(
+                    "bucket",
+                    format!(
+                        "element {} is timestamped {} after the bucket end {}",
+                        element.id, element.ts, bucket_end
+                    ),
+                ));
+            }
+            for parent in &element.refs {
+                if !self.window.contains(*parent)
+                    && !ids.contains(parent)
+                    && self.archive.contains_key(parent)
+                {
+                    resurrecting.insert(*parent);
+                }
+            }
+            let id = element.id;
+            if self.window.contains(id) || resurrecting.contains(&id) || !ids.insert(id) {
+                return Err(KsirError::invalid_parameter(
+                    "bucket",
+                    format!("duplicate element id {id}"),
+                ));
+            }
+        }
+        Ok(ids)
+    }
+
+    /// Builds the row of a new element from its sparsified distribution.
+    fn row_of(&self, doc: &Document, sparsified: &TopicVector) -> ElementRow {
+        let scorer = self.scorer();
+        ElementRow {
+            support: sparsified
+                .support()
+                .into_iter()
+                .map(|(topic, p)| (topic, p, scorer.semantic_of_doc(topic, doc, p)))
+                .collect(),
+        }
+    }
+
     /// Drops archived elements that fell outside the retention horizon.
     fn prune_archive(&mut self, now: Timestamp) {
-        if let ArchiveRetention::Ticks(ticks) = self.config.archive {
-            let cutoff = now.saturating_sub(ticks);
-            self.archive.retain(|_, (element, _)| element.ts >= cutoff);
+        let ArchiveRetention::Ticks(ticks) = self.config.archive else {
+            return;
+        };
+        let cutoff = now.saturating_sub(ticks);
+        while let Some(&Reverse((ts, id))) = self.archive_by_time.peek() {
+            if ts >= cutoff {
+                break;
+            }
+            self.archive_by_time.pop();
+            if self.archive.get(&id).is_some_and(|a| a.element.ts < cutoff) {
+                self.archive.remove(&id);
+            }
         }
     }
 
@@ -416,9 +535,10 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     }
 
     /// Recomputes the ranked-list tuples `⟨δ_i(e), t_e⟩` of one active element
-    /// for every topic in its support.
+    /// for every topic in its support: the row's `R_i(e)` combined with the
+    /// influence score over the element's current children.
     fn refresh_tuples(&mut self, id: ElementId) {
-        let Some(tv) = self.topic_vectors.get(&id) else {
+        let Some(row) = self.rows.get(&id) else {
             return;
         };
         let Some(last_referenced) = self.window.last_referenced(id) else {
@@ -430,12 +550,9 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             self.window.as_ref(),
             self.topic_vectors.as_ref(),
         );
-        let tuples: Vec<(TopicId, f64)> = tv
-            .support()
-            .into_iter()
-            .map(|(topic, _)| (topic, scorer.topicwise_element(topic, id)))
-            .collect();
-        for (topic, score) in tuples {
+        for &(topic, _, semantic) in row.support.iter() {
+            let influence = scorer.influence_element(topic, id);
+            let score = self.config.scoring.combine(semantic, influence);
             self.ranked.upsert(topic, id, score, last_referenced);
             self.stats.tuple_updates += 1;
         }
@@ -652,6 +769,63 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_bucket_leaves_the_engine_untouched() {
+        let mut engine = tiny_engine();
+        let el = |id: u64, ts: u64| SocialElementBuilder::new(id).at(ts).words([0, 1]);
+        let pair = |b: SocialElementBuilder| (b.build(), tv(&[0.6, 0.4]));
+        // e1 expires into the archive, e2 stays active.
+        engine
+            .ingest_bucket(vec![pair(el(1, 1))], Timestamp(1))
+            .unwrap();
+        engine
+            .ingest_bucket(vec![pair(el(2, 5))], Timestamp(5))
+            .unwrap();
+        assert!(!engine.is_active(ElementId(1)) && engine.is_active(ElementId(2)));
+        let state = |e: &KsirEngine<DenseTopicWordTable>| {
+            (
+                e.active_count(),
+                e.archived_count(),
+                e.ranked_lists().total_entries(),
+                e.now(),
+                e.stats(),
+            )
+        };
+        let before = state(&engine);
+
+        let rejected = [
+            // the id repeats inside the bucket, after a good element
+            vec![pair(el(3, 6)), pair(el(4, 6)), pair(el(3, 6))],
+            // the id names an active element
+            vec![pair(el(3, 6)), pair(el(2, 6))],
+            // the id names an expired element an earlier reference brings back
+            vec![pair(el(3, 6).referencing(1)), pair(el(1, 6))],
+            // ... or the element's own reference does
+            {
+                let mut own = el(1, 6).build();
+                own.refs.push(ElementId(1));
+                vec![(own, tv(&[0.6, 0.4]))]
+            },
+        ];
+        for bucket in rejected {
+            assert!(engine.ingest_bucket(bucket, Timestamp(6)).is_err());
+            assert_eq!(state(&engine), before);
+            assert!(!engine.is_active(ElementId(1)) && !engine.is_active(ElementId(3)));
+        }
+
+        // The next good bucket ingests as if nothing had happened; reusing
+        // the id of an expired element nothing resurrects is not a duplicate.
+        let r = engine
+            .ingest_bucket(
+                vec![pair(el(3, 6).referencing(2)), pair(el(1, 6))],
+                Timestamp(6),
+            )
+            .unwrap();
+        assert_eq!((r.inserted, r.refreshed, r.resurrected), (2, 1, 0));
+        assert_eq!(engine.active_count(), 3);
+        assert_eq!(engine.ranked_lists().total_entries(), 6);
+    }
+
+    #[test]
     fn ingest_updates_ranked_lists_and_expiry() {
         let mut engine = tiny_engine();
         let e1 = SocialElementBuilder::new(1).at(1).words([0, 1]).build();
@@ -812,6 +986,60 @@ mod tests {
         assert_eq!(engine.archived_count(), 1);
         engine.ingest_bucket(vec![], Timestamp(12)).unwrap();
         assert_eq!(engine.archived_count(), 0, "ts=1 < 12-10 cutoff");
+    }
+
+    #[test]
+    fn a_resurrected_element_is_pruned_from_the_archive_by_its_post_time() {
+        let phi = DenseTopicWordTable::uniform(2, 4);
+        let config = EngineConfig::new(WindowConfig::new(4, 1).unwrap(), ScoringConfig::default())
+            .with_archive(crate::config::ArchiveRetention::Ticks(10));
+        let mut engine = KsirEngine::new(phi, config).unwrap();
+        let post = |id: u64, ts: u64| SocialElementBuilder::new(id).at(ts).words([0]);
+        let pair = |b: SocialElementBuilder| (b.build(), tv(&[1.0, 0.0]));
+        engine
+            .ingest_bucket(vec![pair(post(1, 1))], Timestamp(1))
+            .unwrap();
+        assert_eq!(
+            engine.ingest_bucket(vec![], Timestamp(6)).unwrap().expired,
+            1
+        );
+        // Inside the retention horizon a reference brings e1 back...
+        let r = engine
+            .ingest_bucket(vec![pair(post(2, 9).referencing(1))], Timestamp(9))
+            .unwrap();
+        assert_eq!(r.resurrected, 1);
+        assert_eq!(engine.archived_count(), 2);
+        // ...but the archive still files it under its post time: at t = 12
+        // the cutoff (2) passes ts = 1 while e1 is active again.
+        engine.ingest_bucket(vec![], Timestamp(12)).unwrap();
+        assert!(engine.is_active(ElementId(1)));
+        assert_eq!(engine.archived_count(), 1);
+        // Once it expires a second time there is nothing to bring back.
+        let r = engine.ingest_bucket(vec![], Timestamp(13)).unwrap();
+        assert_eq!(r.delta.expired, vec![ElementId(1), ElementId(2)]);
+        let r = engine
+            .ingest_bucket(vec![pair(post(3, 14).referencing(1))], Timestamp(14))
+            .unwrap();
+        assert_eq!(r.resurrected, 0);
+        assert!(!engine.is_active(ElementId(1)));
+        // An id ingested again after it expired has two entries in the
+        // pruning queue; reaching the older one must not drop the newer
+        // archive entry.
+        engine
+            .ingest_bucket(vec![pair(post(4, 15))], Timestamp(15))
+            .unwrap();
+        engine.ingest_bucket(vec![], Timestamp(20)).unwrap();
+        engine
+            .ingest_bucket(vec![pair(post(4, 21))], Timestamp(21))
+            .unwrap();
+        engine.ingest_bucket(vec![], Timestamp(26)).unwrap();
+        assert!(!engine.is_active(ElementId(4)));
+        assert_eq!(engine.archived_count(), 1, "cutoff 16: only the new e4");
+        let r = engine
+            .ingest_bucket(vec![pair(post(5, 27).referencing(4))], Timestamp(27))
+            .unwrap();
+        assert_eq!(r.resurrected, 1);
+        assert_eq!(engine.element(ElementId(4)).unwrap().ts, Timestamp(21));
     }
 
     #[test]

@@ -8,8 +8,35 @@
 //! [`ActiveWindow`] implements exactly that retention rule and additionally
 //! maintains the reverse-reference index `I_t(e)` — for each active element,
 //! the window elements that reference it — which the influence score needs.
+//!
+//! ## Sliding costs what falls out of the window
+//!
+//! Both retention decisions are about timestamps crossing the window start,
+//! so the window files them by time instead of scanning `A_t` on every slide.
+//! Each tick holds two id lists (ids and timestamps only — the index adds no
+//! payload to a copy-on-write clone of the window):
+//!
+//! * `filed` — *expiry candidates*: every active element is filed exactly
+//!   once, under the `last_referenced` it had when it was filed (its post
+//!   time, to begin with).  A later reference moves `last_referenced` but not
+//!   the filing, so the filing is never later than the live value: the ticks
+//!   before the window start name every element the retention rule discards.
+//!   [`ActiveWindow::advance_to`] re-checks the live value of each candidate
+//!   and files a survivor again under it.
+//! * `parents` — *referencing children*: one entry per `(child, parent)`
+//!   reference recorded by a child posted at this tick, naming the parent.
+//!   The ticks before the window start name exactly the parents whose
+//!   `children` list holds an entry that old.
+//!
+//! [`ActiveWindow::parents_losing_children`] reads the ticks before the new
+//! window start and [`ActiveWindow::advance_to`] removes them; each candidate
+//! is then confirmed against its entry.  Everything before the window start
+//! leaves with the next slide whatever its tick, so late elements
+//! (timestamped before the window start — resurrected parents, mostly) share
+//! the one tick just before it instead of opening a tick each.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ksir_types::{ElementId, KsirError, Result, SocialElement, Timestamp};
@@ -41,6 +68,17 @@ pub struct ActiveWindow {
     config: WindowConfig,
     now: Timestamp,
     entries: HashMap<ElementId, ActiveEntry>,
+    /// What was posted or referenced when — see the module docs.
+    ticks: BTreeMap<Timestamp, Tick>,
+}
+
+/// The time index's record of one timestamp.
+#[derive(Debug, Clone, Default)]
+struct Tick {
+    /// Expiry candidates whose `last_referenced` was this tick when filed.
+    filed: Vec<ElementId>,
+    /// Parents that recorded a child posted at this tick, once per reference.
+    parents: Vec<ElementId>,
 }
 
 impl ActiveWindow {
@@ -50,6 +88,7 @@ impl ActiveWindow {
             config,
             now: Timestamp::ZERO,
             entries: HashMap::new(),
+            ticks: BTreeMap::new(),
         }
     }
 
@@ -144,25 +183,35 @@ impl ActiveWindow {
 
     /// Inserts one element, wiring up reverse references to any active parent.
     ///
-    /// References to elements that are not (or no longer) active are ignored:
-    /// an element that has already been discarded cannot be resurrected, which
-    /// matches the paper's window semantics where only references *observed
-    /// within the window* matter.
+    /// References to elements that are not active are ignored here: the
+    /// window only knows the elements it holds.  Bringing a discarded parent
+    /// back because a new arrival references it — which the paper's
+    /// definition of `A_t` requires — is the caller's job: `ksir-core`'s
+    /// engine re-inserts the parent from its archive *before* inserting the
+    /// child, so the reference below finds it.
+    ///
+    /// Accepts an owned element or an `Arc` already shared with the caller.
     ///
     /// Returns the ids of parents whose reverse-reference set changed — these
     /// are exactly the elements whose topic-wise scores must be recomputed in
     /// Algorithm 1 (lines 8–11).
-    pub fn insert(&mut self, element: SocialElement) -> Result<Vec<ElementId>> {
+    pub fn insert(&mut self, element: impl Into<Arc<SocialElement>>) -> Result<Vec<ElementId>> {
+        let element: Arc<SocialElement> = element.into();
         if self.entries.contains_key(&element.id) {
             return Err(KsirError::invalid_parameter(
                 "element",
                 format!("duplicate element id {}", element.id),
             ));
         }
+        // Late elements share the last tick before the window start.
+        let late_tick = self.window_start().saturating_sub(1);
+        let tick = self.ticks.entry(element.ts.max(late_tick)).or_default();
+        tick.filed.push(element.id);
         let mut touched_parents = Vec::new();
         for &parent in &element.refs {
             if let Some(p) = self.entries.get_mut(&parent) {
                 p.children.push((element.ts, element.id));
+                tick.parents.push(parent);
                 if element.ts > p.last_referenced {
                     p.last_referenced = element.ts;
                 }
@@ -172,7 +221,7 @@ impl ActiveWindow {
         let entry = ActiveEntry {
             last_referenced: element.ts,
             children: Vec::new(),
-            element: Arc::new(element),
+            element,
         };
         self.entries.insert(entry.element.id, entry);
         Ok(touched_parents)
@@ -180,7 +229,7 @@ impl ActiveWindow {
 
     /// Elements that would lose at least one reverse reference if the window
     /// advanced to `new_now`, i.e. parents with a child posted before
-    /// `window_start(new_now)`.
+    /// `window_start(new_now)`, in ascending id order.
     ///
     /// The stored influence scores `I_{i,t}(e)` of exactly these elements
     /// become stale when the window slides, so the engine recomputes their
@@ -188,20 +237,26 @@ impl ActiveWindow {
     pub fn parents_losing_children(&self, new_now: Timestamp) -> Vec<ElementId> {
         let new_start = self.config.window_start(new_now);
         let mut out: Vec<ElementId> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| entry.children.iter().any(|(ts, _)| *ts < new_start))
-            .map(|(&id, _)| id)
+            .ticks
+            .range(..new_start)
+            .flat_map(|(_, tick)| tick.parents.iter().copied())
             .collect();
         out.sort_unstable();
+        out.dedup();
+        out.retain(|id| {
+            self.entries
+                .get(id)
+                .is_some_and(|entry| entry.children.iter().any(|(ts, _)| *ts < new_start))
+        });
         out
     }
 
     /// Advances the window to `now`, discarding elements that are no longer
     /// active and pruning expired reverse references.
     ///
-    /// Returns the ids of discarded elements so callers (the engine's ranked
-    /// lists, topic-vector caches, …) can drop their own state for them.
+    /// Returns the ids of discarded elements, in ascending order, so callers
+    /// (the engine's ranked lists, topic-vector caches, …) can drop their own
+    /// state for them.
     pub fn advance_to(&mut self, now: Timestamp) -> Result<Vec<ElementId>> {
         if now < self.now {
             return Err(KsirError::TimestampRegression {
@@ -212,18 +267,40 @@ impl ActiveWindow {
         self.now = now;
         let start = self.config.window_start(now);
         let mut expired = Vec::new();
-        for (&id, entry) in &self.entries {
-            if entry.last_referenced < start {
-                expired.push(id);
+        let mut losing_children = Vec::new();
+        while let Some(first) = self.ticks.first_entry() {
+            if *first.key() >= start {
+                break;
             }
-        }
-        for id in &expired {
-            self.entries.remove(id);
+            let tick = first.remove();
+            for id in tick.filed {
+                let Entry::Occupied(entry) = self.entries.entry(id) else {
+                    continue;
+                };
+                let last_referenced = entry.get().last_referenced;
+                if last_referenced < start {
+                    entry.remove();
+                    expired.push(id);
+                } else {
+                    // Referenced since it was filed: inside the window, so
+                    // this sweep does not reach the new filing.
+                    self.ticks
+                        .entry(last_referenced)
+                        .or_default()
+                        .filed
+                        .push(id);
+                }
+            }
+            losing_children.extend(tick.parents);
         }
         // Prune reverse references that fell out of the window so influence
         // counts stay correct without filtering on every read.
-        for entry in self.entries.values_mut() {
-            entry.children.retain(|(ts, _)| *ts >= start);
+        losing_children.sort_unstable();
+        losing_children.dedup();
+        for parent in losing_children {
+            if let Some(entry) = self.entries.get_mut(&parent) {
+                entry.children.retain(|(ts, _)| *ts >= start);
+            }
         }
         expired.sort_unstable();
         Ok(expired)

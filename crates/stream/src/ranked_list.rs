@@ -422,7 +422,8 @@ impl<'a> RankedListCursor<'a> {
 /// The full set of ranked lists, one per topic.
 ///
 /// Every mutation routed through [`RankedLists::upsert`] /
-/// [`RankedLists::remove_everywhere`] is additionally logged into a
+/// [`RankedLists::remove`] / [`RankedLists::remove_everywhere`] is
+/// additionally logged into a
 /// [`RankedDelta`] so incremental consumers (standing queries in
 /// `ksir-continuous`) can tell how high in each list a window slide reached.
 /// Call [`RankedLists::take_delta`] to drain the log; see the
@@ -457,7 +458,7 @@ impl RankedLists {
     ///
     /// Mutations through this escape hatch bypass the touch log; incremental
     /// consumers relying on [`RankedLists::take_delta`] should route all
-    /// changes through [`RankedLists::upsert`] and
+    /// changes through [`RankedLists::upsert`], [`RankedLists::remove`] and
     /// [`RankedLists::remove_everywhere`] instead.
     pub fn list_mut(&mut self, topic: TopicId) -> &mut RankedList {
         &mut self.lists[topic.index()]
@@ -475,17 +476,22 @@ impl RankedLists {
         list.upsert(id, score, ts);
     }
 
+    /// Removes an element from one topic's list, logging a touch at the
+    /// removed tuple's score (no-op, and no touch, if the list does not hold
+    /// it).  A caller that knows an element's support removes it from exactly
+    /// those lists instead of probing all `z`.
+    pub fn remove(&mut self, topic: TopicId, id: ElementId) -> Option<(f64, Timestamp)> {
+        let removed = self.lists[topic.index()].remove(id)?;
+        self.delta.record(topic, removed.0);
+        Some(removed)
+    }
+
     /// Removes an element from every list, logging a touch at each removed
     /// tuple's score.  Returns how many lists held it.
     pub fn remove_everywhere(&mut self, id: ElementId) -> usize {
-        let mut removed = 0;
-        for (i, list) in self.lists.iter_mut().enumerate() {
-            if let Some((score, _)) = list.remove(id) {
-                self.delta.record(TopicId(i as u32), score);
-                removed += 1;
-            }
-        }
-        removed
+        (0..self.lists.len())
+            .filter(|&i| self.remove(TopicId(i as u32), id).is_some())
+            .count()
     }
 
     /// The touches accumulated since the last [`RankedLists::take_delta`] /
@@ -671,6 +677,23 @@ mod tests {
         assert_eq!(d.touch(TopicId(0)).unwrap().high, 0.9);
         assert_eq!(d.touch(TopicId(1)).unwrap().high, 0.7);
         assert!(!d.touched(TopicId(2)));
+    }
+
+    #[test]
+    fn targeted_remove_touches_only_the_list_that_held_the_element() {
+        let mut rls = RankedLists::new(3);
+        rls.upsert(TopicId(0), id(1), 0.9, Timestamp(1));
+        rls.upsert(TopicId(1), id(1), 0.7, Timestamp(1));
+        rls.take_delta();
+        assert_eq!(rls.remove(TopicId(1), id(1)), Some((0.7, Timestamp(1))));
+        // Absent from the list: nothing removed, nothing logged.
+        assert_eq!(rls.remove(TopicId(2), id(1)), None);
+        assert_eq!(rls.remove(TopicId(1), id(1)), None);
+        let d = rls.take_delta();
+        assert_eq!(d.touches().len(), 1);
+        assert_eq!(d.touch(TopicId(1)).unwrap().high, 0.7);
+        assert!(rls.list(TopicId(0)).contains(id(1)));
+        assert_eq!(rls.total_entries(), 1);
     }
 
     #[test]
