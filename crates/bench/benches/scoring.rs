@@ -6,7 +6,9 @@
 //! one *pass* = one retrieved element profiled once and tested against 1, 8
 //! or 31 candidate sets (31 is `|Φ|` at `k = 10`, `ε = 0.1`) that share the
 //! profile.  Time per iteration ÷ passes per iteration (printed once per
-//! profile) is ns-per-pass.
+//! profile) is ns-per-pass.  `grid_gain/<candidates>` is the same pass — same
+//! members, same probes — with the candidates held as the columns of one
+//! `CoverageTable`, the layout MTTS and SieveStreaming use.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -133,6 +135,43 @@ fn bench_scoring(c: &mut Criterion) {
                             for state in &states {
                                 total += evaluator.gain_of(state, profile);
                             }
+                        }
+                        black_box(total)
+                    })
+                },
+            );
+
+            let mut table = evaluator.new_table(candidates);
+            let mut arena = ProfileArena::default();
+            for column in 0..candidates {
+                for &id in members
+                    .iter()
+                    .cycle()
+                    .skip(column)
+                    .take(members.len().min(5))
+                {
+                    arena.clear();
+                    let profile = evaluator.profile(&mut arena, id);
+                    evaluator.insert_column(&mut table, column, arena.get(profile));
+                }
+            }
+            let columns: Vec<usize> = (0..candidates).collect();
+            group.bench_function(
+                BenchmarkId::new(format!("grid_gain/{candidates}"), &name),
+                |b| {
+                    let mut gains = Vec::new();
+                    b.iter(|| {
+                        let mut total = 0.0;
+                        for &id in probes {
+                            arena.clear();
+                            let profile = evaluator.profile(&mut arena, id);
+                            evaluator.column_gains(
+                                &mut table,
+                                &columns,
+                                arena.get(profile),
+                                &mut gains,
+                            );
+                            total += gains.iter().sum::<f64>();
                         }
                         black_box(total)
                     })

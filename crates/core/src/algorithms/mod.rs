@@ -21,7 +21,7 @@ mod traversal;
 
 use ksir_types::ElementId;
 
-pub(crate) use grid::{Guess, GuessGrid};
+pub(crate) use grid::GuessGrid;
 pub(crate) use traversal::SupportCursors;
 
 use crate::evaluator::{ProfileArena, ProfileId, QueryEvaluator, SingletonCache};

@@ -12,7 +12,7 @@
 
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{singleton_score, Guess, GuessGrid, SupportCursors};
+use crate::algorithms::{singleton_score, GuessGrid, SupportCursors};
 use crate::evaluator::{ProfileArena, QueryEvaluator, SingletonCache};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
@@ -23,9 +23,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     query: &KsirQuery,
     mut cache: Option<&mut SingletonCache>,
 ) -> QueryResult {
-    let k = query.k();
     let mut cursors = SupportCursors::new(view, evaluator.support());
-    let mut grid = GuessGrid::new(query);
+    let mut grid = GuessGrid::new(query, evaluator);
     // One profile per retrieved element, shared by every guess that tests it
     // and by the insert that follows an admission.
     let mut arena = ProfileArena::default();
@@ -35,7 +34,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         let ub = cursors.upper_bound();
         // TH: smallest admission threshold among unfilled candidates; if
         // every candidate is full no element can be admitted anywhere.
-        if !grid.is_empty() && ub < grid.min_unfilled_threshold(k) {
+        if !grid.is_empty() && ub < grid.min_unfilled_threshold() {
             break;
         }
         let Some(id) = cursors.pop_next() else {
@@ -48,21 +47,17 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             continue;
         }
         // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
-        grid.observe(delta, evaluator);
-        let admits = |guess: &Guess| delta >= guess.threshold && guess.state.len() < k;
-        if !grid.guesses().iter().any(admits) {
+        grid.observe(delta);
+        // The guesses whose threshold δ reaches are a prefix of the grid, and
+        // none of them is unfilled when δ is below TH.
+        if delta < grid.min_unfilled_threshold() {
             continue;
         }
         let profile = profile.unwrap_or_else(|| evaluator.profile(&mut arena, id));
-        let profile = arena.get(profile);
-        for guess in grid.guesses_mut() {
-            if admits(guess) {
-                let gain = evaluator.gain_of(&guess.state, profile);
-                if gain >= guess.threshold {
-                    evaluator.insert_profile(&mut guess.state, profile);
-                }
-            }
-        }
+        let reach = grid.reach(delta);
+        grid.offer(evaluator, arena.get(profile), reach, |guess, gain| {
+            gain >= guess.threshold
+        });
     }
 
     // Admission bar: the final TH — the smallest threshold at which an
@@ -70,7 +65,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     // candidate filled, fall back to the smallest grid threshold: an element
     // below it is rejected by every candidate regardless of fill.
     let bar = {
-        let unfilled = grid.min_unfilled_threshold(k);
+        let unfilled = grid.min_unfilled_threshold();
         if unfilled.is_finite() {
             Some(unfilled)
         } else {
@@ -80,9 +75,9 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     let mut frontier = cursors.frontier();
     frontier.bar = bar;
     match grid.into_best() {
-        Some(state) if !state.is_empty() => QueryResult {
-            elements: state.members().to_vec(),
-            score: state.score(),
+        Some((elements, score)) if !elements.is_empty() => QueryResult {
+            elements,
+            score,
             evaluated_elements: evaluated,
             gain_evaluations: evaluator.gain_evaluations(),
             algorithm: Algorithm::Mtts,

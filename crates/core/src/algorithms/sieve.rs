@@ -25,7 +25,7 @@ pub(crate) fn run<D: TopicWordDistribution>(
     ids.sort_unstable();
     let evaluated = ids.len();
 
-    let mut grid = GuessGrid::new(query);
+    let mut grid = GuessGrid::new(query, evaluator);
     let mut arena = ProfileArena::default();
 
     for id in ids {
@@ -36,23 +36,18 @@ pub(crate) fn run<D: TopicWordDistribution>(
         if delta <= 0.0 {
             continue;
         }
-        grid.observe(delta, evaluator);
-        for guess in grid.guesses_mut() {
-            if guess.state.len() >= k {
-                continue;
-            }
-            let needed = (guess.value / 2.0 - guess.state.score()) / (k - guess.state.len()) as f64;
-            let gain = evaluator.gain_of(&guess.state, profile);
-            if gain >= needed {
-                evaluator.insert_profile(&mut guess.state, profile);
-            }
-        }
+        grid.observe(delta);
+        let every_guess = grid.guesses().len();
+        grid.offer(evaluator, profile, every_guess, |guess, gain| {
+            let room = (k - guess.members.len()) as f64;
+            gain >= (guess.value / 2.0 - guess.score) / room
+        });
     }
 
     match grid.into_best() {
-        Some(state) if !state.is_empty() => QueryResult {
-            elements: state.members().to_vec(),
-            score: state.score(),
+        Some((elements, score)) if !elements.is_empty() => QueryResult {
+            elements,
+            score,
             evaluated_elements: evaluated,
             gain_evaluations: evaluator.gain_evaluations(),
             algorithm: Algorithm::SieveStreaming,

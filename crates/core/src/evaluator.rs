@@ -32,6 +32,15 @@
 //! one-element-at-a-time algorithms (MTTS, SieveStreaming, Top-k) clear and
 //! refill the same buffers.
 //!
+//! # Coverage state: one map set per candidate, or one table for a grid
+//!
+//! MTTD, CELF and Top-k grow a single candidate and keep the
+//! [`CandidateState`] above.  MTTS and SieveStreaming test each element
+//! against a whole grid of candidates; theirs live side by side as the
+//! columns of one [`CoverageTable`], so a test against every candidate that
+//! wants the element is one probe per word and child per slot
+//! ([`QueryEvaluator::column_gains`]) instead of one per candidate.
+//!
 //! The id-taking [`QueryEvaluator::delta`] / [`QueryEvaluator::marginal_gain`]
 //! / [`QueryEvaluator::insert`] profile into a throw-away arena and delegate,
 //! so there is one word-weight loop and one child-propagation loop in the
@@ -232,6 +241,11 @@ impl<'a> ElementProfile<'a> {
         self.id
     }
 
+    /// Whether the element was active when profiled.
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+
     /// Returns `true` if the element has non-zero probability on slot `slot`
     /// of the query support — the only slots whose columns are populated.
     fn scores_on(&self, slot: usize) -> bool {
@@ -311,6 +325,110 @@ impl CandidateState {
     /// The candidate's current score `f(S, x)`, maintained incrementally.
     pub fn score(&self) -> f64 {
         self.score
+    }
+}
+
+/// Coverage state of many candidate sets over one query, stored column-wise:
+/// the layout of the grid algorithms (MTTS, SieveStreaming), which test every
+/// element against a whole grid of candidates.
+///
+/// Per query-support slot, each covered word (influenced element) owns one
+/// row of `width` cells, and each candidate owns one *column* of every row —
+/// its best word weight (its survival probability) for that row's key.  A
+/// gain against any number of columns therefore probes each word and child
+/// once per slot and then reads across the row
+/// ([`QueryEvaluator::column_gains`]), where one [`CandidateState`] per
+/// candidate would probe once per candidate.  A cell nobody wrote holds what
+/// a missing [`CandidateState`] entry reads as — `0.0` for a word, `1.0` for
+/// a survival — so a column always equals the `CandidateState` grown by the
+/// same inserts, bit for bit.
+///
+/// Rows are only ever added by inserts, so the table grows with the members
+/// the candidates hold, not with the elements tested against them.  The
+/// one-candidate algorithms keep [`CandidateState`]: with a single column the
+/// row indirection buys nothing.
+#[derive(Debug)]
+pub struct CoverageTable {
+    /// Parallel to the query support.
+    slots: Vec<SlotTable>,
+    /// `(semantic, influence)` accumulators of the gain in progress, one
+    /// pair per tested column.
+    partial: Vec<(f64, f64)>,
+}
+
+#[derive(Debug)]
+struct SlotTable {
+    /// Best word weights `max_{e∈S} σ_i(w, e)`: one row per covered word.
+    word_best: CoverageRows<WordId>,
+    /// Survival probabilities `Π (1 − p_i(e' ⤳ c))`: one row per influenced
+    /// element.
+    child_survival: CoverageRows<ElementId>,
+}
+
+/// Rows of `width` cells addressed by key, in one flat vector.
+#[derive(Debug)]
+struct CoverageRows<K> {
+    /// What a cell no insert has written holds.
+    fresh: f64,
+    rows: HashMap<K, usize>,
+    /// Row `r` is `cells[r * width..(r + 1) * width]`.
+    cells: Vec<f64>,
+    /// What an absent key's row reads as: `width` fresh cells.
+    absent: Vec<f64>,
+}
+
+impl<K: std::hash::Hash + Eq> CoverageRows<K> {
+    fn new(width: usize, fresh: f64) -> Self {
+        CoverageRows {
+            fresh,
+            rows: HashMap::new(),
+            cells: Vec::new(),
+            absent: vec![fresh; width],
+        }
+    }
+
+    /// The row of `key`, across every column.
+    fn row(&self, key: &K) -> &[f64] {
+        let width = self.absent.len();
+        match self.rows.get(key) {
+            Some(&row) => &self.cells[row * width..(row + 1) * width],
+            None => &self.absent,
+        }
+    }
+
+    /// One cell of `key`'s row, which is added (fresh) if missing.
+    fn cell_mut(&mut self, key: K, column: usize) -> &mut f64 {
+        let width = self.absent.len();
+        let next = self.rows.len();
+        let row = *self.rows.entry(key).or_insert(next);
+        if row == next {
+            self.cells.resize((next + 1) * width, self.fresh);
+        }
+        &mut self.cells[row * width..(row + 1) * width][column]
+    }
+
+    /// Makes `column` fresh in every row.
+    fn reset_column(&mut self, column: usize) {
+        let width = self.absent.len();
+        for row in self.cells.chunks_exact_mut(width) {
+            row[column] = self.fresh;
+        }
+    }
+}
+
+impl CoverageTable {
+    /// Empties one column — every cell reads as never written — so the
+    /// column can serve a new candidate.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is not below the width the table was created with (and
+    /// the table has rows to index).
+    pub fn reset_column(&mut self, column: usize) {
+        for slot in &mut self.slots {
+            slot.word_best.reset_column(column);
+            slot.child_survival.reset_column(column);
+        }
     }
 }
 
@@ -727,6 +845,124 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
         }
         state.members.push(profile.id);
         state.score += gain;
+        gain
+    }
+
+    /// Creates an empty coverage table of `width` candidate columns.
+    pub fn new_table(&self, width: usize) -> CoverageTable {
+        CoverageTable {
+            slots: (0..self.support.len())
+                .map(|_| SlotTable {
+                    word_best: CoverageRows::new(width, 0.0),
+                    child_survival: CoverageRows::new(width, 1.0),
+                })
+                .collect(),
+            partial: Vec::new(),
+        }
+    }
+
+    /// The marginal gains `Δ(e | S_c)` of a profiled element against the
+    /// candidates in `columns`, written to `gains` in the same order: one
+    /// coverage probe per word and child per slot, whatever the number of
+    /// columns.  Each gain sums what [`QueryEvaluator::gain_of`] sums, in its
+    /// order.  Counted as one gain evaluation per column.
+    ///
+    /// Membership is the caller's to check: the table does not know which
+    /// elements a column holds.  An inactive element gains nothing anywhere.
+    /// The table is only borrowed mutably for its scratch space.
+    pub fn column_gains(
+        &self,
+        table: &mut CoverageTable,
+        columns: &[usize],
+        profile: ElementProfile<'_>,
+        gains: &mut Vec<f64>,
+    ) {
+        self.gain_evaluations
+            .set(self.gain_evaluations.get() + columns.len());
+        gains.clear();
+        gains.resize(columns.len(), 0.0);
+        if !profile.active {
+            return;
+        }
+        let config = self.scorer.config();
+        let CoverageTable { slots, partial, .. } = table;
+        for ((slot, &(_, x_i)), slot_table) in self.support.iter().enumerate().zip(&*slots) {
+            partial.clear();
+            partial.resize(columns.len(), (0.0, 0.0));
+            if profile.scores_on(slot) {
+                for (w, weight) in profile.word_column(slot) {
+                    let row = slot_table.word_best.row(&w);
+                    for ((semantic, _), &column) in partial.iter_mut().zip(columns) {
+                        let current = row[column];
+                        if weight > current {
+                            *semantic += weight - current;
+                        }
+                    }
+                }
+                for (child, p) in profile.child_column(slot) {
+                    if p <= 0.0 {
+                        continue;
+                    }
+                    let row = slot_table.child_survival.row(&child);
+                    for ((_, influence), &column) in partial.iter_mut().zip(columns) {
+                        *influence += row[column] * p;
+                    }
+                }
+            }
+            for (gain, &(semantic, influence)) in gains.iter_mut().zip(&*partial) {
+                *gain += x_i * config.combine(semantic, influence);
+            }
+        }
+    }
+
+    /// Inserts a profiled element into the candidate that owns `column`,
+    /// updating that column as [`QueryEvaluator::insert_profile`] updates a
+    /// [`CandidateState`].  Returns the realised gain — bit-equal to the
+    /// column's [`QueryEvaluator::column_gains`] entry at the moment of
+    /// insertion.  Not counted as a gain evaluation.
+    ///
+    /// The caller keeps the candidate's members and score, and must not
+    /// insert an element twice or an inactive one (which changes nothing and
+    /// returns zero).
+    ///
+    /// # Panics
+    ///
+    /// If `column` is not below the width the table was created with (and
+    /// the table has rows to index).
+    pub fn insert_column(
+        &self,
+        table: &mut CoverageTable,
+        column: usize,
+        profile: ElementProfile<'_>,
+    ) -> f64 {
+        if !profile.active {
+            return 0.0;
+        }
+        let config = self.scorer.config();
+        let mut gain = 0.0;
+        for ((slot, &(_, x_i)), slot_table) in self.support.iter().enumerate().zip(&mut table.slots)
+        {
+            let mut semantic = 0.0;
+            let mut influence = 0.0;
+            if profile.scores_on(slot) {
+                for (w, weight) in profile.word_column(slot) {
+                    let best = slot_table.word_best.cell_mut(w, column);
+                    if weight > *best {
+                        semantic += weight - *best;
+                        *best = weight;
+                    }
+                }
+                for (child, p) in profile.child_column(slot) {
+                    if p <= 0.0 {
+                        continue;
+                    }
+                    let survival = slot_table.child_survival.cell_mut(child, column);
+                    influence += *survival * p;
+                    *survival *= 1.0 - p;
+                }
+            }
+            gain += x_i * config.combine(semantic, influence);
+        }
         gain
     }
 

@@ -59,7 +59,8 @@ pub mod view;
 pub use config::{EngineConfig, ScoringConfig};
 pub use engine::{EngineStats, IngestReport, KsirEngine};
 pub use evaluator::{
-    CandidateState, ElementProfile, ProfileArena, ProfileId, QueryEvaluator, SingletonCache,
+    CandidateState, CoverageTable, ElementProfile, ProfileArena, ProfileId, QueryEvaluator,
+    SingletonCache,
 };
 pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
