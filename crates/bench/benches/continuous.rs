@@ -1,9 +1,10 @@
-//! Standing-query maintenance: delta-driven refresh vs recompute-per-slide.
+//! Standing-query maintenance: managed (skip-rule) refresh vs
+//! recompute-per-slide.
 //!
 //! The workload the `ksir-continuous` subsystem exists for: a 10k-element
 //! Twitter-shaped stream replayed bucket by bucket while 16 standing queries
 //! must be kept current (the shared [`MaintenanceScenario`]).
-//! `delta_refresh` maintains them through the `SubscriptionManager` in its
+//! `managed` maintains them through the `SubscriptionManager` in its
 //! PR-1 serial configuration (skipping subscriptions whose support topics
 //! were not disturbed above their traversal floors); `recompute_per_slide`
 //! is the naive baseline that re-runs every query after every bucket.  Both
@@ -21,10 +22,9 @@ fn bench_standing_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("continuous");
     group.sample_size(10);
 
-    group.bench_function(
-        BenchmarkId::new("delta_refresh", scenario.stream.len()),
-        |b| b.iter(|| scenario.run_managed(ShardConfig::unsharded()).stats),
-    );
+    group.bench_function(BenchmarkId::new("managed", scenario.stream.len()), |b| {
+        b.iter(|| scenario.run_managed(ShardConfig::unsharded()).stats)
+    });
 
     group.bench_function(
         BenchmarkId::new("recompute_per_slide", scenario.stream.len()),

@@ -2,7 +2,7 @@
 //!
 //! Runs the shared [`MaintenanceScenario`] (10k-element stream, 16 standing
 //! queries) under three synchronous strategies — recompute-per-slide, serial
-//! delta refresh (PR-1 behaviour), and sharded multi-core refresh — plus the
+//! managed refresh (PR-1 behaviour), and sharded multi-core refresh — plus the
 //! asynchronous pipeline in three configurations: a fast and an artificially
 //! slow delivery consumer at `pipeline_depth = 1` (the quiesce-before-write
 //! barrier, the pre-snapshot baseline), and the **pipelined** mode
@@ -14,12 +14,12 @@
 //! is committed at the repo root, so the perf trajectory is tracked in-repo
 //! and the CI artifact can be diffed against it.
 //!
-//! Three gates, each failing the process with exit code 1 and printing
+//! Seven gates, each failing the process with exit code 1 and printing
 //! `gate=<name> measured=<x> allowed=<y>` so a CI failure needs no
 //! re-derivation from the JSON:
 //!
 //! * **sharded**: the sharded path's wall time must not exceed the serial
-//!   delta-refresh path by more than `PERF_GATE_TOLERANCE` (default 0.15 —
+//!   managed path by more than `PERF_GATE_TOLERANCE` (default 0.15 —
 //!   absorbing runner noise on single-core CI hosts where the worker pool
 //!   degenerates to the serial path).
 //! * **async**: the pipeline's total ingest-return latency with a slow
@@ -42,19 +42,6 @@
 //!   a relaxed atomic per stage plus one bounded ring push per event; an
 //!   instrumentation change that adds a lock or an allocation to the hot
 //!   path shows up here.
-//! * **refresh**: the per-refresh cost of the delta-restricted probe
-//!   ([`MaintenanceScenario::run_refresh_probe`] — every standing query
-//!   re-evaluated after every slide), measured in **scoring passes per
-//!   refresh**, must not exceed the from-scratch probe's scaled by
-//!   `PERF_GATE_REFRESH_TOLERANCE` (default 0.0: memoisation must save
-//!   work outright, that is the point of carrying the cache).  Scoring
-//!   passes rather than wall time because the measure must be
-//!   deterministic: the true wall-time margin (a few percent on this
-//!   scenario) sits below run-to-run host noise, so a 0-tolerance timing
-//!   gate would flake.  The probes' wall times are still recorded in the
-//!   JSON for tracking, the gate asserts strictly fewer scoring passes in
-//!   total, and the probes make identical decisions (pinned by the core
-//!   property tests).
 //! * **per_subscription**: on the subscriber-heavy Zipf population
 //!   ([`MaintenanceScenario::shared_standard`] — 100k standing queries over
 //!   48 plan templates; override the count with
@@ -62,8 +49,8 @@
 //!   passes per subscription** must come in at or under the unclustered
 //!   control's divided by `PERF_GATE_SHARED_FACTOR` (default 5: at this
 //!   overlap, plan sharing must save at least 5× outright).  Deterministic
-//!   like the refresh gate — the population is LCG-seeded and both runs are
-//!   also asserted decision-identical, so a pass can never come from the
+//!   — the population is LCG-seeded, so the scoring-pass totals are exact —
+//!   and both runs are also asserted decision-identical, so a pass can never come from the
 //!   clustered path silently doing different work.
 //!
 //! * **reorder**: the wall time of a clean in-order replay through the
@@ -94,7 +81,7 @@
 
 use std::time::Duration;
 
-use ksir_bench::{AsyncMaintenanceRun, MaintenanceRun, MaintenanceScenario, RefreshProbe};
+use ksir_bench::{AsyncMaintenanceRun, MaintenanceRun, MaintenanceScenario};
 use ksir_continuous::{ShardConfig, TelemetryConfig};
 
 const RUNS_PER_STRATEGY: usize = 3;
@@ -114,13 +101,6 @@ fn best_of_async<F: Fn() -> AsyncMaintenanceRun>(
     (0..RUNS_PER_STRATEGY)
         .map(|_| run())
         .min_by_key(key)
-        .expect("at least one run")
-}
-
-fn best_of_probe<F: Fn() -> RefreshProbe>(run: F) -> RefreshProbe {
-    (0..RUNS_PER_STRATEGY)
-        .map(|_| run())
-        .min_by_key(|r| r.query_time)
         .expect("at least one run")
 }
 
@@ -188,7 +168,6 @@ fn main() {
     let async_tolerance = env_tolerance("PERF_GATE_ASYNC_TOLERANCE", 0.5);
     let pipeline_tolerance = env_tolerance("PERF_GATE_PIPELINE_TOLERANCE", 0.25);
     let telemetry_tolerance = env_tolerance("PERF_GATE_TELEMETRY_TOLERANCE", 0.25);
-    let refresh_tolerance = env_tolerance("PERF_GATE_REFRESH_TOLERANCE", 0.0);
     let reorder_tolerance = env_tolerance("PERF_GATE_REORDER_TOLERANCE", 0.05);
     let obs_tolerance = env_tolerance("PERF_GATE_OBS_TOLERANCE", 0.25);
     let shared_factor = env_tolerance("PERF_GATE_SHARED_FACTOR", 5.0);
@@ -213,10 +192,6 @@ fn main() {
     let recompute = best_of(|| scenario.run_recompute());
     let serial = best_of(|| scenario.run_managed(ShardConfig::unsharded()));
     let sharded = best_of(|| scenario.run_managed(ShardConfig::default()));
-    // The refresh gate's probes: pure evaluation cost per refresh, memoised
-    // vs from scratch, over the identical slide-by-slide replay.
-    let refresh_delta = best_of_probe(|| scenario.run_refresh_probe(true));
-    let refresh_full = best_of_probe(|| scenario.run_refresh_probe(false));
     let async_fast = best_of_async(
         |r| r.ingest_return,
         || scenario.run_async(barrier, Duration::ZERO),
@@ -292,23 +267,6 @@ fn main() {
         "an in-order stream through the reorder buffer must change nothing: no \
          re-sequencing, no shedding, identical refresh decisions"
     );
-    let delta_refreshes: usize = sharded.shard_stats.iter().map(|s| s.delta_refreshes).sum();
-    assert!(
-        delta_refreshes > 0,
-        "the scenario never exercised a delta-restricted refresh"
-    );
-    assert_eq!(
-        refresh_delta.refreshes, refresh_full.refreshes,
-        "both probes evaluate every subscription every slide"
-    );
-    // The deterministic form of the refresh gate: memoisation must save
-    // scoring passes outright, independent of timer noise.
-    assert!(
-        refresh_delta.gain_evaluations < refresh_full.gain_evaluations,
-        "delta-restricted probes performed no fewer scoring passes ({} vs {})",
-        refresh_delta.gain_evaluations,
-        refresh_full.gain_evaluations,
-    );
     // The shared-plans probes must be decision-identical — the
     // per_subscription gate is a pure cost comparison, never a behaviour
     // change — and the clustered run must actually have clustered.
@@ -334,7 +292,7 @@ fn main() {
             allowed: ms(serial.elapsed) * (1.0 + tolerance),
             unit: "ms",
             subscriptions: scenario.queries.len(),
-            explanation: "sharded refresh regressed past the serial delta-refresh path",
+            explanation: "sharded refresh regressed past the serial managed path",
         },
         Gate {
             name: "async",
@@ -363,20 +321,6 @@ fn main() {
             subscriptions: scenario.queries.len(),
             explanation: "tracing-on ingest interval regressed past the tracing-off run — \
                  instrumentation has left the relaxed-atomic/ring-push budget",
-        },
-        // Deterministic by design: scoring passes, not wall time.  The true
-        // wall-time margin of memoisation (a few percent on this scenario)
-        // sits below run-to-run host noise, so a timing gate here would
-        // flake; the scoring-pass count is exact on every run, and the
-        // wall-time probes are still recorded in the JSON for tracking.
-        Gate {
-            name: "refresh",
-            measured: refresh_delta.passes_per_refresh(),
-            allowed: refresh_full.passes_per_refresh() * (1.0 + refresh_tolerance),
-            unit: "passes/refresh",
-            subscriptions: scenario.queries.len(),
-            explanation: "delta-restricted refresh no longer saves scoring passes over the \
-                 full-rerun baseline — the singleton cache is not paying for itself",
         },
         Gate {
             name: "reorder",
@@ -417,13 +361,6 @@ fn main() {
             "  \"recompute_ms\": {:.3},\n",
             "  \"delta_serial_ms\": {:.3},\n",
             "  \"delta_sharded_ms\": {:.3},\n",
-            "  \"refresh_probe_delta_ms\": {:.3},\n",
-            "  \"refresh_probe_full_ms\": {:.3},\n",
-            "  \"refresh_cost_delta_ms\": {:.4},\n",
-            "  \"refresh_cost_full_ms\": {:.4},\n",
-            "  \"refresh_gain_evaluations_delta\": {},\n",
-            "  \"refresh_gain_evaluations_full\": {},\n",
-            "  \"delta_refreshes\": {},\n",
             "  \"async_ingest_fast_consumer_ms\": {:.3},\n",
             "  \"async_ingest_slow_consumer_ms\": {:.3},\n",
             "  \"async_max_ingest_ms\": {:.3},\n",
@@ -454,7 +391,6 @@ fn main() {
             "  \"async_tolerance\": {:.2},\n",
             "  \"pipeline_tolerance\": {:.2},\n",
             "  \"telemetry_tolerance\": {:.2},\n",
-            "  \"refresh_tolerance\": {:.2},\n",
             "  \"reorder_tolerance\": {:.2},\n",
             "  \"obs_tolerance\": {:.2},\n",
             "  \"shared_factor\": {:.2},\n",
@@ -462,7 +398,6 @@ fn main() {
             "  \"async_gate\": \"{}\",\n",
             "  \"pipelined_gate\": \"{}\",\n",
             "  \"telemetry_gate\": \"{}\",\n",
-            "  \"refresh_gate\": \"{}\",\n",
             "  \"reorder_gate\": \"{}\",\n",
             "  \"obs_gate\": \"{}\",\n",
             "  \"per_subscription_gate\": \"{}\"\n",
@@ -474,13 +409,6 @@ fn main() {
         ms(recompute.elapsed),
         ms(serial.elapsed),
         ms(sharded.elapsed),
-        ms(refresh_delta.query_time),
-        ms(refresh_full.query_time),
-        ms(refresh_delta.per_refresh()),
-        ms(refresh_full.per_refresh()),
-        refresh_delta.gain_evaluations,
-        refresh_full.gain_evaluations,
-        delta_refreshes,
         ms(async_fast.ingest_return),
         ms(async_slow.ingest_return),
         ms(async_slow.max_ingest_return),
@@ -511,7 +439,6 @@ fn main() {
         async_tolerance,
         pipeline_tolerance,
         telemetry_tolerance,
-        refresh_tolerance,
         reorder_tolerance,
         obs_tolerance,
         shared_factor,
@@ -522,7 +449,6 @@ fn main() {
         if gates[4].passed() { "pass" } else { "fail" },
         if gates[5].passed() { "pass" } else { "fail" },
         if gates[6].passed() { "pass" } else { "fail" },
-        if gates[7].passed() { "pass" } else { "fail" },
     );
     std::fs::write(&out_path, &json).expect("write BENCH_continuous.json");
     print!("{json}");
@@ -545,7 +471,7 @@ fn main() {
         std::fs::write(json_path, records).expect("write gate-records JSON");
     }
     eprintln!(
-        "perf_gate: recompute {:.0} ms | delta-serial {:.0} ms | delta-sharded {:.0} ms \
+        "perf_gate: recompute {:.0} ms | serial {:.0} ms | sharded {:.0} ms \
          ({:.1}% evals skipped, {} shards, {} worker threads)",
         ms(recompute.elapsed),
         ms(serial.elapsed),
@@ -581,16 +507,6 @@ fn main() {
         "perf_gate: obs-scraped interval {:.3} ms vs unobserved {:.3} ms",
         ms(observed.ingest_interval()),
         ms(pipelined.ingest_interval()),
-    );
-    eprintln!(
-        "perf_gate: refresh cost {:.4} ms/refresh delta-restricted vs {:.4} ms/refresh \
-         full-rerun ({} vs {} scoring passes over {} evaluations; {} managed refreshes ran delta)",
-        ms(refresh_delta.per_refresh()),
-        ms(refresh_full.per_refresh()),
-        refresh_delta.gain_evaluations,
-        refresh_full.gain_evaluations,
-        refresh_delta.refreshes,
-        delta_refreshes,
     );
     eprintln!(
         "perf_gate: reorder-buffer overhead on a clean stream: {:.0} ms buffered (horizon 8) \

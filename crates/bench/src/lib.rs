@@ -30,9 +30,7 @@ pub mod scenario;
 pub mod table;
 
 pub use effectiveness::{run_effectiveness, EffectivenessConfig, EffectivenessReport};
-pub use maintenance::{
-    AsyncMaintenanceRun, MaintenanceRun, MaintenanceScenario, RefreshProbe, SharedPlansRun,
-};
+pub use maintenance::{AsyncMaintenanceRun, MaintenanceRun, MaintenanceScenario, SharedPlansRun};
 pub use scenario::{
     build_engine, replay_with_queries, ProcessingConfig, ProcessingReport, QueryMeasurement,
 };

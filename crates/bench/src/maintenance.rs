@@ -32,9 +32,7 @@ use ksir_continuous::{
     DeliveryConfig, ManagerStats, OverflowPolicy, ShardConfig, ShardStats, SnapshotStats,
     SubscriptionManager,
 };
-use ksir_core::{
-    Algorithm, EngineConfig, KsirEngine, KsirQuery, QuerySource, ScoringConfig, SingletonCache,
-};
+use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
 use ksir_obs::{ObsConfig, ObsServer};
 use ksir_stream::WindowConfig;
@@ -141,42 +139,6 @@ impl AsyncMaintenanceRun {
     }
 }
 
-/// Timing and work counters of one refresh-cost probe
-/// ([`MaintenanceScenario::run_refresh_probe`]): pure query-evaluation time,
-/// with ingestion excluded.
-#[derive(Debug, Clone)]
-pub struct RefreshProbe {
-    /// Time spent inside the query evaluations only.
-    pub query_time: Duration,
-    /// Query evaluations performed (`slides × subscriptions`).
-    pub refreshes: usize,
-    /// Total scoring passes across all evaluations — deterministic, so the
-    /// structural saving of memoisation can be asserted exactly, independent
-    /// of timer noise.
-    pub gain_evaluations: usize,
-}
-
-impl RefreshProbe {
-    /// Mean evaluation cost per refresh.
-    pub fn per_refresh(&self) -> Duration {
-        if self.refreshes == 0 {
-            Duration::ZERO
-        } else {
-            self.query_time / self.refreshes as u32
-        }
-    }
-
-    /// Mean scoring passes per refresh — the deterministic cost measure the
-    /// CI refresh gate compares, immune to host timer noise.
-    pub fn passes_per_refresh(&self) -> f64 {
-        if self.refreshes == 0 {
-            0.0
-        } else {
-            self.gain_evaluations as f64 / self.refreshes as f64
-        }
-    }
-}
-
 /// Work counters of one shared-plans probe run
 /// ([`MaintenanceScenario::run_shared_probe`]): the same managed replay as
 /// [`MaintenanceScenario::run_managed`], with the scoring-pass total and the
@@ -266,8 +228,7 @@ impl MaintenanceScenario {
     ///
     /// Templates use only the index-traversal algorithms (MTTS, MTTD,
     /// top-k representative): the whole-window baselines would make the
-    /// unclustered control run quadratic in the population, and they carry
-    /// no singleton memo to share anyway.  Sampling uses a fixed-seed LCG,
+    /// unclustered control run quadratic in the population.  Sampling uses a fixed-seed LCG,
     /// so the population — and with it every scoring-pass count — is
     /// deterministic across runs and hosts.
     pub fn zipf_population(num_subscriptions: usize) -> Self {
@@ -618,66 +579,6 @@ impl MaintenanceScenario {
         }
     }
 
-    /// Replays the stream on a bare engine, re-running **every** standing
-    /// query after **every** bucket, and times only the query evaluations —
-    /// ingestion and slide maintenance are excluded from `query_time`.
-    ///
-    /// With `delta_restricted` the index-based queries run through
-    /// [`QuerySource::query_delta`] against retained singleton caches primed
-    /// from each slide's delta (the evaluation a `refresh.mode = delta`
-    /// refresh performs); without it every query runs from scratch (a
-    /// `refresh.mode = full` refresh).  Decisions are identical either way
-    /// (pinned by the core property tests), so the timing difference is
-    /// exactly the memoisation saving per disturbed subscription — the
-    /// number the CI `refresh` perf gate tracks.
-    pub fn run_refresh_probe(&self, delta_restricted: bool) -> RefreshProbe {
-        let mut engine = self.engine();
-        let bucket_len = self.window.bucket_len();
-        // One retained cache per memoised subscription, as the manager keeps
-        // them; the frontier-less baselines would carry none.
-        let mut caches: Vec<Option<SingletonCache>> = self
-            .queries
-            .iter()
-            .map(|(_, algorithm)| match algorithm {
-                Algorithm::Mtts | Algorithm::Mttd | Algorithm::TopkRepresentative => {
-                    Some(SingletonCache::new())
-                }
-                Algorithm::Celf | Algorithm::SieveStreaming => None,
-            })
-            .collect();
-        let mut query_time = Duration::ZERO;
-        let mut refreshes = 0usize;
-        let mut gain_evaluations = 0usize;
-        ksir_stream::for_each_bucket(
-            bucket_len,
-            engine.now(),
-            self.stream.iter_pairs(),
-            |bucket, end| {
-                let report = engine.ingest_bucket(bucket, end)?;
-                let t0 = Instant::now();
-                for ((query, algorithm), cache) in self.queries.iter().zip(&mut caches) {
-                    let result = match (delta_restricted, cache) {
-                        (true, Some(cache)) => {
-                            engine.query_delta(query, *algorithm, &report.delta, cache)?
-                        }
-                        _ => engine.query(query, *algorithm)?,
-                    };
-                    refreshes += 1;
-                    gain_evaluations += result.gain_evaluations;
-                    std::hint::black_box(result.len());
-                }
-                query_time += t0.elapsed();
-                Ok(())
-            },
-        )
-        .unwrap();
-        RefreshProbe {
-            query_time,
-            refreshes,
-            gain_evaluations,
-        }
-    }
-
     /// Replays the stream re-running every query after every bucket — the
     /// baseline with no delta rules.
     pub fn run_recompute(&self) -> MaintenanceRun {
@@ -787,13 +688,6 @@ mod tests {
         };
         assert_eq!(empty.skip_ratio(), 0.0);
         assert_eq!(empty.throughput(), 0.0);
-        let probe = RefreshProbe {
-            query_time: Duration::ZERO,
-            refreshes: 0,
-            gain_evaluations: 0,
-        };
-        assert_eq!(probe.per_refresh(), Duration::ZERO);
-        assert_eq!(probe.passes_per_refresh(), 0.0);
         let shared = SharedPlansRun {
             elapsed: Duration::ZERO,
             stats: ManagerStats::default(),

@@ -667,9 +667,9 @@ fn overload_probe(script: &Script) -> Result<usize, String> {
             mgr.overload_level()
         ));
     }
-    if steps != 3 {
+    if steps != 2 {
         return Err(format!(
-            "overload probe: expected 3 ladder steps, saw {steps}"
+            "overload probe: expected 2 ladder steps, saw {steps}"
         ));
     }
     if registry.gauge("overload.level").get() != OverloadLevel::TruncateFloors.as_u64() {

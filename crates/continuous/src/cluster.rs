@@ -9,10 +9,7 @@
 //!
 //! * one **covering query** (`k = max` over members, same vector/`ε` — see
 //!   [`ksir_core::KsirQuery::covering`]), whose single traversal reads at
-//!   least as deep into every ranked list as any member's own run would,
-//! * one shared [`SingletonCache`], so the covering run's scored candidate
-//!   set answers every smaller-`k` **specialization run**'s singleton
-//!   lookups without re-scoring, and
+//!   least as deep into every ranked list as any member's own run would, and
 //! * its own conservative touch filters (the same three the shard keeps:
 //!   loosest member floor per topic, union of member result elements,
 //!   pending-initial count), so a slide skips the whole cluster exactly when
@@ -30,25 +27,13 @@
 //!    variant runs the member query once (identical queries produce
 //!    identical, deterministic results, so same-`k` members share a clone).
 //!    The largest-`k` variant *is* the covering run.
-//! 3. Smaller-`k` variants re-run their own admission logic (thresholds and
-//!    bars depend on `k`, so cross-`k` result reuse would be unsound) with
-//!    singleton lookups answered from the shared cache.  A cache hit replays
-//!    the exact value a fresh scoring pass would produce — the PR 6
-//!    invariant — so sharing the memo across members changes scoring-pass
-//!    counts, never results.
-//! 4. The shared memo stays valid across skipped slides by the cluster-wise
-//!    version of the run-scoped-retention argument: every surviving entry
-//!    was consulted by some variant run at or above that run's final floors;
-//!    the run's frontier is stored in that variant's member results, which
-//!    the cluster's floor aggregate absorbs — so any slide that could change
-//!    the entry disturbs the cluster and re-primes the memo before the next
-//!    consult.  Membership churn and forced refreshes can retire the
-//!    guarding frontier, so those paths drop the memo outright
-//!    (`PlanCluster::invalidate_cache`) — a pure cost event.
+//! 3. Smaller-`k` variants are plain runs at their own `k` (thresholds and
+//!    bars depend on `k`, so cross-`k` result reuse would be unsound).
+//!    Nothing a run computes outlives it except the stored results.
 
 use std::collections::HashSet;
 
-use ksir_core::{Algorithm, FloorAggregate, KsirQuery, SingletonCache};
+use ksir_core::{Algorithm, FloorAggregate, KsirQuery};
 use ksir_stream::WindowDelta;
 use ksir_types::ElementId;
 
@@ -88,7 +73,7 @@ impl ClusterKey {
 }
 
 /// One cluster of plan-compatible subscriptions: the members, the covering
-/// query, the shared singleton memo, and the cluster-level touch filters.
+/// query, and the cluster-level touch filters.
 #[derive(Debug)]
 pub(crate) struct PlanCluster {
     /// Member subscriptions, sorted by id (deterministic evaluation order).
@@ -97,9 +82,6 @@ pub(crate) struct PlanCluster {
     pub(crate) algorithm: Algorithm,
     /// The covering query over the *current* members (`k = max`).
     pub(crate) covering: KsirQuery,
-    /// Shared singleton memo for the cache-carrying algorithms; `None` for
-    /// CELF/SieveStreaming, whose per-set marginal gains cannot be memoised.
-    pub(crate) cache: Option<SingletonCache>,
     /// Loosest traversal floor per watched topic across the members.
     pub(crate) floors: FloorAggregate,
     /// Union of member result elements (refresh rule 2 at cluster level).
@@ -115,7 +97,6 @@ impl PlanCluster {
             members: vec![id],
             algorithm: sub.algorithm,
             covering: sub.query.clone(),
-            cache: sub.cache.as_ref().map(|_| SingletonCache::new()),
             floors: FloorAggregate::new(),
             result_members: HashSet::new(),
             pending_initial: 0,
@@ -142,8 +123,6 @@ impl PlanCluster {
     }
 
     /// Adds a member, keeping `members` sorted and the covering `k` current.
-    /// The shared memo is dropped: its retention guard (see the module docs)
-    /// does not survive membership changes.
     pub(crate) fn add_member(&mut self, id: SubscriptionId, sub: &Subscription) {
         debug_assert!(self.covering.plan_compatible(&sub.query));
         if let Err(at) = self.members.binary_search(&id) {
@@ -152,30 +131,17 @@ impl PlanCluster {
         self.covering = KsirQuery::covering([&self.covering, &sub.query])
             .expect("cluster members are plan-compatible");
         self.absorb(sub);
-        self.invalidate_cache();
     }
 
     /// Removes a member.  Returns `true` if the cluster is now empty and
     /// should be retired.  The caller must rebuild the cluster's filters and
     /// covering query from the surviving members
-    /// ([`PlanCluster::rebuild`]); the shared memo is dropped here.
+    /// ([`PlanCluster::rebuild`]).
     pub(crate) fn remove_member(&mut self, id: SubscriptionId) -> bool {
         if let Ok(at) = self.members.binary_search(&id) {
             self.members.remove(at);
         }
-        self.invalidate_cache();
         self.members.is_empty()
-    }
-
-    /// Drops the shared memo (retaining the allocation).  Called whenever
-    /// the frontier that guards an entry's validity may have left the
-    /// cluster: membership churn, or a member refreshed outside the
-    /// cluster's own refresh path (forced refreshes).  Decisions are
-    /// unaffected — the next covering run simply starts cold.
-    pub(crate) fn invalidate_cache(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.clear();
-        }
     }
 
     /// Folds one member's state into the cluster filters (the cluster-level
@@ -303,13 +269,6 @@ mod tests {
         let cluster = PlanCluster::new(SubscriptionId(0), &sub);
         assert_eq!(cluster.pending_initial, 1);
         assert!(cluster.is_touched_by(&WindowDelta::default()));
-        assert!(
-            cluster.cache.is_some(),
-            "cache-carrying algorithm gets a shared memo"
-        );
-        let celf = Subscription::new(query(2, &[1.0, 0.0]), Algorithm::Celf);
-        let cluster = PlanCluster::new(SubscriptionId(1), &celf);
-        assert!(cluster.cache.is_none());
     }
 
     #[test]

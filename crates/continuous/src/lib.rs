@@ -70,10 +70,9 @@
 //! differ at most in `k` — are grouped into *plan clusters* ([`cluster`]).
 //! A scheduled shard evaluates each disturbed cluster once per distinct
 //! member `k` (largest first: the **covering** run, see
-//! [`KsirQuery::covering`](ksir_core::KsirQuery::covering)) against a shared
-//! singleton memo; same-`k` members share the run's result outright and
-//! smaller-`k` members re-run only their admission logic over the covering
-//! run's scored candidates.  Per-member classify decisions, results, stats
+//! [`KsirQuery::covering`](ksir_core::KsirQuery::covering)); same-`k` members
+//! share the run's result outright and each smaller `k` gets one plain run of
+//! its own.  Per-member classify decisions, results, stats
 //! and delivered deltas are pinned identical to the per-subscription walk
 //! (the `shared_plans` property tests); only evaluation *cost* drops — the
 //! `refresh.cluster.*` counters and
@@ -135,7 +134,7 @@
 //! * **Fault isolation** ([`fault`]): every worker refresh attempt runs
 //!   inside `catch_unwind`.  A panic never publishes a partial
 //!   [`ResultDelta`] (the shard lock poisons no state — injected faults
-//!   fire pre-mutation, real ones trigger a memo-dropping recovery) and
+//!   fire pre-mutation, real ones trigger a filter-rebuilding recovery) and
 //!   never stalls the watermark (epoch registrations complete on drop).
 //!   Panicking attempts retry with bounded backoff; a shard that exhausts
 //!   its budget is **quarantined** (skipped with counted sheds, visible on
@@ -146,7 +145,7 @@
 //!   the chaos harness.
 //! * **Graceful overload degradation** ([`overload`]): when enabled, the
 //!   admission-wait pressure walks a reversible load-shed ladder — shared
-//!   plans off → delta refresh off → floor-truncated snapshots — one rung
+//!   plans off → floor-truncated snapshots — one rung
 //!   at a time with hysteresis and cooldown, exported on `overload.level`.
 //!
 //! Because every refresh re-runs the subscription's own algorithm against

@@ -58,8 +58,6 @@ pub struct RetiredStats {
     pub shards: usize,
     /// Slide-driven refreshes performed by retired shards while they lived.
     pub refreshes: usize,
-    /// The subset of `refreshes` that ran delta-restricted.
-    pub delta_refreshes: usize,
     /// Slide-time skips charged by retired shards while they lived.
     pub skips: usize,
     /// Slides that scheduled a now-retired shard.
@@ -479,30 +477,13 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         let mut sub = Subscription::new(query, algorithm);
         // The initial evaluation is not a slide, so it is deliberately left
         // out of the refresh/skip counters — they must reconcile with
-        // `slides x subscriptions`.  It always runs full (there is no prior
-        // result to restrict against), warming the singleton memo for the
-        // first slide-driven delta refresh.
-        let delta_refresh = self.config.delta_refresh;
-        refresh_one(
-            &*self.engine.read(),
-            id,
-            &mut sub,
-            RefreshReason::Initial,
-            None,
-            delta_refresh,
-        );
+        // `slides x subscriptions`.
+        refresh_one(&*self.engine.read(), id, &mut sub, RefreshReason::Initial);
         let telemetry = &self.telemetry;
         let shared_plans = self.config.shared_plans;
         self.shards
             .entry(key)
-            .or_insert_with(|| {
-                Arc::new(ShardCell::new(
-                    key,
-                    Arc::clone(telemetry),
-                    delta_refresh,
-                    shared_plans,
-                ))
-            })
+            .or_insert_with(|| Arc::new(ShardCell::new(key, Arc::clone(telemetry), shared_plans)))
             .shard()
             .insert(id, sub);
         self.route_of.insert(id, key);
@@ -553,7 +534,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         if let Some(stats) = retire {
             self.retired.shards += 1;
             self.retired.refreshes += stats.refreshes;
-            self.retired.delta_refreshes += stats.delta_refreshes;
             self.retired.skips += stats.skips;
             self.retired.scheduled_slides += stats.scheduled_slides;
             self.retired.skipped_slides += stats.skipped_slides;
@@ -653,21 +633,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             let engine = self.engine.read();
             let mut shard = cell.shard();
             let sub = shard.get_mut(id)?;
-            // Forced refreshes run full: the caller sits outside the slide
-            // stream, so no delta vouches for the memo's sync point.
-            let (update, _mode) = refresh_one(
-                &*engine,
-                id,
-                sub,
-                RefreshReason::Forced,
-                None,
-                self.config.delta_refresh,
-            );
-            // The forced run replaced this member's frontier outside the
-            // cluster's own refresh, so the shared memo's validity guard may
-            // be gone — drop it (pure cost; the next covering run starts
-            // cold).
-            shard.invalidate_plan_cache(id);
+            let update = refresh_one(&*engine, id, sub, RefreshReason::Forced);
             // The stored result (and with it the shard's floors/members) may
             // have changed even when no delta is reported.
             shard.rebuild_filters();
@@ -714,8 +680,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.overload.pressure_micros()
     }
 
-    /// Number of shards currently quarantined into degraded full-recompute
-    /// mode by repeated refresh panics.
+    /// Number of shards currently quarantined (shared plans off) by repeated
+    /// refresh panics.
     pub fn quarantined_shards(&self) -> usize {
         self.shards
             .values()
@@ -725,8 +691,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
 
     /// Lifts every shard quarantine (after the underlying fault is fixed),
     /// returning how many were lifted.  Quiesces first so no worker observes
-    /// the mode flip mid-epoch; the affected shards resume optimised refresh
-    /// from cold memos on their next scheduled slide.
+    /// the mode flip mid-epoch; the affected shards resume shared plans on
+    /// their next scheduled slide.
     pub fn lift_quarantines(&mut self) -> usize {
         self.sync();
         let mut lifted = 0;
@@ -760,14 +726,11 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.reorder.released_through()
     }
 
-    /// Applies a new overload rung: flips every shard's effective modes,
-    /// exports the rung, and traces the step.  Mode flips drop the shared
-    /// singleton memos (in both directions), so a memo warmed under one mode
-    /// never serves another.
+    /// Applies a new overload rung: flips every shard's shared-plans mode,
+    /// exports the rung, and traces the step.
     fn apply_overload(&mut self, level: OverloadLevel) {
         for cell in self.shards.values() {
-            cell.shard()
-                .set_modes(level.shared_plans_enabled(), level.delta_enabled());
+            cell.shard().set_plans_active(level.shared_plans_enabled());
         }
         let registry = self.telemetry.registry();
         registry.gauge("overload.level").set(level.as_u64());

@@ -9,12 +9,9 @@
 //! degraded modes, cheapest savings first:
 //!
 //! 1. [`OverloadLevel::SharedPlansOff`] — stop shared-plan covering runs
-//!    (per-resident refresh still exact, loses only the memoised prefix
-//!    reuse).
-//! 2. [`OverloadLevel::DeltaOff`] — stop delta-restricted refresh (full
-//!    recompute per disturbed resident; still decision-identical, loses
-//!    the candidate-set restriction).
-//! 3. [`OverloadLevel::TruncateFloors`] — capture floor-truncated epoch
+//!    (per-resident refresh, still decision-identical; loses only the
+//!    sharing of one run among same-`k` cluster members).
+//! 2. [`OverloadLevel::TruncateFloors`] — capture floor-truncated epoch
 //!    snapshots ([`SnapshotPolicy::TruncateAtFloors`]); cheapest captures,
 //!    but trades exactness on floor-crossing re-runs.
 //!
@@ -37,9 +34,6 @@ pub enum OverloadLevel {
     Normal,
     /// Shared-plan covering runs disabled; refresh is per-resident.
     SharedPlansOff,
-    /// Delta-restricted refresh also disabled; disturbed residents fully
-    /// recompute.
-    DeltaOff,
     /// Epoch snapshots are floor-truncated as well; trades exactness on
     /// floor-crossing re-runs for the cheapest captures.
     TruncateFloors,
@@ -51,19 +45,13 @@ impl OverloadLevel {
         match self {
             OverloadLevel::Normal => 0,
             OverloadLevel::SharedPlansOff => 1,
-            OverloadLevel::DeltaOff => 2,
-            OverloadLevel::TruncateFloors => 3,
+            OverloadLevel::TruncateFloors => 2,
         }
     }
 
     /// Whether shared-plan covering runs stay enabled at this rung.
     pub fn shared_plans_enabled(self) -> bool {
         self < OverloadLevel::SharedPlansOff
-    }
-
-    /// Whether delta-restricted refresh stays enabled at this rung.
-    pub fn delta_enabled(self) -> bool {
-        self < OverloadLevel::DeltaOff
     }
 
     /// Whether epoch snapshots are floor-truncated at this rung.
@@ -74,15 +62,13 @@ impl OverloadLevel {
     fn up(self) -> Self {
         match self {
             OverloadLevel::Normal => OverloadLevel::SharedPlansOff,
-            OverloadLevel::SharedPlansOff => OverloadLevel::DeltaOff,
             _ => OverloadLevel::TruncateFloors,
         }
     }
 
     fn down(self) -> Self {
         match self {
-            OverloadLevel::TruncateFloors => OverloadLevel::DeltaOff,
-            OverloadLevel::DeltaOff => OverloadLevel::SharedPlansOff,
+            OverloadLevel::TruncateFloors => OverloadLevel::SharedPlansOff,
             _ => OverloadLevel::Normal,
         }
     }
@@ -210,11 +196,7 @@ mod tests {
         }
         assert_eq!(
             steps,
-            vec![
-                OverloadLevel::SharedPlansOff,
-                OverloadLevel::DeltaOff,
-                OverloadLevel::TruncateFloors
-            ],
+            vec![OverloadLevel::SharedPlansOff, OverloadLevel::TruncateFloors],
             "one rung at a time, saturating at the top"
         );
         steps.clear();
@@ -225,11 +207,7 @@ mod tests {
         }
         assert_eq!(
             steps,
-            vec![
-                OverloadLevel::DeltaOff,
-                OverloadLevel::SharedPlansOff,
-                OverloadLevel::Normal
-            ],
+            vec![OverloadLevel::SharedPlansOff, OverloadLevel::Normal],
             "fully reversible once pressure subsides"
         );
         assert_eq!(ctl.level(), OverloadLevel::Normal);
@@ -261,12 +239,11 @@ mod tests {
     #[test]
     fn rung_predicates_encode_the_ladder() {
         assert!(OverloadLevel::Normal.shared_plans_enabled());
-        assert!(OverloadLevel::Normal.delta_enabled());
+        assert!(!OverloadLevel::Normal.truncate_snapshots());
         assert!(!OverloadLevel::SharedPlansOff.shared_plans_enabled());
-        assert!(OverloadLevel::SharedPlansOff.delta_enabled());
-        assert!(!OverloadLevel::DeltaOff.delta_enabled());
-        assert!(!OverloadLevel::DeltaOff.truncate_snapshots());
+        assert!(!OverloadLevel::SharedPlansOff.truncate_snapshots());
+        assert!(!OverloadLevel::TruncateFloors.shared_plans_enabled());
         assert!(OverloadLevel::TruncateFloors.truncate_snapshots());
-        assert_eq!(OverloadLevel::TruncateFloors.as_u64(), 3);
+        assert_eq!(OverloadLevel::TruncateFloors.as_u64(), 2);
     }
 }

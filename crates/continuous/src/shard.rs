@@ -38,13 +38,12 @@
 //! (`cluster::PlanCluster`): subscriptions whose queries are
 //! plan-compatible — identical vector and `ε`, same algorithm — differ only
 //! in `k`, so a scheduled shard evaluates each disturbed cluster once per
-//! distinct member `k` (largest first, the **covering** run) against a
-//! shared singleton memo instead of once per member.  Same-`k` members share
-//! the run's result outright; smaller-`k` members re-run their own admission
-//! logic with singleton lookups served from the covering run's memo.  The
-//! per-member classify/refresh/skip *decisions* are computed by exactly the
-//! same rules as the per-subscription walk, so stats and delivered deltas
-//! are identical — only the number of evaluations changes.
+//! distinct member `k` (largest first, the **covering** run) instead of once
+//! per member.  Same-`k` members share the run's result outright;
+//! smaller-`k` members get a plain run of their own `k`.  The per-member
+//! classify/refresh/skip *decisions* are computed by exactly the same rules
+//! as the per-subscription walk, so stats and delivered deltas are
+//! identical — only the number of evaluations changes.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -114,14 +113,6 @@ pub struct ShardConfig {
     /// How much telemetry the manager collects (see [`TelemetryConfig`]).
     /// Tracing is on by default; metrics are always on.
     pub telemetry: TelemetryConfig,
-    /// Whether slide-driven refreshes may run **delta-restricted**: singleton
-    /// scores answered from the subscription's retained memo, with only the
-    /// slide's changed elements re-derived from their stored ranked-list
-    /// tuples.  Decisions and scores are identical to a full re-run (see
-    /// [`ksir_core::SingletonCache`]); `false` forces every refresh down the
-    /// full-rerun path, which is the baseline the `refresh` perf gate
-    /// compares against.
-    pub delta_refresh: bool,
     /// Whether shards cluster plan-compatible residents (identical query
     /// vector and `ε`, same algorithm) into shared evaluation plans: one
     /// covering traversal per disturbed cluster and `k`, specialized per
@@ -153,7 +144,6 @@ impl Default for ShardConfig {
             pipeline_depth: 2,
             snapshot_policy: SnapshotPolicy::Exact,
             telemetry: TelemetryConfig::default(),
-            delta_refresh: true,
             shared_plans: true,
             reorder_horizon: 0,
             late_policy: LatePolicy::DropLate,
@@ -206,13 +196,6 @@ impl ShardConfig {
     /// [`TelemetryConfig::disabled`] to turn tracing off).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Enables or disables delta-restricted refreshes (`false` = always run
-    /// full, the perf-gate baseline).
-    pub fn with_delta_refresh(mut self, delta_refresh: bool) -> Self {
-        self.delta_refresh = delta_refresh;
         self
     }
 
@@ -291,9 +274,6 @@ pub struct ShardStats {
     pub subscriptions: usize,
     /// Slide-driven query re-runs across all residents.
     pub refreshes: usize,
-    /// The subset of [`ShardStats::refreshes`] that ran delta-restricted
-    /// (singleton scores answered from the residents' retained memos).
-    pub delta_refreshes: usize,
     /// Slide-time evaluations skipped (shard-level and per-resident).
     pub skips: usize,
     /// Slides for which the shard's filters fired and residents were
@@ -315,8 +295,8 @@ pub struct ShardStats {
     /// Clusters proven undisturbed inside scheduled slides (all members
     /// charged a skip without per-member classification).
     pub skipped_clusters: usize,
-    /// Whether the shard is quarantined (degraded full-recompute mode after
-    /// exhausting a refresh retry budget; see the worker's fault isolation).
+    /// Whether the shard is quarantined (shared plans off after exhausting a
+    /// refresh retry budget; see the worker's fault isolation).
     pub quarantined: bool,
 }
 
@@ -357,13 +337,6 @@ pub(crate) struct ShardTelemetry {
     skips: Arc<Counter>,
     scheduled_slides: Arc<Counter>,
     skipped_slides: Arc<Counter>,
-    /// `refresh.mode.*` counters: how each slide-time classification was
-    /// served — a full re-run, a delta-restricted re-run, or a provable skip.
-    /// `refresh.mode.full + refresh.mode.delta == shard.refreshes` and
-    /// `refresh.mode.skipped == shard.skips`, bumped in the same statements.
-    refresh_mode_full: Arc<Counter>,
-    refresh_mode_delta: Arc<Counter>,
-    refresh_mode_skipped: Arc<Counter>,
     /// `refresh.cluster.*` counters: how the shared-plan layer served a
     /// scheduled slide — covering/variant evaluations actually run, member
     /// refreshes served by sharing a run's result, and whole clusters
@@ -389,9 +362,6 @@ impl ShardTelemetry {
             skips: registry.counter("shard.skips"),
             scheduled_slides: registry.counter("shard.scheduled_slides"),
             skipped_slides: registry.counter("shard.skipped_slides"),
-            refresh_mode_full: registry.counter("refresh.mode.full"),
-            refresh_mode_delta: registry.counter("refresh.mode.delta"),
-            refresh_mode_skipped: registry.counter("refresh.mode.skipped"),
             cluster_covering: registry.counter("refresh.cluster.covering"),
             cluster_shared: registry.counter("refresh.cluster.shared"),
             cluster_skipped: registry.counter("refresh.cluster.skipped"),
@@ -410,8 +380,6 @@ impl ShardTelemetry {
 pub(crate) struct ShardSlide {
     pub(crate) updates: Vec<ResultDelta>,
     pub(crate) refreshed: usize,
-    /// The subset of `refreshed` that ran delta-restricted.
-    pub(crate) delta_refreshed: usize,
     pub(crate) skipped: usize,
 }
 
@@ -489,21 +457,11 @@ pub(crate) struct ShardCell {
 }
 
 impl ShardCell {
-    pub(crate) fn new(
-        key: ShardKey,
-        bundle: Arc<Telemetry>,
-        delta_refresh: bool,
-        shared_plans: bool,
-    ) -> Self {
+    pub(crate) fn new(key: ShardKey, bundle: Arc<Telemetry>, shared_plans: bool) -> Self {
         let telemetry = ShardTelemetry::new(bundle, key);
         ShardCell {
             lane: Mutex::new(Lane::default()),
-            shard: Mutex::new(Shard::new(
-                key,
-                telemetry.clone(),
-                delta_refresh,
-                shared_plans,
-            )),
+            shard: Mutex::new(Shard::new(key, telemetry.clone(), shared_plans)),
             telemetry,
         }
     }
@@ -595,11 +553,6 @@ pub(crate) struct Shard {
     members: HashSet<ElementId>,
     /// Residents that have never been evaluated (refresh rule 1).
     pending_initial: usize,
-    /// Whether classified refreshes may run delta-restricted
-    /// (see [`ShardConfig::delta_refresh`]).  Structural capability; the
-    /// effective mode also honours `delta_active` and quarantine
-    /// (see [`Shard::delta_enabled`]).
-    delta_refresh: bool,
     /// Whether residents are grouped into plan clusters and refreshed
     /// through shared covering runs (see [`ShardConfig::shared_plans`]).
     /// Structural: cluster bookkeeping stays alive even while covering runs
@@ -608,11 +561,9 @@ pub(crate) struct Shard {
     shared_plans: bool,
     /// Overload-ladder switch: covering runs suspended while `false`.
     plans_active: bool,
-    /// Overload-ladder switch: delta restriction suspended while `false`.
-    delta_active: bool,
     /// Degraded mode entered after a refresh retry budget is exhausted:
-    /// shared plans and delta restriction are off until the operator
-    /// lifts it ([`Shard::lift_quarantine`]).
+    /// shared plans are off until the operator lifts it
+    /// ([`Shard::lift_quarantine`]).
     quarantined: bool,
     /// Plan clusters of the residents, keyed by plan identity.  Empty when
     /// shared plans are disabled.
@@ -620,7 +571,6 @@ pub(crate) struct Shard {
     /// Reverse index: which cluster each resident belongs to.
     cluster_of: BTreeMap<SubscriptionId, ClusterKey>,
     refreshes: usize,
-    delta_refreshes: usize,
     skips: usize,
     scheduled_slides: usize,
     skipped_slides: usize,
@@ -631,27 +581,19 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(
-        key: ShardKey,
-        telemetry: ShardTelemetry,
-        delta_refresh: bool,
-        shared_plans: bool,
-    ) -> Self {
+    pub(crate) fn new(key: ShardKey, telemetry: ShardTelemetry, shared_plans: bool) -> Self {
         Shard {
             key,
             subs: BTreeMap::new(),
             floors: FloorAggregate::new(),
             members: HashSet::new(),
             pending_initial: 0,
-            delta_refresh,
             shared_plans,
             plans_active: true,
-            delta_active: true,
             quarantined: false,
             clusters: BTreeMap::new(),
             cluster_of: BTreeMap::new(),
             refreshes: 0,
-            delta_refreshes: 0,
             skips: 0,
             scheduled_slides: 0,
             skipped_slides: 0,
@@ -677,23 +619,9 @@ impl Shard {
         self.shared_plans && self.plans_active && !self.quarantined
     }
 
-    /// Effective delta-restriction mode: the structural capability gated by
-    /// the overload ladder and quarantine.
-    fn delta_enabled(&self) -> bool {
-        self.delta_refresh && self.delta_active && !self.quarantined
-    }
-
-    /// Applies one rung of the overload ladder.  Suspending either
-    /// optimisation invalidates the plan-cluster memos: a memo warmed by a
-    /// covering run must not serve a later per-resident walk whose delta
-    /// bookkeeping it never saw, and vice versa.
-    pub(crate) fn set_modes(&mut self, plans_active: bool, delta_active: bool) {
-        if self.plans_active == plans_active && self.delta_active == delta_active {
-            return;
-        }
+    /// Applies the overload ladder's shared-plans rung.
+    pub(crate) fn set_plans_active(&mut self, plans_active: bool) {
         self.plans_active = plans_active;
-        self.delta_active = delta_active;
-        self.drop_memos();
     }
 
     /// Whether the shard is in degraded (quarantined) mode.
@@ -701,44 +629,28 @@ impl Shard {
         self.quarantined
     }
 
-    /// Enters degraded mode: shared plans and delta restriction are off for
-    /// future refreshes (every run is a full recompute), memos are dropped.
-    /// Returns the resident count for the caller's trace event.
+    /// Enters degraded mode: shared plans are off for future refreshes
+    /// (every resident runs its own query).  Returns the resident count for
+    /// the caller's trace event.
     pub(crate) fn quarantine(&mut self) -> usize {
         self.quarantined = true;
-        self.drop_memos();
         self.subs.len()
     }
 
-    /// Lifts a quarantine: the shard resumes its configured modes on the
-    /// next refresh (memos rebuild from cold, which is always sound).
+    /// Lifts a quarantine: the shard resumes shared plans on the next
+    /// refresh.
     pub(crate) fn lift_quarantine(&mut self) {
         self.quarantined = false;
     }
 
     /// Best-effort repair after a caught refresh panic: the resident walk
-    /// may have stored some fresh results and not others, so every memo is
-    /// suspect and the filters may be stale.  Replacing the memos with cold
-    /// ones (an empty memo is always sound — only *stale* entries can lie)
-    /// and rebuilding the filters restores the invariants the next slide's
+    /// may have stored some fresh results and not others, so the filters may
+    /// be stale.  Rebuilding them restores the invariants the next slide's
     /// scheduling decision depends on; stored results are whatever the
     /// interrupted walk left, which the retry (a normal classify/refresh
     /// pass) brings forward correctly.
     pub(crate) fn recover(&mut self) {
-        self.drop_memos();
-        for sub in self.subs.values_mut() {
-            if sub.cache.is_some() {
-                sub.cache = Some(ksir_core::SingletonCache::new());
-            }
-        }
         self.rebuild_filters();
-    }
-
-    /// Invalidates every plan-cluster memo.
-    fn drop_memos(&mut self) {
-        for cluster in self.clusters.values_mut() {
-            cluster.invalidate_cache();
-        }
     }
 
     pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
@@ -785,24 +697,11 @@ impl Shard {
         removed
     }
 
-    /// Drops the shared memo of `id`'s plan cluster.  Must be called when a
-    /// member's result is replaced outside the cluster's own refresh path
-    /// (forced refreshes): the departing frontier may have been the memo's
-    /// validity guard.  No-op without shared plans.
-    pub(crate) fn invalidate_plan_cache(&mut self, id: SubscriptionId) {
-        if let Some(key) = self.cluster_of.get(&id) {
-            if let Some(cluster) = self.clusters.get_mut(key) {
-                cluster.invalidate_cache();
-            }
-        }
-    }
-
     pub(crate) fn stats(&self) -> ShardStats {
         ShardStats {
             key: self.key,
             subscriptions: self.subs.len(),
             refreshes: self.refreshes,
-            delta_refreshes: self.delta_refreshes,
             skips: self.skips,
             scheduled_slides: self.scheduled_slides,
             skipped_slides: self.skipped_slides,
@@ -942,23 +841,13 @@ impl Shard {
         };
         self.scheduled_slides += 1;
         self.refreshes += slide.refreshed;
-        self.delta_refreshes += slide.delta_refreshed;
         self.skips += slide.skipped;
         self.covering_evaluations += work.covering;
         self.shared_refreshes += work.shared;
         self.skipped_clusters += work.skipped_clusters;
         self.telemetry.scheduled_slides.inc();
         self.telemetry.refreshes.add(slide.refreshed as u64);
-        self.telemetry
-            .refresh_mode_full
-            .add((slide.refreshed - slide.delta_refreshed) as u64);
-        self.telemetry
-            .refresh_mode_delta
-            .add(slide.delta_refreshed as u64);
         self.telemetry.skips.add(slide.skipped as u64);
-        self.telemetry
-            .refresh_mode_skipped
-            .add(slide.skipped as u64);
         self.telemetry.cluster_covering.add(work.covering as u64);
         self.telemetry.cluster_shared.add(work.shared as u64);
         self.telemetry
@@ -992,22 +881,16 @@ impl Shard {
     ) -> (ShardSlide, SlideWork) {
         let mut slide = ShardSlide::default();
         let mut work = SlideWork::default();
-        let delta_refresh = self.delta_enabled();
         for (&id, sub) in self.subs.iter_mut() {
             match classify(sub, delta) {
                 Some(reason) => {
                     slide.refreshed += 1;
                     sub.stats.refreshes += 1;
-                    let (update, mode) =
-                        refresh_one(source, id, sub, reason, Some(delta), delta_refresh);
+                    let update = refresh_one(source, id, sub, reason);
                     work.gain += sub
                         .result
                         .as_ref()
                         .map_or(0, |result| result.gain_evaluations);
-                    if mode == RefreshMode::Delta {
-                        slide.delta_refreshed += 1;
-                        sub.stats.delta_refreshes += 1;
-                    }
                     if let Some(update) = update {
                         slide.updates.push(update);
                     }
@@ -1025,7 +908,7 @@ impl Shard {
     /// (its filters prove every member would classify as skippable) or
     /// classify each member by the unchanged per-subscription rules and serve
     /// the to-refresh members from one evaluation per distinct `k`, largest
-    /// first — the covering run — against the cluster's shared memo.
+    /// first — the covering run.
     ///
     /// Soundness of each piece:
     ///
@@ -1034,10 +917,8 @@ impl Shard {
     ///   residents, so an untouched cluster implies member-wise skips;
     /// * same-`k` sharing — plan-compatible queries with equal `k` are
     ///   *identical* queries, and evaluation is deterministic;
-    /// * cross-`k` specialization — smaller-`k` variants re-run their own
-    ///   algorithm (admission thresholds depend on `k`), but their singleton
-    ///   lookups hit the covering run's memo entries, which are bit-identical
-    ///   to fresh scoring passes (the PR 6 invariant).
+    /// * smaller-`k` variants — each distinct `k` is a plain run of the
+    ///   covering query at that `k` (admission thresholds depend on `k`).
     fn refresh_clusters(
         &mut self,
         source: &dyn QuerySource,
@@ -1045,12 +926,6 @@ impl Shard {
     ) -> (ShardSlide, SlideWork) {
         let mut slide = ShardSlide::default();
         let mut work = SlideWork::default();
-        let delta_refresh = self.delta_enabled();
-        let empty = WindowDelta::default();
-        // Mirror `refresh_one`: with delta refreshes disabled every run is a
-        // full re-run against an empty delta and a cold memo — the memo is
-        // still shared *within* the slide, which is the whole point.
-        let effective = if delta_refresh { delta } else { &empty };
         let mut clusters = std::mem::take(&mut self.clusters);
         for cluster in clusters.values_mut() {
             if !cluster.is_touched_by(delta) {
@@ -1094,28 +969,13 @@ impl Shard {
                     .or_default()
                     .push((id, reason));
             }
-            if let Some(cache) = cluster.cache.as_mut() {
-                cache.begin_scope();
-                if !delta_refresh {
-                    cache.clear();
-                }
-            }
-            let mut covering_run = true;
             for members in variants.values() {
                 let covering =
                     KsirQuery::covering(members.iter().map(|(id, _)| &self.subs[id].query))
                         .expect("cluster members are plan-compatible");
-                let fresh = match cluster.cache.as_mut() {
-                    Some(cache) if covering_run => source
-                        .query_covering(&covering, cluster.algorithm, effective, cache)
-                        .map(|outcome| outcome.result),
-                    Some(cache) => {
-                        source.query_delta(&covering, cluster.algorithm, effective, cache)
-                    }
-                    None => source.query(&covering, cluster.algorithm),
-                }
-                .expect("subscription dimensions were validated at subscribe time");
-                covering_run = false;
+                let fresh = source
+                    .query(&covering, cluster.algorithm)
+                    .expect("subscription dimensions were validated at subscribe time");
                 work.covering += 1;
                 work.gain += fresh.gain_evaluations;
                 for (served, &(id, reason)) in members.iter().enumerate() {
@@ -1125,20 +985,6 @@ impl Shard {
                         .expect("cluster members reside in the shard");
                     slide.refreshed += 1;
                     sub.stats.refreshes += 1;
-                    // Same mode-attribution rule as `refresh_one`, evaluated
-                    // against the member's pre-refresh state.
-                    let slide_classified = matches!(
-                        reason,
-                        RefreshReason::TopicDisturbed | RefreshReason::MemberExpired
-                    );
-                    if cluster.cache.is_some()
-                        && delta_refresh
-                        && slide_classified
-                        && sub.result.is_some()
-                    {
-                        slide.delta_refreshed += 1;
-                        sub.stats.delta_refreshes += 1;
-                    }
                     if served > 0 {
                         work.shared += 1;
                     }
@@ -1146,9 +992,6 @@ impl Shard {
                         slide.updates.push(update);
                     }
                 }
-            }
-            if let Some(cache) = cluster.cache.as_mut() {
-                cache.end_scope();
             }
         }
         self.clusters = clusters;
@@ -1177,7 +1020,6 @@ impl Shard {
         self.skips += skipped;
         self.skipped_slides += 1;
         self.telemetry.skips.add(skipped as u64);
-        self.telemetry.refresh_mode_skipped.add(skipped as u64);
         self.telemetry.skipped_slides.inc();
         self.telemetry.record(
             epoch,
@@ -1217,69 +1059,20 @@ pub(crate) fn classify(sub: &Subscription, delta: &WindowDelta) -> Option<Refres
     None
 }
 
-/// How [`refresh_one`] served a refresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RefreshMode {
-    /// Full re-run: every singleton score from a scoring pass (the memo, when
-    /// the algorithm keeps one, is cleared first and re-warmed by the run).
-    Full,
-    /// Delta-restricted re-run: the memo was brought up to date against the
-    /// slide's changed elements and answered every other singleton lookup.
-    Delta,
-}
-
 /// Re-runs one subscription's query against `source` — the live engine or an
 /// epoch snapshot — and stores the fresh result.  Returns the delta when the
-/// result set or score changed, plus how the refresh was served.  Callers own
-/// the refresh/skip accounting (only slide-classified refreshes count).
-///
-/// The refresh runs **delta-restricted** when all of the following hold:
-/// delta refreshes are enabled, the slide's [`WindowDelta`] is at hand, the
-/// refresh is slide-classified ([`RefreshReason::TopicDisturbed`] or
-/// [`RefreshReason::MemberExpired`] — the rules that guarantee every slide
-/// since the memo's last sync was processed or provably skippable), a prior
-/// result exists to restrict against, and the algorithm keeps a memo.
-/// Everything else — initial evaluations, forced refreshes, the exhaustive
-/// baselines — runs full.  Both modes produce identical results; the
-/// equivalence is pinned by the `delta_refresh` property tests.
+/// result set or score changed.  Callers own the refresh/skip accounting
+/// (only slide-classified refreshes count).
 pub(crate) fn refresh_one(
     source: &dyn QuerySource,
     id: SubscriptionId,
     sub: &mut Subscription,
     reason: RefreshReason,
-    delta: Option<&WindowDelta>,
-    delta_refresh: bool,
-) -> (Option<ResultDelta>, RefreshMode) {
-    let slide_classified = matches!(
-        reason,
-        RefreshReason::TopicDisturbed | RefreshReason::MemberExpired
-    );
-    let mode = match (&mut sub.cache, delta) {
-        (Some(_), Some(_)) if delta_refresh && slide_classified && sub.result.is_some() => {
-            RefreshMode::Delta
-        }
-        _ => RefreshMode::Full,
-    };
-    let fresh = match (&mut sub.cache, mode) {
-        (Some(cache), RefreshMode::Delta) => source.query_delta(
-            &sub.query,
-            sub.algorithm,
-            delta.expect("Delta mode requires a slide delta"),
-            cache,
-        ),
-        (Some(cache), RefreshMode::Full) => {
-            // Full mode discards the memo (Initial starts from nothing;
-            // Forced must not trust state whose sync with the slide stream
-            // the caller cannot vouch for) but still collects into it, so
-            // the next delta-restricted refresh starts warm.
-            cache.clear();
-            source.query_delta(&sub.query, sub.algorithm, &WindowDelta::default(), cache)
-        }
-        (None, _) => source.query(&sub.query, sub.algorithm),
-    }
-    .expect("subscription dimensions were validated at subscribe time");
-
-    (apply_fresh(id, sub, reason, fresh), mode)
+) -> Option<ResultDelta> {
+    let fresh = source
+        .query(&sub.query, sub.algorithm)
+        .expect("subscription dimensions were validated at subscribe time");
+    apply_fresh(id, sub, reason, fresh)
 }
 
 /// Stores a freshly computed result on the subscription and diffs it against
@@ -1386,7 +1179,6 @@ mod tests {
         Shard::new(
             key,
             ShardTelemetry::new(Arc::new(Telemetry::default()), key),
-            true,
             true,
         )
     }
@@ -1548,12 +1340,7 @@ mod tests {
                 task: crate::worker::EpochTask::register(&watermark, epoch),
             }
         };
-        let cell = ShardCell::new(
-            ShardKey::Overflow,
-            Arc::new(Telemetry::default()),
-            true,
-            true,
-        );
+        let cell = ShardCell::new(ShardKey::Overflow, Arc::new(Telemetry::default()), true);
         // No residents: nothing happens, nothing is enqueued.
         assert_eq!(
             cell.project_epoch(0, &WindowDelta::default(), || task(0)),

@@ -1,6 +1,6 @@
 //! Subscription state and per-slide result deltas.
 
-use ksir_core::{Algorithm, KsirQuery, QueryFrontier, QueryResult, SingletonCache};
+use ksir_core::{Algorithm, KsirQuery, QueryFrontier, QueryResult};
 use ksir_types::ElementId;
 
 /// Opaque handle identifying one registered standing query.
@@ -85,11 +85,6 @@ impl ResultDelta {
 pub struct SubscriptionStats {
     /// Slides that re-ran the query.
     pub refreshes: usize,
-    /// The subset of [`SubscriptionStats::refreshes`] that ran
-    /// delta-restricted: singleton scores answered from the retained memo,
-    /// re-primed from the slide's touched suffixes, instead of full scoring
-    /// passes.  Decisions and scores are identical to a full re-run.
-    pub delta_refreshes: usize,
     /// Slides that proved the result unchanged without re-running.
     pub skips: usize,
     /// Refreshes that actually changed the result set.
@@ -107,21 +102,6 @@ pub(crate) struct Subscription {
     pub(crate) query: KsirQuery,
     pub(crate) algorithm: Algorithm,
     pub(crate) result: Option<QueryResult>,
-    /// Singleton-score memo retained across refreshes (the "prior result"
-    /// a delta-restricted refresh merges new candidates into).  Only the
-    /// index-based algorithms keep one; the exhaustive baselines re-derive
-    /// their state per run.
-    ///
-    /// Validity invariant: every refresh brings the memo up to date against
-    /// the refreshing slide's `WindowDelta`, and *skipped* slides cannot
-    /// invalidate it.  The latter is guaranteed by the cache's run-scoped
-    /// retention ([`SingletonCache`] prunes itself to the entries the run
-    /// consulted): every surviving entry was retrieved at or above the run's
-    /// final traversal floors, so a slide that changes such an element must
-    /// touch its list at or above a floor — which disturbs the frontier and
-    /// forces a refresh rather than a skip.  See `ARCHITECTURE.md`,
-    /// invariant 4.
-    pub(crate) cache: Option<SingletonCache>,
     pub(crate) stats: SubscriptionStats,
 }
 
@@ -131,12 +111,6 @@ impl Subscription {
             query,
             algorithm,
             result: None,
-            cache: match algorithm {
-                Algorithm::Mtts | Algorithm::Mttd | Algorithm::TopkRepresentative => {
-                    Some(SingletonCache::new())
-                }
-                Algorithm::Celf | Algorithm::SieveStreaming => None,
-            },
             stats: SubscriptionStats::default(),
         }
     }

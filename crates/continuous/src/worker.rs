@@ -593,7 +593,7 @@ fn worker_loop<D: TopicWordDistribution>(
 /// so a recovering injected fault leaves decisions (and all counters)
 /// bit-identical to a clean run — the chaos oracles' pass criterion.  A
 /// *real* panic from inside the refresh walk may have mutated resident
-/// state; [`Shard::recover`] then restores the filter/memo invariants
+/// state; [`Shard::recover`] then restores the filter invariants
 /// before the retry (stored results stay whatever the interrupted walk
 /// left; the retry's classify pass carries them forward, though a resident
 /// refreshed twice is charged twice — the per-subscription counters are

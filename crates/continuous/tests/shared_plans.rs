@@ -2,9 +2,8 @@
 //!
 //! [`ShardConfig::shared_plans`] switches scheduled shards from one query
 //! evaluation per disturbed subscription to one **covering** evaluation per
-//! disturbed plan cluster and distinct `k`, specialized per member.  The
-//! contract is the same as the delta-refresh toggle's: **cost only**.  Slide
-//! for slide, both paths classify the same subscriptions, emit the same
+//! disturbed plan cluster and distinct `k`, shared by same-`k` members.  The
+//! contract is **cost only**.  Slide for slide, both paths classify the same subscriptions, emit the same
 //! result deltas, and converge on the same maintained results; only the
 //! `refresh.cluster.*` counters — covering evaluations actually run, member
 //! refreshes served by sharing — move.
@@ -21,7 +20,7 @@ const TOPICS: usize = 12;
 /// subscriptions each.  Members of one group share a query vector and an
 /// algorithm but differ in `k`, so each group lands in one plan cluster with
 /// several variants; distinct groups use distinct vectors (and cycle through
-/// every algorithm, including the cache-less baselines).
+/// every algorithm, including the exhaustive baselines).
 fn workload(groups: usize, per_group: usize) -> Vec<(KsirQuery, Algorithm)> {
     let algorithms = [
         Algorithm::Mtts,
@@ -122,10 +121,10 @@ fn shared_plans_match_per_subscription_walk_slide_for_slide() {
                 assert_eq!(su.reason, ou.reason, "slide {slide}: {}", su.subscription);
                 assert_eq!(su.added, ou.added, "slide {slide}: {}", su.subscription);
                 assert_eq!(su.removed, ou.removed, "slide {slide}: {}", su.subscription);
-                // Shared memo lookups replay earlier scoring passes bit for
-                // bit; any residue is float noise, not algorithmic drift.
-                assert!(
-                    (su.score_after - ou.score_after).abs() <= 1e-12,
+                // Both paths run the identical query: same bits.
+                assert_eq!(
+                    su.score_after.to_bits(),
+                    ou.score_after.to_bits(),
                     "slide {slide}: {} score {} vs {}",
                     su.subscription,
                     su.score_after,
@@ -236,7 +235,7 @@ fn cluster_counters_reconcile_with_stats() {
 
 /// Mid-stream churn re-clusters without disturbing the survivors: new
 /// members join existing clusters (merge), departures shrink or retire them
-/// (split/retire), a forced refresh invalidates the shared memo — and
+/// (split/retire), a forced refresh replaces one member's result — and
 /// through all of it the surviving members' decisions and results stay
 /// pinned to the per-subscription walk performing the identical churn.
 #[test]
@@ -264,7 +263,7 @@ fn churn_reclusters_without_changing_surviving_decisions() {
         for (query, algorithm) in &late {
             ids.push(mgr.subscribe(query.clone(), *algorithm).unwrap());
         }
-        // A forced refresh outside the slide stream (drops the shared memo).
+        // A forced refresh outside the slide stream.
         let forced = ids[1];
         mgr.refresh(forced);
         outcomes.extend(mgr.ingest_stream(pairs[third..].iter().cloned()).unwrap());
@@ -357,4 +356,74 @@ fn shared_plans_compose_with_pipelined_truncated_snapshots() {
         shard_sum(&pipelined, |s| s.shared_refreshes) > 0,
         "the pipelined path never shared a refresh"
     );
+}
+
+/// Every refresh is one plain query: after every slide — on the synchronous
+/// path and on the pipelined depth-2 path — each subscription refreshed on
+/// that slide stores exactly what `KsirEngine::query` of its own query
+/// returns on the engine at that slide, cost counters and frontier included.
+/// A skipped subscription keeps the elements and score a fresh run would
+/// return (its counters describe the run that produced it).
+#[test]
+fn every_refresh_stores_what_a_fresh_query_returns() {
+    let subs = workload(5, 4);
+    for pipelined in [false, true] {
+        let config = ShardConfig::default().with_pipeline_depth(2);
+        let (mut mgr, ids, stream) = planted_manager(73, config, &subs);
+        let mut refreshed_checks = 0;
+        let (bucket_len, start) = {
+            let engine = mgr.engine();
+            (engine.config().window.bucket_len(), engine.now())
+        };
+        ksir_stream::for_each_bucket(bucket_len, start, stream.iter_pairs(), |bucket, end| {
+            let before: Vec<usize> = ids
+                .iter()
+                .map(|id| mgr.subscription_stats(*id).unwrap().refreshes)
+                .collect();
+            if pipelined {
+                mgr.ingest_bucket_async(bucket, end)?.detach();
+                mgr.sync();
+            } else {
+                mgr.ingest_bucket(bucket, end)?;
+            }
+            let slide = mgr.stats().slides;
+            for ((id, (query, algorithm)), before) in ids.iter().zip(&subs).zip(&before) {
+                let stored = mgr.result(*id).unwrap();
+                let fresh = mgr.engine().query(query, *algorithm).unwrap();
+                assert_eq!(stored.elements, fresh.elements, "slide {slide}: {id}");
+                assert_eq!(
+                    stored.score.to_bits(),
+                    fresh.score.to_bits(),
+                    "slide {slide}: {id} score"
+                );
+                if mgr.subscription_stats(*id).unwrap().refreshes > *before {
+                    assert_eq!(
+                        stored,
+                        fresh,
+                        "slide {slide}: {id} ({algorithm}, k = {})",
+                        query.k()
+                    );
+                    refreshed_checks += 1;
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert!(
+            refreshed_checks > 0,
+            "pipelined = {pipelined}: no subscription ever refreshed"
+        );
+        assert!(
+            ids.iter().zip(&subs).any(|(id, (_, algorithm))| {
+                matches!(algorithm, Algorithm::Celf | Algorithm::SieveStreaming)
+                    && mgr.subscription_stats(*id).unwrap().refreshes > 0
+            }),
+            "pipelined = {pipelined}: the exhaustive baselines never refreshed"
+        );
+        assert!(
+            shard_sum(&mgr, |s| s.shared_refreshes) > 0
+                && shard_sum(&mgr, |s| s.covering_evaluations) > 0,
+            "pipelined = {pipelined}: the population never shared a covering run"
+        );
+    }
 }

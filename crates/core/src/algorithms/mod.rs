@@ -24,47 +24,6 @@ use ksir_types::ElementId;
 pub(crate) use grid::GuessGrid;
 pub(crate) use traversal::SupportCursors;
 
-use crate::evaluator::{ProfileArena, ProfileId, QueryEvaluator, SingletonCache};
-
-/// Singleton score `δ(e, x)` through the optional memo: a hit replays the
-/// remembered value with no scoring pass, a miss evaluates and remembers.
-///
-/// A miss (or an unmemoised run) profiles the element into `arena` and
-/// returns the handle, so the caller's later gain evaluations of the same
-/// element reuse that one scoring pass; a hit returns no handle, so a
-/// memoised element is only ever profiled if some candidate goes on to
-/// evaluate it.
-///
-/// The cache can only ever hold values a scoring pass produced for the same
-/// window state (see [`SingletonCache`]), so the retrieval order, admission
-/// decisions and final scores of a cached run are identical to an uncached
-/// one — only `gain_evaluations` shrinks.
-pub(crate) fn singleton_score<D: ksir_types::TopicWordDistribution>(
-    evaluator: &QueryEvaluator<'_, D>,
-    cache: &mut Option<&mut SingletonCache>,
-    arena: &mut ProfileArena,
-    id: ElementId,
-) -> (f64, Option<ProfileId>) {
-    let mut score_fresh = || {
-        let profile = evaluator.profile(arena, id);
-        (evaluator.delta_of(arena.get(profile)), Some(profile))
-    };
-    let Some(memo) = cache else {
-        return score_fresh();
-    };
-    let scored = if let Some(score) = memo.get(id) {
-        memo.note_hit();
-        (score, None)
-    } else {
-        memo.note_miss();
-        let scored = score_fresh();
-        memo.remember(id, scored.0);
-        scored
-    };
-    memo.consult(id);
-    scored
-}
-
 /// A `(score, element)` pair with a total order (descending by score in a
 /// max-heap, ties broken by element id for determinism).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -14,25 +14,23 @@ use std::collections::{BinaryHeap, HashMap};
 
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::algorithms::{singleton_score, ScoredElement, SupportCursors};
-use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator, SingletonCache};
+use crate::algorithms::{ScoredElement, SupportCursors};
+use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
 
 /// A retrieved-but-not-selected element: its current gain upper bound and
 /// its scoring profile, so lazy re-evaluations in later rounds and the insert
-/// after an admission never rescore it.  On the memoised path the profile
-/// stays unbuilt until the element's first gain evaluation.
+/// after an admission never rescore it.
 struct Buffered {
     bound: f64,
-    profile: Option<ProfileId>,
+    profile: ProfileId,
 }
 
 pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-    mut cache: Option<&mut SingletonCache>,
 ) -> QueryResult {
     let k = query.k();
     let epsilon = query.epsilon();
@@ -61,7 +59,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             let Some(id) = cursors.pop_next() else {
                 break;
             };
-            let (delta, profile) = singleton_score(evaluator, &mut cache, &mut arena, id);
+            let profile = evaluator.profile(&mut arena, id);
+            let delta = evaluator.delta_of(arena.get(profile));
             if delta > 0.0 {
                 buffer.insert(
                     id,
@@ -71,7 +70,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
                     },
                 );
                 heap.push(ScoredElement { score: delta, id });
-            } else if profile.is_some() {
+            } else {
                 arena.pop();
             }
         }
@@ -91,10 +90,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
                 break;
             }
             heap.pop();
-            let profile = *entry
-                .profile
-                .get_or_insert_with(|| evaluator.profile(&mut arena, top.id));
-            let profile = arena.get(profile);
+            let profile = arena.get(entry.profile);
             let gain = evaluator.gain_of(&state, profile);
             if gain >= tau {
                 evaluator.insert_profile(&mut state, profile);

@@ -12,8 +12,8 @@
 
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{singleton_score, GuessGrid, SupportCursors};
-use crate::evaluator::{ProfileArena, QueryEvaluator, SingletonCache};
+use crate::algorithms::{GuessGrid, SupportCursors};
+use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
 
@@ -21,7 +21,6 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-    mut cache: Option<&mut SingletonCache>,
 ) -> QueryResult {
     let mut cursors = SupportCursors::new(view, evaluator.support());
     let mut grid = GuessGrid::new(query, evaluator);
@@ -41,7 +40,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             break;
         };
         arena.clear();
-        let (delta, profile) = singleton_score(evaluator, &mut cache, &mut arena, id);
+        let profile = evaluator.profile(&mut arena, id);
+        let delta = evaluator.delta_of(arena.get(profile));
         evaluated += 1;
         if delta <= 0.0 {
             continue;
@@ -53,7 +53,6 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         if delta < grid.min_unfilled_threshold() {
             continue;
         }
-        let profile = profile.unwrap_or_else(|| evaluator.profile(&mut arena, id));
         let reach = grid.reach(delta);
         grid.offer(evaluator, arena.get(profile), reach, |guess, gain| {
             gain >= guess.threshold

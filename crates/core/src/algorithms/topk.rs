@@ -14,8 +14,8 @@ use std::collections::BinaryHeap;
 
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{singleton_score, ScoredElement, SupportCursors};
-use crate::evaluator::{ProfileArena, QueryEvaluator, SingletonCache};
+use crate::algorithms::{ScoredElement, SupportCursors};
+use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
 
@@ -23,7 +23,6 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-    mut cache: Option<&mut SingletonCache>,
 ) -> QueryResult {
     let k = query.k();
     let mut cursors = SupportCursors::new(view, evaluator.support());
@@ -44,7 +43,8 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             break;
         };
         arena.clear();
-        let (delta, _) = singleton_score(evaluator, &mut cache, &mut arena, id);
+        let profile = evaluator.profile(&mut arena, id);
+        let delta = evaluator.delta_of(arena.get(profile));
         evaluated += 1;
         if delta <= 0.0 {
             continue;

@@ -689,27 +689,6 @@ impl<D: TopicWordDistribution> QuerySource for KsirEngine<D> {
     fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
         KsirEngine::query(self, query, algorithm)
     }
-
-    fn query_delta(
-        &self,
-        query: &KsirQuery,
-        algorithm: Algorithm,
-        delta: &ksir_stream::WindowDelta,
-        cache: &mut crate::evaluator::SingletonCache,
-    ) -> Result<QueryResult> {
-        view::prime_singleton_cache(&self.ranked, query, delta, cache);
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        view::run_query_cached(
-            &self.ranked,
-            self.window.as_ref(),
-            self.topic_vectors.as_ref(),
-            self.phi.as_ref(),
-            self.config.scoring,
-            query,
-            algorithm,
-            Some(cache),
-        )
-    }
 }
 
 #[cfg(test)]

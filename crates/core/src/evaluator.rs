@@ -49,7 +49,7 @@
 //! return is bit-identical to it (pinned by `tests/kernel_identity.rs`).
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId};
@@ -429,171 +429,6 @@ impl CoverageTable {
             slot.word_best.reset_column(column);
             slot.child_survival.reset_column(column);
         }
-    }
-}
-
-/// Memoised singleton scores `δ(e, x)` of one standing query, carried across
-/// refreshes.
-///
-/// A singleton score depends only on the element's own tuples (word weights
-/// and influence children), so it is unchanged as long as the engine did not
-/// recompute the element's ranked-list tuples — exactly the elements a
-/// [`ksir_stream::WindowDelta`] names in its `activated` / `expired` /
-/// `resurrected` / `refreshed` lists.  A delta-restricted refresh therefore
-/// invalidates those ids, re-primes the changed ones from the ranked-list
-/// tuples (see [`crate::prime_singleton_cache`]), and re-runs the query with
-/// every other retrieval answered from the cache instead of a scoring pass.
-///
-/// The cache never changes *what* a query returns — a hit replays the exact
-/// value a fresh evaluation produced — only how much scoring work the run
-/// performs, which the [`SingletonCache::hits`] / [`SingletonCache::misses`]
-/// counters expose.
-///
-/// # Retention
-///
-/// [`crate::run_query_cached`] prunes the memo after every run to exactly the
-/// elements that run consulted.  Every consulted element was retrieved from a
-/// ranked list at or above the run's final traversal floors, so a later slide
-/// that changes it must touch that list at or above the floor — i.e. it
-/// *cannot* be a skipped slide.  Entries below the floors enjoy no such
-/// guarantee (a provably skippable slide may still rewrite their tuples),
-/// which is why they must not survive the run.
-#[derive(Debug, Clone, Default)]
-pub struct SingletonCache {
-    scores: HashMap<ElementId, f64>,
-    /// Elements consulted (hit or remembered) by the current run; the memo is
-    /// pruned to this set when the run ends.
-    consulted: HashSet<ElementId>,
-    /// Nesting depth of open run scopes.  A cluster's covering evaluation
-    /// wraps several `run_query_cached` calls in one outer scope
-    /// ([`SingletonCache::begin_scope`]); only the outermost scope clears the
-    /// consulted set on entry and prunes the memo on exit, so retention keeps
-    /// the *union* of everything the nested runs consulted.
-    run_depth: usize,
-    hits: usize,
-    misses: usize,
-    primed: usize,
-}
-
-impl SingletonCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoised elements.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Returns `true` if nothing is memoised.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-
-    /// The memoised singleton score of `id`, if still valid.
-    pub fn get(&self, id: ElementId) -> Option<f64> {
-        self.scores.get(&id).copied()
-    }
-
-    /// Memoises a freshly evaluated singleton score.
-    pub fn remember(&mut self, id: ElementId, score: f64) {
-        self.scores.insert(id, score);
-    }
-
-    /// Stores a score rebuilt from the ranked-list tuples (the semi-naive
-    /// priming step); counted separately from evaluator misses.
-    pub fn prime(&mut self, id: ElementId, score: f64) {
-        self.scores.insert(id, score);
-        self.primed += 1;
-    }
-
-    /// Drops one element's memoised score (no-op if absent).
-    pub fn invalidate(&mut self, id: ElementId) {
-        self.scores.remove(&id);
-    }
-
-    /// Drops every memoised score, retaining the allocation.
-    pub fn clear(&mut self) {
-        self.scores.clear();
-        self.consulted.clear();
-    }
-
-    /// The memoised `(element, singleton score)` pairs, in unspecified order.
-    ///
-    /// After a covering run this is the scored candidate set the
-    /// specialization pass draws from: every element any nested run scored or
-    /// replayed, at the exact value a fresh evaluation would produce.
-    pub fn entries(&self) -> impl Iterator<Item = (ElementId, f64)> + '_ {
-        self.scores.iter().map(|(&id, &score)| (id, score))
-    }
-
-    /// Opens an outer run scope spanning several query runs against the same
-    /// index state (a cluster's covering evaluation).  While the scope is
-    /// open, the per-run retention of [`crate::run_query_cached`] is
-    /// deferred: the memo is pruned once, at [`SingletonCache::end_scope`],
-    /// to the union of everything the nested runs consulted.
-    ///
-    /// Scopes nest; only the outermost open/close pair clears and prunes.
-    pub fn begin_scope(&mut self) {
-        self.begin_run();
-    }
-
-    /// Closes the scope opened by [`SingletonCache::begin_scope`], pruning
-    /// the memo to the union of entries consulted since then.
-    pub fn end_scope(&mut self) {
-        self.end_run();
-    }
-
-    /// Starts tracking which entries the upcoming run consults.  Nested calls
-    /// (a run inside an open scope) keep accumulating into the same set.
-    pub(crate) fn begin_run(&mut self) {
-        if self.run_depth == 0 {
-            self.consulted.clear();
-        }
-        self.run_depth += 1;
-    }
-
-    /// Marks one entry as consulted by the current run.
-    pub(crate) fn consult(&mut self, id: ElementId) {
-        self.consulted.insert(id);
-    }
-
-    /// Prunes the memo to the entries the finished run consulted (see the
-    /// type-level *Retention* notes).  Nested calls defer the prune to the
-    /// outermost scope so retention covers every nested run's consultations.
-    pub(crate) fn end_run(&mut self) {
-        self.run_depth = self.run_depth.saturating_sub(1);
-        if self.run_depth > 0 {
-            return;
-        }
-        let consulted = std::mem::take(&mut self.consulted);
-        self.scores.retain(|id, _| consulted.contains(id));
-        self.consulted = consulted;
-        self.consulted.clear();
-    }
-
-    pub(crate) fn note_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    pub(crate) fn note_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Lookups answered from the memo (scoring passes avoided).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Lookups that fell through to a full scoring pass.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Scores rebuilt from ranked-list tuples by the priming step.
-    pub fn primed(&self) -> usize {
-        self.primed
     }
 }
 
@@ -1101,35 +936,6 @@ mod tests {
         evaluator.delta(ElementId(1));
         evaluator.marginal_gain(&state, ElementId(2));
         assert_eq!(evaluator.gain_evaluations(), 2);
-    }
-
-    #[test]
-    fn scope_retention_keeps_the_union_of_nested_runs() {
-        let mut cache = SingletonCache::new();
-        cache.remember(ElementId(1), 0.1);
-        cache.remember(ElementId(2), 0.2);
-        cache.remember(ElementId(3), 0.3);
-        // Two nested runs, each consulting a different entry: the prune at
-        // scope exit must keep both, dropping only the never-consulted one.
-        cache.begin_scope();
-        cache.begin_run();
-        cache.consult(ElementId(1));
-        cache.end_run();
-        assert_eq!(cache.len(), 3, "inner end_run must not prune");
-        cache.begin_run();
-        cache.consult(ElementId(2));
-        cache.end_run();
-        cache.end_scope();
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(ElementId(1)).is_some());
-        assert!(cache.get(ElementId(2)).is_some());
-        assert!(cache.get(ElementId(3)).is_none());
-        // Without a scope, a lone run prunes to its own consultations.
-        cache.begin_run();
-        cache.consult(ElementId(2));
-        cache.end_run();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.entries().collect::<Vec<_>>(), [(ElementId(2), 0.2)]);
     }
 
     #[test]

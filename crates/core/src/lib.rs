@@ -60,12 +60,8 @@ pub use config::{EngineConfig, ScoringConfig};
 pub use engine::{EngineStats, IngestReport, KsirEngine};
 pub use evaluator::{
     CandidateState, CoverageTable, ElementProfile, ProfileArena, ProfileId, QueryEvaluator,
-    SingletonCache,
 };
 pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
 pub use shared::SharedEngine;
-pub use view::{
-    prime_singleton_cache, run_query, run_query_cached, CoveringOutcome, QuerySource, RankedView,
-    StoredScore,
-};
+pub use view::{run_query, QuerySource, RankedView};

@@ -30,9 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_core::{
-    prime_singleton_cache, Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery,
-    ProfileArena, QueryEvaluator, QueryFrontier, QuerySource, RankedView, Scorer, ScoringConfig,
-    SingletonCache, StoredScore,
+    Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena, QueryEvaluator,
+    QueryFrontier, RankedView, Scorer, ScoringConfig,
 };
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
@@ -295,10 +294,8 @@ proptest! {
             let delta = evaluator.delta_of(arena.get(profile));
             let mut stored = 0.0;
             for &(topic, weight) in &support {
-                match engine.ranked_lists().stored_score(topic, id) {
-                    StoredScore::Score(score) => stored += weight * score,
-                    StoredScore::Absent => {}
-                    StoredScore::Unsupported => prop_assert!(false, "live lists serve lookups"),
+                if let Some((score, _)) = engine.ranked_lists().list(topic).get(id) {
+                    stored += weight * score;
                 }
             }
             prop_assert_eq!(delta.to_bits(), stored.to_bits(), "δ of {:?}", id);
@@ -568,84 +565,6 @@ proptest! {
     }
 }
 
-/// The index-based algorithms that keep a singleton-score memo across
-/// refreshes (the standing-query manager attaches no cache to CELF or
-/// SieveStreaming).
-const CACHED_ALGORITHMS: [Algorithm; 3] = [
-    Algorithm::Mtts,
-    Algorithm::Mttd,
-    Algorithm::TopkRepresentative,
-];
-
-/// Asserts that a delta-restricted (memoised) run of each cached algorithm is
-/// decision-identical to a from-scratch run on the same engine state: same
-/// selected set, same traversal depth, same frontier, score equal to within
-/// float noise — and never *more* scoring passes.
-fn assert_cached_run_matches(
-    engine: &KsirEngine<DenseTopicWordTable>,
-    query: &KsirQuery,
-    delta: &WindowDelta,
-    caches: &mut [SingletonCache],
-) {
-    for (alg, cache) in CACHED_ALGORITHMS.iter().zip(caches.iter_mut()) {
-        let fresh = engine.query(query, *alg).unwrap();
-        let cached = engine.query_delta(query, *alg, delta, cache).unwrap();
-        prop_assert_eq!(
-            &cached.elements,
-            &fresh.elements,
-            "{}: selected sets diverged",
-            alg
-        );
-        // Cached singleton scores replay earlier scoring passes; summation
-        // order inside a pass is deterministic, so any divergence is at most
-        // accumulated rounding from values primed on earlier slides.
-        prop_assert!(
-            (cached.score - fresh.score).abs() <= 1e-12,
-            "{}: cached score {} vs fresh {}",
-            alg,
-            cached.score,
-            fresh.score
-        );
-        prop_assert_eq!(
-            cached.evaluated_elements,
-            fresh.evaluated_elements,
-            "{}: traversal depth diverged",
-            alg
-        );
-        prop_assert!(
-            cached.gain_evaluations <= fresh.gain_evaluations,
-            "{}: cached run scored more ({} > {})",
-            alg,
-            cached.gain_evaluations,
-            fresh.gain_evaluations
-        );
-        match (&cached.frontier, &fresh.frontier) {
-            (Some(c), Some(f)) => {
-                prop_assert_eq!(&c.floors, &f.floors, "{}: frontier floors diverged", alg);
-                match (c.bar, f.bar) {
-                    (Some(cb), Some(fb)) => prop_assert!(
-                        (cb - fb).abs() <= 1e-12,
-                        "{}: bar {} vs fresh {}",
-                        alg,
-                        cb,
-                        fb
-                    ),
-                    (None, None) => {}
-                    (cb, fb) => prop_assert!(
-                        false,
-                        "{}: bar presence diverged ({:?} vs {:?})",
-                        alg,
-                        cb,
-                        fb
-                    ),
-                }
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "{}: frontier presence diverged", alg),
-        }
-    }
-}
-
 /// Element ids a slide changed: activated, resurrected, or with refreshed
 /// ranked-list tuples.
 fn changed_ids(delta: &WindowDelta) -> Vec<ElementId> {
@@ -661,71 +580,7 @@ fn changed_ids(delta: &WindowDelta) -> Vec<ElementId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole equivalence: replaying a stream slide by slide, a
-    /// delta-restricted refresh (retained singleton-score memo, primed from
-    /// each slide's [`WindowDelta`]) makes the same decisions as a
-    /// from-scratch run on every slide — including an expiry-heavy final
-    /// slide that empties the window.
-    #[test]
-    fn delta_restricted_refresh_is_decision_identical(p in instance_params()) {
-        let StreamInstance { mut engine, stream, query, .. } = build_stream_instance(&p);
-        let mut caches: Vec<SingletonCache> =
-            CACHED_ALGORITHMS.iter().map(|_| SingletonCache::new()).collect();
-
-        for (element, tv) in stream {
-            let end = element.ts;
-            let report = engine.ingest_bucket(vec![(element, tv)], end).unwrap();
-            assert_cached_run_matches(&engine, &query, &report.delta, &mut caches);
-        }
-
-        // Mass expiry: slide far enough that everything falls out at once.
-        let far_future = Timestamp(engine.now().raw() + 10 * p.window_len + 10);
-        let report = engine.ingest_bucket(vec![], far_future).unwrap();
-        prop_assert_eq!(engine.active_count(), 0);
-        assert_cached_run_matches(&engine, &query, &report.delta, &mut caches);
-    }
-
-    /// Priming rebuilds a changed element's singleton score from its stored
-    /// tuples *bit-identically* to a fresh scoring pass on the same window
-    /// state — the invariant that lets cached runs replay admission
-    /// decisions exactly.
-    #[test]
-    fn primed_scores_match_fresh_evaluation(p in instance_params()) {
-        let StreamInstance { mut engine, stream, query, query_vector } =
-            build_stream_instance(&p);
-        for (element, tv) in stream {
-            let end = element.ts;
-            let report = engine.ingest_bucket(vec![(element, tv)], end).unwrap();
-            let mut cache = SingletonCache::new();
-            prime_singleton_cache(engine.ranked_lists(), &query, &report.delta, &mut cache);
-
-            let scorer = engine.scorer();
-            let evaluator = QueryEvaluator::new(
-                scorer,
-                engine.window(),
-                engine.topic_vectors(),
-                &query_vector,
-            );
-            for id in changed_ids(&report.delta) {
-                let primed = cache.get(id);
-                prop_assert!(
-                    primed.is_some(),
-                    "changed element {id:?} was not primed from the live lists"
-                );
-                let fresh = evaluator.delta(id);
-                prop_assert_eq!(
-                    primed.unwrap().to_bits(),
-                    fresh.to_bits(),
-                    "primed score {} != fresh score {} for {:?}",
-                    primed.unwrap(),
-                    fresh,
-                    id
-                );
-            }
-        }
-    }
-
-    /// The touched-suffix contract behind delta-restricted reads: every
+    /// The touched-suffix contract behind touch-restricted reads: every
     /// stored tuple of a changed element lies within the slide's touched
     /// suffix of that topic's list — the touch exists, bounds the tuple's
     /// score from above, and a [`RankedView::suffix_cursor`] started at the
@@ -740,12 +595,8 @@ proptest! {
             for id in changed_ids(&report.delta) {
                 for t in 0..p.num_topics {
                     let topic = TopicId(t as u32);
-                    let score = match lists.stored_score(topic, id) {
-                        StoredScore::Score(score) => score,
-                        StoredScore::Absent => continue,
-                        StoredScore::Unsupported => {
-                            panic!("live ranked lists must support point lookups")
-                        }
+                    let Some((score, _)) = lists.list(topic).get(id) else {
+                        continue;
                     };
                     let touch = report.delta.ranked.touch(topic);
                     prop_assert!(

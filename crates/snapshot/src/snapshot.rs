@@ -4,10 +4,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ksir_core::{
-    prime_singleton_cache, run_query, run_query_cached, Algorithm, KsirEngine, KsirQuery,
-    QueryResult, QuerySource, RankedView, ScoringConfig, SingletonCache, StoredScore,
+    run_query, Algorithm, KsirEngine, KsirQuery, QueryResult, QuerySource, RankedView,
+    ScoringConfig,
 };
-use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix, WindowDelta};
+use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix};
 use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicVector, TopicWordDistribution};
 
 use crate::stats::SnapshotCounters;
@@ -124,19 +124,6 @@ impl<D> RankedView for EngineSnapshot<D> {
             None => RankedListCursor::over(std::iter::empty()),
         }
     }
-
-    fn stored_score(&self, topic: TopicId, id: ElementId) -> StoredScore {
-        match &self.lists[topic.index()] {
-            Some(list) => match list.get(id) {
-                Some((score, _)) => StoredScore::Score(score),
-                None => StoredScore::Absent,
-            },
-            // An unwatched slot reads as empty for traversal, but the scorer
-            // would still credit the topic — a tuple lookup here must not
-            // masquerade as "score zero".
-            None => StoredScore::Unsupported,
-        }
-    }
 }
 
 impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
@@ -153,26 +140,6 @@ impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
             self.scoring,
             query,
             algorithm,
-        )
-    }
-
-    fn query_delta(
-        &self,
-        query: &KsirQuery,
-        algorithm: Algorithm,
-        delta: &WindowDelta,
-        cache: &mut SingletonCache,
-    ) -> Result<QueryResult> {
-        prime_singleton_cache(self, query, delta, cache);
-        run_query_cached(
-            self,
-            self.window.as_ref(),
-            self.topic_vectors.as_ref(),
-            self.phi.as_ref(),
-            self.scoring,
-            query,
-            algorithm,
-            Some(cache),
         )
     }
 }
@@ -299,17 +266,6 @@ impl<D> RankedView for ShardSnapshot<D> {
             None => self.engine.suffix_cursor(topic, high),
         }
     }
-
-    fn stored_score(&self, topic: TopicId, id: ElementId) -> StoredScore {
-        if self.prefixes.contains_key(&topic) {
-            // A truncated prefix has no id-indexed storage and may have
-            // dropped the tuple below its floor: point lookups fall back to
-            // a scoring pass.
-            StoredScore::Unsupported
-        } else {
-            self.engine.stored_score(topic, id)
-        }
-    }
 }
 
 impl<D: TopicWordDistribution> QuerySource for ShardSnapshot<D> {
@@ -326,26 +282,6 @@ impl<D: TopicWordDistribution> QuerySource for ShardSnapshot<D> {
             self.engine.scoring,
             query,
             algorithm,
-        )
-    }
-
-    fn query_delta(
-        &self,
-        query: &KsirQuery,
-        algorithm: Algorithm,
-        delta: &WindowDelta,
-        cache: &mut SingletonCache,
-    ) -> Result<QueryResult> {
-        prime_singleton_cache(self, query, delta, cache);
-        run_query_cached(
-            self,
-            self.engine.window.as_ref(),
-            self.engine.topic_vectors.as_ref(),
-            self.engine.phi.as_ref(),
-            self.engine.scoring,
-            query,
-            algorithm,
-            Some(cache),
         )
     }
 }

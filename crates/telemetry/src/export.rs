@@ -29,9 +29,6 @@ fn help_for(name: &str) -> Option<&'static str> {
         "snapshot.capture" => "Time spent capturing an epoch's frozen engine image",
         "refresh.shard" => "Time one scheduled shard spent refreshing its residents",
         "refresh.gain_evaluations" => "Total scoring passes across all refreshes",
-        "refresh.mode.full" => "Refreshes that ran a full from-scratch evaluation",
-        "refresh.mode.delta" => "Refreshes that ran delta-restricted against a retained memo",
-        "refresh.mode.skipped" => "Slide-time evaluations the delta rules skipped",
         "refresh.cluster.covering" => "Covering traversals run for plan clusters",
         "refresh.cluster.shared" => "Refreshes served from a same-k covering run",
         "refresh.cluster.skipped" => "Cluster-level skips (whole cluster undisturbed)",
