@@ -8,7 +8,6 @@
 //!    against recomputing `f(S ∪ {e}) − f(S)` from scratch while greedily
 //!    building a k-element result.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,7 +16,7 @@ use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_core::{ProfileArena, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
 use ksir_stream::RankedList;
-use ksir_types::{ElementId, Timestamp, TopicVector};
+use ksir_types::{ElementId, Timestamp};
 
 /// Naive alternative to [`RankedList`]: a vector kept sorted by re-sorting
 /// after every mutation.
@@ -97,17 +96,12 @@ fn bench_marginal_gain_ablation(c: &mut Criterion) {
         .remove(0)
         .vector;
     let scorer = engine.scorer();
-    let tv_map: HashMap<ElementId, TopicVector> = engine
-        .active_ids()
-        .into_iter()
-        .filter_map(|id| engine.topic_vector(id).map(|tv| (id, tv.clone())))
-        .collect();
     let candidates: Vec<ElementId> = engine.active_ids().into_iter().take(40).collect();
     let k = 10;
 
     group.bench_function("incremental_state", |b| {
         b.iter(|| {
-            let evaluator = QueryEvaluator::new(scorer, engine.window(), &tv_map, &vector);
+            let evaluator = QueryEvaluator::new(scorer, &vector);
             // Each candidate element is scored once; every greedy round only
             // reads the profiles.
             let mut arena = ProfileArena::default();

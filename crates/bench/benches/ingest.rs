@@ -9,18 +9,25 @@
 //! * `engine_ingest/{aminer,twitter}` — one `KsirEngine::ingest_bucket` of
 //!   [`ENGINE_BUCKET`] elements; time per iteration ÷ `ENGINE_BUCKET` is
 //!   ns per element.
+//! * `engine_ingest_held/{aminer,twitter}` — the same bucket with an
+//!   `EngineSnapshot` captured (untimed) before the ingest and dropped right
+//!   after it, inside the timing: what the asynchronous pipeline's epoch
+//!   snapshot costs a write — the copy-on-write clones of everything the
+//!   write touches, and freeing them — over `engine_ingest`.
 //! * `window_slide/{10k,100k}` — insert one bucket of [`SLIDE_BUCKET`]
 //!   elements into an `ActiveWindow` holding ~10k / ~100k elements, then
 //!   `parents_losing_children` + `advance_to`.  The bucket is the same size
 //!   at both populations: a slide that costs what it changed takes the same
 //!   time in both rows ("flat in `n_t`").
 
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
 use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
+use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
 use ksir_stream::{ActiveWindow, WindowConfig};
 use ksir_types::rng::seeded_rng;
 use ksir_types::{Document, ElementId, SocialElement, Timestamp, TopicVector};
@@ -76,7 +83,14 @@ impl Shape {
 }
 
 fn bench_engine_ingest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_ingest");
+    engine_ingest_group(c, "engine_ingest", false);
+    engine_ingest_group(c, "engine_ingest_held", true);
+}
+
+/// The engine routine, with an epoch snapshot alive across each timed ingest
+/// iff `held`.
+fn engine_ingest_group(c: &mut Criterion, name: &str, held: bool) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(30);
     group.throughput(Throughput::Elements(ENGINE_BUCKET));
     for profile in [DatasetProfile::aminer(), DatasetProfile::twitter()] {
@@ -116,13 +130,22 @@ fn bench_engine_ingest(c: &mut Criterion) {
             engine.ingest_bucket(items(next), shape.end(next)).unwrap();
             next += 1;
         }
+        // The set-up captures from the engine the routine writes to.
+        let engine = RefCell::new(engine);
+        let counters = SnapshotCounters::new();
         group.bench_function(BenchmarkId::from_parameter(&name), |b| {
             b.iter_batched(
                 || {
                     next += 1;
-                    (items(next - 1), shape.end(next - 1))
+                    let snapshot =
+                        held.then(|| EngineSnapshot::capture(&engine.borrow(), next, &counters));
+                    (items(next - 1), shape.end(next - 1), snapshot)
                 },
-                |(items, end)| engine.ingest_bucket(items, end).unwrap(),
+                |(items, end, snapshot)| {
+                    let report = engine.borrow_mut().ingest_bucket(items, end).unwrap();
+                    drop(snapshot);
+                    report
+                },
                 BatchSize::SmallInput,
             )
         });

@@ -10,7 +10,6 @@
 //! members, same probes — with the candidates held as the columns of one
 //! `CoverageTable`, the layout MTTS and SieveStreaming use.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_core::{KsirQuery, ProfileArena, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_types::{DenseTopicWordTable, ElementId, TopicVector};
+use ksir_types::{DenseTopicWordTable, ElementId};
 
 struct Setup {
     engine: ksir_core::KsirEngine<DenseTopicWordTable>,
@@ -43,16 +42,6 @@ fn setup(profile: DatasetProfile) -> Setup {
     Setup { engine, query, ids }
 }
 
-fn topic_map(
-    engine: &ksir_core::KsirEngine<DenseTopicWordTable>,
-) -> HashMap<ElementId, TopicVector> {
-    engine
-        .active_ids()
-        .into_iter()
-        .filter_map(|id| engine.topic_vector(id).map(|tv| (id, tv.clone())))
-        .collect()
-}
-
 fn bench_scoring(c: &mut Criterion) {
     let mut group = c.benchmark_group("scoring");
     group.sample_size(30);
@@ -61,7 +50,6 @@ fn bench_scoring(c: &mut Criterion) {
         let s = setup(profile);
         let scorer = s.engine.scorer();
         let vector = s.query.vector().clone();
-        let tv_map = topic_map(&s.engine);
         let sample: Vec<ElementId> = s.ids.iter().copied().take(10).collect();
 
         group.bench_function(BenchmarkId::new("singleton_delta", &name), |b| {
@@ -80,8 +68,7 @@ fn bench_scoring(c: &mut Criterion) {
             BenchmarkId::new("incremental_marginal_gain_10", &name),
             |b| {
                 b.iter(|| {
-                    let evaluator =
-                        QueryEvaluator::new(scorer, s.engine.window(), &tv_map, &vector);
+                    let evaluator = QueryEvaluator::new(scorer, &vector);
                     let mut state = evaluator.new_candidate();
                     let mut arena = ProfileArena::default();
                     let mut total = 0.0;
@@ -100,7 +87,7 @@ fn bench_scoring(c: &mut Criterion) {
         // once and its gain read against each candidate.  Half of the
         // elements relevant to the query pre-fill the candidates (so the
         // coverage lookups hit), the other half are probed.
-        let evaluator = QueryEvaluator::new(scorer, s.engine.window(), &tv_map, &vector);
+        let evaluator = QueryEvaluator::new(scorer, &vector);
         let relevant: Vec<ElementId> = s
             .ids
             .iter()

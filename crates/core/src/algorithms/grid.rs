@@ -230,12 +230,7 @@ mod tests {
                 .unwrap()
                 .with_epsilon(epsilon)
                 .unwrap();
-            let evaluator = crate::QueryEvaluator::new(
-                engine.scorer(),
-                engine.window(),
-                engine.topic_vectors(),
-                query.vector(),
-            );
+            let evaluator = crate::QueryEvaluator::new(engine.scorer(), query.vector());
             let base = 1.0 + epsilon;
             let mut grid = GuessGrid::new(&query, &evaluator);
             assert!(grid.is_empty());
@@ -276,12 +271,7 @@ mod tests {
         let ex = paper_example();
         let engine = ex.build_engine();
         let query = KsirQuery::new(2, QueryVector::new(vec![0.5, 0.5]).unwrap()).unwrap();
-        let evaluator = crate::QueryEvaluator::new(
-            engine.scorer(),
-            engine.window(),
-            engine.topic_vectors(),
-            query.vector(),
-        );
+        let evaluator = crate::QueryEvaluator::new(engine.scorer(), query.vector());
         let mut arena = ProfileArena::default();
         let profile = evaluator.profile(&mut arena, engine.active_ids()[0]);
         let profile = arena.get(profile);
@@ -388,12 +378,7 @@ mod tests {
             let engine = random_engine(&mut rng, 24);
             let vector = QueryVector::new(vec![0.6, 0.0, 0.4]).unwrap();
             let query = KsirQuery::new(k, vector).unwrap().with_epsilon(epsilon).unwrap();
-            let new_evaluator = || crate::QueryEvaluator::new(
-                engine.scorer(),
-                engine.window(),
-                engine.topic_vectors(),
-                query.vector(),
-            );
+            let new_evaluator = || crate::QueryEvaluator::new(engine.scorer(), query.vector());
             let (evaluator, reference_evaluator) = (new_evaluator(), new_evaluator());
             let mut grid = GuessGrid::new(&query, &evaluator);
             let mut reference: Vec<ReferenceGuess> = Vec::new();

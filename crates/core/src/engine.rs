@@ -13,13 +13,14 @@ use std::sync::Arc;
 
 use ksir_stream::{ActiveWindow, RankedLists, WindowDelta};
 use ksir_types::{
-    Document, ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId,
-    TopicVector, TopicWordDistribution,
+    ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId, TopicVector,
+    TopicWordDistribution,
 };
 
 use crate::config::{ArchiveRetention, EngineConfig};
 use crate::evaluator::QueryEvaluator;
 use crate::query::{Algorithm, KsirQuery, QueryResult};
+use crate::row::{ElementRow, ElementRows};
 use crate::scorer::Scorer;
 use crate::view::{self, QuerySource};
 
@@ -37,8 +38,9 @@ pub struct EngineStats {
     /// Window mutations that deep-cloned the active window because an epoch
     /// snapshot was still reading it (copy-on-write; zero without snapshots).
     pub window_cow_clones: usize,
-    /// Topic-vector-map mutations that deep-cloned the map for the same
-    /// reason.
+    /// Row-map mutations that deep-cloned the map of per-element rows (the
+    /// engine's one topic store) for the same reason.  The name predates the
+    /// rows: the map it counts used to hold dense topic vectors.
     pub topic_vector_cow_clones: usize,
     /// Ranked-list mutations that deep-cloned a list for the same reason.
     /// Maintained by the lists themselves and filled in by
@@ -71,32 +73,6 @@ pub struct IngestReport {
     pub delta: WindowDelta,
 }
 
-/// What the index write needs of one element, fixed when it is ingested:
-/// its sparse support and, per support topic, the semantic score `R_i(e)`.
-///
-/// `R_i(e)` depends only on the document, `p_i(e)` and the topic-word
-/// distribution, none of which change while the element lives, so a tuple
-/// refresh is `combine(R_i(e), I_{i,t}(e))` with only the influence half
-/// recomputed — the same operands in the same order as
-/// [`Scorer::topicwise_element`], hence the same bits.
-#[derive(Debug)]
-struct ElementRow {
-    /// `(θ_i, p_i(e), R_i(e))` for every topic with `p_i(e) > 0`, ascending
-    /// by topic — the lists that hold the element's tuples.
-    support: Box<[(TopicId, f64, f64)]>,
-}
-
-impl ElementRow {
-    /// The dense topic distribution the row was built from.
-    fn topic_vector(&self, num_topics: usize) -> TopicVector {
-        let mut tv = TopicVector::zeros(num_topics);
-        for &(topic, p, _) in self.support.iter() {
-            tv.set(topic, p);
-        }
-        tv
-    }
-}
-
 /// An ingested element as the archive keeps it: the payload shared with the
 /// window (while the element is active) and its row.
 #[derive(Debug)]
@@ -122,10 +98,13 @@ pub struct KsirEngine<D> {
     /// [`EngineStats::window_cow_clones`]).
     window: Arc<ActiveWindow>,
     ranked: RankedLists,
-    /// Same copy-on-write scheme as the window.
-    topic_vectors: Arc<HashMap<ElementId, TopicVector>>,
-    /// One row per active element, private to the index write.
-    rows: HashMap<ElementId, Arc<ElementRow>>,
+    /// One row per active element — the only per-element topic store — under
+    /// the same copy-on-write scheme as the window (counted in
+    /// [`EngineStats::topic_vector_cow_clones`]).  A tuple refresh is
+    /// `combine(R_i(e), I_{i,t}(e))` with only the influence half recomputed:
+    /// the same operands in the same order as [`Scorer::topicwise_element`],
+    /// hence the same bits.
+    rows: Arc<ElementRows>,
     /// Every ingested element (subject to the retention policy), kept so that
     /// references from new arrivals can bring expired parents back into the
     /// active set, as required by the paper's definition of `A_t`.
@@ -155,8 +134,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             phi: Arc::new(phi),
             window: Arc::new(ActiveWindow::new(config.window)),
             ranked: RankedLists::new(num_topics),
-            topic_vectors: Arc::new(HashMap::new()),
-            rows: HashMap::new(),
+            rows: Arc::new(ElementRows::new()),
             archive: HashMap::new(),
             archive_by_time: BinaryHeap::new(),
             stats: EngineStats::default(),
@@ -174,13 +152,14 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         Arc::make_mut(&mut self.window)
     }
 
-    /// Mutable access to the topic-vector map, same copy-on-write scheme as
-    /// [`KsirEngine::window_mut`].
-    fn topic_vectors_mut(&mut self) -> &mut HashMap<ElementId, TopicVector> {
-        if Arc::strong_count(&self.topic_vectors) > 1 {
+    /// Mutable access to the row map, same copy-on-write scheme as
+    /// [`KsirEngine::window_mut`].  A clone copies one `Arc` per active
+    /// element, not its row.
+    fn rows_mut(&mut self) -> &mut ElementRows {
+        if Arc::strong_count(&self.rows) > 1 {
             self.stats.topic_vector_cow_clones += 1;
         }
-        Arc::make_mut(&mut self.topic_vectors)
+        Arc::make_mut(&mut self.rows)
     }
 
     /// The engine configuration.
@@ -211,10 +190,10 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         Arc::clone(&self.window)
     }
 
-    /// An `O(1)` immutable image of the per-element topic vectors, frozen
-    /// like [`KsirEngine::shared_window`].
-    pub fn shared_topic_vectors(&self) -> Arc<HashMap<ElementId, TopicVector>> {
-        Arc::clone(&self.topic_vectors)
+    /// An `O(1)` immutable image of the per-element rows, frozen like
+    /// [`KsirEngine::shared_window`].
+    pub fn shared_rows(&self) -> Arc<ElementRows> {
+        Arc::clone(&self.rows)
     }
 
     /// Current logical time (end of the last ingested bucket).
@@ -237,14 +216,16 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         self.window.get(id)
     }
 
-    /// The (possibly sparsified) topic distribution of an active element.
-    pub fn topic_vector(&self, id: ElementId) -> Option<&TopicVector> {
-        self.topic_vectors.get(&id)
+    /// The (possibly sparsified) topic distribution of an active element,
+    /// rebuilt dense from its row.
+    pub fn topic_vector(&self, id: ElementId) -> Option<TopicVector> {
+        let num_topics = self.num_topics();
+        self.rows.get(&id).map(|row| row.topic_vector(num_topics))
     }
 
-    /// The full per-element topic-vector map.
-    pub fn topic_vectors(&self) -> &HashMap<ElementId, TopicVector> {
-        self.topic_vectors.as_ref()
+    /// One row per active element: its sparse `p_i(e)` and `R_i(e)`.
+    pub fn rows(&self) -> &ElementRows {
+        self.rows.as_ref()
     }
 
     /// Ids of all active elements, sorted for reproducibility.
@@ -286,7 +267,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             self.phi.as_ref(),
             self.config.scoring,
             self.window.as_ref(),
-            self.topic_vectors.as_ref(),
+            self.rows.as_ref(),
         )
     }
 
@@ -337,15 +318,13 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                     continue;
                 };
                 let (payload, row) = (Arc::clone(&archived.element), Arc::clone(&archived.row));
-                let vector = row.topic_vector(self.num_topics());
                 self.window_mut().insert(payload)?;
-                self.topic_vectors_mut().insert(parent, vector);
-                self.rows.insert(parent, row);
+                self.rows_mut().insert(parent, row);
                 touched.push(parent);
                 resurrected.push(parent);
             }
-            let sparsified = self.sparsify(tv);
-            let row = Arc::new(self.row_of(&element.doc, &sparsified));
+            let support = self.sparsify(tv);
+            let row = Arc::new(ElementRow::new(self.phi.as_ref(), &element.doc, support));
             let element = Arc::new(element);
             if self.config.archive != ArchiveRetention::Disabled {
                 let archived = Archived {
@@ -359,20 +338,18 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             }
             let parents = self.window_mut().insert(element)?;
             touched.extend(parents);
-            self.topic_vectors_mut().insert(id, sparsified);
-            self.rows.insert(id, row);
+            self.rows_mut().insert(id, row);
             new_ids.push(id);
         }
 
         let expired = self.window_mut().advance_to(bucket_end)?;
         for id in &expired {
             // The element's tuples sit in exactly its support lists.
-            if let Some(row) = self.rows.remove(id) {
-                for &(topic, _, _) in row.support.iter() {
+            if let Some(row) = self.rows_mut().remove(id) {
+                for &(topic, _, _) in row.entries() {
                     self.ranked.remove(topic, *id);
                 }
             }
-            self.topic_vectors_mut().remove(id);
         }
         self.prune_archive(bucket_end);
 
@@ -414,6 +391,10 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
 
     /// Checks everything that can make [`KsirEngine::ingest_bucket`] fail
     /// before it changes any state, and returns the ids of the bucket.
+    ///
+    /// A topic-vector entry must be a finite non-negative number: rows keep
+    /// only entries `> 0`, and a `NaN` or infinite one would poison every
+    /// score it reaches.
     fn validate_bucket(
         &self,
         bucket: &[(SocialElement, TopicVector)],
@@ -429,6 +410,21 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                     expected: self.num_topics(),
                     actual: tv.num_topics(),
                 });
+            }
+            if let Some((topic, p)) = tv
+                .as_slice()
+                .iter()
+                .enumerate()
+                .find(|(_, p)| !p.is_finite() || **p < 0.0)
+            {
+                return Err(KsirError::invalid_parameter(
+                    "bucket",
+                    format!(
+                        "element {} has p = {p} on topic {topic}; expected a finite \
+                         non-negative probability",
+                        element.id
+                    ),
+                ));
             }
             if element.ts > bucket_end {
                 return Err(KsirError::invalid_parameter(
@@ -456,18 +452,6 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             }
         }
         Ok(ids)
-    }
-
-    /// Builds the row of a new element from its sparsified distribution.
-    fn row_of(&self, doc: &Document, sparsified: &TopicVector) -> ElementRow {
-        let scorer = self.scorer();
-        ElementRow {
-            support: sparsified
-                .support()
-                .into_iter()
-                .map(|(topic, p)| (topic, p, scorer.semantic_of_doc(topic, doc, p)))
-                .collect(),
-        }
     }
 
     /// Drops archived elements that fell outside the retention horizon.
@@ -501,37 +485,41 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     }
 
     /// Truncates and renormalises a topic distribution according to the
-    /// engine's sparsification settings.
-    fn sparsify(&self, tv: TopicVector) -> TopicVector {
+    /// engine's sparsification settings, returning its support `(θ_i, p_i(e))`
+    /// ascending by topic with every `p_i(e) > 0`.
+    fn sparsify(&self, tv: TopicVector) -> Vec<(TopicId, f64)> {
         let min_prob = self.config.min_topic_prob;
         let max_topics = self.config.max_topics_per_element;
+        let mut entries = tv.support();
         if min_prob <= 0.0 && max_topics.is_none() {
-            return tv;
+            return entries;
         }
-        let mut entries: Vec<(TopicId, f64)> = tv
-            .support()
-            .into_iter()
-            .filter(|(_, p)| *p >= min_prob)
-            .collect();
+        entries.retain(|&(_, p)| p >= min_prob);
         if entries.is_empty() {
             // Every entry fell below the floor; keep the dominant topic so the
             // element does not silently vanish from the index.
             if let Some(top) = tv.dominant_topic() {
                 entries.push((top, tv.value(top)));
             } else {
-                return tv; // all-zero vector: nothing to keep
+                return entries; // all-zero vector: nothing to keep
             }
         }
         if let Some(n) = max_topics {
             entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             entries.truncate(n);
+            entries.sort_unstable_by_key(|&(topic, _)| topic);
         }
-        let mut out = TopicVector::zeros(tv.num_topics());
-        for (topic, p) in entries {
-            out.set(topic, p);
+        // Normalise as `TopicVector::normalize` would the dense vector: the
+        // same entries summed in ascending topic order (its zeros add
+        // nothing), each divided by the sum.
+        let sum: f64 = entries.iter().map(|&(_, p)| p).sum();
+        if sum > 0.0 {
+            for (_, p) in &mut entries {
+                *p /= sum;
+            }
         }
-        out.normalize();
-        out
+        entries.retain(|&(_, p)| p > 0.0);
+        entries
     }
 
     /// Recomputes the ranked-list tuples `⟨δ_i(e), t_e⟩` of one active element
@@ -548,9 +536,9 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             self.phi.as_ref(),
             self.config.scoring,
             self.window.as_ref(),
-            self.topic_vectors.as_ref(),
+            self.rows.as_ref(),
         );
-        for &(topic, _, semantic) in row.support.iter() {
+        for &(topic, _, semantic) in row.entries() {
             let influence = scorer.influence_element(topic, id);
             let score = self.config.scoring.combine(semantic, influence);
             self.ranked.upsert(topic, id, score, last_referenced);
@@ -569,12 +557,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     }
 
     fn evaluator<'a>(&'a self, vector: &QueryVector) -> QueryEvaluator<'a, D> {
-        QueryEvaluator::new(
-            self.scorer(),
-            self.window.as_ref(),
-            self.topic_vectors.as_ref(),
-            vector,
-        )
+        QueryEvaluator::new(self.scorer(), vector)
     }
 
     /// Processes a k-SIR query with the chosen algorithm.
@@ -587,7 +570,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         view::run_query(
             &self.ranked,
             self.window.as_ref(),
-            self.topic_vectors.as_ref(),
+            self.rows.as_ref(),
             self.phi.as_ref(),
             self.config.scoring,
             query,
@@ -802,6 +785,52 @@ mod tests {
         assert_eq!((r.inserted, r.refreshed, r.resurrected), (2, 1, 0));
         assert_eq!(engine.active_count(), 3);
         assert_eq!(engine.ranked_lists().total_entries(), 6);
+    }
+
+    #[test]
+    fn invalid_topic_probabilities_are_rejected_untouched() {
+        let phi = DenseTopicWordTable::from_rows(vec![
+            vec![0.5, 0.3, 0.2, 0.0],
+            vec![0.0, 0.2, 0.3, 0.5],
+        ])
+        .unwrap();
+        let base = EngineConfig::new(
+            WindowConfig::new(4, 1).unwrap(),
+            ScoringConfig::new(0.5, 2.0).unwrap(),
+        );
+        for config in [base, base.with_max_topics_per_element(None)] {
+            let mut engine = KsirEngine::new(phi.clone(), config).unwrap();
+            let parent = SocialElementBuilder::new(1).at(1).words([0, 1]).build();
+            engine
+                .ingest_bucket(vec![(parent, tv(&[0.6, 0.4]))], Timestamp(1))
+                .unwrap();
+            let state = |e: &KsirEngine<DenseTopicWordTable>| {
+                let lists: Vec<Vec<(ElementId, u64, Timestamp)>> = (0..2)
+                    .map(|t| {
+                        let list = e.ranked_lists().list(TopicId(t));
+                        list.iter()
+                            .map(|(id, s, ts)| (id, s.to_bits(), ts))
+                            .collect()
+                    })
+                    .collect();
+                (e.active_count(), e.now(), e.stats(), lists)
+            };
+            let before = state(&engine);
+            // `TopicVector::set` writes unchecked, so a caller can hand the
+            // engine any of these.
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5] {
+                let child = SocialElementBuilder::new(2)
+                    .at(2)
+                    .words([1, 2])
+                    .referencing(1)
+                    .build();
+                let mut vector = tv(&[0.7, 0.0]);
+                vector.set(TopicId(1), bad);
+                let rejected = engine.ingest_bucket(vec![(child, vector)], Timestamp(2));
+                assert!(rejected.is_err(), "p = {bad} accepted under {config:?}");
+                assert_eq!(state(&engine), before, "p = {bad} under {config:?}");
+            }
+        }
     }
 
     #[test]

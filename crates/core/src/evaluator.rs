@@ -18,13 +18,12 @@
 //! support topic — does not depend on the candidate.  An [`ElementProfile`]
 //! is exactly those columns.  Building one ([`QueryEvaluator::profile`]) is
 //! the `O((|V_e| + |I_t(e)|)·d)` scoring pass the paper's analysis charges
-//! per retrieved element (one `ln` per word × topic, one topic-vector probe
-//! per child), and the algorithms do it **at most once per element per
+//! per retrieved element (one `ln` per word × topic, one row probe per
+//! child), and the algorithms do it **at most once per element per
 //! query**, when the first consumer needs it.  `δ(e, x)`, every marginal gain
 //! against every candidate, and the insert that follows an admission then
 //! only read the profile: a gain is `(|V_e| + |I_t(e)|)·d` coverage lookups
-//! with no transcendental, no allocation and no window or topic-vector
-//! access.
+//! with no transcendental, no allocation and no window or row access.
 //!
 //! Profiles live in a [`ProfileArena`] — one set of contiguous columns per
 //! query, addressed by [`ProfileId`] — so keeping the profiles of every
@@ -51,8 +50,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use ksir_stream::ActiveWindow;
-use ksir_types::{ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId};
+use ksir_types::{ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::scorer::{propagation_prob, word_weight, Scorer};
 
@@ -437,25 +435,16 @@ impl CoverageTable {
 #[derive(Debug)]
 pub struct QueryEvaluator<'a, D> {
     scorer: Scorer<'a, D>,
-    window: &'a ActiveWindow,
-    topic_vectors: &'a HashMap<ElementId, TopicVector>,
     /// Non-zero entries of the query vector: `(topic, x_i)`.
     support: Vec<(TopicId, f64)>,
     gain_evaluations: Cell<usize>,
 }
 
 impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
-    /// Creates an evaluator for a query over the engine's current state.
-    pub fn new(
-        scorer: Scorer<'a, D>,
-        window: &'a ActiveWindow,
-        topic_vectors: &'a HashMap<ElementId, TopicVector>,
-        query: &QueryVector,
-    ) -> Self {
+    /// Creates an evaluator for a query over the state `scorer` reads.
+    pub fn new(scorer: Scorer<'a, D>, query: &QueryVector) -> Self {
         QueryEvaluator {
             scorer,
-            window,
-            topic_vectors,
             support: query.support(),
             gain_evaluations: Cell::new(0),
         }
@@ -485,7 +474,8 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// profile (no word, no child is looked at): it scores zero everywhere.
     pub fn profile(&self, arena: &mut ProfileArena, id: ElementId) -> ProfileId {
         let arena = &mut arena.columns;
-        let element = self.window.get(id);
+        let (window, rows) = (self.scorer.window(), self.scorer.rows());
+        let element = window.get(id);
         let handle = ProfileId(arena.entries.len() as u32);
         let start = arena.end();
         arena.entries.push(ProfileEntry {
@@ -494,11 +484,11 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             start,
         });
 
-        let tv = self.topic_vectors.get(&id);
+        let row = rows.get(&id);
         arena.topic_probs.extend(
             self.support
                 .iter()
-                .map(|&(topic, _)| tv.and_then(|tv| tv.get(topic)).unwrap_or(0.0)),
+                .map(|&(topic, _)| row.map_or(0.0, |row| row.prob(topic))),
         );
         let topic_probs = &arena.topic_probs[start.topic_probs..];
         let Some(element) = element else {
@@ -525,7 +515,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             }
         }
 
-        arena.children.extend(self.window.influenced_iter(id));
+        arena.children.extend(window.influenced_iter(id));
         let children = &arena.children[start.children..];
         let m = children.len();
         arena
@@ -533,12 +523,11 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             .resize(start.propagation + self.support.len() * m, 0.0);
         let propagation = &mut arena.propagation[start.propagation..];
         for (c, child) in children.iter().enumerate() {
-            let Some(child_tv) = self.topic_vectors.get(child) else {
+            let Some(child_row) = rows.get(child) else {
                 continue;
             };
             for (slot, (&(topic, _), &p_elem)) in scored_slots() {
-                propagation[slot * m + c] =
-                    propagation_prob(p_elem, child_tv.get(topic).unwrap_or(0.0));
+                propagation[slot * m + c] = propagation_prob(p_elem, child_row.prob(topic));
             }
         }
         handle
@@ -817,60 +806,59 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::config::ScoringConfig;
-    use ksir_stream::WindowConfig;
+    use crate::row::{ElementRow, ElementRows};
+    use ksir_stream::{ActiveWindow, WindowConfig};
     use ksir_types::{DenseTopicWordTable, SocialElementBuilder, Timestamp};
 
     /// Tiny two-topic fixture: three elements, one reference.
-    fn fixture() -> (
-        DenseTopicWordTable,
-        ActiveWindow,
-        HashMap<ElementId, TopicVector>,
-    ) {
+    fn fixture() -> (DenseTopicWordTable, ActiveWindow, ElementRows) {
         let phi = DenseTopicWordTable::from_rows(vec![
             vec![0.4, 0.3, 0.2, 0.1, 0.0, 0.0],
             vec![0.0, 0.0, 0.1, 0.2, 0.3, 0.4],
         ])
         .unwrap();
         let mut window = ActiveWindow::new(WindowConfig::new(10, 1).unwrap());
-        let elements = vec![
-            SocialElementBuilder::new(1).at(1).words([0, 1, 2]).build(),
-            SocialElementBuilder::new(2).at(2).words([3, 4, 5]).build(),
-            SocialElementBuilder::new(3)
-                .at(3)
-                .words([2, 3])
-                .referencing(1)
-                .referencing(2)
-                .build(),
+        let elements = [
+            (
+                SocialElementBuilder::new(1).at(1).words([0, 1, 2]).build(),
+                [0.9, 0.1],
+            ),
+            (
+                SocialElementBuilder::new(2).at(2).words([3, 4, 5]).build(),
+                [0.1, 0.9],
+            ),
+            (
+                SocialElementBuilder::new(3)
+                    .at(3)
+                    .words([2, 3])
+                    .referencing(1)
+                    .referencing(2)
+                    .build(),
+                [0.5, 0.5],
+            ),
         ];
-        let mut tvs = HashMap::new();
-        tvs.insert(
-            ElementId(1),
-            TopicVector::from_values(vec![0.9, 0.1]).unwrap(),
-        );
-        tvs.insert(
-            ElementId(2),
-            TopicVector::from_values(vec![0.1, 0.9]).unwrap(),
-        );
-        tvs.insert(
-            ElementId(3),
-            TopicVector::from_values(vec![0.5, 0.5]).unwrap(),
-        );
-        for e in elements {
-            window.insert(e).unwrap();
+        let mut rows = ElementRows::new();
+        for (element, [p0, p1]) in elements {
+            let support = vec![(TopicId(0), p0), (TopicId(1), p1)];
+            let row = ElementRow::new(&phi, &element.doc, support);
+            rows.insert(element.id, Arc::new(row));
+            window.insert(element).unwrap();
         }
         window.advance_to(Timestamp(3)).unwrap();
-        (phi, window, tvs)
+        (phi, window, rows)
     }
 
     #[test]
     fn incremental_gain_matches_scratch_scores() {
-        let (phi, window, tvs) = fixture();
+        let (phi, window, rows) = fixture();
         let config = ScoringConfig::new(0.5, 2.0).unwrap();
-        let scorer = Scorer::new(&phi, config, &window, &tvs);
+        let scorer = Scorer::new(&phi, config, &window, &rows);
         let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query);
+        let evaluator = QueryEvaluator::new(scorer, &query);
 
         let ids = [ElementId(1), ElementId(2), ElementId(3)];
         let mut state = evaluator.new_candidate();
@@ -897,11 +885,11 @@ mod tests {
 
     #[test]
     fn delta_matches_singleton_set_score() {
-        let (phi, window, tvs) = fixture();
+        let (phi, window, rows) = fixture();
         let config = ScoringConfig::default();
-        let scorer = Scorer::new(&phi, config, &window, &tvs);
+        let scorer = Scorer::new(&phi, config, &window, &rows);
         let query = QueryVector::new(vec![0.2, 0.8]).unwrap();
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query);
+        let evaluator = QueryEvaluator::new(scorer, &query);
         for id in [ElementId(1), ElementId(2), ElementId(3)] {
             let d = evaluator.delta(id);
             let s = scorer.set_score(&query, &[id]);
@@ -911,11 +899,11 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_elements_have_zero_gain() {
-        let (phi, window, tvs) = fixture();
+        let (phi, window, rows) = fixture();
         let config = ScoringConfig::default();
-        let scorer = Scorer::new(&phi, config, &window, &tvs);
+        let scorer = Scorer::new(&phi, config, &window, &rows);
         let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query);
+        let evaluator = QueryEvaluator::new(scorer, &query);
         let mut state = evaluator.new_candidate();
         evaluator.insert(&mut state, ElementId(1));
         assert_eq!(evaluator.marginal_gain(&state, ElementId(1)), 0.0);
@@ -926,11 +914,11 @@ mod tests {
 
     #[test]
     fn evaluation_counter_increments() {
-        let (phi, window, tvs) = fixture();
+        let (phi, window, rows) = fixture();
         let config = ScoringConfig::default();
-        let scorer = Scorer::new(&phi, config, &window, &tvs);
+        let scorer = Scorer::new(&phi, config, &window, &rows);
         let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query);
+        let evaluator = QueryEvaluator::new(scorer, &query);
         assert_eq!(evaluator.gain_evaluations(), 0);
         let state = evaluator.new_candidate();
         evaluator.delta(ElementId(1));
@@ -940,11 +928,11 @@ mod tests {
 
     #[test]
     fn submodularity_of_incremental_gains() {
-        let (phi, window, tvs) = fixture();
+        let (phi, window, rows) = fixture();
         let config = ScoringConfig::new(0.5, 2.0).unwrap();
-        let scorer = Scorer::new(&phi, config, &window, &tvs);
+        let scorer = Scorer::new(&phi, config, &window, &rows);
         let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query);
+        let evaluator = QueryEvaluator::new(scorer, &query);
         // gain of e3 w.r.t. ∅ is at least its gain w.r.t. {e1} and {e1, e2}.
         let empty = evaluator.new_candidate();
         let mut one = evaluator.new_candidate();

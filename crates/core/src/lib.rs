@@ -17,7 +17,8 @@
 //!
 //! * [`ScoringConfig`] / [`Scorer`] — the scoring function itself (§3.2),
 //! * [`KsirEngine`] — sliding-window maintenance of the active elements and
-//!   the per-topic ranked lists (Algorithm 1, Figure 4),
+//!   the per-topic ranked lists (Algorithm 1, Figure 4), with one sparse
+//!   [`ElementRow`] per active element as its topic store,
 //! * [`KsirQuery`] / [`Algorithm`] / [`QueryResult`] — the query interface,
 //! * the query-processing algorithms: **MTTS** (Algorithm 2), **MTTD**
 //!   (Algorithm 3), and the **CELF**, **SieveStreaming** and **Top-k
@@ -52,6 +53,7 @@ pub mod engine;
 pub mod evaluator;
 pub mod fixtures;
 pub mod query;
+pub mod row;
 pub mod scorer;
 pub mod shared;
 pub mod view;
@@ -62,6 +64,7 @@ pub use evaluator::{
     CandidateState, CoverageTable, ElementProfile, ProfileArena, ProfileId, QueryEvaluator,
 };
 pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
+pub use row::{ElementRow, ElementRows};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
 pub use shared::SharedEngine;
 pub use view::{run_query, QuerySource, RankedView};

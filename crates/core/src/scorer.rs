@@ -11,11 +11,10 @@
 use std::collections::HashMap;
 
 use ksir_stream::ActiveWindow;
-use ksir_types::{
-    Document, ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId,
-};
+use ksir_types::{Document, ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::config::ScoringConfig;
+use crate::row::ElementRows;
 
 /// The entropy weight `h(p) = -p·ln p`, with `h(0) = 0`.
 ///
@@ -44,11 +43,27 @@ pub fn propagation_prob(p_parent: f64, p_child: f64) -> f64 {
     p_parent * p_child
 }
 
+/// `R_i` of a document whose element has probability `p_elem` on `topic`:
+/// the sum of its distinct words' weights, in document order.
+pub(crate) fn semantic_score<D: TopicWordDistribution>(
+    phi: &D,
+    topic: TopicId,
+    doc: &Document,
+    p_elem: f64,
+) -> f64 {
+    if p_elem <= 0.0 {
+        return 0.0;
+    }
+    doc.iter()
+        .map(|(w, freq)| word_weight(freq, phi.word_prob(topic, w), p_elem))
+        .sum()
+}
+
 /// Reference implementation of the representativeness score over the current
 /// active window.
 ///
 /// The scorer borrows the engine state it needs: the topic-word distribution
-/// `p_i(w)`, the per-element topic vectors `p_i(e)`, the active window (for
+/// `p_i(w)`, the per-element rows holding `p_i(e)`, the active window (for
 /// documents and the reverse-reference sets `I_t(e)`), and the scoring
 /// configuration `(λ, η)`.
 #[derive(Debug)]
@@ -56,7 +71,7 @@ pub struct Scorer<'a, D> {
     phi: &'a D,
     config: ScoringConfig,
     window: &'a ActiveWindow,
-    topic_vectors: &'a HashMap<ElementId, TopicVector>,
+    rows: &'a ElementRows,
 }
 
 // Manual impls: the scorer only holds shared references, so it is copyable
@@ -76,13 +91,13 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         phi: &'a D,
         config: ScoringConfig,
         window: &'a ActiveWindow,
-        topic_vectors: &'a HashMap<ElementId, TopicVector>,
+        rows: &'a ElementRows,
     ) -> Self {
         Scorer {
             phi,
             config,
             window,
-            topic_vectors,
+            rows,
         }
     }
 
@@ -96,12 +111,19 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         self.phi
     }
 
+    /// The active window the scorer reads documents and children from.
+    pub(crate) fn window(&self) -> &'a ActiveWindow {
+        self.window
+    }
+
+    /// The per-element rows the scorer reads `p_i(e)` from.
+    pub(crate) fn rows(&self) -> &'a ElementRows {
+        self.rows
+    }
+
     /// `p_i(e)` for an active element (0 for unknown elements or topics).
     pub fn element_topic_prob(&self, id: ElementId, topic: TopicId) -> f64 {
-        self.topic_vectors
-            .get(&id)
-            .and_then(|tv| tv.get(topic))
-            .unwrap_or(0.0)
+        self.rows.get(&id).map_or(0.0, |row| row.prob(topic))
     }
 
     /// `σ_i(w, e)` for a word of an active element.
@@ -122,18 +144,8 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         let Some(element) = self.window.get(id) else {
             return 0.0;
         };
-        self.semantic_of_doc(topic, &element.doc, self.element_topic_prob(id, topic))
-    }
-
-    /// `R_i` of an explicit document / element-probability pair (used by the
-    /// engine before an element has been registered as active).
-    pub fn semantic_of_doc(&self, topic: TopicId, doc: &Document, p_elem: f64) -> f64 {
-        if p_elem <= 0.0 {
-            return 0.0;
-        }
-        doc.iter()
-            .map(|(w, freq)| word_weight(freq, self.phi.word_prob(topic, w), p_elem))
-            .sum()
+        let p_elem = self.element_topic_prob(id, topic);
+        semantic_score(self.phi, topic, &element.doc, p_elem)
     }
 
     /// The semantic score `R_i(S)` of a set (Equation 3): each distinct word of

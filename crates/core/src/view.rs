@@ -21,15 +21,14 @@
 //! `ksir-continuous` can refresh a subscription without caring which side of
 //! the epoch boundary they are reading.
 
-use std::collections::HashMap;
-
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedLists, FLOOR_SLACK};
-use ksir_types::{ElementId, KsirError, Result, TopicId, TopicVector, TopicWordDistribution};
+use ksir_types::{KsirError, Result, TopicId, TopicWordDistribution};
 
 use crate::algorithms;
 use crate::config::ScoringConfig;
 use crate::evaluator::QueryEvaluator;
 use crate::query::{Algorithm, KsirQuery, QueryResult};
+use crate::row::ElementRows;
 use crate::scorer::Scorer;
 
 /// Ordered read access to per-topic ranked lists — implemented by the live
@@ -125,14 +124,15 @@ pub trait QuerySource {
 }
 
 /// Processes one k-SIR query against an arbitrary index view plus the
-/// window-side state the evaluator needs.  This is the algorithm dispatcher
+/// window-side state the evaluator needs: the active window and the rows
+/// holding every active element's `p_i(e)`.  This is the algorithm dispatcher
 /// behind both [`KsirEngine::query`] and the snapshot-backed refresh path.
 ///
 /// [`KsirEngine::query`]: crate::KsirEngine::query
 pub fn run_query<V, D>(
     view: &V,
     window: &ActiveWindow,
-    topic_vectors: &HashMap<ElementId, TopicVector>,
+    rows: &ElementRows,
     phi: &D,
     scoring: ScoringConfig,
     query: &KsirQuery,
@@ -148,8 +148,8 @@ where
             actual: query.vector().num_topics(),
         });
     }
-    let scorer = Scorer::new(phi, scoring, window, topic_vectors);
-    let evaluator = QueryEvaluator::new(scorer, window, topic_vectors, query.vector());
+    let scorer = Scorer::new(phi, scoring, window, rows);
+    let evaluator = QueryEvaluator::new(scorer, query.vector());
     Ok(match algorithm {
         Algorithm::Mtts => algorithms::mtts::run(view, &evaluator, query),
         Algorithm::Mttd => algorithms::mttd::run(view, &evaluator, query),
@@ -177,7 +177,7 @@ mod tests {
             let via_view = run_query(
                 engine.ranked_lists(),
                 engine.window(),
-                engine.topic_vectors(),
+                engine.rows(),
                 engine.phi(),
                 engine.config().scoring,
                 &query,
@@ -197,7 +197,7 @@ mod tests {
             run_query(
                 engine.ranked_lists(),
                 engine.window(),
-                engine.topic_vectors(),
+                engine.rows(),
                 engine.phi(),
                 engine.config().scoring,
                 &query,

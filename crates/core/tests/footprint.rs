@@ -1,0 +1,129 @@
+//! What an engine holds does not grow with the number of topics `z`.
+//!
+//! The engine keeps one sparse row per active element — `p_i(e)` and `R_i(e)`
+//! on the topics the element is about — and nothing `z`-wide per element.
+//! The same Twitter-shaped stream replayed at `z = 50` and, zero-padded, at
+//! `z = 200` must therefore leave two engines of the same size.  Sizes are
+//! read off a counting global allocator: an engine's heap is the live bytes
+//! just before it is dropped minus the live bytes just after.  The topic-word
+//! table sits in an `Arc` held outside both engines, so only what the engine
+//! itself keeps is counted.
+//!
+//! This file holds a single test: the allocator counts every thread of the
+//! test binary, and a second test running beside it would blur the figures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
+use ksir_datagen::{DatasetProfile, StreamGenerator};
+use ksir_stream::WindowConfig;
+use ksir_types::{DenseTopicWordTable, SocialElement, TopicId, TopicVector, TopicWordDistribution};
+
+/// The system allocator, keeping a running total of the bytes it has live.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method hands its arguments unchanged to `System` and returns
+// what `System` returned, so `Counting` keeps the `GlobalAlloc` contract
+// exactly as `System` does; `LIVE` is bookkeeping that no allocation reads.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::SeqCst);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::SeqCst);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`, plus the caller's guarantees for
+        // `new_size`.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            LIVE.fetch_add(new_size, Ordering::SeqCst);
+            LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Replays `stream` into a fresh engine over `phi`, then returns the active
+/// element count and the bytes the engine frees when dropped.
+fn engine_heap(
+    phi: &Arc<DenseTopicWordTable>,
+    stream: Vec<(SocialElement, TopicVector)>,
+) -> (usize, usize) {
+    let config = EngineConfig::new(
+        WindowConfig::new(1_440, 15).unwrap(),
+        ScoringConfig::default(),
+    );
+    let mut engine = KsirEngine::new(Arc::clone(phi), config).unwrap();
+    engine.ingest_stream(stream).unwrap();
+    let active = engine.active_count();
+    let live = LIVE.load(Ordering::SeqCst);
+    drop(engine);
+    (active, live - LIVE.load(Ordering::SeqCst))
+}
+
+#[test]
+fn engine_memory_does_not_grow_with_the_number_of_topics() {
+    let stream = StreamGenerator::new(DatasetProfile::twitter().with_topics(50), 7)
+        .unwrap()
+        .generate()
+        .unwrap();
+    let narrow: Vec<(SocialElement, TopicVector)> = stream.iter_pairs().collect();
+    assert_eq!(narrow.len(), 6_000);
+
+    // The same stream at z = 200: 150 more topics, uniform over the
+    // vocabulary, on which no element has any probability.
+    let phi = stream.planted.phi();
+    let (z, vocab) = (phi.num_topics(), phi.vocab_size());
+    let mut rows: Vec<Vec<f64>> = (0..z as u32)
+        .map(|t| phi.row(TopicId(t)).to_vec())
+        .collect();
+    rows.resize(200, vec![1.0 / vocab as f64; vocab]);
+    let wide_phi = Arc::new(DenseTopicWordTable::from_rows(rows).unwrap());
+    let wide: Vec<(SocialElement, TopicVector)> = narrow
+        .iter()
+        .map(|(element, tv)| {
+            let mut values = tv.as_slice().to_vec();
+            values.resize(200, 0.0);
+            (element.clone(), TopicVector::from_values(values).unwrap())
+        })
+        .collect();
+
+    let (active, narrow_heap) = engine_heap(&Arc::new(phi.clone()), narrow);
+    let (wide_active, wide_heap) = engine_heap(&wide_phi, wide);
+    assert_eq!(active, wide_active);
+    assert!(active > 500, "only {active} active elements");
+    let growth = (wide_heap as f64 - narrow_heap as f64) / narrow_heap as f64;
+    assert!(
+        growth.abs() < 0.01,
+        "{narrow_heap} B at z = 50 vs {wide_heap} B at z = 200 over {active} active \
+         elements ({:+.1} %)",
+        100.0 * growth
+    );
+}

@@ -2,18 +2,22 @@
 //! stay indistinguishable from it.
 //!
 //! [`OldPath`] below is that procedure, as the engine ran it before it kept
-//! per-element rows: every refresh recomputes `δ_i(e)` from the document
-//! through [`Scorer::topicwise_element`] over the dense vector's support,
-//! expiry probes all `z` lists (`remove_everywhere`), and the archive holds
-//! deep copies.  Over a long-document and a short-post stream — several
-//! hundred slides each, with elements expiring and coming back — the engine
-//! and the old path must agree after **every** slide on the report, the
-//! touch log (including its order) and every stored tuple, bit for bit.
+//! per-element rows: every element's sparsified distribution is a dense
+//! `z`-wide vector, every refresh recomputes `δ_i(e)` from the document and
+//! the children's dense vectors over the vector's support, expiry probes all
+//! `z` lists (`remove_everywhere`), and the archive holds deep copies.  Over a
+//! long-document and a short-post stream — several hundred slides each, with
+//! elements expiring and coming back, under three sparsification settings —
+//! the engine and the old path must agree after **every** slide on the
+//! report, the touch log (including its order), every stored tuple and every
+//! active element's distribution, bit for bit.
 
 use std::collections::{BTreeSet, HashMap};
 
 use ksir_core::config::ArchiveRetention;
-use ksir_core::{EngineConfig, IngestReport, KsirEngine, Scorer, ScoringConfig};
+use ksir_core::{
+    propagation_prob, word_weight, EngineConfig, IngestReport, KsirEngine, ScoringConfig,
+};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
 use ksir_stream::{ActiveWindow, RankedLists, WindowConfig, WindowDelta};
 use ksir_types::{
@@ -21,7 +25,7 @@ use ksir_types::{
     TopicWordDistribution,
 };
 
-/// Algorithm 1 without any cached state.
+/// Algorithm 1 without any cached state, over dense topic vectors.
 struct OldPath<'a> {
     phi: &'a DenseTopicWordTable,
     config: EngineConfig,
@@ -145,19 +149,39 @@ impl<'a> OldPath<'a> {
         out
     }
 
+    /// `p_i(e)` of an active element, read off its dense vector.
+    fn prob(&self, id: ElementId, topic: TopicId) -> f64 {
+        self.topic_vectors
+            .get(&id)
+            .and_then(|tv| tv.get(topic))
+            .unwrap_or(0.0)
+    }
+
+    /// `δ_i(e) = λ·R_i(e) + (1-λ)/η · I_{i,t}(e)`, straight from §3.2: the
+    /// weights of the document's words and the propagation probabilities to
+    /// its children, summed in document and influence order.
+    fn topicwise(&self, topic: TopicId, id: ElementId) -> f64 {
+        let p = self.prob(id, topic);
+        let element = self.window.get(id).unwrap();
+        let semantic: f64 = element
+            .doc
+            .iter()
+            .map(|(w, freq)| word_weight(freq, self.phi.word_prob(topic, w), p))
+            .sum();
+        let influence: f64 = self
+            .window
+            .influenced_iter(id)
+            .map(|child| propagation_prob(p, self.prob(child, topic)))
+            .sum();
+        self.config.scoring.combine(semantic, influence)
+    }
+
     fn refresh_tuples(&mut self, id: ElementId) {
-        let tv = &self.topic_vectors[&id];
         let last_referenced = self.window.last_referenced(id).unwrap();
-        let scorer = Scorer::new(
-            self.phi,
-            self.config.scoring,
-            &self.window,
-            &self.topic_vectors,
-        );
-        let tuples: Vec<(TopicId, f64)> = tv
+        let tuples: Vec<(TopicId, f64)> = self.topic_vectors[&id]
             .support()
             .into_iter()
-            .map(|(topic, _)| (topic, scorer.topicwise_element(topic, id)))
+            .map(|(topic, _)| (topic, self.topicwise(topic, id)))
             .collect();
         for (topic, score) in tuples {
             self.ranked.upsert(topic, id, score, last_referenced);
@@ -175,28 +199,71 @@ fn list_bits(lists: &RankedLists, topic: TopicId) -> Vec<(ElementId, u64, Timest
         .collect()
 }
 
+/// The sparsification settings every stream is replayed under: the default
+/// top two topics, that plus a probability floor, and no truncation at all.
+fn sparsification_settings(base: EngineConfig) -> [(&'static str, EngineConfig); 3] {
+    [
+        ("top-2", base),
+        ("top-2, p >= 0.05", base.with_min_topic_prob(0.05)),
+        ("untruncated", base.with_max_topics_per_element(None)),
+    ]
+}
+
+/// `tv` with 12 % of its mass moved onto a tail of four more topics picked
+/// by `id` (weights 6, 3, 2 and 1 %), so that the floor, the truncation and
+/// the untruncated setting each keep a different support.  The generator's
+/// own vectors have at most two topics.
+fn with_tail(id: ElementId, tv: &TopicVector) -> TopicVector {
+    let z = tv.num_topics() as u64;
+    let mut values: Vec<f64> = tv.as_slice().iter().map(|p| 0.88 * p).collect();
+    for (i, weight) in [0.06, 0.03, 0.02, 0.01].into_iter().enumerate() {
+        let topic = (id.raw() * 7 + i as u64 * 5 + 3) % z;
+        values[topic as usize] += weight;
+    }
+    TopicVector::from_values(values).unwrap()
+}
+
 /// Replays `profile`'s stream through the engine and the old path side by
-/// side under `archive`, checking every slide.
+/// side under `archive` and each sparsification setting, checking every
+/// slide.
 fn replay(profile: DatasetProfile, archive: ArchiveRetention) {
-    let name = profile.name.clone();
-    let stream = StreamGenerator::new(profile, 0x0dd_ba11)
+    let stream = StreamGenerator::new(profile.clone(), 0x0dd_ba11)
         .unwrap()
         .generate()
         .unwrap();
+    let pairs: Vec<(SocialElement, TopicVector)> = stream
+        .iter_pairs()
+        .map(|(element, tv)| {
+            let tv = with_tail(element.id, &tv);
+            (element, tv)
+        })
+        .collect();
     // A six-hour window under reference horizons of twelve hours and seven
     // days: most references reach elements that already expired.
-    let config = EngineConfig::new(
+    let base = EngineConfig::new(
         WindowConfig::new(6 * 60, 15).unwrap(),
         ScoringConfig::new(0.5, 2.0).unwrap(),
     )
     .with_archive(archive);
-    let phi = stream.planted.phi();
+    for (setting, config) in sparsification_settings(base) {
+        let name = format!("{} ({setting})", profile.name);
+        replay_under(&name, stream.planted.phi(), config, pairs.clone());
+    }
+}
+
+fn replay_under(
+    name: &str,
+    phi: &DenseTopicWordTable,
+    config: EngineConfig,
+    pairs: Vec<(SocialElement, TopicVector)>,
+) {
     let z = phi.num_topics();
     let mut engine = KsirEngine::new(phi.clone(), config).unwrap();
     let mut old = OldPath::new(phi, config);
 
     let (mut slides, mut expired, mut resurrected, mut refreshed) = (0, 0, 0, 0);
-    ksir_stream::for_each_bucket(15, Timestamp::ZERO, stream.iter_pairs(), |bucket, end| {
+    let mut widest = 0;
+    ksir_stream::for_each_bucket(15, Timestamp::ZERO, pairs, |bucket, end| {
         let expected = old.ingest_bucket(bucket.clone(), end);
         let report = engine.ingest_bucket(bucket, end)?;
         let at = format!("{name} slide {slides} (t = {end})");
@@ -219,17 +286,25 @@ fn replay(profile: DatasetProfile, archive: ArchiveRetention) {
                 assert_eq!(Some(ts), engine.window().last_referenced(id), "{at}");
             }
         }
-        // Each list holds exactly the active elements with that topic in
-        // their support: targeted removal left no orphan, missed no tuple.
+        // Every active element's distribution is the old path's sparsified
+        // dense vector, entry by entry; each list holds exactly the active
+        // elements with that topic in their support: targeted removal left
+        // no orphan, missed no tuple.
         let mut expected_entries = 0;
         for id in engine.active_ids() {
-            for (topic, _) in engine.topic_vector(id).unwrap().support() {
+            let vector = engine.topic_vector(id).unwrap();
+            let bits = |tv: &TopicVector| tv.as_slice().iter().map(|p| p.to_bits()).collect();
+            let expected: Vec<u64> = bits(&old.topic_vectors[&id]);
+            assert_eq!(bits(&vector), expected, "{id}, {at}");
+            let support = vector.support();
+            for &(topic, _) in &support {
                 assert!(engine.ranked_lists().list(topic).contains(id), "{at}");
-                expected_entries += 1;
             }
+            expected_entries += support.len();
+            widest = widest.max(support.len());
         }
         assert_eq!(engine.ranked_lists().total_entries(), expected_entries);
-        assert_eq!(engine.topic_vectors().len(), engine.active_count());
+        assert_eq!(engine.rows().len(), engine.active_count());
 
         slides += 1;
         expired += report.expired;
@@ -243,6 +318,9 @@ fn replay(profile: DatasetProfile, archive: ArchiveRetention) {
         expired > 0 && resurrected > 0 && refreshed > 0,
         "{name}: {expired} expired, {resurrected} resurrected, {refreshed} refreshed"
     );
+    // Two topics and a tail of four: the settings keep different supports.
+    let cap = config.max_topics_per_element.unwrap_or(z);
+    assert_eq!(widest, cap.min(6), "{name}: widest support");
 }
 
 #[test]

@@ -23,6 +23,8 @@
 //!   frontier — the invariant `ksir-snapshot`'s floor-truncated captures
 //!   rely on.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 // Explicit trait imports: `proptest::prelude::*` re-exports a different rand
 // version, so the glob `rand::prelude::*` would leave these traits shadowed.
@@ -30,8 +32,8 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_core::{
-    Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena, QueryEvaluator,
-    QueryFrontier, RankedView, Scorer, ScoringConfig,
+    Algorithm, ElementRow, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena,
+    QueryEvaluator, QueryFrontier, RankedView, Scorer, ScoringConfig,
 };
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
@@ -237,12 +239,7 @@ proptest! {
         let scorer = engine.scorer();
         let ids = engine.active_ids();
         prop_assume!(!ids.is_empty());
-        let evaluator = QueryEvaluator::new(
-            scorer,
-            engine.window(),
-            engine.topic_vectors(),
-            &instance.query_vector,
-        );
+        let evaluator = QueryEvaluator::new(scorer, &instance.query_vector);
         let mut state = evaluator.new_candidate();
         let mut selected: Vec<ElementId> = Vec::new();
         let mut rng = StdRng::seed_from_u64(p.seed ^ 0x5eed);
@@ -281,12 +278,7 @@ proptest! {
         // δ(e, x) read off a profile is, bit for bit, the weighted sum of the
         // element's stored tuples — absent tuples being the topics where
         // p_i(e) = 0 — and what the id-taking wrapper returns.
-        let evaluator = QueryEvaluator::new(
-            engine.scorer(),
-            engine.window(),
-            engine.topic_vectors(),
-            &query_vector,
-        );
+        let evaluator = QueryEvaluator::new(engine.scorer(), &query_vector);
         let mut arena = ProfileArena::default();
         for &id in &ids {
             let profile = evaluator.profile(&mut arena, id);
@@ -307,7 +299,11 @@ proptest! {
         // outside W_t, so neither the reference nor the profile may count it.
         let mut rng = StdRng::seed_from_u64(p.seed ^ 0x0f11e);
         let mut window = engine.window().clone();
-        let mut tvs = engine.topic_vectors().clone();
+        let mut rows = engine.rows().clone();
+        let uniform_row = |element: &SocialElement| {
+            let support = TopicVector::uniform(p.num_topics).support();
+            Arc::new(ElementRow::new(engine.phi(), &element.doc, support))
+        };
         let parent = ids[rng.gen_range(0..ids.len())];
         let now = window.now().raw();
         let (late, fresh) = (ElementId(10_000), ElementId(10_001));
@@ -317,22 +313,22 @@ proptest! {
                 .words([0, 1])
                 .referencing(parent.raw())
                 .build();
+            rows.insert(late, uniform_row(&child));
             window.insert(child).unwrap();
-            tvs.insert(late, TopicVector::uniform(p.num_topics));
         }
         let child = SocialElementBuilder::new(fresh.raw())
             .at(now)
             .words([1, 2])
             .referencing(parent.raw())
             .build();
+        rows.insert(fresh, uniform_row(&child));
         window.insert(child).unwrap();
-        tvs.insert(fresh, TopicVector::uniform(p.num_topics));
         prop_assert!(!window.influenced_by(parent).contains(&late));
         prop_assert!(window.influenced_by(parent).contains(&fresh));
 
         let scoring = engine.config().scoring;
-        let scorer = Scorer::new(engine.phi(), scoring, &window, &tvs);
-        let evaluator = QueryEvaluator::new(scorer, &window, &tvs, &query_vector);
+        let scorer = Scorer::new(engine.phi(), scoring, &window, &rows);
+        let evaluator = QueryEvaluator::new(scorer, &query_vector);
         let mut pool = ids.clone();
         pool.extend([parent, fresh, ElementId(99_999)]);
         pool.extend(window.contains(late).then_some(late));

@@ -17,11 +17,10 @@ pub fn pool_from_engine<D: TopicWordDistribution>(engine: &KsirEngine<D>) -> Sea
         .into_iter()
         .filter_map(|id| {
             let element = engine.element(id)?;
-            let tv = engine.topic_vector(id)?;
             Some(SearchItem {
                 id,
                 doc: element.doc.clone(),
-                topic_vector: tv.clone(),
+                topic_vector: engine.topic_vector(id)?,
                 refs: element.refs.clone(),
                 referenced_by: engine.window().influence_count(id),
             })

@@ -14,9 +14,9 @@
 //!
 //! Capture is cheap by construction:
 //!
-//! * the per-topic ranked lists, the active window, and the topic-vector map
-//!   all live behind `Arc`s inside the engine, so one capture is `O(z)`
-//!   pointer clones;
+//! * the per-topic ranked lists, the active window, and the map of
+//!   per-element rows (the engine's one topic store) all live behind `Arc`s
+//!   inside the engine, so one capture is `O(z)` pointer clones;
 //! * the *writer* pays for isolation copy-on-write, and only for the
 //!   structures it actually mutates while a snapshot is still alive (the
 //!   engine's `EngineStats::*_cow_clones` counters make that cost visible);

@@ -4,11 +4,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ksir_core::{
-    run_query, Algorithm, KsirEngine, KsirQuery, QueryResult, QuerySource, RankedView,
+    run_query, Algorithm, ElementRows, KsirEngine, KsirQuery, QueryResult, QuerySource, RankedView,
     ScoringConfig,
 };
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix};
-use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicVector, TopicWordDistribution};
+use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicWordDistribution};
 
 use crate::stats::SnapshotCounters;
 use crate::SnapshotPolicy;
@@ -16,10 +16,12 @@ use crate::SnapshotPolicy;
 /// A frozen image of everything a k-SIR query evaluation reads, captured at
 /// one epoch boundary (immediately after an index update).
 ///
-/// Capture is `O(z)` `Arc` clones — no tuple, element, or topic vector is
-/// copied.  The engine's subsequent mutations copy-on-write around the image,
-/// so it keeps answering queries exactly as the engine would have at the
-/// capture epoch, from any thread, for as long as it is alive.
+/// Capture is `O(z)` `Arc` clones — no tuple, element or row is copied: the
+/// image shares the engine's ranked lists, its window and its row map (the
+/// one store of every active element's `p_i(e)`).  The engine's subsequent
+/// mutations copy-on-write around the image, so it keeps answering queries
+/// exactly as the engine would have at the capture epoch, from any thread,
+/// for as long as it is alive.
 #[derive(Debug)]
 pub struct EngineSnapshot<D> {
     epoch: u64,
@@ -28,7 +30,7 @@ pub struct EngineSnapshot<D> {
     /// copy-on-write for it).
     lists: Vec<Option<RankedListHandle>>,
     window: Arc<ActiveWindow>,
-    topic_vectors: Arc<HashMap<ElementId, TopicVector>>,
+    rows: Arc<ElementRows>,
     phi: Arc<D>,
     scoring: ScoringConfig,
     counters: SnapshotCounters,
@@ -48,7 +50,7 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
                 .map(Some)
                 .collect(),
             window: engine.shared_window(),
-            topic_vectors: engine.shared_topic_vectors(),
+            rows: engine.shared_rows(),
             phi: engine.shared_phi(),
             scoring: engine.config().scoring,
             counters: counters.clone(),
@@ -82,7 +84,7 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
             epoch,
             lists,
             window: engine.shared_window(),
-            topic_vectors: engine.shared_topic_vectors(),
+            rows: engine.shared_rows(),
             phi: engine.shared_phi(),
             scoring: engine.config().scoring,
             counters: counters.clone(),
@@ -135,7 +137,7 @@ impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
         run_query(
             self,
             self.window.as_ref(),
-            self.topic_vectors.as_ref(),
+            self.rows.as_ref(),
             self.phi.as_ref(),
             self.scoring,
             query,
@@ -277,7 +279,7 @@ impl<D: TopicWordDistribution> QuerySource for ShardSnapshot<D> {
         run_query(
             self,
             self.engine.window.as_ref(),
-            self.engine.topic_vectors.as_ref(),
+            self.engine.rows.as_ref(),
             self.engine.phi.as_ref(),
             self.engine.scoring,
             query,
@@ -365,7 +367,9 @@ mod tests {
         }
         let stats = engine.stats();
         assert!(
-            stats.window_cow_clones >= 1 && stats.ranked_cow_clones >= 1,
+            stats.window_cow_clones >= 1
+                && stats.topic_vector_cow_clones >= 1
+                && stats.ranked_cow_clones >= 1,
             "writer paid copy-on-write for the live snapshot: {stats:?}"
         );
         // Snapshot answers are bit-for-bit the capture-epoch answers, for

@@ -255,7 +255,7 @@ impl ActiveWindow {
     /// active and pruning expired reverse references.
     ///
     /// Returns the ids of discarded elements, in ascending order, so callers
-    /// (the engine's ranked lists, topic-vector caches, …) can drop their own
+    /// (the engine's ranked lists and element rows, …) can drop their own
     /// state for them.
     pub fn advance_to(&mut self, now: Timestamp) -> Result<Vec<ElementId>> {
         if now < self.now {

@@ -168,7 +168,7 @@ fn main() -> Result<(), ksir::KsirError> {
     println!(
         "Snapshot bill: {} epoch snapshots -> {} shard snapshots ({} watched \
          lists shared whole, {} truncated); the writer paid {} cow clones \
-         ({} window / {} topic-vector / {} ranked-list) to leave them \
+         ({} window / {} row-map / {} ranked-list) to leave them \
          immutable.\n",
         snap.epochs_captured,
         snap.shard_snapshots,
