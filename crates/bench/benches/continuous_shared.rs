@@ -5,8 +5,9 @@
 //! templates (identical vector/ε/algorithm, differing only in `k`), so most
 //! subscriptions are plan-compatible with many others.  The two timed
 //! configurations are the same replay with `ShardConfig::shared_plans` on
-//! (each disturbed cluster pays one covering traversal per distinct member
-//! `k`) and off (every disturbed member pays its own traversal).  Decisions
+//! (each disturbed cluster pays one covering traversal, which answers every
+//! distinct member `k`) and off (every disturbed member pays its own
+//! traversal).  Decisions
 //! are pinned identical (`crates/continuous/tests/shared_plans.rs` and the
 //! `per_subscription` CI gate), so the timing gap is pure plan sharing.
 //!
@@ -31,7 +32,8 @@ fn bench_shared_plans(c: &mut Criterion) {
     group.finish();
 }
 
-/// One-shot sharing report: how much evaluation the covering runs absorbed.
+/// One-shot sharing report: how much evaluation the covering traversals
+/// absorbed.
 fn report_sharing(c: &mut Criterion) {
     let scenario = MaintenanceScenario::shared_smoke();
     let clustered = scenario.run_shared_probe(true);
@@ -41,7 +43,7 @@ fn report_sharing(c: &mut Criterion) {
         "plan clustering must change no refresh decision"
     );
     println!(
-        "continuous_shared/sharing: {} subscriptions; {} covering runs served {} shared \
+        "continuous_shared/sharing: {} subscriptions; {} covering traversals served {} shared \
          refreshes; {:.2} passes/subscription clustered vs {:.2} per-subscription",
         clustered.subscriptions,
         clustered.covering_evaluations(),

@@ -174,8 +174,8 @@ impl SharedPlansRun {
             .sum()
     }
 
-    /// Refreshes served from a same-`k` covering run without their own
-    /// traversal (0 with `shared_plans` off).
+    /// Refreshes served by their cluster's covering traversal instead of one
+    /// of their own (0 with `shared_plans` off).
     pub fn shared_refreshes(&self) -> usize {
         self.shard_stats.iter().map(|s| s.shared_refreshes).sum()
     }

@@ -23,13 +23,15 @@
 //!    individually by the unchanged per-subscription rules
 //!    ([`crate::shard`]'s `classify`), so refresh/skip decisions, reasons
 //!    and counters match the per-subscription path member for member.
-//! 2. Members needing refresh are grouped by `k` into **variants**; each
-//!    variant runs the member query once (identical queries produce
-//!    identical, deterministic results, so same-`k` members share a clone).
-//!    The largest-`k` variant *is* the covering run.
-//! 3. Smaller-`k` variants are plain runs at their own `k` (thresholds and
-//!    bars depend on `k`, so cross-`k` result reuse would be unsound).
-//!    Nothing a run computes outlives it except the stored results.
+//! 2. The members needing refresh are served by **one traversal** of the
+//!    covering query that answers each of their distinct `k` at once
+//!    ([`ksir_core::QuerySource::query_per_k`]); identical queries produce
+//!    identical, deterministic results, so same-`k` members share a clone.
+//! 3. Each size's answer is exactly a plain run at that `k`.  Thresholds and
+//!    bars depend on `k`, so reusing one size's *result* for another would
+//!    be unsound; the traversal instead applies every size's own admission
+//!    and stopping rules to the one retrieval order.  Nothing a traversal
+//!    computes outlives it except the stored results.
 
 use std::collections::HashSet;
 
@@ -105,8 +107,8 @@ impl PlanCluster {
         cluster
     }
 
-    /// Number of distinct member `k` values — the variant runs a disturbed
-    /// cluster performs in the worst case.
+    /// Number of distinct member `k` values — the result sizes one traversal
+    /// of a disturbed cluster serves at most.
     #[cfg(test)]
     pub(crate) fn variants(
         &self,

@@ -68,14 +68,15 @@
 //! Inside each shard, subscriptions whose queries are **plan-compatible** —
 //! identical query vector (bitwise), identical `ε`, same algorithm, so they
 //! differ at most in `k` — are grouped into *plan clusters* ([`cluster`]).
-//! A scheduled shard evaluates each disturbed cluster once per distinct
-//! member `k` (largest first: the **covering** run, see
-//! [`KsirQuery::covering`](ksir_core::KsirQuery::covering)); same-`k` members
-//! share the run's result outright and each smaller `k` gets one plain run of
-//! its own.  Per-member classify decisions, results, stats
-//! and delivered deltas are pinned identical to the per-subscription walk
-//! (the `shared_plans` property tests); only evaluation *cost* drops — the
-//! `refresh.cluster.*` counters and
+//! A scheduled shard traverses each disturbed cluster's **covering** query
+//! (see [`KsirQuery::covering`](ksir_core::KsirQuery::covering)) once, and
+//! that one traversal answers every distinct member `k`
+//! ([`QuerySource::query_per_k`](ksir_core::QuerySource::query_per_k)):
+//! each size gets exactly the result a plain run at that `k` returns, and
+//! same-`k` members share it outright.  Per-member classify decisions,
+//! results, stats and delivered deltas are pinned identical to the
+//! per-subscription walk (the `shared_plans` property tests); only
+//! evaluation *cost* drops — the `refresh.cluster.*` counters and
 //! [`ShardStats::covering_evaluations`]/[`ShardStats::shared_refreshes`]
 //! expose by how much.  [`ShardConfig::shared_plans`] (default `true`)
 //! selects the path.

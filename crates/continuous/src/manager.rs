@@ -64,7 +64,7 @@ pub struct RetiredStats {
     pub scheduled_slides: usize,
     /// Slides that skipped a now-retired shard as a whole.
     pub skipped_slides: usize,
-    /// Covering/variant evaluations retired shards ran while they lived.
+    /// Covering traversals retired shards ran while they lived.
     pub covering_evaluations: usize,
     /// Member refreshes retired shards served by sharing a covering run.
     pub shared_refreshes: usize,

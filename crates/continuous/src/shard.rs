@@ -283,14 +283,14 @@ pub struct ShardStats {
     pub skipped_slides: usize,
     /// Current number of plan clusters (0 with shared plans disabled).
     pub clusters: usize,
-    /// Covering/variant evaluations the clustered refresh path actually ran.
-    /// Each one serves every to-refresh member of one cluster at one `k`;
-    /// without shared plans this stays 0 (each refresh runs its own
-    /// evaluation instead).
+    /// Covering traversals the clustered refresh path actually ran: one per
+    /// disturbed cluster with a member to refresh, serving every such member
+    /// at its own `k`.  Without shared plans this stays 0 (each refresh runs
+    /// its own evaluation instead).
     pub covering_evaluations: usize,
-    /// Refreshes served by sharing a variant run's result instead of running
-    /// an evaluation of their own — `refreshes` minus the evaluations that
-    /// actually ran, summed over clustered slides.
+    /// Refreshes served by sharing a covering traversal instead of running
+    /// one of their own — `refreshes` minus the traversals that actually
+    /// ran, summed over clustered slides.
     pub shared_refreshes: usize,
     /// Clusters proven undisturbed inside scheduled slides (all members
     /// charged a skip without per-member classification).
@@ -338,10 +338,10 @@ pub(crate) struct ShardTelemetry {
     scheduled_slides: Arc<Counter>,
     skipped_slides: Arc<Counter>,
     /// `refresh.cluster.*` counters: how the shared-plan layer served a
-    /// scheduled slide — covering/variant evaluations actually run, member
-    /// refreshes served by sharing a run's result, and whole clusters
-    /// fast-skipped.  Bumped in the same statements as the [`ShardStats`]
-    /// fields they aggregate.
+    /// scheduled slide — covering traversals actually run, member refreshes
+    /// served by sharing a traversal, and whole clusters fast-skipped.
+    /// Bumped in the same statements as the [`ShardStats`] fields they
+    /// aggregate.
     cluster_covering: Arc<Counter>,
     cluster_shared: Arc<Counter>,
     cluster_skipped: Arc<Counter>,
@@ -389,9 +389,9 @@ pub(crate) struct ShardSlide {
 /// per-subscription and clustered paths, these are not.
 #[derive(Debug, Default)]
 struct SlideWork {
-    /// Covering/variant evaluations actually run.
+    /// Covering traversals actually run.
     covering: usize,
-    /// Member refreshes served from another member's evaluation.
+    /// Member refreshes served from another member's traversal.
     shared: usize,
     /// Clusters fast-skipped without per-member classification.
     skipped_clusters: usize,
@@ -907,8 +907,9 @@ impl Shard {
     /// The shared-plan walk: per cluster, either fast-skip the whole cluster
     /// (its filters prove every member would classify as skippable) or
     /// classify each member by the unchanged per-subscription rules and serve
-    /// the to-refresh members from one evaluation per distinct `k`, largest
-    /// first — the covering run.
+    /// the to-refresh members from one traversal of the covering query that
+    /// answers every distinct member `k` at once
+    /// ([`QuerySource::query_per_k`]).
     ///
     /// Soundness of each piece:
     ///
@@ -917,8 +918,10 @@ impl Shard {
     ///   residents, so an untouched cluster implies member-wise skips;
     /// * same-`k` sharing — plan-compatible queries with equal `k` are
     ///   *identical* queries, and evaluation is deterministic;
-    /// * smaller-`k` variants — each distinct `k` is a plain run of the
-    ///   covering query at that `k` (admission thresholds depend on `k`).
+    /// * one traversal for every `k` — each size's result is exactly a plain
+    ///   run of the covering query at that `k`: the kernels apply per-size
+    ///   admission and stopping rules over one retrieval order, they never
+    ///   reuse one size's result for another.
     fn refresh_clusters(
         &mut self,
         source: &dyn QuerySource,
@@ -957,40 +960,31 @@ impl Shard {
             if to_refresh.is_empty() {
                 continue;
             }
-            // One variant per distinct k, largest first.
-            let mut variants: BTreeMap<
-                std::cmp::Reverse<usize>,
-                Vec<(SubscriptionId, RefreshReason)>,
-            > = BTreeMap::new();
+            // One traversal for the cluster: a result per distinct member k.
+            let mut ks: Vec<usize> = to_refresh
+                .iter()
+                .map(|(id, _)| self.subs[id].query.k())
+                .collect();
+            ks.sort_unstable();
+            ks.dedup();
+            let fresh = source
+                .query_per_k(&cluster.covering, &ks, cluster.algorithm)
+                .expect("subscription dimensions were validated at subscribe time");
+            work.covering += 1;
+            work.shared += to_refresh.len() - 1;
+            work.gain += fresh.iter().map(|r| r.gain_evaluations).sum::<usize>();
             for (id, reason) in to_refresh {
-                let k = self.subs[&id].query.k();
-                variants
-                    .entry(std::cmp::Reverse(k))
-                    .or_default()
-                    .push((id, reason));
-            }
-            for members in variants.values() {
-                let covering =
-                    KsirQuery::covering(members.iter().map(|(id, _)| &self.subs[id].query))
-                        .expect("cluster members are plan-compatible");
-                let fresh = source
-                    .query(&covering, cluster.algorithm)
-                    .expect("subscription dimensions were validated at subscribe time");
-                work.covering += 1;
-                work.gain += fresh.gain_evaluations;
-                for (served, &(id, reason)) in members.iter().enumerate() {
-                    let sub = self
-                        .subs
-                        .get_mut(&id)
-                        .expect("cluster members reside in the shard");
-                    slide.refreshed += 1;
-                    sub.stats.refreshes += 1;
-                    if served > 0 {
-                        work.shared += 1;
-                    }
-                    if let Some(update) = apply_fresh(id, sub, reason, fresh.clone()) {
-                        slide.updates.push(update);
-                    }
+                let sub = self
+                    .subs
+                    .get_mut(&id)
+                    .expect("cluster members reside in the shard");
+                let at = ks
+                    .binary_search(&sub.query.k())
+                    .expect("every member k was requested");
+                slide.refreshed += 1;
+                sub.stats.refreshes += 1;
+                if let Some(update) = apply_fresh(id, sub, reason, fresh[at].clone()) {
+                    slide.updates.push(update);
                 }
             }
         }

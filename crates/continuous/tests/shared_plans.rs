@@ -1,12 +1,12 @@
 //! Shared-evaluation-plan equivalence at the manager level.
 //!
 //! [`ShardConfig::shared_plans`] switches scheduled shards from one query
-//! evaluation per disturbed subscription to one **covering** evaluation per
-//! disturbed plan cluster and distinct `k`, shared by same-`k` members.  The
-//! contract is **cost only**.  Slide for slide, both paths classify the same subscriptions, emit the same
-//! result deltas, and converge on the same maintained results; only the
-//! `refresh.cluster.*` counters — covering evaluations actually run, member
-//! refreshes served by sharing — move.
+//! evaluation per disturbed subscription to one **covering** traversal per
+//! disturbed plan cluster, which answers every member at its own `k`.  The
+//! contract is **cost only**.  Slide for slide, both paths classify the same
+//! subscriptions, emit the same result deltas, and converge on the same
+//! maintained results; only the `refresh.cluster.*` counters — covering
+//! traversals actually run, member refreshes served by sharing — move.
 
 use ksir_continuous::{ShardConfig, SnapshotPolicy, SubscriptionId, SubscriptionManager};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
@@ -40,6 +40,23 @@ fn workload(groups: usize, per_group: usize) -> Vec<(KsirQuery, Algorithm)> {
             // k ∈ {2, 4, 6, ...} with repeats, so clusters hold both
             // same-k sharers and cross-k specialization variants.
             let k = 2 + 2 * (m % 3);
+            subs.push((KsirQuery::new(k, vector.clone()).unwrap(), algorithm));
+        }
+    }
+    subs
+}
+
+/// One plan cluster per algorithm with members at `k ∈ {2, 4, 6, 8}`, so a
+/// disturbed cluster serves four sizes from its one traversal.  The vectors
+/// differ from every [`workload`] group's.
+fn k_ladders() -> Vec<(KsirQuery, Algorithm)> {
+    let mut subs = Vec::new();
+    for (a, algorithm) in Algorithm::ALL.into_iter().enumerate() {
+        let mut weights = vec![0.0; TOPICS];
+        weights[(2 * a + 1) % TOPICS] = 0.6;
+        weights[(2 * a + 4) % TOPICS] = 0.4;
+        let vector = QueryVector::new(weights).unwrap();
+        for k in [2, 4, 6, 8] {
             subs.push((KsirQuery::new(k, vector.clone()).unwrap(), algorithm));
         }
     }
@@ -361,16 +378,25 @@ fn shared_plans_compose_with_pipelined_truncated_snapshots() {
 /// Every refresh is one plain query: after every slide — on the synchronous
 /// path and on the pipelined depth-2 path — each subscription refreshed on
 /// that slide stores exactly what `KsirEngine::query` of its own query
-/// returns on the engine at that slide, cost counters and frontier included.
+/// returns on the engine at that slide, cost counters and frontier included,
+/// although its cluster served all of its member sizes from one traversal.
 /// A skipped subscription keeps the elements and score a fresh run would
 /// return (its counters describe the run that produced it).
+///
+/// The cost side counts traversals: one per cluster with a member refreshed
+/// on the slide, every other refresh shared.
 #[test]
 fn every_refresh_stores_what_a_fresh_query_returns() {
-    let subs = workload(5, 4);
+    // Plan clusters of four members each, in registration order: five
+    // `workload` groups (k = 2, 4, 6, 2) and one k-ladder per algorithm.
+    let mut subs = workload(5, 4);
+    subs.extend(k_ladders());
+    let cluster_of = |index: usize| index / 4;
     for pipelined in [false, true] {
         let config = ShardConfig::default().with_pipeline_depth(2);
         let (mut mgr, ids, stream) = planted_manager(73, config, &subs);
         let mut refreshed_checks = 0;
+        let mut traversals = 0;
         let (bucket_len, start) = {
             let engine = mgr.engine();
             (engine.config().window.bucket_len(), engine.now())
@@ -387,7 +413,10 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
                 mgr.ingest_bucket(bucket, end)?;
             }
             let slide = mgr.stats().slides;
-            for ((id, (query, algorithm)), before) in ids.iter().zip(&subs).zip(&before) {
+            let mut disturbed = std::collections::BTreeSet::new();
+            for (index, ((id, (query, algorithm)), before)) in
+                ids.iter().zip(&subs).zip(&before).enumerate()
+            {
                 let stored = mgr.result(*id).unwrap();
                 let fresh = mgr.engine().query(query, *algorithm).unwrap();
                 assert_eq!(stored.elements, fresh.elements, "slide {slide}: {id}");
@@ -404,8 +433,10 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
                         query.k()
                     );
                     refreshed_checks += 1;
+                    disturbed.insert(cluster_of(index));
                 }
             }
+            traversals += disturbed.len();
             Ok(())
         })
         .unwrap();
@@ -413,6 +444,17 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
             refreshed_checks > 0,
             "pipelined = {pipelined}: no subscription ever refreshed"
         );
+        let covering = shard_sum(&mgr, |s| s.covering_evaluations);
+        assert_eq!(
+            covering, traversals,
+            "pipelined = {pipelined}: one traversal per disturbed cluster"
+        );
+        assert_eq!(
+            covering + shard_sum(&mgr, |s| s.shared_refreshes),
+            mgr.stats().refreshes,
+            "pipelined = {pipelined}: every refresh is a traversal or shared"
+        );
+        assert_eq!(refreshed_checks, mgr.stats().refreshes);
         assert!(
             ids.iter().zip(&subs).any(|(id, (_, algorithm))| {
                 matches!(algorithm, Algorithm::Celf | Algorithm::SieveStreaming)

@@ -7,14 +7,19 @@
 //! the best possible ratio for this problem — but it must evaluate the
 //! singleton score of *every* active element for every query, which is what
 //! makes it too slow for real-time k-SIR processing.
+//!
+//! The lazy-greedy pick order does not depend on `k`, so the result at any
+//! `k` is the first `k` picks: [`run`] picks up to the largest requested size
+//! once and hands each size the candidate as it stood after its `k`-th pick.
 
 use std::collections::BinaryHeap;
 
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::evaluator::{ProfileArena, ProfileId, QueryEvaluator};
-use crate::query::{Algorithm, KsirQuery, QueryResult};
+use crate::algorithms::per_size;
+use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator};
+use crate::query::{Algorithm, QueryResult};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {
@@ -42,11 +47,23 @@ impl Ord for Entry {
     }
 }
 
+/// Answers at every result size in `ks`, one result per entry, in the order
+/// of `ks`.
 pub(crate) fn run<D: TopicWordDistribution>(
     window: &ActiveWindow,
     evaluator: &QueryEvaluator<'_, D>,
-    query: &KsirQuery,
-) -> QueryResult {
+    ks: &[usize],
+) -> Vec<QueryResult> {
+    per_size(ks, |sizes| greedy(window, evaluator, sizes))
+}
+
+/// The greedy run at the largest of `sizes` (distinct, ascending), read off
+/// after every size's last pick.
+fn greedy<D: TopicWordDistribution>(
+    window: &ActiveWindow,
+    evaluator: &QueryEvaluator<'_, D>,
+    sizes: &[usize],
+) -> Vec<QueryResult> {
     let mut ids: Vec<ElementId> = window.ids().collect();
     ids.sort_unstable();
     let evaluated = ids.len();
@@ -72,7 +89,8 @@ pub(crate) fn run<D: TopicWordDistribution>(
     }
 
     let mut state = evaluator.new_candidate();
-    while state.len() < query.k() {
+    let mut results = Vec::with_capacity(sizes.len());
+    while results.len() < sizes.len() {
         let Some(top) = heap.pop() else {
             break;
         };
@@ -82,6 +100,9 @@ pub(crate) fn run<D: TopicWordDistribution>(
                 break;
             }
             evaluator.insert_profile(&mut state, profile);
+            if state.len() == sizes[results.len()] {
+                results.push(result(&state, evaluated, evaluator));
+            }
         } else {
             let gain = evaluator.gain_of(&state, profile);
             if gain > 0.0 {
@@ -93,7 +114,18 @@ pub(crate) fn run<D: TopicWordDistribution>(
             }
         }
     }
+    // The picks ran out: every size not yet reached ends here.
+    while results.len() < sizes.len() {
+        results.push(result(&state, evaluated, evaluator));
+    }
+    results
+}
 
+fn result<D: TopicWordDistribution>(
+    state: &CandidateState,
+    evaluated: usize,
+    evaluator: &QueryEvaluator<'_, D>,
+) -> QueryResult {
     if state.is_empty() {
         return QueryResult::empty(Algorithm::Celf);
     }

@@ -14,7 +14,6 @@
 use ksir_types::{ElementId, TopicWordDistribution};
 
 use crate::evaluator::{CoverageTable, ElementProfile, QueryEvaluator};
-use crate::query::KsirQuery;
 
 /// One guess `ϕ = (1+ε)^j` and the candidate set it owns.
 #[derive(Debug)]
@@ -52,20 +51,21 @@ pub(crate) struct GuessGrid {
 }
 
 impl GuessGrid {
-    /// An empty grid for `query`'s `k` and `ε`, over `evaluator`'s support.
+    /// An empty grid for result size `k` and `ε`, over `evaluator`'s support.
     pub fn new<D: TopicWordDistribution>(
-        query: &KsirQuery,
+        k: usize,
+        epsilon: f64,
         evaluator: &QueryEvaluator<'_, D>,
     ) -> Self {
-        let base = 1.0 + query.epsilon();
-        let two_k = 2.0 * query.k() as f64;
+        let base = 1.0 + epsilon;
+        let two_k = 2.0 * k as f64;
         // The live exponents are `⌈x⌉..=⌊x + ln 2k / ln(1+ε)⌋` for some `x`:
         // at most `⌊ln 2k / ln(1+ε)⌋ + 1` of them, and one more in case
         // rounding lands the two ends on different sides of an integer.
         let width = (two_k.ln() / base.ln()).floor() as usize + 2;
         GuessGrid {
             base,
-            k: query.k(),
+            k,
             two_k,
             max_singleton: 0.0,
             guesses: Vec::new(),
@@ -147,7 +147,8 @@ impl GuessGrid {
     /// Offers one profiled element to every candidate below `k` members
     /// among the first `reach` guesses: each one's marginal gain is evaluated
     /// (one gain evaluation per candidate), and the element joins the
-    /// candidates for which `admits(guess, gain)` holds.
+    /// candidates for which `admits(guess, gain)` holds.  Returns the number
+    /// of gain evaluations, which is what the grid's result size is charged.
     ///
     /// All gains are read before any insert; the candidates are independent,
     /// so this equals testing and admitting guess by guess.
@@ -157,7 +158,7 @@ impl GuessGrid {
         profile: ElementProfile<'_>,
         reach: usize,
         admits: impl Fn(&Guess, f64) -> bool,
-    ) {
+    ) -> usize {
         let k = self.k;
         self.columns.clear();
         self.columns.extend(
@@ -166,10 +167,11 @@ impl GuessGrid {
                 .filter(|guess| guess.members.len() < k)
                 .map(|guess| guess.column),
         );
+        let evaluations = self.columns.len();
         evaluator.column_gains(&mut self.table, &self.columns, profile, &mut self.gains);
         // An inactive element joins no candidate.
         if !profile.is_active() {
-            return;
+            return evaluations;
         }
         let id = profile.id();
         // An insert only ever fills the guess it is for, so this filter picks
@@ -185,6 +187,7 @@ impl GuessGrid {
             guess.score += evaluator.insert_column(&mut self.table, guess.column, profile);
             guess.members.push(id);
         }
+        evaluations
     }
 
     /// The members and score of the best-scoring candidate (the last of
@@ -215,7 +218,7 @@ mod tests {
     use super::*;
     use crate::evaluator::{CandidateState, ProfileArena};
     use crate::fixtures::paper_example;
-    use crate::{EngineConfig, KsirEngine, ScoringConfig};
+    use crate::{EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 
     /// After every re-anchoring, each live guess's stored numbers are the
     /// freshly computed `base.powf(j)` expressions, bit for bit, and the
@@ -232,7 +235,7 @@ mod tests {
                 .unwrap();
             let evaluator = crate::QueryEvaluator::new(engine.scorer(), query.vector());
             let base = 1.0 + epsilon;
-            let mut grid = GuessGrid::new(&query, &evaluator);
+            let mut grid = GuessGrid::new(query.k(), query.epsilon(), &evaluator);
             assert!(grid.is_empty());
             assert_eq!(grid.min_unfilled_threshold(), f64::INFINITY);
             // Rising, repeated and falling singleton scores, over six orders
@@ -278,7 +281,7 @@ mod tests {
         let delta = evaluator.delta_of(profile);
         assert!(delta > 0.0);
 
-        let mut grid = GuessGrid::new(&query, &evaluator);
+        let mut grid = GuessGrid::new(query.k(), query.epsilon(), &evaluator);
         grid.observe(0.2);
         let top = grid.guesses().last().unwrap().exponent;
         let every_guess = grid.guesses().len();
@@ -380,7 +383,7 @@ mod tests {
             let query = KsirQuery::new(k, vector).unwrap().with_epsilon(epsilon).unwrap();
             let new_evaluator = || crate::QueryEvaluator::new(engine.scorer(), query.vector());
             let (evaluator, reference_evaluator) = (new_evaluator(), new_evaluator());
-            let mut grid = GuessGrid::new(&query, &evaluator);
+            let mut grid = GuessGrid::new(query.k(), query.epsilon(), &evaluator);
             let mut reference: Vec<ReferenceGuess> = Vec::new();
             let mut arena = ProfileArena::default();
             let (base, two_k) = (1.0 + epsilon, 2.0 * k as f64);
@@ -442,10 +445,12 @@ mod tests {
                     }
                 };
                 let seen = RefCell::new(Vec::new());
-                grid.offer(&evaluator, profile, reach, |guess, gain| {
+                let before = evaluator.gain_evaluations();
+                let charged = grid.offer(&evaluator, profile, reach, |guess, gain| {
                     seen.borrow_mut().push((guess.exponent, gain.to_bits()));
                     admits(guess.value, guess.threshold, guess.score, guess.members.len(), gain)
                 });
+                prop_assert_eq!(charged, evaluator.gain_evaluations() - before);
                 let mut expected = Vec::new();
                 for guess in &mut reference[..reach] {
                     if guess.state.len() >= k {

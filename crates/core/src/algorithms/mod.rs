@@ -10,6 +10,25 @@
 //! the per-topic ranked lists (for the index-based methods) and a
 //! [`crate::evaluator::QueryEvaluator`] for singleton scores and marginal
 //! gains.
+//!
+//! # Many result sizes, one pass
+//!
+//! Every kernel answers a set of result sizes `ks` in one pass over the
+//! index or the window, returning for each size exactly what a run at that
+//! size alone returns — elements, score bits, work counters and frontier.
+//! This holds because `k` only ever enters a kernel as a per-size admission
+//! rule or stopping test on top of a size-independent traversal:
+//!
+//! * MTTD's `τ` schedule and CELF's pick order do not depend on `k`, so the
+//!   run at a smaller `k` is a prefix of the run at the largest: a size ends
+//!   where its own fill check or `τ_min = f(S)·ε/k` test would have stopped
+//!   it.
+//! * MTTS, SieveStreaming and Top-k Representative keep one guess grid (one
+//!   heap) per size, all fed the one retrieval order and the one profile per
+//!   element; each size ends at its own `UB` test.
+//!
+//! Work counters are kept per size: a singleton score counts for every size
+//! still running when it is read, a grid's gain evaluation only for its own.
 
 pub(crate) mod celf;
 mod grid;
@@ -21,8 +40,34 @@ mod traversal;
 
 use ksir_types::ElementId;
 
+use crate::query::QueryResult;
+
 pub(crate) use grid::GuessGrid;
 pub(crate) use traversal::SupportCursors;
+
+/// Runs a kernel body once over the distinct sizes of `ks`, ascending, and
+/// hands every entry of `ks` the result the body produced for its size.
+/// `run` returns one result per size it is given, in the same order.
+pub(crate) fn per_size(
+    ks: &[usize],
+    run: impl FnOnce(&[usize]) -> Vec<QueryResult>,
+) -> Vec<QueryResult> {
+    if ks.is_empty() {
+        return Vec::new();
+    }
+    // A single size, or distinct sizes in ascending order as the cluster
+    // refresh passes them: nothing to map back.
+    if ks.is_sorted_by(|a, b| a < b) {
+        return run(ks);
+    }
+    let mut sizes = ks.to_vec();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let results = run(&sizes);
+    ks.iter()
+        .map(|k| results[sizes.binary_search(k).expect("every k has a size")].clone())
+        .collect()
+}
 
 /// A `(score, element)` pair with a total order (descending by score in a
 /// max-heap, ties broken by element id for determinism).

@@ -9,12 +9,23 @@
 //! bounds, by submodularity), which is what lifts the approximation ratio to
 //! `(1 − 1/e − ε)` (Theorem 4.4) at the cost of a higher worst-case
 //! complexity than MTTS.
+//!
+//! # Every result size from one descent
+//!
+//! Neither the retrievals nor the admissions depend on `k`: it enters only
+//! through the fill check `|S| = k` and the stopping threshold
+//! `τ_min = f(S)·ε/k`.  `τ_min` falls as `k` grows, so the run at a smaller
+//! `k` is a prefix of the run at the largest, and [`run`] descends once, at
+//! the largest requested size, ending each smaller size where its own run
+//! would have stopped: when the candidate reaches it, when its own replay of
+//! the warm-start fast-forward takes `τ` below its `τ_min`, or at an exit
+//! every size shares.
 
 use std::collections::{BinaryHeap, HashMap};
 
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::algorithms::{ScoredElement, SupportCursors};
+use crate::algorithms::{per_size, ScoredElement, SupportCursors};
 use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::view::RankedView;
@@ -27,15 +38,31 @@ struct Buffered {
     profile: ProfileId,
 }
 
+/// Answers `query`'s vector and `ε` at every result size in `ks`, one result
+/// per entry, in the order of `ks`.
 pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-) -> QueryResult {
-    let k = query.k();
-    let epsilon = query.epsilon();
+    ks: &[usize],
+) -> Vec<QueryResult> {
+    per_size(ks, |sizes| descend(view, evaluator, query.epsilon(), sizes))
+}
+
+/// One descent serving `sizes` (distinct, ascending): the run at the largest
+/// size, with every smaller size ended where its own run ends.
+fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
+    view: &V,
+    evaluator: &QueryEvaluator<'_, D>,
+    epsilon: f64,
+    sizes: &[usize],
+) -> Vec<QueryResult> {
     let mut cursors = SupportCursors::new(view, evaluator.support());
     let mut state = evaluator.new_candidate();
+    // The sizes still descending are `sizes[results.len()..]`: smaller sizes
+    // always end first.
+    let mut results: Vec<QueryResult> = Vec::with_capacity(sizes.len());
+    let tau_min = |state: &CandidateState, k: usize| state.score() * epsilon / k as f64;
 
     // Buffer E′ of retrieved-but-not-selected elements: cached gain upper
     // bounds plus a lazy max-heap over them.
@@ -46,14 +73,14 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
 
     let mut tau = cursors.upper_bound();
     if tau <= 0.0 {
-        return QueryResult {
+        let empty = QueryResult {
             frontier: Some(cursors.frontier()),
             ..QueryResult::empty(Algorithm::Mttd)
         };
+        return vec![empty; sizes.len()];
     }
-    let mut tau_min = 0.0_f64;
 
-    while tau >= tau_min {
+    loop {
         // retrieve(τ): pull every element whose score can still reach τ.
         while cursors.upper_bound() >= tau {
             let Some(id) = cursors.pop_next() else {
@@ -95,10 +122,13 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             if gain >= tau {
                 evaluator.insert_profile(&mut state, profile);
                 buffer.remove(&top.id);
-                if state.len() == k {
+                if state.len() == sizes[results.len()] {
                     // τ at the moment the result filled is the admission bar:
                     // below it nothing could have joined the result.
-                    return finish(state, &mut cursors, evaluator, Some(tau));
+                    results.push(finish(&state, &mut cursors, evaluator, Some(tau)));
+                    if results.len() == sizes.len() {
+                        return results;
+                    }
                 }
             } else if gain > 0.0 {
                 entry.bound = gain;
@@ -111,14 +141,11 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
             }
         }
 
-        tau_min = state.score() * epsilon / k as f64;
         tau *= 1.0 - epsilon;
 
-        // Nothing left to retrieve or admit: no later round can make progress.
-        if buffer.is_empty() && cursors.exhausted() {
-            break;
-        }
-        if tau < f64::MIN_POSITIVE {
+        // Nothing left to retrieve or admit: no later round can make
+        // progress — for any size.
+        if (buffer.is_empty() && cursors.exhausted()) || tau < f64::MIN_POSITIVE {
             break;
         }
 
@@ -139,20 +166,44 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         }
         let best_buffered = heap.peek().map(|t| t.score).unwrap_or(0.0);
         let target = cursors.upper_bound().max(best_buffered);
-        while tau >= tau_min && tau > target && tau >= f64::MIN_POSITIVE {
-            tau *= 1.0 - epsilon;
+        // Each size replays the fast-forward under its own `τ_min`, smallest
+        // size (highest `τ_min`) first.  A larger size's replay passes every
+        // step a smaller one took, so each continues where the last stopped;
+        // a size ends when its replay leaves τ below its `τ_min` (the round
+        // loop's condition) or below the smallest positive float.  The first
+        // size that survives stopped at the target, where every larger size
+        // stops too: its τ is the descent's.
+        while results.len() < sizes.len() {
+            let floor = tau_min(&state, sizes[results.len()]);
+            while tau >= floor && tau > target && tau >= f64::MIN_POSITIVE {
+                tau *= 1.0 - epsilon;
+            }
+            if tau >= f64::MIN_POSITIVE && tau >= floor {
+                break;
+            }
+            results.push(finish(&state, &mut cursors, evaluator, bar(floor)));
         }
-        if tau < f64::MIN_POSITIVE {
-            break;
+        if results.len() == sizes.len() {
+            return results;
         }
     }
 
-    let bar = if tau_min > 0.0 { Some(tau_min) } else { None };
-    finish(state, &mut cursors, evaluator, bar)
+    // A shared exit: every size still descending ends here, each with its
+    // own `τ_min` as the bar.
+    for &k in &sizes[results.len()..] {
+        let floor = tau_min(&state, k);
+        results.push(finish(&state, &mut cursors, evaluator, bar(floor)));
+    }
+    results
+}
+
+/// The admission bar a run that ends on `τ_min` reports.
+fn bar(tau_min: f64) -> Option<f64> {
+    (tau_min > 0.0).then_some(tau_min)
 }
 
 fn finish<D: TopicWordDistribution>(
-    state: CandidateState,
+    state: &CandidateState,
     cursors: &mut SupportCursors<'_>,
     evaluator: &QueryEvaluator<'_, D>,
     bar: Option<f64>,

@@ -9,31 +9,74 @@
 //! smallest admission threshold `TH` of an unfilled candidate, which in
 //! practice prunes the vast majority of active elements.  The returned
 //! candidate is a `(1/2 − ε)`-approximation (Theorem 4.2).
+//!
+//! The grid's range `2k·δmax` and its thresholds `ϕ / 2k` depend on `k`, the
+//! retrieval order and the element profiles do not: [`run`] keeps one grid
+//! per requested size, feeds them all from one cursor walk and one profile
+//! per element, and stops each size at its own `UB < TH` test.
 
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{GuessGrid, SupportCursors};
+use crate::algorithms::{per_size, GuessGrid, SupportCursors};
 use crate::evaluator::{ProfileArena, QueryEvaluator};
-use crate::query::{Algorithm, KsirQuery, QueryResult};
+use crate::query::{Algorithm, KsirQuery, QueryFrontier, QueryResult};
 use crate::view::RankedView;
 
+/// One result size's share of the traversal.
+struct Run {
+    grid: GuessGrid,
+    evaluated: usize,
+    gain_evaluations: usize,
+    /// The traversal frontier where the size's own `UB < TH` test fired.
+    end: Option<QueryFrontier>,
+}
+
+/// Answers `query`'s vector and `ε` at every result size in `ks`, one result
+/// per entry, in the order of `ks`.
 pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
     view: &V,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-) -> QueryResult {
+    ks: &[usize],
+) -> Vec<QueryResult> {
+    per_size(ks, |sizes| {
+        traverse(view, evaluator, query.epsilon(), sizes)
+    })
+}
+
+fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
+    view: &V,
+    evaluator: &QueryEvaluator<'_, D>,
+    epsilon: f64,
+    sizes: &[usize],
+) -> Vec<QueryResult> {
     let mut cursors = SupportCursors::new(view, evaluator.support());
-    let mut grid = GuessGrid::new(query, evaluator);
-    // One profile per retrieved element, shared by every guess that tests it
-    // and by the insert that follows an admission.
+    let mut runs: Vec<Run> = sizes
+        .iter()
+        .map(|&k| Run {
+            grid: GuessGrid::new(k, epsilon, evaluator),
+            evaluated: 0,
+            gain_evaluations: 0,
+            end: None,
+        })
+        .collect();
+    // One profile per retrieved element, shared by every guess of every size
+    // that tests it and by the insert that follows an admission.
     let mut arena = ProfileArena::default();
-    let mut evaluated = 0_usize;
 
     loop {
         let ub = cursors.upper_bound();
-        // TH: smallest admission threshold among unfilled candidates; if
-        // every candidate is full no element can be admitted anywhere.
-        if !grid.is_empty() && ub < grid.min_unfilled_threshold() {
+        let mut running = false;
+        for run in runs.iter_mut().filter(|run| run.end.is_none()) {
+            // TH: smallest admission threshold among unfilled candidates; if
+            // every candidate is full no element can be admitted anywhere.
+            if !run.grid.is_empty() && ub < run.grid.min_unfilled_threshold() {
+                run.end = Some(cursors.frontier());
+            } else {
+                running = true;
+            }
+        }
+        if !running {
             break;
         }
         let Some(id) = cursors.pop_next() else {
@@ -41,50 +84,60 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
         };
         arena.clear();
         let profile = evaluator.profile(&mut arena, id);
-        let delta = evaluator.delta_of(arena.get(profile));
-        evaluated += 1;
-        if delta <= 0.0 {
-            continue;
+        let profile = arena.get(profile);
+        let delta = evaluator.delta_of(profile);
+        for run in runs.iter_mut().filter(|run| run.end.is_none()) {
+            run.evaluated += 1;
+            run.gain_evaluations += 1;
+            if delta <= 0.0 {
+                continue;
+            }
+            // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
+            let grid = &mut run.grid;
+            grid.observe(delta);
+            // The guesses whose threshold δ reaches are a prefix of the grid,
+            // and none of them is unfilled when δ is below TH.
+            if delta < grid.min_unfilled_threshold() {
+                continue;
+            }
+            let reach = grid.reach(delta);
+            run.gain_evaluations += grid.offer(evaluator, profile, reach, |guess, gain| {
+                gain >= guess.threshold
+            });
         }
-        // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
-        grid.observe(delta);
-        // The guesses whose threshold δ reaches are a prefix of the grid, and
-        // none of them is unfilled when δ is below TH.
-        if delta < grid.min_unfilled_threshold() {
-            continue;
-        }
-        let reach = grid.reach(delta);
-        grid.offer(evaluator, arena.get(profile), reach, |guess, gain| {
-            gain >= guess.threshold
-        });
     }
 
-    // Admission bar: the final TH — the smallest threshold at which an
-    // unfilled candidate would still have admitted an element.  When every
-    // candidate filled, fall back to the smallest grid threshold: an element
-    // below it is rejected by every candidate regardless of fill.
-    let bar = {
-        let unfilled = grid.min_unfilled_threshold();
-        if unfilled.is_finite() {
-            Some(unfilled)
-        } else {
-            grid.guesses().first().map(|guess| guess.threshold)
-        }
-    };
-    let mut frontier = cursors.frontier();
-    frontier.bar = bar;
-    match grid.into_best() {
-        Some((elements, score)) if !elements.is_empty() => QueryResult {
-            elements,
-            score,
-            evaluated_elements: evaluated,
-            gain_evaluations: evaluator.gain_evaluations(),
-            algorithm: Algorithm::Mtts,
-            frontier: Some(frontier),
-        },
-        _ => QueryResult {
-            frontier: Some(frontier),
-            ..QueryResult::empty(Algorithm::Mtts)
-        },
-    }
+    runs.into_iter()
+        .map(|run| {
+            // Admission bar: the final TH — the smallest threshold at which
+            // an unfilled candidate would still have admitted an element.
+            // When every candidate filled, fall back to the smallest grid
+            // threshold: an element below it is rejected by every candidate
+            // regardless of fill.
+            let bar = {
+                let unfilled = run.grid.min_unfilled_threshold();
+                if unfilled.is_finite() {
+                    Some(unfilled)
+                } else {
+                    run.grid.guesses().first().map(|guess| guess.threshold)
+                }
+            };
+            let mut frontier = run.end.unwrap_or_else(|| cursors.frontier());
+            frontier.bar = bar;
+            match run.grid.into_best() {
+                Some((elements, score)) if !elements.is_empty() => QueryResult {
+                    elements,
+                    score,
+                    evaluated_elements: run.evaluated,
+                    gain_evaluations: run.gain_evaluations,
+                    algorithm: Algorithm::Mtts,
+                    frontier: Some(frontier),
+                },
+                _ => QueryResult {
+                    frontier: Some(frontier),
+                    ..QueryResult::empty(Algorithm::Mtts)
+                },
+            }
+        })
+        .collect()
 }

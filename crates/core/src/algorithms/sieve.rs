@@ -7,25 +7,44 @@
 //! marginal gain is at least `(v/2 − f(S_v)) / (k − |S_v|)`.  The best
 //! candidate is a `(1/2 − ε)`-approximation.  Unlike MTTS it has no index to
 //! lean on, so it evaluates every active element for every query.
+//!
+//! The grid and the admission rule depend on `k`, the scan and the element
+//! profiles do not: [`run`] keeps one grid per requested size and feeds them
+//! all from one window scan.
 
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::algorithms::GuessGrid;
+use crate::algorithms::{per_size, GuessGrid};
 use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 
+/// Answers `query`'s `ε` at every result size in `ks`, one result per
+/// entry, in the order of `ks`.
 pub(crate) fn run<D: TopicWordDistribution>(
     window: &ActiveWindow,
     evaluator: &QueryEvaluator<'_, D>,
     query: &KsirQuery,
-) -> QueryResult {
-    let k = query.k();
+    ks: &[usize],
+) -> Vec<QueryResult> {
+    per_size(ks, |sizes| scan(window, evaluator, query.epsilon(), sizes))
+}
+
+fn scan<D: TopicWordDistribution>(
+    window: &ActiveWindow,
+    evaluator: &QueryEvaluator<'_, D>,
+    epsilon: f64,
+    sizes: &[usize],
+) -> Vec<QueryResult> {
     let mut ids: Vec<ElementId> = window.ids().collect();
     ids.sort_unstable();
     let evaluated = ids.len();
 
-    let mut grid = GuessGrid::new(query, evaluator);
+    // Per size: its grid and the gain evaluations its own offers cost.
+    let mut grids: Vec<(GuessGrid, usize)> = sizes
+        .iter()
+        .map(|&k| (GuessGrid::new(k, epsilon, evaluator), 0))
+        .collect();
     let mut arena = ProfileArena::default();
 
     for id in ids {
@@ -36,23 +55,29 @@ pub(crate) fn run<D: TopicWordDistribution>(
         if delta <= 0.0 {
             continue;
         }
-        grid.observe(delta);
-        let every_guess = grid.guesses().len();
-        grid.offer(evaluator, profile, every_guess, |guess, gain| {
-            let room = (k - guess.members.len()) as f64;
-            gain >= (guess.value / 2.0 - guess.score) / room
-        });
+        for ((grid, offered), &k) in grids.iter_mut().zip(sizes) {
+            grid.observe(delta);
+            let every_guess = grid.guesses().len();
+            *offered += grid.offer(evaluator, profile, every_guess, |guess, gain| {
+                let room = (k - guess.members.len()) as f64;
+                gain >= (guess.value / 2.0 - guess.score) / room
+            });
+        }
     }
 
-    match grid.into_best() {
-        Some((elements, score)) if !elements.is_empty() => QueryResult {
-            elements,
-            score,
-            evaluated_elements: evaluated,
-            gain_evaluations: evaluator.gain_evaluations(),
-            algorithm: Algorithm::SieveStreaming,
-            frontier: None,
-        },
-        _ => QueryResult::empty(Algorithm::SieveStreaming),
-    }
+    grids
+        .into_iter()
+        .map(|(grid, offered)| match grid.into_best() {
+            Some((elements, score)) if !elements.is_empty() => QueryResult {
+                elements,
+                score,
+                evaluated_elements: evaluated,
+                // Every element's singleton score, plus this size's offers.
+                gain_evaluations: evaluated + offered,
+                algorithm: Algorithm::SieveStreaming,
+                frontier: None,
+            },
+            _ => QueryResult::empty(Algorithm::SieveStreaming),
+        })
+        .collect()
 }

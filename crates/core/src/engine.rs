@@ -47,10 +47,11 @@ pub struct EngineStats {
     /// [`KsirEngine::stats`] at read time — the engine's stored stats field
     /// keeps this at zero, so never read it off internal state directly.
     pub ranked_cow_clones: usize,
-    /// Ad-hoc queries served through [`KsirEngine::query`] (all algorithms).
-    /// Like `ranked_cow_clones`, filled in at read time from an atomic
-    /// counter — `query` takes `&self` and may run from many refresh workers
-    /// at once.
+    /// Queries served through [`KsirEngine::query`] and
+    /// [`KsirEngine::query_per_k`] (all algorithms), one per result size
+    /// served.  Like `ranked_cow_clones`, filled in at read time from an
+    /// atomic counter — `query` takes `&self` and may run from many refresh
+    /// workers at once.
     pub queries_served: usize,
 }
 
@@ -115,7 +116,8 @@ pub struct KsirEngine<D> {
     /// same id is recognised by its timestamp and skipped.
     archive_by_time: BinaryHeap<Reverse<(Timestamp, ElementId)>>,
     stats: EngineStats,
-    /// Queries served; atomic because [`KsirEngine::query`] takes `&self`.
+    /// Result sizes served; atomic because [`KsirEngine::query`] takes
+    /// `&self`.
     queries: AtomicUsize,
 }
 
@@ -562,18 +564,35 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
 
     /// Processes a k-SIR query with the chosen algorithm.
     ///
-    /// Delegates to [`view::run_query`] over the live ranked lists — the
-    /// same dispatcher the snapshot-backed refresh path uses, so the two can
-    /// never diverge algorithmically.
+    /// The one-size case of [`KsirEngine::query_per_k`].
     pub fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        view::run_query(
+        let mut results = self.query_per_k(query, &[query.k()], algorithm)?;
+        Ok(results.pop().expect("one result per requested size"))
+    }
+
+    /// Processes `query`'s vector and `ε` at every result size in `ks` with
+    /// one pass of the chosen algorithm — one result per entry, each equal to
+    /// [`KsirEngine::query`] at that `k`.  Counted as one query served per
+    /// entry of `ks`.
+    ///
+    /// Delegates to [`view::run_query_per_k`] over the live ranked lists —
+    /// the same dispatcher the snapshot-backed refresh path uses, so the two
+    /// can never diverge algorithmically.
+    pub fn query_per_k(
+        &self,
+        query: &KsirQuery,
+        ks: &[usize],
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResult>> {
+        self.queries.fetch_add(ks.len(), Ordering::Relaxed);
+        view::run_query_per_k(
             &self.ranked,
             self.window.as_ref(),
             self.rows.as_ref(),
             self.phi.as_ref(),
             self.config.scoring,
             query,
+            ks,
             algorithm,
         )
     }
@@ -669,8 +688,13 @@ impl<D: TopicWordDistribution> QuerySource for KsirEngine<D> {
         KsirEngine::num_topics(self)
     }
 
-    fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
-        KsirEngine::query(self, query, algorithm)
+    fn query_per_k(
+        &self,
+        query: &KsirQuery,
+        ks: &[usize],
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResult>> {
+        KsirEngine::query_per_k(self, query, ks, algorithm)
     }
 }
 

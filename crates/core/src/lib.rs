@@ -67,4 +67,4 @@ pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult
 pub use row::{ElementRow, ElementRows};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
 pub use shared::SharedEngine;
-pub use view::{run_query, QuerySource, RankedView};
+pub use view::{run_query, run_query_per_k, QuerySource, RankedView};

@@ -73,9 +73,11 @@ impl KsirQuery {
     /// same per-topic weights and the same threshold grid/descent schedule,
     /// so a single covering run at the larger `k` retrieves and scores a
     /// superset of what either query alone would — the property subscription
-    /// clustering in `ksir-continuous` relies on.  `k` itself must *not* be
-    /// shared: the MTTS threshold grid and the MTTD/Top-k admission bars all
-    /// depend on it, so per-`k` specialization runs stay exact.
+    /// clustering in `ksir-continuous` relies on.  A *result* must not be
+    /// shared across `k`: the MTTS threshold grid and the MTTD/Top-k
+    /// admission bars all depend on it.  One traversal can still serve every
+    /// member `k` exactly by applying each size's own rules
+    /// ([`QuerySource::query_per_k`](crate::QuerySource::query_per_k)).
     pub fn plan_compatible(&self, other: &KsirQuery) -> bool {
         self.epsilon.to_bits() == other.epsilon.to_bits()
             && self.vector.num_topics() == other.vector.num_topics()

@@ -12,14 +12,17 @@
 //!   lets standing-query refreshes evaluate *behind* the writer while the
 //!   next epoch's index update proceeds.
 //!
-//! [`run_query`] is the algorithm dispatcher over an arbitrary view plus the
-//! window-side state a query additionally needs;
+//! [`run_query_per_k`] is the algorithm dispatcher over an arbitrary view
+//! plus the window-side state a query additionally needs: one pass of the
+//! chosen algorithm answers the query's vector and `ε` at a whole set of
+//! result sizes, each bit-identical to a run at that size alone.
+//! [`run_query`] is its one-size case, and
 //! [`KsirEngine::query`](crate::KsirEngine::query) delegates to it with the
-//! live view.  [`QuerySource`] packages the whole
-//! thing as an object-safe "something you can run a k-SIR query against",
-//! implemented by both the engine and the snapshot types, so consumers like
-//! `ksir-continuous` can refresh a subscription without caring which side of
-//! the epoch boundary they are reading.
+//! live view.  [`QuerySource`] packages the whole thing as an object-safe
+//! "something you can run a k-SIR query against", implemented by both the
+//! engine and the snapshot types, so consumers like `ksir-continuous` can
+//! refresh a subscription — or every size of a plan cluster at once —
+//! without caring which side of the epoch boundary they are reading.
 
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedLists, FLOOR_SLACK};
 use ksir_types::{KsirError, Result, TopicId, TopicWordDistribution};
@@ -114,21 +117,89 @@ impl RankedView for RankedLists {
 /// let query = KsirQuery::new(2, QueryVector::uniform(source.num_topics()).unwrap()).unwrap();
 /// let result = source.query(&query, Algorithm::Mtts).unwrap();
 /// assert!(result.len() <= 2);
+///
+/// // One pass answers several result sizes, each exactly as its own run.
+/// let results = source.query_per_k(&query, &[3, 1], Algorithm::Mttd).unwrap();
+/// let at_one = KsirQuery::new(1, query.vector().clone()).unwrap();
+/// assert_eq!(results[1], source.query(&at_one, Algorithm::Mttd).unwrap());
 /// ```
 pub trait QuerySource {
     /// Number of topics of the underlying topic model.
     fn num_topics(&self) -> usize;
 
+    /// Processes `query`'s vector and `ε` at every result size in `ks` with
+    /// one pass of the chosen algorithm: one result per entry of `ks`, in
+    /// its order, each equal to [`QuerySource::query`] at that `k`.  The
+    /// query's own `k` plays no part.  Errors if some size is zero.
+    fn query_per_k(
+        &self,
+        query: &KsirQuery,
+        ks: &[usize],
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResult>>;
+
     /// Processes a k-SIR query with the chosen algorithm.
-    fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult>;
+    fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
+        let mut results = self.query_per_k(query, &[query.k()], algorithm)?;
+        Ok(results.pop().expect("one result per requested size"))
+    }
 }
 
-/// Processes one k-SIR query against an arbitrary index view plus the
-/// window-side state the evaluator needs: the active window and the rows
-/// holding every active element's `p_i(e)`.  This is the algorithm dispatcher
-/// behind both [`KsirEngine::query`] and the snapshot-backed refresh path.
+/// Processes one k-SIR query at every result size in `ks` against an
+/// arbitrary index view plus the window-side state the evaluator needs: the
+/// active window and the rows holding every active element's `p_i(e)`.  This
+/// is the algorithm dispatcher behind [`KsirEngine::query`], the snapshot
+/// sources and the plan-cluster refresh.
+///
+/// The query's vector and `ε` are used, its `k` is not.  One pass of the
+/// algorithm serves every size; entry `i` of the result equals
+/// [`run_query`] at `ks[i]`, field by field — elements in order, score bits,
+/// both work counters and the frontier with its bar.  `ks` may be in any
+/// order and hold duplicates; an empty `ks` returns nothing.
+///
+/// Errors on a query vector of the wrong dimension or a zero size.
 ///
 /// [`KsirEngine::query`]: crate::KsirEngine::query
+#[allow(clippy::too_many_arguments)]
+pub fn run_query_per_k<V, D>(
+    view: &V,
+    window: &ActiveWindow,
+    rows: &ElementRows,
+    phi: &D,
+    scoring: ScoringConfig,
+    query: &KsirQuery,
+    ks: &[usize],
+    algorithm: Algorithm,
+) -> Result<Vec<QueryResult>>
+where
+    V: RankedView + ?Sized,
+    D: TopicWordDistribution,
+{
+    if query.vector().num_topics() != phi.num_topics() {
+        return Err(KsirError::DimensionMismatch {
+            expected: phi.num_topics(),
+            actual: query.vector().num_topics(),
+        });
+    }
+    if ks.contains(&0) {
+        return Err(KsirError::invalid_parameter(
+            "ks",
+            "a k-SIR query must request at least one element",
+        ));
+    }
+    let scorer = Scorer::new(phi, scoring, window, rows);
+    let evaluator = QueryEvaluator::new(scorer, query.vector());
+    Ok(match algorithm {
+        Algorithm::Mtts => algorithms::mtts::run(view, &evaluator, query, ks),
+        Algorithm::Mttd => algorithms::mttd::run(view, &evaluator, query, ks),
+        Algorithm::Celf => algorithms::celf::run(window, &evaluator, ks),
+        Algorithm::SieveStreaming => algorithms::sieve::run(window, &evaluator, query, ks),
+        Algorithm::TopkRepresentative => algorithms::topk::run(view, &evaluator, ks),
+    })
+}
+
+/// Processes one k-SIR query at its own `k`: [`run_query_per_k`] with the
+/// single size `query.k()`.
 pub fn run_query<V, D>(
     view: &V,
     window: &ActiveWindow,
@@ -142,21 +213,9 @@ where
     V: RankedView + ?Sized,
     D: TopicWordDistribution,
 {
-    if query.vector().num_topics() != phi.num_topics() {
-        return Err(KsirError::DimensionMismatch {
-            expected: phi.num_topics(),
-            actual: query.vector().num_topics(),
-        });
-    }
-    let scorer = Scorer::new(phi, scoring, window, rows);
-    let evaluator = QueryEvaluator::new(scorer, query.vector());
-    Ok(match algorithm {
-        Algorithm::Mtts => algorithms::mtts::run(view, &evaluator, query),
-        Algorithm::Mttd => algorithms::mttd::run(view, &evaluator, query),
-        Algorithm::Celf => algorithms::celf::run(window, &evaluator, query),
-        Algorithm::SieveStreaming => algorithms::sieve::run(window, &evaluator, query),
-        Algorithm::TopkRepresentative => algorithms::topk::run(view, &evaluator, query),
-    })
+    let ks = [query.k()];
+    let mut results = run_query_per_k(view, window, rows, phi, scoring, query, &ks, algorithm)?;
+    Ok(results.pop().expect("one result per requested size"))
 }
 
 #[cfg(test)]
@@ -205,6 +264,46 @@ mod tests {
             ),
             Err(KsirError::DimensionMismatch { .. })
         ));
+    }
+
+    /// Sizes in any order, repeated, and past the window's size each get
+    /// their own run's result; no size is an empty answer and a zero size
+    /// is an error.
+    #[test]
+    fn run_query_per_k_answers_each_size_as_its_own_run() {
+        let ex = paper_example();
+        let engine = ex.build_engine();
+        let query = KsirQuery::new(2, QueryVector::new(vec![0.5, 0.5]).unwrap()).unwrap();
+        let per_k = |ks: &[usize], algorithm| {
+            run_query_per_k(
+                engine.ranked_lists(),
+                engine.window(),
+                engine.rows(),
+                engine.phi(),
+                engine.config().scoring,
+                &query,
+                ks,
+                algorithm,
+            )
+        };
+        let ks = [3, 1, 3, 50, 2];
+        for algorithm in Algorithm::ALL {
+            let results = per_k(&ks, algorithm).unwrap();
+            assert_eq!(results.len(), ks.len());
+            for (&k, result) in ks.iter().zip(&results) {
+                let own = KsirQuery::new(k, query.vector().clone()).unwrap();
+                assert_eq!(
+                    result,
+                    &engine.query(&own, algorithm).unwrap(),
+                    "{algorithm} k={k}"
+                );
+            }
+            assert!(per_k(&[], algorithm).unwrap().is_empty());
+            assert!(matches!(
+                per_k(&[2, 0], algorithm),
+                Err(KsirError::InvalidParameter { .. })
+            ));
+        }
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! five [`Algorithm`]s × `k ∈ {1, 5, 10, 25}` against the live engine, an
 //! [`EngineSnapshot`] and a floor-truncated [`ShardSnapshot`], and compares
 //! `(elements, score.to_bits(), evaluated_elements, gain_evaluations,
-//! frontier)` of every run against `fixtures/kernel_identity.txt`.
+//! frontier)` of every run against `fixtures/kernel_identity.txt`.  Per
+//! query, algorithm and source it also checks that one
+//! [`QuerySource::query_per_k`] pass over all four `k` returns exactly the
+//! four single-`k` results (the shard view cut at the loosest of their
+//! floors).
 //!
 //! The fixture holds one line per `(shape, source, algorithm, k)` cell: an
 //! FNV-1a digest over the 64 results plus the two work counters in the clear,
@@ -23,7 +27,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ksir_core::{
-    Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, QuerySource, ScoringConfig,
+    Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, QueryResult, QuerySource,
+    ScoringConfig,
 };
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
 use ksir_snapshot::{EngineSnapshot, PrefixSpec, ShardSnapshot, SnapshotCounters, SnapshotPolicy};
@@ -168,38 +173,81 @@ impl Cell {
     }
 }
 
-/// Runs every cell of one shape and renders its fixture lines.
+/// The prefix spec of a shard view serving `results`: the loosest floor per
+/// support topic across their frontiers (what the subscription manager
+/// derives its specs from), whole lists where a run exhausted a list or
+/// reported no frontier (the exhaustive baselines read no list at all).
+fn loosest_spec(vector: &QueryVector, results: &[&QueryResult]) -> PrefixSpec {
+    let support = vector.support();
+    let mut loosest = FloorAggregate::new();
+    for result in results {
+        match &result.frontier {
+            Some(frontier) => loosest.absorb(frontier),
+            None => support
+                .iter()
+                .for_each(|&(topic, _)| loosest.watch_any(topic)),
+        }
+    }
+    let floors = support
+        .iter()
+        .map(|&(topic, _)| (topic, loosest.floor(topic).flatten()));
+    PrefixSpec {
+        floors: floors.collect(),
+    }
+}
+
+/// A view truncated at `spec`'s floors.
+fn truncated_view(
+    snapshot: &Arc<EngineSnapshot<DenseTopicWordTable>>,
+    spec: &PrefixSpec,
+) -> ShardSnapshot<DenseTopicWordTable> {
+    ShardSnapshot::new(Arc::clone(snapshot), spec, SnapshotPolicy::TruncateAtFloors)
+}
+
+/// Runs every cell of one shape and renders its fixture lines.  Along the
+/// way, every source's one-pass answer at all of [`KS`] is checked against
+/// its four single-`k` runs.
 fn run_shape(shape: &Shape, out: &mut String) {
     let engine = &shape.engine;
     let counters = SnapshotCounters::new();
     let snapshot = Arc::new(EngineSnapshot::capture(engine, 1, &counters));
     for algorithm in Algorithm::ALL {
-        for k in KS {
-            let mut cells = [Cell::new(); SOURCES.len()];
-            for vector in &shape.vectors {
+        let mut cells = [[Cell::new(); SOURCES.len()]; KS.len()];
+        for vector in &shape.vectors {
+            let mut per_source: [Vec<QueryResult>; SOURCES.len()] = Default::default();
+            for (k, cells) in KS.into_iter().zip(&mut cells) {
                 let query = KsirQuery::new(k, vector.clone()).unwrap();
                 let live = engine.query(&query, algorithm).unwrap();
                 let frozen = snapshot.query(&query, algorithm).unwrap();
                 // The shard view is truncated at the floors the run itself
-                // reported — what the subscription manager derives its specs
-                // from; the exhaustive baselines read no list at all.
-                let spec = match &live.frontier {
-                    Some(frontier) => PrefixSpec {
-                        floors: frontier.floors.clone(),
-                    },
-                    None => PrefixSpec::whole_lists(vector.support().into_iter().map(|(t, _)| t)),
-                };
-                let shard = ShardSnapshot::new(
-                    Arc::clone(&snapshot),
-                    &spec,
-                    SnapshotPolicy::TruncateAtFloors,
-                );
+                // reported.
+                let shard = truncated_view(&snapshot, &loosest_spec(vector, &[&live]));
                 let truncated = shard.query(&query, algorithm).unwrap();
-                for (cell, result) in cells.iter_mut().zip([&live, &frozen, &truncated]) {
-                    cell.absorb(result);
+                for ((cell, result), all) in cells
+                    .iter_mut()
+                    .zip([live, frozen, truncated])
+                    .zip(&mut per_source)
+                {
+                    cell.absorb(&result);
+                    all.push(result);
                 }
             }
-            for (source, cell) in SOURCES.iter().zip(&cells) {
+
+            let query = KsirQuery::new(1, vector.clone()).unwrap();
+            let live: Vec<&QueryResult> = per_source[0].iter().collect();
+            let shard = truncated_view(&snapshot, &loosest_spec(vector, &live));
+            let sources: [&dyn QuerySource; SOURCES.len()] = [engine, snapshot.as_ref(), &shard];
+            for ((name, source), single) in SOURCES.iter().zip(sources).zip(&per_source) {
+                let multi = source.query_per_k(&query, &KS, algorithm).unwrap();
+                assert_eq!(
+                    &multi, single,
+                    "{} {name} {algorithm}: one pass diverged",
+                    shape.name
+                );
+            }
+        }
+        for (k, cells) in KS.into_iter().zip(&cells) {
+            for (source, cell) in SOURCES.iter().zip(cells) {
                 writeln!(
                     out,
                     "{} {} {} k={} queries={} evaluated={} gain_evaluations={} digest={:016x}",

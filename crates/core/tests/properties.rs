@@ -22,6 +22,9 @@
 //!   decisions*: no tuple the truncation drops can disturb any absorbed
 //!   frontier — the invariant `ksir-snapshot`'s floor-truncated captures
 //!   rely on.
+//! * One [`QuerySource::query_per_k`] pass answers every requested size
+//!   exactly as that size's own run, bit for bit, on the live engine and on
+//!   both snapshot types.
 
 use std::sync::Arc;
 
@@ -33,8 +36,9 @@ use rand::{Rng as _, SeedableRng as _};
 
 use ksir_core::{
     Algorithm, ElementRow, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena,
-    QueryEvaluator, QueryFrontier, RankedView, Scorer, ScoringConfig,
+    QueryEvaluator, QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
 };
+use ksir_snapshot::{EngineSnapshot, PrefixSpec, ShardSnapshot, SnapshotCounters, SnapshotPolicy};
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
@@ -627,6 +631,158 @@ proptest! {
                         touch.high,
                         id
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Everything a [`QueryResult`] carries, with every `f64` as its bits.
+type ResultBits = (
+    Vec<ElementId>,
+    u64,
+    usize,
+    usize,
+    Algorithm,
+    Option<(Vec<(TopicId, Option<u64>)>, Option<u64>)>,
+);
+
+fn result_bits(result: &QueryResult) -> ResultBits {
+    let frontier = result.frontier.as_ref().map(|frontier| {
+        let floors = frontier.floors.iter();
+        let floors = floors.map(|&(topic, floor)| (topic, floor.map(f64::to_bits)));
+        (floors.collect(), frontier.bar.map(f64::to_bits))
+    });
+    (
+        result.elements.clone(),
+        result.score.to_bits(),
+        result.evaluated_elements,
+        result.gain_evaluations,
+        result.algorithm,
+        frontier,
+    )
+}
+
+/// A random instance for the one-pass tests: a longer stream than
+/// [`instance_params`] draws, so runs at different sizes stop at different
+/// depths, and one of `ε ∈ {0.05, 0.1, 0.3}`.
+fn per_k_params() -> impl Strategy<Value = (InstanceParams, f64)> {
+    (
+        any::<u64>(),
+        8usize..=40,
+        2usize..=4,
+        8usize..=16,
+        3u64..=40,
+        0u8..=10,
+        0usize..3,
+    )
+        .prop_map(
+            |(seed, num_elements, num_topics, vocab_size, window_len, lambda_tenths, epsilon)| {
+                let params = InstanceParams {
+                    seed,
+                    num_elements,
+                    num_topics,
+                    vocab_size,
+                    window_len,
+                    lambda_tenths,
+                    k: 1,
+                };
+                (params, [0.05, 0.1, 0.3][epsilon])
+            },
+        )
+}
+
+/// Random result sizes for a window of `active` elements: unsorted, with a
+/// duplicate, and always holding `k = 1` and a `k` above `active`.
+fn random_sizes(rng: &mut StdRng, active: usize) -> Vec<usize> {
+    let mut ks: Vec<usize> = (0..rng.gen_range(1..=4))
+        .map(|_| rng.gen_range(1..=active + 2))
+        .collect();
+    ks.push(1);
+    ks.push(active + rng.gen_range(1..=3usize));
+    ks.push(ks[rng.gen_range(0..ks.len())]);
+    for i in (1..ks.len()).rev() {
+        ks.swap(i, rng.gen_range(0..=i));
+    }
+    ks
+}
+
+/// The shard spec serving every run in `results`: the loosest of their
+/// floors per support topic, whole lists where a run reported no frontier.
+fn loosest_spec(vector: &QueryVector, results: &[QueryResult]) -> PrefixSpec {
+    let support = vector.support();
+    let mut loosest = FloorAggregate::new();
+    for result in results {
+        match &result.frontier {
+            Some(frontier) => loosest.absorb(frontier),
+            None => support
+                .iter()
+                .for_each(|&(topic, _)| loosest.watch_any(topic)),
+        }
+    }
+    let floors = support
+        .iter()
+        .map(|&(topic, _)| (topic, loosest.floor(topic).flatten()));
+    PrefixSpec {
+        floors: floors.collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One pass at many sizes equals one run per size: for every algorithm,
+    /// `query_per_k(ks)[i]` is bit for bit `query` at `ks[i]` — elements in
+    /// order, score, both work counters, floors and bar — on the live
+    /// engine, on an [`EngineSnapshot`], and on a [`ShardSnapshot`]
+    /// truncated at the loosest floors of the per-size runs.  The query's
+    /// own `k` plays no part.
+    #[test]
+    fn one_pass_equals_one_run_per_size(params in per_k_params()) {
+        let (p, epsilon) = params;
+        let instance = build_instance(&p);
+        let engine = &instance.engine;
+        let mut rng = StdRng::seed_from_u64(p.seed ^ 0x9e7_5123);
+        let ks = random_sizes(&mut rng, engine.active_count());
+        let snapshot = Arc::new(EngineSnapshot::capture(engine, 1, &SnapshotCounters::new()));
+        // The instance's vector, and one with a zero weight.
+        let mut sparse: Vec<f64> = (0..p.num_topics).map(|_| rng.gen::<f64>() + 0.01).collect();
+        sparse[rng.gen_range(0..p.num_topics)] = 0.0;
+        let vectors = [instance.query_vector.clone(), QueryVector::new(sparse).unwrap()];
+
+        for vector in &vectors {
+            let at = |k: usize| {
+                KsirQuery::new(k, vector.clone()).unwrap().with_epsilon(epsilon).unwrap()
+            };
+            let query = at(7);
+            for algorithm in Algorithm::ALL {
+                let runs = |source: &dyn QuerySource| -> Vec<QueryResult> {
+                    ks.iter().map(|&k| source.query(&at(k), algorithm).unwrap()).collect()
+                };
+                let live = runs(engine);
+                let shard = ShardSnapshot::new(
+                    Arc::clone(&snapshot),
+                    &loosest_spec(vector, &live),
+                    SnapshotPolicy::TruncateAtFloors,
+                );
+                let sources: [(&str, &dyn QuerySource); 3] =
+                    [("live", engine), ("engine snapshot", snapshot.as_ref()), ("shard", &shard)];
+                for (name, source) in sources {
+                    let single = runs(source);
+                    let multi = source.query_per_k(&query, &ks, algorithm).unwrap();
+                    prop_assert_eq!(multi.len(), ks.len());
+                    for ((k, one), many) in ks.iter().zip(&single).zip(&multi) {
+                        prop_assert_eq!(
+                            result_bits(many),
+                            result_bits(one),
+                            "{} {} k={} of {:?} (ε = {})",
+                            name,
+                            algorithm,
+                            k,
+                            ks,
+                            epsilon
+                        );
+                    }
                 }
             }
         }

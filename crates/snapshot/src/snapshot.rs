@@ -4,8 +4,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ksir_core::{
-    run_query, Algorithm, ElementRows, KsirEngine, KsirQuery, QueryResult, QuerySource, RankedView,
-    ScoringConfig,
+    run_query_per_k, Algorithm, ElementRows, KsirEngine, KsirQuery, QueryResult, QuerySource,
+    RankedView, ScoringConfig,
 };
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix};
 use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicWordDistribution};
@@ -133,14 +133,20 @@ impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
         self.phi.num_topics()
     }
 
-    fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
-        run_query(
+    fn query_per_k(
+        &self,
+        query: &KsirQuery,
+        ks: &[usize],
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResult>> {
+        run_query_per_k(
             self,
             self.window.as_ref(),
             self.rows.as_ref(),
             self.phi.as_ref(),
             self.scoring,
             query,
+            ks,
             algorithm,
         )
     }
@@ -275,14 +281,20 @@ impl<D: TopicWordDistribution> QuerySource for ShardSnapshot<D> {
         self.engine.phi.num_topics()
     }
 
-    fn query(&self, query: &KsirQuery, algorithm: Algorithm) -> Result<QueryResult> {
-        run_query(
+    fn query_per_k(
+        &self,
+        query: &KsirQuery,
+        ks: &[usize],
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResult>> {
+        run_query_per_k(
             self,
             self.engine.window.as_ref(),
             self.engine.rows.as_ref(),
             self.engine.phi.as_ref(),
             self.engine.scoring,
             query,
+            ks,
             algorithm,
         )
     }

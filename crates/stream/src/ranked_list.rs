@@ -169,10 +169,17 @@ impl RankedList {
     }
 
     /// Inserts or updates an element's tuple, repositioning it in the order.
-    pub fn upsert(&mut self, id: ElementId, score: f64, last_referenced: Timestamp) {
+    /// Returns the tuple it replaced, if any.
+    pub fn upsert(
+        &mut self,
+        id: ElementId,
+        score: f64,
+        last_referenced: Timestamp,
+    ) -> Option<(f64, Timestamp)> {
         debug_assert!(score.is_finite(), "ranked list scores must be finite");
         let core = self.core_mut();
-        if let Some((old_score, old_ts)) = core.entries.insert(id, (score, last_referenced)) {
+        let replaced = core.entries.insert(id, (score, last_referenced));
+        if let Some((old_score, old_ts)) = replaced {
             core.order.remove(&ScoreKey {
                 score: old_score,
                 id,
@@ -184,6 +191,7 @@ impl RankedList {
             id,
             ts: last_referenced,
         });
+        replaced
     }
 
     /// Removes an element (no-op if absent).  Returns the removed tuple so
@@ -467,13 +475,11 @@ impl RankedLists {
     /// Upserts an element's tuple in the given topic's list, logging a touch
     /// at the higher of the old and new scores.
     pub fn upsert(&mut self, topic: TopicId, id: ElementId, score: f64, ts: Timestamp) {
-        let list = &mut self.lists[topic.index()];
-        let touched = match list.get(id) {
+        let touched = match self.lists[topic.index()].upsert(id, score, ts) {
             Some((old_score, _)) => old_score.max(score),
             None => score,
         };
         self.delta.record(topic, touched);
-        list.upsert(id, score, ts);
     }
 
     /// Removes an element from one topic's list, logging a touch at the
@@ -646,6 +652,18 @@ mod tests {
         assert_eq!(rls.remove_everywhere(id(1)), 2);
         assert_eq!(rls.total_entries(), 1);
         assert_eq!(rls.remove_everywhere(id(1)), 0);
+    }
+
+    #[test]
+    fn upsert_returns_the_replaced_tuple() {
+        let mut list = RankedList::new();
+        assert_eq!(list.upsert(id(1), 0.4, Timestamp(1)), None);
+        assert_eq!(
+            list.upsert(id(1), 0.2, Timestamp(3)),
+            Some((0.4, Timestamp(1)))
+        );
+        assert_eq!(list.get(id(1)), Some((0.2, Timestamp(3))));
+        assert_eq!(list.len(), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn help_for(name: &str) -> Option<&'static str> {
         "refresh.shard" => "Time one scheduled shard spent refreshing its residents",
         "refresh.gain_evaluations" => "Total scoring passes across all refreshes",
         "refresh.cluster.covering" => "Covering traversals run for plan clusters",
-        "refresh.cluster.shared" => "Refreshes served from a same-k covering run",
+        "refresh.cluster.shared" => "Refreshes served by their cluster's covering traversal",
         "refresh.cluster.skipped" => "Cluster-level skips (whole cluster undisturbed)",
         "worker.item" => "Time one worker spent on one queued shard refresh",
         "worker.panics" => "Refresh attempts that panicked (injected or real)",

@@ -91,8 +91,9 @@ fn main() -> Result<(), ksir::KsirError> {
     // algorithms), four panels each: the small/medium/large panels of one
     // mix are plan-compatible — same vector, same ε, same algorithm, only
     // `k` differs — so the shard clusters them behind one covering query,
-    // and the medium size appears twice (two users, same view), so one of
-    // the two is served from the other's covering run outright.  Each panel
+    // whose one traversal answers every panel size at once; the medium size
+    // appears twice (two users, same view), and both copies get the same
+    // answer.  Each panel
     // consumes its result changes from a bounded delivery queue (capacity
     // 256, DropOldest): a panel that falls behind sheds its own oldest
     // updates instead of slowing ingestion down.
@@ -235,9 +236,10 @@ fn main() -> Result<(), ksir::KsirError> {
     }
 
     // How much of the refresh bill the shared evaluation plans absorbed:
-    // plan-compatible panels cluster behind one covering query, so the
-    // sharing ratio — covering traversals per live subscription-slide —
-    // stays well below 1 whenever clusters have more than one member.
+    // plan-compatible panels cluster behind one covering query, traversed
+    // once per disturbed cluster whatever its members' `k`, so the sharing
+    // ratio — covering traversals per live subscription-slide — stays well
+    // below 1 whenever clusters have more than one member.
     let covering: usize = dashboard
         .shard_stats()
         .iter()
@@ -256,9 +258,9 @@ fn main() -> Result<(), ksir::KsirError> {
         covering as f64 / subscription_slides as f64
     };
     println!(
-        "\nShared plans: {} clusters over {} panels; {} covering runs served \
-         {} shared refreshes — sharing ratio {:.3} covering evaluations per \
-         live subscription-slide.",
+        "\nShared plans: {} clusters over {} panels; {} covering traversals \
+         served {} shared refreshes — sharing ratio {:.3} covering traversals \
+         per live subscription-slide.",
         clusters,
         panels.len(),
         covering,
