@@ -11,9 +11,9 @@
 //! that reached the last slide, and `delivered + dropped` reconciling exactly
 //! with the oracle's result changes.
 //!
-//! The hostile regimes ([`HostileMode`]) grow
-//! [`ksir_bench::MaintenanceScenario`] into the failure lanes the resilience
-//! layer exists for:
+//! The hostile regimes ([`HostileMode`]) grow one clean workload — a
+//! Twitter-shaped stream under a panel of narrow standing queries — into the
+//! failure lanes the resilience layer exists for:
 //!
 //! - [`HostileMode::FlashCrowd`] — a Zipf-amplified retweet storm lands in
 //!   one bucket (head elements duplicated under fresh ids), plus an
@@ -39,12 +39,13 @@
 
 #![warn(missing_docs)]
 
+mod workload;
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
-use ksir_bench::MaintenanceScenario;
 use ksir_continuous::{
     DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, OverloadConfig, OverloadLevel,
     RetiredStats, ShardConfig, SubscriptionId, SubscriptionManager,
@@ -53,6 +54,8 @@ use ksir_core::{Algorithm, KsirQuery};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, Timestamp, TopicVector,
 };
+
+use workload::Workload;
 
 type Stream = Vec<(SocialElement, TopicVector)>;
 type Manager = SubscriptionManager<DenseTopicWordTable>;
@@ -90,12 +93,12 @@ impl HostileMode {
     }
 }
 
-/// Which [`MaintenanceScenario`] the chaos run replays.
+/// Which size of the clean workload the chaos run replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosScale {
-    /// [`MaintenanceScenario::smoke`] — unit-test sized.
+    /// A ~600-element stream and 8 standing queries — unit-test sized.
     Smoke,
-    /// [`MaintenanceScenario::standard`] — the full workload.
+    /// A ~10k-element stream and 16 standing queries — the full workload.
     Standard,
 }
 
@@ -141,7 +144,7 @@ enum Op {
 
 /// The deterministic replay script shared by the oracle and hostile runs.
 struct Script {
-    scenario: MaintenanceScenario,
+    scenario: Workload,
     buckets: Vec<(Stream, Timestamp)>,
     initial: Vec<(KsirQuery, Algorithm)>,
     ops: Vec<(usize, Op)>,
@@ -275,8 +278,8 @@ fn churn_ops(n: usize, initial: usize, num_topics: usize, seed: u64) -> Vec<(usi
 
 fn build_script(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Script, String> {
     let scenario = match scale {
-        ChaosScale::Smoke => MaintenanceScenario::smoke(),
-        ChaosScale::Standard => MaintenanceScenario::standard(),
+        ChaosScale::Smoke => Workload::smoke(),
+        ChaosScale::Standard => Workload::standard(),
     };
     let engine = scenario.engine();
     let bucket_len = engine.config().window.bucket_len();

@@ -119,8 +119,7 @@ pub struct ShardConfig {
     /// member, instead of one evaluation per member.  Decisions, results and
     /// work counters are identical either way (pinned by the `shared_plans`
     /// property tests); `false` keeps the per-subscription walk, which is
-    /// the oracle the clustered path is compared against and the baseline of
-    /// the `per_subscription` perf gate.
+    /// the oracle the clustered path is compared against.
     pub shared_plans: bool,
     /// How many out-of-order bucket positions
     /// [`ingest_bucket_reordered`](crate::SubscriptionManager::ingest_bucket_reordered)
@@ -159,7 +158,7 @@ impl ShardConfig {
     }
 
     /// The PR-1 behaviour: a single (overflow) shard walked serially.
-    /// Useful as the baseline the sharded paths are benchmarked against.
+    /// The oracle the sharded paths are tested against.
     pub fn unsharded() -> Self {
         ShardConfig {
             overflow_support_threshold: 0,
@@ -200,7 +199,7 @@ impl ShardConfig {
     }
 
     /// Enables or disables shared evaluation plans (`false` = one evaluation
-    /// per subscription, the decision oracle and perf-gate baseline).
+    /// per subscription, the decision oracle).
     pub fn with_shared_plans(mut self, shared_plans: bool) -> Self {
         self.shared_plans = shared_plans;
         self

@@ -63,6 +63,52 @@ fn k_ladders() -> Vec<(KsirQuery, Algorithm)> {
     subs
 }
 
+/// The subscriber-heavy regime plan sharing exists for: `n` standing queries
+/// drawn from 48 plan templates (a 2-topic query vector and an
+/// index-traversal algorithm) with Zipf(1) popularity, `k` cycling through
+/// 2/4/6/8 by registration order.  A fixed-seed LCG draws the templates, so
+/// the population and every scoring-pass count are deterministic.
+fn zipf_population(n: usize, num_topics: usize) -> Vec<(KsirQuery, Algorithm)> {
+    const TEMPLATES: usize = 48;
+    let templates: Vec<(QueryVector, Algorithm)> = (0..TEMPLATES)
+        .map(|t| {
+            let mut weights = vec![0.0; num_topics];
+            // Distinct 2-topic mixes: the `t / 25` nudge keeps the second
+            // topic from colliding when `2t` wraps mod 50.
+            weights[(2 * t) % num_topics] = 0.7;
+            weights[(2 * t + 7 + t / 25) % num_topics] = 0.3;
+            let algorithm = match t % 3 {
+                0 => Algorithm::Mtts,
+                1 => Algorithm::Mttd,
+                _ => Algorithm::TopkRepresentative,
+            };
+            (QueryVector::new(weights).unwrap(), algorithm)
+        })
+        .collect();
+    // Zipf(1) over template ranks: cumulative weights once, then one LCG
+    // draw and a binary search per subscription.
+    let cumulative: Vec<f64> = (1..=TEMPLATES)
+        .scan(0.0, |total, rank| {
+            *total += 1.0 / rank as f64;
+            Some(*total)
+        })
+        .collect();
+    let total = cumulative[TEMPLATES - 1];
+    let mut state: u64 = 0x243F_6A88_85A3_08D3;
+    (0..n)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = cumulative.partition_point(|c| *c < u).min(TEMPLATES - 1);
+            let (vector, algorithm) = &templates[rank];
+            let query = KsirQuery::new(2 + 2 * (i % 4), vector.clone()).unwrap();
+            (query, *algorithm)
+        })
+        .collect()
+}
+
 /// Builds a planted-stream manager under `config` and registers `subs`.
 /// Same seed ⇒ identical engines and subscription ids across configs.
 fn planted_manager(
@@ -206,6 +252,60 @@ fn shared_plans_match_per_subscription_walk_slide_for_slide() {
              ({clustered_passes} vs {oracle_passes})"
         );
     }
+}
+
+/// The point of plan sharing, as a count: over 2 000 Zipf subscriptions the
+/// clustered manager makes the per-subscription walk's decisions with at
+/// least 5× fewer scoring passes.
+#[test]
+fn zipf_population_shares_scoring_passes_for_identical_decisions() {
+    let profile = DatasetProfile::twitter().scaled(0.05).with_topics(50);
+    let stream = StreamGenerator::new(profile, 4242)
+        .unwrap()
+        .generate()
+        .unwrap();
+    let subs = zipf_population(2_000, stream.planted.num_topics());
+    let run = |shared_plans: bool| {
+        let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
+            stream.planted.phi().clone(),
+            EngineConfig::new(
+                WindowConfig::new(6 * 60, 15).unwrap(),
+                ScoringConfig::new(0.5, 1.0).unwrap(),
+            ),
+        )
+        .unwrap();
+        let mut mgr = SubscriptionManager::with_shard_config(
+            engine,
+            ShardConfig::default().with_shared_plans(shared_plans),
+        );
+        for (query, algorithm) in &subs {
+            mgr.subscribe(query.clone(), *algorithm).unwrap();
+        }
+        mgr.ingest_stream(stream.iter_pairs()).unwrap();
+        let passes = mgr
+            .telemetry()
+            .registry()
+            .counter("refresh.gain_evaluations")
+            .get();
+        (mgr, passes)
+    };
+    let (clustered, clustered_passes) = run(true);
+    let (baseline, baseline_passes) = run(false);
+
+    assert_eq!(
+        clustered.stats(),
+        baseline.stats(),
+        "plan clustering must change no refresh decision"
+    );
+    assert!(shard_sum(&clustered, |s| s.covering_evaluations) > 0);
+    assert!(
+        shard_sum(&clustered, |s| s.shared_refreshes) > 0,
+        "templates must overlap"
+    );
+    assert!(
+        clustered_passes * 5 <= baseline_passes,
+        "clustered {clustered_passes} vs per-subscription {baseline_passes} scoring passes"
+    );
 }
 
 /// The `refresh.cluster.*` registry counters reconcile exactly with the

@@ -7,6 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -258,4 +259,54 @@ fn live_pipelined_run_is_scrapable_and_e2e_oracle_holds() {
     assert_eq!(registry.histogram("delivery.e2e.dropped").count(), 0);
 
     server.shutdown();
+}
+
+/// Scraping has no side effects: a threaded run polled over TCP for its
+/// whole replay makes the same refresh decisions as an unobserved serial
+/// twin (same seed, same subscriptions).
+#[test]
+fn scraped_run_makes_the_same_decisions_as_an_unobserved_twin() {
+    let (mut mgr, subs, stream) = planted_manager(11, ShardConfig::default());
+    let receivers: Vec<_> = subs
+        .iter()
+        .map(|id| {
+            mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
+                .unwrap()
+        })
+        .collect();
+    let server = ObsServer::spawn(Arc::clone(mgr.telemetry()), ObsConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let scraper = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut scrapes = 0u64;
+            loop {
+                for path in ["/metrics", "/metrics.json"] {
+                    assert_eq!(http_get(addr, path).0, 200);
+                    scrapes += 1;
+                }
+                if stop.load(Ordering::Acquire) {
+                    return scrapes;
+                }
+            }
+        })
+    };
+    mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+    mgr.sync();
+    stop.store(true, Ordering::Release);
+    assert!(scraper.join().unwrap() > 0);
+    server.shutdown();
+
+    let delivered: usize = receivers.iter().map(|rx| rx.drain().len()).sum();
+    assert!(delivered > 0, "run must deliver results");
+
+    let (mut twin, _, twin_stream) = planted_manager(11, ShardConfig::unsharded());
+    twin.ingest_stream(twin_stream.iter_pairs()).unwrap();
+    assert_eq!(
+        mgr.stats(),
+        twin.stats(),
+        "a live scraper must not change any refresh decision"
+    );
 }

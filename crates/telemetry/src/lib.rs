@@ -1,6 +1,6 @@
 //! Unified observability for the k-SIR pipeline: a lock-free metrics
-//! registry, epoch-scoped structured tracing, and exporters that give
-//! `perf_gate`, CI, and the live dashboard one schema to consume.
+//! registry, epoch-scoped structured tracing, and exporters that give the
+//! benchmark, CI, and the live dashboard one schema to consume.
 //!
 //! The crate is dependency-free by design — the workspace vendors offline
 //! stubs for its few external deps, and the telemetry layer must sit below
