@@ -8,11 +8,13 @@
 //! profile.  Time per iteration ÷ passes per iteration (printed once per
 //! profile) is ns-per-pass.  `grid_gain/<candidates>` is the same pass — same
 //! members, same probes — with the candidates held as the columns of one
-//! `CoverageTable`, the layout MTTS and SieveStreaming use.
+//! `CoverageTable`, the layout MTTS and SieveStreaming use, and
+//! `grid_insert/<candidates>` is the admission that follows: the element
+//! profiled once and inserted into all of those columns.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_core::{KsirQuery, ProfileArena, QueryEvaluator};
@@ -128,21 +130,31 @@ fn bench_scoring(c: &mut Criterion) {
                 },
             );
 
-            let mut table = evaluator.new_table(candidates);
-            let mut arena = ProfileArena::default();
-            for column in 0..candidates {
-                for &id in members
-                    .iter()
-                    .cycle()
-                    .skip(column)
-                    .take(members.len().min(5))
-                {
+            // The same candidates as columns: column `c` holds members `c`,
+            // `c + 1`, … (cyclically), each admitted into all of its columns
+            // at once, as the grid admits.
+            let prefilled = || {
+                let mut table = evaluator.new_table(candidates);
+                let mut arena = ProfileArena::default();
+                let (mut columns, mut realised) = (Vec::new(), Vec::new());
+                let (n, held) = (members.len(), members.len().min(5));
+                for (j, &id) in members.iter().enumerate() {
+                    columns.clear();
+                    columns.extend((0..candidates).filter(|&c| (j + n - c % n) % n < held));
                     arena.clear();
                     let profile = evaluator.profile(&mut arena, id);
-                    evaluator.insert_column(&mut table, column, arena.get(profile));
+                    evaluator.insert_columns(
+                        &mut table,
+                        &columns,
+                        arena.get(profile),
+                        &mut realised,
+                    );
                 }
-            }
+                table
+            };
             let columns: Vec<usize> = (0..candidates).collect();
+            let mut table = prefilled();
+            let mut arena = ProfileArena::default();
             group.bench_function(
                 BenchmarkId::new(format!("grid_gain/{candidates}"), &name),
                 |b| {
@@ -162,6 +174,33 @@ fn bench_scoring(c: &mut Criterion) {
                         }
                         black_box(total)
                     })
+                },
+            );
+            // Each iteration admits every probe into a freshly pre-filled
+            // table, so every insert finds what a first admission finds.
+            group.bench_function(
+                BenchmarkId::new(format!("grid_insert/{candidates}"), &name),
+                |b| {
+                    let mut realised = Vec::new();
+                    b.iter_batched(
+                        prefilled,
+                        |mut table| {
+                            let mut total = 0.0;
+                            for &id in probes {
+                                arena.clear();
+                                let profile = evaluator.profile(&mut arena, id);
+                                evaluator.insert_columns(
+                                    &mut table,
+                                    &columns,
+                                    arena.get(profile),
+                                    &mut realised,
+                                );
+                                total += realised.iter().sum::<f64>();
+                            }
+                            (table, total)
+                        },
+                        BatchSize::SmallInput,
+                    )
                 },
             );
         }

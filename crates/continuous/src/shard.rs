@@ -942,14 +942,14 @@ impl Shard {
                 work.skipped_clusters += 1;
                 continue;
             }
-            let mut to_refresh: Vec<(SubscriptionId, RefreshReason)> = Vec::new();
+            let mut to_refresh: Vec<(SubscriptionId, RefreshReason, usize)> = Vec::new();
             for &id in &cluster.members {
                 let sub = self
                     .subs
                     .get_mut(&id)
                     .expect("cluster members reside in the shard");
                 match classify(sub, delta) {
-                    Some(reason) => to_refresh.push((id, reason)),
+                    Some(reason) => to_refresh.push((id, reason, sub.query.k())),
                     None => {
                         slide.skipped += 1;
                         sub.stats.skips += 1;
@@ -960,10 +960,7 @@ impl Shard {
                 continue;
             }
             // One traversal for the cluster: a result per distinct member k.
-            let mut ks: Vec<usize> = to_refresh
-                .iter()
-                .map(|(id, _)| self.subs[id].query.k())
-                .collect();
+            let mut ks: Vec<usize> = to_refresh.iter().map(|&(_, _, k)| k).collect();
             ks.sort_unstable();
             ks.dedup();
             let fresh = source
@@ -972,17 +969,30 @@ impl Shard {
             work.covering += 1;
             work.shared += to_refresh.len() - 1;
             work.gain += fresh.iter().map(|r| r.gain_evaluations).sum::<usize>();
-            for (id, reason) in to_refresh {
+            // Each size's result is cloned for its members but the last, which
+            // takes it.
+            let size_of = |k: usize| ks.binary_search(&k).expect("every member k was requested");
+            let mut takers = vec![0usize; ks.len()];
+            for &(_, _, k) in &to_refresh {
+                takers[size_of(k)] += 1;
+            }
+            let mut fresh: Vec<Option<QueryResult>> = fresh.into_iter().map(Some).collect();
+            for (id, reason, k) in to_refresh {
                 let sub = self
                     .subs
                     .get_mut(&id)
                     .expect("cluster members reside in the shard");
-                let at = ks
-                    .binary_search(&sub.query.k())
-                    .expect("every member k was requested");
+                let at = size_of(k);
+                takers[at] -= 1;
+                let result = if takers[at] == 0 {
+                    fresh[at].take()
+                } else {
+                    fresh[at].clone()
+                };
+                let result = result.expect("a size's last member takes its result");
                 slide.refreshed += 1;
                 sub.stats.refreshes += 1;
-                if let Some(update) = apply_fresh(id, sub, reason, fresh[at].clone()) {
+                if let Some(update) = apply_fresh(id, sub, reason, result) {
                     slide.updates.push(update);
                 }
             }
@@ -1079,10 +1089,9 @@ pub(crate) fn apply_fresh(
     reason: RefreshReason,
     fresh: QueryResult,
 ) -> Option<ResultDelta> {
-    let (old_elements, score_before) = match &sub.result {
-        Some(old) => (old.elements.clone(), old.score),
-        None => (Vec::new(), 0.0),
-    };
+    let old = sub.result.as_ref();
+    let old_elements = old.map_or(&[][..], |old| &old.elements[..]);
+    let score_before = old.map_or(0.0, |old| old.score);
     let added: Vec<ElementId> = fresh
         .elements
         .iter()

@@ -25,7 +25,9 @@
 //!   it.
 //! * MTTS, SieveStreaming and Top-k Representative keep one guess grid (one
 //!   heap) per size, all fed the one retrieval order and the one profile per
-//!   element; each size ends at its own `UB` test.
+//!   element; each size ends at its own `UB` test.  The grids of all sizes
+//!   are columns of one coverage table, so an element is tested against, and
+//!   admitted into, every size's guesses with one probe per word and child.
 //!
 //! Work counters are kept per size: a singleton score counts for every size
 //! still running when it is read, a grid's gain evaluation only for its own.
@@ -42,7 +44,7 @@ use ksir_types::ElementId;
 
 use crate::query::QueryResult;
 
-pub(crate) use grid::GuessGrid;
+pub(crate) use grid::GridSet;
 pub(crate) use traversal::SupportCursors;
 
 /// Runs a kernel body once over the distinct sizes of `ks`, ascending, and

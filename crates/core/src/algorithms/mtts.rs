@@ -12,20 +12,22 @@
 //!
 //! The grid's range `2k·δmax` and its thresholds `ϕ / 2k` depend on `k`, the
 //! retrieval order and the element profiles do not: [`run`] keeps one grid
-//! per requested size, feeds them all from one cursor walk and one profile
-//! per element, and stops each size at its own `UB < TH` test.
+//! per requested size, all of them columns of one coverage table, feeds them
+//! all from one cursor walk and one profile per element — one coverage probe
+//! per word and child to test every size's guesses, one more to admit —
+//! and stops each size at its own `UB < TH` test.
 
 use ksir_types::TopicWordDistribution;
 
-use crate::algorithms::{per_size, GuessGrid, SupportCursors};
+use crate::algorithms::{per_size, GridSet, SupportCursors};
 use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryFrontier, QueryResult};
 use crate::view::RankedView;
 
-/// One result size's share of the traversal.
+/// One result size's share of the traversal, beside its grid.
 struct Run {
-    grid: GuessGrid,
     evaluated: usize,
+    /// Singleton scores read while the size ran; its grid counts its gains.
     gain_evaluations: usize,
     /// The traversal frontier where the size's own `UB < TH` test fired.
     end: Option<QueryFrontier>,
@@ -51,10 +53,10 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
     sizes: &[usize],
 ) -> Vec<QueryResult> {
     let mut cursors = SupportCursors::new(view, evaluator.support());
+    let mut grids = GridSet::new(sizes, epsilon, evaluator);
     let mut runs: Vec<Run> = sizes
         .iter()
-        .map(|&k| Run {
-            grid: GuessGrid::new(k, epsilon, evaluator),
+        .map(|_| Run {
             evaluated: 0,
             gain_evaluations: 0,
             end: None,
@@ -63,14 +65,19 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
     // One profile per retrieved element, shared by every guess of every size
     // that tests it and by the insert that follows an admission.
     let mut arena = ProfileArena::default();
+    // Per size, how many of its guesses the current element is offered to.
+    let mut reach = Vec::with_capacity(sizes.len());
 
     loop {
         let ub = cursors.upper_bound();
         let mut running = false;
-        for run in runs.iter_mut().filter(|run| run.end.is_none()) {
+        for (run, grid) in runs.iter_mut().zip(grids.grids()) {
+            if run.end.is_some() {
+                continue;
+            }
             // TH: smallest admission threshold among unfilled candidates; if
             // every candidate is full no element can be admitted anywhere.
-            if !run.grid.is_empty() && ub < run.grid.min_unfilled_threshold() {
+            if !grid.is_empty() && ub < grid.min_unfilled_threshold() {
                 run.end = Some(cursors.frontier());
             } else {
                 running = true;
@@ -86,50 +93,56 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
         let profile = evaluator.profile(&mut arena, id);
         let profile = arena.get(profile);
         let delta = evaluator.delta_of(profile);
-        for run in runs.iter_mut().filter(|run| run.end.is_none()) {
+        reach.clear();
+        for (size, run) in runs.iter_mut().enumerate() {
+            reach.push(0);
+            if run.end.is_some() {
+                continue;
+            }
             run.evaluated += 1;
             run.gain_evaluations += 1;
             if delta <= 0.0 {
                 continue;
             }
             // Refresh the estimate grid Φ = {(1+ε)^j : δmax ≤ (1+ε)^j ≤ 2k·δmax}.
-            let grid = &mut run.grid;
-            grid.observe(delta);
+            grids.observe(size, delta);
             // The guesses whose threshold δ reaches are a prefix of the grid,
             // and none of them is unfilled when δ is below TH.
-            if delta < grid.min_unfilled_threshold() {
-                continue;
+            let grid = &grids.grids()[size];
+            if delta >= grid.min_unfilled_threshold() {
+                reach[size] = grid.reach(delta);
             }
-            let reach = grid.reach(delta);
-            run.gain_evaluations += grid.offer(evaluator, profile, reach, |guess, gain| {
-                gain >= guess.threshold
-            });
         }
+        grids.offer(evaluator, profile, &reach, |_, guess, gain| {
+            gain >= guess.threshold
+        });
     }
 
     runs.into_iter()
-        .map(|run| {
+        .zip(grids.into_grids())
+        .map(|(run, grid)| {
             // Admission bar: the final TH — the smallest threshold at which
             // an unfilled candidate would still have admitted an element.
             // When every candidate filled, fall back to the smallest grid
             // threshold: an element below it is rejected by every candidate
             // regardless of fill.
             let bar = {
-                let unfilled = run.grid.min_unfilled_threshold();
+                let unfilled = grid.min_unfilled_threshold();
                 if unfilled.is_finite() {
                     Some(unfilled)
                 } else {
-                    run.grid.guesses().first().map(|guess| guess.threshold)
+                    grid.guesses().first().map(|guess| guess.threshold)
                 }
             };
             let mut frontier = run.end.unwrap_or_else(|| cursors.frontier());
             frontier.bar = bar;
-            match run.grid.into_best() {
+            let gain_evaluations = run.gain_evaluations + grid.gain_evaluations();
+            match grid.into_best() {
                 Some((elements, score)) if !elements.is_empty() => QueryResult {
                     elements,
                     score,
                     evaluated_elements: run.evaluated,
-                    gain_evaluations: run.gain_evaluations,
+                    gain_evaluations,
                     algorithm: Algorithm::Mtts,
                     frontier: Some(frontier),
                 },

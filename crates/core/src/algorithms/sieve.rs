@@ -9,13 +9,13 @@
 //! lean on, so it evaluates every active element for every query.
 //!
 //! The grid and the admission rule depend on `k`, the scan and the element
-//! profiles do not: [`run`] keeps one grid per requested size and feeds them
-//! all from one window scan.
+//! profiles do not: [`run`] keeps one grid per requested size, all of them
+//! columns of one coverage table, and feeds them all from one window scan.
 
 use ksir_stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
-use crate::algorithms::{per_size, GuessGrid};
+use crate::algorithms::{per_size, GridSet};
 use crate::evaluator::{ProfileArena, QueryEvaluator};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 
@@ -40,12 +40,11 @@ fn scan<D: TopicWordDistribution>(
     ids.sort_unstable();
     let evaluated = ids.len();
 
-    // Per size: its grid and the gain evaluations its own offers cost.
-    let mut grids: Vec<(GuessGrid, usize)> = sizes
-        .iter()
-        .map(|&k| (GuessGrid::new(k, epsilon, evaluator), 0))
-        .collect();
+    let mut grids = GridSet::new(sizes, epsilon, evaluator);
     let mut arena = ProfileArena::default();
+    // Per size, how many of its guesses the current element is offered to:
+    // all of them.
+    let mut reach = Vec::with_capacity(sizes.len());
 
     for id in ids {
         arena.clear();
@@ -55,29 +54,34 @@ fn scan<D: TopicWordDistribution>(
         if delta <= 0.0 {
             continue;
         }
-        for ((grid, offered), &k) in grids.iter_mut().zip(sizes) {
-            grid.observe(delta);
-            let every_guess = grid.guesses().len();
-            *offered += grid.offer(evaluator, profile, every_guess, |guess, gain| {
-                let room = (k - guess.members.len()) as f64;
-                gain >= (guess.value / 2.0 - guess.score) / room
-            });
+        reach.clear();
+        for size in 0..sizes.len() {
+            grids.observe(size, delta);
+            reach.push(grids.grids()[size].guesses().len());
         }
+        grids.offer(evaluator, profile, &reach, |k, guess, gain| {
+            let room = (k - guess.members.len()) as f64;
+            gain >= (guess.value / 2.0 - guess.score) / room
+        });
     }
 
     grids
+        .into_grids()
         .into_iter()
-        .map(|(grid, offered)| match grid.into_best() {
-            Some((elements, score)) if !elements.is_empty() => QueryResult {
-                elements,
-                score,
-                evaluated_elements: evaluated,
-                // Every element's singleton score, plus this size's offers.
-                gain_evaluations: evaluated + offered,
-                algorithm: Algorithm::SieveStreaming,
-                frontier: None,
-            },
-            _ => QueryResult::empty(Algorithm::SieveStreaming),
+        .map(|grid| {
+            // Every element's singleton score, plus this size's offers.
+            let gain_evaluations = evaluated + grid.gain_evaluations();
+            match grid.into_best() {
+                Some((elements, score)) if !elements.is_empty() => QueryResult {
+                    elements,
+                    score,
+                    evaluated_elements: evaluated,
+                    gain_evaluations,
+                    algorithm: Algorithm::SieveStreaming,
+                    frontier: None,
+                },
+                _ => QueryResult::empty(Algorithm::SieveStreaming),
+            }
         })
         .collect()
 }

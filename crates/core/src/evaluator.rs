@@ -35,10 +35,13 @@
 //!
 //! MTTD, CELF and Top-k grow a single candidate and keep the
 //! [`CandidateState`] above.  MTTS and SieveStreaming test each element
-//! against a whole grid of candidates; theirs live side by side as the
-//! columns of one [`CoverageTable`], so a test against every candidate that
-//! wants the element is one probe per word and child per slot
-//! ([`QueryEvaluator::column_gains`]) instead of one per candidate.
+//! against a whole grid of candidates — one grid per requested result size —
+//! and theirs live side by side as the columns of one [`CoverageTable`] per
+//! traversal.  Testing an element against every candidate that wants it
+//! ([`QueryEvaluator::column_gains`]) and admitting it into every candidate
+//! that takes it ([`QueryEvaluator::insert_columns`]) are each one probe per
+//! word and child per slot, then a pass across the row, instead of one probe
+//! per candidate.
 //!
 //! The id-taking [`QueryEvaluator::delta`] / [`QueryEvaluator::marginal_gain`]
 //! / [`QueryEvaluator::insert`] profile into a throw-away arena and delegate,
@@ -67,7 +70,8 @@ use crate::scorer::{propagation_prob, word_weight, Scorer};
 /// created on the same thread.  A standing-query refresh is a handful of
 /// microseconds, and growing six fresh vectors was over one of them (7.7 µs
 /// per refresh against 6.1 µs with reuse, for a two-topic MTTD subscription
-/// over a 200-element window).
+/// over a 200-element window).  Columns that outgrew 256 KiB in total are
+/// freed instead.
 #[derive(Debug)]
 pub struct ProfileArena {
     columns: Columns,
@@ -117,9 +121,11 @@ thread_local! {
     static SPARE_COLUMNS: Cell<Option<Columns>> = const { Cell::new(None) };
 }
 
-/// Largest weight column (in entries) worth keeping for reuse: an arena that
-/// profiled a whole window for an exhaustive baseline gives its memory back.
-const SPARE_WEIGHTS_LIMIT: usize = 1 << 14;
+/// Largest arena, in bytes over all six columns, worth keeping for reuse: an
+/// arena that profiled a whole window for an exhaustive baseline gives its
+/// memory back — also when most of those elements missed the query, so that
+/// only the columns every profile writes (`entries`, `topic_probs`) grew.
+const SPARE_BYTES_LIMIT: usize = 1 << 18;
 
 impl Default for ProfileArena {
     fn default() -> Self {
@@ -132,7 +138,7 @@ impl Default for ProfileArena {
 impl Drop for ProfileArena {
     fn drop(&mut self) {
         let mut columns = std::mem::take(&mut self.columns);
-        if columns.weights.capacity() <= SPARE_WEIGHTS_LIMIT {
+        if columns.capacity_bytes() <= SPARE_BYTES_LIMIT {
             columns.clear();
             // Unreachable thread-local storage (thread teardown) just means
             // the buffers are freed like any others.
@@ -142,6 +148,19 @@ impl Drop for ProfileArena {
 }
 
 impl Columns {
+    /// The bytes the six vectors have allocated.
+    fn capacity_bytes(&self) -> usize {
+        fn bytes<T>(column: &Vec<T>) -> usize {
+            column.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.entries)
+            + bytes(&self.topic_probs)
+            + bytes(&self.words)
+            + bytes(&self.weights)
+            + bytes(&self.children)
+            + bytes(&self.propagation)
+    }
+
     /// The position just past the last profile, in every data column.
     fn end(&self) -> ColumnOffsets {
         ColumnOffsets {
@@ -328,14 +347,16 @@ impl CandidateState {
 
 /// Coverage state of many candidate sets over one query, stored column-wise:
 /// the layout of the grid algorithms (MTTS, SieveStreaming), which test every
-/// element against a whole grid of candidates.
+/// element against a whole grid of candidates per result size.
 ///
 /// Per query-support slot, each covered word (influenced element) owns one
 /// row of `width` cells, and each candidate owns one *column* of every row —
 /// its best word weight (its survival probability) for that row's key.  A
 /// gain against any number of columns therefore probes each word and child
 /// once per slot and then reads across the row
-/// ([`QueryEvaluator::column_gains`]), where one [`CandidateState`] per
+/// ([`QueryEvaluator::column_gains`]), and an insert into any number of
+/// columns probes once and writes across it
+/// ([`QueryEvaluator::insert_columns`]), where one [`CandidateState`] per
 /// candidate would probe once per candidate.  A cell nobody wrote holds what
 /// a missing [`CandidateState`] entry reads as — `0.0` for a word, `1.0` for
 /// a survival — so a column always equals the `CandidateState` grown by the
@@ -394,15 +415,16 @@ impl<K: std::hash::Hash + Eq> CoverageRows<K> {
         }
     }
 
-    /// One cell of `key`'s row, which is added (fresh) if missing.
-    fn cell_mut(&mut self, key: K, column: usize) -> &mut f64 {
+    /// The row of `key`, across every column, which is added (fresh) if
+    /// missing.
+    fn row_mut(&mut self, key: K) -> &mut [f64] {
         let width = self.absent.len();
         let next = self.rows.len();
         let row = *self.rows.entry(key).or_insert(next);
         if row == next {
             self.cells.resize((next + 1) * width, self.fresh);
         }
-        &mut self.cells[row * width..(row + 1) * width][column]
+        &mut self.cells[row * width..(row + 1) * width]
     }
 
     /// Makes `column` fresh in every row.
@@ -705,11 +727,11 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             .set(self.gain_evaluations.get() + columns.len());
         gains.clear();
         gains.resize(columns.len(), 0.0);
-        if !profile.active {
+        if !profile.active || columns.is_empty() {
             return;
         }
         let config = self.scorer.config();
-        let CoverageTable { slots, partial, .. } = table;
+        let CoverageTable { slots, partial } = table;
         for ((slot, &(_, x_i)), slot_table) in self.support.iter().enumerate().zip(&*slots) {
             partial.clear();
             partial.resize(columns.len(), (0.0, 0.0));
@@ -739,55 +761,67 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
         }
     }
 
-    /// Inserts a profiled element into the candidate that owns `column`,
-    /// updating that column as [`QueryEvaluator::insert_profile`] updates a
-    /// [`CandidateState`].  Returns the realised gain — bit-equal to the
-    /// column's [`QueryEvaluator::column_gains`] entry at the moment of
-    /// insertion.  Not counted as a gain evaluation.
+    /// Inserts a profiled element into the candidates that own `columns`,
+    /// writing each one's realised gain to `gains` in the same order: one
+    /// coverage lookup per word and child per slot, whatever the number of
+    /// columns, then a read-modify-write across the row.  Each column is
+    /// updated as [`QueryEvaluator::insert_profile`] updates a
+    /// [`CandidateState`], summing in its order, so each realised gain is
+    /// bit-equal to the column's [`QueryEvaluator::column_gains`] entry at
+    /// the moment of insertion.  Not counted as a gain evaluation.
     ///
-    /// The caller keeps the candidate's members and score, and must not
-    /// insert an element twice or an inactive one (which changes nothing and
-    /// returns zero).
+    /// The caller keeps the candidates' members and scores, and must not
+    /// name a column twice, insert an element into a column twice, or insert
+    /// an inactive one (which changes nothing and gains zero).
     ///
     /// # Panics
     ///
-    /// If `column` is not below the width the table was created with (and
-    /// the table has rows to index).
-    pub fn insert_column(
+    /// If a column is not below the width the table was created with.
+    pub fn insert_columns(
         &self,
         table: &mut CoverageTable,
-        column: usize,
+        columns: &[usize],
         profile: ElementProfile<'_>,
-    ) -> f64 {
-        if !profile.active {
-            return 0.0;
+        gains: &mut Vec<f64>,
+    ) {
+        gains.clear();
+        gains.resize(columns.len(), 0.0);
+        // Nothing to write: keep the table from growing rows nobody holds.
+        if !profile.active || columns.is_empty() {
+            return;
         }
         let config = self.scorer.config();
-        let mut gain = 0.0;
-        for ((slot, &(_, x_i)), slot_table) in self.support.iter().enumerate().zip(&mut table.slots)
-        {
-            let mut semantic = 0.0;
-            let mut influence = 0.0;
+        let CoverageTable { slots, partial } = table;
+        for ((slot, &(_, x_i)), slot_table) in self.support.iter().enumerate().zip(slots) {
+            partial.clear();
+            partial.resize(columns.len(), (0.0, 0.0));
             if profile.scores_on(slot) {
                 for (w, weight) in profile.word_column(slot) {
-                    let best = slot_table.word_best.cell_mut(w, column);
-                    if weight > *best {
-                        semantic += weight - *best;
-                        *best = weight;
+                    let row = slot_table.word_best.row_mut(w);
+                    for ((semantic, _), &column) in partial.iter_mut().zip(columns) {
+                        let best = &mut row[column];
+                        if weight > *best {
+                            *semantic += weight - *best;
+                            *best = weight;
+                        }
                     }
                 }
                 for (child, p) in profile.child_column(slot) {
                     if p <= 0.0 {
                         continue;
                     }
-                    let survival = slot_table.child_survival.cell_mut(child, column);
-                    influence += *survival * p;
-                    *survival *= 1.0 - p;
+                    let row = slot_table.child_survival.row_mut(child);
+                    for ((_, influence), &column) in partial.iter_mut().zip(columns) {
+                        let survival = &mut row[column];
+                        *influence += *survival * p;
+                        *survival *= 1.0 - p;
+                    }
                 }
             }
-            gain += x_i * config.combine(semantic, influence);
+            for (gain, &(semantic, influence)) in gains.iter_mut().zip(&*partial) {
+                *gain += x_i * config.combine(semantic, influence);
+            }
         }
-        gain
     }
 
     /// Recomputes `f(S, x)` of an arbitrary element set from scratch (used to
@@ -924,6 +958,36 @@ mod tests {
         evaluator.delta(ElementId(1));
         evaluator.marginal_gain(&state, ElementId(2));
         assert_eq!(evaluator.gain_evaluations(), 2);
+    }
+
+    /// A query-sized arena leaves its columns to the next arena on the
+    /// thread; one that profiled as many elements as an exhaustive baseline
+    /// does gives them back — also when none of the elements scores on the
+    /// query, so that only `entries` and `topic_probs` grew.
+    #[test]
+    fn exhaustive_arenas_are_not_kept_for_reuse() {
+        let (phi, window, rows) = fixture();
+        let scorer = Scorer::new(&phi, ScoringConfig::default(), &window, &rows);
+        let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
+        let evaluator = QueryEvaluator::new(scorer, &query);
+        // Takes the thread's spare columns and puts them back.
+        let spare_entries = || ProfileArena::default().columns.entries.capacity();
+
+        let mut arena = ProfileArena::default();
+        evaluator.profile(&mut arena, ElementId(1));
+        drop(arena);
+        assert!(spare_entries() > 0);
+
+        // Ids outside the window: an entry and two topic probabilities each,
+        // nothing else.
+        let mut arena = ProfileArena::default();
+        for id in 1_000..21_000 {
+            evaluator.profile(&mut arena, ElementId(id));
+        }
+        assert!(arena.columns.weights.is_empty());
+        assert!(arena.columns.capacity_bytes() > SPARE_BYTES_LIMIT);
+        drop(arena);
+        assert_eq!(spare_entries(), 0);
     }
 
     #[test]
