@@ -16,10 +16,9 @@
 //! failure lanes the resilience layer exists for:
 //!
 //! - [`HostileMode::FlashCrowd`] — a Zipf-amplified retweet storm lands in
-//!   one bucket (head elements duplicated under fresh ids), plus an
-//!   overload probe that pins the load-shed ladder
-//!   ([`OverloadConfig`]) to its top rung
-//!   and checks the telemetry trail.
+//!   one bucket (head elements duplicated under fresh ids), replayed once
+//!   more through a fully serialised pipeline (depth 1, so every slide's
+//!   admission blocks on the burst's refreshes) against the same oracle.
 //! - [`HostileMode::Churn`] — subscriptions arrive and leave mid-stream;
 //!   retirements must reconcile ([`RetiredStats`]) and every delta produced
 //!   while a queue was attached must be accounted delivered-or-dropped.
@@ -47,8 +46,8 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_continuous::{
-    DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, OverloadConfig, OverloadLevel,
-    RetiredStats, ShardConfig, SubscriptionId, SubscriptionManager,
+    DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, RetiredStats, ShardConfig,
+    SubscriptionId, SubscriptionManager,
 };
 use ksir_core::{Algorithm, KsirQuery};
 use ksir_types::{
@@ -63,7 +62,7 @@ type Manager = SubscriptionManager<DenseTopicWordTable>;
 /// A hostile stream regime, each with its own equivalence oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostileMode {
-    /// A Zipf-amplified burst lands in one bucket (plus an overload probe).
+    /// A Zipf-amplified burst lands in one bucket (plus a serialised replay).
     FlashCrowd,
     /// Subscriptions churn in and out mid-stream against [`RetiredStats`].
     Churn,
@@ -512,14 +511,15 @@ fn run_sync(script: &Script) -> Result<RunOutcome, String> {
     finish(&mgr, &slots, total_updates, &[])
 }
 
-/// One pipelined replay — optionally through the reorder buffer in the
-/// script's permuted arrival order, optionally under a [`FaultPlan`].
+/// One pipelined replay under `config` — optionally through the reorder
+/// buffer in the script's permuted arrival order, optionally under a
+/// [`FaultPlan`].
 fn run_async(
     script: &Script,
+    mut config: ShardConfig,
     permuted: bool,
     faults: Option<&Arc<FaultPlan>>,
 ) -> Result<RunOutcome, String> {
-    let mut config = ShardConfig::default();
     if permuted {
         config = config.with_reorder_horizon(script.horizon);
     }
@@ -647,57 +647,20 @@ fn fault_checks(plan: &FaultPlan, run: &RunOutcome) -> Result<usize, String> {
     Ok(6)
 }
 
-/// Pins the load-shed ladder to its top rung under a fully serialised
-/// pipeline and verifies the telemetry trail (steps counter, level gauge)
-/// and that the degraded pipeline still completes every slide.
-fn overload_probe(script: &Script) -> Result<usize, String> {
-    let config = ShardConfig::default()
-        .with_pipeline_depth(1)
-        .with_overload(OverloadConfig::enabled(0, 0, 1));
-    let mut mgr = SubscriptionManager::with_shard_config(script.scenario.engine(), config);
-    let slots = subscribe_initial(&mut mgr, &script.initial, None)?;
-    for (i, (bucket, end)) in script.buckets.iter().enumerate() {
-        mgr.ingest_bucket_async(bucket.clone(), *end)
-            .map_err(|e| format!("overload probe ingest failed at slide {i}: {e:?}"))?
-            .detach();
-    }
-    mgr.sync();
-    let registry = mgr.telemetry().registry();
-    let steps = registry.counter("overload.steps").get();
-    if mgr.overload_level() != OverloadLevel::TruncateFloors {
-        return Err(format!(
-            "overload probe: expected the top rung, got {:?} after {steps} steps",
-            mgr.overload_level()
-        ));
-    }
-    if steps != 2 {
-        return Err(format!(
-            "overload probe: expected 2 ladder steps, saw {steps}"
-        ));
-    }
-    if registry.gauge("overload.level").get() != OverloadLevel::TruncateFloors.as_u64() {
-        return Err("overload probe: overload.level gauge disagrees with the controller".into());
-    }
-    if mgr.completed_epoch() != mgr.stats().slides as u64 {
-        return Err("overload probe: degraded pipeline stalled the watermark".into());
-    }
-    drop(slots);
-    Ok(4)
-}
-
 /// Runs one hostile regime end to end: sync oracle, clean async replay,
-/// (for [`HostileMode::PermutedArrival`]) a permuted replay, and a
-/// fault-injected replay — every one checked against the oracle.
+/// (for [`HostileMode::PermutedArrival`]) a permuted replay, a
+/// fault-injected replay, and (for [`HostileMode::FlashCrowd`]) a
+/// depth-1 serialised replay — every one checked against the oracle.
 pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<ChaosReport, String> {
     let script = build_script(mode, seed, scale)?;
     let oracle = run_sync(&script)?;
     let mut checks = oracle.scratch_checks;
 
-    let clean = run_async(&script, false, None)?;
+    let clean = run_async(&script, ShardConfig::default(), false, None)?;
     checks += compare(&oracle, &clean, "async-clean")?;
 
     if mode == HostileMode::PermutedArrival {
-        let permuted = run_async(&script, true, None)?;
+        let permuted = run_async(&script, ShardConfig::default(), true, None)?;
         checks += compare(&oracle, &permuted, "permuted")?;
         if permuted.reordered == 0 {
             return Err("permuted arrival never exercised the reorder buffer".into());
@@ -712,7 +675,12 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
     }
 
     let plan = fault_plan(seed);
-    let faulted = run_async(&script, mode == HostileMode::PermutedArrival, Some(&plan))?;
+    let faulted = run_async(
+        &script,
+        ShardConfig::default(),
+        mode == HostileMode::PermutedArrival,
+        Some(&plan),
+    )?;
     checks += compare(&oracle, &faulted, "faulted")?;
     checks += fault_checks(&plan, &faulted)?;
 
@@ -723,7 +691,12 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         checks += 1;
     }
     if mode == HostileMode::FlashCrowd {
-        checks += overload_probe(&script)?;
+        // A writer that outruns the workers blocks at admission: with one
+        // epoch in flight every slide waits out the burst's refreshes, and
+        // the decisions and watermark still match the oracle.
+        let serialised = ShardConfig::default().with_pipeline_depth(1);
+        let serialised = run_async(&script, serialised, false, None)?;
+        checks += compare(&oracle, &serialised, "serialised")?;
     }
 
     Ok(ChaosReport {

@@ -113,17 +113,16 @@
 //! [`SubscriptionManager::sync`] awaits all outstanding epochs;
 //! [`SubscriptionManager::completed_epoch`] exposes the completion
 //! watermark; [`SubscriptionManager::snapshot_stats`] the capture costs.
-//! Per-shard snapshots are bounded to the topics the shard's residents
-//! traverse, optionally truncated at the shard's floors
-//! ([`ksir_snapshot::SnapshotPolicy`] — the default `Exact` policy is
-//! score-identical, truncation trades exactness on floor-crossing re-runs
-//! for bounded memory).
+//! Epoch snapshots are bounded to the topics live subscriptions watch and
+//! serve every watched list whole, so a refresh against one is
+//! score-identical to the same refresh against the live engine.  A writer
+//! that outruns the workers blocks at admission instead of degrading them.
 //!
-//! ## Hostile streams: reordering, fault isolation, overload
+//! ## Hostile streams: reordering, fault isolation
 //!
-//! Real feeds are not clean: buckets arrive out of order, a worker can
-//! panic mid-refresh, and load can outrun the pipeline.  Three layers keep
-//! the engine available — and its decisions pinned — under all three:
+//! Real feeds are not clean: buckets arrive out of order and a worker can
+//! panic mid-refresh.  Two layers keep the engine available — and its
+//! decisions pinned — under both:
 //!
 //! * **Reorder buffer** ([`reorder`]): a bounded, watermark-driven buffer in
 //!   front of the pipelined path
@@ -144,10 +143,6 @@
 //!   Deterministic [`FaultPlan`]s inject panics, snapshot delays, poisoned
 //!   delivery sends, and worker kills at exact epoch/shard coordinates for
 //!   the chaos harness.
-//! * **Graceful overload degradation** ([`overload`]): when enabled, the
-//!   admission-wait pressure walks a reversible load-shed ladder — shared
-//!   plans off → floor-truncated snapshots — one rung
-//!   at a time with hysteresis and cooldown, exported on `overload.level`.
 //!
 //! Because every refresh re-runs the subscription's own algorithm against
 //! the same index an ad-hoc query would use, maintained results are
@@ -191,7 +186,6 @@ pub mod cluster;
 pub mod delivery;
 pub mod fault;
 pub mod manager;
-pub mod overload;
 pub mod reorder;
 pub mod shard;
 pub mod subscription;
@@ -200,14 +194,13 @@ mod worker;
 pub use delivery::{Delivery, DeliveryConfig, DeliveryReceiver, OverflowPolicy};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use manager::{ManagerStats, RetiredStats, SlideOutcome, SlideTicket, SubscriptionManager};
-pub use overload::{OverloadConfig, OverloadLevel};
 pub use reorder::LatePolicy;
 pub use shard::{ShardConfig, ShardKey, ShardStats};
 pub use subscription::{RefreshReason, ResultDelta, SubscriptionId, SubscriptionStats};
 
-// The snapshot knobs a pipelined deployment tunes, re-exported so most users
-// never import `ksir-snapshot` directly.
-pub use ksir_snapshot::{SnapshotPolicy, SnapshotStats};
+// The snapshot statistics a pipelined deployment reads, re-exported so most
+// users never import `ksir-snapshot` directly.
+pub use ksir_snapshot::SnapshotStats;
 
 // The observability surface ([`SubscriptionManager::telemetry`]), re-exported
 // so dashboards and exporters never import `ksir-telemetry` directly.

@@ -5,16 +5,15 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use ksir_core::{Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, SharedEngine};
-use ksir_snapshot::{
-    EngineSnapshot, SnapshotCounters, SnapshotPolicy, SnapshotSource, SnapshotStats,
+use ksir_core::{
+    Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, QuerySource, SharedEngine,
 };
+use ksir_snapshot::{EngineSnapshot, SnapshotCounters, SnapshotStats};
 use ksir_telemetry::{FlightTrigger, Telemetry, TraceEventKind};
 use ksir_types::{KsirError, Result, SocialElement, Timestamp, TopicVector, TopicWordDistribution};
 
 use crate::delivery::{delivery_queue, DeliveryConfig, DeliveryReceiver, DeliveryTelemetry};
 use crate::fault::FaultPlan;
-use crate::overload::{OverloadController, OverloadLevel};
 use crate::reorder::{Bucket, ReorderBuffer};
 use crate::shard::{
     refresh_one, LaneDecision, PendingEpoch, ShardCell, ShardConfig, ShardKey, ShardSlide,
@@ -210,8 +209,6 @@ pub struct SubscriptionManager<D> {
     /// Deterministic fault schedule consulted at the snapshot, worker, and
     /// delivery seams; `None` outside chaos runs.
     faults: Option<Arc<FaultPlan>>,
-    /// The load-shed ladder, fed the async path's admission wait each slide.
-    overload: OverloadController,
     /// The unified observability bundle (metrics registry + trace ring);
     /// shared with the shards, workers, and delivery queues.
     telemetry: Arc<Telemetry>,
@@ -244,7 +241,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             reordered: 0,
             late_dropped: 0,
             faults: None,
-            overload: OverloadController::new(config.overload),
             telemetry,
         }
     }
@@ -306,9 +302,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.retired
     }
 
-    /// Snapshot-capture work counters: epochs captured, per-shard snapshot
-    /// builds, and the shared/truncated prefix split.  The writer-side
-    /// copy-on-write cost lives in the engine's
+    /// Snapshot work counters: epochs captured and shard refreshes served
+    /// from them.  The writer-side copy-on-write cost lives in the engine's
     /// [`EngineStats`](ksir_core::EngineStats) (`*_cow_clones`).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         self.snapshots.stats()
@@ -364,9 +359,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         registry
             .gauge("shard.quarantined")
             .set(registry.counter("shard.quarantined").get());
-        registry
-            .gauge("overload.level")
-            .set(self.overload.level().as_u64());
         // Freshness: retire every fully-refreshed epoch on the e2e clock,
         // then publish the age of the oldest still-open one — the live
         // watermark-stall signal `/ready` probes alert on.
@@ -669,17 +661,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.faults.as_ref()
     }
 
-    /// The current rung of the load-shed ladder ([`OverloadLevel::Normal`]
-    /// unless overload control is enabled and pressure stepped it up).
-    pub fn overload_level(&self) -> OverloadLevel {
-        self.overload.level()
-    }
-
-    /// The smoothed admission-wait pressure (µs) driving the ladder.
-    pub fn overload_pressure_micros(&self) -> u64 {
-        self.overload.pressure_micros()
-    }
-
     /// Number of shards currently quarantined (shared plans off) by repeated
     /// refresh panics.
     pub fn quarantined_shards(&self) -> usize {
@@ -724,31 +705,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// release.
     pub fn reorder_released_through(&self) -> Option<Timestamp> {
         self.reorder.released_through()
-    }
-
-    /// Applies a new overload rung: flips every shard's shared-plans mode,
-    /// exports the rung, and traces the step.
-    fn apply_overload(&mut self, level: OverloadLevel) {
-        for cell in self.shards.values() {
-            cell.shard().set_plans_active(level.shared_plans_enabled());
-        }
-        let registry = self.telemetry.registry();
-        registry.gauge("overload.level").set(level.as_u64());
-        registry.counter("overload.steps").inc();
-        self.telemetry.record(
-            self.slides as u64,
-            None,
-            TraceEventKind::OverloadStep {
-                level: level.as_u64(),
-            },
-        );
-        // Ladder steps are rare and always postmortem-worthy: snapshot the
-        // trace + gauge surface while the pressure that caused them is
-        // still visible.
-        self.telemetry.trigger_flight(FlightTrigger::OverloadStep {
-            epoch: self.slides as u64,
-            level: level.as_u64(),
-        });
     }
 
     /// Folds one reorder-buffer outcome into the manager tallies, registry
@@ -818,7 +774,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     /// copy-on-writes around it.  Bounded to the topics live subscriptions
     /// watch: lists nothing can traverse are not captured and therefore
     /// never pay copy-on-write.
-    fn capture_epoch(&self, epoch: u64) -> Arc<dyn SnapshotSource> {
+    fn capture_epoch(&self, epoch: u64) -> Arc<dyn QuerySource + Send + Sync> {
         // Injection seam: a scheduled DelaySnapshot stalls the capture,
         // widening the ingest/refresh race window without changing any
         // decision.
@@ -1024,22 +980,10 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
             Some(pool) => pool.wait_admission(depth),
             None => self.watermark.wait_inflight_below(depth),
         }
-        let admission_wait = admission_started.elapsed();
         self.telemetry
             .registry()
             .histogram("ingest.admission_wait")
-            .record(admission_wait);
-        // The admission wait is the pipeline's backpressure signal: feed it
-        // to the load-shed ladder and apply any step before this slide's
-        // snapshot is captured, so the new rung governs this epoch.
-        if let Some(level) = self.overload.observe(admission_wait) {
-            self.apply_overload(level);
-        }
-        let policy = if self.overload.level().truncate_snapshots() {
-            SnapshotPolicy::TruncateAtFloors
-        } else {
-            self.config.snapshot_policy
-        };
+            .record(admission_started.elapsed());
         let write_started = Instant::now();
         let report = self.engine.write().ingest_bucket(bucket, bucket_end)?;
         self.telemetry
@@ -1064,7 +1008,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         );
 
         let mut delta: Option<Arc<ksir_stream::WindowDelta>> = None;
-        let mut snapshot: Option<Arc<dyn SnapshotSource>> = None;
+        let mut snapshot: Option<Arc<dyn QuerySource + Send + Sync>> = None;
         let mut handoffs: Vec<WorkItem> = Vec::new();
         let mut shards_scheduled = 0usize;
         let mut shards_deferred = 0usize;
@@ -1087,7 +1031,6 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
                     snapshot: snapshot
                         .get_or_insert_with(|| self.capture_epoch(slide_no))
                         .clone(),
-                    policy,
                 }
             });
             match decision {

@@ -50,13 +50,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ksir_core::{FloorAggregate, KsirQuery, QueryResult, QuerySource};
-use ksir_snapshot::{PrefixSpec, SnapshotPolicy, SnapshotSource};
 use ksir_stream::WindowDelta;
 use ksir_telemetry::{Counter, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind};
 use ksir_types::{ElementId, TopicId};
 
 use crate::cluster::{ClusterKey, PlanCluster};
-use crate::overload::OverloadConfig;
 use crate::reorder::LatePolicy;
 use crate::subscription::{RefreshReason, ResultDelta, Subscription, SubscriptionId};
 
@@ -106,10 +104,6 @@ pub struct ShardConfig {
     /// little: each in-flight epoch pins its snapshot (and the writer's
     /// copy-on-write clones) in memory.
     pub pipeline_depth: usize,
-    /// How per-shard snapshots capture the ranked lists
-    /// (see [`SnapshotPolicy`]); [`SnapshotPolicy::Exact`] keeps the
-    /// pipelined path decision- and score-identical to the synchronous API.
-    pub snapshot_policy: SnapshotPolicy,
     /// How much telemetry the manager collects (see [`TelemetryConfig`]).
     /// Tracing is on by default; metrics are always on.
     pub telemetry: TelemetryConfig,
@@ -130,9 +124,6 @@ pub struct ShardConfig {
     /// What the reorder buffer does with a bucket that arrives beyond the
     /// horizon (see [`LatePolicy`]).
     pub late_policy: LatePolicy,
-    /// The graceful-degradation ladder's tuning (disabled by default; see
-    /// [`crate::overload`]).
-    pub overload: OverloadConfig,
 }
 
 impl Default for ShardConfig {
@@ -141,12 +132,10 @@ impl Default for ShardConfig {
             overflow_support_threshold: 4,
             max_threads: None,
             pipeline_depth: 2,
-            snapshot_policy: SnapshotPolicy::Exact,
             telemetry: TelemetryConfig::default(),
             shared_plans: true,
             reorder_horizon: 0,
             late_policy: LatePolicy::DropLate,
-            overload: OverloadConfig::default(),
         }
     }
 }
@@ -185,12 +174,6 @@ impl ShardConfig {
         self
     }
 
-    /// Overrides the shard-snapshot capture policy.
-    pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
-        self.snapshot_policy = policy;
-        self
-    }
-
     /// Overrides the telemetry configuration (e.g.
     /// [`TelemetryConfig::disabled`] to turn tracing off).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
@@ -215,13 +198,6 @@ impl ShardConfig {
     /// Overrides the beyond-horizon arrival policy.
     pub fn with_late_policy(mut self, policy: LatePolicy) -> Self {
         self.late_policy = policy;
-        self
-    }
-
-    /// Overrides the overload-degradation tuning (pass
-    /// [`OverloadConfig::enabled`] to arm the ladder).
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = overload;
         self
     }
 
@@ -399,17 +375,14 @@ struct SlideWork {
 }
 
 /// One epoch queued on a busy shard's lane: the slide delta to project, the
-/// frozen engine image to refresh against if the projection fires, the
-/// snapshot policy the refresh must honour (captured per epoch so the
-/// overload ladder's [`SnapshotPolicy`] switch cannot retroactively change
-/// an in-flight epoch), and the watermark drop-guard that marks the epoch's
-/// work complete however the task leaves the pipeline — processed, shed, or
-/// dropped on the floor by a dying worker.
+/// frozen engine image to refresh against if the projection fires, and the
+/// watermark drop-guard that marks the epoch's work complete however the
+/// task leaves the pipeline — processed, shed, or dropped on the floor by a
+/// dying worker.
 pub(crate) struct PendingEpoch {
     pub(crate) epoch: u64,
     pub(crate) delta: Arc<WindowDelta>,
-    pub(crate) snapshot: Arc<dyn SnapshotSource>,
-    pub(crate) policy: SnapshotPolicy,
+    pub(crate) snapshot: Arc<dyn QuerySource + Send + Sync>,
     /// Never read — held purely for its `Drop`, which completes the epoch's
     /// watermark registration.
     #[allow(dead_code)]
@@ -555,11 +528,8 @@ pub(crate) struct Shard {
     /// Whether residents are grouped into plan clusters and refreshed
     /// through shared covering runs (see [`ShardConfig::shared_plans`]).
     /// Structural: cluster bookkeeping stays alive even while covering runs
-    /// are suspended by `plans_active`/quarantine
-    /// (see [`Shard::plans_enabled`]).
+    /// are suspended by quarantine (see [`Shard::plans_enabled`]).
     shared_plans: bool,
-    /// Overload-ladder switch: covering runs suspended while `false`.
-    plans_active: bool,
     /// Degraded mode entered after a refresh retry budget is exhausted:
     /// shared plans are off until the operator lifts it
     /// ([`Shard::lift_quarantine`]).
@@ -588,7 +558,6 @@ impl Shard {
             members: HashSet::new(),
             pending_initial: 0,
             shared_plans,
-            plans_active: true,
             quarantined: false,
             clusters: BTreeMap::new(),
             cluster_of: BTreeMap::new(),
@@ -612,15 +581,10 @@ impl Shard {
         self.key
     }
 
-    /// Effective shared-plan mode: the structural capability gated by the
-    /// overload ladder and quarantine.
+    /// Effective shared-plan mode: the structural capability gated by
+    /// quarantine.
     fn plans_enabled(&self) -> bool {
-        self.shared_plans && self.plans_active && !self.quarantined
-    }
-
-    /// Applies the overload ladder's shared-plans rung.
-    pub(crate) fn set_plans_active(&mut self, plans_active: bool) {
-        self.plans_active = plans_active;
+        self.shared_plans && !self.quarantined
     }
 
     /// Whether the shard is in degraded (quarantined) mode.
@@ -772,48 +736,6 @@ impl Shard {
             return true;
         }
         self.floors.disturbed_by(&delta.ranked)
-    }
-
-    /// The ranked-list view a refresh of this shard needs, as truncation
-    /// floors: for every support topic of every resident, the loosest
-    /// per-resident requirement.  Fed to
-    /// [`ksir_snapshot::SnapshotSource::shard_source`] to build the bounded
-    /// per-shard snapshot.
-    ///
-    /// A resident with a frontier requires each support list down to its own
-    /// traversal floor, tightened by its admission **bar** when the last run
-    /// reported one ([`ksir_core::QueryFrontier::bar`]): an element whose
-    /// weighted tuple is below `bar / (support_len · xᵢ)` in *every* support
-    /// topic has a singleton score below the bar and could not have entered
-    /// the result, so lists exhausted by the last traversal no longer force
-    /// whole-list prefixes.  Residents without a frontier — awaiting their
-    /// first evaluation, or running a frontier-less algorithm — require the
-    /// whole list.
-    pub(crate) fn prefix_spec(&self) -> PrefixSpec {
-        let mut floors: BTreeMap<TopicId, Option<f64>> = BTreeMap::new();
-        if self.shared_plans {
-            // Fold per cluster first: a cluster's covering floors (loosest
-            // member requirement per topic) are exactly what its covering
-            // run must see.  The shard spec is their merge — the loosest
-            // (min / whole-list) merge is associative, so the two-level fold
-            // yields the same floors as the flat per-resident fold.
-            for cluster in self.clusters.values() {
-                let mut covering: BTreeMap<TopicId, Option<f64>> = BTreeMap::new();
-                for &id in &cluster.members {
-                    fold_resident_floors(&mut covering, &self.subs[&id]);
-                }
-                for (topic, own) in covering {
-                    merge_floor(&mut floors, topic, own);
-                }
-            }
-        } else {
-            for sub in self.subs.values() {
-                fold_resident_floors(&mut floors, sub);
-            }
-        }
-        PrefixSpec {
-            floors: floors.into_iter().collect(),
-        }
     }
 
     /// Classifies and (where needed) refreshes every resident against the
@@ -1125,48 +1047,6 @@ pub(crate) fn apply_fresh(
     })
 }
 
-/// Folds one resident's snapshot requirement into a floors map: for every
-/// support topic, its own floor (tightened by the admission bar when the
-/// last run reported one), merged loosest-wins with what is already there.
-/// See [`Shard::prefix_spec`] for the math.
-fn fold_resident_floors(floors: &mut BTreeMap<TopicId, Option<f64>>, sub: &Subscription) {
-    let support = sub.query.vector().support();
-    let frontier = sub.frontier();
-    let bar = frontier.and_then(|f| f.bar);
-    for &(topic, weight) in &support {
-        let own = frontier.and_then(|f| {
-            let floor = f
-                .floors
-                .iter()
-                .find(|&&(t, _)| t == topic)
-                .and_then(|&(_, floor)| floor);
-            let cutoff = bar.map(|b| b / (support.len() as f64 * weight));
-            match (floor, cutoff) {
-                (Some(floor), Some(cutoff)) => Some(floor.max(cutoff)),
-                (Some(floor), None) => Some(floor),
-                (None, Some(cutoff)) => Some(cutoff),
-                (None, None) => None,
-            }
-        });
-        merge_floor(floors, topic, own);
-    }
-}
-
-/// Merges one requirement into a floors map, loosest-wins: the lower floor
-/// dominates, and a whole-list requirement (`None`) dominates everything.
-fn merge_floor(floors: &mut BTreeMap<TopicId, Option<f64>>, topic: TopicId, own: Option<f64>) {
-    floors
-        .entry(topic)
-        .and_modify(|agg| {
-            *agg = match (*agg, own) {
-                (Some(a), Some(o)) => Some(a.min(o)),
-                // Any whole-list requirement wins.
-                _ => None,
-            };
-        })
-        .or_insert(own);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1260,70 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_spec_covers_every_resident_support_topic() {
-        use ksir_core::{QueryFrontier, QueryResult};
-        let mut shard = shard(ShardKey::Topic(TopicId(0)));
-        // Resident with a frontier on topics 0 and 1.
-        let mut with_frontier = Subscription::new(query(1, &[0.6, 0.4, 0.0]), Algorithm::Mtts);
-        with_frontier.result = Some(QueryResult {
-            frontier: Some(QueryFrontier::new(vec![
-                (TopicId(0), Some(0.5)),
-                (TopicId(1), None),
-            ])),
-            ..QueryResult::empty(Algorithm::Mtts)
-        });
-        shard.insert(SubscriptionId(0), with_frontier);
-        let spec = shard.prefix_spec();
-        assert_eq!(
-            spec.floors,
-            vec![
-                (TopicId(0), Some(0.5)), // the resident's own floor
-                (TopicId(1), None),      // exhausted list, no bar ⇒ whole list
-            ]
-        );
-        // A result-less resident (pending initial) on topics 0 and 2 needs
-        // whole lists for its Initial traversal — including topic 0, where
-        // the first resident's floor must not truncate it.
-        shard.insert(
-            SubscriptionId(1),
-            Subscription::new(query(1, &[0.5, 0.0, 0.5]), Algorithm::Celf),
-        );
-        let spec = shard.prefix_spec();
-        assert_eq!(
-            spec.floors,
-            vec![(TopicId(0), None), (TopicId(1), None), (TopicId(2), None)]
-        );
-    }
-
-    #[test]
-    fn prefix_spec_tightens_with_the_admission_bar() {
-        use ksir_core::{QueryFrontier, QueryResult};
-        let mut shard = shard(ShardKey::Topic(TopicId(0)));
-        // Support {0: 0.6, 1: 0.4}; the last run exhausted topic 1 and left a
-        // floor of 0.1 on topic 0, with an admission bar of 0.24.
-        let mut sub = Subscription::new(query(1, &[0.6, 0.4, 0.0]), Algorithm::Mtts);
-        sub.result = Some(QueryResult {
-            frontier: Some(
-                QueryFrontier::new(vec![(TopicId(0), Some(0.1)), (TopicId(1), None)])
-                    .with_bar(0.24),
-            ),
-            ..QueryResult::empty(Algorithm::Mtts)
-        });
-        shard.insert(SubscriptionId(0), sub);
-        let spec = shard.prefix_spec();
-        // cutoff(topic) = bar / (support_len · weight):
-        //   topic 0: 0.24 / (2 · 0.6) = 0.2 > floor 0.1 ⇒ tightened to 0.2;
-        //   topic 1: 0.24 / (2 · 0.4) = 0.3 — the exhausted list no longer
-        //   forces a whole-list prefix.
-        assert_eq!(spec.floors.len(), 2);
-        let floor_of = |t: u32| spec.floors.iter().find(|&&(tt, _)| tt == TopicId(t));
-        let f0 = floor_of(0).unwrap().1.unwrap();
-        let f1 = floor_of(1).unwrap().1.unwrap();
-        assert!((f0 - 0.2).abs() < 1e-12, "topic 0 floor {f0}");
-        assert!((f1 - 0.3).abs() < 1e-12, "topic 1 floor {f1}");
-    }
-
-    #[test]
     fn lane_projection_hands_ownership_exactly_once() {
         let watermark = Arc::new(crate::worker::Watermark::new());
         let task = |epoch: u64| -> PendingEpoch {
@@ -1338,7 +1154,6 @@ mod tests {
                     epoch,
                     &ksir_snapshot::SnapshotCounters::new(),
                 )),
-                policy: SnapshotPolicy::Exact,
                 task: crate::worker::EpochTask::register(&watermark, epoch),
             }
         };

@@ -35,7 +35,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ksir_core::SharedEngine;
-use ksir_snapshot::SnapshotPolicy;
 use ksir_stream::WindowDelta;
 use ksir_telemetry::{Counter, FlightTrigger, Gauge, Telemetry, TraceEventKind};
 use ksir_types::TopicWordDistribution;
@@ -312,7 +311,7 @@ impl Drop for EpochTask {
 /// Not generic over the topic model: the engine handle is moved into the
 /// worker closures at spawn time, which keeps the pool embeddable in any
 /// manager without dragging `D` through the channel types — pipelined work
-/// carries its engine state as `Arc<dyn SnapshotSource>` payloads in the
+/// carries its engine state as `Arc<dyn QuerySource>` payloads in the
 /// shard lanes instead.
 ///
 /// Every `dispatch` first sweeps for dead worker threads (a worker dies on
@@ -503,6 +502,9 @@ struct WorkerTelemetry<'a> {
     panics: Arc<Counter>,
     quarantines: Arc<Counter>,
     quarantine_active: Arc<Gauge>,
+    /// The `snapshot.shard_snapshots` tally behind the manager's
+    /// [`SnapshotCounters`](ksir_snapshot::SnapshotCounters).
+    shard_snapshots: Arc<Counter>,
 }
 
 fn worker_loop<D: TopicWordDistribution>(
@@ -519,6 +521,7 @@ fn worker_loop<D: TopicWordDistribution>(
         panics: telemetry.registry().counter("worker.panics"),
         quarantines: telemetry.registry().counter("shard.quarantined"),
         quarantine_active: telemetry.registry().gauge("shard.quarantine_active"),
+        shard_snapshots: telemetry.registry().counter("snapshot.shard_snapshots"),
     };
     loop {
         // Hold the receiver lock only while pulling the next item, never
@@ -708,15 +711,8 @@ fn drain_lane(
         }
         let slide = refresh_resilient(cell, task.epoch, faults, wt, |shard| {
             if shard.is_touched_by(&task.delta) {
-                let source = match task.policy {
-                    // Exact serves the epoch image as-is: no spec walk, no
-                    // per-shard allocation on the default hot path.
-                    SnapshotPolicy::Exact => Arc::clone(&task.snapshot).as_query_source(),
-                    SnapshotPolicy::TruncateAtFloors => {
-                        Arc::clone(&task.snapshot).shard_source(&shard.prefix_spec(), task.policy)
-                    }
-                };
-                Some(shard.refresh_scheduled(source.as_ref(), &task.delta, task.epoch))
+                wt.shard_snapshots.inc();
+                Some(shard.refresh_scheduled(task.snapshot.as_ref(), &task.delta, task.epoch))
             } else {
                 shard.skip_all(task.epoch);
                 None

@@ -8,7 +8,7 @@
 //! maintained results; only the `refresh.cluster.*` counters — covering
 //! traversals actually run, member refreshes served by sharing — move.
 
-use ksir_continuous::{ShardConfig, SnapshotPolicy, SubscriptionId, SubscriptionManager};
+use ksir_continuous::{ShardConfig, SubscriptionId, SubscriptionManager};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
 use ksir_stream::WindowConfig;
@@ -426,26 +426,18 @@ fn churn_reclusters_without_changing_surviving_decisions() {
     assert_eq!(clustered.stats(), oracle.stats());
 }
 
-/// Shared plans compose with the pipelined ingestion path and
-/// floor-truncated per-shard snapshots: the per-cluster covering floors feed
-/// `TruncateAtFloors` captures, and the maintained results and work
-/// accounting still match the synchronous per-subscription walk.
+/// Shared plans compose with the pipelined ingestion path: covering runs
+/// against epoch snapshots keep the maintained results and work accounting
+/// of the synchronous per-subscription walk.
 #[test]
-fn shared_plans_compose_with_pipelined_truncated_snapshots() {
+fn shared_plans_compose_with_the_pipelined_path() {
     // 4 per group so clusters hold same-k sharers (k = 2,4,6,2), not just
     // cross-k variants — both sharing modes must survive the pipeline.
     let subs = workload(6, 4);
-    let config = ShardConfig::default()
-        .with_pipeline_depth(2)
-        .with_snapshot_policy(SnapshotPolicy::TruncateAtFloors);
+    let config = ShardConfig::default().with_pipeline_depth(2);
     let (mut pipelined, ids, stream) = planted_manager(61, config, &subs);
-    let (mut oracle, oracle_ids, _) = planted_manager(
-        61,
-        ShardConfig::default()
-            .with_snapshot_policy(SnapshotPolicy::TruncateAtFloors)
-            .with_shared_plans(false),
-        &subs,
-    );
+    let (mut oracle, oracle_ids, _) =
+        planted_manager(61, ShardConfig::default().with_shared_plans(false), &subs);
     assert_eq!(ids, oracle_ids);
 
     let tickets = pipelined.ingest_stream_async(stream.iter_pairs()).unwrap();

@@ -215,10 +215,8 @@ pub struct QueryFrontier {
     ///
     /// The bar is a *per-query* tightening hint on top of the floors: a
     /// candidate whose weighted singleton score cannot reach the bar can
-    /// never displace a result member, which lets
-    /// `SnapshotPolicy::TruncateAtFloors` prefixes cut above the raw
-    /// traversal floors.  It is **not** used for skip decisions — skips rely
-    /// on the floors alone.
+    /// never displace a result member.  It is **not** used for skip
+    /// decisions — skips rely on the floors alone.
     pub bar: Option<f64>,
 }
 

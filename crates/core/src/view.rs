@@ -8,7 +8,7 @@
 //! * the **live** [`RankedLists`] inside a [`KsirEngine`](crate::KsirEngine)
 //!   (the ad-hoc query path), and
 //! * an **immutable snapshot** of those lists captured at an epoch boundary
-//!   (`ksir-snapshot`'s `EngineSnapshot` / `ShardSnapshot`), which is what
+//!   (`ksir-snapshot`'s `EngineSnapshot`), which is what
 //!   lets standing-query refreshes evaluate *behind* the writer while the
 //!   next epoch's index update proceeds.
 //!

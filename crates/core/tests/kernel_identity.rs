@@ -4,14 +4,12 @@
 //! takes stays bit-identical.  This suite pins that: over two seeded
 //! `ksir-datagen` streams — short posts (≈5 words, at most one reference) and
 //! long documents (≈49 words, ≈3.7 references) — it runs 64 queries × all
-//! five [`Algorithm`]s × `k ∈ {1, 5, 10, 25}` against the live engine, an
-//! [`EngineSnapshot`] and a floor-truncated [`ShardSnapshot`], and compares
-//! `(elements, score.to_bits(), evaluated_elements, gain_evaluations,
-//! frontier)` of every run against `fixtures/kernel_identity.txt`.  Per
-//! query, algorithm and source it also checks that one
-//! [`QuerySource::query_per_k`] pass over all four `k` returns exactly the
-//! four single-`k` results (the shard view cut at the loosest of their
-//! floors).
+//! five [`Algorithm`]s × `k ∈ {1, 5, 10, 25}` against the live engine and
+//! an [`EngineSnapshot`], and compares `(elements, score.to_bits(),
+//! evaluated_elements, gain_evaluations, frontier)` of every run against
+//! `fixtures/kernel_identity.txt`.  Per query, algorithm and source it also
+//! checks that one [`QuerySource::query_per_k`] pass over all four `k`
+//! returns exactly the four single-`k` results.
 //!
 //! The fixture holds one line per `(shape, source, algorithm, k)` cell: an
 //! FNV-1a digest over the 64 results plus the two work counters in the clear,
@@ -24,14 +22,12 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use ksir_core::{
-    Algorithm, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, QueryResult, QuerySource,
-    ScoringConfig,
+    Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, QuerySource, ScoringConfig,
 };
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_snapshot::{EngineSnapshot, PrefixSpec, ShardSnapshot, SnapshotCounters, SnapshotPolicy};
+use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
 use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, QueryVector};
 
@@ -43,7 +39,7 @@ const FIXTURE_PATH: &str = concat!(
 
 const QUERIES: usize = 64;
 const KS: [usize; 4] = [1, 5, 10, 25];
-const SOURCES: [&str; 3] = ["live", "engine_snapshot", "shard_truncated"];
+const SOURCES: [&str; 2] = ["live", "engine_snapshot"];
 
 /// One stream shape: the engine at the end of its stream plus the probes.
 struct Shape {
@@ -173,44 +169,13 @@ impl Cell {
     }
 }
 
-/// The prefix spec of a shard view serving `results`: the loosest floor per
-/// support topic across their frontiers (what the subscription manager
-/// derives its specs from), whole lists where a run exhausted a list or
-/// reported no frontier (the exhaustive baselines read no list at all).
-fn loosest_spec(vector: &QueryVector, results: &[&QueryResult]) -> PrefixSpec {
-    let support = vector.support();
-    let mut loosest = FloorAggregate::new();
-    for result in results {
-        match &result.frontier {
-            Some(frontier) => loosest.absorb(frontier),
-            None => support
-                .iter()
-                .for_each(|&(topic, _)| loosest.watch_any(topic)),
-        }
-    }
-    let floors = support
-        .iter()
-        .map(|&(topic, _)| (topic, loosest.floor(topic).flatten()));
-    PrefixSpec {
-        floors: floors.collect(),
-    }
-}
-
-/// A view truncated at `spec`'s floors.
-fn truncated_view(
-    snapshot: &Arc<EngineSnapshot<DenseTopicWordTable>>,
-    spec: &PrefixSpec,
-) -> ShardSnapshot<DenseTopicWordTable> {
-    ShardSnapshot::new(Arc::clone(snapshot), spec, SnapshotPolicy::TruncateAtFloors)
-}
-
 /// Runs every cell of one shape and renders its fixture lines.  Along the
 /// way, every source's one-pass answer at all of [`KS`] is checked against
 /// its four single-`k` runs.
 fn run_shape(shape: &Shape, out: &mut String) {
     let engine = &shape.engine;
     let counters = SnapshotCounters::new();
-    let snapshot = Arc::new(EngineSnapshot::capture(engine, 1, &counters));
+    let snapshot = EngineSnapshot::capture(engine, 1, &counters);
     for algorithm in Algorithm::ALL {
         let mut cells = [[Cell::new(); SOURCES.len()]; KS.len()];
         for vector in &shape.vectors {
@@ -219,14 +184,8 @@ fn run_shape(shape: &Shape, out: &mut String) {
                 let query = KsirQuery::new(k, vector.clone()).unwrap();
                 let live = engine.query(&query, algorithm).unwrap();
                 let frozen = snapshot.query(&query, algorithm).unwrap();
-                // The shard view is truncated at the floors the run itself
-                // reported.
-                let shard = truncated_view(&snapshot, &loosest_spec(vector, &[&live]));
-                let truncated = shard.query(&query, algorithm).unwrap();
-                for ((cell, result), all) in cells
-                    .iter_mut()
-                    .zip([live, frozen, truncated])
-                    .zip(&mut per_source)
+                for ((cell, result), all) in
+                    cells.iter_mut().zip([live, frozen]).zip(&mut per_source)
                 {
                     cell.absorb(&result);
                     all.push(result);
@@ -234,9 +193,7 @@ fn run_shape(shape: &Shape, out: &mut String) {
             }
 
             let query = KsirQuery::new(1, vector.clone()).unwrap();
-            let live: Vec<&QueryResult> = per_source[0].iter().collect();
-            let shard = truncated_view(&snapshot, &loosest_spec(vector, &live));
-            let sources: [&dyn QuerySource; SOURCES.len()] = [engine, snapshot.as_ref(), &shard];
+            let sources: [&dyn QuerySource; SOURCES.len()] = [engine, &snapshot];
             for ((name, source), single) in SOURCES.iter().zip(sources).zip(&per_source) {
                 let multi = source.query_per_k(&query, &KS, algorithm).unwrap();
                 assert_eq!(

@@ -17,14 +17,12 @@
 //! * Algorithm 1 keeps the ranked-list tuples equal to the directly computed
 //!   topic-wise scores `f_i({e})`, even across expiry and resurrection.
 //! * The shard-level refresh floors ([`FloorAggregate`]) stay a monotone,
-//!   conservative union of the absorbed frontiers, and a ranked-list prefix
-//!   truncated at the aggregated floor is *sufficient for refresh
-//!   decisions*: no tuple the truncation drops can disturb any absorbed
-//!   frontier — the invariant `ksir-snapshot`'s floor-truncated captures
-//!   rely on.
+//!   conservative union of the absorbed frontiers, and a slide touching only
+//!   tuples below the aggregated floor disturbs neither the aggregate nor
+//!   any absorbed frontier — the soundness of the shard skip rule.
 //! * One [`QuerySource::query_per_k`] pass answers every requested size
 //!   exactly as that size's own run, bit for bit, on the live engine and on
-//!   both snapshot types.
+//!   an epoch snapshot.
 
 use std::sync::Arc;
 
@@ -38,7 +36,7 @@ use ksir_core::{
     Algorithm, ElementRow, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena,
     QueryEvaluator, QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
 };
-use ksir_snapshot::{EngineSnapshot, PrefixSpec, ShardSnapshot, SnapshotCounters, SnapshotPolicy};
+use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
@@ -482,13 +480,12 @@ proptest! {
         }
     }
 
-    /// Snapshot-prefix sufficiency: truncating a ranked list at the shard's
-    /// aggregated floor never changes a refresh decision vs the full list —
-    /// every tuple at or above any resident's floor survives truncation, and
-    /// a slide touching only dropped (below-floor) tuples disturbs neither
-    /// the aggregate nor any absorbed frontier.
+    /// Skip-rule soundness: a slide touching a ranked list only below the
+    /// shard's aggregated floor (by more than [`FLOOR_SLACK`]) disturbs
+    /// neither the aggregate nor any absorbed frontier, so skipping the
+    /// shard changes no refresh decision.
     #[test]
-    fn prefix_truncated_at_the_floor_preserves_refresh_decisions(seed in any::<u64>()) {
+    fn touches_below_the_aggregated_floor_disturb_no_frontier(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let num_topics = rng.gen_range(1..=4usize);
         let num_frontiers = rng.gen_range(1..=5);
@@ -507,42 +504,27 @@ proptest! {
             }
             let floor = match agg.floor(topic) {
                 Some(Some(floor)) => floor,
-                // Unwatched or any-touch topics are captured whole; nothing
+                // Unwatched or any-touch topics: every touch counts; nothing
                 // to check.
                 _ => continue,
             };
-            let prefix = list.share().prefix(Some(floor));
-            prop_assert_eq!(prefix.len() + prefix.truncated(), list.len());
-
-            // (a) Every tuple any resident's check could reference survives:
-            // tuples at/above the *loosest* floor are in the prefix.
-            for (id, score, _) in list.iter() {
-                if score >= floor {
-                    prop_assert!(
-                        prefix.iter().any(|(pid, _, _)| pid == id),
-                        "tuple {id} at {score} >= floor {floor} was dropped"
-                    );
-                }
-            }
-            // (b) Dropped tuples are invisible to every refresh decision: a
-            // slide touching this topic at a dropped tuple's score disturbs
-            // no absorbed frontier (and not the aggregate).
-            let kept: std::collections::HashSet<ElementId> =
-                prefix.iter().map(|(id, _, _)| id).collect();
-            for (id, score, _) in list.iter() {
-                if kept.contains(&id) {
+            // The list splits at `floor - FLOOR_SLACK`: a touch at the score
+            // of any tuple below the split is invisible to every refresh
+            // decision.
+            for (_, score, _) in list.iter() {
+                if score >= floor - FLOOR_SLACK {
                     continue;
                 }
                 let mut touch = RankedDelta::new(num_topics);
                 touch.record(topic, score);
                 prop_assert!(
                     !agg.disturbed_by(&touch),
-                    "dropped tuple at {score} (floor {floor}) disturbs the aggregate"
+                    "touch at {score} below floor {floor} disturbs the aggregate"
                 );
                 for frontier in &frontiers {
                     prop_assert!(
                         !frontier.disturbed_by(&touch),
-                        "dropped tuple at {score} disturbs a resident frontier"
+                        "touch at {score} below floor {floor} disturbs a resident frontier"
                     );
                 }
             }
@@ -707,36 +689,14 @@ fn random_sizes(rng: &mut StdRng, active: usize) -> Vec<usize> {
     ks
 }
 
-/// The shard spec serving every run in `results`: the loosest of their
-/// floors per support topic, whole lists where a run reported no frontier.
-fn loosest_spec(vector: &QueryVector, results: &[QueryResult]) -> PrefixSpec {
-    let support = vector.support();
-    let mut loosest = FloorAggregate::new();
-    for result in results {
-        match &result.frontier {
-            Some(frontier) => loosest.absorb(frontier),
-            None => support
-                .iter()
-                .for_each(|&(topic, _)| loosest.watch_any(topic)),
-        }
-    }
-    let floors = support
-        .iter()
-        .map(|&(topic, _)| (topic, loosest.floor(topic).flatten()));
-    PrefixSpec {
-        floors: floors.collect(),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One pass at many sizes equals one run per size: for every algorithm,
     /// `query_per_k(ks)[i]` is bit for bit `query` at `ks[i]` — elements in
     /// order, score, both work counters, floors and bar — on the live
-    /// engine, on an [`EngineSnapshot`], and on a [`ShardSnapshot`]
-    /// truncated at the loosest floors of the per-size runs.  The query's
-    /// own `k` plays no part.
+    /// engine and on an [`EngineSnapshot`].  The query's own `k` plays no
+    /// part.
     #[test]
     fn one_pass_equals_one_run_per_size(params in per_k_params()) {
         let (p, epsilon) = params;
@@ -744,7 +704,7 @@ proptest! {
         let engine = &instance.engine;
         let mut rng = StdRng::seed_from_u64(p.seed ^ 0x9e7_5123);
         let ks = random_sizes(&mut rng, engine.active_count());
-        let snapshot = Arc::new(EngineSnapshot::capture(engine, 1, &SnapshotCounters::new()));
+        let snapshot = EngineSnapshot::capture(engine, 1, &SnapshotCounters::new());
         // The instance's vector, and one with a zero weight.
         let mut sparse: Vec<f64> = (0..p.num_topics).map(|_| rng.gen::<f64>() + 0.01).collect();
         sparse[rng.gen_range(0..p.num_topics)] = 0.0;
@@ -759,14 +719,8 @@ proptest! {
                 let runs = |source: &dyn QuerySource| -> Vec<QueryResult> {
                     ks.iter().map(|&k| source.query(&at(k), algorithm).unwrap()).collect()
                 };
-                let live = runs(engine);
-                let shard = ShardSnapshot::new(
-                    Arc::clone(&snapshot),
-                    &loosest_spec(vector, &live),
-                    SnapshotPolicy::TruncateAtFloors,
-                );
-                let sources: [(&str, &dyn QuerySource); 3] =
-                    [("live", engine), ("engine snapshot", snapshot.as_ref()), ("shard", &shard)];
+                let sources: [(&str, &dyn QuerySource); 2] =
+                    [("live", engine), ("engine snapshot", &snapshot)];
                 for (name, source) in sources {
                     let single = runs(source);
                     let multi = source.query_per_k(&query, &ks, algorithm).unwrap();

@@ -4,31 +4,28 @@
 //! `/health` is liveness — the server thread is accepting, nothing more.
 //! `/ready` is the SLO check: it evaluates a [`ReadinessPolicy`] against the
 //! live telemetry bundle and answers 503 while any bound is violated.  The
-//! three inputs deliberately cover the three ways a k-SIR pipeline degrades:
+//! two inputs deliberately cover the two ways a k-SIR pipeline degrades:
 //!
 //! * **freshness lag** — the oldest ingested-but-undelivered epoch's age,
 //!   read live from the [`FreshnessClock`](ksir_telemetry::FreshnessClock)
 //!   (not from the `manager.freshness_lag` gauge, which is only republished
 //!   at barriers and would go stale exactly when the pipeline stalls);
 //! * **quarantined shards** — the `shard.quarantine_active` gauge, counted
-//!   up at quarantine and back down when a lift restores the shard;
-//! * **overload level** — the load-shed ladder rung from `overload.level`.
+//!   up at quarantine and back down when a lift restores the shard.
 
 use std::time::Duration;
 
 use ksir_telemetry::Telemetry;
 
 /// Bounds a deployment considers "ready".  The defaults are deliberately
-/// strict: any quarantined shard or any ladder step beyond light shedding is
-/// a routing problem even when throughput looks fine.
+/// strict: any quarantined shard is a routing problem even when throughput
+/// looks fine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadinessPolicy {
     /// Oldest unconsumed epoch may be at most this stale.
     pub max_freshness_lag: Duration,
     /// Quarantined shards tolerated before the instance is not ready.
     pub max_quarantined: u64,
-    /// Highest overload-ladder rung still considered ready (0 = normal).
-    pub max_overload_level: u64,
 }
 
 impl Default for ReadinessPolicy {
@@ -36,7 +33,6 @@ impl Default for ReadinessPolicy {
         ReadinessPolicy {
             max_freshness_lag: Duration::from_secs(5),
             max_quarantined: 0,
-            max_overload_level: 1,
         }
     }
 }
@@ -53,12 +49,6 @@ impl ReadinessPolicy {
         self.max_quarantined = shards;
         self
     }
-
-    /// Overrides the overload-ladder tolerance.
-    pub fn with_max_overload_level(mut self, level: u64) -> Self {
-        self.max_overload_level = level;
-        self
-    }
 }
 
 /// One readiness evaluation: the observed values, the verdict, and a reason
@@ -71,8 +61,6 @@ pub struct Readiness {
     pub freshness_lag_nanos: u64,
     /// `shard.quarantine_active` at evaluation.
     pub quarantined: u64,
-    /// `overload.level` at evaluation.
-    pub overload_level: u64,
     /// One human-readable line per violated bound; empty when ready.
     pub reasons: Vec<String>,
 }
@@ -82,7 +70,6 @@ impl Readiness {
     pub fn evaluate(telemetry: &Telemetry, policy: &ReadinessPolicy) -> Self {
         let lag = telemetry.freshness().lag_nanos(telemetry.now_nanos());
         let quarantined = telemetry.registry().gauge("shard.quarantine_active").get();
-        let overload = telemetry.registry().gauge("overload.level").get();
 
         let mut reasons = Vec::new();
         let max_lag = policy.max_freshness_lag.as_nanos().min(u64::MAX as u128) as u64;
@@ -97,17 +84,10 @@ impl Readiness {
                 policy.max_quarantined
             ));
         }
-        if overload > policy.max_overload_level {
-            reasons.push(format!(
-                "overload ladder at level {overload} (tolerance {})",
-                policy.max_overload_level
-            ));
-        }
         Readiness {
             ready: reasons.is_empty(),
             freshness_lag_nanos: lag,
             quarantined,
-            overload_level: overload,
             reasons,
         }
     }
@@ -128,8 +108,8 @@ impl Readiness {
         reasons.push(']');
         format!(
             "{{\n  \"ready\": {},\n  \"freshness_lag_ns\": {},\n  \"quarantined\": {},\n  \
-             \"overload_level\": {},\n  \"reasons\": {}\n}}\n",
-            self.ready, self.freshness_lag_nanos, self.quarantined, self.overload_level, reasons,
+             \"reasons\": {}\n}}\n",
+            self.ready, self.freshness_lag_nanos, self.quarantined, reasons,
         )
     }
 }
@@ -167,12 +147,6 @@ mod tests {
         assert!(!readiness.ready);
         assert!(readiness.reasons[0].contains("quarantined"));
         telemetry.registry().gauge("shard.quarantine_active").set(0);
-
-        telemetry.registry().gauge("overload.level").set(2);
-        let readiness = Readiness::evaluate(&telemetry, &policy);
-        assert!(!readiness.ready, "level 2 exceeds the default tolerance 1");
-        assert_eq!(readiness.overload_level, 2);
-        telemetry.registry().gauge("overload.level").set(1);
         assert!(Readiness::evaluate(&telemetry, &policy).ready);
     }
 }

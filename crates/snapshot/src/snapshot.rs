@@ -1,17 +1,15 @@
-//! Epoch and shard snapshot types.
+//! The epoch snapshot type.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ksir_core::{
     run_query_per_k, Algorithm, ElementRows, KsirEngine, KsirQuery, QueryResult, QuerySource,
     RankedView, ScoringConfig,
 };
-use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix};
-use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicWordDistribution};
+use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle};
+use ksir_types::{Result, TopicId, TopicWordDistribution};
 
 use crate::stats::SnapshotCounters;
-use crate::SnapshotPolicy;
 
 /// A frozen image of everything a k-SIR query evaluation reads, captured at
 /// one epoch boundary (immediately after an index update).
@@ -22,6 +20,25 @@ use crate::SnapshotPolicy;
 /// mutations copy-on-write around the image, so it keeps answering queries
 /// exactly as the engine would have at the capture epoch, from any thread,
 /// for as long as it is alive.
+///
+/// # Example
+///
+/// ```
+/// use ksir_core::{fixtures::paper_example, Algorithm, KsirQuery, QuerySource};
+/// use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+/// use ksir_types::QueryVector;
+///
+/// let engine = paper_example().build_engine();
+/// let counters = SnapshotCounters::new();
+/// let snapshot = EngineSnapshot::capture(&engine, 1, &counters);
+/// let query = KsirQuery::new(2, QueryVector::uniform(2).unwrap()).unwrap();
+///
+/// // Every list is served whole through the shared image: the snapshot
+/// // answers exactly as the live engine does at the capture epoch.
+/// let live = engine.query(&query, Algorithm::Mtts).unwrap();
+/// assert_eq!(snapshot.query(&query, Algorithm::Mtts).unwrap(), live);
+/// assert_eq!(counters.stats().epochs_captured, 1);
+/// ```
 #[derive(Debug)]
 pub struct EngineSnapshot<D> {
     epoch: u64,
@@ -33,7 +50,6 @@ pub struct EngineSnapshot<D> {
     rows: Arc<ElementRows>,
     phi: Arc<D>,
     scoring: ScoringConfig,
-    counters: SnapshotCounters,
 }
 
 impl<D: TopicWordDistribution> EngineSnapshot<D> {
@@ -53,7 +69,6 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
             rows: engine.shared_rows(),
             phi: engine.shared_phi(),
             scoring: engine.config().scoring,
-            counters: counters.clone(),
         }
     }
 
@@ -87,7 +102,6 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
             rows: engine.shared_rows(),
             phi: engine.shared_phi(),
             scoring: engine.config().scoring,
-            counters: counters.clone(),
         }
     }
 
@@ -152,194 +166,6 @@ impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
     }
 }
 
-/// The ranked-list view one shard's refresh needs, as floors: per watched
-/// topic, the truncation floor ([`None`] = serve the whole list).  Derived
-/// from the shard's [`FloorAggregate`](ksir_core::FloorAggregate) — the
-/// loosest traversal floor across residents — by the subscription manager.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PrefixSpec {
-    /// `(topic, truncation floor)` per topic any resident's traversal can
-    /// open a cursor on.
-    pub floors: Vec<(TopicId, Option<f64>)>,
-}
-
-impl PrefixSpec {
-    /// A spec serving `topics` whole (no truncation).
-    pub fn whole_lists<I: IntoIterator<Item = TopicId>>(topics: I) -> Self {
-        PrefixSpec {
-            floors: topics.into_iter().map(|t| (t, None)).collect(),
-        }
-    }
-}
-
-/// A bounded, per-shard view of one [`EngineSnapshot`]: the ranked lists the
-/// shard's residents traverse — truncated at the shard's floors under
-/// [`SnapshotPolicy::TruncateAtFloors`] — plus the shared window image every
-/// evaluation needs.
-///
-/// Topics outside the spec fall back to the shared epoch image, so a query
-/// can never observe missing lists — truncation is a memory optimisation,
-/// never a correctness cliff for scheduling.
-#[derive(Debug)]
-pub struct ShardSnapshot<D> {
-    engine: Arc<EngineSnapshot<D>>,
-    /// Materialised floor-truncated prefixes (only under `TruncateAtFloors`,
-    /// and only for topics with a finite floor).
-    prefixes: HashMap<TopicId, RankedPrefix>,
-}
-
-impl<D: TopicWordDistribution> ShardSnapshot<D> {
-    /// Builds the shard view over a captured epoch image.
-    pub fn new(engine: Arc<EngineSnapshot<D>>, spec: &PrefixSpec, policy: SnapshotPolicy) -> Self {
-        let counters = engine.counters.clone();
-        counters.count_shard_snapshot();
-        let mut prefixes = HashMap::new();
-        for &(topic, floor) in &spec.floors {
-            let list = match engine.lists.get(topic.index()) {
-                Some(Some(list)) => list,
-                // Out of range or outside the watched set (reads as empty):
-                // nothing to materialise.
-                _ => continue,
-            };
-            match (policy, floor) {
-                (SnapshotPolicy::TruncateAtFloors, Some(floor)) => {
-                    let prefix = list.prefix(Some(floor));
-                    counters.count_truncated_prefix(prefix.len(), prefix.truncated());
-                    prefixes.insert(topic, prefix);
-                }
-                _ => counters.count_shared_prefix(),
-            }
-        }
-        ShardSnapshot { engine, prefixes }
-    }
-
-    /// The epoch this view belongs to.
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch()
-    }
-
-    /// Number of topics served as materialised truncated prefixes.
-    pub fn truncated_topics(&self) -> usize {
-        self.prefixes.len()
-    }
-}
-
-/// Iterator over a truncated prefix that reports a shortfall the first time
-/// a traversal exhausts it while tuples were dropped below the floor.
-struct ShortfallIter<I> {
-    inner: I,
-    truncated: bool,
-    counters: SnapshotCounters,
-    reported: bool,
-}
-
-impl<I: Iterator<Item = (ElementId, f64, Timestamp)>> Iterator for ShortfallIter<I> {
-    type Item = (ElementId, f64, Timestamp);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let next = self.inner.next();
-        if next.is_none() && self.truncated && !self.reported {
-            self.reported = true;
-            self.counters.count_shortfall();
-        }
-        next
-    }
-}
-
-impl<D> RankedView for ShardSnapshot<D> {
-    fn num_topics(&self) -> usize {
-        self.engine.lists.len()
-    }
-
-    fn cursor(&self, topic: TopicId) -> RankedListCursor<'_> {
-        match self.prefixes.get(&topic) {
-            Some(prefix) => RankedListCursor::over(ShortfallIter {
-                inner: prefix.iter(),
-                truncated: prefix.is_truncated(),
-                counters: self.engine.counters.clone(),
-                reported: false,
-            }),
-            None => self.engine.cursor(topic),
-        }
-    }
-
-    fn suffix_cursor(&self, topic: TopicId, high: f64) -> RankedListCursor<'_> {
-        match self.prefixes.get(&topic) {
-            Some(prefix) => RankedListCursor::over(ShortfallIter {
-                inner: prefix.suffix_iter(high),
-                truncated: prefix.is_truncated(),
-                counters: self.engine.counters.clone(),
-                reported: false,
-            }),
-            None => self.engine.suffix_cursor(topic, high),
-        }
-    }
-}
-
-impl<D: TopicWordDistribution> QuerySource for ShardSnapshot<D> {
-    fn num_topics(&self) -> usize {
-        self.engine.phi.num_topics()
-    }
-
-    fn query_per_k(
-        &self,
-        query: &KsirQuery,
-        ks: &[usize],
-        algorithm: Algorithm,
-    ) -> Result<Vec<QueryResult>> {
-        run_query_per_k(
-            self,
-            self.engine.window.as_ref(),
-            self.engine.rows.as_ref(),
-            self.engine.phi.as_ref(),
-            self.engine.scoring,
-            query,
-            ks,
-            algorithm,
-        )
-    }
-}
-
-/// Object-safe handle to a captured epoch, so pipelined consumers can carry
-/// snapshots through non-generic plumbing (channels, shard queues) without
-/// naming the topic-model type `D`.
-pub trait SnapshotSource: Send + Sync {
-    /// The epoch this image belongs to.
-    fn epoch(&self) -> u64;
-
-    /// Builds the bounded per-shard query source over this image.
-    fn shard_source(
-        self: Arc<Self>,
-        spec: &PrefixSpec,
-        policy: SnapshotPolicy,
-    ) -> Arc<dyn QuerySource + Send + Sync>;
-
-    /// Serves the whole image as a query source — the [`SnapshotPolicy::Exact`]
-    /// fast path, which needs neither a spec nor a [`ShardSnapshot`]
-    /// allocation (the image's lists are already the exact view).  Counted
-    /// as a shard snapshot, since it serves the same per-shard handoff.
-    fn as_query_source(self: Arc<Self>) -> Arc<dyn QuerySource + Send + Sync>;
-}
-
-impl<D: TopicWordDistribution + Send + Sync + 'static> SnapshotSource for EngineSnapshot<D> {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn shard_source(
-        self: Arc<Self>,
-        spec: &PrefixSpec,
-        policy: SnapshotPolicy,
-    ) -> Arc<dyn QuerySource + Send + Sync> {
-        Arc::new(ShardSnapshot::new(self, spec, policy))
-    }
-
-    fn as_query_source(self: Arc<Self>) -> Arc<dyn QuerySource + Send + Sync> {
-        self.counters.count_shard_snapshot();
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,94 +222,5 @@ mod tests {
             frozen[1].score
         );
         assert_eq!(counters.stats().epochs_captured, 1);
-    }
-
-    /// Exact shard views are score-identical to the epoch image; truncated
-    /// views reproduce the result when the floors come from the queries'
-    /// own frontiers (same state ⇒ same traversal depth).
-    #[test]
-    fn shard_views_reproduce_epoch_answers() {
-        let ex = paper_example();
-        let engine = ex.build_engine();
-        let counters = SnapshotCounters::new();
-        let snap = Arc::new(EngineSnapshot::capture(&engine, 8, &counters));
-        for alg in [
-            Algorithm::Mtts,
-            Algorithm::Mttd,
-            Algorithm::TopkRepresentative,
-        ] {
-            let q = query(2, &[0.5, 0.5]);
-            let reference = engine.query(&q, alg).unwrap();
-            let frontier = reference.frontier.clone().expect("index-based algorithm");
-            // Exact policy, whole lists.
-            let exact = ShardSnapshot::new(
-                Arc::clone(&snap),
-                &PrefixSpec::whole_lists([TopicId(0), TopicId(1)]),
-                SnapshotPolicy::Exact,
-            );
-            assert_eq!(exact.truncated_topics(), 0);
-            assert_eq!(exact.query(&q, alg).unwrap(), reference);
-            // Truncated policy at the traversal's own floors.
-            let spec = PrefixSpec {
-                floors: frontier.floors.clone(),
-            };
-            let truncated =
-                ShardSnapshot::new(Arc::clone(&snap), &spec, SnapshotPolicy::TruncateAtFloors);
-            let got = truncated.query(&q, alg).unwrap();
-            assert_eq!(got.sorted_elements(), reference.sorted_elements());
-            assert!((got.score - reference.score).abs() < 1e-12);
-        }
-        let stats = counters.stats();
-        assert_eq!(stats.shard_snapshots, 6);
-        assert!(stats.prefixes_shared >= 2);
-    }
-
-    /// Exhausting a truncated prefix is counted as a shortfall; out-of-range
-    /// topics in a spec are ignored.
-    #[test]
-    fn truncation_shortfalls_are_counted() {
-        let ex = paper_example();
-        let engine = ex.build_engine();
-        let counters = SnapshotCounters::new();
-        let snap = Arc::new(EngineSnapshot::capture(&engine, 8, &counters));
-        // An absurdly high floor keeps (almost) nothing: the traversal must
-        // exhaust the truncated prefix.
-        let spec = PrefixSpec {
-            floors: vec![
-                (TopicId(0), Some(1e9)),
-                (TopicId(1), Some(1e9)),
-                (TopicId(7), None),
-            ],
-        };
-        let view = ShardSnapshot::new(Arc::clone(&snap), &spec, SnapshotPolicy::TruncateAtFloors);
-        assert_eq!(view.truncated_topics(), 2);
-        let q = query(2, &[0.5, 0.5]);
-        let got = view.query(&q, Algorithm::Mtts).unwrap();
-        assert!(got.is_empty(), "nothing above the floor to retrieve");
-        let stats = counters.stats();
-        assert!(stats.truncation_shortfalls >= 1);
-        assert!(stats.entries_truncated > 0);
-        assert_eq!(stats.entries_copied, 0);
-    }
-
-    /// The type-erased handle round-trips through `Arc<dyn …>` plumbing.
-    #[test]
-    fn snapshot_source_is_object_safe() {
-        let ex = paper_example();
-        let engine = ex.build_engine();
-        let counters = SnapshotCounters::new();
-        let snap: Arc<dyn SnapshotSource> =
-            Arc::new(EngineSnapshot::capture(&engine, 3, &counters));
-        assert_eq!(snap.epoch(), 3);
-        let source = Arc::clone(&snap).shard_source(
-            &PrefixSpec::whole_lists([TopicId(0), TopicId(1)]),
-            SnapshotPolicy::Exact,
-        );
-        assert_eq!(source.num_topics(), 2);
-        let q = query(2, &[0.5, 0.5]);
-        assert_eq!(
-            source.query(&q, Algorithm::Mttd).unwrap(),
-            engine.query(&q, Algorithm::Mttd).unwrap()
-        );
     }
 }

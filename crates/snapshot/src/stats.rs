@@ -1,152 +1,56 @@
 //! Capture-side work counters.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ksir_telemetry::{Counter, MetricsRegistry};
 
-/// Cumulative snapshot-capture counters, read out as [`SnapshotStats`].
+/// Cumulative snapshot counters, read out as [`SnapshotStats`].
 ///
-/// Cloneable `Arc` handle: the manager keeps one, every [`EngineSnapshot`]
-/// and [`ShardSnapshot`] built under it records into the same tallies from
-/// whatever thread it runs on.  Built
-/// [`with_registry`](SnapshotCounters::with_registry), every tally is also
-/// mirrored into `snapshot.*` registry counters in the same call — the two
-/// views cannot drift.
-///
-/// [`EngineSnapshot`]: crate::EngineSnapshot
-/// [`ShardSnapshot`]: crate::ShardSnapshot
+/// Cloneable handle over two counters, which are the only store of each
+/// tally: [`with_registry`](SnapshotCounters::with_registry) resolves them as
+/// `snapshot.*` counters of a caller's registry, [`new`](SnapshotCounters::new)
+/// makes private ones.  Every [`EngineSnapshot`](crate::EngineSnapshot) capture
+/// counts `snapshot.epochs_captured`; the subscription manager's workers
+/// count `snapshot.shard_snapshots` on the same registry, once per shard
+/// refresh served from an epoch image.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotCounters {
-    inner: Arc<Counters>,
-    mirror: Option<Arc<Mirror>>,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    epochs_captured: AtomicUsize,
-    shard_snapshots: AtomicUsize,
-    prefixes_shared: AtomicUsize,
-    prefixes_truncated: AtomicUsize,
-    entries_copied: AtomicUsize,
-    entries_truncated: AtomicUsize,
-    truncation_shortfalls: AtomicUsize,
-}
-
-/// Registry handles mirroring each tally, held so the hot path never
-/// re-resolves names.
-#[derive(Debug)]
-struct Mirror {
     epochs_captured: Arc<Counter>,
     shard_snapshots: Arc<Counter>,
-    prefixes_shared: Arc<Counter>,
-    prefixes_truncated: Arc<Counter>,
-    entries_copied: Arc<Counter>,
-    entries_truncated: Arc<Counter>,
-    truncation_shortfalls: Arc<Counter>,
 }
 
 impl SnapshotCounters {
-    /// Fresh, all-zero counters.
+    /// Fresh, all-zero private counters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fresh counters that also mirror every tally into `snapshot.*`
-    /// counters of `registry`.
+    /// Counters backed by the `snapshot.*` counters of `registry`.
     pub fn with_registry(registry: &MetricsRegistry) -> Self {
         SnapshotCounters {
-            inner: Arc::default(),
-            mirror: Some(Arc::new(Mirror {
-                epochs_captured: registry.counter("snapshot.epochs_captured"),
-                shard_snapshots: registry.counter("snapshot.shard_snapshots"),
-                prefixes_shared: registry.counter("snapshot.prefixes_shared"),
-                prefixes_truncated: registry.counter("snapshot.prefixes_truncated"),
-                entries_copied: registry.counter("snapshot.entries_copied"),
-                entries_truncated: registry.counter("snapshot.entries_truncated"),
-                truncation_shortfalls: registry.counter("snapshot.truncation_shortfalls"),
-            })),
+            epochs_captured: registry.counter("snapshot.epochs_captured"),
+            shard_snapshots: registry.counter("snapshot.shard_snapshots"),
         }
     }
 
     pub(crate) fn count_epoch(&self) {
-        self.inner.epochs_captured.fetch_add(1, Ordering::Relaxed);
-        if let Some(mirror) = &self.mirror {
-            mirror.epochs_captured.inc();
-        }
-    }
-
-    pub(crate) fn count_shard_snapshot(&self) {
-        self.inner.shard_snapshots.fetch_add(1, Ordering::Relaxed);
-        if let Some(mirror) = &self.mirror {
-            mirror.shard_snapshots.inc();
-        }
-    }
-
-    pub(crate) fn count_shared_prefix(&self) {
-        self.inner.prefixes_shared.fetch_add(1, Ordering::Relaxed);
-        if let Some(mirror) = &self.mirror {
-            mirror.prefixes_shared.inc();
-        }
-    }
-
-    pub(crate) fn count_truncated_prefix(&self, copied: usize, truncated: usize) {
-        self.inner
-            .prefixes_truncated
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .entries_copied
-            .fetch_add(copied, Ordering::Relaxed);
-        self.inner
-            .entries_truncated
-            .fetch_add(truncated, Ordering::Relaxed);
-        if let Some(mirror) = &self.mirror {
-            mirror.prefixes_truncated.inc();
-            mirror.entries_copied.add(copied as u64);
-            mirror.entries_truncated.add(truncated as u64);
-        }
-    }
-
-    pub(crate) fn count_shortfall(&self) {
-        self.inner
-            .truncation_shortfalls
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(mirror) = &self.mirror {
-            mirror.truncation_shortfalls.inc();
-        }
+        self.epochs_captured.inc();
     }
 
     /// A point-in-time copy of the tallies.
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
-            epochs_captured: self.inner.epochs_captured.load(Ordering::Relaxed),
-            shard_snapshots: self.inner.shard_snapshots.load(Ordering::Relaxed),
-            prefixes_shared: self.inner.prefixes_shared.load(Ordering::Relaxed),
-            prefixes_truncated: self.inner.prefixes_truncated.load(Ordering::Relaxed),
-            entries_copied: self.inner.entries_copied.load(Ordering::Relaxed),
-            entries_truncated: self.inner.entries_truncated.load(Ordering::Relaxed),
-            truncation_shortfalls: self.inner.truncation_shortfalls.load(Ordering::Relaxed),
+            epochs_captured: self.epochs_captured.get() as usize,
+            shard_snapshots: self.shard_snapshots.get() as usize,
         }
     }
 }
 
-/// Point-in-time snapshot-capture statistics (see [`SnapshotCounters`]).
+/// Point-in-time snapshot statistics (see [`SnapshotCounters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Epoch images captured ([`EngineSnapshot`](crate::EngineSnapshot)s).
     pub epochs_captured: usize,
-    /// Per-shard snapshots built on top of epoch images.
+    /// Shard refreshes served from an epoch image.
     pub shard_snapshots: usize,
-    /// Watched lists served whole through the shared `Arc` image (`O(1)`
-    /// capture, exact).
-    pub prefixes_shared: usize,
-    /// Watched lists materialised as floor-truncated contiguous prefixes.
-    pub prefixes_truncated: usize,
-    /// Tuples copied into truncated prefixes.
-    pub entries_copied: usize,
-    /// Tuples dropped below the floors (the memory the truncation saved).
-    pub entries_truncated: usize,
-    /// Traversals that exhausted a truncated prefix — conservative signal
-    /// that a re-run may have wanted tuples the truncation dropped.
-    pub truncation_shortfalls: usize,
 }

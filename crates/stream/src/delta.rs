@@ -35,12 +35,12 @@ const UNTOUCHED: u32 = u32::MAX;
 
 /// Comparison slack for "touch at or above a score floor" checks.
 ///
-/// Every consumer of the touch log must use the same slack — the frontier /
+/// Every score-bound comparison must use the same slack — the frontier /
 /// floor-aggregate disturbance checks in `ksir-core` (`touch.high >= floor -
-/// FLOOR_SLACK`) and the floor-truncated prefix capture in
-/// [`crate::ranked_list`] (keep tuples with `score >= floor - FLOOR_SLACK`)
-/// — or a truncated prefix could drop a tuple whose touch still schedules a
-/// refresh.  Exported so the invariant lives in one place.
+/// FLOOR_SLACK`) and the suffix cursors of [`crate::ranked_list`] (start at
+/// `score <= high + FLOOR_SLACK`) — or a tuple within rounding of a bound
+/// could be seen by one side and missed by the other.  Exported so the
+/// invariant lives in one place.
 pub const FLOOR_SLACK: f64 = 1e-12;
 
 /// Touch summary of one topic's ranked list over one window slide.

@@ -21,9 +21,7 @@
 //!   (`first` / `next` in the paper) and score adjustment when new references
 //!   arrive.  Lists are copy-on-write internally: [`RankedList::share`]
 //!   captures an `O(1)` immutable image ([`ranked_list::RankedListHandle`])
-//!   and [`RankedListHandle::prefix`](ranked_list::RankedListHandle::prefix)
-//!   a floor-truncated contiguous one ([`ranked_list::RankedPrefix`]) — the
-//!   primitives `ksir-snapshot` builds pipelined-epoch snapshots from.
+//!   — the primitive `ksir-snapshot` builds pipelined-epoch snapshots from.
 //! * [`delta::WindowDelta`] / [`delta::RankedDelta`] — per-slide change
 //!   summaries (element churn plus per-topic ranked-list touch depths) that
 //!   let standing-query consumers decide whether a slide could possibly have
@@ -45,5 +43,5 @@ pub mod window;
 pub use active::ActiveWindow;
 pub use bucket::{for_each_bucket, Bucket, Bucketizer};
 pub use delta::{RankedDelta, TopicTouch, Touch, WindowDelta, FLOOR_SLACK};
-pub use ranked_list::{RankedList, RankedListCursor, RankedListHandle, RankedLists, RankedPrefix};
+pub use ranked_list::{RankedList, RankedListCursor, RankedListHandle, RankedLists};
 pub use window::WindowConfig;

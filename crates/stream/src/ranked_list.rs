@@ -21,11 +21,9 @@
 //! a list at one instant is an `O(1)` pointer clone ([`RankedList::share`] →
 //! [`RankedListHandle`]): the writer's next mutation pays a copy-on-write
 //! clone of that one list (counted in [`RankedList::cow_clones`]) and the
-//! reader keeps traversing the frozen image for as long as it likes.  For
-//! bounded captures, [`RankedListHandle::prefix`] materialises the descending
-//! prefix of tuples at or above a score floor into a contiguous
-//! [`RankedPrefix`].  `ksir-snapshot` builds its per-epoch / per-shard
-//! snapshots out of exactly these two primitives.
+//! reader keeps traversing the frozen image for as long as it likes.
+//! `ksir-snapshot` builds its per-epoch snapshots out of exactly these
+//! handles.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -278,100 +276,6 @@ impl RankedListHandle {
     pub fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
         RankedListCursor::over(self.core.suffix_iter(high))
     }
-
-    /// Materialises the descending prefix of tuples whose score is at or
-    /// above `floor` (with the same comparison slack the frontier checks
-    /// use) into a contiguous [`RankedPrefix`]; `None` copies the whole
-    /// list.  `O(prefix length)`.
-    pub fn prefix(&self, floor: Option<f64>) -> RankedPrefix {
-        let mut entries = Vec::new();
-        let mut truncated = 0usize;
-        match floor {
-            None => entries.extend(self.core.iter()),
-            Some(floor) => {
-                for (id, score, ts) in self.core.iter() {
-                    if score >= floor - FLOOR_SLACK {
-                        entries.push((id, score, ts));
-                    } else {
-                        // Entries are descending: everything from here on is
-                        // below the floor.
-                        truncated = self.core.entries.len() - entries.len();
-                        break;
-                    }
-                }
-            }
-        }
-        RankedPrefix { entries, truncated }
-    }
-}
-
-/// A contiguous, descending prefix of one ranked list, captured by
-/// [`RankedListHandle::prefix`] and truncated at a score floor.
-///
-/// The prefix provably contains every tuple a touch at or above the floor
-/// could involve (same comparison slack as the frontier-disturbance checks),
-/// which is what makes floor-truncated captures sufficient for *refresh
-/// decisions*; whether it is also sufficient for re-running a query depends
-/// on how deep the re-run descends — see `ksir-snapshot`'s `SnapshotPolicy`
-/// for the exact/truncated trade-off.
-#[derive(Debug, Clone, Default)]
-pub struct RankedPrefix {
-    entries: Vec<(ElementId, f64, Timestamp)>,
-    truncated: usize,
-}
-
-impl RankedPrefix {
-    /// Number of captured tuples.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of tuples of the source list that fell below the floor and
-    /// were *not* captured.
-    pub fn truncated(&self) -> usize {
-        self.truncated
-    }
-
-    /// Returns `true` if the capture dropped any below-floor tuples.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated > 0
-    }
-
-    /// The captured tuples, descending by score.
-    pub fn entries(&self) -> &[(ElementId, f64, Timestamp)] {
-        &self.entries
-    }
-
-    /// Iterates over the captured tuples in descending score order.
-    pub fn iter(&self) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Starts an ordered traversal over the captured prefix.
-    pub fn cursor(&self) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.entries.iter().copied())
-    }
-
-    /// Iterates over the captured tuples whose score is at or below `high`
-    /// (same comparison slack as the floor checks), descending.  `O(log n)`
-    /// binary search on the descending order to position.
-    pub fn suffix_iter(&self, high: f64) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
-        let start = self
-            .entries
-            .partition_point(|&(_, score, _)| score > high + FLOOR_SLACK);
-        self.entries[start..].iter().copied()
-    }
-
-    /// Starts an ordered traversal over the captured tuples whose score is
-    /// at or below `high` — see [`RankedList::suffix_cursor`].
-    pub fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.suffix_iter(high))
-    }
 }
 
 /// A traversal cursor over one ranked list, mirroring the paper's
@@ -398,7 +302,7 @@ impl std::fmt::Debug for RankedListCursor<'_> {
 
 impl<'a> RankedListCursor<'a> {
     /// Builds a cursor over any descending `(id, score, ts)` sequence — the
-    /// seam that lets snapshot prefixes and live lists share one traversal
+    /// seam that lets snapshot images and live lists share one traversal
     /// type (and with it the query algorithms in `ksir-core`).
     pub fn over(iter: impl Iterator<Item = (ElementId, f64, Timestamp)> + 'a) -> Self {
         RankedListCursor {
@@ -752,33 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_truncates_at_the_floor_with_slack() {
-        let mut rl = RankedList::new();
-        rl.upsert(id(1), 0.9, Timestamp(1));
-        rl.upsert(id(2), 0.5, Timestamp(2));
-        rl.upsert(id(3), 0.5 - 1e-13, Timestamp(3)); // within slack of the floor
-        rl.upsert(id(4), 0.1, Timestamp(4));
-        let snap = rl.share();
-        let full = snap.prefix(None);
-        assert_eq!(full.len(), 4);
-        assert!(!full.is_truncated());
-        let cut = snap.prefix(Some(0.5));
-        let kept: Vec<u64> = cut.iter().map(|(e, _, _)| e.raw()).collect();
-        assert_eq!(kept, vec![1, 2, 3], "slack keeps near-floor tuples");
-        assert_eq!(cut.truncated(), 1);
-        assert!(cut.is_truncated());
-        assert_eq!(cut.entries().len(), 3);
-        // Cursor over the prefix walks the same descending order.
-        let mut c = cut.cursor();
-        assert_eq!(c.current().unwrap().0, id(1));
-        assert_eq!(c.advance().unwrap().0, id(2));
-        // A floor above the head keeps nothing.
-        let none = snap.prefix(Some(2.0));
-        assert!(none.is_empty());
-        assert_eq!(none.truncated(), 4);
-    }
-
-    #[test]
     fn suffix_cursor_starts_at_the_bound_with_slack() {
         let mut rl = RankedList::new();
         rl.upsert(id(1), 0.9, Timestamp(1));
@@ -796,12 +673,10 @@ mod tests {
         assert_eq!(walk(rl.suffix_cursor(0.5)), vec![2, 3, 4]);
         assert_eq!(walk(rl.suffix_cursor(2.0)), vec![1, 2, 3, 4]);
         assert_eq!(walk(rl.suffix_cursor(0.0)), Vec::<u64>::new());
-        // The handle and a materialised prefix agree with the live list.
+        // The handle agrees with the live list.
         let snap = rl.share();
         assert_eq!(walk(snap.suffix_cursor(0.5)), vec![2, 3, 4]);
-        let prefix = snap.prefix(None);
-        assert_eq!(walk(prefix.suffix_cursor(0.5)), vec![2, 3, 4]);
-        assert_eq!(walk(prefix.suffix_cursor(0.05)), Vec::<u64>::new());
+        assert_eq!(walk(snap.suffix_cursor(0.05)), Vec::<u64>::new());
     }
 
     #[test]

@@ -48,8 +48,6 @@ fn help_for(name: &str) -> Option<&'static str> {
         "manager.subscriptions" => "Standing subscriptions currently registered",
         "manager.inflight_epochs" => "Epochs admitted but not yet fully refreshed",
         "manager.freshness_lag" => "Age in nanoseconds of the oldest epoch not yet fully refreshed",
-        "overload.level" => "Current overload-degradation ladder level (0 = normal)",
-        "overload.steps" => "Overload ladder transitions taken",
         "trace.events_dropped" => "Trace events shed by the bounded ring",
         "flight.records" => "Flight-recorder postmortem records captured",
         "flight.dropped" => "Flight records shed by the bounded flight ring",
@@ -252,7 +250,7 @@ mod tests {
     fn prometheus_exposition_conforms() {
         let registry = MetricsRegistry::new();
         registry.counter("delivery.enqueued").add(9);
-        registry.gauge("overload.level").set(2);
+        registry.gauge("manager.inflight_epochs").set(2);
         let h = registry.histogram("delivery.e2e");
         for micros in [1u64, 5, 5, 40, 40, 40, 9000] {
             h.record(Duration::from_micros(micros));

@@ -2,8 +2,8 @@
 //!
 //! The trace ring is bounded, so by the time a human looks at a failure the
 //! events that explain it have usually been shed.  The flight recorder fixes
-//! that: when a trigger event fires — a shard quarantine, an overload ladder
-//! step, a late-drop burst, a worker respawn, or an injected fault — the
+//! that: when a trigger event fires — a shard quarantine, a late-drop
+//! burst, a worker respawn, or an injected fault — the
 //! owning [`Telemetry`](crate::Telemetry) bundle atomically captures the
 //! **current** trace ring, the full metrics surface, and the trigger's
 //! metadata into one JSON [`FlightRecord`], kept in a bounded ring of its
@@ -26,13 +26,6 @@ pub enum FlightTrigger {
         epoch: u64,
         /// The quarantined shard.
         shard: ShardLabel,
-    },
-    /// The overload controller moved the load-shed ladder.
-    OverloadStep {
-        /// The epoch (slide count at the step).
-        epoch: u64,
-        /// The rung stepped to (0 = normal).
-        level: u64,
     },
     /// A single arrival shed at least the configured burst threshold of
     /// late elements (see `TelemetryConfig::late_drop_burst`).
@@ -63,7 +56,6 @@ impl FlightTrigger {
     pub fn name(&self) -> &'static str {
         match self {
             FlightTrigger::ShardQuarantined { .. } => "shard_quarantined",
-            FlightTrigger::OverloadStep { .. } => "overload_step",
             FlightTrigger::LateDropBurst { .. } => "late_drop_burst",
             FlightTrigger::WorkerRespawned { .. } => "worker_respawned",
             FlightTrigger::FaultInjected { .. } => "fault_injected",
@@ -74,7 +66,6 @@ impl FlightTrigger {
     pub fn epoch(&self) -> u64 {
         match *self {
             FlightTrigger::ShardQuarantined { epoch, .. }
-            | FlightTrigger::OverloadStep { epoch, .. }
             | FlightTrigger::LateDropBurst { epoch, .. }
             | FlightTrigger::WorkerRespawned { epoch }
             | FlightTrigger::FaultInjected { epoch, .. } => epoch,
@@ -85,9 +76,6 @@ impl FlightTrigger {
         match *self {
             FlightTrigger::ShardQuarantined { epoch, shard } => {
                 format!("{{ \"epoch\": {epoch}, \"shard\": \"{shard}\" }}")
-            }
-            FlightTrigger::OverloadStep { epoch, level } => {
-                format!("{{ \"epoch\": {epoch}, \"level\": {level} }}")
             }
             FlightTrigger::LateDropBurst { epoch, dropped } => {
                 format!("{{ \"epoch\": {epoch}, \"dropped\": {dropped} }}")
@@ -293,7 +281,7 @@ mod tests {
     use crate::trace::TraceEventKind;
 
     fn trigger(epoch: u64) -> FlightTrigger {
-        FlightTrigger::OverloadStep { epoch, level: 1 }
+        FlightTrigger::WorkerRespawned { epoch }
     }
 
     #[test]

@@ -309,7 +309,7 @@ mod tests {
     fn flight_ring_overflow_counts_dropped_records() {
         let telemetry = Telemetry::new(TelemetryConfig::default().with_flight_capacity(2));
         for epoch in 1..=3 {
-            telemetry.trigger_flight(FlightTrigger::OverloadStep { epoch, level: 1 });
+            telemetry.trigger_flight(FlightTrigger::WorkerRespawned { epoch });
         }
         assert_eq!(telemetry.flight().len(), 2);
         assert_eq!(telemetry.flight().dropped(), 1);

@@ -63,8 +63,6 @@ pub struct EpochRecord {
     pub shards_quarantined: u64,
     /// Residents charged a skip because their quarantined epoch was shed.
     pub shed_residents: u64,
-    /// Overload-ladder steps recorded in this epoch.
-    pub overload_steps: u64,
     /// Timestamp of the epoch's first event.
     pub first_at_nanos: u64,
     /// Timestamp of the epoch's last event.
@@ -136,7 +134,6 @@ impl EpochRecord {
             TraceEventKind::WorkerRespawned => self.worker_respawns += 1,
             TraceEventKind::ShardQuarantined { .. } => self.shards_quarantined += 1,
             TraceEventKind::EpochShed { residents } => self.shed_residents += residents,
-            TraceEventKind::OverloadStep { .. } => self.overload_steps += 1,
         }
     }
 }

@@ -111,12 +111,6 @@ pub enum TraceEventKind {
         /// Residents charged a skip.
         residents: u64,
     },
-    /// The overload controller moved the load-shed ladder (see
-    /// `OverloadLevel`); `level` is the new rung's index (0 = normal).
-    OverloadStep {
-        /// The ladder rung stepped to.
-        level: u64,
-    },
 }
 
 impl TraceEventKind {
@@ -138,7 +132,6 @@ impl TraceEventKind {
             TraceEventKind::WorkerRespawned => "worker_respawned",
             TraceEventKind::ShardQuarantined { .. } => "shard_quarantined",
             TraceEventKind::EpochShed { .. } => "epoch_shed",
-            TraceEventKind::OverloadStep { .. } => "overload_step",
         }
     }
 }

@@ -167,14 +167,11 @@ fn main() -> Result<(), ksir::KsirError> {
     // (EngineStats) — the two halves of the snapshot subsystem's bill.
     let engine_stats = dashboard.engine().stats();
     println!(
-        "Snapshot bill: {} epoch snapshots -> {} shard snapshots ({} watched \
-         lists shared whole, {} truncated); the writer paid {} cow clones \
-         ({} window / {} row-map / {} ranked-list) to leave them \
-         immutable.\n",
+        "Snapshot bill: {} epoch snapshots served {} shard refreshes; the \
+         writer paid {} cow clones ({} window / {} row-map / {} ranked-list) \
+         to leave them immutable.\n",
         snap.epochs_captured,
         snap.shard_snapshots,
-        snap.prefixes_shared,
-        snap.prefixes_truncated,
         engine_stats.window_cow_clones
             + engine_stats.topic_vector_cow_clones
             + engine_stats.ranked_cow_clones,
@@ -298,15 +295,14 @@ fn main() -> Result<(), ksir::KsirError> {
         );
     }
 
-    // The SLO verdict a load balancer would poll: freshness lag, active
-    // quarantines, and the overload ladder, all bounded by ReadinessPolicy.
+    // The SLO verdict a load balancer would poll: freshness lag and active
+    // quarantines, both bounded by ReadinessPolicy.
     let (ready_status, ready) = http_get(obs_addr, "/ready");
     println!(
         "Readiness (GET /ready): HTTP {ready_status}, freshness lag {:.2} ms, \
-         {} quarantined, overload level {}.",
+         {} quarantined.",
         json_u64(&ready, "freshness_lag_ns").unwrap_or(0) as f64 / 1e6,
         json_u64(&ready, "quarantined").unwrap_or(0),
-        json_u64(&ready, "overload_level").unwrap_or(0),
     );
 
     let (status, timeline) = http_get(obs_addr, "/timeline");
@@ -319,8 +315,8 @@ fn main() -> Result<(), ksir::KsirError> {
     );
 
     // The flight recorder stays empty on a healthy run — records appear
-    // only when a trigger (quarantine, overload step, late-drop burst,
-    // worker respawn) fires.  Dead air here is the good outcome.
+    // only when a trigger (quarantine, late-drop burst, worker respawn,
+    // injected fault) fires.  Dead air here is the good outcome.
     let (status, flight) = http_get(obs_addr, "/flight");
     assert_eq!(status, 200, "GET /flight");
     println!(
