@@ -2,11 +2,13 @@
 //!
 //! Every hostile regime here is checked against an **equivalence oracle**:
 //! the same logical stream and the same subscription-op schedule are replayed
-//! through the serial [`SubscriptionManager::ingest_bucket`] path (the
-//! oracle), through the pipelined async path, and through the async path
-//! under an injected [`FaultPlan`] — and once the fault window closes every
-//! run must have made **bit-identical decisions**: the same maintained
-//! results (each also equal to a from-scratch query over the final window),
+//! through [`SubscriptionManager::ingest_bucket`] — the pipeline with a
+//! barrier after every slide, so no two epochs ever overlap (the oracle) —
+//! through the pipelined async path, and through the async path under an
+//! injected [`FaultPlan`].  Every run, the oracle included, ends in
+//! from-scratch queries over the final window.  Once the fault window
+//! closes every run must have made **bit-identical decisions**: the same
+//! maintained results (each also equal to its from-scratch query),
 //! the same refresh/skip counts, the same retired-shard ledger, a watermark
 //! that reached the last slide, and `delivered + dropped` reconciling exactly
 //! with the oracle's result changes.
@@ -494,7 +496,8 @@ fn finish(
     })
 }
 
-/// The oracle: serial ingestion, no pipeline, no faults.
+/// The oracle: a barrier after every slide (no overlapping epochs), no
+/// faults, and from-scratch queries over the final window in [`finish`].
 fn run_sync(script: &Script) -> Result<RunOutcome, String> {
     let mut mgr =
         SubscriptionManager::with_shard_config(script.scenario.engine(), ShardConfig::default());

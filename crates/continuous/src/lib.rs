@@ -59,7 +59,8 @@
 //! Scheduled shards refresh concurrently on the long-lived worker pool;
 //! within a shard the rules above run unchanged, so the per-subscription
 //! refresh/skip decisions — and the work counters, which still reconcile to
-//! `slides × subscriptions` — are identical to a serial walk.
+//! `slides × subscriptions` — are identical to a per-subscription walk (the
+//! reference the integration tests keep in test code).
 //! [`SubscriptionManager::shard_stats`] exposes per-shard [`ShardStats`]
 //! for dashboards and benches.
 //!
@@ -73,20 +74,18 @@
 //! that one traversal answers every distinct member `k`
 //! ([`QuerySource::query_per_k`](ksir_core::QuerySource::query_per_k)):
 //! each size gets exactly the result a plain run at that `k` returns, and
-//! same-`k` members share it outright.  Per-member classify decisions,
-//! results, stats and delivered deltas are pinned identical to the
-//! per-subscription walk (the `shared_plans` property tests); only
-//! evaluation *cost* drops — the `refresh.cluster.*` counters and
-//! [`ShardStats::covering_evaluations`]/[`ShardStats::shared_refreshes`]
-//! expose by how much.  [`ShardConfig::shared_plans`] (default `true`)
-//! selects the path.
+//! same-`k` members share it outright.  A lone subscription is a cluster of
+//! one.  Per-member classify decisions, results, stats and delivered deltas
+//! are pinned identical to the per-subscription walk (the `shared_plans`
+//! tests); only evaluation *cost* drops — the `refresh.cluster.*` counters
+//! and [`ShardStats::covering_evaluations`]/[`ShardStats::shared_refreshes`]
+//! expose by how much.
 //!
 //! [`WindowDelta`]: ksir_stream::WindowDelta
 //!
 //! ## Asynchronous ingestion, pipelined epochs
 //!
-//! The sharded refresh of PR 2 still joined on the slowest shard before
-//! `ingest_bucket` could return.  The pipeline decouples the two halves:
+//! The pipeline decouples ingestion from refresh:
 //! [`SubscriptionManager::ingest_bucket_async`] updates the index, hands the
 //! affected shards their epoch, and returns a [`SlideTicket`] immediately.
 //! Each worker streams the [`ResultDelta`]s it produces into bounded
@@ -96,7 +95,7 @@
 //! instead of back-pressuring the workers, so ingestion latency is
 //! independent of subscriber count and drain speed.
 //!
-//! Refresh *compute* no longer gates ingestion either: each asynchronously
+//! Refresh *compute* does not gate asynchronous ingestion either: each
 //! ingested slide (an **epoch**) captures an immutable
 //! [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
 //! write — `O(topics)` `Arc` clones; the writer copy-on-writes around live
@@ -106,10 +105,12 @@
 //! deep (`1` restores the old quiesce-before-write behaviour).  Ordering is
 //! per shard: every shard processes its pending epochs strictly in order
 //! through its *lane*, so the filters feeding each schedule/skip decision
-//! are exactly the serial walk's, and the frozen snapshot *is* that epoch's
-//! engine state — which keeps the pipelined path **decision-identical** to
-//! the synchronous [`SubscriptionManager::ingest_bucket`] API, which remains
-//! available and returns the complete [`SlideOutcome`] per slide.
+//! are exactly those a barrier after every slide would leave, and the frozen
+//! snapshot *is* that epoch's engine state.  The synchronous
+//! [`SubscriptionManager::ingest_bucket`] is that barrier case: the same
+//! pipeline between two [`SubscriptionManager::sync`] calls, returning the
+//! complete [`SlideOutcome`] per slide — so the two APIs are
+//! **decision-identical** by construction.
 //! [`SubscriptionManager::sync`] awaits all outstanding epochs;
 //! [`SubscriptionManager::completed_epoch`] exposes the completion
 //! watermark; [`SubscriptionManager::snapshot_stats`] the capture costs.
@@ -136,10 +137,12 @@
 //!   [`ResultDelta`] (the shard lock poisons no state — injected faults
 //!   fire pre-mutation, real ones trigger a filter-rebuilding recovery) and
 //!   never stalls the watermark (epoch registrations complete on drop).
-//!   Panicking attempts retry with bounded backoff; a shard that exhausts
-//!   its budget is **quarantined** (skipped with counted sheds, visible on
-//!   `shard.quarantined`) instead of wedging the pipeline, and dead worker
-//!   threads are respawned within a bounded budget (`worker.restarts`).
+//!   Panicking attempts retry with bounded backoff.  A shard that exhausts
+//!   its budget is **quarantined** instead of wedging the pipeline: the
+//!   epoch is shed as counted skips, `shard.quarantined` counts it, `/ready`
+//!   reports it until [`SubscriptionManager::lift_quarantines`], and the
+//!   shard keeps refreshing later slides.  Dead worker threads are
+//!   respawned within a bounded budget (`worker.restarts`).
 //!   Deterministic [`FaultPlan`]s inject panics, snapshot delays, poisoned
 //!   delivery sends, and worker kills at exact epoch/shard coordinates for
 //!   the chaos harness.
@@ -149,7 +152,7 @@
 //! **score-equivalent to from-scratch queries at every slide** — the
 //! integration tests assert exactly that on the paper's Table 1 example and
 //! on randomly planted streams, and additionally that the deltas drained
-//! from the delivery queues equal the synchronous outcomes slide for slide.
+//! from the delivery queues equal a per-subscription walk's slide for slide.
 //!
 //! ## Example
 //!

@@ -2,7 +2,7 @@
 //! with synchronous and asynchronous (pipelined) maintenance APIs.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLockReadGuard};
+use std::sync::{Arc, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use ksir_core::{
@@ -16,13 +16,13 @@ use crate::delivery::{delivery_queue, DeliveryConfig, DeliveryReceiver, Delivery
 use crate::fault::FaultPlan;
 use crate::reorder::{Bucket, ReorderBuffer};
 use crate::shard::{
-    refresh_one, LaneDecision, PendingEpoch, ShardCell, ShardConfig, ShardKey, ShardSlide,
-    ShardStats,
+    refresh_one, LaneDecision, PendingEpoch, ShardCell, ShardConfig, ShardKey, ShardStats,
+    SlideCollector,
 };
 use crate::subscription::{
     RefreshReason, ResultDelta, Subscription, SubscriptionId, SubscriptionStats,
 };
-use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkItem, WorkerPool};
+use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkerPool};
 
 /// Aggregate work counters across all subscriptions and slides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,25 +142,16 @@ impl SlideTicket {
     pub fn detach(self) {}
 }
 
-/// The shared first half of the synchronous ingestion API: the engine's
-/// report plus the shard projection (scheduled shards and immediately
-/// charged skips).
-struct ProjectedSlide {
-    report: IngestReport,
-    scheduled: Vec<Arc<ShardCell>>,
-    skipped: usize,
-    shards_skipped: usize,
-}
-
 /// Manages standing k-SIR queries over a shared [`KsirEngine`], partitioned
 /// into topic-keyed shards refreshed by a pool of long-lived workers.
 ///
-/// Ingest buckets through the manager instead of the engine.  Two maintenance
-/// APIs share the same shards, workers, and refresh decisions:
+/// Ingest buckets through the manager instead of the engine.  Both
+/// maintenance APIs run one pipeline — index write, epoch snapshot, shard
+/// handoff, worker refresh, delivery:
 ///
-/// * [`SubscriptionManager::ingest_bucket`] — synchronous: updates the index,
-///   refreshes every scheduled shard, and returns the complete
-///   [`SlideOutcome`].  Decision-identical to the serial walk of PR 1.
+/// * [`SubscriptionManager::ingest_bucket`] — synchronous: the pipelined
+///   ingest between two [`SubscriptionManager::sync`] barriers, returning
+///   the complete [`SlideOutcome`].
 /// * [`SubscriptionManager::ingest_bucket_async`] — pipelined: updates the
 ///   index, captures an immutable epoch snapshot
 ///   ([`ksir_snapshot::EngineSnapshot`]), hands the affected shards their
@@ -426,8 +417,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// Awaits every outstanding asynchronous shard refresh — the pipeline's
     /// full barrier.  After `sync()` returns, all deltas of previously
     /// ingested buckets have been pushed into their delivery queues and
-    /// every counter is final.  A no-op when nothing is outstanding (or in
-    /// pure-sync use).
+    /// every counter is final.  Returns at once when nothing is outstanding;
+    /// either way it republishes the gauges.
     pub fn sync(&self) {
         match &self.pool {
             // The pool's barrier self-heals dead worker threads between
@@ -472,10 +463,9 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // `slides x subscriptions`.
         refresh_one(&*self.engine.read(), id, &mut sub, RefreshReason::Initial);
         let telemetry = &self.telemetry;
-        let shared_plans = self.config.shared_plans;
         self.shards
             .entry(key)
-            .or_insert_with(|| Arc::new(ShardCell::new(key, Arc::clone(telemetry), shared_plans)))
+            .or_insert_with(|| Arc::new(ShardCell::new(key, Arc::clone(telemetry))))
             .shard()
             .insert(id, sub);
         self.route_of.insert(id, key);
@@ -661,8 +651,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.faults.as_ref()
     }
 
-    /// Number of shards currently quarantined (shared plans off) by repeated
-    /// refresh panics.
+    /// Number of shards currently quarantined by repeated refresh panics
+    /// (each shed the epoch that exhausted its retry budget).
     pub fn quarantined_shards(&self) -> usize {
         self.shards
             .values()
@@ -671,9 +661,9 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     }
 
     /// Lifts every shard quarantine (after the underlying fault is fixed),
-    /// returning how many were lifted.  Quiesces first so no worker observes
-    /// the mode flip mid-epoch; the affected shards resume shared plans on
-    /// their next scheduled slide.
+    /// returning how many were lifted, and brings the
+    /// `shard.quarantine_active` gauge back down.  Quiesces first so no
+    /// worker quarantines a shard concurrently.
     pub fn lift_quarantines(&mut self) -> usize {
         self.sync();
         let mut lifted = 0;
@@ -759,7 +749,6 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         if self.pool.is_none() {
             self.pool = Some(WorkerPool::spawn(
                 self.config.worker_threads(),
-                self.engine.clone(),
                 Arc::clone(&self.deliveries),
                 Arc::clone(&self.watermark),
                 Arc::clone(&self.telemetry),
@@ -810,140 +799,45 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         snapshot
     }
 
-    /// The synchronous first half: quiesces the pipeline, applies the bucket
-    /// to the index, and projects the slide delta onto every shard's touch
-    /// filters.  (The pipelined path has its own projection that defers
-    /// busy shards instead of quiescing.)
-    fn ingest_and_project(
-        &mut self,
-        bucket: Vec<(SocialElement, TopicVector)>,
-        bucket_end: Timestamp,
-    ) -> Result<ProjectedSlide> {
-        self.sync();
-        let write_started = Instant::now();
-        let report = self.engine.write().ingest_bucket(bucket, bucket_end)?;
-        self.telemetry
-            .registry()
-            .histogram("ingest.index_write")
-            .record(write_started.elapsed());
-        self.slides += 1;
-        let slide_no = self.slides as u64;
-        self.watermark.note_epoch(slide_no);
-        // Stamp the epoch on the freshness clock in the same breath as the
-        // ingest trace event: every later `delivery.e2e` sample and the
-        // `manager.freshness_lag` gauge measure from this instant.
-        self.telemetry
-            .freshness()
-            .stamp(slide_no, self.telemetry.now_nanos());
-        self.telemetry.record(
-            slide_no,
-            None,
-            TraceEventKind::SlideIngested {
-                elements: report.inserted as u64,
-            },
-        );
-
-        let mut scheduled: Vec<Arc<ShardCell>> = Vec::new();
-        let mut skipped = 0usize;
-        let mut shards_skipped = 0usize;
-        for cell in self.shards.values() {
-            let mut shard = cell.shard();
-            if shard.is_touched_by(&report.delta) {
-                scheduled.push(Arc::clone(cell));
-            } else if shard.len() > 0 {
-                shards_skipped += 1;
-                skipped += shard.skip_all(slide_no);
-            }
-        }
-        Ok(ProjectedSlide {
-            report,
-            scheduled,
-            skipped,
-            shards_skipped,
-        })
-    }
-
-    /// Ingests one bucket through the engine, then refreshes exactly the
-    /// shards — and within them the subscriptions — the slide could have
-    /// affected, returning the complete [`SlideOutcome`].
-    ///
-    /// Decision-identical to the serial walk: the same subscriptions refresh
-    /// or skip, with the same counters, as under PR 1.  Scheduled shards
-    /// refresh on the worker pool when the configuration allows more than
-    /// one thread; result deltas additionally stream into any attached
-    /// delivery queues.
+    /// Ingests one bucket and returns the complete [`SlideOutcome`]: the
+    /// pipelined ingest of [`SubscriptionManager::ingest_bucket_async`]
+    /// between two [`SubscriptionManager::sync`] barriers.  The opening
+    /// barrier leaves every shard lane idle, so each touched shard is
+    /// scheduled (never deferred) on the worker pool against this epoch's
+    /// snapshot; the closing barrier awaits those refreshes, publishes the
+    /// gauges, and retires the epoch's freshness stamp.  Result deltas
+    /// additionally stream into any attached delivery queues.
     pub fn ingest_bucket(
         &mut self,
         bucket: Vec<(SocialElement, TopicVector)>,
         bucket_end: Timestamp,
     ) -> Result<SlideOutcome> {
-        let ProjectedSlide {
-            report,
-            scheduled,
-            mut skipped,
-            shards_skipped,
-        } = self.ingest_and_project(bucket, bucket_end)?;
-        let shards_scheduled = scheduled.len();
-        let slide_no = self.slides as u64;
-
-        let threads = self.config.threads_for(shards_scheduled);
-        let mut slides: Vec<ShardSlide> = Vec::with_capacity(shards_scheduled);
-        if threads <= 1 || shards_scheduled <= 1 {
-            // Refresh on the caller's thread; deliveries still flow.
-            let engine = self.engine.read();
-            for cell in &scheduled {
-                let slide = cell
-                    .shard()
-                    .refresh_scheduled(&*engine, &report.delta, slide_no);
-                slides.push(slide);
-            }
-            drop(engine);
-            for slide in &slides {
-                deliver(
-                    &self.deliveries,
-                    slide_no,
-                    &slide.updates,
-                    self.faults.as_deref(),
-                    &self.telemetry,
-                );
-            }
-        } else {
-            let delta = Arc::new(report.delta.clone());
-            let collector = Arc::new(Mutex::new(Vec::with_capacity(shards_scheduled)));
-            let items = scheduled
-                .into_iter()
-                .map(|shard| WorkItem::Live {
-                    epoch: slide_no,
-                    shard,
-                    delta: Arc::clone(&delta),
-                    collector: Arc::clone(&collector),
-                })
-                .collect();
-            self.watermark.add(slide_no, shards_scheduled);
-            let pool = self.pool();
-            pool.dispatch(items);
-            pool.wait_idle();
-            slides = std::mem::take(&mut *collector.lock().unwrap_or_else(|p| p.into_inner()));
-        }
+        self.sync();
+        let collector = SlideCollector::default();
+        let ticket = self.ingest_epoch(bucket, bucket_end, Some(&collector))?;
+        self.sync();
+        debug_assert_eq!(ticket.shards_deferred, 0, "the barrier idled every lane");
+        let slides = std::mem::take(&mut *collector.lock().unwrap_or_else(|p| p.into_inner()));
 
         let mut updates = Vec::new();
         let mut refreshed = 0usize;
+        let mut skipped = ticket.skipped;
         for slide in slides {
             refreshed += slide.refreshed;
             skipped += slide.skipped;
             updates.extend(slide.updates);
         }
-        // Shards complete out of order under parallel refresh; present the
-        // deltas deterministically.
+        // Shards complete out of order on the pool; present the deltas
+        // deterministically.
         updates.sort_by_key(|u| u.subscription);
 
         Ok(SlideOutcome {
-            report,
+            report: ticket.report,
             updates,
             refreshed,
             skipped,
-            shards_scheduled,
-            shards_skipped,
+            shards_scheduled: ticket.shards_scheduled,
+            shards_skipped: ticket.shards_skipped,
         })
     }
 
@@ -961,8 +855,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     ///
     /// Decision-identity with the synchronous path is per shard: each shard
     /// processes its epochs strictly in order, so its filters are exactly
-    /// what the serial walk would have seen at every epoch, and the frozen
-    /// snapshot *is* that epoch's engine state.  Use
+    /// what a barrier after every slide would have left at every epoch, and
+    /// the frozen snapshot *is* that epoch's engine state.  Use
     /// [`SubscriptionManager::sync`] to await all outstanding epochs, or
     /// [`SubscriptionManager::completed_epoch`] to watch the watermark.
     pub fn ingest_bucket_async(
@@ -984,6 +878,22 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
             .registry()
             .histogram("ingest.admission_wait")
             .record(admission_started.elapsed());
+        let ticket = self.ingest_epoch(bucket, bucket_end, None)?;
+        self.publish_gauges();
+        Ok(ticket)
+    }
+
+    /// The pipeline both ingestion APIs share, after admission: applies the
+    /// bucket to the index, stamps the epoch, projects the slide delta onto
+    /// every shard's lane, and hands the scheduled shards to the worker
+    /// pool.  Each enqueued epoch carries `collector`, into which the
+    /// workers push the shard's completed `ShardSlide`.
+    fn ingest_epoch(
+        &mut self,
+        bucket: Vec<(SocialElement, TopicVector)>,
+        bucket_end: Timestamp,
+        collector: Option<&SlideCollector>,
+    ) -> Result<SlideTicket> {
         let write_started = Instant::now();
         let report = self.engine.write().ingest_bucket(bucket, bucket_end)?;
         self.telemetry
@@ -1009,7 +919,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
 
         let mut delta: Option<Arc<ksir_stream::WindowDelta>> = None;
         let mut snapshot: Option<Arc<dyn QuerySource + Send + Sync>> = None;
-        let mut handoffs: Vec<WorkItem> = Vec::new();
+        let mut handoffs: Vec<Arc<ShardCell>> = Vec::new();
         let mut shards_scheduled = 0usize;
         let mut shards_deferred = 0usize;
         let mut shards_skipped = 0usize;
@@ -1031,14 +941,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
                     snapshot: snapshot
                         .get_or_insert_with(|| self.capture_epoch(slide_no))
                         .clone(),
+                    collector: collector.cloned(),
                 }
             });
             match decision {
                 LaneDecision::Deferred => shards_deferred += 1,
                 LaneDecision::Scheduled => {
-                    handoffs.push(WorkItem::Pipelined {
-                        shard: Arc::clone(cell),
-                    });
+                    handoffs.push(Arc::clone(cell));
                     shards_scheduled += 1;
                 }
                 LaneDecision::Skipped(n) => {
@@ -1055,7 +964,6 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         if !handoffs.is_empty() {
             self.pool().dispatch(handoffs);
         }
-        self.publish_gauges();
         Ok(SlideTicket {
             slide: slide_no,
             report,

@@ -1,7 +1,7 @@
 //! Topic-keyed shards of the subscription table.
 //!
-//! The serial subscription manager of PR 1 walked every subscription after
-//! every slide.  Sharding exploits the observation that a slide's
+//! A per-subscription walk visits every subscription after every slide.
+//! Sharding exploits the observation that a slide's
 //! [`WindowDelta`] names exactly the topics it touched: if subscriptions are
 //! partitioned by the **dominant support topic** of their query vector, the
 //! delta can be projected onto per-shard *touch filters* and whole shards
@@ -20,9 +20,9 @@
 //!   resident is ever introduced by a future registration path).
 //!
 //! A slide schedules a shard iff one of the filters fires; scheduled shards
-//! then run the exact per-subscription delta-refresh rules of the serial
-//! manager, so the refresh/skip decision for every individual subscription —
-//! and therefore the work counters — are **identical** to the serial walk.
+//! then run the exact per-subscription delta-refresh rules, so the
+//! refresh/skip decision for every individual subscription — and therefore
+//! the work counters — are **identical** to the per-subscription walk.
 //! Unscheduled shards charge one skip per resident without touching them.
 //!
 //! Queries whose support is broader than
@@ -33,17 +33,16 @@
 //!
 //! ## Shared evaluation plans
 //!
-//! With [`ShardConfig::shared_plans`] enabled (the default), a shard also
-//! groups its residents into **plan clusters**
+//! A shard groups its residents into **plan clusters**
 //! (`cluster::PlanCluster`): subscriptions whose queries are
 //! plan-compatible — identical vector and `ε`, same algorithm — differ only
-//! in `k`, so a scheduled shard evaluates each disturbed cluster once per
-//! distinct member `k` (largest first, the **covering** run) instead of once
-//! per member.  Same-`k` members share the run's result outright;
-//! smaller-`k` members get a plain run of their own `k`.  The per-member
-//! classify/refresh/skip *decisions* are computed by exactly the same rules
-//! as the per-subscription walk, so stats and delivered deltas are
-//! identical — only the number of evaluations changes.
+//! in `k`, so a scheduled shard serves each disturbed cluster from one
+//! traversal of its **covering** query that answers every distinct member
+//! `k` at once.  Same-`k` members share a result outright.  A lone
+//! subscription is a cluster of one.  Each member is still classified by
+//! the per-subscription rules, so stats and delivered deltas are those of a
+//! per-subscription walk (the `shared_plans` tests pin this against one in
+//! test code) — only the number of traversals drops.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -91,9 +90,9 @@ pub struct ShardConfig {
     /// Queries with support (non-zero topics) strictly wider than this route
     /// to the [`ShardKey::Overflow`] shard instead of a topic shard.
     pub overflow_support_threshold: usize,
-    /// Upper bound on refresh worker threads per slide; `None` uses
-    /// [`std::thread::available_parallelism`].  `Some(1)` refreshes scheduled
-    /// shards serially on the caller's thread.
+    /// Size of the refresh worker pool; `None` uses
+    /// [`std::thread::available_parallelism`].  `Some(1)` runs one worker,
+    /// so scheduled shards refresh one after another.
     pub max_threads: Option<usize>,
     /// How many epochs the asynchronous pipeline may have in flight at once
     /// (clamped to at least 1).  `ingest_bucket_async` admits a new epoch
@@ -107,14 +106,6 @@ pub struct ShardConfig {
     /// How much telemetry the manager collects (see [`TelemetryConfig`]).
     /// Tracing is on by default; metrics are always on.
     pub telemetry: TelemetryConfig,
-    /// Whether shards cluster plan-compatible residents (identical query
-    /// vector and `ε`, same algorithm) into shared evaluation plans: one
-    /// covering traversal per disturbed cluster and `k`, specialized per
-    /// member, instead of one evaluation per member.  Decisions, results and
-    /// work counters are identical either way (pinned by the `shared_plans`
-    /// property tests); `false` keeps the per-subscription walk, which is
-    /// the oracle the clustered path is compared against.
-    pub shared_plans: bool,
     /// How many out-of-order bucket positions
     /// [`ingest_bucket_reordered`](crate::SubscriptionManager::ingest_bucket_reordered)
     /// re-sequences before releasing to the engine.  `0` (the default) is a
@@ -133,7 +124,6 @@ impl Default for ShardConfig {
             max_threads: None,
             pipeline_depth: 2,
             telemetry: TelemetryConfig::default(),
-            shared_plans: true,
             reorder_horizon: 0,
             late_policy: LatePolicy::DropLate,
         }
@@ -141,13 +131,14 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Topic-sharded routing, but all refreshes on the caller's thread.
+    /// Topic-sharded routing with a one-worker pool: scheduled shards
+    /// refresh one at a time.
     pub fn serial() -> Self {
         ShardConfig::default().with_threads(Some(1))
     }
 
-    /// The PR-1 behaviour: a single (overflow) shard walked serially.
-    /// The oracle the sharded paths are tested against.
+    /// A single (overflow) shard on a one-worker pool — the baseline the
+    /// sharded configurations are tested against.
     pub fn unsharded() -> Self {
         ShardConfig {
             overflow_support_threshold: 0,
@@ -178,13 +169,6 @@ impl ShardConfig {
     /// [`TelemetryConfig::disabled`] to turn tracing off).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Enables or disables shared evaluation plans (`false` = one evaluation
-    /// per subscription, the decision oracle).
-    pub fn with_shared_plans(mut self, shared_plans: bool) -> Self {
-        self.shared_plans = shared_plans;
         self
     }
 
@@ -228,17 +212,12 @@ impl ShardConfig {
             })
             .max(1)
     }
-
-    /// Number of refresh worker threads to use for `scheduled` shards.
-    pub(crate) fn threads_for(&self, scheduled: usize) -> usize {
-        self.worker_threads().clamp(1, scheduled.max(1))
-    }
 }
 
 /// Cumulative work counters of one shard.
 ///
 /// `refreshes + skips` over all shards reconciles to `slides ×
-/// subscriptions` exactly like the serial manager's counters:
+/// subscriptions` exactly like a per-subscription walk's counters:
 /// every resident of a scheduled shard is classified individually, and every
 /// resident of an unscheduled shard is charged one skip.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -256,12 +235,11 @@ pub struct ShardStats {
     pub scheduled_slides: usize,
     /// Slides the shard was proven undisturbed as a whole.
     pub skipped_slides: usize,
-    /// Current number of plan clusters (0 with shared plans disabled).
+    /// Current number of plan clusters.
     pub clusters: usize,
-    /// Covering traversals the clustered refresh path actually ran: one per
-    /// disturbed cluster with a member to refresh, serving every such member
-    /// at its own `k`.  Without shared plans this stays 0 (each refresh runs
-    /// its own evaluation instead).
+    /// Covering traversals the refresh actually ran: one per disturbed
+    /// cluster with a member to refresh, serving every such member at its
+    /// own `k`.
     pub covering_evaluations: usize,
     /// Refreshes served by sharing a covering traversal instead of running
     /// one of their own — `refreshes` minus the traversals that actually
@@ -270,8 +248,10 @@ pub struct ShardStats {
     /// Clusters proven undisturbed inside scheduled slides (all members
     /// charged a skip without per-member classification).
     pub skipped_clusters: usize,
-    /// Whether the shard is quarantined (shared plans off after exhausting a
-    /// refresh retry budget; see the worker's fault isolation).
+    /// Whether the shard is quarantined: it exhausted a refresh retry
+    /// budget and shed that epoch (see the worker's fault isolation).  It
+    /// keeps refreshing; `shard.quarantine_active` holds `/ready` down
+    /// until [`SubscriptionManager::lift_quarantines`](crate::SubscriptionManager::lift_quarantines).
     pub quarantined: bool,
 }
 
@@ -358,10 +338,14 @@ pub(crate) struct ShardSlide {
     pub(crate) skipped: usize,
 }
 
+/// The per-call sink one synchronous slide's workers push their
+/// [`ShardSlide`]s into.
+pub(crate) type SlideCollector = Arc<Mutex<Vec<ShardSlide>>>;
+
 /// Cost-side accounting of one scheduled slide, kept separate from
 /// [`ShardSlide`] because it describes *how* the work was served, not what
-/// was decided: the decision counters are pinned identical across the
-/// per-subscription and clustered paths, these are not.
+/// was decided: the decision counters are pinned identical to a
+/// per-subscription walk, these are not.
 #[derive(Debug, Default)]
 struct SlideWork {
     /// Covering traversals actually run.
@@ -374,17 +358,23 @@ struct SlideWork {
     gain: usize,
 }
 
-/// One epoch queued on a busy shard's lane: the slide delta to project, the
-/// frozen engine image to refresh against if the projection fires, and the
-/// watermark drop-guard that marks the epoch's work complete however the
-/// task leaves the pipeline — processed, shed, or dropped on the floor by a
-/// dying worker.
+/// One epoch queued on a shard's lane: the slide delta to project, the
+/// frozen engine image to refresh against if the projection fires, the
+/// synchronous caller's collector (if any), and the watermark drop-guard
+/// that marks the epoch's work complete however the task leaves the
+/// pipeline — processed, shed, or dropped on the floor by a dying worker.
 pub(crate) struct PendingEpoch {
     pub(crate) epoch: u64,
     pub(crate) delta: Arc<WindowDelta>,
     pub(crate) snapshot: Arc<dyn QuerySource + Send + Sync>,
+    /// Where the worker pushes the epoch's completed [`ShardSlide`]:
+    /// `Some` for [`SubscriptionManager::ingest_bucket`](crate::SubscriptionManager::ingest_bucket),
+    /// which builds its [`SlideOutcome`](crate::SlideOutcome) from them.
+    pub(crate) collector: Option<SlideCollector>,
     /// Never read — held purely for its `Drop`, which completes the epoch's
-    /// watermark registration.
+    /// watermark registration.  Declared last, so it drops after
+    /// `snapshot`: a writer released by the watermark never copy-on-writes
+    /// around this epoch's image.
     #[allow(dead_code)]
     pub(crate) task: crate::worker::EpochTask,
 }
@@ -429,11 +419,11 @@ pub(crate) struct ShardCell {
 }
 
 impl ShardCell {
-    pub(crate) fn new(key: ShardKey, bundle: Arc<Telemetry>, shared_plans: bool) -> Self {
+    pub(crate) fn new(key: ShardKey, bundle: Arc<Telemetry>) -> Self {
         let telemetry = ShardTelemetry::new(bundle, key);
         ShardCell {
             lane: Mutex::new(Lane::default()),
-            shard: Mutex::new(Shard::new(key, telemetry.clone(), shared_plans)),
+            shard: Mutex::new(Shard::new(key, telemetry.clone())),
             telemetry,
         }
     }
@@ -525,17 +515,11 @@ pub(crate) struct Shard {
     members: HashSet<ElementId>,
     /// Residents that have never been evaluated (refresh rule 1).
     pending_initial: usize,
-    /// Whether residents are grouped into plan clusters and refreshed
-    /// through shared covering runs (see [`ShardConfig::shared_plans`]).
-    /// Structural: cluster bookkeeping stays alive even while covering runs
-    /// are suspended by quarantine (see [`Shard::plans_enabled`]).
-    shared_plans: bool,
-    /// Degraded mode entered after a refresh retry budget is exhausted:
-    /// shared plans are off until the operator lifts it
-    /// ([`Shard::lift_quarantine`]).
+    /// Set when a refresh exhausted its retry budget and the epoch was
+    /// shed; reported until the operator lifts it
+    /// ([`Shard::lift_quarantine`]).  The shard keeps refreshing.
     quarantined: bool,
-    /// Plan clusters of the residents, keyed by plan identity.  Empty when
-    /// shared plans are disabled.
+    /// Plan clusters of the residents, keyed by plan identity.
     clusters: BTreeMap<ClusterKey, PlanCluster>,
     /// Reverse index: which cluster each resident belongs to.
     cluster_of: BTreeMap<SubscriptionId, ClusterKey>,
@@ -550,14 +534,13 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(key: ShardKey, telemetry: ShardTelemetry, shared_plans: bool) -> Self {
+    pub(crate) fn new(key: ShardKey, telemetry: ShardTelemetry) -> Self {
         Shard {
             key,
             subs: BTreeMap::new(),
             floors: FloorAggregate::new(),
             members: HashSet::new(),
             pending_initial: 0,
-            shared_plans,
             quarantined: false,
             clusters: BTreeMap::new(),
             cluster_of: BTreeMap::new(),
@@ -581,27 +564,19 @@ impl Shard {
         self.key
     }
 
-    /// Effective shared-plan mode: the structural capability gated by
-    /// quarantine.
-    fn plans_enabled(&self) -> bool {
-        self.shared_plans && !self.quarantined
-    }
-
-    /// Whether the shard is in degraded (quarantined) mode.
+    /// Whether the shard is quarantined.
     pub(crate) fn is_quarantined(&self) -> bool {
         self.quarantined
     }
 
-    /// Enters degraded mode: shared plans are off for future refreshes
-    /// (every resident runs its own query).  Returns the resident count for
-    /// the caller's trace event.
+    /// Marks the shard quarantined after an exhausted retry budget.  Returns
+    /// the resident count for the caller's trace event.
     pub(crate) fn quarantine(&mut self) -> usize {
         self.quarantined = true;
         self.subs.len()
     }
 
-    /// Lifts a quarantine: the shard resumes shared plans on the next
-    /// refresh.
+    /// Lifts a quarantine (the operator fixed the underlying fault).
     pub(crate) fn lift_quarantine(&mut self) {
         self.quarantined = false;
     }
@@ -629,17 +604,15 @@ impl Shard {
         // incremental absorb — a full rebuild here would make bulk
         // registration O(residents²) per shard.
         self.absorb_resident(&sub);
-        if self.shared_plans {
-            let key = ClusterKey::of(&sub.query, sub.algorithm);
-            match self.clusters.get_mut(&key) {
-                Some(cluster) => cluster.add_member(id, &sub),
-                None => {
-                    self.clusters
-                        .insert(key.clone(), PlanCluster::new(id, &sub));
-                }
+        let key = ClusterKey::of(&sub.query, sub.algorithm);
+        match self.clusters.get_mut(&key) {
+            Some(cluster) => cluster.add_member(id, &sub),
+            None => {
+                self.clusters
+                    .insert(key.clone(), PlanCluster::new(id, &sub));
             }
-            self.cluster_of.insert(id, key);
         }
+        self.cluster_of.insert(id, key);
         self.subs.insert(id, sub);
     }
 
@@ -701,9 +674,9 @@ impl Shard {
         }
     }
 
-    /// Recomputes the shard's touch filters from its residents — and, under
-    /// shared plans, every cluster's covering query and filters from its
-    /// members.  Called after any refresh or removal;
+    /// Recomputes the shard's touch filters from its residents, and every
+    /// cluster's covering query and filters from its members.  Called after
+    /// any refresh or removal;
     /// `O(residents × (k + support))`.
     pub(crate) fn rebuild_filters(&mut self) {
         self.floors.clear();
@@ -713,12 +686,8 @@ impl Shard {
         for sub in subs.values() {
             self.absorb_resident(sub);
         }
-        if self.shared_plans {
-            let mut clusters = std::mem::take(&mut self.clusters);
-            for cluster in clusters.values_mut() {
-                cluster.rebuild(|id| &subs[&id]);
-            }
-            self.clusters = clusters;
+        for cluster in self.clusters.values_mut() {
+            cluster.rebuild(|id| &subs[&id]);
         }
         self.subs = subs;
     }
@@ -739,13 +708,8 @@ impl Shard {
     }
 
     /// Classifies and (where needed) refreshes every resident against the
-    /// slide, then rebuilds the touch filters.  Runs on a worker thread when
-    /// the manager refreshes shards in parallel; `source` is the live engine
-    /// on the synchronous path and an epoch snapshot on the pipelined one.
-    ///
-    /// With shared plans the refresh walks plan clusters instead of
-    /// residents; decisions and updates are identical (the per-member rules
-    /// are unchanged), only the number of query evaluations differs.
+    /// slide, cluster by cluster, then rebuilds the touch filters.  Runs on
+    /// a worker thread; `source` is the epoch's snapshot.
     pub(crate) fn refresh_scheduled(
         &mut self,
         source: &dyn QuerySource,
@@ -755,11 +719,7 @@ impl Shard {
         let started = Instant::now();
         self.telemetry.record(epoch, TraceEventKind::ShardScheduled);
         self.telemetry.record(epoch, TraceEventKind::RefreshStarted);
-        let (slide, work) = if self.plans_enabled() {
-            self.refresh_clusters(source, delta)
-        } else {
-            self.refresh_residents(source, delta)
-        };
+        let (slide, work) = self.refresh_clusters(source, delta);
         self.scheduled_slides += 1;
         self.refreshes += slide.refreshed;
         self.skips += slide.skipped;
@@ -793,39 +753,7 @@ impl Shard {
         slide
     }
 
-    /// The per-subscription walk: classify and refresh each resident on its
-    /// own (the decision oracle the clustered path is pinned against).
-    fn refresh_residents(
-        &mut self,
-        source: &dyn QuerySource,
-        delta: &WindowDelta,
-    ) -> (ShardSlide, SlideWork) {
-        let mut slide = ShardSlide::default();
-        let mut work = SlideWork::default();
-        for (&id, sub) in self.subs.iter_mut() {
-            match classify(sub, delta) {
-                Some(reason) => {
-                    slide.refreshed += 1;
-                    sub.stats.refreshes += 1;
-                    let update = refresh_one(source, id, sub, reason);
-                    work.gain += sub
-                        .result
-                        .as_ref()
-                        .map_or(0, |result| result.gain_evaluations);
-                    if let Some(update) = update {
-                        slide.updates.push(update);
-                    }
-                }
-                None => {
-                    slide.skipped += 1;
-                    sub.stats.skips += 1;
-                }
-            }
-        }
-        (slide, work)
-    }
-
-    /// The shared-plan walk: per cluster, either fast-skip the whole cluster
+    /// The refresh walk: per cluster, either fast-skip the whole cluster
     /// (its filters prove every member would classify as skippable) or
     /// classify each member by the unchanged per-subscription rules and serve
     /// the to-refresh members from one traversal of the covering query that
@@ -920,8 +848,8 @@ impl Shard {
             }
         }
         self.clusters = clusters;
-        // The per-subscription walk emits updates in resident (id) order;
-        // match it so downstream consumers see the same stream.
+        // Emit updates in resident (id) order, the order a per-subscription
+        // walk produces and `SlideOutcome` presents.
         slide.updates.sort_by_key(|update| update.subscription);
         (slide, work)
     }
@@ -1003,8 +931,8 @@ pub(crate) fn refresh_one(
 /// Stores a freshly computed result on the subscription and diffs it against
 /// the previous one: `Some` when the result set or score actually changed
 /// (bumping `result_changes`), `None` for a no-op refresh.  Shared by
-/// [`refresh_one`] and the clustered refresh path so the two can never
-/// disagree about what counts as a change.
+/// [`refresh_one`] and the cluster walk so the two can never disagree about
+/// what counts as a change.
 pub(crate) fn apply_fresh(
     id: SubscriptionId,
     sub: &mut Subscription,
@@ -1061,7 +989,6 @@ mod tests {
         Shard::new(
             key,
             ShardTelemetry::new(Arc::new(Telemetry::default()), key),
-            true,
         )
     }
 
@@ -1094,21 +1021,6 @@ mod tests {
         assert_eq!(
             ShardConfig::unsharded().route(&query(2, &[1.0, 0.0, 0.0])),
             ShardKey::Overflow
-        );
-    }
-
-    #[test]
-    fn thread_budget_is_clamped_to_scheduled_shards() {
-        let auto = ShardConfig::default();
-        assert!(auto.threads_for(8) >= 1);
-        assert_eq!(ShardConfig::serial().threads_for(8), 1);
-        assert_eq!(
-            ShardConfig::default().with_threads(Some(4)).threads_for(2),
-            2
-        );
-        assert_eq!(
-            ShardConfig::default().with_threads(Some(4)).threads_for(0),
-            1
         );
     }
 
@@ -1154,10 +1066,11 @@ mod tests {
                     epoch,
                     &ksir_snapshot::SnapshotCounters::new(),
                 )),
+                collector: None,
                 task: crate::worker::EpochTask::register(&watermark, epoch),
             }
         };
-        let cell = ShardCell::new(ShardKey::Overflow, Arc::new(Telemetry::default()), true);
+        let cell = ShardCell::new(ShardKey::Overflow, Arc::new(Telemetry::default()));
         // No residents: nothing happens, nothing is enqueued.
         assert_eq!(
             cell.project_epoch(0, &WindowDelta::default(), || task(0)),

@@ -1,14 +1,12 @@
 //! Long-lived shard-refresh workers fed by a channel, plus the epoch
 //! watermark that replaced the quiesce-before-write barrier.
 //!
-//! PR 2 fanned each slide's scheduled shards out over a fresh
-//! `std::thread::scope`; PR 3 replaced that with this fixed pool of workers
-//! that live as long as the [`SubscriptionManager`](crate::SubscriptionManager)
-//! but still quiesced *every* outstanding refresh before *every* index write,
-//! so refresh compute bounded the sustained slide rate.  The pipelined design
-//! drops that global barrier:
+//! Every scheduled shard refresh — from either ingestion API — runs on this
+//! fixed pool of workers, which live as long as the
+//! [`SubscriptionManager`](crate::SubscriptionManager).  No global barrier
+//! sits before an index write:
 //!
-//! * each asynchronously ingested slide (an **epoch**) captures an immutable
+//! * each ingested slide (an **epoch**) captures an immutable
 //!   [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
 //!   write, and refresh workers evaluate against the snapshot instead of a
 //!   `SharedEngine` read guard — so the *next* epoch's index write proceeds
@@ -18,7 +16,8 @@
 //!   [`crate::shard::Lane`]), which is exactly the ordering the refresh
 //!   decisions depend on — cross-shard interleaving never influenced them;
 //! * the [`Watermark`] tracks outstanding shard-epoch tasks per epoch:
-//!   [`Watermark::wait_all`] is the old `sync()` barrier, and
+//!   [`Watermark::wait_all`] is the `sync()` barrier (the synchronous
+//!   `ingest_bucket` closes every slide with it), and
 //!   [`Watermark::wait_inflight_below`] is the pipeline-admission gate that
 //!   bounds how many epochs may be in flight (and with them the snapshot
 //!   memory the writer keeps alive).
@@ -34,14 +33,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ksir_core::SharedEngine;
-use ksir_stream::WindowDelta;
 use ksir_telemetry::{Counter, FlightTrigger, Gauge, Telemetry, TraceEventKind};
-use ksir_types::TopicWordDistribution;
 
 use crate::delivery::DeliverySender;
 use crate::fault::FaultPlan;
-use crate::shard::{label_of, Shard, ShardCell, ShardSlide};
+use crate::shard::{label_of, Shard, ShardCell};
 use crate::subscription::SubscriptionId;
 
 /// Failed refresh attempts a shard gets (after the first) before it is
@@ -54,8 +50,9 @@ pub(crate) type DeliveryRegistry =
     Arc<Mutex<std::collections::BTreeMap<SubscriptionId, DeliverySender>>>;
 
 /// Pushes a slide's result deltas into the attached delivery queues.  Used by
-/// the workers and by the manager's inline (single-threaded) refresh path, so
-/// subscribers see the same stream regardless of which path ran.
+/// the workers and by the manager's forced
+/// [`refresh`](crate::SubscriptionManager::refresh), so subscribers see every
+/// change whichever caused it.
 pub(crate) fn deliver(
     registry: &DeliveryRegistry,
     slide: u64,
@@ -104,22 +101,6 @@ pub(crate) fn deliver(
             }
         }
     }
-}
-
-/// One unit of work for the pool.
-pub(crate) enum WorkItem {
-    /// Synchronous path: refresh this shard against the live engine (the
-    /// manager quiesced the pipeline first, so the engine *is* the epoch).
-    Live {
-        epoch: u64,
-        shard: Arc<ShardCell>,
-        delta: Arc<WindowDelta>,
-        collector: Arc<Mutex<Vec<ShardSlide>>>,
-    },
-    /// Pipelined path: drain the shard's lane of pending epochs, evaluating
-    /// each against its captured snapshot.  The lane carries the payloads;
-    /// this item only hands the shard to a worker.
-    Pipelined { shard: Arc<ShardCell> },
 }
 
 /// Outstanding shard-epoch tasks per epoch — the pipeline's completion
@@ -258,16 +239,6 @@ impl Watermark {
     }
 }
 
-/// Completes the epoch task even if the refresh panics, so a poisoned shard
-/// can never deadlock the ingestion path on the watermark.
-struct CompletionGuard<'a>(&'a Watermark, u64);
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.complete_one(self.1);
-    }
-}
-
 /// An owning watermark registration: one outstanding shard task of one
 /// epoch, completed when the value drops — *however* it drops.
 ///
@@ -308,11 +279,8 @@ impl Drop for EpochTask {
 /// The pool of long-lived refresh workers, self-healing within a bounded
 /// respawn budget.
 ///
-/// Not generic over the topic model: the engine handle is moved into the
-/// worker closures at spawn time, which keeps the pool embeddable in any
-/// manager without dragging `D` through the channel types — pipelined work
-/// carries its engine state as `Arc<dyn QuerySource>` payloads in the
-/// shard lanes instead.
+/// Not generic over the topic model: work carries its engine state as
+/// `Arc<dyn QuerySource>` epoch snapshots in the shard lanes.
 ///
 /// Every `dispatch` first sweeps for dead worker threads (a worker dies on
 /// a [`FaultKind::KillWorker`](crate::FaultKind::KillWorker) injection, or
@@ -324,11 +292,11 @@ impl Drop for EpochTask {
 /// dispatched work can never be silently stranded on a channel nobody
 /// reads.
 pub(crate) struct WorkerPool {
-    tx: Option<Sender<WorkItem>>,
+    tx: Option<Sender<Arc<ShardCell>>>,
     watermark: Arc<Watermark>,
     state: Mutex<PoolState>,
-    /// Re-invocable worker factory (captures the engine handle, channel
-    /// receiver, registry, fault plan, and telemetry by `Arc`).
+    /// Re-invocable worker factory (captures the channel receiver,
+    /// registry, fault plan, and telemetry by `Arc`).
     spawner: Box<dyn Fn() -> JoinHandle<()> + Send + Sync>,
     restarts: Arc<Counter>,
     telemetry: Arc<Telemetry>,
@@ -356,41 +324,27 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers over a shared engine handle, delivery
-    /// registry, the manager's watermark, and an optional fault plan.
-    pub(crate) fn spawn<D>(
+    /// Spawns `threads` workers over a delivery registry, the manager's
+    /// watermark, and an optional fault plan.
+    pub(crate) fn spawn(
         threads: usize,
-        engine: SharedEngine<D>,
         registry: DeliveryRegistry,
         watermark: Arc<Watermark>,
         telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultPlan>>,
-    ) -> Self
-    where
-        D: TopicWordDistribution + Send + Sync + 'static,
-    {
+    ) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = channel::<WorkItem>();
+        let (tx, rx) = channel::<Arc<ShardCell>>();
         let rx = Arc::new(Mutex::new(rx));
         let spawner = {
-            let watermark = Arc::clone(&watermark);
             let telemetry = Arc::clone(&telemetry);
             Box::new(move || {
                 let rx = Arc::clone(&rx);
-                let watermark = Arc::clone(&watermark);
-                let engine = engine.clone();
                 let registry = Arc::clone(&registry);
                 let telemetry = Arc::clone(&telemetry);
                 let faults = faults.clone();
                 std::thread::spawn(move || {
-                    worker_loop(
-                        &rx,
-                        &watermark,
-                        &engine,
-                        &registry,
-                        &telemetry,
-                        faults.as_deref(),
-                    )
+                    worker_loop(&rx, &registry, &telemetry, faults.as_deref())
                 })
             })
         };
@@ -408,13 +362,15 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueues work.  Returns immediately; the items run on the workers.
-    /// The caller has already registered the matching watermark tasks.
-    pub(crate) fn dispatch(&self, items: Vec<WorkItem>) {
+    /// Hands shards to the workers, each of which drains its shard's lane
+    /// of pending epochs (the lane carries the payloads).  Returns
+    /// immediately; the caller has already registered the matching
+    /// watermark tasks.
+    pub(crate) fn dispatch(&self, shards: Vec<Arc<ShardCell>>) {
         self.ensure_workers();
         let tx = self.tx.as_ref().expect("pool not shut down");
-        for item in items {
-            tx.send(item).expect("worker channel closed");
+        for shard in shards {
+            tx.send(shard).expect("worker channel closed");
         }
     }
 
@@ -507,10 +463,8 @@ struct WorkerTelemetry<'a> {
     shard_snapshots: Arc<Counter>,
 }
 
-fn worker_loop<D: TopicWordDistribution>(
-    rx: &Mutex<Receiver<WorkItem>>,
-    watermark: &Watermark,
-    engine: &SharedEngine<D>,
+fn worker_loop(
+    rx: &Mutex<Receiver<Arc<ShardCell>>>,
     registry: &DeliveryRegistry,
     telemetry: &Telemetry,
     faults: Option<&FaultPlan>,
@@ -527,44 +481,12 @@ fn worker_loop<D: TopicWordDistribution>(
         // Hold the receiver lock only while pulling the next item, never
         // while refreshing, so idle workers queue on the channel rather than
         // behind a busy one.
-        let item = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-            Ok(item) => item,
+        let shard = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
+            Ok(shard) => shard,
             Err(_) => return, // channel closed: pool shut down
         };
         let started = std::time::Instant::now();
-        let die;
-        match item {
-            WorkItem::Live {
-                epoch,
-                shard,
-                delta,
-                collector,
-            } => {
-                let _complete = CompletionGuard(watermark, epoch);
-                let key = shard.shard().key();
-                die = faults.is_some_and(|plan| plan.take_worker_kill(epoch, key));
-                if die {
-                    wt.bundle.trigger_flight(FlightTrigger::FaultInjected {
-                        epoch,
-                        kind: "kill_worker",
-                    });
-                }
-                let slide = refresh_resilient(&shard, epoch, faults, &wt, |s| {
-                    let engine = engine.read();
-                    s.refresh_scheduled(&*engine, &delta, epoch)
-                });
-                if let Some(slide) = slide {
-                    deliver(registry, epoch, &slide.updates, faults, wt.bundle);
-                    collector
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(slide);
-                }
-            }
-            WorkItem::Pipelined { shard } => {
-                die = drain_lane(&shard, registry, faults, &wt);
-            }
-        }
+        let die = drain_lane(&shard, registry, faults, &wt);
         wt.item_hist.record(started.elapsed());
         if die {
             // An injected KillWorker: exit *between* items, after the lane
@@ -586,10 +508,9 @@ fn worker_loop<D: TopicWordDistribution>(
 /// * **No partial delta is ever published.**  The attempt's updates only
 ///   leave this function on a completed attempt; a panic mid-walk unwinds
 ///   past them.
-/// * **The watermark still advances.**  Completion is the caller's guard
-///   ([`CompletionGuard`] / [`EpochTask`]), which drops whether the attempt
-///   completed, retried, or shed — a panicking shard can stall nothing but
-///   itself.
+/// * **The watermark still advances.**  Completion is the caller's
+///   [`EpochTask`] guard, which drops whether the attempt completed,
+///   retried, or shed — a panicking shard can stall nothing but itself.
 ///
 /// Injected [`FaultKind::PanicInRefresh`](crate::FaultKind::PanicInRefresh)
 /// faults fire at the attempt's *entry*, before any shard state is touched,
@@ -679,7 +600,8 @@ fn refresh_resilient<T>(
 ///
 /// The worker owns the shard for the whole drain (the lane's `busy` flag),
 /// so filter updates from epoch `e` are always visible to epoch `e+1`'s
-/// scheduling decision — per-shard decisions are exactly the serial walk's.
+/// scheduling decision — per-shard decisions are exactly those of a barrier
+/// after every slide.
 /// The ingest thread only ever touches the (cheap) lane lock of a busy
 /// shard, never its shard lock, so a long refresh here cannot stall
 /// ingestion.
@@ -690,13 +612,11 @@ fn drain_lane(
     wt: &WorkerTelemetry<'_>,
 ) -> bool {
     let mut die = false;
-    loop {
-        // Pop-or-release must be atomic under the lane lock: otherwise the
-        // ingest thread could observe `busy` in the instant before release
-        // and strand a task in the queue.
-        let Some(task) = cell.pop_pending_or_release() else {
-            return die;
-        };
+    // Pop-or-release must be atomic under the lane lock: otherwise the
+    // ingest thread could observe `busy` in the instant before release and
+    // strand a task in the queue.
+    let mut next = cell.pop_pending_or_release();
+    while let Some(task) = next {
         // `task` owns the epoch's watermark registration (its `EpochTask`
         // drop-guard): completion happens when it drops at the end of this
         // iteration, on every path through the body.
@@ -720,8 +640,19 @@ fn drain_lane(
         });
         if let Some(Some(slide)) = slide {
             deliver(registry, task.epoch, &slide.updates, faults, wt.bundle);
+            if let Some(collector) = &task.collector {
+                collector
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .push(slide);
+            }
         }
+        // Take the next epoch — or release the lane — *before* `task`
+        // completes this one: a `sync()` that returns on the watermark then
+        // finds the lane idle, so `ingest_bucket` never defers a shard.
+        next = cell.pop_pending_or_release();
     }
+    die
 }
 
 #[cfg(test)]

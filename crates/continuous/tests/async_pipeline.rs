@@ -11,67 +11,17 @@
 //! [`ResultDelta`]: ksir_continuous::ResultDelta
 //! [`SlideOutcome`]: ksir_continuous::SlideOutcome
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use ksir_continuous::{
-    DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig, SubscriptionId, SubscriptionManager,
-};
-use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_datagen::{DatasetProfile, GeneratedStream, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
-use ksir_types::{DenseTopicWordTable, QueryVector};
+use common::{assert_same_updates, planted_manager, walk_stream, Manager};
+use ksir_continuous::{DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig};
+use ksir_core::Algorithm;
 
-/// Builds a planted-stream manager with a mixed workload under `config`
-/// (same construction as the sharding tests, so subscription ids line up
-/// across managers built with the same seed).
-fn planted_manager(
-    seed: u64,
-    config: ShardConfig,
-) -> (
-    SubscriptionManager<DenseTopicWordTable>,
-    Vec<(SubscriptionId, KsirQuery, Algorithm)>,
-    GeneratedStream,
-) {
-    let profile = DatasetProfile::twitter().scaled(0.02).with_topics(12);
-    let stream = StreamGenerator::new(profile, seed)
-        .unwrap()
-        .generate()
-        .unwrap();
-    let window = WindowConfig::new(120, 15).unwrap();
-    let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-        stream.planted.phi().clone(),
-        EngineConfig::new(window, ScoringConfig::default()),
-    )
-    .unwrap();
-    let mut mgr = SubscriptionManager::with_shard_config(engine, config);
-
-    let workload = QueryWorkloadGenerator::new(&stream.planted, seed ^ 0x5eed)
-        .generate(4, stream.end_time())
-        .unwrap();
-    let algorithms = [
-        Algorithm::Mtts,
-        Algorithm::Mttd,
-        Algorithm::TopkRepresentative,
-        Algorithm::Celf,
-    ];
-    let mut subs = Vec::new();
-    for (i, generated) in workload.into_iter().enumerate() {
-        let mut narrow = vec![0.0; 12];
-        narrow[(3 * i) % 12] = 0.8;
-        narrow[(3 * i + 1) % 12] = 0.2;
-        for vector in [QueryVector::new(narrow).unwrap(), generated.vector] {
-            let q = KsirQuery::new(4, vector).unwrap();
-            let algorithm = algorithms[subs.len() % algorithms.len()];
-            let id = mgr.subscribe(q.clone(), algorithm).unwrap();
-            subs.push((id, q, algorithm));
-        }
-    }
-    (mgr, subs, stream)
-}
-
-/// The deltas drained from the per-subscriber queues equal the synchronous
-/// path's `SlideOutcome.updates` slide for slide, for serial and forced-
-/// multi-thread pools alike.
+/// The deltas drained from the per-subscriber queues equal the
+/// per-subscription walk's result changes slide for slide, for serial and
+/// forced-multi-thread pools alike.
 #[test]
 fn drained_deltas_equal_sync_outcomes_slide_for_slide() {
     for (seed, config) in [
@@ -79,35 +29,22 @@ fn drained_deltas_equal_sync_outcomes_slide_for_slide() {
         (7u64, ShardConfig::default().with_threads(Some(4))),
         (21u64, ShardConfig::default().with_threads(Some(4))),
     ] {
-        // Synchronous reference run.
-        let (mut sync_mgr, sync_subs, stream) = planted_manager(seed, config);
-        let outcomes = sync_mgr.ingest_stream(stream.iter_pairs()).unwrap();
-
-        // Pipelined run over the same stream and workload.
-        let (mut async_mgr, async_subs, _) = planted_manager(seed, config);
-        assert_eq!(
-            sync_subs.iter().map(|s| s.0).collect::<Vec<_>>(),
-            async_subs.iter().map(|s| s.0).collect::<Vec<_>>(),
-            "same construction order ⇒ same ids"
-        );
-        let receivers: Vec<_> = async_subs
+        let (mut mgr, subs, stream) = planted_manager(seed, config);
+        let receivers: Vec<_> = subs
             .iter()
             .map(|(id, _, _)| {
-                (
-                    *id,
-                    async_mgr
-                        .attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
-                        .expect("live subscription"),
-                )
+                mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
+                    .expect("live subscription")
             })
             .collect();
-        let tickets = async_mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
-        assert_eq!(tickets.len(), outcomes.len(), "same bucket cutting");
-        async_mgr.sync();
+        let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+        mgr.sync();
+        let (walk, slides) = walk_stream(&stream, &subs);
+        assert_eq!(tickets.len(), slides.len(), "same bucket cutting");
 
         // Group every drained delta by the slide that produced it.
         let mut by_slide: BTreeMap<u64, Vec<ResultDelta>> = BTreeMap::new();
-        for (_, rx) in &receivers {
+        for rx in &receivers {
             assert_eq!(rx.dropped(), 0, "capacity was ample");
             for delivery in rx.drain() {
                 by_slide
@@ -116,33 +53,19 @@ fn drained_deltas_equal_sync_outcomes_slide_for_slide() {
                     .push(delivery.delta);
             }
         }
-        for deltas in by_slide.values_mut() {
-            deltas.sort_by_key(|d| d.subscription);
-        }
-
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let slide = (i + 1) as u64;
-            let drained = by_slide.remove(&slide).unwrap_or_default();
-            assert_eq!(
-                drained, outcome.updates,
-                "seed={seed} {config:?}: slide {slide} deltas diverge"
-            );
+        for (i, slide) in slides.iter().enumerate() {
+            let number = (i + 1) as u64;
+            let mut drained = by_slide.remove(&number).unwrap_or_default();
+            drained.sort_by_key(|d| d.subscription);
+            let context = format!("seed={seed} {config:?}: slide {number}");
+            assert_same_updates(&context, &drained, &slide.updates);
         }
         assert!(
             by_slide.is_empty(),
             "async path delivered deltas for unknown slides: {:?}",
             by_slide.keys().collect::<Vec<_>>()
         );
-
-        // Aggregate counters agree too.
-        assert_eq!(sync_mgr.stats(), async_mgr.stats());
-        for (id, _, _) in &sync_subs {
-            assert_eq!(
-                sync_mgr.subscription_stats(*id),
-                async_mgr.subscription_stats(*id),
-                "seed={seed}: per-subscription counters diverge for {id}"
-            );
-        }
+        walk.assert_matches(&mgr, &format!("seed={seed} {config:?}"));
     }
 }
 
@@ -166,10 +89,7 @@ fn mid_stream_lifecycle_charges_only_live_slides() {
     let mut early_lifetime = 0usize;
     let mut late_born_after = 0usize;
 
-    let flush = |mgr: &mut SubscriptionManager<DenseTopicWordTable>,
-                 pending: &mut Vec<_>,
-                 end: u64,
-                 slides: &mut usize| {
+    let flush = |mgr: &mut Manager, pending: &mut Vec<_>, end: u64, slides: &mut usize| {
         mgr.ingest_bucket_async(std::mem::take(pending), ksir_types::Timestamp(end))
             .unwrap()
             .detach();

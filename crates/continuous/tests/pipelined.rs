@@ -1,7 +1,7 @@
 //! Pipelined-epoch equivalence: with snapshot-backed refreshes and the
 //! quiesce-before-write barrier gone, the asynchronous pipeline must still
-//! be **decision-identical to the synchronous API slide for slide** — same
-//! deltas, same counters — at every pipeline depth and pool size, because
+//! be **decision-identical to the per-subscription walk slide for slide** —
+//! same deltas, same counters — at every pipeline depth and pool size, because
 //! every shard processes its epochs in order against that epoch's frozen
 //! engine image.
 //!
@@ -10,68 +10,17 @@
 //! still in flight), the completion watermark, and the snapshot capture /
 //! copy-on-write accounting.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use ksir_continuous::{
-    DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig, SubscriptionId, SubscriptionManager,
-};
-use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_datagen::{DatasetProfile, GeneratedStream, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
-use ksir_types::{DenseTopicWordTable, QueryVector};
+use common::{assert_same_updates, planted_manager, walk_stream};
+use ksir_continuous::{DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig};
 
-/// Builds a planted-stream manager with a mixed workload under `config`
-/// (same construction as the sharding/async tests, so subscription ids line
-/// up across managers built with the same seed).
-fn planted_manager(
-    seed: u64,
-    config: ShardConfig,
-) -> (
-    SubscriptionManager<DenseTopicWordTable>,
-    Vec<(SubscriptionId, KsirQuery, Algorithm)>,
-    GeneratedStream,
-) {
-    let profile = DatasetProfile::twitter().scaled(0.02).with_topics(12);
-    let stream = StreamGenerator::new(profile, seed)
-        .unwrap()
-        .generate()
-        .unwrap();
-    let window = WindowConfig::new(120, 15).unwrap();
-    let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-        stream.planted.phi().clone(),
-        EngineConfig::new(window, ScoringConfig::default()),
-    )
-    .unwrap();
-    let mut mgr = SubscriptionManager::with_shard_config(engine, config);
-
-    let workload = QueryWorkloadGenerator::new(&stream.planted, seed ^ 0x5eed)
-        .generate(4, stream.end_time())
-        .unwrap();
-    let algorithms = [
-        Algorithm::Mtts,
-        Algorithm::Mttd,
-        Algorithm::TopkRepresentative,
-        Algorithm::Celf,
-    ];
-    let mut subs = Vec::new();
-    for (i, generated) in workload.into_iter().enumerate() {
-        let mut narrow = vec![0.0; 12];
-        narrow[(3 * i) % 12] = 0.8;
-        narrow[(3 * i + 1) % 12] = 0.2;
-        for vector in [QueryVector::new(narrow).unwrap(), generated.vector] {
-            let q = KsirQuery::new(4, vector).unwrap();
-            let algorithm = algorithms[subs.len() % algorithms.len()];
-            let id = mgr.subscribe(q.clone(), algorithm).unwrap();
-            subs.push((id, q, algorithm));
-        }
-    }
-    (mgr, subs, stream)
-}
-
-/// Pipelined mode is decision-identical to the sync API slide for slide —
-/// across pipeline depths (1 = the old barrier, 2 = default overlap, 4 =
-/// deep) and including a forced 4-thread pool.
+/// Pipelined mode is decision-identical to the per-subscription walk slide
+/// for slide — across pipeline depths (1 = the old barrier, 2 = default
+/// overlap, 4 = deep) and including a forced 4-thread pool.
 #[test]
 fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
     for (seed, config) in [
@@ -90,36 +39,26 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
                 .with_pipeline_depth(4),
         ),
     ] {
-        // Synchronous reference run.
-        let (mut sync_mgr, sync_subs, stream) = planted_manager(seed, config);
-        let outcomes = sync_mgr.ingest_stream(stream.iter_pairs()).unwrap();
-
-        // Pipelined run over the same stream and workload.
-        let (mut pipe_mgr, pipe_subs, _) = planted_manager(seed, config);
-        assert_eq!(
-            sync_subs.iter().map(|s| s.0).collect::<Vec<_>>(),
-            pipe_subs.iter().map(|s| s.0).collect::<Vec<_>>(),
-        );
-        let receivers: Vec<_> = pipe_subs
+        let (mut mgr, subs, stream) = planted_manager(seed, config);
+        let receivers: Vec<_> = subs
             .iter()
             .map(|(id, _, _)| {
-                let rx = pipe_mgr
-                    .attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
-                    .expect("live subscription");
-                (*id, rx)
+                mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
+                    .expect("live subscription")
             })
             .collect();
-        let tickets = pipe_mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
-        assert_eq!(tickets.len(), outcomes.len(), "same bucket cutting");
-        pipe_mgr.sync();
+        let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+        mgr.sync();
         // After the barrier the completion watermark has caught up with the
         // last ingested epoch.
-        assert_eq!(pipe_mgr.completed_epoch(), tickets.len() as u64);
-        assert_eq!(pipe_mgr.inflight_epochs(), 0);
+        assert_eq!(mgr.completed_epoch(), tickets.len() as u64);
+        assert_eq!(mgr.inflight_epochs(), 0);
+        let (walk, slides) = walk_stream(&stream, &subs);
+        assert_eq!(tickets.len(), slides.len(), "same bucket cutting");
 
         // Group every drained delta by the slide that produced it.
         let mut by_slide: BTreeMap<u64, Vec<ResultDelta>> = BTreeMap::new();
-        for (_, rx) in &receivers {
+        for rx in &receivers {
             assert_eq!(rx.dropped(), 0, "capacity was ample");
             for delivery in rx.drain() {
                 by_slide
@@ -128,36 +67,21 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
                     .push(delivery.delta);
             }
         }
-        for deltas in by_slide.values_mut() {
-            deltas.sort_by_key(|d| d.subscription);
-        }
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let slide = (i + 1) as u64;
-            let drained = by_slide.remove(&slide).unwrap_or_default();
-            assert_eq!(
-                drained, outcome.updates,
-                "seed={seed} {config:?}: slide {slide} deltas diverge"
-            );
+        for (i, slide) in slides.iter().enumerate() {
+            let number = (i + 1) as u64;
+            let mut drained = by_slide.remove(&number).unwrap_or_default();
+            drained.sort_by_key(|d| d.subscription);
+            let context = format!("seed={seed} {config:?}: slide {number}");
+            assert_same_updates(&context, &drained, &slide.updates);
         }
         assert!(by_slide.is_empty(), "deltas delivered for unknown slides");
 
-        // Aggregate and per-subscription counters agree, and the maintained
-        // results equal the synchronous manager's.
-        assert_eq!(sync_mgr.stats(), pipe_mgr.stats());
-        for (id, _, _) in &sync_subs {
-            assert_eq!(
-                sync_mgr.subscription_stats(*id),
-                pipe_mgr.subscription_stats(*id),
-                "seed={seed}: per-subscription counters diverge for {id}"
-            );
-            let a = sync_mgr.result(*id).unwrap();
-            let b = pipe_mgr.result(*id).unwrap();
-            assert_eq!(a.sorted_elements(), b.sorted_elements());
-            assert!((a.score - b.score).abs() < 1e-12);
-        }
+        // Aggregate and per-subscription counters and the maintained results
+        // equal the walk's.
+        walk.assert_matches(&mgr, &format!("seed={seed} {config:?}"));
 
         // Depth ≥ 2 with scheduled work runs on snapshots.
-        let snap = pipe_mgr.snapshot_stats();
+        let snap = mgr.snapshot_stats();
         if config.pipeline_depth >= 2 {
             assert!(snap.epochs_captured > 0, "no epoch was ever captured");
             assert!(snap.shard_snapshots >= snap.epochs_captured);

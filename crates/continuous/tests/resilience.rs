@@ -122,7 +122,8 @@ fn injected_refresh_panic_recovers_with_identical_decisions() {
 /// A panic that outlives the retry budget quarantines its shard instead of
 /// wedging the pipeline: `sync()` completes, the watermark reaches the last
 /// slide, the shed classifications reconcile, and later slides recover the
-/// subscription (quarantined shards run full recompute, which is exact).
+/// subscription (a quarantined shard keeps refreshing through the same
+/// exact cluster walk).
 #[test]
 fn persistent_panic_quarantines_instead_of_wedging() {
     let ex = paper_example();
@@ -154,8 +155,9 @@ fn persistent_panic_quarantines_instead_of_wedging() {
     // ledger still reconciles to slides × subscriptions.
     let stats = mgr.stats();
     assert_eq!(stats.refreshes + stats.skips, stats.slides);
-    // Quarantined refreshes run full recompute — exact, so the maintained
-    // result caught back up with the stream after the fault window closed.
+    // The quarantined shard keeps refreshing through the same exact walk,
+    // so the maintained result caught back up with the stream after the
+    // fault window closed.
     let fresh = mgr
         .engine()
         .query(&query(2, &[0.5, 0.5]), Algorithm::Mttd)

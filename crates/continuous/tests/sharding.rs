@@ -9,74 +9,19 @@
 //! multi-thread configurations, and additionally pin the overflow routing of
 //! broad queries.
 
-use ksir_continuous::{ShardConfig, ShardKey, SubscriptionId, SubscriptionManager};
+mod common;
+
+use common::{planted_manager, Manager, Sub};
+use ksir_continuous::{ShardConfig, ShardKey, SubscriptionManager};
 use ksir_core::fixtures::paper_example;
-use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
-use ksir_types::{DenseTopicWordTable, QueryVector, TopicId};
+use ksir_core::{Algorithm, KsirQuery};
+use ksir_types::{QueryVector, TopicId};
 
 fn query(k: usize, weights: &[f64]) -> KsirQuery {
     KsirQuery::new(k, QueryVector::new(weights.to_vec()).unwrap()).unwrap()
 }
 
-/// Builds a planted-stream manager with a mixed workload under `config`.
-fn planted_manager(
-    seed: u64,
-    config: ShardConfig,
-) -> (
-    SubscriptionManager<DenseTopicWordTable>,
-    Vec<(SubscriptionId, KsirQuery, Algorithm)>,
-    ksir_datagen::GeneratedStream,
-) {
-    let profile = DatasetProfile::twitter().scaled(0.02).with_topics(12);
-    let stream = StreamGenerator::new(profile, seed)
-        .unwrap()
-        .generate()
-        .unwrap();
-    // Tight enough that elements expire mid-stream, so the delta rules have
-    // real skips to prove safe (T spanning the whole stream would disturb
-    // every subscription on every slide).
-    let window = WindowConfig::new(120, 15).unwrap();
-    let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-        stream.planted.phi().clone(),
-        EngineConfig::new(window, ScoringConfig::default()),
-    )
-    .unwrap();
-    let mut mgr = SubscriptionManager::with_shard_config(engine, config);
-
-    // Half realistic narrow interests (1–2 topics, the shape that makes
-    // skips possible), half generator-drawn broad vectors (which exercise
-    // the overflow shard under the default threshold).
-    let workload = QueryWorkloadGenerator::new(&stream.planted, seed ^ 0x5eed)
-        .generate(4, stream.end_time())
-        .unwrap();
-    let algorithms = [
-        Algorithm::Mtts,
-        Algorithm::Mttd,
-        Algorithm::TopkRepresentative,
-        Algorithm::Celf,
-    ];
-    let mut subs = Vec::new();
-    for (i, generated) in workload.into_iter().enumerate() {
-        let mut narrow = vec![0.0; 12];
-        narrow[(3 * i) % 12] = 0.8;
-        narrow[(3 * i + 1) % 12] = 0.2;
-        for vector in [QueryVector::new(narrow).unwrap(), generated.vector] {
-            let q = KsirQuery::new(4, vector).unwrap();
-            let algorithm = algorithms[subs.len() % algorithms.len()];
-            let id = mgr.subscribe(q.clone(), algorithm).unwrap();
-            subs.push((id, q, algorithm));
-        }
-    }
-    (mgr, subs, stream)
-}
-
-fn assert_equivalent(
-    mgr: &SubscriptionManager<DenseTopicWordTable>,
-    subs: &[(SubscriptionId, KsirQuery, Algorithm)],
-    context: &str,
-) {
+fn assert_equivalent(mgr: &Manager, subs: &[Sub], context: &str) {
     for (id, q, algorithm) in subs {
         let fresh = mgr.engine().query(q, *algorithm).unwrap();
         let maintained = mgr.result(*id).unwrap();

@@ -1,20 +1,24 @@
 //! Shared-evaluation-plan equivalence at the manager level.
 //!
-//! [`ShardConfig::shared_plans`] switches scheduled shards from one query
-//! evaluation per disturbed subscription to one **covering** traversal per
-//! disturbed plan cluster, which answers every member at its own `k`.  The
-//! contract is **cost only**.  Slide for slide, both paths classify the same
-//! subscriptions, emit the same result deltas, and converge on the same
-//! maintained results; only the `refresh.cluster.*` counters — covering
-//! traversals actually run, member refreshes served by sharing — move.
+//! Scheduled shards serve each disturbed plan cluster from one **covering**
+//! traversal that answers every member at its own `k`.  The contract is
+//! **cost only**.  Slide for slide, the manager classifies the same
+//! subscriptions, emits the same result deltas, and keeps the same results
+//! as the per-subscription [`SerialWalk`]; only the `refresh.cluster.*`
+//! counters — covering traversals actually run, member refreshes served by
+//! sharing — and the scoring passes move.
 
-use ksir_continuous::{ShardConfig, SubscriptionId, SubscriptionManager};
+mod common;
+
+use common::{
+    ingest_against_walk, manager_over, planted_stream, walk_stream, Manager, SerialWalk, Sub,
+    TOPICS,
+};
+use ksir_continuous::{ShardConfig, SubscriptionManager};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
+use ksir_datagen::{DatasetProfile, StreamGenerator};
 use ksir_stream::WindowConfig;
-use ksir_types::{DenseTopicWordTable, QueryVector};
-
-const TOPICS: usize = 12;
+use ksir_types::QueryVector;
 
 /// A clustering-heavy workload: `groups` plan groups of `per_group`
 /// subscriptions each.  Members of one group share a query vector and an
@@ -109,116 +113,27 @@ fn zipf_population(n: usize, num_topics: usize) -> Vec<(KsirQuery, Algorithm)> {
         .collect()
 }
 
-/// Builds a planted-stream manager under `config` and registers `subs`.
-/// Same seed ⇒ identical engines and subscription ids across configs.
-fn planted_manager(
-    seed: u64,
-    config: ShardConfig,
-    subs: &[(KsirQuery, Algorithm)],
-) -> (
-    SubscriptionManager<ksir_types::DenseTopicWordTable>,
-    Vec<SubscriptionId>,
-    GeneratedStream,
-) {
-    let profile = DatasetProfile::twitter().scaled(0.02).with_topics(TOPICS);
-    let stream = StreamGenerator::new(profile, seed)
-        .unwrap()
-        .generate()
-        .unwrap();
-    let window = WindowConfig::new(120, 15).unwrap();
-    let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-        stream.planted.phi().clone(),
-        EngineConfig::new(window, ScoringConfig::default()),
-    )
-    .unwrap();
-    let mut mgr = SubscriptionManager::with_shard_config(engine, config);
-    let ids = subs
-        .iter()
-        .map(|(query, algorithm)| mgr.subscribe(query.clone(), *algorithm).unwrap())
-        .collect();
-    (mgr, ids, stream)
-}
-
 /// Sums one `ShardStats` field over live shards.
-fn shard_sum(
-    mgr: &SubscriptionManager<DenseTopicWordTable>,
-    field: impl Fn(&ksir_continuous::ShardStats) -> usize,
-) -> usize {
+fn shard_sum(mgr: &Manager, field: impl Fn(&ksir_continuous::ShardStats) -> usize) -> usize {
     mgr.shard_stats().iter().map(field).sum()
 }
 
-/// The tentpole contract, end to end: a shared-plans manager and a
-/// per-subscription manager fed the same stream make identical decisions on
-/// every slide and end on identical results — only the clustered manager's
-/// covering/shared counters move, and it provably runs fewer evaluations.
+/// The contract, end to end: the clustered manager makes the walk's
+/// decisions on every slide and ends on its results and per-subscription
+/// counters, while serving refreshes from covering runs with fewer scoring
+/// passes than the walk's one query per refresh.
 #[test]
 fn shared_plans_match_per_subscription_walk_slide_for_slide() {
     for seed in [11u64, 29] {
-        let subs = workload(6, 4);
-        let (mut clustered, ids, stream) =
-            planted_manager(seed, ShardConfig::default().with_shared_plans(true), &subs);
-        let (mut oracle, oracle_ids, _) =
-            planted_manager(seed, ShardConfig::default().with_shared_plans(false), &subs);
-        assert_eq!(ids, oracle_ids);
+        let stream = planted_stream(seed);
+        let (mut mgr, subs) = manager_over(&stream, ShardConfig::default(), &workload(6, 4));
+        let mut walk = SerialWalk::over(&subs, &mgr.engine());
+        ingest_against_walk(&mut mgr, &mut walk, stream.iter_pairs());
+        walk.assert_matches(&mgr, &format!("seed {seed}"));
 
-        let clustered_outcomes = clustered.ingest_stream(stream.iter_pairs()).unwrap();
-        let oracle_outcomes = oracle.ingest_stream(stream.iter_pairs()).unwrap();
-        assert_eq!(clustered_outcomes.len(), oracle_outcomes.len());
-        for (slide, (shared, solo)) in clustered_outcomes.iter().zip(&oracle_outcomes).enumerate() {
-            assert_eq!(shared.report, solo.report, "slide {slide}: engine diverged");
-            assert_eq!(
-                shared.refreshed, solo.refreshed,
-                "slide {slide}: refresh decisions diverged"
-            );
-            assert_eq!(
-                shared.skipped, solo.skipped,
-                "slide {slide}: skip decisions diverged"
-            );
-            assert_eq!(
-                shared.updates.len(),
-                solo.updates.len(),
-                "slide {slide}: different number of result changes"
-            );
-            for (su, ou) in shared.updates.iter().zip(&solo.updates) {
-                assert_eq!(su.subscription, ou.subscription, "slide {slide}");
-                assert_eq!(su.reason, ou.reason, "slide {slide}: {}", su.subscription);
-                assert_eq!(su.added, ou.added, "slide {slide}: {}", su.subscription);
-                assert_eq!(su.removed, ou.removed, "slide {slide}: {}", su.subscription);
-                // Both paths run the identical query: same bits.
-                assert_eq!(
-                    su.score_after.to_bits(),
-                    ou.score_after.to_bits(),
-                    "slide {slide}: {} score {} vs {}",
-                    su.subscription,
-                    su.score_after,
-                    ou.score_after
-                );
-            }
-        }
-
-        // Final maintained results agree with each other, with scratch, and
-        // the per-subscription stats are identical member for member.
-        for (id, (query, algorithm)) in ids.iter().zip(&subs) {
-            let shared = clustered.result(*id).unwrap();
-            let solo = oracle.result(*id).unwrap();
-            assert_eq!(shared.sorted_elements(), solo.sorted_elements());
-            let fresh = clustered.engine().query(query, *algorithm).unwrap();
-            assert_eq!(shared.sorted_elements(), fresh.sorted_elements());
-            assert_eq!(
-                clustered.subscription_stats(*id).unwrap(),
-                oracle.subscription_stats(*id).unwrap(),
-                "{id}: per-subscription work counters diverged"
-            );
-        }
-
-        // Decision-side stats agree in aggregate too...
-        assert_eq!(clustered.stats(), oracle.stats());
-        // ...while the cost side shows actual sharing: the clustered manager
-        // served refreshes from covering runs, and ran strictly fewer
-        // evaluations than it performed refreshes.
-        let covering = shard_sum(&clustered, |s| s.covering_evaluations);
-        let shared = shard_sum(&clustered, |s| s.shared_refreshes);
-        let refreshes = clustered.stats().refreshes;
+        let covering = shard_sum(&mgr, |s| s.covering_evaluations);
+        let shared = shard_sum(&mgr, |s| s.shared_refreshes);
+        let refreshes = mgr.stats().refreshes;
         assert!(covering > 0, "seed {seed}: no covering run ever happened");
         assert!(shared > 0, "seed {seed}: no refresh was served by sharing");
         assert_eq!(
@@ -230,33 +145,26 @@ fn shared_plans_match_per_subscription_walk_slide_for_slide() {
             covering < refreshes,
             "seed {seed}: clustering ran as many evaluations as refreshes"
         );
-        assert_eq!(shard_sum(&oracle, |s| s.covering_evaluations), 0);
-        assert_eq!(shard_sum(&oracle, |s| s.shared_refreshes), 0);
-        assert_eq!(shard_sum(&oracle, |s| s.clusters), 0);
-
-        // And the scoring-pass counter shows the point of it all: fewer
-        // singleton/gain evaluations for identical decisions.
-        let clustered_passes = clustered
-            .telemetry()
-            .registry()
-            .counter("refresh.gain_evaluations")
-            .get();
-        let oracle_passes = oracle
-            .telemetry()
-            .registry()
-            .counter("refresh.gain_evaluations")
-            .get();
+        let passes = gain_evaluations(&mgr);
         assert!(
-            clustered_passes < oracle_passes,
+            passes < walk.gain_evaluations,
             "seed {seed}: clustering did not reduce scoring passes \
-             ({clustered_passes} vs {oracle_passes})"
+             ({passes} vs {})",
+            walk.gain_evaluations
         );
     }
 }
 
+/// The `refresh.gain_evaluations` counter: scoring passes of every
+/// slide-driven run.
+fn gain_evaluations(mgr: &Manager) -> usize {
+    let registry = mgr.telemetry().registry();
+    registry.counter("refresh.gain_evaluations").get() as usize
+}
+
 /// The point of plan sharing, as a count: over 2 000 Zipf subscriptions the
 /// clustered manager makes the per-subscription walk's decisions with at
-/// least 5× fewer scoring passes.
+/// least 5× fewer scoring passes than the walk's queries.
 #[test]
 fn zipf_population_shares_scoring_passes_for_identical_decisions() {
     let profile = DatasetProfile::twitter().scaled(0.05).with_topics(50);
@@ -264,47 +172,39 @@ fn zipf_population_shares_scoring_passes_for_identical_decisions() {
         .unwrap()
         .generate()
         .unwrap();
-    let subs = zipf_population(2_000, stream.planted.num_topics());
-    let run = |shared_plans: bool| {
-        let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-            stream.planted.phi().clone(),
-            EngineConfig::new(
-                WindowConfig::new(6 * 60, 15).unwrap(),
-                ScoringConfig::new(0.5, 1.0).unwrap(),
-            ),
-        )
-        .unwrap();
-        let mut mgr = SubscriptionManager::with_shard_config(
-            engine,
-            ShardConfig::default().with_shared_plans(shared_plans),
-        );
-        for (query, algorithm) in &subs {
-            mgr.subscribe(query.clone(), *algorithm).unwrap();
-        }
-        mgr.ingest_stream(stream.iter_pairs()).unwrap();
-        let passes = mgr
-            .telemetry()
-            .registry()
-            .counter("refresh.gain_evaluations")
-            .get();
-        (mgr, passes)
-    };
-    let (clustered, clustered_passes) = run(true);
-    let (baseline, baseline_passes) = run(false);
+    let engine: KsirEngine<_> = KsirEngine::new(
+        stream.planted.phi().clone(),
+        EngineConfig::new(
+            WindowConfig::new(6 * 60, 15).unwrap(),
+            ScoringConfig::new(0.5, 1.0).unwrap(),
+        ),
+    )
+    .unwrap();
+    let mut mgr = SubscriptionManager::with_shard_config(engine, ShardConfig::default());
+    let subs: Vec<Sub> = zipf_population(2_000, stream.planted.num_topics())
+        .into_iter()
+        .map(|(query, algorithm)| {
+            (
+                mgr.subscribe(query.clone(), algorithm).unwrap(),
+                query,
+                algorithm,
+            )
+        })
+        .collect();
+    let mut walk = SerialWalk::over(&subs, &mgr.engine());
+    ingest_against_walk(&mut mgr, &mut walk, stream.iter_pairs());
+    walk.assert_matches(&mgr, "zipf");
 
-    assert_eq!(
-        clustered.stats(),
-        baseline.stats(),
-        "plan clustering must change no refresh decision"
-    );
-    assert!(shard_sum(&clustered, |s| s.covering_evaluations) > 0);
+    assert!(shard_sum(&mgr, |s| s.covering_evaluations) > 0);
     assert!(
-        shard_sum(&clustered, |s| s.shared_refreshes) > 0,
+        shard_sum(&mgr, |s| s.shared_refreshes) > 0,
         "templates must overlap"
     );
+    let passes = gain_evaluations(&mgr);
     assert!(
-        clustered_passes * 5 <= baseline_passes,
-        "clustered {clustered_passes} vs per-subscription {baseline_passes} scoring passes"
+        passes * 5 <= walk.gain_evaluations,
+        "clustered {passes} vs per-subscription {} scoring passes",
+        walk.gain_evaluations
     );
 }
 
@@ -312,13 +212,13 @@ fn zipf_population_shares_scoring_passes_for_identical_decisions() {
 /// stats structs (the no-drift rule): registry == Σ live shards + retired.
 #[test]
 fn cluster_counters_reconcile_with_stats() {
-    let subs = workload(5, 4);
-    let (mut mgr, ids, stream) = planted_manager(29, ShardConfig::default(), &subs);
+    let stream = planted_stream(29);
+    let (mut mgr, subs) = manager_over(&stream, ShardConfig::default(), &workload(5, 4));
     let pairs: Vec<_> = stream.iter_pairs().collect();
     let half = pairs.len() / 2;
     mgr.ingest_stream(pairs[..half].iter().cloned()).unwrap();
     // Retire a few members mid-stream so the retired tally participates.
-    for id in &ids[..6] {
+    for (id, _, _) in &subs[..6] {
         assert!(mgr.unsubscribe(*id));
     }
     mgr.ingest_stream(pairs[half..].iter().cloned()).unwrap();
@@ -353,116 +253,67 @@ fn cluster_counters_reconcile_with_stats() {
 /// Mid-stream churn re-clusters without disturbing the survivors: new
 /// members join existing clusters (merge), departures shrink or retire them
 /// (split/retire), a forced refresh replaces one member's result — and
-/// through all of it the surviving members' decisions and results stay
-/// pinned to the per-subscription walk performing the identical churn.
+/// through all of it every slide stays pinned to the walk performing the
+/// identical churn.
 #[test]
 fn churn_reclusters_without_changing_surviving_decisions() {
-    let initial = workload(4, 3);
-    let late = workload(6, 2); // first 4 groups merge into existing clusters
-    let run = |shared_plans: bool| {
-        let (mut mgr, ids, stream) = planted_manager(
-            47,
-            ShardConfig::default().with_shared_plans(shared_plans),
-            &initial,
-        );
-        let pairs: Vec<_> = stream.iter_pairs().collect();
-        let third = pairs.len() / 3;
-        let mut outcomes = mgr.ingest_stream(pairs[..third].iter().cloned()).unwrap();
-        // Churn: drop one member of each of the first three clusters (split),
-        // retire the fourth cluster outright, then register the late
-        // workload (its first four groups merge into surviving clusters).
-        let removed = [ids[0], ids[3], ids[6], ids[9], ids[10], ids[11]];
-        for id in removed {
-            assert!(mgr.unsubscribe(id));
-        }
-        let mut ids: Vec<SubscriptionId> =
-            ids.into_iter().filter(|id| !removed.contains(id)).collect();
-        for (query, algorithm) in &late {
-            ids.push(mgr.subscribe(query.clone(), *algorithm).unwrap());
-        }
-        // A forced refresh outside the slide stream.
-        let forced = ids[1];
-        mgr.refresh(forced);
-        outcomes.extend(mgr.ingest_stream(pairs[third..].iter().cloned()).unwrap());
-        (mgr, ids, outcomes)
-    };
+    let stream = planted_stream(47);
+    let (mut mgr, subs) = manager_over(&stream, ShardConfig::default(), &workload(4, 3));
+    let mut walk = SerialWalk::over(&subs, &mgr.engine());
+    let pairs: Vec<_> = stream.iter_pairs().collect();
+    let third = pairs.len() / 3;
+    ingest_against_walk(&mut mgr, &mut walk, pairs[..third].iter().cloned());
+    // Churn: drop one member of each of the first three clusters (split),
+    // retire the fourth cluster outright, then register a late workload
+    // whose first four groups merge into surviving clusters.
+    for i in [0, 3, 6, 9, 10, 11] {
+        assert!(mgr.unsubscribe(subs[i].0));
+        walk.unsubscribe(subs[i].0);
+    }
+    for (query, algorithm) in &workload(6, 2) {
+        let id = mgr.subscribe(query.clone(), *algorithm).unwrap();
+        walk.subscribe(id, query, *algorithm, &mgr.engine());
+    }
+    // A forced refresh outside the slide stream.
+    let forced = subs[2].0;
+    assert_eq!(mgr.refresh(forced), walk.refresh(forced, &mgr.engine()));
+    ingest_against_walk(&mut mgr, &mut walk, pairs[third..].iter().cloned());
+    walk.assert_matches(&mgr, "churn");
 
-    let (clustered, ids, clustered_outcomes) = run(true);
-    let (oracle, oracle_ids, oracle_outcomes) = run(false);
-    assert_eq!(ids, oracle_ids);
-    assert_eq!(clustered_outcomes.len(), oracle_outcomes.len());
-    for (slide, (shared, solo)) in clustered_outcomes.iter().zip(&oracle_outcomes).enumerate() {
-        assert_eq!(
-            shared.refreshed, solo.refreshed,
-            "slide {slide}: refresh decisions diverged under churn"
-        );
-        assert_eq!(shared.skipped, solo.skipped, "slide {slide}");
-        assert_eq!(shared.updates, solo.updates, "slide {slide}");
-    }
-    for id in &ids {
-        assert_eq!(
-            clustered.result(*id).unwrap().sorted_elements(),
-            oracle.result(*id).unwrap().sorted_elements(),
-            "{id}: maintained result diverged under churn"
-        );
-        assert_eq!(
-            clustered.subscription_stats(*id),
-            oracle.subscription_stats(*id),
-            "{id}: work counters diverged under churn"
-        );
-    }
     // The retired tally still reconciles the global accounting:
     // live + retired refreshes/skips == slide-time classifications.
-    for mgr in [&clustered, &oracle] {
-        let stats = mgr.stats();
-        let retired = mgr.retired_stats();
-        assert!(retired.shards > 0, "the emptied cluster retired its shard");
-        assert_eq!(
-            shard_sum(mgr, |s| s.refreshes) + retired.refreshes,
-            stats.refreshes
-        );
-        assert_eq!(shard_sum(mgr, |s| s.skips) + retired.skips, stats.skips);
-    }
-    assert_eq!(clustered.stats(), oracle.stats());
+    let stats = mgr.stats();
+    let retired = mgr.retired_stats();
+    assert!(retired.shards > 0, "the emptied cluster retired its shard");
+    assert_eq!(
+        shard_sum(&mgr, |s| s.refreshes) + retired.refreshes,
+        stats.refreshes
+    );
+    assert_eq!(shard_sum(&mgr, |s| s.skips) + retired.skips, stats.skips);
 }
 
 /// Shared plans compose with the pipelined ingestion path: covering runs
-/// against epoch snapshots keep the maintained results and work accounting
-/// of the synchronous per-subscription walk.
+/// against epoch snapshots keep the walk's maintained results and work
+/// accounting.
 #[test]
 fn shared_plans_compose_with_the_pipelined_path() {
     // 4 per group so clusters hold same-k sharers (k = 2,4,6,2), not just
     // cross-k variants — both sharing modes must survive the pipeline.
-    let subs = workload(6, 4);
+    let stream = planted_stream(61);
     let config = ShardConfig::default().with_pipeline_depth(2);
-    let (mut pipelined, ids, stream) = planted_manager(61, config, &subs);
-    let (mut oracle, oracle_ids, _) =
-        planted_manager(61, ShardConfig::default().with_shared_plans(false), &subs);
-    assert_eq!(ids, oracle_ids);
-
-    let tickets = pipelined.ingest_stream_async(stream.iter_pairs()).unwrap();
-    pipelined.sync();
-    assert_eq!(pipelined.completed_epoch(), tickets.len() as u64);
-    oracle.ingest_stream(stream.iter_pairs()).unwrap();
-
-    assert_eq!(
-        pipelined.stats(),
-        oracle.stats(),
-        "pipelined clustered decisions diverged from the synchronous walk"
-    );
-    for id in &ids {
-        assert_eq!(
-            pipelined.result(*id).unwrap().sorted_elements(),
-            oracle.result(*id).unwrap().sorted_elements(),
-            "{id}: maintained result diverged"
-        );
-    }
+    let (mut mgr, subs) = manager_over(&stream, config, &workload(6, 4));
+    let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+    mgr.sync();
+    assert_eq!(mgr.completed_epoch(), tickets.len() as u64);
+    let (walk, slides) = walk_stream(&stream, &subs);
+    assert_eq!(slides.len(), tickets.len(), "same bucket cutting");
+    walk.assert_matches(&mgr, "pipelined");
     assert!(
-        shard_sum(&pipelined, |s| s.covering_evaluations) > 0,
+        shard_sum(&mgr, |s| s.covering_evaluations) > 0,
         "the pipelined path never ran a covering evaluation"
     );
     assert!(
-        shard_sum(&pipelined, |s| s.shared_refreshes) > 0,
+        shard_sum(&mgr, |s| s.shared_refreshes) > 0,
         "the pipelined path never shared a refresh"
     );
 }
@@ -485,8 +336,10 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
     subs.extend(k_ladders());
     let cluster_of = |index: usize| index / 4;
     for pipelined in [false, true] {
+        let stream = planted_stream(73);
         let config = ShardConfig::default().with_pipeline_depth(2);
-        let (mut mgr, ids, stream) = planted_manager(73, config, &subs);
+        let (mut mgr, registered) = manager_over(&stream, config, &subs);
+        let ids: Vec<_> = registered.iter().map(|s| s.0).collect();
         let mut refreshed_checks = 0;
         let mut traversals = 0;
         let (bucket_len, start) = {

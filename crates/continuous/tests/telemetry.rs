@@ -7,66 +7,18 @@
 //! Includes the PR's acceptance scenario: a pipelined run at depth ≥ 2 on a
 //! forced 4-thread pool whose timeline reconciles with every stats surface.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{planted_manager, walk_stream, Manager};
 use ksir_continuous::{
-    DeliveryConfig, EpochTimeline, OverflowPolicy, ShardConfig, SubscriptionId,
-    SubscriptionManager, TelemetryConfig,
+    DeliveryConfig, EpochTimeline, OverflowPolicy, ShardConfig, TelemetryConfig,
 };
-use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_datagen::{DatasetProfile, GeneratedStream, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
-use ksir_types::{DenseTopicWordTable, QueryVector};
-
-/// Same planted-stream construction as the sharding/pipelined tests, so the
-/// workload exercises narrow and broad shards, all four algorithms, and
-/// slides that skip whole shards.
-fn planted_manager(
-    seed: u64,
-    config: ShardConfig,
-) -> (
-    SubscriptionManager<DenseTopicWordTable>,
-    Vec<SubscriptionId>,
-    GeneratedStream,
-) {
-    let profile = DatasetProfile::twitter().scaled(0.02).with_topics(12);
-    let stream = StreamGenerator::new(profile, seed)
-        .unwrap()
-        .generate()
-        .unwrap();
-    let window = WindowConfig::new(120, 15).unwrap();
-    let engine: KsirEngine<DenseTopicWordTable> = KsirEngine::new(
-        stream.planted.phi().clone(),
-        EngineConfig::new(window, ScoringConfig::default()),
-    )
-    .unwrap();
-    let mut mgr = SubscriptionManager::with_shard_config(engine, config);
-
-    let workload = QueryWorkloadGenerator::new(&stream.planted, seed ^ 0x5eed)
-        .generate(4, stream.end_time())
-        .unwrap();
-    let algorithms = [
-        Algorithm::Mtts,
-        Algorithm::Mttd,
-        Algorithm::TopkRepresentative,
-        Algorithm::Celf,
-    ];
-    let mut subs = Vec::new();
-    for (i, generated) in workload.into_iter().enumerate() {
-        let mut narrow = vec![0.0; 12];
-        narrow[(3 * i) % 12] = 0.8;
-        narrow[(3 * i + 1) % 12] = 0.2;
-        for vector in [QueryVector::new(narrow).unwrap(), generated.vector] {
-            let q = KsirQuery::new(4, vector).unwrap();
-            subs.push(mgr.subscribe(q, algorithms[subs.len() % 4]).unwrap());
-        }
-    }
-    (mgr, subs, stream)
-}
 
 /// Asserts the full counter/trace/stats reconciliation on a settled manager
 /// (no unsubscribes, ample trace ring).  Every equality here is exact.
-fn assert_reconciled(mgr: &SubscriptionManager<DenseTopicWordTable>) -> EpochTimeline {
+fn assert_reconciled(mgr: &Manager) -> EpochTimeline {
     let telemetry = mgr.telemetry();
     let registry = telemetry.registry();
     let stats = mgr.stats();
@@ -149,7 +101,7 @@ fn pipelined_timeline_reconciles_exactly_with_stats() {
         let (mut mgr, subs, stream) = planted_manager(7, config);
         let receivers: Vec<_> = subs
             .iter()
-            .map(|id| {
+            .map(|(id, _, _)| {
                 mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
                     .unwrap()
             })
@@ -208,7 +160,7 @@ fn pipelined_timeline_reconciles_exactly_with_stats() {
 }
 
 /// The synchronous path emits the same trace schema: a plain
-/// `ingest_bucket` run (inline and forced-parallel refresh) reconciles the
+/// `ingest_bucket` run (auto-sized and forced 4-thread pools) reconciles the
 /// timeline against the stats and reproduces the per-slide outcome counts.
 #[test]
 fn sync_path_trace_reconciles_with_shard_stats() {
@@ -229,8 +181,13 @@ fn sync_path_trace_reconciles_with_shard_stats() {
             assert_eq!(record.shards_skipped, outcome.shards_skipped as u64);
             assert_eq!(record.updates, outcome.updates.len() as u64);
         }
-        // The sync path never snapshots.
-        assert_eq!(timeline.total_snapshots(), 0);
+        // Every slide that scheduled a shard refreshed against one snapshot,
+        // released before the next index write.
+        let scheduling = outcomes.iter().filter(|o| o.shards_scheduled > 0);
+        assert_eq!(timeline.total_snapshots(), scheduling.count() as u64);
+        let engine = mgr.engine().stats();
+        let clones = engine.ranked_cow_clones + engine.window_cow_clones;
+        assert_eq!(clones + engine.topic_vector_cow_clones, 0);
     }
 }
 
@@ -240,14 +197,10 @@ fn sync_path_trace_reconciles_with_shard_stats() {
 /// per-receiver tallies.
 #[test]
 fn delivery_accounting_reconciles_under_all_policies() {
-    // Reference run: the total result changes this stream produces.
-    let (mut reference, _, stream) = planted_manager(7, ShardConfig::default());
-    let total_updates: usize = reference
-        .ingest_stream(stream.iter_pairs())
-        .unwrap()
-        .iter()
-        .map(|o| o.updates.len())
-        .sum();
+    // Reference: the total result changes the walk makes on this stream.
+    let (_, subs, stream) = planted_manager(7, ShardConfig::default());
+    let (_, slides) = walk_stream(&stream, &subs);
+    let total_updates: usize = slides.iter().map(|s| s.updates.len()).sum();
     assert!(total_updates > 0, "stream must change some results");
 
     for (policy, capacity) in [
@@ -262,7 +215,7 @@ fn delivery_accounting_reconciles_under_all_policies() {
         let (mut mgr, subs, stream) = planted_manager(7, config);
         let receivers: Vec<_> = subs
             .iter()
-            .map(|id| {
+            .map(|(id, _, _)| {
                 mgr.attach_delivery(
                     *id,
                     DeliveryConfig::default()
