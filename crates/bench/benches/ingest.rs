@@ -14,6 +14,13 @@
 //!   after it, inside the timing: what the asynchronous pipeline's epoch
 //!   snapshot costs a write — the copy-on-write clones of everything the
 //!   write touches, and freeing them — over `engine_ingest`.
+//! * `engine_fan_in/{100,1000,10000}` — the engine routine over a stream in
+//!   which every element references one planted parent, timed once that
+//!   parent has gained 10², 10³ and 10⁴ children (the window is long enough
+//!   to keep them all); time per iteration ÷ [`ENGINE_BUCKET`] is ns per
+//!   element.  A write proportional to the new references costs the same
+//!   in all three rows; one that re-walks the parent's children grows with
+//!   its fan-in.
 //! * `window_slide/{10k,100k}` — insert one bucket of [`SLIDE_BUCKET`]
 //!   elements into an `ActiveWindow` holding ~10k / ~100k elements, then
 //!   `parents_losing_children` + `advance_to`.  The bucket is the same size
@@ -22,11 +29,13 @@
 
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
 use ksir_bench::{build_engine, ProcessingConfig};
-use ksir_datagen::{DatasetProfile, StreamGenerator};
+use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
+use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
 use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
 use ksir_stream::{ActiveWindow, WindowConfig};
 use ksir_types::rng::seeded_rng;
@@ -37,6 +46,8 @@ use rand::Rng as _;
 const ENGINE_BUCKET: u64 = 64;
 /// Elements per bucket of the window routine.
 const SLIDE_BUCKET: u64 = 256;
+/// Children of the planted parent at which the fan-in routine is timed.
+const FAN_INS: [u64; 3] = [100, 1_000, 10_000];
 
 /// The shape of an endless stream: `per_bucket` elements spread evenly over
 /// every `bucket_len` ticks, ids counting up from 1, each with about `refs`
@@ -95,14 +106,7 @@ fn engine_ingest_group(c: &mut Criterion, name: &str, held: bool) {
     group.throughput(Throughput::Elements(ENGINE_BUCKET));
     for profile in [DatasetProfile::aminer(), DatasetProfile::twitter()] {
         let name = profile.name.clone();
-        // Documents, topic vectors and the topic model come from the dataset
-        // generator; ids, timestamps and references from `Shape`.
-        let mut content = profile.clone();
-        content.avg_refs = 0.0;
-        let stream = StreamGenerator::new(content, 99)
-            .unwrap()
-            .generate()
-            .unwrap();
+        let stream = content(&profile);
         let docs: Vec<Document> = stream.elements.iter().map(|e| e.doc.clone()).collect();
         let vectors: &[TopicVector] = &stream.topic_vectors;
         let config = ProcessingConfig::default();
@@ -153,6 +157,76 @@ fn engine_ingest_group(c: &mut Criterion, name: &str, held: bool) {
     group.finish();
 }
 
+/// Documents, topic vectors and the topic model of `profile` from the dataset
+/// generator, without references: the routines take ids, timestamps and
+/// references from `Shape`.
+fn content(profile: &DatasetProfile) -> GeneratedStream {
+    let mut content = profile.clone();
+    content.avg_refs = 0.0;
+    StreamGenerator::new(content, 99)
+        .unwrap()
+        .generate()
+        .unwrap()
+}
+
+fn bench_engine_fan_in(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_fan_in");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(ENGINE_BUCKET));
+    let profile = DatasetProfile::twitter();
+    let stream = content(&profile);
+    let docs: Vec<Document> = stream.elements.iter().map(|e| e.doc.clone()).collect();
+    let vectors: &[TopicVector] = &stream.topic_vectors;
+    let phi = Arc::new(stream.planted.phi().clone());
+    let bucket_len = 15;
+    // Room for the largest fan-in plus every timed iteration (at most ten
+    // per sample): the planted parent loses no child over the run.
+    let window_buckets = 2 * FAN_INS[2] / ENGINE_BUCKET + 10 * 20;
+    let config = EngineConfig::new(
+        WindowConfig::new(window_buckets * bucket_len, bucket_len).unwrap(),
+        ScoringConfig::default(),
+    );
+    let shape = Shape {
+        per_bucket: ENGINE_BUCKET,
+        bucket_len,
+        refs: profile.avg_refs,
+        horizon: ENGINE_BUCKET * profile.reference_horizon / bucket_len,
+    };
+    // The planted parent is the stream's first element, id 1.
+    let items = |b: u64| -> Vec<(SocialElement, TopicVector)> {
+        shape
+            .bucket(b, &docs)
+            .into_iter()
+            .map(|mut e| {
+                if e.id.raw() > 1 {
+                    e.refs.push(ElementId(1));
+                }
+                let tv = vectors[e.id.raw() as usize % vectors.len()].clone();
+                (e, tv)
+            })
+            .collect()
+    };
+    for fan_in in FAN_INS {
+        let mut engine = KsirEngine::new(Arc::clone(&phi), config).unwrap();
+        let mut next = 0u64;
+        while engine.window().influence_count(ElementId(1)) < fan_in as usize {
+            engine.ingest_bucket(items(next), shape.end(next)).unwrap();
+            next += 1;
+        }
+        group.bench_function(BenchmarkId::from_parameter(fan_in), |b| {
+            b.iter_batched(
+                || {
+                    next += 1;
+                    (items(next - 1), shape.end(next - 1))
+                },
+                |(items, end)| engine.ingest_bucket(items, end).unwrap(),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_window_slide(c: &mut Criterion) {
     let mut group = c.benchmark_group("window_slide");
     group.sample_size(30);
@@ -194,5 +268,10 @@ fn bench_window_slide(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_ingest, bench_window_slide);
+criterion_group!(
+    benches,
+    bench_engine_ingest,
+    bench_engine_fan_in,
+    bench_window_slide
+);
 criterion_main!(benches);

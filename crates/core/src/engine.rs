@@ -7,11 +7,11 @@
 //! answered from the ranked lists without touching the raw stream.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ksir_stream::{ActiveWindow, RankedLists, WindowDelta};
+use ksir_stream::{ActiveWindow, RankedLists, Slot, WindowDelta};
 use ksir_types::{
     ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId, TopicVector,
     TopicWordDistribution,
@@ -82,6 +82,24 @@ struct Archived {
     row: Arc<ElementRow>,
 }
 
+/// Where one reference of a bucket element points by the time the element is
+/// inserted, as [`KsirEngine::validate_bucket`] resolved it: each reference
+/// costs one probe of the window's id index per slide.
+#[derive(Debug, Clone, Copy)]
+enum Parent {
+    /// Active before the bucket, in this slot.
+    Active(Slot),
+    /// The bucket's element at this position.
+    Bucket(usize),
+    /// An expired parent this reference brings back from the archive.
+    Resurrect,
+    /// An expired parent an earlier reference brought back, numbered in the
+    /// order they came back.
+    Resurrected(usize),
+    /// Neither active nor archived: the reference is ignored.
+    Absent,
+}
+
 /// The k-SIR engine over a fixed topic-word distribution.
 ///
 /// `D` is any [`TopicWordDistribution`] — a hand-specified table, a trained
@@ -99,8 +117,9 @@ pub struct KsirEngine<D> {
     /// [`EngineStats::window_cow_clones`]).
     window: Arc<ActiveWindow>,
     ranked: RankedLists,
-    /// One row per active element — the only per-element topic store — under
-    /// the same copy-on-write scheme as the window (counted in
+    /// One row per active element — the only per-element topic store —
+    /// indexed by the element's window slot, under the same copy-on-write
+    /// scheme as the window (counted in
     /// [`EngineStats::topic_vector_cow_clones`]).  A tuple refresh is
     /// `combine(R_i(e), I_{i,t}(e))` with only the influence half recomputed:
     /// the same operands in the same order as [`Scorer::topicwise_element`],
@@ -154,9 +173,9 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         Arc::make_mut(&mut self.window)
     }
 
-    /// Mutable access to the row map, same copy-on-write scheme as
-    /// [`KsirEngine::window_mut`].  A clone copies one `Arc` per active
-    /// element, not its row.
+    /// Mutable access to the rows, same copy-on-write scheme as
+    /// [`KsirEngine::window_mut`].  A clone copies one `Arc` per slot, not
+    /// its row.
     fn rows_mut(&mut self) -> &mut ElementRows {
         if Arc::strong_count(&self.rows) > 1 {
             self.stats.topic_vector_cow_clones += 1;
@@ -221,11 +240,12 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     /// The (possibly sparsified) topic distribution of an active element,
     /// rebuilt dense from its row.
     pub fn topic_vector(&self, id: ElementId) -> Option<TopicVector> {
-        let num_topics = self.num_topics();
-        self.rows.get(&id).map(|row| row.topic_vector(num_topics))
+        let row = self.rows.get(self.window.slot(id)?)?;
+        Some(row.topic_vector(self.num_topics()))
     }
 
-    /// One row per active element: its sparse `p_i(e)` and `R_i(e)`.
+    /// One row per active element, indexed by its window slot: its sparse
+    /// `p_i(e)` and `R_i(e)`.
     pub fn rows(&self) -> &ElementRows {
         self.rows.as_ref()
     }
@@ -295,35 +315,69 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                 offending: bucket_end,
             });
         }
-        let bucket_ids = self.validate_bucket(&bucket, bucket_end)?;
+        let plan = self.validate_bucket(&bucket, bucket_end)?;
 
         // Start the slide's touch log from a clean slate so the report's
         // delta only covers this bucket.
         let slide_from = self.window.now();
         self.ranked.clear_delta();
 
-        // Parents whose influence sets will shrink once the window slides.
-        let mut touched = self.window.parents_losing_children(bucket_end);
+        // Elements whose influence sets change, as `(id, slot, in the
+        // bucket)`: parents whose sets will shrink once the window slides,
+        // then every parent a reference reaches.  No slot is freed before
+        // the slide, so each names the same element until then.
+        let mut touched: Vec<(ElementId, Slot, bool)> = self
+            .window
+            .slots_losing_children(bucket_end)
+            .into_iter()
+            .map(|slot| {
+                let id = self
+                    .window
+                    .id_at(slot)
+                    .expect("a parent losing children is active");
+                (id, slot, false)
+            })
+            .collect();
 
         let mut new_ids = Vec::with_capacity(bucket.len());
+        let mut new_slots: Vec<Slot> = Vec::with_capacity(bucket.len());
         let mut resurrected = Vec::new();
+        let mut resurrected_slots: Vec<Slot> = Vec::new();
+        let mut parents: Vec<Slot> = Vec::new();
+        let mut refs = plan.iter();
         for (element, tv) in bucket {
             let id = element.id;
-            // A_t includes every element referenced by a window element, so a
-            // reference to an already-expired parent brings it back from the
-            // archive before the child is inserted.
+            parents.clear();
             for &parent in &element.refs {
-                if self.window.contains(parent) {
-                    continue;
-                }
-                let Some(archived) = self.archive.get(&parent) else {
-                    continue;
+                let resolved = refs.next().expect("one resolution per reference");
+                let (slot, in_bucket) = match *resolved {
+                    Parent::Active(slot) => (slot, false),
+                    Parent::Bucket(i) => (new_slots[i], true),
+                    Parent::Resurrected(i) => (resurrected_slots[i], false),
+                    // A_t includes every element referenced by a window
+                    // element, so a reference to an already-expired parent
+                    // brings it back from the archive, with a fresh slot,
+                    // before the child is inserted.
+                    Parent::Resurrect => {
+                        let archived = &self.archive[&parent];
+                        let (payload, row) =
+                            (Arc::clone(&archived.element), Arc::clone(&archived.row));
+                        let back: Vec<Slot> = payload
+                            .refs
+                            .iter()
+                            .filter_map(|&r| self.window.slot(r))
+                            .collect();
+                        let slot = self.window_mut().insert_resolved(payload, &back)?;
+                        self.rows_mut().insert(slot, row);
+                        resurrected.push(parent);
+                        resurrected_slots.push(slot);
+                        touched.push((parent, slot, false));
+                        (slot, false)
+                    }
+                    Parent::Absent => continue,
                 };
-                let (payload, row) = (Arc::clone(&archived.element), Arc::clone(&archived.row));
-                self.window_mut().insert(payload)?;
-                self.rows_mut().insert(parent, row);
-                touched.push(parent);
-                resurrected.push(parent);
+                parents.push(slot);
+                touched.push((parent, slot, in_bucket));
             }
             let support = self.sparsify(tv);
             let row = Arc::new(ElementRow::new(self.phi.as_ref(), &element.doc, support));
@@ -338,35 +392,38 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                     self.archive_by_time.push(Reverse((element.ts, id)));
                 }
             }
-            let parents = self.window_mut().insert(element)?;
-            touched.extend(parents);
-            self.rows_mut().insert(id, row);
+            let slot = self.window_mut().insert_resolved(element, &parents)?;
+            self.rows_mut().insert(slot, row);
             new_ids.push(id);
+            new_slots.push(slot);
         }
 
-        let expired = self.window_mut().advance_to(bucket_end)?;
-        for id in &expired {
+        let freed = self.window_mut().advance_freeing(bucket_end)?;
+        for &(id, slot) in &freed {
             // The element's tuples sit in exactly its support lists.
-            if let Some(row) = self.rows_mut().remove(id) {
+            if let Some(row) = self.rows_mut().remove(slot) {
                 for &(topic, _, _) in row.entries() {
-                    self.ranked.remove(topic, *id);
+                    self.ranked.remove(topic, id);
                 }
             }
         }
+        let expired: Vec<ElementId> = freed.into_iter().map(|(id, _)| id).collect();
         self.prune_archive(bucket_end);
 
         // New elements first, then every other element whose influence set
         // changed, in ascending id order.  A new element that was referenced
-        // inside its own bucket is in both and is written twice.
-        touched.sort_unstable();
-        touched.dedup();
+        // inside its own bucket is in both and is written twice.  A slot the
+        // slide freed stays free until the next insert.
+        touched.sort_unstable_by_key(|&(id, _, _)| id);
+        touched.dedup_by_key(|&mut (id, _, _)| id);
+        let new = new_ids
+            .iter()
+            .zip(&new_slots)
+            .map(|(&id, &slot)| (id, slot, true));
         let mut refreshed = Vec::new();
-        for &id in new_ids.iter().chain(touched.iter()) {
-            if self.window.contains(id) {
-                self.refresh_tuples(id);
-                if !bucket_ids.contains(&id) {
-                    refreshed.push(id);
-                }
+        for (id, slot, in_bucket) in new.chain(touched) {
+            if self.refresh_tuples(id, slot) && !in_bucket {
+                refreshed.push(id);
             }
         }
 
@@ -392,7 +449,10 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     }
 
     /// Checks everything that can make [`KsirEngine::ingest_bucket`] fail
-    /// before it changes any state, and returns the ids of the bucket.
+    /// before it changes any state, and resolves every reference for the
+    /// insert loop: bucket element by bucket element, each in reference
+    /// order.  Each element's own id and each reference is looked up in the
+    /// window once.
     ///
     /// A topic-vector entry must be a finite non-negative number: rows keep
     /// only entries `> 0`, and a `NaN` or infinite one would poison every
@@ -401,12 +461,14 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         &self,
         bucket: &[(SocialElement, TopicVector)],
         bucket_end: Timestamp,
-    ) -> Result<HashSet<ElementId>> {
-        let mut ids = HashSet::with_capacity(bucket.len());
+    ) -> Result<Vec<Parent>> {
+        // Bucket elements by position, as far as the loop has come.
+        let mut ids: HashMap<ElementId, usize> = HashMap::with_capacity(bucket.len());
         // Expired parents the bucket brings back from the archive before it
         // inserts a later (or the referencing) element: active by then.
-        let mut resurrecting: HashSet<ElementId> = HashSet::new();
-        for (element, tv) in bucket {
+        let mut resurrecting: HashMap<ElementId, usize> = HashMap::new();
+        let mut refs = Vec::with_capacity(bucket.iter().map(|(e, _)| e.refs.len()).sum());
+        for (position, (element, tv)) in bucket.iter().enumerate() {
             if tv.num_topics() != self.num_topics() {
                 return Err(KsirError::DimensionMismatch {
                     expected: self.num_topics(),
@@ -438,22 +500,32 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                 ));
             }
             for parent in &element.refs {
-                if !self.window.contains(*parent)
-                    && !ids.contains(parent)
-                    && self.archive.contains_key(parent)
-                {
-                    resurrecting.insert(*parent);
-                }
+                let resolved = if let Some(slot) = self.window.slot(*parent) {
+                    Parent::Active(slot)
+                } else if let Some(&position) = ids.get(parent) {
+                    Parent::Bucket(position)
+                } else if let Some(&index) = resurrecting.get(parent) {
+                    Parent::Resurrected(index)
+                } else if self.archive.contains_key(parent) {
+                    resurrecting.insert(*parent, resurrecting.len());
+                    Parent::Resurrect
+                } else {
+                    Parent::Absent
+                };
+                refs.push(resolved);
             }
             let id = element.id;
-            if self.window.contains(id) || resurrecting.contains(&id) || !ids.insert(id) {
+            if self.window.contains(id)
+                || resurrecting.contains_key(&id)
+                || ids.insert(id, position).is_some()
+            {
                 return Err(KsirError::invalid_parameter(
                     "bucket",
                     format!("duplicate element id {id}"),
                 ));
             }
         }
-        Ok(ids)
+        Ok(refs)
     }
 
     /// Drops archived elements that fell outside the retention horizon.
@@ -524,15 +596,16 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         entries
     }
 
-    /// Recomputes the ranked-list tuples `⟨δ_i(e), t_e⟩` of one active element
-    /// for every topic in its support: the row's `R_i(e)` combined with the
-    /// influence score over the element's current children.
-    fn refresh_tuples(&mut self, id: ElementId) {
-        let Some(row) = self.rows.get(&id) else {
-            return;
-        };
-        let Some(last_referenced) = self.window.last_referenced(id) else {
-            return;
+    /// Recomputes the ranked-list tuples `⟨δ_i(e), t_e⟩` of the element `id`
+    /// in `slot` for every topic in its support: the row's `R_i(e)` combined
+    /// with the influence score over the element's current children.
+    /// Returns `false`, writing nothing, if the slot is free (the element
+    /// expired in this slide).
+    fn refresh_tuples(&mut self, id: ElementId, slot: Slot) -> bool {
+        let (Some(row), Some(last_referenced)) =
+            (self.rows.get(slot), self.window.last_referenced_at(slot))
+        else {
+            return false;
         };
         let scorer = Scorer::new(
             self.phi.as_ref(),
@@ -541,11 +614,12 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             self.rows.as_ref(),
         );
         for &(topic, _, semantic) in row.entries() {
-            let influence = scorer.influence_element(topic, id);
+            let influence = scorer.influence_at(topic, slot);
             let score = self.config.scoring.combine(semantic, influence);
             self.ranked.upsert(topic, id, score, last_referenced);
             self.stats.tuple_updates += 1;
         }
+        true
     }
 
     fn check_query(&self, query: &KsirQuery) -> Result<()> {

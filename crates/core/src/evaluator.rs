@@ -497,7 +497,10 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     pub fn profile(&self, arena: &mut ProfileArena, id: ElementId) -> ProfileId {
         let arena = &mut arena.columns;
         let (window, rows) = (self.scorer.window(), self.scorer.rows());
-        let element = window.get(id);
+        // The one id probe: the entry, the row and every child are reached
+        // by slot from here on.
+        let slot = window.slot(id);
+        let element = slot.and_then(|slot| window.element_at(slot));
         let handle = ProfileId(arena.entries.len() as u32);
         let start = arena.end();
         arena.entries.push(ProfileEntry {
@@ -506,14 +509,14 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             start,
         });
 
-        let row = rows.get(&id);
+        let row = slot.and_then(|slot| rows.get(slot));
         arena.topic_probs.extend(
             self.support
                 .iter()
                 .map(|&(topic, _)| row.map_or(0.0, |row| row.prob(topic))),
         );
         let topic_probs = &arena.topic_probs[start.topic_probs..];
-        let Some(element) = element else {
+        let (Some(slot), Some(element)) = (slot, element) else {
             return handle;
         };
         if !topic_probs.iter().any(|&p| p > 0.0) {
@@ -537,14 +540,16 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             }
         }
 
-        arena.children.extend(window.influenced_iter(id));
-        let children = &arena.children[start.children..];
-        let m = children.len();
+        let children = || window.influenced_slots(slot);
+        arena
+            .children
+            .extend(children().map(|child| window.id_at(child).expect("a child is active")));
+        let m = arena.children.len() - start.children;
         arena
             .propagation
             .resize(start.propagation + self.support.len() * m, 0.0);
         let propagation = &mut arena.propagation[start.propagation..];
-        for (c, child) in children.iter().enumerate() {
+        for (c, child) in children().enumerate() {
             let Some(child_row) = rows.get(child) else {
                 continue;
             };
@@ -879,8 +884,9 @@ mod tests {
         for (element, [p0, p1]) in elements {
             let support = vec![(TopicId(0), p0), (TopicId(1), p1)];
             let row = ElementRow::new(&phi, &element.doc, support);
-            rows.insert(element.id, Arc::new(row));
+            let id = element.id;
             window.insert(element).unwrap();
+            rows.insert(window.slot(id).unwrap(), Arc::new(row));
         }
         window.advance_to(Timestamp(3)).unwrap();
         (phi, window, rows)

@@ -4,19 +4,73 @@
 //! of one active element's topics: its sparse distribution `p_i(e)` — the
 //! paper's elements are about fewer than two topics on average — and, per
 //! support topic, the semantic score `R_i(e)`.  The engine keeps one row per
-//! active element in an [`ElementRows`] map; the scorer, the query evaluator
-//! and epoch snapshots all read `p_i(e)` from it.
+//! active element in [`ElementRows`], indexed by the element's window
+//! [`Slot`]; the scorer, the query evaluator and epoch snapshots all read
+//! `p_i(e)` from it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use ksir_types::{Document, ElementId, TopicId, TopicVector, TopicWordDistribution};
+use ksir_stream::Slot;
+use ksir_types::{Document, TopicId, TopicVector, TopicWordDistribution};
 
 use crate::scorer::semantic_score;
 
-/// One row per active element — the map the engine keeps behind a
-/// copy-on-write `Arc` and epoch snapshots share.
-pub type ElementRows = HashMap<ElementId, Arc<ElementRow>>;
+/// One row per active element, indexed by the element's slot in the active
+/// window — a store parallel to the window's slab, which the engine keeps
+/// behind a copy-on-write `Arc` and epoch snapshots share.  Reading a row is
+/// an index, never a hash probe.
+#[derive(Debug, Clone, Default)]
+pub struct ElementRows {
+    rows: Vec<Option<Arc<ElementRow>>>,
+    len: usize,
+}
+
+impl ElementRows {
+    /// An empty store.
+    pub fn new() -> Self {
+        ElementRows::default()
+    }
+
+    /// Number of rows held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row in `slot`, if any.
+    pub fn get(&self, slot: Slot) -> Option<&ElementRow> {
+        self.rows.get(slot.index()).and_then(Option::as_deref)
+    }
+
+    /// `p_i(e)` of the element in `slot`: 0 for an empty slot or off the
+    /// row's support.
+    pub fn prob(&self, slot: Slot, topic: TopicId) -> f64 {
+        self.get(slot).map_or(0.0, |row| row.prob(topic))
+    }
+
+    /// Puts `row` in `slot`, replacing any row there.
+    pub fn insert(&mut self, slot: Slot, row: Arc<ElementRow>) {
+        if slot.index() >= self.rows.len() {
+            self.rows.resize(slot.index() + 1, None);
+        }
+        if self.rows[slot.index()].replace(row).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// Empties `slot`, returning its row.
+    pub fn remove(&mut self, slot: Slot) -> Option<Arc<ElementRow>> {
+        let old = self.rows.get_mut(slot.index()).and_then(Option::take);
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
+    }
+}
 
 /// One element's sparse topic distribution and, per support topic, its
 /// semantic score `R_i(e)`.

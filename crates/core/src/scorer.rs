@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use ksir_stream::ActiveWindow;
+use ksir_stream::{ActiveWindow, Slot};
 use ksir_types::{Document, ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::config::ScoringConfig;
@@ -121,31 +121,36 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         self.rows
     }
 
-    /// `p_i(e)` for an active element (0 for unknown elements or topics).
+    /// `p_i(e)` for an active element (0 for unknown elements or topics):
+    /// one probe of the window's id index, then an index into the rows.
     pub fn element_topic_prob(&self, id: ElementId, topic: TopicId) -> f64 {
-        self.rows.get(&id).map_or(0.0, |row| row.prob(topic))
+        self.window
+            .slot(id)
+            .map_or(0.0, |slot| self.rows.prob(slot, topic))
+    }
+
+    /// The document and `p_i(e)` of an active element.
+    fn element_on(&self, topic: TopicId, id: ElementId) -> Option<(&'a Document, f64)> {
+        let slot = self.window.slot(id)?;
+        let element = self.window.element_at(slot)?;
+        Some((&element.doc, self.rows.prob(slot, topic)))
     }
 
     /// `σ_i(w, e)` for a word of an active element.
     pub fn word_weight_of(&self, topic: TopicId, id: ElementId, word: WordId) -> f64 {
-        let Some(element) = self.window.get(id) else {
+        let Some((doc, p_elem)) = self.element_on(topic, id) else {
             return 0.0;
         };
-        word_weight(
-            element.doc.frequency(word),
-            self.phi.word_prob(topic, word),
-            self.element_topic_prob(id, topic),
-        )
+        word_weight(doc.frequency(word), self.phi.word_prob(topic, word), p_elem)
     }
 
     /// The semantic score `R_i(e)` of a single element: the sum of the weights
     /// of its distinct words on topic `θ_i`.
     pub fn semantic_element(&self, topic: TopicId, id: ElementId) -> f64 {
-        let Some(element) = self.window.get(id) else {
+        let Some((doc, p_elem)) = self.element_on(topic, id) else {
             return 0.0;
         };
-        let p_elem = self.element_topic_prob(id, topic);
-        semantic_score(self.phi, topic, &element.doc, p_elem)
+        semantic_score(self.phi, topic, doc, p_elem)
     }
 
     /// The semantic score `R_i(S)` of a set (Equation 3): each distinct word of
@@ -153,11 +158,10 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     pub fn semantic_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
         let mut best: HashMap<WordId, f64> = HashMap::new();
         for &id in ids {
-            let Some(element) = self.window.get(id) else {
+            let Some((doc, p_elem)) = self.element_on(topic, id) else {
                 continue;
             };
-            let p_elem = self.element_topic_prob(id, topic);
-            for (w, freq) in element.doc.iter() {
+            for (w, freq) in doc.iter() {
                 let weight = word_weight(freq, self.phi.word_prob(topic, w), p_elem);
                 let entry = best.entry(w).or_insert(0.0);
                 if weight > *entry {
@@ -171,13 +175,21 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     /// The influence score `I_{i,t}(e)` of a single element: the expected
     /// number of window elements it influences on topic `θ_i`.
     pub fn influence_element(&self, topic: TopicId, id: ElementId) -> f64 {
-        let p_parent = self.element_topic_prob(id, topic);
+        self.window
+            .slot(id)
+            .map_or(0.0, |slot| self.influence_at(topic, slot))
+    }
+
+    /// [`Scorer::influence_element`] of the element in `slot`: the walk over
+    /// `I_t(e)` reads each child's row by its slot.
+    pub(crate) fn influence_at(&self, topic: TopicId, slot: Slot) -> f64 {
+        let p_parent = self.rows.prob(slot, topic);
         if p_parent <= 0.0 {
             return 0.0;
         }
         self.window
-            .influenced_iter(id)
-            .map(|child| propagation_prob(p_parent, self.element_topic_prob(child, topic)))
+            .influenced_slots(slot)
+            .map(|child| propagation_prob(p_parent, self.rows.prob(child, topic)))
             .sum()
     }
 
@@ -186,11 +198,14 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     pub fn influence_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
         // For each influenced element e, the survival probability
         // Π_{e' ∈ S ∩ e.ref} (1 - p_i(e' ⤳ e)); the coverage is 1 - survival.
-        let mut survival: HashMap<ElementId, f64> = HashMap::new();
+        let mut survival: HashMap<Slot, f64> = HashMap::new();
         for &id in ids {
-            let p_parent = self.element_topic_prob(id, topic);
-            for child in self.window.influenced_iter(id) {
-                let p = propagation_prob(p_parent, self.element_topic_prob(child, topic));
+            let Some(slot) = self.window.slot(id) else {
+                continue;
+            };
+            let p_parent = self.rows.prob(slot, topic);
+            for child in self.window.influenced_slots(slot) {
+                let p = propagation_prob(p_parent, self.rows.prob(child, topic));
                 let s = survival.entry(child).or_insert(1.0);
                 *s *= 1.0 - p;
             }

@@ -1,21 +1,26 @@
-//! What an engine holds does not grow with the number of topics `z`.
+//! What an engine holds grows neither with the number of topics `z` nor with
+//! the length of the stream.
 //!
 //! The engine keeps one sparse row per active element — `p_i(e)` and `R_i(e)`
 //! on the topics the element is about — and nothing `z`-wide per element.
 //! The same Twitter-shaped stream replayed at `z = 50` and, zero-padded, at
-//! `z = 200` must therefore leave two engines of the same size.  Sizes are
-//! read off a counting global allocator: an engine's heap is the live bytes
-//! just before it is dropped minus the live bytes just after.  The topic-word
-//! table sits in an `Arc` held outside both engines, so only what the engine
-//! itself keeps is counted.
+//! `z = 200` must therefore leave two engines of the same size.  And under a
+//! bounded archive, an engine that has seen twenty windows of a steady
+//! stream holds what one that has seen five does: expired elements leave,
+//! and their slots in the window and the rows are handed to new arrivals.
 //!
-//! This file holds a single test: the allocator counts every thread of the
-//! test binary, and a second test running beside it would blur the figures.
+//! Sizes are read off a counting global allocator: an engine's heap is the
+//! live bytes just before it is dropped minus the live bytes just after.  The
+//! topic-word table sits in an `Arc` held outside the engines, so only what
+//! an engine itself keeps is counted.  The allocator counts every thread of
+//! the test binary, so the tests here take one lock and never run side by
+//! side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use ksir_core::config::ArchiveRetention;
 use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
 use ksir_stream::WindowConfig;
@@ -70,16 +75,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by each test for its whole run, so no two count at once.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Replays `stream` into a fresh engine over `phi`, then returns the active
 /// element count and the bytes the engine frees when dropped.
 fn engine_heap(
     phi: &Arc<DenseTopicWordTable>,
+    config: EngineConfig,
     stream: Vec<(SocialElement, TopicVector)>,
 ) -> (usize, usize) {
-    let config = EngineConfig::new(
-        WindowConfig::new(1_440, 15).unwrap(),
-        ScoringConfig::default(),
-    );
     let mut engine = KsirEngine::new(Arc::clone(phi), config).unwrap();
     engine.ingest_stream(stream).unwrap();
     let active = engine.active_count();
@@ -90,6 +95,13 @@ fn engine_heap(
 
 #[test]
 fn engine_memory_does_not_grow_with_the_number_of_topics() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let config = EngineConfig::new(
+        WindowConfig::new(1_440, 15).unwrap(),
+        ScoringConfig::default(),
+    );
     let stream = StreamGenerator::new(DatasetProfile::twitter().with_topics(50), 7)
         .unwrap()
         .generate()
@@ -115,8 +127,8 @@ fn engine_memory_does_not_grow_with_the_number_of_topics() {
         })
         .collect();
 
-    let (active, narrow_heap) = engine_heap(&Arc::new(phi.clone()), narrow);
-    let (wide_active, wide_heap) = engine_heap(&wide_phi, wide);
+    let (active, narrow_heap) = engine_heap(&Arc::new(phi.clone()), config, narrow);
+    let (wide_active, wide_heap) = engine_heap(&wide_phi, config, wide);
     assert_eq!(active, wide_active);
     assert!(active > 500, "only {active} active elements");
     let growth = (wide_heap as f64 - narrow_heap as f64) / narrow_heap as f64;
@@ -124,6 +136,44 @@ fn engine_memory_does_not_grow_with_the_number_of_topics() {
         growth.abs() < 0.01,
         "{narrow_heap} B at z = 50 vs {wide_heap} B at z = 200 over {active} active \
          elements ({:+.1} %)",
+        100.0 * growth
+    );
+}
+
+#[test]
+fn engine_memory_does_not_grow_with_the_stream() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // The Twitter profile posts at a steady rate over a week: a window of a
+    // twentieth of it, an archive as long as the window.
+    let stream = StreamGenerator::new(DatasetProfile::twitter(), 7)
+        .unwrap()
+        .generate()
+        .unwrap();
+    let pairs: Vec<(SocialElement, TopicVector)> = stream.iter_pairs().collect();
+    let span = pairs.last().unwrap().0.ts.raw();
+    let window = span / 20 / 12 * 12;
+    let config = EngineConfig::new(
+        WindowConfig::new(window, 12).unwrap(),
+        ScoringConfig::default(),
+    )
+    .with_archive(ArchiveRetention::Ticks(window));
+    let phi = Arc::new(stream.planted.phi().clone());
+
+    let five: Vec<_> = pairs
+        .iter()
+        .filter(|(element, _)| element.ts.raw() <= 5 * window)
+        .cloned()
+        .collect();
+    let (five_active, five_heap) = engine_heap(&phi, config, five);
+    let (twenty_active, twenty_heap) = engine_heap(&phi, config, pairs);
+    assert!(five_active > 200, "only {five_active} active elements");
+    let growth = (twenty_heap as f64 - five_heap as f64) / five_heap as f64;
+    assert!(
+        growth.abs() < 0.10,
+        "{five_heap} B after 5 windows ({five_active} active) vs {twenty_heap} B after 20 \
+         ({twenty_active} active): {:+.1} %",
         100.0 * growth
     );
 }

@@ -315,16 +315,18 @@ proptest! {
                 .words([0, 1])
                 .referencing(parent.raw())
                 .build();
-            rows.insert(late, uniform_row(&child));
+            let row = uniform_row(&child);
             window.insert(child).unwrap();
+            rows.insert(window.slot(late).unwrap(), row);
         }
         let child = SocialElementBuilder::new(fresh.raw())
             .at(now)
             .words([1, 2])
             .referencing(parent.raw())
             .build();
-        rows.insert(fresh, uniform_row(&child));
+        let row = uniform_row(&child);
         window.insert(child).unwrap();
+        rows.insert(window.slot(fresh).unwrap(), row);
         prop_assert!(!window.influenced_by(parent).contains(&late));
         prop_assert!(window.influenced_by(parent).contains(&fresh));
 

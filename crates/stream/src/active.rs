@@ -9,12 +9,22 @@
 //! maintains the reverse-reference index `I_t(e)` — for each active element,
 //! the window elements that reference it — which the influence score needs.
 //!
+//! ## One hash per external id
+//!
+//! Element ids come from outside the program, so the one table keyed by them
+//! — id → [`Slot`] — keeps the default, collision-resistant hasher.  Every
+//! other reference is a slot: an index into the slab of entries, handed out
+//! at insert and recycled (a freed slot is reused before the slab grows).
+//! Children, the time index and the engine's parallel per-element stores all
+//! hold slots, so walking `I_t(e)` indexes instead of probing.  The by-id
+//! methods are one index probe in front of their slot form.
+//!
 //! ## Sliding costs what falls out of the window
 //!
 //! Both retention decisions are about timestamps crossing the window start,
 //! so the window files them by time instead of scanning `A_t` on every slide.
-//! Each tick holds two id lists (ids and timestamps only — the index adds no
-//! payload to a copy-on-write clone of the window):
+//! Each tick holds two slot lists (slots only — the index adds no payload to
+//! a copy-on-write clone of the window):
 //!
 //! * `filed` — *expiry candidates*: every active element is filed exactly
 //!   once, under the `last_referenced` it had when it was filed (its post
@@ -34,6 +44,13 @@
 //! leaves with the next slide whatever its tick, so late elements
 //! (timestamped before the window start — resurrected parents, mostly) share
 //! the one tick just before it instead of opening a tick each.
+//!
+//! A slot named by a tick or a `children` list never outlives its element:
+//! an element leaves only when the sweep reaches its filing, and every tick
+//! naming it — as a parent, or through a child as old as its last reference
+//! — lies before the same window start, so the same sweep consumes it.  The
+//! one reference left dangling is a parent that expired earlier in the sweep
+//! that then prunes its children; its slot is vacant until the next insert.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -43,9 +60,25 @@ use ksir_types::{ElementId, KsirError, Result, SocialElement, Timestamp};
 
 use crate::window::WindowConfig;
 
+/// An active element's place in its [`ActiveWindow`]: an index into the
+/// window's slab, valid from the insert that hands it out until the slide
+/// that expires the element.  A freed slot is handed out again, so a slot
+/// names an element only in the window (or an image of it) it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot(u32);
+
+impl Slot {
+    /// The slab index: what a store kept parallel to the window's slab (the
+    /// engine's element rows) is indexed by.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Per-element bookkeeping inside the active window.
 #[derive(Debug, Clone)]
 struct ActiveEntry {
+    id: ElementId,
     /// `Arc`-held so cloning the window (the engine's copy-on-write epoch
     /// snapshots) shares the immutable element payloads — documents and
     /// reference lists — instead of deep-copying them.
@@ -53,9 +86,9 @@ struct ActiveEntry {
     /// The latest time this element was posted or referenced — the `t_e`
     /// column of the ranked-list tuples in Algorithm 1.
     last_referenced: Timestamp,
-    /// Window elements referencing this one, as `(child timestamp, child id)`.
-    /// Pruned lazily when the window advances.
-    children: Vec<(Timestamp, ElementId)>,
+    /// Window elements referencing this one, as `(child timestamp, child
+    /// slot)`.  Pruned lazily when the window advances.
+    children: Vec<(Timestamp, Slot)>,
 }
 
 /// The set of active elements at the current time, with reference tracking.
@@ -67,7 +100,12 @@ struct ActiveEntry {
 pub struct ActiveWindow {
     config: WindowConfig,
     now: Timestamp,
-    entries: HashMap<ElementId, ActiveEntry>,
+    /// The only table keyed by external ids.
+    index: HashMap<ElementId, Slot>,
+    /// Entries by slot; `None` for a freed slot.
+    slab: Vec<Option<ActiveEntry>>,
+    /// Freed slots, reused last-freed first before the slab grows.
+    free: Vec<Slot>,
     /// What was posted or referenced when — see the module docs.
     ticks: BTreeMap<Timestamp, Tick>,
 }
@@ -76,9 +114,9 @@ pub struct ActiveWindow {
 #[derive(Debug, Clone, Default)]
 struct Tick {
     /// Expiry candidates whose `last_referenced` was this tick when filed.
-    filed: Vec<ElementId>,
+    filed: Vec<Slot>,
     /// Parents that recorded a child posted at this tick, once per reference.
-    parents: Vec<ElementId>,
+    parents: Vec<Slot>,
 }
 
 impl ActiveWindow {
@@ -87,7 +125,9 @@ impl ActiveWindow {
         ActiveWindow {
             config,
             now: Timestamp::ZERO,
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             ticks: BTreeMap::new(),
         }
     }
@@ -109,46 +149,94 @@ impl ActiveWindow {
 
     /// Number of active elements `n_t = |A_t|`.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Returns `true` if no elements are active.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
+    }
+
+    /// Slots the slab holds, occupied or free: never more than the most
+    /// elements that were active at once.
+    pub fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// The slot of `id`, if active — the one probe of the id index.
+    pub fn slot(&self, id: ElementId) -> Option<Slot> {
+        self.index.get(&id).copied()
+    }
+
+    fn entry(&self, slot: Slot) -> Option<&ActiveEntry> {
+        self.slab.get(slot.index()).and_then(Option::as_ref)
+    }
+
+    /// The entry a reference held inside the window names: always occupied
+    /// (see the module docs).
+    fn live(&self, slot: Slot) -> &ActiveEntry {
+        self.entry(slot)
+            .expect("a slot the window refers to is occupied")
+    }
+
+    /// The id of the element in `slot`, if the slot is occupied.
+    pub fn id_at(&self, slot: Slot) -> Option<ElementId> {
+        self.entry(slot).map(|e| e.id)
+    }
+
+    /// The element in `slot`, if the slot is occupied.
+    pub fn element_at(&self, slot: Slot) -> Option<&SocialElement> {
+        self.entry(slot).map(|e| e.element.as_ref())
+    }
+
+    /// The time the element in `slot` was last posted or referenced (`t_e`
+    /// in Algorithm 1), if the slot is occupied.
+    pub fn last_referenced_at(&self, slot: Slot) -> Option<Timestamp> {
+        self.entry(slot).map(|e| e.last_referenced)
+    }
+
+    /// The slots of `I_t(e)` for the element in `slot` — window elements
+    /// referencing it, in reference-arrival order — without allocating:
+    /// what the scoring passes iterate.  Empty for a free slot.
+    pub fn influenced_slots(&self, slot: Slot) -> impl Iterator<Item = Slot> + '_ {
+        let start = self.window_start();
+        let children = self.entry(slot).map_or(&[][..], |e| e.children.as_slice());
+        children
+            .iter()
+            .filter(move |(ts, _)| *ts >= start)
+            .map(|&(_, child)| child)
     }
 
     /// Returns `true` if `id` is currently active.
     pub fn contains(&self, id: ElementId) -> bool {
-        self.entries.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Returns the element for `id`, if active.
     pub fn get(&self, id: ElementId) -> Option<&SocialElement> {
-        self.entries.get(&id).map(|e| e.element.as_ref())
+        self.slot(id).and_then(|slot| self.element_at(slot))
     }
 
     /// The time `id` was last posted or referenced (`t_e` in Algorithm 1).
     pub fn last_referenced(&self, id: ElementId) -> Option<Timestamp> {
-        self.entries.get(&id).map(|e| e.last_referenced)
+        self.slot(id).and_then(|slot| self.last_referenced_at(slot))
     }
 
     /// Returns `true` if the element itself was posted inside the current
     /// window (i.e. it belongs to `W_t`, not merely to `A_t`).
     pub fn is_in_window(&self, id: ElementId) -> bool {
-        self.entries
-            .get(&id)
-            .map(|e| self.config.in_window(e.element.ts, self.now))
-            .unwrap_or(false)
+        self.get(id)
+            .is_some_and(|element| self.config.in_window(element.ts, self.now))
     }
 
     /// Iterates over all active elements in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &SocialElement> + '_ {
-        self.entries.values().map(|e| e.element.as_ref())
+        self.slab.iter().flatten().map(|e| e.element.as_ref())
     }
 
     /// Iterates over the ids of all active elements.
     pub fn ids(&self) -> impl Iterator<Item = ElementId> + '_ {
-        self.entries.keys().copied()
+        self.slab.iter().flatten().map(|e| e.id)
     }
 
     /// The set `I_t(e)`: ids of window elements that reference `id`,
@@ -158,27 +246,18 @@ impl ActiveWindow {
     }
 
     /// Borrowing form of [`ActiveWindow::influenced_by`]: the same ids in the
-    /// same (reference-arrival) order, without allocating — what the scoring
-    /// passes iterate.
+    /// same (reference-arrival) order, without allocating.
     pub fn influenced_iter(&self, id: ElementId) -> impl Iterator<Item = ElementId> + '_ {
-        let start = self.window_start();
-        let children = self
-            .entries
-            .get(&id)
-            .map_or(&[][..], |entry| entry.children.as_slice());
-        children
-            .iter()
-            .filter(move |(ts, _)| *ts >= start)
-            .map(|(_, c)| *c)
+        self.slot(id)
+            .into_iter()
+            .flat_map(|slot| self.influenced_slots(slot))
+            .map(|child| self.live(child).id)
     }
 
     /// Number of window elements referencing `id` (`|I_t(e)|`).
     pub fn influence_count(&self, id: ElementId) -> usize {
-        let start = self.window_start();
-        self.entries
-            .get(&id)
-            .map(|e| e.children.iter().filter(|(ts, _)| *ts >= start).count())
-            .unwrap_or(0)
+        self.slot(id)
+            .map_or(0, |slot| self.influenced_slots(slot).count())
     }
 
     /// Inserts one element, wiring up reverse references to any active parent.
@@ -197,34 +276,68 @@ impl ActiveWindow {
     /// Algorithm 1 (lines 8–11).
     pub fn insert(&mut self, element: impl Into<Arc<SocialElement>>) -> Result<Vec<ElementId>> {
         let element: Arc<SocialElement> = element.into();
-        if self.entries.contains_key(&element.id) {
+        let parents: Vec<Slot> = element.refs.iter().filter_map(|&r| self.slot(r)).collect();
+        self.insert_resolved(element, &parents)?;
+        Ok(parents.iter().map(|&parent| self.live(parent).id).collect())
+    }
+
+    /// [`ActiveWindow::insert`] for a caller that has resolved the element's
+    /// references already: `parents` holds the slot of every reference to an
+    /// active element, in reference order, repeats included — what looking
+    /// up each reference just before the insert would give.  Returns the
+    /// element's slot.
+    ///
+    /// # Panics
+    ///
+    /// If a slot in `parents` is free.
+    pub fn insert_resolved(
+        &mut self,
+        element: Arc<SocialElement>,
+        parents: &[Slot],
+    ) -> Result<Slot> {
+        debug_assert!(
+            parents
+                .iter()
+                .all(|&parent| element.refs.contains(&self.live(parent).id)),
+            "a parent slot names an element the new one does not reference"
+        );
+        // Late elements share the last tick before the window start.
+        let late_tick = self.window_start().saturating_sub(1);
+        let Entry::Vacant(vacant) = self.index.entry(element.id) else {
             return Err(KsirError::invalid_parameter(
                 "element",
                 format!("duplicate element id {}", element.id),
             ));
-        }
-        // Late elements share the last tick before the window start.
-        let late_tick = self.window_start().saturating_sub(1);
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => Slot(u32::try_from(self.slab.len()).expect("fewer than 2^32 slots")),
+        };
+        vacant.insert(slot);
         let tick = self.ticks.entry(element.ts.max(late_tick)).or_default();
-        tick.filed.push(element.id);
-        let mut touched_parents = Vec::new();
-        for &parent in &element.refs {
-            if let Some(p) = self.entries.get_mut(&parent) {
-                p.children.push((element.ts, element.id));
-                tick.parents.push(parent);
-                if element.ts > p.last_referenced {
-                    p.last_referenced = element.ts;
-                }
-                touched_parents.push(parent);
+        tick.filed.push(slot);
+        for &parent in parents {
+            let p = self.slab[parent.index()]
+                .as_mut()
+                .expect("a parent slot is occupied");
+            p.children.push((element.ts, slot));
+            tick.parents.push(parent);
+            if element.ts > p.last_referenced {
+                p.last_referenced = element.ts;
             }
         }
-        let entry = ActiveEntry {
+        let entry = Some(ActiveEntry {
+            id: element.id,
             last_referenced: element.ts,
             children: Vec::new(),
             element,
-        };
-        self.entries.insert(entry.element.id, entry);
-        Ok(touched_parents)
+        });
+        if slot.index() == self.slab.len() {
+            self.slab.push(entry);
+        } else {
+            self.slab[slot.index()] = entry;
+        }
+        Ok(slot)
     }
 
     /// Elements that would lose at least one reverse reference if the window
@@ -235,18 +348,26 @@ impl ActiveWindow {
     /// become stale when the window slides, so the engine recomputes their
     /// ranked-list tuples after calling [`ActiveWindow::advance_to`].
     pub fn parents_losing_children(&self, new_now: Timestamp) -> Vec<ElementId> {
+        let slots = self.slots_losing_children(new_now);
+        let mut ids: Vec<ElementId> = slots.into_iter().map(|s| self.live(s).id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The slots of [`ActiveWindow::parents_losing_children`], in ascending
+    /// slot order.
+    pub fn slots_losing_children(&self, new_now: Timestamp) -> Vec<Slot> {
         let new_start = self.config.window_start(new_now);
-        let mut out: Vec<ElementId> = self
+        let mut out: Vec<Slot> = self
             .ticks
             .range(..new_start)
             .flat_map(|(_, tick)| tick.parents.iter().copied())
             .collect();
         out.sort_unstable();
         out.dedup();
-        out.retain(|id| {
-            self.entries
-                .get(id)
-                .is_some_and(|entry| entry.children.iter().any(|(ts, _)| *ts < new_start))
+        out.retain(|&slot| {
+            let children = &self.live(slot).children;
+            children.iter().any(|(ts, _)| *ts < new_start)
         });
         out
     }
@@ -255,9 +376,16 @@ impl ActiveWindow {
     /// active and pruning expired reverse references.
     ///
     /// Returns the ids of discarded elements, in ascending order, so callers
-    /// (the engine's ranked lists and element rows, …) can drop their own
-    /// state for them.
+    /// can drop their own state for them.
     pub fn advance_to(&mut self, now: Timestamp) -> Result<Vec<ElementId>> {
+        let freed = self.advance_freeing(now)?;
+        Ok(freed.into_iter().map(|(id, _)| id).collect())
+    }
+
+    /// [`ActiveWindow::advance_to`], returning each discarded element with
+    /// the slot it freed, ascending by id — for callers (the engine's ranked
+    /// lists and element rows) that keep state by slot.
+    pub fn advance_freeing(&mut self, now: Timestamp) -> Result<Vec<(ElementId, Slot)>> {
         if now < self.now {
             return Err(KsirError::TimestampRegression {
                 last: self.now,
@@ -266,21 +394,23 @@ impl ActiveWindow {
         }
         self.now = now;
         let start = self.config.window_start(now);
-        let mut expired = Vec::new();
+        let mut freed = Vec::new();
         let mut losing_children = Vec::new();
         while let Some(first) = self.ticks.first_entry() {
             if *first.key() >= start {
                 break;
             }
             let tick = first.remove();
-            for id in tick.filed {
-                let Entry::Occupied(entry) = self.entries.entry(id) else {
-                    continue;
-                };
-                let last_referenced = entry.get().last_referenced;
+            for slot in tick.filed {
+                let cell = &mut self.slab[slot.index()];
+                let entry = cell.as_ref().expect("a filed slot is occupied");
+                let last_referenced = entry.last_referenced;
                 if last_referenced < start {
-                    entry.remove();
-                    expired.push(id);
+                    let id = entry.id;
+                    *cell = None;
+                    self.index.remove(&id);
+                    self.free.push(slot);
+                    freed.push((id, slot));
                 } else {
                     // Referenced since it was filed: inside the window, so
                     // this sweep does not reach the new filing.
@@ -288,22 +418,24 @@ impl ActiveWindow {
                         .entry(last_referenced)
                         .or_default()
                         .filed
-                        .push(id);
+                        .push(slot);
                 }
             }
             losing_children.extend(tick.parents);
         }
         // Prune reverse references that fell out of the window so influence
-        // counts stay correct without filtering on every read.
+        // counts stay correct without filtering on every read.  A parent
+        // that expired in this sweep has left its slot free, and no slot is
+        // handed out again before the next insert.
         losing_children.sort_unstable();
         losing_children.dedup();
         for parent in losing_children {
-            if let Some(entry) = self.entries.get_mut(&parent) {
+            if let Some(entry) = &mut self.slab[parent.index()] {
                 entry.children.retain(|(ts, _)| *ts >= start);
             }
         }
-        expired.sort_unstable();
-        Ok(expired)
+        freed.sort_unstable();
+        Ok(freed)
     }
 }
 

@@ -40,7 +40,7 @@ pub mod delta;
 pub mod ranked_list;
 pub mod window;
 
-pub use active::ActiveWindow;
+pub use active::{ActiveWindow, Slot};
 pub use bucket::{for_each_bucket, Bucket, Bucketizer};
 pub use delta::{RankedDelta, TopicTouch, Touch, WindowDelta, FLOOR_SLACK};
 pub use ranked_list::{RankedList, RankedListCursor, RankedListHandle, RankedLists};

@@ -7,7 +7,9 @@
 //! dangling references, empty slides, jumps of several windows, and expired
 //! parents that are re-inserted before a child references them, the way the
 //! engine resurrects from its archive — and every observable answer is
-//! compared after every step.
+//! compared after every step, together with the slab's own invariants: ids
+//! and slots map onto each other, every child slot names a live child, and
+//! freed slots are reused before the slab grows.
 
 use std::collections::HashMap;
 
@@ -110,6 +112,8 @@ struct Pair {
     /// Every element ever inserted, by id: the "archive" re-insertions draw on.
     seen: Vec<SocialElement>,
     next_id: u64,
+    /// The most elements the window has held at once.
+    peak_len: usize,
 }
 
 impl Pair {
@@ -117,6 +121,7 @@ impl Pair {
         let expected = self.model.insert(&element);
         let got = self.real.insert(element.clone()).ok();
         assert_eq!(got, expected, "insert of {element:?}");
+        self.peak_len = self.peak_len.max(self.real.len());
         if expected.is_some() && !self.seen.iter().any(|e| e.id == element.id) {
             self.seen.push(element);
         }
@@ -148,6 +153,37 @@ impl Pair {
                 self.model.influenced_by(id).len()
             );
         }
+        self.compare_slots();
+    }
+
+    /// The slab against the model: every live id round-trips through its
+    /// slot, every child slot names a live element the model lists as a
+    /// child, and the slab never outgrows the most elements held at once.
+    fn compare_slots(&self) {
+        for (&id, entry) in &self.model.entries {
+            let slot = self.real.slot(id).expect("a live id has a slot");
+            assert_eq!(self.real.id_at(slot), Some(id));
+            assert_eq!(self.real.element_at(slot).map(|e| e.id), Some(id));
+            assert_eq!(
+                self.real.last_referenced_at(slot),
+                Some(entry.last_referenced)
+            );
+            for child in self.real.influenced_slots(slot) {
+                let child = self.real.id_at(child).expect("a child slot is live");
+                assert!(self.model.entries.contains_key(&child));
+                assert!(
+                    entry.children.iter().any(|&(_, c)| c == child),
+                    "{child} is not a child of {id}"
+                );
+            }
+        }
+        assert_eq!(self.real.ids().count(), self.model.entries.len());
+        assert!(
+            self.real.slab_len() <= self.peak_len,
+            "{} slots for at most {} live elements",
+            self.real.slab_len(),
+            self.peak_len
+        );
     }
 }
 
@@ -160,6 +196,7 @@ fn run(seed: u64, window_len: u64, bucket_len: u64, steps: usize) {
         model: ModelWindow::new(config),
         seen: Vec::new(),
         next_id: 1,
+        peak_len: 0,
     };
     let (mut saw_expiry, mut saw_reinsertion) = (false, false);
     for _ in 0..steps {
