@@ -36,7 +36,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
-use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+use ksir_snapshot::EngineSnapshot;
 use ksir_stream::{ActiveWindow, WindowConfig};
 use ksir_types::rng::seeded_rng;
 use ksir_types::{Document, ElementId, SocialElement, Timestamp, TopicVector};
@@ -136,13 +136,11 @@ fn engine_ingest_group(c: &mut Criterion, name: &str, held: bool) {
         }
         // The set-up captures from the engine the routine writes to.
         let engine = RefCell::new(engine);
-        let counters = SnapshotCounters::new();
         group.bench_function(BenchmarkId::from_parameter(&name), |b| {
             b.iter_batched(
                 || {
                     next += 1;
-                    let snapshot =
-                        held.then(|| EngineSnapshot::capture(&engine.borrow(), next, &counters));
+                    let snapshot = held.then(|| EngineSnapshot::capture(&engine.borrow(), next));
                     (items(next - 1), shape.end(next - 1), snapshot)
                 },
                 |(items, end, snapshot)| {

@@ -9,9 +9,10 @@
 //! from-scratch queries over the final window.  Once the fault window
 //! closes every run must have made **bit-identical decisions**: the same
 //! maintained results (each also equal to its from-scratch query),
-//! the same refresh/skip counts, the same retired-shard ledger, a watermark
-//! that reached the last slide, and `delivered + dropped` reconciling exactly
-//! with the oracle's result changes.
+//! the same refresh/skip counts, the same work ledger in the metrics
+//! registry (live and retired shards alike), a watermark that reached the
+//! last slide, and `delivered + dropped` reconciling exactly with the
+//! oracle's result changes.
 //!
 //! The hostile regimes ([`HostileMode`]) grow one clean workload — a
 //! Twitter-shaped stream under a panel of narrow standing queries — into the
@@ -22,8 +23,9 @@
 //!   more through a fully serialised pipeline (depth 1, so every slide's
 //!   admission blocks on the burst's refreshes) against the same oracle.
 //! - [`HostileMode::Churn`] — subscriptions arrive and leave mid-stream;
-//!   retirements must reconcile ([`RetiredStats`]) and every delta produced
-//!   while a queue was attached must be accounted delivered-or-dropped.
+//!   shards must retire (`shard.retired`), their work must stay in the
+//!   registry's work ledger, and every delta produced while a queue was
+//!   attached must be accounted delivered-or-dropped.
 //! - [`HostileMode::PermutedArrival`] — buckets arrive permuted within a
 //!   bounded lag and are re-sequenced by the reorder buffer
 //!   ([`SubscriptionManager::ingest_bucket_reordered`]); decisions must be
@@ -48,8 +50,8 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_continuous::{
-    DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, RetiredStats, ShardConfig,
-    SubscriptionId, SubscriptionManager,
+    DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, ShardConfig, SubscriptionId,
+    SubscriptionManager,
 };
 use ksir_core::{Algorithm, KsirQuery};
 use ksir_types::{
@@ -66,7 +68,7 @@ type Manager = SubscriptionManager<DenseTopicWordTable>;
 pub enum HostileMode {
     /// A Zipf-amplified burst lands in one bucket (plus a serialised replay).
     FlashCrowd,
-    /// Subscriptions churn in and out mid-stream against [`RetiredStats`].
+    /// Subscriptions churn in and out mid-stream, retiring shards.
     Churn,
     /// Buckets arrive permuted within a bounded lag (reorder buffer lane).
     PermutedArrival,
@@ -161,6 +163,19 @@ struct Slots {
     entries: Vec<Option<(SubscriptionId, KsirQuery, Algorithm)>>,
 }
 
+/// The registry counters that make up a run's work ledger: every shard's
+/// scheduling and refresh decisions and how the shared-plan layer served
+/// them, summed over live and retired shards.
+const WORK_LEDGER: [&str; 7] = [
+    "shard.refreshes",
+    "shard.skips",
+    "shard.scheduled_slides",
+    "shard.skipped_slides",
+    "refresh.cluster.covering",
+    "refresh.cluster.shared",
+    "refresh.cluster.skipped",
+];
+
 /// Everything one replay produced that the oracle comparison consumes.
 struct RunOutcome {
     /// `(slot, sorted result)` for every slot still live at the end.
@@ -168,7 +183,10 @@ struct RunOutcome {
     slides: usize,
     refreshes: usize,
     skips: usize,
-    retired: RetiredStats,
+    /// [`WORK_LEDGER`]'s counters, in order.
+    work: [u64; WORK_LEDGER.len()],
+    /// Shards retired by `unsubscribe` (`shard.retired`).
+    retired_shards: u64,
     /// Σ `SlideOutcome::updates` — only meaningful for the sync oracle.
     total_updates: usize,
     delivered: u64,
@@ -478,7 +496,8 @@ fn finish(
         slides: stats.slides,
         refreshes: stats.refreshes,
         skips: stats.skips,
-        retired: mgr.retired_stats(),
+        work: WORK_LEDGER.map(|name| registry.counter(name).get()),
+        retired_shards: registry.counter("shard.retired").get(),
         total_updates,
         delivered: receivers.iter().map(|rx| rx.drain().len() as u64).sum(),
         dropped: receivers.iter().map(|rx| rx.dropped()).sum(),
@@ -577,8 +596,11 @@ fn compare(oracle: &RunOutcome, run: &RunOutcome, label: &str) -> Result<usize, 
             run.slides, run.refreshes, run.skips, oracle.slides, oracle.refreshes, oracle.skips
         ));
     }
-    if run.retired != oracle.retired {
-        return Err(format!("{label}: retired-shard ledger diverges"));
+    if run.work != oracle.work {
+        return Err(format!(
+            "{label}: work ledger {WORK_LEDGER:?} diverges ({:?} vs oracle {:?})",
+            run.work, oracle.work
+        ));
     }
     if run.completed != run.slides as u64 {
         return Err(format!(
@@ -688,7 +710,7 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
     checks += fault_checks(&plan, &faulted)?;
 
     if mode == HostileMode::Churn {
-        if oracle.retired.shards == 0 {
+        if oracle.retired_shards == 0 {
             return Err("churn schedule retired no shard".into());
         }
         checks += 1;

@@ -61,8 +61,12 @@
 //! refresh/skip decisions — and the work counters, which still reconcile to
 //! `slides × subscriptions` — are identical to a per-subscription walk (the
 //! reference the integration tests keep in test code).
-//! [`SubscriptionManager::shard_stats`] exposes per-shard [`ShardStats`]
-//! for dashboards and benches.
+//! [`SubscriptionManager::shard_stats`] exposes the live shards'
+//! [`ShardStats`] for dashboards and benches.  Manager-wide totals have one
+//! store, the counters of the manager's metrics registry
+//! ([`SubscriptionManager::telemetry`]): [`SubscriptionManager::stats`] reads
+//! `shard.refreshes`/`shard.skips` from it, and the work of shards retired by
+//! `unsubscribe` stays in those counters, since nothing resets them.
 //!
 //! ## Shared evaluation plans
 //!
@@ -77,9 +81,8 @@
 //! same-`k` members share it outright.  A lone subscription is a cluster of
 //! one.  Per-member classify decisions, results, stats and delivered deltas
 //! are pinned identical to the per-subscription walk (the `shared_plans`
-//! tests); only evaluation *cost* drops — the `refresh.cluster.*` counters
-//! and [`ShardStats::covering_evaluations`]/[`ShardStats::shared_refreshes`]
-//! expose by how much.
+//! tests); only evaluation *cost* drops — the `refresh.cluster.*` registry
+//! counters expose by how much.
 //!
 //! [`WindowDelta`]: ksir_stream::WindowDelta
 //!
@@ -113,7 +116,7 @@
 //! **decision-identical** by construction.
 //! [`SubscriptionManager::sync`] awaits all outstanding epochs;
 //! [`SubscriptionManager::completed_epoch`] exposes the completion
-//! watermark; [`SubscriptionManager::snapshot_stats`] the capture costs.
+//! watermark; the `snapshot.*` registry counters the capture costs.
 //! Epoch snapshots are bounded to the topics live subscriptions watch and
 //! serve every watched list whole, so a refresh against one is
 //! score-identical to the same refresh against the live engine.  A writer
@@ -196,14 +199,10 @@ mod worker;
 
 pub use delivery::{Delivery, DeliveryConfig, DeliveryReceiver, OverflowPolicy};
 pub use fault::{Fault, FaultKind, FaultPlan};
-pub use manager::{ManagerStats, RetiredStats, SlideOutcome, SlideTicket, SubscriptionManager};
+pub use manager::{ManagerStats, SlideOutcome, SlideTicket, SubscriptionManager};
 pub use reorder::LatePolicy;
 pub use shard::{ShardConfig, ShardKey, ShardStats};
 pub use subscription::{RefreshReason, ResultDelta, SubscriptionId, SubscriptionStats};
-
-// The snapshot statistics a pipelined deployment reads, re-exported so most
-// users never import `ksir-snapshot` directly.
-pub use ksir_snapshot::SnapshotStats;
 
 // The observability surface ([`SubscriptionManager::telemetry`]), re-exported
 // so dashboards and exporters never import `ksir-telemetry` directly.

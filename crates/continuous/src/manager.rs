@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use ksir_core::{
     Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, QuerySource, SharedEngine,
 };
-use ksir_snapshot::{EngineSnapshot, SnapshotCounters, SnapshotStats};
+use ksir_snapshot::EngineSnapshot;
 use ksir_telemetry::{FlightTrigger, Telemetry, TraceEventKind};
 use ksir_types::{KsirError, Result, SocialElement, Timestamp, TopicVector, TopicWordDistribution};
 
@@ -24,51 +24,30 @@ use crate::subscription::{
 };
 use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkerPool};
 
-/// Aggregate work counters across all subscriptions and slides.
+/// Aggregate work counters across all subscriptions and slides — a view of
+/// the manager's metrics registry (see [`SubscriptionManager::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
     /// Buckets ingested through the manager.
     pub slides: usize,
-    /// Slide-driven subscription refreshes (query re-runs).  Initial
-    /// evaluations at subscribe time and forced refreshes are not counted,
-    /// so `refreshes + skips` always reconciles with the number of
-    /// slide-time classifications (`Σ per-slide subscription count`).
+    /// Slide-driven subscription refreshes (query re-runs), the
+    /// `shard.refreshes` counter.  Initial evaluations at subscribe time and
+    /// forced refreshes are not counted, so `refreshes + skips` always
+    /// reconciles with the number of slide-time classifications
+    /// (`Σ per-slide subscription count`).
     pub refreshes: usize,
     /// Subscription evaluations skipped because the slide provably could not
-    /// have changed the result.
+    /// have changed the result, the `shard.skips` counter.
     pub skips: usize,
     /// Buckets that arrived out of order but within
     /// [`ShardConfig::reorder_horizon`] and were re-sequenced by the reorder
-    /// buffer ([`SubscriptionManager::ingest_bucket_reordered`]).
+    /// buffer ([`SubscriptionManager::ingest_bucket_reordered`]), the
+    /// `ingest.reordered` counter.
     pub reordered: usize,
     /// Buckets that arrived beyond the reorder horizon and were shed under
-    /// [`LatePolicy::DropLate`](crate::LatePolicy::DropLate).  Mirrors the
-    /// `ingest.late_dropped` registry counter exactly.
+    /// [`LatePolicy::DropLate`](crate::LatePolicy::DropLate), the
+    /// `ingest.late_dropped` counter.
     pub late_dropped: usize,
-}
-
-/// Cumulative counters of shards that were retired because `unsubscribe`
-/// emptied them.  Folded out of the live [`ShardStats`] so that the shard map
-/// never iterates dead shards, while
-/// `Σ live shard counters + retired == ManagerStats` keeps reconciling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredStats {
-    /// Shards removed after their last resident unsubscribed.
-    pub shards: usize,
-    /// Slide-driven refreshes performed by retired shards while they lived.
-    pub refreshes: usize,
-    /// Slide-time skips charged by retired shards while they lived.
-    pub skips: usize,
-    /// Slides that scheduled a now-retired shard.
-    pub scheduled_slides: usize,
-    /// Slides that skipped a now-retired shard as a whole.
-    pub skipped_slides: usize,
-    /// Covering traversals retired shards ran while they lived.
-    pub covering_evaluations: usize,
-    /// Member refreshes retired shards served by sharing a covering run.
-    pub shared_refreshes: usize,
-    /// Plan clusters retired shards fast-skipped inside scheduled slides.
-    pub skipped_clusters: usize,
 }
 
 /// The outcome of one [`SubscriptionManager::ingest_bucket`] call.
@@ -178,9 +157,6 @@ pub struct SubscriptionManager<D> {
     pool: Option<WorkerPool>,
     /// Outstanding shard-epoch tasks; shared with the worker pool.
     watermark: Arc<Watermark>,
-    /// Snapshot-capture work counters (see
-    /// [`SubscriptionManager::snapshot_stats`]).
-    snapshots: SnapshotCounters,
     /// `topic → number of live subscriptions with it in their support`.
     /// Epoch snapshots capture exactly these topics' ranked lists, so the
     /// writer never pays copy-on-write for lists no standing query can
@@ -188,20 +164,15 @@ pub struct SubscriptionManager<D> {
     watched_topics: BTreeMap<ksir_types::TopicId, usize>,
     next_id: u64,
     slides: usize,
-    retired: RetiredStats,
     /// Bounded watermark-driven reorder buffer in front of the async ingest
     /// path (see [`SubscriptionManager::ingest_bucket_reordered`]).
     reorder: ReorderBuffer,
-    /// Buckets the reorder buffer re-sequenced (arrived out of order, within
-    /// the horizon).
-    reordered: usize,
-    /// Buckets shed beyond the reorder horizon under `DropLate`.
-    late_dropped: usize,
     /// Deterministic fault schedule consulted at the snapshot, worker, and
     /// delivery seams; `None` outside chaos runs.
     faults: Option<Arc<FaultPlan>>,
     /// The unified observability bundle (metrics registry + trace ring);
-    /// shared with the shards, workers, and delivery queues.
+    /// shared with the shards, workers, and delivery queues.  Its registry
+    /// is the only store of every manager-wide tally.
     telemetry: Arc<Telemetry>,
 }
 
@@ -223,14 +194,10 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             deliveries: DeliveryRegistry::default(),
             pool: None,
             watermark: Arc::new(Watermark::default()),
-            snapshots: SnapshotCounters::with_registry(telemetry.registry()),
             watched_topics: BTreeMap::new(),
             next_id: 0,
             slides: 0,
-            retired: RetiredStats::default(),
             reorder: ReorderBuffer::new(config.reorder_horizon, config.late_policy),
-            reordered: 0,
-            late_dropped: 0,
             faults: None,
             telemetry,
         }
@@ -271,8 +238,9 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     }
 
     /// Number of live (non-empty) shards.  Shards emptied by
-    /// [`SubscriptionManager::unsubscribe`] are pruned; their cumulative
-    /// counters move to [`SubscriptionManager::retired_stats`].
+    /// [`SubscriptionManager::unsubscribe`] are pruned and counted on the
+    /// `shard.retired` counter; the work they did stays in the registry's
+    /// totals.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -288,68 +256,33 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.shards.values().map(|s| s.shard().stats()).collect()
     }
 
-    /// Cumulative counters of shards retired by `unsubscribe`.
-    pub fn retired_stats(&self) -> RetiredStats {
-        self.retired
-    }
-
-    /// Snapshot work counters: epochs captured and shard refreshes served
-    /// from them.  The writer-side copy-on-write cost lives in the engine's
-    /// [`EngineStats`](ksir_core::EngineStats) (`*_cow_clones`).
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.snapshots.stats()
-    }
-
     /// The manager's observability bundle: the unified metrics registry
-    /// (stage latency histograms, registry-backed counter views of every
-    /// `*Stats` struct) plus the epoch-scoped trace ring.  Clone the `Arc`
-    /// to read it from dashboards or exporters on other threads.
+    /// (stage latency histograms and every manager-wide counter, among them
+    /// `snapshot.epochs_captured` / `snapshot.shard_snapshots` for the
+    /// capture side of pipelining) plus the epoch-scoped trace ring.  Clone
+    /// the `Arc` to read it from dashboards or exporters on other threads.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
-    /// Folds the manager-level stats into registry gauges, so the exported
-    /// schema carries the same numbers as [`SubscriptionManager::stats`],
-    /// the engine's [`EngineStats`](ksir_core::EngineStats), and the
-    /// watermark — refreshed at every barrier and after every async ingest.
+    /// Publishes the instantaneous values no counter holds — the slide
+    /// sequence, the subscription count, the watermark, queue depths, and the
+    /// engine's [`EngineStats`](ksir_core::EngineStats) — as registry
+    /// gauges, refreshed at every barrier and after every async ingest.
+    /// Cumulative tallies are counters already and get no gauge copy.
     ///
-    /// Deliberately lock-free on the shards: `manager.refreshes` /
-    /// `manager.skips` are read back from the `shard.*` registry counters
-    /// (bumped in the same statements as the per-shard tallies, and never
-    /// reset when a shard retires), so publishing from the pipelined ingest
-    /// path cannot block behind a busy shard's in-flight refresh.
+    /// Deliberately lock-free on the shards, so publishing from the
+    /// pipelined ingest path cannot block behind a busy shard's in-flight
+    /// refresh.
     fn publish_gauges(&self) {
         let registry = self.telemetry.registry();
         registry.gauge("manager.slides").set(self.slides as u64);
-        registry
-            .gauge("manager.refreshes")
-            .set(registry.counter("shard.refreshes").get());
-        registry
-            .gauge("manager.skips")
-            .set(registry.counter("shard.skips").get());
         registry
             .gauge("manager.subscriptions")
             .set(self.route_of.len() as u64);
         registry
             .gauge("manager.inflight_epochs")
             .set(self.watermark.inflight_epochs() as u64);
-        registry
-            .gauge("manager.retired.shards")
-            .set(self.retired.shards as u64);
-        registry
-            .gauge("manager.retired.refreshes")
-            .set(self.retired.refreshes as u64);
-        registry
-            .gauge("manager.retired.skips")
-            .set(self.retired.skips as u64);
-        // Gauge views of the resilience counters, so one scrape of the gauge
-        // family carries the full degraded-mode picture.
-        registry
-            .gauge("worker.restarts")
-            .set(registry.counter("worker.restarts").get());
-        registry
-            .gauge("shard.quarantined")
-            .set(registry.counter("shard.quarantined").get());
         // Freshness: retire every fully-refreshed epoch on the e2e clock,
         // then publish the age of the oldest still-open one — the live
         // watermark-stall signal `/ready` probes alert on.
@@ -394,23 +327,20 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.watermark.inflight_epochs()
     }
 
-    /// Aggregate work counters: the sum of the live shards' counters plus the
-    /// retired tally.  After a [`SubscriptionManager::sync`] (or any
+    /// Aggregate work counters, read from the metrics registry's counters —
+    /// which live and retired shards alike bump and nothing resets — without
+    /// locking a shard.  After a [`SubscriptionManager::sync`] (or any
     /// synchronous ingest), `refreshes + skips` reconciles with the number of
     /// slide-time classifications performed.
     pub fn stats(&self) -> ManagerStats {
-        let mut refreshes = self.retired.refreshes;
-        let mut skips = self.retired.skips;
-        for stats in self.shard_stats() {
-            refreshes += stats.refreshes;
-            skips += stats.skips;
-        }
+        let registry = self.telemetry.registry();
+        let count = |name| registry.counter(name).get() as usize;
         ManagerStats {
             slides: self.slides,
-            refreshes,
-            skips,
-            reordered: self.reordered,
-            late_dropped: self.late_dropped,
+            refreshes: count("shard.refreshes"),
+            skips: count("shard.skips"),
+            reordered: count("ingest.reordered"),
+            late_dropped: count("ingest.late_dropped"),
         }
     }
 
@@ -474,10 +404,9 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
 
     /// Removes a subscription.  Returns `true` if it existed.
     ///
-    /// A shard emptied by the removal is pruned from the shard map (its
-    /// cumulative counters fold into [`SubscriptionManager::retired_stats`]),
-    /// so future slides no longer iterate it.  Any attached delivery queue is
-    /// closed.
+    /// A shard emptied by the removal is pruned from the shard map (and
+    /// counted on `shard.retired`; a quarantine it held is lifted), so future
+    /// slides no longer iterate it.  Any attached delivery queue is closed.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
         if !self.route_of.contains_key(&id) {
             return false;
@@ -496,7 +425,12 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         let (removed, retire) = {
             let mut shard = cell.shard();
             let removed = shard.remove(id);
-            let retire = (removed.is_some() && shard.len() == 0).then(|| shard.stats());
+            let retire = removed.is_some() && shard.len() == 0;
+            if retire {
+                // A retired shard's quarantine ends with it, or the live
+                // gauge would hold `/ready` down for good.
+                shard.lift_quarantine();
+            }
             (removed, retire)
         };
         let removed = match removed {
@@ -513,15 +447,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             }
             None => false,
         };
-        if let Some(stats) = retire {
-            self.retired.shards += 1;
-            self.retired.refreshes += stats.refreshes;
-            self.retired.skips += stats.skips;
-            self.retired.scheduled_slides += stats.scheduled_slides;
-            self.retired.skipped_slides += stats.skipped_slides;
-            self.retired.covering_evaluations += stats.covering_evaluations;
-            self.retired.shared_refreshes += stats.shared_refreshes;
-            self.retired.skipped_clusters += stats.skipped_clusters;
+        if retire {
+            self.telemetry.registry().counter("shard.retired").inc();
             self.shards.remove(&key);
         }
         removed
@@ -661,27 +588,17 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     }
 
     /// Lifts every shard quarantine (after the underlying fault is fixed),
-    /// returning how many were lifted, and brings the
-    /// `shard.quarantine_active` gauge back down.  Quiesces first so no
-    /// worker quarantines a shard concurrently.
+    /// returning how many were lifted.  Each lift brings the
+    /// `shard.quarantine_active` gauge down by one (the cumulative
+    /// `shard.quarantined` counter never comes down) — this is what lets a
+    /// readiness probe recover.  Quiesces first so no worker quarantines a
+    /// shard concurrently.
     pub fn lift_quarantines(&mut self) -> usize {
         self.sync();
-        let mut lifted = 0;
-        for cell in self.shards.values() {
-            let mut shard = cell.shard();
-            if shard.is_quarantined() {
-                shard.lift_quarantine();
-                lifted += 1;
-            }
-        }
-        // The live-occupancy gauge comes back down here (the cumulative
-        // `shard.quarantined` counter never does) — this is what lets a
-        // readiness probe recover after the fault is fixed.
-        self.telemetry
-            .registry()
-            .gauge("shard.quarantine_active")
-            .sub(lifted as u64);
-        lifted
+        self.shards
+            .values()
+            .filter(|cell| cell.shard().lift_quarantine())
+            .count()
     }
 
     /// Buckets currently held by the reorder buffer awaiting their horizon.
@@ -697,22 +614,14 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.reorder.released_through()
     }
 
-    /// Folds one reorder-buffer outcome into the manager tallies, registry
-    /// counters, and trace ring — in the same statements, so the exported
-    /// schema can never drift from [`SubscriptionManager::stats`].
-    fn account_reorder(
-        &mut self,
-        reordered: bool,
-        dropped: Option<usize>,
-        replayed: Option<usize>,
-    ) {
+    /// Folds one reorder-buffer outcome into the registry counters
+    /// [`SubscriptionManager::stats`] reads and the trace ring.
+    fn account_reorder(&self, reordered: bool, dropped: Option<usize>, replayed: Option<usize>) {
         let registry = self.telemetry.registry();
         if reordered {
-            self.reordered += 1;
             registry.counter("ingest.reordered").inc();
         }
         if let Some(elements) = dropped {
-            self.late_dropped += 1;
             registry.counter("ingest.late_dropped").inc();
             self.telemetry.record(
                 self.slides as u64,
@@ -782,13 +691,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         let snapshot = Arc::new(EngineSnapshot::capture_watched(
             &self.engine.read(),
             epoch,
-            &self.snapshots,
             self.watched_topics.keys().copied(),
         ));
-        self.telemetry
-            .registry()
+        let registry = self.telemetry.registry();
+        registry
             .histogram("snapshot.capture")
             .record(started.elapsed());
+        registry.counter("snapshot.epochs_captured").inc();
         self.telemetry.record(
             epoch,
             None,
@@ -1118,11 +1027,13 @@ mod tests {
         assert_eq!(mgr.shard_count(), 1);
         assert_eq!(mgr.shard_stats().len(), 1);
         assert_eq!(mgr.shard_stats()[0].key, ShardKey::Topic(TopicId(1)));
-        // …but its counters survive in the retired tally, so the aggregate
-        // stats are unchanged by the removal.
-        let retired = mgr.retired_stats();
-        assert_eq!(retired.shards, 1);
-        assert!(retired.refreshes + retired.skips > 0);
+        // …and counted as retired, while the work it did stays in the
+        // registry's totals: the aggregate stats are unchanged by the
+        // removal.
+        let retired = mgr.telemetry().registry().counter("shard.retired");
+        assert_eq!(retired.get(), 1);
+        let live = &mgr.shard_stats()[0];
+        assert!(live.refreshes + live.skips < stats_before.refreshes + stats_before.skips);
         assert_eq!(mgr.stats(), stats_before);
         // Future slides no longer charge the dead shard.
         let remaining_slides = ex.stream().len() - 4;
@@ -1138,7 +1049,7 @@ mod tests {
         );
         assert!(mgr.unsubscribe(other));
         assert_eq!(mgr.shard_count(), 0);
-        assert_eq!(mgr.retired_stats().shards, 2);
+        assert_eq!(retired.get(), 2);
     }
 
     #[test]
@@ -1261,9 +1172,8 @@ mod tests {
             .shard_stats()
             .iter()
             .fold((0, 0), |(r, s), st| (r + st.refreshes, s + st.skips));
-        let retired = mgr.retired_stats();
-        assert_eq!(shard_refreshes + retired.refreshes, stats.refreshes);
-        assert_eq!(shard_skips + retired.skips, stats.skips);
+        assert_eq!(shard_refreshes, stats.refreshes);
+        assert_eq!(shard_skips, stats.skips);
     }
 
     #[test]

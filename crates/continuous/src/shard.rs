@@ -50,7 +50,9 @@ use std::time::Instant;
 
 use ksir_core::{FloorAggregate, KsirQuery, QueryResult, QuerySource};
 use ksir_stream::WindowDelta;
-use ksir_telemetry::{Counter, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind};
+use ksir_telemetry::{
+    Counter, Gauge, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind,
+};
 use ksir_types::{ElementId, TopicId};
 
 use crate::cluster::{ClusterKey, PlanCluster};
@@ -214,12 +216,16 @@ impl ShardConfig {
     }
 }
 
-/// Cumulative work counters of one shard.
+/// Cumulative work counters of one live shard.
 ///
-/// `refreshes + skips` over all shards reconciles to `slides ×
-/// subscriptions` exactly like a per-subscription walk's counters:
-/// every resident of a scheduled shard is classified individually, and every
-/// resident of an unscheduled shard is charged one skip.
+/// These are the truly per-shard numbers.  Manager-wide totals — over live
+/// *and* retired shards — live only in the metrics registry's `shard.*` and
+/// `refresh.cluster.*` counters, from which
+/// [`SubscriptionManager::stats`](crate::SubscriptionManager::stats) reads
+/// its refresh and skip totals.  Every resident of a scheduled shard is
+/// classified individually, and every resident of an unscheduled shard is
+/// charged one skip, so `refreshes + skips` grows by the resident count each
+/// slide.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
     /// Which shard these counters belong to.
@@ -237,17 +243,6 @@ pub struct ShardStats {
     pub skipped_slides: usize,
     /// Current number of plan clusters.
     pub clusters: usize,
-    /// Covering traversals the refresh actually ran: one per disturbed
-    /// cluster with a member to refresh, serving every such member at its
-    /// own `k`.
-    pub covering_evaluations: usize,
-    /// Refreshes served by sharing a covering traversal instead of running
-    /// one of their own — `refreshes` minus the traversals that actually
-    /// ran, summed over clustered slides.
-    pub shared_refreshes: usize,
-    /// Clusters proven undisturbed inside scheduled slides (all members
-    /// charged a skip without per-member classification).
-    pub skipped_clusters: usize,
     /// Whether the shard is quarantined: it exhausted a refresh retry
     /// budget and shed that epoch (see the worker's fault isolation).  It
     /// keeps refreshing; `shard.quarantine_active` holds `/ready` down
@@ -280,9 +275,9 @@ pub(crate) fn label_of(key: ShardKey) -> ShardLabel {
 /// trace/registry plus pre-resolved metric handles, so the refresh loop
 /// never touches the registry's name map.
 ///
-/// The registry counters (`shard.refreshes`, `shard.skips`, ...) are bumped
-/// in the same statements as the [`ShardStats`] fields they aggregate — the
-/// two views cannot drift.
+/// The registry counters (`shard.refreshes`, `shard.skips`, ...) are the
+/// only store of the manager-wide totals; the [`ShardStats`] fields bumped
+/// beside them describe this shard alone and retire with it.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardTelemetry {
     bundle: Arc<Telemetry>,
@@ -295,16 +290,17 @@ pub(crate) struct ShardTelemetry {
     /// `refresh.cluster.*` counters: how the shared-plan layer served a
     /// scheduled slide — covering traversals actually run, member refreshes
     /// served by sharing a traversal, and whole clusters fast-skipped.
-    /// Bumped in the same statements as the [`ShardStats`] fields they
-    /// aggregate.
     cluster_covering: Arc<Counter>,
     cluster_shared: Arc<Counter>,
     cluster_skipped: Arc<Counter>,
     /// `refresh.gain_evaluations`: total scoring passes (marginal-gain /
     /// singleton evaluations) of all slide-driven query runs.  A pure cost
-    /// counter with no stats twin — it is what the `per_subscription` perf
-    /// gate divides by the subscription count.
+    /// counter; the benchmark's `continuous.gain_evals_per_refresh` reads
+    /// it.
     gain_evaluations: Arc<Counter>,
+    /// `shard.quarantine_active`: shards quarantined right now.  Moved only
+    /// when a shard's flag flips, so it can never drift from the flags.
+    quarantine_active: Arc<Gauge>,
 }
 
 impl ShardTelemetry {
@@ -321,6 +317,7 @@ impl ShardTelemetry {
             cluster_shared: registry.counter("refresh.cluster.shared"),
             cluster_skipped: registry.counter("refresh.cluster.skipped"),
             gain_evaluations: registry.counter("refresh.gain_evaluations"),
+            quarantine_active: registry.gauge("shard.quarantine_active"),
             bundle,
         }
     }
@@ -527,9 +524,6 @@ pub(crate) struct Shard {
     skips: usize,
     scheduled_slides: usize,
     skipped_slides: usize,
-    covering_evaluations: usize,
-    shared_refreshes: usize,
-    skipped_clusters: usize,
     telemetry: ShardTelemetry,
 }
 
@@ -548,9 +542,6 @@ impl Shard {
             skips: 0,
             scheduled_slides: 0,
             skipped_slides: 0,
-            covering_evaluations: 0,
-            shared_refreshes: 0,
-            skipped_clusters: 0,
             telemetry,
         }
     }
@@ -569,16 +560,25 @@ impl Shard {
         self.quarantined
     }
 
-    /// Marks the shard quarantined after an exhausted retry budget.  Returns
-    /// the resident count for the caller's trace event.
+    /// Marks the shard quarantined after an exhausted retry budget, counting
+    /// it on `shard.quarantine_active` unless it already was.  Returns the
+    /// resident count for the caller's trace event.
     pub(crate) fn quarantine(&mut self) -> usize {
-        self.quarantined = true;
+        if !std::mem::replace(&mut self.quarantined, true) {
+            self.telemetry.quarantine_active.add(1);
+        }
         self.subs.len()
     }
 
-    /// Lifts a quarantine (the operator fixed the underlying fault).
-    pub(crate) fn lift_quarantine(&mut self) {
-        self.quarantined = false;
+    /// Lifts a quarantine (the operator fixed the underlying fault, or the
+    /// shard retires), taking it off `shard.quarantine_active`.  Returns
+    /// whether the shard was quarantined.
+    pub(crate) fn lift_quarantine(&mut self) -> bool {
+        let lifted = std::mem::replace(&mut self.quarantined, false);
+        if lifted {
+            self.telemetry.quarantine_active.sub(1);
+        }
+        lifted
     }
 
     /// Best-effort repair after a caught refresh panic: the resident walk
@@ -642,9 +642,6 @@ impl Shard {
             scheduled_slides: self.scheduled_slides,
             skipped_slides: self.skipped_slides,
             clusters: self.clusters.len(),
-            covering_evaluations: self.covering_evaluations,
-            shared_refreshes: self.shared_refreshes,
-            skipped_clusters: self.skipped_clusters,
             quarantined: self.quarantined,
         }
     }
@@ -723,9 +720,6 @@ impl Shard {
         self.scheduled_slides += 1;
         self.refreshes += slide.refreshed;
         self.skips += slide.skipped;
-        self.covering_evaluations += work.covering;
-        self.shared_refreshes += work.shared;
-        self.skipped_clusters += work.skipped_clusters;
         self.telemetry.scheduled_slides.inc();
         self.telemetry.refreshes.add(slide.refreshed as u64);
         self.telemetry.skips.add(slide.skipped as u64);
@@ -1064,7 +1058,6 @@ mod tests {
                 snapshot: Arc::new(ksir_snapshot::EngineSnapshot::capture(
                     &ex.empty_engine(),
                     epoch,
-                    &ksir_snapshot::SnapshotCounters::new(),
                 )),
                 collector: None,
                 task: crate::worker::EpochTask::register(&watermark, epoch),

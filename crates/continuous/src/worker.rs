@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ksir_telemetry::{Counter, FlightTrigger, Gauge, Telemetry, TraceEventKind};
+use ksir_telemetry::{Counter, FlightTrigger, Telemetry, TraceEventKind};
 
 use crate::delivery::DeliverySender;
 use crate::fault::FaultPlan;
@@ -457,9 +457,8 @@ struct WorkerTelemetry<'a> {
     item_hist: Arc<ksir_telemetry::Histogram>,
     panics: Arc<Counter>,
     quarantines: Arc<Counter>,
-    quarantine_active: Arc<Gauge>,
-    /// The `snapshot.shard_snapshots` tally behind the manager's
-    /// [`SnapshotCounters`](ksir_snapshot::SnapshotCounters).
+    /// `snapshot.shard_snapshots`: shard refreshes served from an epoch
+    /// image.
     shard_snapshots: Arc<Counter>,
 }
 
@@ -474,7 +473,6 @@ fn worker_loop(
         item_hist: telemetry.registry().histogram("worker.item"),
         panics: telemetry.registry().counter("worker.panics"),
         quarantines: telemetry.registry().counter("shard.quarantined"),
-        quarantine_active: telemetry.registry().gauge("shard.quarantine_active"),
         shard_snapshots: telemetry.registry().counter("snapshot.shard_snapshots"),
     };
     loop {
@@ -561,12 +559,11 @@ fn refresh_resilient<T>(
                 failures += 1;
                 if failures > REFRESH_RETRY_BUDGET {
                     let mut shard = cell.shard();
+                    // `quarantine` moves the live `shard.quarantine_active`
+                    // gauge `/ready` checks; the cumulative counter counts
+                    // every exhausted budget and never goes back down.
                     let residents = shard.quarantine() as u64;
                     wt.quarantines.inc();
-                    // The *live* quarantine gauge (decremented by
-                    // `lift_quarantines`) is what `/ready` checks; the
-                    // cumulative counter above never goes back down.
-                    wt.quarantine_active.add(1);
                     wt.bundle.record(
                         epoch,
                         Some(label),

@@ -81,10 +81,11 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
         walk.assert_matches(&mgr, &format!("seed={seed} {config:?}"));
 
         // Depth ≥ 2 with scheduled work runs on snapshots.
-        let snap = mgr.snapshot_stats();
+        let registry = mgr.telemetry().registry();
+        let epochs_captured = registry.counter("snapshot.epochs_captured").get();
         if config.pipeline_depth >= 2 {
-            assert!(snap.epochs_captured > 0, "no epoch was ever captured");
-            assert!(snap.shard_snapshots >= snap.epochs_captured);
+            assert!(epochs_captured > 0, "no epoch was ever captured");
+            assert!(registry.counter("snapshot.shard_snapshots").get() >= epochs_captured);
         }
     }
 }

@@ -118,6 +118,21 @@ fn shard_sum(mgr: &Manager, field: impl Fn(&ksir_continuous::ShardStats) -> usiz
     mgr.shard_stats().iter().map(field).sum()
 }
 
+/// Covering traversals run so far (`refresh.cluster.covering`).
+fn covering(mgr: &Manager) -> usize {
+    counter(mgr, "refresh.cluster.covering")
+}
+
+/// Refreshes served by sharing a covering traversal
+/// (`refresh.cluster.shared`).
+fn shared(mgr: &Manager) -> usize {
+    counter(mgr, "refresh.cluster.shared")
+}
+
+fn counter(mgr: &Manager, name: &'static str) -> usize {
+    mgr.telemetry().registry().counter(name).get() as usize
+}
+
 /// The contract, end to end: the clustered manager makes the walk's
 /// decisions on every slide and ends on its results and per-subscription
 /// counters, while serving refreshes from covering runs with fewer scoring
@@ -131,8 +146,8 @@ fn shared_plans_match_per_subscription_walk_slide_for_slide() {
         ingest_against_walk(&mut mgr, &mut walk, stream.iter_pairs());
         walk.assert_matches(&mgr, &format!("seed {seed}"));
 
-        let covering = shard_sum(&mgr, |s| s.covering_evaluations);
-        let shared = shard_sum(&mgr, |s| s.shared_refreshes);
+        let covering = covering(&mgr);
+        let shared = shared(&mgr);
         let refreshes = mgr.stats().refreshes;
         assert!(covering > 0, "seed {seed}: no covering run ever happened");
         assert!(shared > 0, "seed {seed}: no refresh was served by sharing");
@@ -158,8 +173,7 @@ fn shared_plans_match_per_subscription_walk_slide_for_slide() {
 /// The `refresh.gain_evaluations` counter: scoring passes of every
 /// slide-driven run.
 fn gain_evaluations(mgr: &Manager) -> usize {
-    let registry = mgr.telemetry().registry();
-    registry.counter("refresh.gain_evaluations").get() as usize
+    counter(mgr, "refresh.gain_evaluations")
 }
 
 /// The point of plan sharing, as a count: over 2 000 Zipf subscriptions the
@@ -195,11 +209,8 @@ fn zipf_population_shares_scoring_passes_for_identical_decisions() {
     ingest_against_walk(&mut mgr, &mut walk, stream.iter_pairs());
     walk.assert_matches(&mgr, "zipf");
 
-    assert!(shard_sum(&mgr, |s| s.covering_evaluations) > 0);
-    assert!(
-        shard_sum(&mgr, |s| s.shared_refreshes) > 0,
-        "templates must overlap"
-    );
+    assert!(covering(&mgr) > 0);
+    assert!(shared(&mgr) > 0, "templates must overlap");
     let passes = gain_evaluations(&mgr);
     assert!(
         passes * 5 <= walk.gain_evaluations,
@@ -209,7 +220,9 @@ fn zipf_population_shares_scoring_passes_for_identical_decisions() {
 }
 
 /// The `refresh.cluster.*` registry counters reconcile exactly with the
-/// stats structs (the no-drift rule): registry == Σ live shards + retired.
+/// refresh count across churn: shards retired mid-stream keep their work in
+/// the counters, so every slide-driven refresh — live or retired shard — is
+/// either a covering traversal or served by sharing one.
 #[test]
 fn cluster_counters_reconcile_with_stats() {
     let stream = planted_stream(29);
@@ -217,37 +230,22 @@ fn cluster_counters_reconcile_with_stats() {
     let pairs: Vec<_> = stream.iter_pairs().collect();
     let half = pairs.len() / 2;
     mgr.ingest_stream(pairs[..half].iter().cloned()).unwrap();
-    // Retire a few members mid-stream so the retired tally participates.
+    // Retire members mid-stream, emptying at least one shard.
     for (id, _, _) in &subs[..6] {
         assert!(mgr.unsubscribe(*id));
     }
     mgr.ingest_stream(pairs[half..].iter().cloned()).unwrap();
 
-    let retired = mgr.retired_stats();
-    let telemetry = mgr.telemetry();
-    let registry = telemetry.registry();
-    assert_eq!(
-        registry.counter("refresh.cluster.covering").get(),
-        (shard_sum(&mgr, |s| s.covering_evaluations) + retired.covering_evaluations) as u64,
-        "covering counter drifted from stats"
-    );
-    assert_eq!(
-        registry.counter("refresh.cluster.shared").get(),
-        (shard_sum(&mgr, |s| s.shared_refreshes) + retired.shared_refreshes) as u64,
-        "shared counter drifted from stats"
-    );
-    assert_eq!(
-        registry.counter("refresh.cluster.skipped").get(),
-        (shard_sum(&mgr, |s| s.skipped_clusters) + retired.skipped_clusters) as u64,
-        "skipped-cluster counter drifted from stats"
-    );
-    // The decision-side accounting invariant is untouched by clustering.
+    assert!(counter(&mgr, "shard.retired") > 0, "no shard retired");
     let stats = mgr.stats();
     assert_eq!(
-        registry.counter("shard.refreshes").get(),
-        stats.refreshes as u64
+        covering(&mgr) + shared(&mgr),
+        stats.refreshes,
+        "every refresh is either its own traversal or shared"
     );
-    assert_eq!(registry.counter("shard.skips").get(), stats.skips as u64);
+    // The retired shards' work is in the totals but no live shard's.
+    let live = shard_sum(&mgr, |s| s.refreshes + s.skips);
+    assert!(live < stats.refreshes + stats.skips);
 }
 
 /// Mid-stream churn re-clusters without disturbing the survivors: new
@@ -280,16 +278,12 @@ fn churn_reclusters_without_changing_surviving_decisions() {
     ingest_against_walk(&mut mgr, &mut walk, pairs[third..].iter().cloned());
     walk.assert_matches(&mgr, "churn");
 
-    // The retired tally still reconciles the global accounting:
-    // live + retired refreshes/skips == slide-time classifications.
+    // The emptied cluster retired its shard, whose work stays in the
+    // registry's totals (which the walk pinned above) but in no live shard.
+    assert!(counter(&mgr, "shard.retired") > 0, "no shard retired");
     let stats = mgr.stats();
-    let retired = mgr.retired_stats();
-    assert!(retired.shards > 0, "the emptied cluster retired its shard");
-    assert_eq!(
-        shard_sum(&mgr, |s| s.refreshes) + retired.refreshes,
-        stats.refreshes
-    );
-    assert_eq!(shard_sum(&mgr, |s| s.skips) + retired.skips, stats.skips);
+    let live = shard_sum(&mgr, |s| s.refreshes + s.skips);
+    assert!(live < stats.refreshes + stats.skips);
 }
 
 /// Shared plans compose with the pipelined ingestion path: covering runs
@@ -309,11 +303,11 @@ fn shared_plans_compose_with_the_pipelined_path() {
     assert_eq!(slides.len(), tickets.len(), "same bucket cutting");
     walk.assert_matches(&mgr, "pipelined");
     assert!(
-        shard_sum(&mgr, |s| s.covering_evaluations) > 0,
+        covering(&mgr) > 0,
         "the pipelined path never ran a covering evaluation"
     );
     assert!(
-        shard_sum(&mgr, |s| s.shared_refreshes) > 0,
+        shared(&mgr) > 0,
         "the pipelined path never shared a refresh"
     );
 }
@@ -389,13 +383,13 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
             refreshed_checks > 0,
             "pipelined = {pipelined}: no subscription ever refreshed"
         );
-        let covering = shard_sum(&mgr, |s| s.covering_evaluations);
+        let covering = covering(&mgr);
         assert_eq!(
             covering, traversals,
             "pipelined = {pipelined}: one traversal per disturbed cluster"
         );
         assert_eq!(
-            covering + shard_sum(&mgr, |s| s.shared_refreshes),
+            covering + shared(&mgr),
             mgr.stats().refreshes,
             "pipelined = {pipelined}: every refresh is a traversal or shared"
         );
@@ -408,8 +402,7 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
             "pipelined = {pipelined}: the exhaustive baselines never refreshed"
         );
         assert!(
-            shard_sum(&mgr, |s| s.shared_refreshes) > 0
-                && shard_sum(&mgr, |s| s.covering_evaluations) > 0,
+            shared(&mgr) > 0 && covering > 0,
             "pipelined = {pipelined}: the population never shared a covering run"
         );
     }

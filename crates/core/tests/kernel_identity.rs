@@ -27,7 +27,7 @@ use ksir_core::{
     Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, QuerySource, ScoringConfig,
 };
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+use ksir_snapshot::EngineSnapshot;
 use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, QueryVector};
 
@@ -174,8 +174,7 @@ impl Cell {
 /// its four single-`k` runs.
 fn run_shape(shape: &Shape, out: &mut String) {
     let engine = &shape.engine;
-    let counters = SnapshotCounters::new();
-    let snapshot = EngineSnapshot::capture(engine, 1, &counters);
+    let snapshot = EngineSnapshot::capture(engine, 1);
     for algorithm in Algorithm::ALL {
         let mut cells = [[Cell::new(); SOURCES.len()]; KS.len()];
         for vector in &shape.vectors {

@@ -36,7 +36,7 @@ use ksir_core::{
     Algorithm, ElementRow, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena,
     QueryEvaluator, QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
 };
-use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+use ksir_snapshot::EngineSnapshot;
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
@@ -706,7 +706,7 @@ proptest! {
         let engine = &instance.engine;
         let mut rng = StdRng::seed_from_u64(p.seed ^ 0x9e7_5123);
         let ks = random_sizes(&mut rng, engine.active_count());
-        let snapshot = EngineSnapshot::capture(engine, 1, &SnapshotCounters::new());
+        let snapshot = EngineSnapshot::capture(engine, 1);
         // The instance's vector, and one with a zero weight.
         let mut sparse: Vec<f64> = (0..p.num_topics).map(|_| rng.gen::<f64>() + 0.01).collect();
         sparse[rng.gen_range(0..p.num_topics)] = 0.0;

@@ -37,7 +37,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod snapshot;
-pub mod stats;
 
 pub use snapshot::EngineSnapshot;
-pub use stats::{SnapshotCounters, SnapshotStats};

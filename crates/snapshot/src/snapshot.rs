@@ -9,8 +9,6 @@ use ksir_core::{
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle};
 use ksir_types::{Result, TopicId, TopicWordDistribution};
 
-use crate::stats::SnapshotCounters;
-
 /// A frozen image of everything a k-SIR query evaluation reads, captured at
 /// one epoch boundary (immediately after an index update).
 ///
@@ -25,19 +23,17 @@ use crate::stats::SnapshotCounters;
 ///
 /// ```
 /// use ksir_core::{fixtures::paper_example, Algorithm, KsirQuery, QuerySource};
-/// use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+/// use ksir_snapshot::EngineSnapshot;
 /// use ksir_types::QueryVector;
 ///
 /// let engine = paper_example().build_engine();
-/// let counters = SnapshotCounters::new();
-/// let snapshot = EngineSnapshot::capture(&engine, 1, &counters);
+/// let snapshot = EngineSnapshot::capture(&engine, 1);
 /// let query = KsirQuery::new(2, QueryVector::uniform(2).unwrap()).unwrap();
 ///
 /// // Every list is served whole through the shared image: the snapshot
 /// // answers exactly as the live engine does at the capture epoch.
 /// let live = engine.query(&query, Algorithm::Mtts).unwrap();
 /// assert_eq!(snapshot.query(&query, Algorithm::Mtts).unwrap(), live);
-/// assert_eq!(counters.stats().epochs_captured, 1);
 /// ```
 #[derive(Debug)]
 pub struct EngineSnapshot<D> {
@@ -55,8 +51,7 @@ pub struct EngineSnapshot<D> {
 impl<D: TopicWordDistribution> EngineSnapshot<D> {
     /// Captures the engine's current state as epoch `epoch`, all topics
     /// included.
-    pub fn capture(engine: &KsirEngine<D>, epoch: u64, counters: &SnapshotCounters) -> Self {
-        counters.count_epoch();
+    pub fn capture(engine: &KsirEngine<D>, epoch: u64) -> Self {
         EngineSnapshot {
             epoch,
             lists: engine
@@ -77,16 +72,10 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
     /// copy-on-write when it mutates them — the right capture when the set
     /// of topics any standing query can traverse is known, as it is for the
     /// subscription manager (the union of resident support topics).
-    pub fn capture_watched<I>(
-        engine: &KsirEngine<D>,
-        epoch: u64,
-        counters: &SnapshotCounters,
-        watched: I,
-    ) -> Self
+    pub fn capture_watched<I>(engine: &KsirEngine<D>, epoch: u64, watched: I) -> Self
     where
         I: IntoIterator<Item = TopicId>,
     {
-        counters.count_epoch();
         let ranked = engine.ranked_lists();
         let mut lists: Vec<Option<RankedListHandle>> = Vec::new();
         lists.resize_with(ranked.num_topics(), || None);
@@ -190,8 +179,7 @@ mod tests {
             let end = element.ts;
             engine.ingest_bucket(vec![(element, tv)], end).unwrap();
         }
-        let counters = SnapshotCounters::new();
-        let snap = EngineSnapshot::capture(&engine, half as u64, &counters);
+        let snap = EngineSnapshot::capture(&engine, half as u64);
         assert_eq!(snap.epoch(), half as u64);
         assert_eq!(snap.active_count(), engine.active_count());
         let frozen: Vec<_> = Algorithm::ALL
@@ -221,6 +209,5 @@ mod tests {
             engine.query(&q, Algorithm::Mttd).unwrap().score,
             frozen[1].score
         );
-        assert_eq!(counters.stats().epochs_captured, 1);
     }
 }

@@ -8,7 +8,7 @@
 //! the same score bits, for every size, under MTTS and MTTD alike.
 
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, QuerySource, ScoringConfig};
-use ksir_snapshot::{EngineSnapshot, SnapshotCounters};
+use ksir_snapshot::EngineSnapshot;
 use ksir_stream::WindowConfig;
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
@@ -113,8 +113,7 @@ fn a_snapshot_answers_alike_after_every_slot_it_holds_is_reused() {
         engine.ingest_bucket(b, Timestamp(ts)).unwrap();
     }
 
-    let counters = SnapshotCounters::new();
-    let snapshot = EngineSnapshot::capture(&engine, 1, &counters);
+    let snapshot = EngineSnapshot::capture(&engine, 1);
     let captured = panel(&snapshot);
     assert_eq!(
         captured,

@@ -35,6 +35,11 @@ fn help_for(name: &str) -> Option<&'static str> {
         "worker.item" => "Time one worker spent on one queued shard refresh",
         "worker.panics" => "Refresh attempts that panicked (injected or real)",
         "worker.restarts" => "Worker threads respawned after death",
+        "shard.refreshes" => "Slide-driven subscription refreshes (query re-runs)",
+        "shard.skips" => "Slide-time subscription evaluations skipped by the delta rules",
+        "shard.scheduled_slides" => "Shard-slides whose touch filters fired",
+        "shard.skipped_slides" => "Shard-slides proven undisturbed as a whole",
+        "shard.retired" => "Shards retired after their last subscription left",
         "shard.quarantined" => "Shards quarantined after exhausting the retry budget (cumulative)",
         "shard.quarantine_active" => "Shards currently quarantined (live occupancy)",
         "delivery.enqueued" => "Result deltas accepted into delivery queues",
@@ -43,8 +48,6 @@ fn help_for(name: &str) -> Option<&'static str> {
         "delivery.e2e.dropped" => "Ingest-to-shed age of result deltas dropped by overflow policy",
         "delivery.queue_depth" => "Result deltas sitting in delivery queues, summed",
         "manager.slides" => "Slides ingested",
-        "manager.refreshes" => "Per-subscription refreshes performed",
-        "manager.skips" => "Per-subscription evaluations skipped",
         "manager.subscriptions" => "Standing subscriptions currently registered",
         "manager.inflight_epochs" => "Epochs admitted but not yet fully refreshed",
         "manager.freshness_lag" => "Age in nanoseconds of the oldest epoch not yet fully refreshed",

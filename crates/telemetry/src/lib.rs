@@ -19,10 +19,15 @@
 //!   epoch (1-based slide number), shard, and monotonic nanoseconds;
 //! * the monotonic origin those timestamps are measured from.
 //!
-//! Events are emitted at the exact code sites that bump the pre-existing
-//! stats counters, so the [`EpochTimeline`] reconstructed from the trace
-//! reconciles **exactly** with `ManagerStats`/`ShardStats`/`SnapshotStats` —
-//! the integration tests assert equality, not correlation.
+//! The registry is the one store of every aggregate tally: a pipeline-wide
+//! count is a [`Counter`] and nothing else — never a field kept beside it,
+//! nor a [`Gauge`] copy of it — so each name belongs to exactly one family,
+//! and `ManagerStats` is a view that reads the counters back.  Gauges hold
+//! only instantaneous values (queue depths, the watermark, live
+//! quarantines).  Events are emitted at the exact code sites that bump the
+//! counters, so the [`EpochTimeline`] reconstructed from the trace reconciles
+//! **exactly** with them — the integration tests assert equality, not
+//! correlation.
 
 #![warn(missing_docs)]
 

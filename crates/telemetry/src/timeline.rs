@@ -3,10 +3,12 @@
 //!
 //! The [`EpochTimeline`] folds a [`TraceLog`](crate::TraceLog) snapshot into
 //! one [`EpochRecord`] per epoch.  Because every event payload carries the
-//! same counts the stats structs accumulate, the timeline's totals reconcile
-//! **exactly** with `ManagerStats` / `ShardStats` / `SnapshotStats` — unless
-//! the ring overflowed, which [`EpochTimeline::truncated_events`] reports so
-//! a consumer never mistakes a suffix for the whole stream.
+//! same counts the registry counters accumulate, the timeline's totals
+//! reconcile **exactly** with the `shard.*` / `snapshot.*` counters (and so
+//! with `ManagerStats`, a view of them) and with the live shards'
+//! `ShardStats` — unless the ring overflowed, which
+//! [`EpochTimeline::truncated_events`] reports so a consumer never mistakes
+//! a suffix for the whole stream.
 
 use std::collections::BTreeMap;
 
@@ -199,8 +201,8 @@ impl EpochTimeline {
         self.epochs.iter().map(|r| r.shards_skipped).sum()
     }
 
-    /// Total epoch snapshots captured (reconciles with
-    /// `SnapshotStats::epochs_captured`).
+    /// Total epoch snapshots captured (reconciles with the
+    /// `snapshot.epochs_captured` counter).
     pub fn total_snapshots(&self) -> u64 {
         self.epochs.iter().map(|r| r.snapshots_captured).sum()
     }

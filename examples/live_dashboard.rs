@@ -140,19 +140,13 @@ fn main() -> Result<(), ksir::KsirError> {
     // Tickets report what was decided *inline*; a shard still draining an
     // earlier epoch defers its decision to the owning worker, so the
     // inline/deferred split varies with worker timing.  The decision
-    // counters themselves are deterministic — read them from the shards.
+    // counters themselves are deterministic — read the totals from the
+    // metrics registry, which keeps them across shard retirements too.
     let deferred: usize = tickets.iter().map(|t| t.shards_deferred).sum();
-    let scheduled: usize = dashboard
-        .shard_stats()
-        .iter()
-        .map(|s| s.scheduled_slides)
-        .sum();
-    let undisturbed: usize = dashboard
-        .shard_stats()
-        .iter()
-        .map(|s| s.skipped_slides)
-        .sum();
-    let snap = dashboard.snapshot_stats();
+    let registry = dashboard.telemetry().registry();
+    let total = |name| registry.counter(name).get();
+    let scheduled = total("shard.scheduled_slides");
+    let undisturbed = total("shard.skipped_slides");
     println!(
         "{} slides ingested; shard touch filters scheduled {} shard refreshes \
          and proved {} shard-slides undisturbed ({} epoch handoffs rode a busy \
@@ -162,16 +156,16 @@ fn main() -> Result<(), ksir::KsirError> {
         undisturbed,
         deferred,
     );
-    // What the pipelining cost: epoch snapshots on the capture side
-    // (SnapshotStats) and copy-on-write clones on the writer side
+    // What the pipelining cost: epoch snapshots on the capture side (the
+    // `snapshot.*` counters) and copy-on-write clones on the writer side
     // (EngineStats) — the two halves of the snapshot subsystem's bill.
     let engine_stats = dashboard.engine().stats();
     println!(
         "Snapshot bill: {} epoch snapshots served {} shard refreshes; the \
          writer paid {} cow clones ({} window / {} row-map / {} ranked-list) \
          to leave them immutable.\n",
-        snap.epochs_captured,
-        snap.shard_snapshots,
+        total("snapshot.epochs_captured"),
+        total("snapshot.shard_snapshots"),
         engine_stats.window_cow_clones
             + engine_stats.topic_vector_cow_clones
             + engine_stats.ranked_cow_clones,
@@ -237,16 +231,8 @@ fn main() -> Result<(), ksir::KsirError> {
     // once per disturbed cluster whatever its members' `k`, so the sharing
     // ratio — covering traversals per live subscription-slide — stays well
     // below 1 whenever clusters have more than one member.
-    let covering: usize = dashboard
-        .shard_stats()
-        .iter()
-        .map(|s| s.covering_evaluations)
-        .sum();
-    let shared: usize = dashboard
-        .shard_stats()
-        .iter()
-        .map(|s| s.shared_refreshes)
-        .sum();
+    let covering = total("refresh.cluster.covering");
+    let shared = total("refresh.cluster.shared");
     let clusters: usize = dashboard.shard_stats().iter().map(|s| s.clusters).sum();
     let subscription_slides = stats.slides * panels.len();
     let sharing_ratio = if subscription_slides == 0 {
@@ -336,7 +322,7 @@ fn main() -> Result<(), ksir::KsirError> {
             .count(),
         prometheus
             .lines()
-            .find(|l| l.starts_with("ksir_manager_refreshes"))
+            .find(|l| l.starts_with("ksir_shard_refreshes"))
             .unwrap_or_default(),
     );
 
