@@ -64,17 +64,17 @@ fn greedy<D: TopicWordDistribution>(
     evaluator: &QueryEvaluator<'_, D>,
     sizes: &[usize],
 ) -> Vec<QueryResult> {
-    let mut ids: Vec<ElementId> = window.ids().collect();
-    ids.sort_unstable();
-    let evaluated = ids.len();
+    let evaluated = window.len();
 
     // Every element with a positive singleton score is buffered together
     // with the profile that score was read from, so lazy re-evaluations and
-    // the final insert never rescore it.
+    // the final insert never rescore it.  The window is walked in slab
+    // order, profiling by slot: the heap's order is total (ties broken by
+    // id), so the order elements enter it in decides nothing.
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
     let mut arena = ProfileArena::default();
-    for id in ids {
-        let profile = evaluator.profile(&mut arena, id);
+    for (id, slot) in window.ids_and_slots() {
+        let profile = evaluator.profile_at(&mut arena, slot);
         let gain = evaluator.delta_of(arena.get(profile));
         if gain > 0.0 {
             heap.push(Entry {

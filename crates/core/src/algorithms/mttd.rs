@@ -21,9 +21,9 @@
 //! the warm-start fast-forward takes `τ` below its `τ_min`, or at an exit
 //! every size shares.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use ksir_types::{ElementId, TopicWordDistribution};
+use ksir_types::TopicWordDistribution;
 
 use crate::algorithms::{per_size, ScoredElement, SupportCursors};
 use crate::evaluator::{CandidateState, ProfileArena, ProfileId, QueryEvaluator};
@@ -33,6 +33,10 @@ use crate::view::RankedView;
 /// A retrieved-but-not-selected element: its current gain upper bound and
 /// its scoring profile, so lazy re-evaluations in later rounds and the insert
 /// after an admission never rescore it.
+///
+/// An element that left the buffer (admitted, or down to no gain) keeps its
+/// position with a bound of zero: every heap entry's score is positive, so
+/// no entry matches it again.
 struct Buffered {
     bound: f64,
     profile: ProfileId,
@@ -57,17 +61,22 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
     epsilon: f64,
     sizes: &[usize],
 ) -> Vec<QueryResult> {
-    let mut cursors = SupportCursors::new(view, evaluator.support());
+    let mut cursors = SupportCursors::new(view, evaluator.window(), evaluator.support());
     let mut state = evaluator.new_candidate();
     // The sizes still descending are `sizes[results.len()..]`: smaller sizes
     // always end first.
     let mut results: Vec<QueryResult> = Vec::with_capacity(sizes.len());
     let tau_min = |state: &CandidateState, k: usize| state.score() * epsilon / k as f64;
 
-    // Buffer E′ of retrieved-but-not-selected elements: cached gain upper
-    // bounds plus a lazy max-heap over them.
-    let mut buffer: HashMap<ElementId, Buffered> = HashMap::new();
-    let mut heap: BinaryHeap<ScoredElement> = BinaryHeap::new();
+    // Buffer E′ of retrieved-but-not-selected elements, by position of
+    // arrival: cached gain upper bounds plus a lazy max-heap over them whose
+    // entries carry the position.  No two entries share a `(score, id)` — a
+    // re-pushed bound is below the one just popped — so the position never
+    // decides the heap's order.
+    let mut buffer: Vec<Buffered> = Vec::new();
+    // How many buffered elements are still in E′.
+    let mut buffered = 0_usize;
+    let mut heap: BinaryHeap<(ScoredElement, usize)> = BinaryHeap::new();
     // The profiles of every buffered element, side by side.
     let mut arena = ProfileArena::default();
 
@@ -83,36 +92,32 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
     loop {
         // retrieve(τ): pull every element whose score can still reach τ.
         while cursors.upper_bound() >= tau {
-            let Some(id) = cursors.pop_next() else {
+            let Some((id, slot)) = cursors.pop_next() else {
                 break;
             };
-            let profile = evaluator.profile(&mut arena, id);
+            let profile = evaluator.profile_at(&mut arena, slot);
             let delta = evaluator.delta_of(arena.get(profile));
             if delta > 0.0 {
-                buffer.insert(
-                    id,
-                    Buffered {
-                        bound: delta,
-                        profile,
-                    },
-                );
-                heap.push(ScoredElement { score: delta, id });
+                heap.push((ScoredElement { score: delta, id }, buffer.len()));
+                buffer.push(Buffered {
+                    bound: delta,
+                    profile,
+                });
+                buffered += 1;
             } else {
                 arena.pop();
             }
         }
 
         // Evaluation: admit buffered elements whose marginal gain reaches τ.
-        while let Some(&top) = heap.peek() {
-            let entry = match buffer.get_mut(&top.id) {
-                Some(entry) if entry.bound == top.score => entry,
+        while let Some(&(top, at)) = heap.peek() {
+            let entry = &mut buffer[at];
+            if entry.bound != top.score {
                 // Stale heap entry (the element was admitted or its cached
                 // gain was lowered since this entry was pushed): discard.
-                _ => {
-                    heap.pop();
-                    continue;
-                }
-            };
+                heap.pop();
+                continue;
+            }
             if top.score < tau {
                 break;
             }
@@ -121,23 +126,22 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
             let gain = evaluator.gain_of(&state, profile);
             if gain >= tau {
                 evaluator.insert_profile(&mut state, profile);
-                buffer.remove(&top.id);
+                entry.bound = 0.0;
+                buffered -= 1;
                 if state.len() == sizes[results.len()] {
                     // τ at the moment the result filled is the admission bar:
                     // below it nothing could have joined the result.
-                    results.push(finish(&state, &mut cursors, evaluator, Some(tau)));
+                    results.push(finish(&state, &cursors, evaluator, Some(tau)));
                     if results.len() == sizes.len() {
                         return results;
                     }
                 }
             } else if gain > 0.0 {
                 entry.bound = gain;
-                heap.push(ScoredElement {
-                    score: gain,
-                    id: top.id,
-                });
+                heap.push((ScoredElement { score: gain, ..top }, at));
             } else {
-                buffer.remove(&top.id);
+                entry.bound = 0.0;
+                buffered -= 1;
             }
         }
 
@@ -145,7 +149,7 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
 
         // Nothing left to retrieve or admit: no later round can make
         // progress — for any size.
-        if (buffer.is_empty() && cursors.exhausted()) || tau < f64::MIN_POSITIVE {
+        if (buffered == 0 && cursors.exhausted()) || tau < f64::MIN_POSITIVE {
             break;
         }
 
@@ -156,15 +160,13 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
         // nothing is admitted and the exit conditions are stepped in the
         // same order as the full rounds, so the τ grid — and with it every
         // later decision — is bit-identical to the unaccelerated loop.
-        while let Some(&top) = heap.peek() {
-            match buffer.get(&top.id) {
-                Some(entry) if entry.bound == top.score => break,
-                _ => {
-                    heap.pop();
-                }
+        while let Some(&(top, at)) = heap.peek() {
+            if buffer[at].bound == top.score {
+                break;
             }
+            heap.pop();
         }
-        let best_buffered = heap.peek().map(|t| t.score).unwrap_or(0.0);
+        let best_buffered = heap.peek().map(|(t, _)| t.score).unwrap_or(0.0);
         let target = cursors.upper_bound().max(best_buffered);
         // Each size replays the fast-forward under its own `τ_min`, smallest
         // size (highest `τ_min`) first.  A larger size's replay passes every
@@ -181,7 +183,7 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
             if tau >= f64::MIN_POSITIVE && tau >= floor {
                 break;
             }
-            results.push(finish(&state, &mut cursors, evaluator, bar(floor)));
+            results.push(finish(&state, &cursors, evaluator, bar(floor)));
         }
         if results.len() == sizes.len() {
             return results;
@@ -192,7 +194,7 @@ fn descend<D: TopicWordDistribution, V: RankedView + ?Sized>(
     // own `τ_min` as the bar.
     for &k in &sizes[results.len()..] {
         let floor = tau_min(&state, k);
-        results.push(finish(&state, &mut cursors, evaluator, bar(floor)));
+        results.push(finish(&state, &cursors, evaluator, bar(floor)));
     }
     results
 }
@@ -204,7 +206,7 @@ fn bar(tau_min: f64) -> Option<f64> {
 
 fn finish<D: TopicWordDistribution>(
     state: &CandidateState,
-    cursors: &mut SupportCursors<'_>,
+    cursors: &SupportCursors<'_>,
     evaluator: &QueryEvaluator<'_, D>,
     bar: Option<f64>,
 ) -> QueryResult {

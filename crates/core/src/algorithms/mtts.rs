@@ -52,7 +52,7 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
     epsilon: f64,
     sizes: &[usize],
 ) -> Vec<QueryResult> {
-    let mut cursors = SupportCursors::new(view, evaluator.support());
+    let mut cursors = SupportCursors::new(view, evaluator.window(), evaluator.support());
     let mut grids = GridSet::new(sizes, epsilon, evaluator);
     let mut runs: Vec<Run> = sizes
         .iter()
@@ -86,11 +86,11 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
         if !running {
             break;
         }
-        let Some(id) = cursors.pop_next() else {
+        let Some((_, slot)) = cursors.pop_next() else {
             break;
         };
         arena.clear();
-        let profile = evaluator.profile(&mut arena, id);
+        let profile = evaluator.profile_at(&mut arena, slot);
         let profile = arena.get(profile);
         let delta = evaluator.delta_of(profile);
         reach.clear();

@@ -12,7 +12,7 @@
 //! profiles do not: [`run`] keeps one grid per requested size, all of them
 //! columns of one coverage table, and feeds them all from one window scan.
 
-use ksir_stream::ActiveWindow;
+use ksir_stream::{ActiveWindow, Slot};
 use ksir_types::{ElementId, TopicWordDistribution};
 
 use crate::algorithms::{per_size, GridSet};
@@ -36,7 +36,8 @@ fn scan<D: TopicWordDistribution>(
     epsilon: f64,
     sizes: &[usize],
 ) -> Vec<QueryResult> {
-    let mut ids: Vec<ElementId> = window.ids().collect();
+    // In id order, each with its slot: profiling by slot hashes no id.
+    let mut ids: Vec<(ElementId, Slot)> = window.ids_and_slots().collect();
     ids.sort_unstable();
     let evaluated = ids.len();
 
@@ -46,9 +47,9 @@ fn scan<D: TopicWordDistribution>(
     // all of them.
     let mut reach = Vec::with_capacity(sizes.len());
 
-    for id in ids {
+    for (_, slot) in ids {
         arena.clear();
-        let profile = evaluator.profile(&mut arena, id);
+        let profile = evaluator.profile_at(&mut arena, slot);
         let profile = arena.get(profile);
         let delta = evaluator.delta_of(profile);
         if delta <= 0.0 {

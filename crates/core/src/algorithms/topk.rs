@@ -55,7 +55,7 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
     evaluator: &QueryEvaluator<'_, D>,
     sizes: &[usize],
 ) -> Vec<QueryResult> {
-    let mut cursors = SupportCursors::new(view, evaluator.support());
+    let mut cursors = SupportCursors::new(view, evaluator.window(), evaluator.support());
     let mut heaps: Vec<Heap> = sizes
         .iter()
         .map(|&k| Heap {
@@ -80,11 +80,11 @@ fn traverse<D: TopicWordDistribution, V: RankedView + ?Sized>(
         if !running {
             break;
         }
-        let Some(id) = cursors.pop_next() else {
+        let Some((id, slot)) = cursors.pop_next() else {
             break;
         };
         arena.clear();
-        let profile = evaluator.profile(&mut arena, id);
+        let profile = evaluator.profile_at(&mut arena, slot);
         let delta = evaluator.delta_of(arena.get(profile));
         evaluated += 1;
         if delta <= 0.0 {

@@ -16,10 +16,10 @@
 //! Everything a gain needs *from the element* — `p_i(e)`, the word weights
 //! `σ_i(w, e)` and the propagation probabilities `p_i(e ⤳ c)` on every
 //! support topic — does not depend on the candidate.  An [`ElementProfile`]
-//! is exactly those columns.  Building one ([`QueryEvaluator::profile`]) is
-//! the `O((|V_e| + |I_t(e)|)·d)` scoring pass the paper's analysis charges
-//! per retrieved element (one `ln` per word × topic, one row probe per
-//! child), and the algorithms do it **at most once per element per
+//! is exactly those columns.  Building one ([`QueryEvaluator::profile_at`])
+//! is the `O((|V_e| + |I_t(e)|)·d)` scoring pass the paper's analysis
+//! charges per retrieved element (one `ln` per word × topic, one row index
+//! per child), and the algorithms do it **at most once per element per
 //! query**, when the first consumer needs it.  `δ(e, x)`, every marginal gain
 //! against every candidate, and the insert that follows an admission then
 //! only read the profile: a gain is `(|V_e| + |I_t(e)|)·d` coverage lookups
@@ -43,6 +43,16 @@
 //! word and child per slot, then a pass across the row, instead of one probe
 //! per candidate.
 //!
+//! # Keys: no stream id is hashed
+//!
+//! The traversal hands each retrieved element over by window [`Slot`], so a
+//! profile reaches the entry, the row and every child by index, and records
+//! its children as slots.  Coverage state is keyed by [`WordId`] and by
+//! child slot, both assigned by the engine, through
+//! [`DenseMap`](crate::dense::DenseMap) — one multiply per key where the
+//! default hasher runs SipHash.  The one id probe left is the window's
+//! ([`QueryEvaluator::profile`], and the traversal's per popped tuple).
+//!
 //! The id-taking [`QueryEvaluator::delta`] / [`QueryEvaluator::marginal_gain`]
 //! / [`QueryEvaluator::insert`] profile into a throw-away arena and delegate,
 //! so there is one word-weight loop and one child-propagation loop in the
@@ -51,10 +61,11 @@
 //! return is bit-identical to it (pinned by `tests/kernel_identity.rs`).
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
+use ksir_stream::{ActiveWindow, Slot};
 use ksir_types::{ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
+use crate::dense::{DenseKey, DenseMap};
 use crate::scorer::{propagation_prob, word_weight, Scorer};
 
 /// Column storage for the [`ElementProfile`]s of one query: every profile's
@@ -89,8 +100,8 @@ struct Columns {
     /// `σ_i(w, e)`, slot-major within a profile: slot `s` owns the `s`-th
     /// `|words|`-long stretch of the profile's run (zeros where `p_i(e) = 0`).
     weights: Vec<f64>,
-    /// `I_t(e)` in influence (reference-arrival) order.
-    children: Vec<ElementId>,
+    /// The slots of `I_t(e)` in influence (reference-arrival) order.
+    children: Vec<Slot>,
     /// `p_i(e ⤳ c)`, slot-major like `weights`.
     propagation: Vec<f64>,
 }
@@ -248,7 +259,7 @@ pub struct ElementProfile<'a> {
     topic_probs: &'a [f64],
     words: &'a [WordId],
     weights: &'a [f64],
-    children: &'a [ElementId],
+    children: &'a [Slot],
     propagation: &'a [f64],
 }
 
@@ -278,8 +289,9 @@ impl<'a> ElementProfile<'a> {
             .map(|(&w, &weight)| (w, weight))
     }
 
-    /// Slot `slot`'s child column: `(c, p_i(e ⤳ c))` in influence order.
-    fn child_column(&self, slot: usize) -> impl Iterator<Item = (ElementId, f64)> + 'a {
+    /// Slot `slot`'s child column: `(c, p_i(e ⤳ c))` in influence order,
+    /// each child named by its window slot.
+    fn child_column(&self, slot: usize) -> impl Iterator<Item = (Slot, f64)> + 'a {
         let m = self.children.len();
         self.children
             .iter()
@@ -300,9 +312,10 @@ pub struct CandidateState {
 #[derive(Debug, Clone)]
 struct TopicState {
     /// Best word weight `max_{e∈S} σ_i(w, e)` per covered word.
-    word_best: HashMap<WordId, f64>,
-    /// Survival probability `Π (1 − p_i(e' ⤳ c))` per influenced element `c`.
-    child_survival: HashMap<ElementId, f64>,
+    word_best: DenseMap<WordId, f64>,
+    /// Survival probability `Π (1 − p_i(e' ⤳ c))` per influenced element `c`,
+    /// keyed by `c`'s window slot.
+    child_survival: DenseMap<Slot, f64>,
 }
 
 impl CandidateState {
@@ -312,8 +325,8 @@ impl CandidateState {
             score: 0.0,
             topics: (0..num_query_topics)
                 .map(|_| TopicState {
-                    word_best: HashMap::new(),
-                    child_survival: HashMap::new(),
+                    word_best: DenseMap::new(),
+                    child_survival: DenseMap::new(),
                 })
                 .collect(),
         }
@@ -380,34 +393,34 @@ struct SlotTable {
     /// Best word weights `max_{e∈S} σ_i(w, e)`: one row per covered word.
     word_best: CoverageRows<WordId>,
     /// Survival probabilities `Π (1 − p_i(e' ⤳ c))`: one row per influenced
-    /// element.
-    child_survival: CoverageRows<ElementId>,
+    /// element, keyed by its window slot.
+    child_survival: CoverageRows<Slot>,
 }
 
 /// Rows of `width` cells addressed by key, in one flat vector.
 #[derive(Debug)]
-struct CoverageRows<K> {
+struct CoverageRows<K: DenseKey> {
     /// What a cell no insert has written holds.
     fresh: f64,
-    rows: HashMap<K, usize>,
+    rows: DenseMap<K, usize>,
     /// Row `r` is `cells[r * width..(r + 1) * width]`.
     cells: Vec<f64>,
     /// What an absent key's row reads as: `width` fresh cells.
     absent: Vec<f64>,
 }
 
-impl<K: std::hash::Hash + Eq> CoverageRows<K> {
+impl<K: DenseKey> CoverageRows<K> {
     fn new(width: usize, fresh: f64) -> Self {
         CoverageRows {
             fresh,
-            rows: HashMap::new(),
+            rows: DenseMap::new(),
             cells: Vec::new(),
             absent: vec![fresh; width],
         }
     }
 
     /// The row of `key`, across every column.
-    fn row(&self, key: &K) -> &[f64] {
+    fn row(&self, key: K) -> &[f64] {
         let width = self.absent.len();
         match self.rows.get(key) {
             Some(&row) => &self.cells[row * width..(row + 1) * width],
@@ -420,7 +433,7 @@ impl<K: std::hash::Hash + Eq> CoverageRows<K> {
     fn row_mut(&mut self, key: K) -> &mut [f64] {
         let width = self.absent.len();
         let next = self.rows.len();
-        let row = *self.rows.entry(key).or_insert(next);
+        let row = *self.rows.get_or_insert(key, next);
         if row == next {
             self.cells.resize((next + 1) * width, self.fresh);
         }
@@ -477,6 +490,11 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
         &self.support
     }
 
+    /// The active window the evaluator profiles elements of.
+    pub(crate) fn window(&self) -> &'a ActiveWindow {
+        self.scorer.window()
+    }
+
     /// Number of submodular-function evaluations performed so far.
     pub fn gain_evaluations(&self) -> usize {
         self.gain_evaluations.get()
@@ -486,39 +504,59 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
         self.gain_evaluations.set(self.gain_evaluations.get() + 1);
     }
 
-    /// Profiles one element into `arena`: the single
-    /// `O((|V_e| + |I_t(e)|)·d)` pass every later `δ` / gain / insert of that
-    /// element reads from — and the one word-weight loop and one
-    /// child-propagation loop of the query path.  Not counted as a gain
-    /// evaluation; the consumers are.
-    ///
-    /// An element with zero probability on every support topic gets an empty
-    /// profile (no word, no child is looked at): it scores zero everywhere.
+    /// Profiles one element into `arena`: one probe of the window's id index,
+    /// then [`QueryEvaluator::profile_at`].  An id the window does not hold
+    /// gets an inactive profile: no word, no child, zero everywhere.
     pub fn profile(&self, arena: &mut ProfileArena, id: ElementId) -> ProfileId {
+        if let Some(slot) = self.scorer.window().slot(id) {
+            return self.profile_at(arena, slot);
+        }
         let arena = &mut arena.columns;
-        let (window, rows) = (self.scorer.window(), self.scorer.rows());
-        // The one id probe: the entry, the row and every child are reached
-        // by slot from here on.
-        let slot = window.slot(id);
-        let element = slot.and_then(|slot| window.element_at(slot));
         let handle = ProfileId(arena.entries.len() as u32);
         let start = arena.end();
         arena.entries.push(ProfileEntry {
             id,
-            active: element.is_some(),
+            active: false,
+            start,
+        });
+        arena.topic_probs.extend(self.support.iter().map(|_| 0.0));
+        handle
+    }
+
+    /// Profiles the element in `slot` of the evaluator's window into
+    /// `arena`: the single `O((|V_e| + |I_t(e)|)·d)` pass every later `δ` /
+    /// gain / insert of that element reads from — and the one word-weight
+    /// loop and one child-propagation loop of the query path.  The entry,
+    /// the row and every child are reached by slot: no id is hashed.  Not
+    /// counted as a gain evaluation; the consumers are.
+    ///
+    /// An element with zero probability on every support topic gets an empty
+    /// profile (no word, no child is looked at): it scores zero everywhere.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is not occupied in the evaluator's window.
+    pub fn profile_at(&self, arena: &mut ProfileArena, slot: Slot) -> ProfileId {
+        let arena = &mut arena.columns;
+        let (window, rows) = (self.scorer.window(), self.scorer.rows());
+        let element = window
+            .element_at(slot)
+            .expect("a profiled slot is occupied");
+        let handle = ProfileId(arena.entries.len() as u32);
+        let start = arena.end();
+        arena.entries.push(ProfileEntry {
+            id: element.id,
+            active: true,
             start,
         });
 
-        let row = slot.and_then(|slot| rows.get(slot));
+        let row = rows.get(slot);
         arena.topic_probs.extend(
             self.support
                 .iter()
                 .map(|&(topic, _)| row.map_or(0.0, |row| row.prob(topic))),
         );
         let topic_probs = &arena.topic_probs[start.topic_probs..];
-        let (Some(slot), Some(element)) = (slot, element) else {
-            return handle;
-        };
         if !topic_probs.iter().any(|&p| p > 0.0) {
             return handle;
         }
@@ -540,16 +578,14 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             }
         }
 
-        let children = || window.influenced_slots(slot);
-        arena
-            .children
-            .extend(children().map(|child| window.id_at(child).expect("a child is active")));
-        let m = arena.children.len() - start.children;
+        arena.children.extend(window.influenced_slots(slot));
+        let children = &arena.children[start.children..];
+        let m = children.len();
         arena
             .propagation
             .resize(start.propagation + self.support.len() * m, 0.0);
         let propagation = &mut arena.propagation[start.propagation..];
-        for (c, child) in children().enumerate() {
+        for (c, &child) in children.iter().enumerate() {
             let Some(child_row) = rows.get(child) else {
                 continue;
             };
@@ -629,7 +665,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             if profile.scores_on(slot) {
                 // Semantic gain: words whose best weight improves.
                 for (w, weight) in profile.word_column(slot) {
-                    let current = topic_state.word_best.get(&w).copied().unwrap_or(0.0);
+                    let current = topic_state.word_best.get(w).copied().unwrap_or(0.0);
                     if weight > current {
                         semantic += weight - current;
                     }
@@ -642,7 +678,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
                     }
                     let survival = topic_state
                         .child_survival
-                        .get(&child)
+                        .get(child)
                         .copied()
                         .unwrap_or(1.0);
                     influence += survival * p;
@@ -677,7 +713,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             let mut influence = 0.0;
             if profile.scores_on(slot) {
                 for (w, weight) in profile.word_column(slot) {
-                    let entry = topic_state.word_best.entry(w).or_insert(0.0);
+                    let entry = topic_state.word_best.get_or_insert(w, 0.0);
                     if weight > *entry {
                         semantic += weight - *entry;
                         *entry = weight;
@@ -687,7 +723,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
                     if p <= 0.0 {
                         continue;
                     }
-                    let survival = topic_state.child_survival.entry(child).or_insert(1.0);
+                    let survival = topic_state.child_survival.get_or_insert(child, 1.0);
                     influence += *survival * p;
                     *survival *= 1.0 - p;
                 }
@@ -742,7 +778,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             partial.resize(columns.len(), (0.0, 0.0));
             if profile.scores_on(slot) {
                 for (w, weight) in profile.word_column(slot) {
-                    let row = slot_table.word_best.row(&w);
+                    let row = slot_table.word_best.row(w);
                     for ((semantic, _), &column) in partial.iter_mut().zip(columns) {
                         let current = row[column];
                         if weight > current {
@@ -754,7 +790,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
                     if p <= 0.0 {
                         continue;
                     }
-                    let row = slot_table.child_survival.row(&child);
+                    let row = slot_table.child_survival.row(child);
                     for ((_, influence), &column) in partial.iter_mut().zip(columns) {
                         *influence += row[column] * p;
                     }
@@ -850,7 +886,7 @@ mod tests {
     use super::*;
     use crate::config::ScoringConfig;
     use crate::row::{ElementRow, ElementRows};
-    use ksir_stream::{ActiveWindow, WindowConfig};
+    use ksir_stream::WindowConfig;
     use ksir_types::{DenseTopicWordTable, SocialElementBuilder, Timestamp};
 
     /// Tiny two-topic fixture: three elements, one reference.

@@ -49,6 +49,7 @@
 
 mod algorithms;
 pub mod config;
+pub mod dense;
 pub mod engine;
 pub mod evaluator;
 pub mod fixtures;

@@ -49,12 +49,12 @@ use crate::scorer::Scorer;
 /// lists.upsert(TopicId(0), ElementId(2), 0.4, Timestamp(0));
 ///
 /// // Full traversal starts at the head ...
-/// let mut cursor = RankedView::cursor(&lists, TopicId(0));
+/// let cursor = RankedView::cursor(&lists, TopicId(0));
 /// assert_eq!(cursor.current().map(|(id, _, _)| id), Some(ElementId(1)));
 ///
 /// // ... while a suffix cursor skips everything scoring above the bound —
 /// // the shape of a `Touch`-restricted read after a slide.
-/// let mut suffix = lists.suffix_cursor(TopicId(0), 0.5);
+/// let suffix = lists.suffix_cursor(TopicId(0), 0.5);
 /// assert_eq!(suffix.current().map(|(id, _, _)| id), Some(ElementId(2)));
 /// ```
 pub trait RankedView {
@@ -157,6 +157,11 @@ pub trait QuerySource {
 /// both work counters and the frontier with its bar.  `ks` may be in any
 /// order and hold duplicates; an empty `ks` returns nothing.
 ///
+/// `view`, `window` and `rows` are meant to be one state, as the engine and
+/// its snapshots serve them.  A listed id that `window` does not hold is
+/// stepped over by the index traversals: it moves their cursors but is
+/// never retrieved, profiled or counted.
+///
 /// Errors on a query vector of the wrong dimension or a zero size.
 ///
 /// [`KsirEngine::query`]: crate::KsirEngine::query
@@ -222,7 +227,7 @@ where
 mod tests {
     use super::*;
     use crate::fixtures::paper_example;
-    use ksir_types::QueryVector;
+    use ksir_types::{ElementId, QueryVector, Timestamp};
 
     /// The generic dispatcher over the live view must agree with the
     /// engine's own query path for every algorithm.
@@ -303,6 +308,43 @@ mod tests {
                 per_k(&[2, 0], algorithm),
                 Err(KsirError::InvalidParameter { .. })
             ));
+        }
+    }
+
+    /// A listed id the window does not hold — only lists and a window of
+    /// different states can list one — is stepped over: no algorithm
+    /// returns it, and with it at the head of a list MTTS and Top-k answer
+    /// exactly as over the lists without it, since both pop before their
+    /// first stopping test can fire.
+    #[test]
+    fn a_listed_id_outside_the_window_is_stepped_over() {
+        let ex = paper_example();
+        let engine = ex.build_engine();
+        let query = KsirQuery::new(2, QueryVector::new(vec![0.5, 0.5]).unwrap()).unwrap();
+        let ghost = ElementId(999);
+        let mut lists = RankedLists::new(engine.num_topics());
+        for topic in (0..engine.num_topics()).map(|t| TopicId(t as u32)) {
+            for (id, score, ts) in engine.ranked_lists().list(topic).iter() {
+                lists.upsert(topic, id, score, ts);
+            }
+        }
+        let head = lists.list(TopicId(0)).first().unwrap().1;
+        lists.upsert(TopicId(0), ghost, head + 1.0, Timestamp::ZERO);
+        let run = |view: &RankedLists, algorithm| {
+            let (window, rows, phi) = (engine.window(), engine.rows(), engine.phi());
+            let scoring = engine.config().scoring;
+            run_query(view, window, rows, phi, scoring, &query, algorithm).unwrap()
+        };
+        for algorithm in Algorithm::ALL {
+            let stepped = run(&lists, algorithm);
+            assert!(!stepped.elements.contains(&ghost), "{algorithm}");
+            if matches!(algorithm, Algorithm::Mtts | Algorithm::TopkRepresentative) {
+                assert_eq!(
+                    stepped,
+                    run(engine.ranked_lists(), algorithm),
+                    "{algorithm}"
+                );
+            }
         }
     }
 

@@ -119,14 +119,14 @@ impl<D> RankedView for EngineSnapshot<D> {
         match &self.lists[topic.index()] {
             Some(list) => list.cursor(),
             // Outside a bounded capture's watched set: reads as empty.
-            None => RankedListCursor::over(std::iter::empty()),
+            None => RankedListCursor::empty(),
         }
     }
 
     fn suffix_cursor(&self, topic: TopicId, high: f64) -> RankedListCursor<'_> {
         match &self.lists[topic.index()] {
             Some(list) => list.suffix_cursor(high),
-            None => RankedListCursor::over(std::iter::empty()),
+            None => RankedListCursor::empty(),
         }
     }
 }

@@ -239,6 +239,13 @@ impl ActiveWindow {
         self.slab.iter().flatten().map(|e| e.id)
     }
 
+    /// Iterates over the ids of all active elements with their slots, in
+    /// slab order.
+    pub fn ids_and_slots(&self) -> impl Iterator<Item = (ElementId, Slot)> + '_ {
+        let slots = self.slab.iter().enumerate();
+        slots.filter_map(|(index, e)| e.as_ref().map(|e| (e.id, Slot(index as u32))))
+    }
+
     /// The set `I_t(e)`: ids of window elements that reference `id`,
     /// restricted to the current window.
     pub fn influenced_by(&self, id: ElementId) -> Vec<ElementId> {

@@ -9,7 +9,8 @@
 //!
 //! The list is a [`BTreeSet`] keyed by `(descending score, element id)` plus a
 //! hash map from element id to its current key, giving `O(log n)` insert,
-//! adjust and delete, and ordered traversal with zero allocation per step.
+//! adjust and delete, and ordered traversal with no allocation per cursor or
+//! step.
 //! Each ordered entry carries its `t_e` along (outside the ordering), so a
 //! traversal step reads one B-tree slot and never probes the hash map.
 //! An ablation benchmark (`crates/bench/benches/ablation.rs`) compares this
@@ -25,7 +26,7 @@
 //! `ksir-snapshot` builds its per-epoch snapshots out of exactly these
 //! handles.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ksir_types::{ElementId, Timestamp, TopicId};
@@ -90,10 +91,15 @@ impl ListCore {
         self.order.iter().map(ScoreKey::tuple)
     }
 
-    /// Ordered iteration over the suffix of entries with score
-    /// `≤ high + FLOOR_SLACK`, highest first — an `O(log n)` positioned seek
-    /// on the score order rather than a scan past the prefix.
-    fn suffix_iter(&self, high: f64) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
+    /// A cursor over the whole list, highest first.
+    fn cursor(&self) -> RankedListCursor<'_> {
+        RankedListCursor::new(self.order.range(..))
+    }
+
+    /// A cursor over the suffix of entries with score `≤ high + FLOOR_SLACK`,
+    /// highest first — an `O(log n)` positioned seek on the score order
+    /// rather than a scan past the prefix.
+    fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
         // Keys sort by descending score then ascending id, so the first key
         // at or below the bound is `(high + slack, smallest id)`.
         let start = ScoreKey {
@@ -101,7 +107,7 @@ impl ListCore {
             id: ElementId(0),
             ts: Timestamp::ZERO,
         };
-        self.order.range(start..).map(ScoreKey::tuple)
+        RankedListCursor::new(self.order.range(start..))
     }
 }
 
@@ -216,7 +222,7 @@ impl RankedList {
 
     /// Starts an ordered traversal (`first` + repeated `next`).
     pub fn cursor(&self) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.core.iter())
+        self.core.cursor()
     }
 
     /// Starts an ordered traversal over the *suffix* of entries whose score
@@ -227,7 +233,7 @@ impl RankedList {
     /// `max(old, new)` score, so nothing the slide rewrote can sit above it.
     /// `O(log n)` to position, then `O(1)` per step.
     pub fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.core.suffix_iter(high))
+        self.core.suffix_cursor(high)
     }
 }
 
@@ -268,13 +274,13 @@ impl RankedListHandle {
 
     /// Starts an ordered traversal over the captured image.
     pub fn cursor(&self) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.core.iter())
+        self.core.cursor()
     }
 
     /// Starts an ordered traversal over the captured suffix of entries whose
     /// score is at or below `high` — see [`RankedList::suffix_cursor`].
     pub fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
-        RankedListCursor::over(self.core.suffix_iter(high))
+        self.core.suffix_cursor(high)
     }
 }
 
@@ -282,62 +288,58 @@ impl RankedListHandle {
 /// `RL_i.first` / `RL_i.next` operations.
 ///
 /// The cursor is positioned *on* an element: [`RankedListCursor::current`]
-/// returns it, [`RankedListCursor::advance`] moves to the next one.  Before
-/// the first call to `advance`, the cursor is positioned on the head of the
-/// list (or exhausted if the list is empty).
+/// returns it, [`RankedListCursor::advance`] moves to the next one.  A new
+/// cursor is positioned on the head of the list (or exhausted if the list is
+/// empty).  It walks the list's B-tree range in place: opening one allocates
+/// nothing, and a step is a direct call into the range.
 pub struct RankedListCursor<'a> {
-    inner: Box<dyn Iterator<Item = (ElementId, f64, Timestamp)> + 'a>,
+    range: btree_set::Range<'a, ScoreKey>,
     current: Option<(ElementId, f64, Timestamp)>,
-    started: bool,
 }
 
 impl std::fmt::Debug for RankedListCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RankedListCursor")
             .field("current", &self.current)
-            .field("started", &self.started)
             .finish()
     }
 }
 
 impl<'a> RankedListCursor<'a> {
-    /// Builds a cursor over any descending `(id, score, ts)` sequence — the
-    /// seam that lets snapshot images and live lists share one traversal
-    /// type (and with it the query algorithms in `ksir-core`).
-    pub fn over(iter: impl Iterator<Item = (ElementId, f64, Timestamp)> + 'a) -> Self {
+    fn new(mut range: btree_set::Range<'a, ScoreKey>) -> Self {
+        let current = range.next().map(ScoreKey::tuple);
+        RankedListCursor { range, current }
+    }
+
+    /// A cursor over no entries: a list a view does not hold reads as
+    /// empty.
+    pub fn empty() -> Self {
         RankedListCursor {
-            inner: Box::new(iter),
+            range: btree_set::Range::default(),
             current: None,
-            started: false,
         }
     }
 
     /// The element the cursor is currently positioned on, or `None` when the
     /// traversal is exhausted.
-    pub fn current(&mut self) -> Option<(ElementId, f64, Timestamp)> {
-        if !self.started {
-            self.current = self.inner.next();
-            self.started = true;
-        }
+    pub fn current(&self) -> Option<(ElementId, f64, Timestamp)> {
         self.current
     }
 
     /// Moves to the next element and returns it.
     pub fn advance(&mut self) -> Option<(ElementId, f64, Timestamp)> {
-        // Ensure the cursor is initialised before advancing past the head.
-        let _ = self.current();
-        self.current = self.inner.next();
+        self.current = self.range.next().map(ScoreKey::tuple);
         self.current
     }
 }
 
 /// The full set of ranked lists, one per topic.
 ///
-/// Every mutation routed through [`RankedLists::upsert`] /
-/// [`RankedLists::remove`] / [`RankedLists::remove_everywhere`] is
-/// additionally logged into a
-/// [`RankedDelta`] so incremental consumers (standing queries in
-/// `ksir-continuous`) can tell how high in each list a window slide reached.
+/// A list changes only through [`RankedLists::upsert`] /
+/// [`RankedLists::remove`] / [`RankedLists::remove_everywhere`], and each
+/// of them also logs the change into a [`RankedDelta`] so incremental
+/// consumers (standing queries in `ksir-continuous`) can tell how high in
+/// each list a window slide reached.
 /// Call [`RankedLists::take_delta`] to drain the log; see the
 /// [`crate::delta`] module docs for the exact invariant the log guarantees.
 #[derive(Debug)]
@@ -364,16 +366,6 @@ impl RankedLists {
     /// indicates an engine bug rather than user input).
     pub fn list(&self, topic: TopicId) -> &RankedList {
         &self.lists[topic.index()]
-    }
-
-    /// Mutable access to one topic's list.
-    ///
-    /// Mutations through this escape hatch bypass the touch log; incremental
-    /// consumers relying on [`RankedLists::take_delta`] should route all
-    /// changes through [`RankedLists::upsert`], [`RankedLists::remove`] and
-    /// [`RankedLists::remove_everywhere`] instead.
-    pub fn list_mut(&mut self, topic: TopicId) -> &mut RankedList {
-        &mut self.lists[topic.index()]
     }
 
     /// Upserts an element's tuple in the given topic's list, logging a touch
@@ -526,7 +518,6 @@ mod tests {
         let mut c = rl.cursor();
         assert_eq!(c.current(), Some((id(1), 0.65, Timestamp(9))));
         assert_eq!(c.advance(), Some((id(2), 0.48, Timestamp(4))));
-        drop(c);
         for (e, score, ts) in rl.iter().chain(rl.share().iter()) {
             assert_eq!(rl.get(e), Some((score, ts)));
         }
