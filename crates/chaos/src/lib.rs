@@ -20,8 +20,9 @@
 //!
 //! - [`HostileMode::FlashCrowd`] — a Zipf-amplified retweet storm lands in
 //!   one bucket (head elements duplicated under fresh ids), replayed once
-//!   more through a fully serialised pipeline (depth 1, so every slide's
-//!   admission blocks on the burst's refreshes) against the same oracle.
+//!   more through a fully serialised pipeline (a `sync()` before every
+//!   ingest, so every slide waits out the burst's refreshes) against the
+//!   same oracle.
 //! - [`HostileMode::Churn`] — subscriptions arrive and leave mid-stream;
 //!   shards must retire (`shard.retired`), their work must stay in the
 //!   registry's work ledger, and every delta produced while a queue was
@@ -535,12 +536,13 @@ fn run_sync(script: &Script) -> Result<RunOutcome, String> {
 
 /// One pipelined replay under `config` — optionally through the reorder
 /// buffer in the script's permuted arrival order, optionally under a
-/// [`FaultPlan`].
+/// [`FaultPlan`], optionally `serialised` by a barrier before every ingest.
 fn run_async(
     script: &Script,
     mut config: ShardConfig,
     permuted: bool,
     faults: Option<&Arc<FaultPlan>>,
+    serialised: bool,
 ) -> Result<RunOutcome, String> {
     if permuted {
         config = config.with_reorder_horizon(script.horizon);
@@ -566,6 +568,9 @@ fn run_async(
                 ticket.detach();
             }
         } else {
+            if serialised {
+                mgr.sync();
+            }
             mgr.ingest_bucket_async(bucket, end)
                 .map_err(|e| format!("async ingest failed at slide {i}: {e:?}"))?
                 .detach();
@@ -675,17 +680,18 @@ fn fault_checks(plan: &FaultPlan, run: &RunOutcome) -> Result<usize, String> {
 /// Runs one hostile regime end to end: sync oracle, clean async replay,
 /// (for [`HostileMode::PermutedArrival`]) a permuted replay, a
 /// fault-injected replay, and (for [`HostileMode::FlashCrowd`]) a
-/// depth-1 serialised replay — every one checked against the oracle.
+/// serialised replay with a barrier before every ingest — every one checked
+/// against the oracle.
 pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<ChaosReport, String> {
     let script = build_script(mode, seed, scale)?;
     let oracle = run_sync(&script)?;
     let mut checks = oracle.scratch_checks;
 
-    let clean = run_async(&script, ShardConfig::default(), false, None)?;
+    let clean = run_async(&script, ShardConfig::default(), false, None, false)?;
     checks += compare(&oracle, &clean, "async-clean")?;
 
     if mode == HostileMode::PermutedArrival {
-        let permuted = run_async(&script, ShardConfig::default(), true, None)?;
+        let permuted = run_async(&script, ShardConfig::default(), true, None, false)?;
         checks += compare(&oracle, &permuted, "permuted")?;
         if permuted.reordered == 0 {
             return Err("permuted arrival never exercised the reorder buffer".into());
@@ -705,6 +711,7 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         ShardConfig::default(),
         mode == HostileMode::PermutedArrival,
         Some(&plan),
+        false,
     )?;
     checks += compare(&oracle, &faulted, "faulted")?;
     checks += fault_checks(&plan, &faulted)?;
@@ -716,11 +723,11 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         checks += 1;
     }
     if mode == HostileMode::FlashCrowd {
-        // A writer that outruns the workers blocks at admission: with one
-        // epoch in flight every slide waits out the burst's refreshes, and
-        // the decisions and watermark still match the oracle.
-        let serialised = ShardConfig::default().with_pipeline_depth(1);
-        let serialised = run_async(&script, serialised, false, None)?;
+        // A writer that outruns the workers blocks at admission: with a
+        // barrier before every ingest (the depth-1 admission condition)
+        // every slide waits out the burst's refreshes, and the decisions and
+        // watermark still match the oracle.
+        let serialised = run_async(&script, ShardConfig::default(), false, None, true)?;
         checks += compare(&oracle, &serialised, "serialised")?;
     }
 

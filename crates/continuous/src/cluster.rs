@@ -5,15 +5,12 @@
 //! attacks the *query count*.  Subscriptions whose queries run the same
 //! evaluation plan modulo `k` — identical query vector (bitwise), identical
 //! `ε`, same algorithm ([`ksir_core::KsirQuery::plan_compatible`]) — are
-//! grouped into a `PlanCluster` that owns
-//!
-//! * one **covering query** (`k = max` over members, same vector/`ε` — see
-//!   [`ksir_core::KsirQuery::covering`]), whose single traversal reads at
-//!   least as deep into every ranked list as any member's own run would, and
-//! * its own conservative touch filters (the same three the shard keeps:
-//!   loosest member floor per topic, union of member result elements,
-//!   pending-initial count), so a slide skips the whole cluster exactly when
-//!   it provably disturbs no member.
+//! grouped into a `PlanCluster` that owns one **covering query** (`k = max`
+//! over members, same vector/`ε` — see
+//! [`ksir_core::KsirQuery::covering`]), whose single traversal reads at
+//! least as deep into every ranked list as any member's own run would.  A
+//! cluster keeps no touch filter of its own: the shard's walk classifies
+//! every member, and skips the cluster when none classifies.
 //!
 //! ## Why clustering preserves decision identity
 //!
@@ -33,11 +30,9 @@
 //!    and stopping rules to the one retrieval order.  Nothing a traversal
 //!    computes outlives it except the stored results.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
-use ksir_core::{Algorithm, FloorAggregate, KsirQuery};
-use ksir_stream::WindowDelta;
-use ksir_types::ElementId;
+use ksir_core::{Algorithm, KsirQuery};
 
 use crate::subscription::{Subscription, SubscriptionId};
 
@@ -74,8 +69,8 @@ impl ClusterKey {
     }
 }
 
-/// One cluster of plan-compatible subscriptions: the members, the covering
-/// query, and the cluster-level touch filters.
+/// One cluster of plan-compatible subscriptions: the members and the
+/// covering query.
 #[derive(Debug)]
 pub(crate) struct PlanCluster {
     /// Member subscriptions, sorted by id (deterministic evaluation order).
@@ -84,36 +79,22 @@ pub(crate) struct PlanCluster {
     pub(crate) algorithm: Algorithm,
     /// The covering query over the *current* members (`k = max`).
     pub(crate) covering: KsirQuery,
-    /// Loosest traversal floor per watched topic across the members.
-    pub(crate) floors: FloorAggregate,
-    /// Union of member result elements (refresh rule 2 at cluster level).
-    pub(crate) result_members: HashSet<ElementId>,
-    /// Members that have never been evaluated (refresh rule 1).
-    pub(crate) pending_initial: usize,
 }
 
 impl PlanCluster {
     /// A cluster seeded with one member.
     pub(crate) fn new(id: SubscriptionId, sub: &Subscription) -> Self {
-        let mut cluster = PlanCluster {
+        PlanCluster {
             members: vec![id],
             algorithm: sub.algorithm,
             covering: sub.query.clone(),
-            floors: FloorAggregate::new(),
-            result_members: HashSet::new(),
-            pending_initial: 0,
-        };
-        cluster.absorb(sub);
-        cluster
+        }
     }
 
     /// Number of distinct member `k` values — the result sizes one traversal
     /// of a disturbed cluster serves at most.
     #[cfg(test)]
-    pub(crate) fn variants(
-        &self,
-        subs: &std::collections::BTreeMap<SubscriptionId, Subscription>,
-    ) -> usize {
+    pub(crate) fn variants(&self, subs: &BTreeMap<SubscriptionId, Subscription>) -> usize {
         let mut ks: Vec<usize> = self
             .members
             .iter()
@@ -132,91 +113,32 @@ impl PlanCluster {
         }
         self.covering = KsirQuery::covering([&self.covering, &sub.query])
             .expect("cluster members are plan-compatible");
-        self.absorb(sub);
     }
 
-    /// Removes a member.  Returns `true` if the cluster is now empty and
-    /// should be retired.  The caller must rebuild the cluster's filters and
-    /// covering query from the surviving members
-    /// ([`PlanCluster::rebuild`]).
-    pub(crate) fn remove_member(&mut self, id: SubscriptionId) -> bool {
+    /// Removes a member and re-derives the covering query from the survivors
+    /// in `subs` (it must not keep a departed member's larger `k`).  Returns
+    /// `true` if the cluster is now empty and should be retired.
+    pub(crate) fn remove_member(
+        &mut self,
+        id: SubscriptionId,
+        subs: &BTreeMap<SubscriptionId, Subscription>,
+    ) -> bool {
         if let Ok(at) = self.members.binary_search(&id) {
             self.members.remove(at);
         }
-        self.members.is_empty()
-    }
-
-    /// Folds one member's state into the cluster filters (the cluster-level
-    /// twin of the shard's `absorb_resident`).
-    pub(crate) fn absorb(&mut self, sub: &Subscription) {
-        match &sub.result {
-            None => self.pending_initial += 1,
-            Some(result) => {
-                self.result_members.extend(result.elements.iter().copied());
-                match &result.frontier {
-                    Some(frontier) => self.floors.absorb(frontier),
-                    None => {
-                        for (topic, _) in sub.query.vector().support() {
-                            self.floors.watch_any(topic);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes the covering query and touch filters from the surviving
-    /// members.  `lookup` resolves a member id to its subscription.
-    pub(crate) fn rebuild<'a>(
-        &mut self,
-        mut lookup: impl FnMut(SubscriptionId) -> &'a Subscription,
-    ) {
-        self.floors.clear();
-        self.result_members.clear();
-        self.pending_initial = 0;
-        let members = std::mem::take(&mut self.members);
-        // Re-derive the covering query from scratch — it must not keep a
-        // departed member's larger k.
-        let mut covering: Option<KsirQuery> = None;
-        for &id in &members {
-            let sub = lookup(id);
-            covering = Some(match covering {
-                None => sub.query.clone(),
-                Some(so_far) => KsirQuery::covering([&so_far, &sub.query])
-                    .expect("cluster members are plan-compatible"),
-            });
-            self.absorb(sub);
-        }
-        if let Some(covering) = covering {
-            self.covering = covering;
-        }
-        self.members = members;
-    }
-
-    /// Projects the slide delta onto the cluster filters: `true` iff some
-    /// member could be disturbed.  The filters are a conservative union of
-    /// the members' own `classify` conditions, so `false` here implies every
-    /// member would individually classify as skippable — the property the
-    /// cluster fast-skip relies on.
-    pub(crate) fn is_touched_by(&self, delta: &WindowDelta) -> bool {
         if self.members.is_empty() {
-            return false;
-        }
-        if self.pending_initial > 0 {
             return true;
         }
-        if delta.lost_any(self.result_members.iter().copied()) {
-            return true;
-        }
-        self.floors.disturbed_by(&delta.ranked)
+        self.covering = KsirQuery::covering(self.members.iter().map(|id| &subs[id].query))
+            .expect("cluster members are plan-compatible");
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksir_types::{QueryVector, TopicId};
-    use std::collections::BTreeMap;
+    use ksir_types::QueryVector;
 
     fn query(k: usize, weights: &[f64]) -> KsirQuery {
         KsirQuery::new(k, QueryVector::new(weights.to_vec()).unwrap()).unwrap()
@@ -257,46 +179,17 @@ mod tests {
         );
         assert_eq!(cluster.covering.k(), 7);
         assert_eq!(cluster.variants(&subs), 2, "k ∈ {{3, 7}}");
-        // Retiring the only max-k members shrinks the covering k on rebuild.
-        assert!(!cluster.remove_member(SubscriptionId(2)));
-        assert!(!cluster.remove_member(SubscriptionId(3)));
-        cluster.rebuild(|id| &subs[&id]);
+        // Retiring the only max-k members shrinks the covering k.
+        subs.remove(&SubscriptionId(2));
+        assert!(!cluster.remove_member(SubscriptionId(2), &subs));
+        assert_eq!(cluster.covering.k(), 7, "a k-7 member remains");
+        subs.remove(&SubscriptionId(3));
+        assert!(!cluster.remove_member(SubscriptionId(3), &subs));
         assert_eq!(cluster.covering.k(), 3);
-        assert!(cluster.remove_member(SubscriptionId(1)), "last member out");
-    }
-
-    #[test]
-    fn pending_initial_member_always_touches() {
-        let sub = Subscription::new(query(2, &[1.0, 0.0]), Algorithm::Mtts);
-        let cluster = PlanCluster::new(SubscriptionId(0), &sub);
-        assert_eq!(cluster.pending_initial, 1);
-        assert!(cluster.is_touched_by(&WindowDelta::default()));
-    }
-
-    #[test]
-    fn filters_mirror_member_frontiers() {
-        use ksir_core::{QueryFrontier, QueryResult};
-        let mut sub = Subscription::new(query(2, &[0.6, 0.4]), Algorithm::Mtts);
-        sub.result = Some(QueryResult {
-            elements: vec![ElementId(5)],
-            frontier: Some(QueryFrontier::new(vec![(TopicId(0), Some(0.5))])),
-            ..QueryResult::empty(Algorithm::Mtts)
-        });
-        let cluster = PlanCluster::new(SubscriptionId(0), &sub);
-        assert_eq!(cluster.pending_initial, 0);
-        assert!(cluster.result_members.contains(&ElementId(5)));
-        // Touch below the member floor: invisible to the cluster.
-        let mut below = WindowDelta {
-            ranked: ksir_stream::RankedDelta::new(2),
-            ..WindowDelta::default()
-        };
-        below.ranked.record(TopicId(0), 0.3);
-        assert!(!cluster.is_touched_by(&below));
-        let mut at = WindowDelta {
-            ranked: ksir_stream::RankedDelta::new(2),
-            ..WindowDelta::default()
-        };
-        at.ranked.record(TopicId(0), 0.5);
-        assert!(cluster.is_touched_by(&at));
+        subs.remove(&SubscriptionId(1));
+        assert!(
+            cluster.remove_member(SubscriptionId(1), &subs),
+            "last member out"
+        );
     }
 }

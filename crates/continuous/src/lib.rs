@@ -52,11 +52,11 @@
 //! support topic, and queries broader than
 //! [`ShardConfig::overflow_support_threshold`] rendezvous in a dedicated
 //! overflow shard.  After every slide the [`WindowDelta`] is projected onto
-//! per-shard *touch filters* — the loosest traversal floor per watched topic
-//! (a [`FloorAggregate`](ksir_core::FloorAggregate)), the union of resident
-//! result members, and a pending-first-evaluation count — so that whole
-//! shards are proven undisturbed without classifying a single resident.
-//! Scheduled shards refresh concurrently on the long-lived worker pool;
+//! each shard by the rules above, resident by resident, stopping at the
+//! first resident that must refresh: a shard with none is skipped whole on
+//! the ingest thread.  The per-subscription rules are the only touch filter
+//! — no shard or cluster keeps a derived copy of them.  Scheduled shards
+//! refresh concurrently on the long-lived worker pool;
 //! within a shard the rules above run unchanged, so the per-subscription
 //! refresh/skip decisions — and the work counters, which still reconcile to
 //! `slides × subscriptions` — are identical to a per-subscription walk (the
@@ -73,7 +73,8 @@
 //! Inside each shard, subscriptions whose queries are **plan-compatible** —
 //! identical query vector (bitwise), identical `ε`, same algorithm, so they
 //! differ at most in `k` — are grouped into *plan clusters* ([`cluster`]).
-//! A scheduled shard traverses each disturbed cluster's **covering** query
+//! A scheduled shard skips a cluster none of whose members must refresh,
+//! and traverses each disturbed cluster's **covering** query
 //! (see [`KsirQuery::covering`](ksir_core::KsirQuery::covering)) once, and
 //! that one traversal answers every distinct member `k`
 //! ([`QuerySource::query_per_k`](ksir_core::QuerySource::query_per_k)):
@@ -104,11 +105,10 @@
 //! write — `O(topics)` `Arc` clones; the writer copy-on-writes around live
 //! snapshots — and refresh workers evaluate against the snapshot instead of
 //! an engine read guard.  Epoch `N+1`'s index write therefore proceeds while
-//! epoch `N`'s refreshes drain, up to [`ShardConfig::pipeline_depth`] epochs
-//! deep (`1` restores the old quiesce-before-write behaviour).  Ordering is
-//! per shard: every shard processes its pending epochs strictly in order
-//! through its *lane*, so the filters feeding each schedule/skip decision
-//! are exactly those a barrier after every slide would leave, and the frozen
+//! epoch `N`'s refreshes drain, two epochs deep.  Ordering is per shard:
+//! every shard processes its pending epochs strictly in order through its
+//! *lane*, so the stored results feeding each schedule/skip decision are
+//! exactly those a barrier after every slide would leave, and the frozen
 //! snapshot *is* that epoch's engine state.  The synchronous
 //! [`SubscriptionManager::ingest_bucket`] is that barrier case: the same
 //! pipeline between two [`SubscriptionManager::sync`] calls, returning the
@@ -138,7 +138,8 @@
 //! * **Fault isolation** ([`fault`]): every worker refresh attempt runs
 //!   inside `catch_unwind`.  A panic never publishes a partial
 //!   [`ResultDelta`] (the shard lock poisons no state — injected faults
-//!   fire pre-mutation, real ones trigger a filter-rebuilding recovery) and
+//!   fire pre-mutation, and after a real one the retry classifies every
+//!   resident again, as the shard derives nothing from stored results) and
 //!   never stalls the watermark (epoch registrations complete on drop).
 //!   Panicking attempts retry with bounded backoff.  A shard that exhausts
 //!   its budget is **quarantined** instead of wedging the pipeline: the

@@ -24,6 +24,14 @@ use crate::subscription::{
 };
 use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkerPool};
 
+/// How many epochs the asynchronous pipeline may have in flight at once:
+/// `ingest_bucket_async` admits a new epoch only while fewer earlier epochs
+/// still have outstanding refresh work, so epoch `N+1`'s index write
+/// proceeds while epoch `N`'s refreshes drain.  Deeper pipelines buy little:
+/// each in-flight epoch pins its snapshot (and the writer's copy-on-write
+/// clones) in memory.
+const PIPELINE_DEPTH: usize = 2;
+
 /// Aggregate work counters across all subscriptions and slides — a view of
 /// the manager's metrics registry (see [`SubscriptionManager::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,7 +74,8 @@ pub struct SlideOutcome {
     pub refreshed: usize,
     /// Number of subscriptions skipped by the delta rules this slide.
     pub skipped: usize,
-    /// Shards whose touch filters fired and whose residents were classified.
+    /// Shards in which some resident classified, so that every resident
+    /// was classified on a worker.
     pub shards_scheduled: usize,
     /// Shards proven undisturbed as a whole (their residents were all
     /// skipped without classification).
@@ -98,12 +107,12 @@ pub struct SlideTicket {
     ///
     /// [`WindowDelta`]: ksir_stream::WindowDelta
     pub report: IngestReport,
-    /// Idle shards whose filters fired and that were handed to the worker
+    /// Idle shards in which some resident classified, handed to the worker
     /// pool with this epoch's snapshot.
     pub shards_scheduled: usize,
     /// Shards still draining earlier epochs: this epoch was appended to
     /// their lanes, and their schedule/skip decision is made in epoch order
-    /// by the owning worker once their filters are current.
+    /// by the owning worker once their stored results are current.
     pub shards_deferred: usize,
     /// Idle shards proven undisturbed as a whole, skipped inline.
     pub shards_skipped: usize,
@@ -137,7 +146,7 @@ impl SlideTicket {
 ///   epoch, and returns a [`SlideTicket`] without waiting for any refresh —
 ///   *including* the previous slide's: refreshes evaluate against their
 ///   epoch's snapshot, so the next index write never waits for refresh
-///   compute (up to [`ShardConfig::pipeline_depth`] epochs overlap).
+///   compute (up to two epochs overlap).
 ///   Result changes stream into bounded per-subscriber queues
 ///   ([`SubscriptionManager::attach_delivery`]);
 ///   [`SubscriptionManager::sync`] is the barrier that awaits outstanding
@@ -321,8 +330,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         self.watermark.completed_through()
     }
 
-    /// Number of epochs whose refresh work is still in flight (bounded by
-    /// [`ShardConfig::pipeline_depth`]).
+    /// Number of epochs whose refresh work is still in flight (at most two:
+    /// the pipeline admits a new epoch only while one is in flight).
     pub fn inflight_epochs(&self) -> usize {
         self.watermark.inflight_epochs()
     }
@@ -350,12 +359,13 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// every counter is final.  Returns at once when nothing is outstanding;
     /// either way it republishes the gauges.
     pub fn sync(&self) {
-        match &self.pool {
-            // The pool's barrier self-heals dead worker threads between
-            // bounded waits, so a killed worker with queued items cannot
-            // wedge the sync.
-            Some(pool) => pool.wait_idle(),
-            None => self.watermark.wait_all(),
+        // Without a pool nothing is outstanding: tasks are registered only
+        // for shards handed to one, and the pool is dropped only after a
+        // barrier.  The pool's barrier self-heals dead worker threads
+        // between bounded waits, so a killed worker with queued items cannot
+        // wedge the sync.
+        if let Some(pool) = &self.pool {
+            pool.wait_idle();
         }
         // Every counter is final here: fold the stats into the registry so
         // an exporter scraped after the barrier sees the settled numbers.
@@ -542,11 +552,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             let engine = self.engine.read();
             let mut shard = cell.shard();
             let sub = shard.get_mut(id)?;
-            let update = refresh_one(&*engine, id, sub, RefreshReason::Forced);
-            // The stored result (and with it the shard's floors/members) may
-            // have changed even when no delta is reported.
-            shard.rebuild_filters();
-            update
+            refresh_one(&*engine, id, sub, RefreshReason::Forced)
         };
         if let Some(update) = &update {
             deliver(
@@ -756,15 +762,16 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     /// every other shard is handed this epoch through its lane.  Refresh
     /// workers evaluate against the epoch's snapshot rather than an engine
     /// read guard, so the next index write proceeds while refreshes drain
-    /// (pipelined epochs; admission is bounded by
-    /// [`ShardConfig::pipeline_depth`]).  Result deltas stream into the
+    /// (pipelined epochs: a new epoch is admitted while at most one earlier
+    /// epoch is in flight).  Result deltas stream into the
     /// attached delivery queues as each shard finishes; ingestion latency is
     /// therefore independent of refresh compute, subscriber count, and
     /// drain speed.
     ///
     /// Decision-identity with the synchronous path is per shard: each shard
-    /// processes its epochs strictly in order, so its filters are exactly
-    /// what a barrier after every slide would have left at every epoch, and
+    /// processes its epochs strictly in order, so its stored results are
+    /// exactly what a barrier after every slide would have left at every
+    /// epoch, and
     /// the frozen snapshot *is* that epoch's engine state.  Use
     /// [`SubscriptionManager::sync`] to await all outstanding epochs, or
     /// [`SubscriptionManager::completed_epoch`] to watch the watermark.
@@ -774,14 +781,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         bucket_end: Timestamp,
     ) -> Result<SlideTicket> {
         // Pipeline admission: bound in-flight epochs (and with them the
-        // snapshots the writer must copy-on-write around).
-        let depth = self.config.pipeline_depth.max(1);
+        // snapshots the writer must copy-on-write around).  Without a pool
+        // nothing is in flight; the pool's admission wait self-heals dead
+        // workers, so a killed worker with queued epochs cannot wedge
+        // ingestion.
         let admission_started = Instant::now();
-        match &self.pool {
-            // The pool's admission wait self-heals dead workers, so a killed
-            // worker with queued epochs cannot wedge ingestion.
-            Some(pool) => pool.wait_admission(depth),
-            None => self.watermark.wait_inflight_below(depth),
+        if let Some(pool) = &self.pool {
+            pool.wait_admission(PIPELINE_DEPTH);
         }
         self.telemetry
             .registry()

@@ -1,29 +1,18 @@
 //! Topic-keyed shards of the subscription table.
 //!
-//! A per-subscription walk visits every subscription after every slide.
-//! Sharding exploits the observation that a slide's
-//! [`WindowDelta`] names exactly the topics it touched: if subscriptions are
-//! partitioned by the **dominant support topic** of their query vector, the
-//! delta can be projected onto per-shard *touch filters* and whole shards
-//! proven undisturbed without looking at a single resident.
+//! Subscriptions are partitioned by the **dominant support topic** of their
+//! query vector.  A slide's [`WindowDelta`] names exactly the topics it
+//! touched, so most shards hold no resident the slide can disturb.
 //!
-//! Every shard maintains three conservative filters over its residents,
-//! rebuilt whenever a resident's stored result changes:
-//!
-//! * a [`FloorAggregate`] — the loosest traversal floor per watched topic
-//!   across all resident frontiers (frontier-less residents watch each of
-//!   their support topics at *any-touch* level),
-//! * the union of resident **result members**, so an expiry of any stored
-//!   element schedules the shard (refresh rule 2),
-//! * a count of residents awaiting their first evaluation (defensive —
-//!   `subscribe` evaluates immediately, so this only fires if a result-less
-//!   resident is ever introduced by a future registration path).
-//!
-//! A slide schedules a shard iff one of the filters fires; scheduled shards
-//! then run the exact per-subscription delta-refresh rules, so the
-//! refresh/skip decision for every individual subscription — and therefore
-//! the work counters — are **identical** to the per-subscription walk.
-//! Unscheduled shards charge one skip per resident without touching them.
+//! The only touch filter is the per-subscription rule (`classify`): a
+//! resident must refresh when it has no result yet, a stored member expired,
+//! or a support topic was touched at or above its traversal floor.  A slide
+//! schedules a shard iff some resident classifies, checked on the ingest
+//! thread and stopping at the first resident that fires.  Scheduled shards
+//! classify every resident again on a worker, so the refresh/skip decision
+//! for every individual subscription — and therefore the work counters —
+//! are **identical** to the per-subscription walk.  Unscheduled shards
+//! charge one skip per resident without touching them.
 //!
 //! Queries whose support is broader than
 //! [`ShardConfig::overflow_support_threshold`] topics have no meaningful
@@ -39,16 +28,17 @@
 //! in `k`, so a scheduled shard serves each disturbed cluster from one
 //! traversal of its **covering** query that answers every distinct member
 //! `k` at once.  Same-`k` members share a result outright.  A lone
-//! subscription is a cluster of one.  Each member is still classified by
-//! the per-subscription rules, so stats and delivered deltas are those of a
+//! subscription is a cluster of one.  Each member is classified by the
+//! per-subscription rules, and a cluster none of whose members classifies
+//! is skipped whole, so stats and delivered deltas are those of a
 //! per-subscription walk (the `shared_plans` tests pin this against one in
 //! test code) — only the number of traversals drops.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use ksir_core::{FloorAggregate, KsirQuery, QueryResult, QuerySource};
+use ksir_core::{KsirQuery, QueryResult, QuerySource};
 use ksir_stream::WindowDelta;
 use ksir_telemetry::{
     Counter, Gauge, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind,
@@ -96,15 +86,6 @@ pub struct ShardConfig {
     /// [`std::thread::available_parallelism`].  `Some(1)` runs one worker,
     /// so scheduled shards refresh one after another.
     pub max_threads: Option<usize>,
-    /// How many epochs the asynchronous pipeline may have in flight at once
-    /// (clamped to at least 1).  `ingest_bucket_async` admits a new epoch
-    /// only when fewer than this many earlier epochs still have outstanding
-    /// refresh work; `1` reproduces the quiesce-before-write barrier of the
-    /// pre-snapshot pipeline, `2` (the default) lets epoch `N+1`'s index
-    /// write proceed while epoch `N`'s refreshes drain.  Higher depths buy
-    /// little: each in-flight epoch pins its snapshot (and the writer's
-    /// copy-on-write clones) in memory.
-    pub pipeline_depth: usize,
     /// How much telemetry the manager collects (see [`TelemetryConfig`]).
     /// Tracing is on by default; metrics are always on.
     pub telemetry: TelemetryConfig,
@@ -124,7 +105,6 @@ impl Default for ShardConfig {
         ShardConfig {
             overflow_support_threshold: 4,
             max_threads: None,
-            pipeline_depth: 2,
             telemetry: TelemetryConfig::default(),
             reorder_horizon: 0,
             late_policy: LatePolicy::DropLate,
@@ -158,12 +138,6 @@ impl ShardConfig {
     /// Overrides the overflow routing threshold.
     pub fn with_overflow_support_threshold(mut self, threshold: usize) -> Self {
         self.overflow_support_threshold = threshold;
-        self
-    }
-
-    /// Overrides the pipeline depth (clamped to at least 1 on use).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -236,8 +210,8 @@ pub struct ShardStats {
     pub refreshes: usize,
     /// Slide-time evaluations skipped (shard-level and per-resident).
     pub skips: usize,
-    /// Slides for which the shard's filters fired and residents were
-    /// classified.
+    /// Slides for which some resident classified, so every resident was
+    /// classified on a worker.
     pub scheduled_slides: usize,
     /// Slides the shard was proven undisturbed as a whole.
     pub skipped_slides: usize,
@@ -289,7 +263,8 @@ pub(crate) struct ShardTelemetry {
     skipped_slides: Arc<Counter>,
     /// `refresh.cluster.*` counters: how the shared-plan layer served a
     /// scheduled slide — covering traversals actually run, member refreshes
-    /// served by sharing a traversal, and whole clusters fast-skipped.
+    /// served by sharing a traversal, and scheduled clusters in which no
+    /// member classified.
     cluster_covering: Arc<Counter>,
     cluster_shared: Arc<Counter>,
     cluster_skipped: Arc<Counter>,
@@ -349,7 +324,7 @@ struct SlideWork {
     covering: usize,
     /// Member refreshes served from another member's traversal.
     shared: usize,
-    /// Clusters fast-skipped without per-member classification.
+    /// Scheduled clusters in which no member classified.
     skipped_clusters: usize,
     /// Scoring passes (marginal-gain / singleton evaluations) of the runs.
     gain: usize,
@@ -388,7 +363,7 @@ impl std::fmt::Debug for PendingEpoch {
 /// the shard, and the epochs awaiting their scheduling decision.
 ///
 /// Epochs are processed strictly in queue (= epoch) order, which is the only
-/// ordering the refresh decisions depend on — filters updated by epoch `e`
+/// ordering the refresh decisions depend on — results stored by epoch `e`
 /// are what epoch `e+1`'s `is_touched_by` must observe.
 #[derive(Debug, Default)]
 struct Lane {
@@ -429,7 +404,7 @@ impl ShardCell {
         self.lane.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Locks the shard itself (resident subscriptions, filters, counters).
+    /// Locks the shard itself (resident subscriptions, clusters, counters).
     pub(crate) fn shard(&self) -> MutexGuard<'_, Shard> {
         self.shard.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -439,10 +414,10 @@ impl ShardCell {
     /// and enqueue would otherwise strand the task).
     ///
     /// * lane busy → append the epoch; the owning worker decides in order
-    ///   once the filters are current ([`LaneDecision::Deferred`]);
-    /// * lane idle → the filters are final for all prior epochs, so decide
-    ///   now: enqueue + take ownership for the caller to hand to a worker
-    ///   ([`LaneDecision::Scheduled`]), or skip every resident inline
+    ///   once the stored results are current ([`LaneDecision::Deferred`]);
+    /// * lane idle → the stored results are final for all prior epochs, so
+    ///   decide now: enqueue + take ownership for the caller to hand to a
+    ///   worker ([`LaneDecision::Scheduled`]), or skip every resident inline
     ///   ([`LaneDecision::Skipped`]).
     ///
     /// `make_task` is only invoked when the epoch is actually enqueued, so
@@ -492,8 +467,8 @@ impl ShardCell {
 pub(crate) enum LaneDecision {
     /// Appended behind earlier epochs; the owning worker decides in order.
     Deferred,
-    /// Idle shard whose filters fired: epoch enqueued, lane ownership taken —
-    /// the caller must hand the shard to a worker.
+    /// Idle shard with a resident that classifies: epoch enqueued, lane
+    /// ownership taken — the caller must hand the shard to a worker.
     Scheduled,
     /// Idle shard proven undisturbed: residents skipped inline (count).
     Skipped(usize),
@@ -501,17 +476,11 @@ pub(crate) enum LaneDecision {
     Empty,
 }
 
-/// One shard: resident subscriptions plus the slide-time touch filters.
+/// One shard: resident subscriptions, grouped into plan clusters.
 #[derive(Debug)]
 pub(crate) struct Shard {
     key: ShardKey,
     subs: BTreeMap<SubscriptionId, Subscription>,
-    /// Loosest traversal floor per watched topic across residents.
-    floors: FloorAggregate,
-    /// Union of resident result members (refresh rule 2 at shard level).
-    members: HashSet<ElementId>,
-    /// Residents that have never been evaluated (refresh rule 1).
-    pending_initial: usize,
     /// Set when a refresh exhausted its retry budget and the epoch was
     /// shed; reported until the operator lifts it
     /// ([`Shard::lift_quarantine`]).  The shard keeps refreshing.
@@ -532,9 +501,6 @@ impl Shard {
         Shard {
             key,
             subs: BTreeMap::new(),
-            floors: FloorAggregate::new(),
-            members: HashSet::new(),
-            pending_initial: 0,
             quarantined: false,
             clusters: BTreeMap::new(),
             cluster_of: BTreeMap::new(),
@@ -581,16 +547,6 @@ impl Shard {
         lifted
     }
 
-    /// Best-effort repair after a caught refresh panic: the resident walk
-    /// may have stored some fresh results and not others, so the filters may
-    /// be stale.  Rebuilding them restores the invariants the next slide's
-    /// scheduling decision depends on; stored results are whatever the
-    /// interrupted walk left, which the retry (a normal classify/refresh
-    /// pass) brings forward correctly.
-    pub(crate) fn recover(&mut self) {
-        self.rebuild_filters();
-    }
-
     pub(crate) fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
         self.subs.get(&id)
     }
@@ -600,10 +556,6 @@ impl Shard {
     }
 
     pub(crate) fn insert(&mut self, id: SubscriptionId, sub: Subscription) {
-        // The filters are monotone unions, so one new resident only needs an
-        // incremental absorb — a full rebuild here would make bulk
-        // registration O(residents²) per shard.
-        self.absorb_resident(&sub);
         let key = ClusterKey::of(&sub.query, sub.algorithm);
         match self.clusters.get_mut(&key) {
             Some(cluster) => cluster.add_member(id, &sub),
@@ -623,12 +575,11 @@ impl Shard {
                 let retire = self
                     .clusters
                     .get_mut(&key)
-                    .is_some_and(|cluster| cluster.remove_member(id));
+                    .is_some_and(|cluster| cluster.remove_member(id, &self.subs));
                 if retire {
                     self.clusters.remove(&key);
                 }
             }
-            self.rebuild_filters();
         }
         removed
     }
@@ -646,67 +597,16 @@ impl Shard {
         }
     }
 
-    /// Folds one resident's state into the touch filters;
-    /// `O(k + support)`.
-    fn absorb_resident(&mut self, sub: &Subscription) {
-        match &sub.result {
-            // Defensive: `subscribe` evaluates before insertion, so in the
-            // manager's lifecycle a resident always has a result — but the
-            // filters must stay a conservative union of `classify`, whose
-            // rule 1 refreshes result-less subscriptions unconditionally.
-            None => self.pending_initial += 1,
-            Some(result) => {
-                self.members.extend(result.elements.iter().copied());
-                match &result.frontier {
-                    Some(frontier) => self.floors.absorb(frontier),
-                    // Frontier-less residents refresh on any touch of a
-                    // support topic (classify's rule-3 fallback).
-                    None => {
-                        for (topic, _) in sub.query.vector().support() {
-                            self.floors.watch_any(topic);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes the shard's touch filters from its residents, and every
-    /// cluster's covering query and filters from its members.  Called after
-    /// any refresh or removal;
-    /// `O(residents × (k + support))`.
-    pub(crate) fn rebuild_filters(&mut self) {
-        self.floors.clear();
-        self.members.clear();
-        self.pending_initial = 0;
-        let subs = std::mem::take(&mut self.subs);
-        for sub in subs.values() {
-            self.absorb_resident(sub);
-        }
-        for cluster in self.clusters.values_mut() {
-            cluster.rebuild(|id| &subs[&id]);
-        }
-        self.subs = subs;
-    }
-
-    /// Projects the slide delta onto this shard's filters: `true` iff some
-    /// resident could be disturbed, i.e. the shard must be scheduled.
+    /// Projects the slide delta onto the residents: `true` iff some resident
+    /// classifies, i.e. the shard must be scheduled.  Stops at the first
+    /// resident that fires; `O(1)` per touch lookup.
     pub(crate) fn is_touched_by(&self, delta: &WindowDelta) -> bool {
-        if self.subs.is_empty() {
-            return false;
-        }
-        if self.pending_initial > 0 {
-            return true;
-        }
-        if delta.lost_any(self.members.iter().copied()) {
-            return true;
-        }
-        self.floors.disturbed_by(&delta.ranked)
+        self.subs.values().any(|sub| classify(sub, delta).is_some())
     }
 
     /// Classifies and (where needed) refreshes every resident against the
-    /// slide, cluster by cluster, then rebuilds the touch filters.  Runs on
-    /// a worker thread; `source` is the epoch's snapshot.
+    /// slide, cluster by cluster.  Runs on a worker thread; `source` is the
+    /// epoch's snapshot.
     pub(crate) fn refresh_scheduled(
         &mut self,
         source: &dyn QuerySource,
@@ -738,33 +638,27 @@ impl Shard {
                 updates: slide.updates.len() as u64,
             },
         );
-        // Stored results — and therefore the filters derived from them —
-        // only change when at least one resident actually refreshed; a shard
-        // scheduled conservatively but skipped throughout keeps its filters.
-        if slide.refreshed > 0 {
-            self.rebuild_filters();
-        }
         slide
     }
 
-    /// The refresh walk: per cluster, either fast-skip the whole cluster
-    /// (its filters prove every member would classify as skippable) or
-    /// classify each member by the unchanged per-subscription rules and serve
-    /// the to-refresh members from one traversal of the covering query that
-    /// answers every distinct member `k` at once
+    /// The refresh walk: per cluster, classify each member by the
+    /// per-subscription rules, skip the cluster whole when none classifies,
+    /// and otherwise serve the to-refresh members from one traversal of the
+    /// covering query that answers every distinct member `k` at once
     /// ([`QuerySource::query_per_k`]).
     ///
     /// Soundness of each piece:
     ///
-    /// * fast-skip — the cluster filters are the same conservative union of
-    ///   `classify`'s conditions the shard filters are, just over a subset of
-    ///   residents, so an untouched cluster implies member-wise skips;
     /// * same-`k` sharing — plan-compatible queries with equal `k` are
     ///   *identical* queries, and evaluation is deterministic;
     /// * one traversal for every `k` — each size's result is exactly a plain
     ///   run of the covering query at that `k`: the kernels apply per-size
     ///   admission and stopping rules over one retrieval order, they never
     ///   reuse one size's result for another.
+    ///
+    /// The walk borrows `clusters` and `subs` as disjoint fields, so a panic
+    /// anywhere in it (a query, an `expect`) leaves every cluster in place
+    /// for the retry.
     fn refresh_clusters(
         &mut self,
         source: &dyn QuerySource,
@@ -772,20 +666,7 @@ impl Shard {
     ) -> (ShardSlide, SlideWork) {
         let mut slide = ShardSlide::default();
         let mut work = SlideWork::default();
-        let mut clusters = std::mem::take(&mut self.clusters);
-        for cluster in clusters.values_mut() {
-            if !cluster.is_touched_by(delta) {
-                for &id in &cluster.members {
-                    let sub = self
-                        .subs
-                        .get_mut(&id)
-                        .expect("cluster members reside in the shard");
-                    sub.stats.skips += 1;
-                }
-                slide.skipped += cluster.members.len();
-                work.skipped_clusters += 1;
-                continue;
-            }
+        for cluster in self.clusters.values() {
             let mut to_refresh: Vec<(SubscriptionId, RefreshReason, usize)> = Vec::new();
             for &id in &cluster.members {
                 let sub = self
@@ -801,6 +682,7 @@ impl Shard {
                 }
             }
             if to_refresh.is_empty() {
+                work.skipped_clusters += 1;
                 continue;
             }
             // One traversal for the cluster: a result per distinct member k.
@@ -841,7 +723,6 @@ impl Shard {
                 }
             }
         }
-        self.clusters = clusters;
         // Emit updates in resident (id) order, the order a per-subscription
         // walk produces and `SlideOutcome` presents.
         slide.updates.sort_by_key(|update| update.subscription);
@@ -1043,6 +924,95 @@ mod tests {
             Subscription::new(query(1, &[1.0, 0.0]), Algorithm::Mtts),
         );
         assert!(shard.is_touched_by(&WindowDelta::default()));
+    }
+
+    /// A resident of `weights` whose stored result read topic 0 down to
+    /// `floor` and holds element 5.
+    fn resident(weights: &[f64], floor: f64) -> Subscription {
+        let mut sub = Subscription::new(query(1, weights), Algorithm::Mtts);
+        sub.result = Some(QueryResult {
+            elements: vec![ElementId(5)],
+            frontier: Some(ksir_core::QueryFrontier::new(vec![(
+                TopicId(0),
+                Some(floor),
+            )])),
+            ..QueryResult::empty(Algorithm::Mtts)
+        });
+        sub
+    }
+
+    /// A slide that touched topic 0's list at `score` and nothing else.
+    fn touch_at(score: f64) -> WindowDelta {
+        let mut delta = WindowDelta {
+            ranked: ksir_stream::RankedDelta::new(2),
+            ..WindowDelta::default()
+        };
+        delta.ranked.record(TopicId(0), score);
+        delta
+    }
+
+    #[test]
+    fn touch_below_every_member_floor_skips_the_cluster() {
+        let mut shard = shard(ShardKey::Topic(TopicId(0)));
+        // Two plan clusters (different vectors) in one shard.
+        shard.insert(SubscriptionId(0), resident(&[0.6, 0.4], 0.5));
+        shard.insert(SubscriptionId(1), resident(&[0.7, 0.3], 0.2));
+        assert!(!shard.is_touched_by(&touch_at(0.1)), "below both floors");
+        let mut expired = touch_at(0.1);
+        expired.expired = vec![ElementId(5)];
+        assert!(shard.is_touched_by(&expired), "a stored member expired");
+        // At 0.3 only the second cluster's member classifies: the first
+        // cluster is skipped whole, the second runs one traversal.
+        let delta = touch_at(0.3);
+        assert!(shard.is_touched_by(&delta));
+        let engine = ksir_core::fixtures::paper_example().build_engine();
+        let slide = shard.refresh_scheduled(&engine, &delta, 1);
+        assert_eq!((slide.refreshed, slide.skipped), (1, 1));
+        assert_eq!(shard.telemetry.cluster_skipped.get(), 1);
+        assert_eq!(shard.telemetry.cluster_covering.get(), 1);
+    }
+
+    /// A source whose every query panics, as a real fault in a kernel would.
+    struct PanickingSource;
+
+    impl QuerySource for PanickingSource {
+        fn num_topics(&self) -> usize {
+            2
+        }
+
+        fn query_per_k(
+            &self,
+            _: &KsirQuery,
+            _: &[usize],
+            _: Algorithm,
+        ) -> ksir_types::Result<Vec<QueryResult>> {
+            panic!("a kernel fault");
+        }
+    }
+
+    /// Regression: a panic inside the cluster walk leaves the shard's
+    /// clusters in place, so the retry classifies every resident again.
+    /// Taking the clusters out for the walk stranded them on a panic: the
+    /// retry then charged nobody and `refreshes + skips` stopped
+    /// reconciling.
+    #[test]
+    fn a_panicking_query_keeps_the_clusters() {
+        let mut shard = shard(ShardKey::Topic(TopicId(0)));
+        shard.insert(SubscriptionId(0), resident(&[0.6, 0.4], 0.5));
+        let delta = touch_at(0.5);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shard.refresh_scheduled(&PanickingSource, &delta, 1)
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(shard.stats().clusters, 1, "the panic stranded no cluster");
+        let engine = ksir_core::fixtures::paper_example().build_engine();
+        let retry = shard.refresh_scheduled(&engine, &delta, 1);
+        assert_eq!(
+            retry.refreshed + retry.skipped,
+            1,
+            "the resident is charged"
+        );
+        assert_eq!(retry.refreshed, 1);
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub enum RefreshReason {
     MemberExpired,
     /// A support topic's ranked list was touched at or above the score floor
     /// of the subscription's last traversal (or the subscription's algorithm
-    /// carries no frontier and a support topic was touched at all).  Under
-    /// sharding, the same floors — aggregated per shard — also decide which
-    /// shards a slide schedules at all.
+    /// carries no frontier and a support topic was touched at all).  The
+    /// same rule, checked resident by resident, also decides which shards a
+    /// slide schedules at all.
     TopicDisturbed,
     /// The caller forced a refresh via
     /// [`crate::SubscriptionManager::refresh`].

@@ -15,12 +15,15 @@
 //!   epochs strictly in order (the shard's *lane*, see
 //!   [`crate::shard::Lane`]), which is exactly the ordering the refresh
 //!   decisions depend on — cross-shard interleaving never influenced them;
-//! * the [`Watermark`] tracks outstanding shard-epoch tasks per epoch:
-//!   [`Watermark::wait_all`] is the `sync()` barrier (the synchronous
-//!   `ingest_bucket` closes every slide with it), and
-//!   [`Watermark::wait_inflight_below`] is the pipeline-admission gate that
+//! * the [`Watermark`] tracks outstanding shard-epoch tasks per epoch: the
+//!   pool's [`WorkerPool::wait_idle`] is the `sync()` barrier (the
+//!   synchronous `ingest_bucket` closes every slide with it), and
+//!   [`WorkerPool::wait_admission`] is the pipeline-admission gate that
 //!   bounds how many epochs may be in flight (and with them the snapshot
-//!   memory the writer keeps alive).
+//!   memory the writer keeps alive).  Both loop over the watermark's
+//!   bounded waits.  Without a pool nothing can be outstanding: tasks are
+//!   registered only for shards handed to a pool, and the pool is dropped
+//!   only after a barrier.
 //!
 //! Slow *subscribers* still never extend any of these waits: delivery queues
 //! are bounded and non-blocking under the default overflow policy, so the
@@ -188,29 +191,10 @@ impl Watermark {
         self.lock().pending.len()
     }
 
-    /// Blocks until no epoch has outstanding tasks — the `sync()` barrier.
-    pub(crate) fn wait_all(&self) {
-        let mut state = self.lock();
-        while !state.pending.is_empty() {
-            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Blocks until fewer than `depth` epochs have outstanding tasks — the
-    /// pipeline-admission gate (`depth = 1` reproduces the PR-3
-    /// quiesce-before-write barrier).
-    pub(crate) fn wait_inflight_below(&self, depth: usize) {
-        let depth = depth.max(1);
-        let mut state = self.lock();
-        while state.pending.len() >= depth {
-            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// One bounded wait for the `wait_all` condition; `true` when it holds.
-    /// The pool's self-healing waits loop over this so they can sweep for
-    /// dead workers between waits instead of blocking forever on work no
-    /// live worker will ever pick up.
+    /// One bounded wait until no epoch has outstanding tasks; `true` when
+    /// that holds.  The pool's self-healing `sync()` barrier loops over this
+    /// so it can sweep for dead workers between waits instead of blocking
+    /// forever on work no live worker will ever pick up.
     pub(crate) fn wait_all_for(&self, timeout: Duration) -> bool {
         let state = self.lock();
         if state.pending.is_empty() {
@@ -223,10 +207,10 @@ impl Watermark {
         state.pending.is_empty()
     }
 
-    /// One bounded wait for the `wait_inflight_below` condition; `true`
-    /// when it holds.
+    /// One bounded wait until fewer than `depth` epochs have outstanding
+    /// tasks; `true` when that holds.  The pool's admission gate loops over
+    /// this.
     pub(crate) fn wait_inflight_below_for(&self, depth: usize, timeout: Duration) -> bool {
-        let depth = depth.max(1);
         let state = self.lock();
         if state.pending.len() < depth {
             return true;
@@ -247,8 +231,8 @@ impl Watermark {
 /// **any** route — processed by a worker, shed by quarantine, stranded in a
 /// lane the manager tears down, or dropped mid-construction when snapshot
 /// capture panics — always completes its registration.  That is the
-/// no-wedged-ticket guarantee: `wait_inflight_below` and `wait_all` can
-/// never block on a task that no longer exists.  (The `SlideTicket` the
+/// no-wedged-ticket guarantee: the admission gate and the `sync()` barrier
+/// can never block on a task that no longer exists.  (The `SlideTicket` the
 /// async ingest API returns is a *report*, not the registration — dropping
 /// it without `detach()` was never able to wedge the watermark, which the
 /// ticket-drop regression test pins.)
@@ -515,11 +499,12 @@ fn worker_loop(
 /// so a recovering injected fault leaves decisions (and all counters)
 /// bit-identical to a clean run — the chaos oracles' pass criterion.  A
 /// *real* panic from inside the refresh walk may have mutated resident
-/// state; [`Shard::recover`] then restores the filter invariants
-/// before the retry (stored results stay whatever the interrupted walk
-/// left; the retry's classify pass carries them forward, though a resident
-/// refreshed twice is charged twice — the per-subscription counters are
-/// best-effort across *real* mid-walk panics).
+/// state.  Nothing needs repair: the shard derives no filter from stored
+/// results and the walk never moves its clusters out, so the retry's
+/// classify pass carries whatever results the interrupted walk left
+/// forward, though a resident charged before the panic is charged again —
+/// the per-subscription counters are best-effort across *real* mid-walk
+/// panics.
 fn refresh_resilient<T>(
     cell: &ShardCell,
     epoch: u64,
@@ -551,11 +536,6 @@ fn refresh_resilient<T>(
                 wt.panics.inc();
                 wt.bundle
                     .record(epoch, Some(label), TraceEventKind::WorkerPanicked);
-                if !fire {
-                    // A real panic may have left a half-updated walk behind;
-                    // injected ones fire pre-mutation and need no repair.
-                    cell.shard().recover();
-                }
                 failures += 1;
                 if failures > REFRESH_RETRY_BUDGET {
                     let mut shard = cell.shard();
@@ -574,8 +554,8 @@ fn refresh_resilient<T>(
                         shard: label,
                     });
                     // Shed the epoch: every resident is charged one skip
-                    // (through the same `skip_all` bookkeeping as a filter
-                    // skip), so `refreshes + skips` and the timeline keep
+                    // (through the same `skip_all` bookkeeping as an
+                    // unscheduled shard), so `refreshes + skips` and the timeline keep
                     // reconciling and the watermark advances.
                     let shed = shard.skip_all(epoch) as u64;
                     wt.bundle.record(
@@ -596,7 +576,7 @@ fn refresh_resilient<T>(
 /// worker must exit (after this function has fully released the lane).
 ///
 /// The worker owns the shard for the whole drain (the lane's `busy` flag),
-/// so filter updates from epoch `e` are always visible to epoch `e+1`'s
+/// so results stored by epoch `e` are always visible to epoch `e+1`'s
 /// scheduling decision — per-shard decisions are exactly those of a barrier
 /// after every slide.
 /// The ingest thread only ever touches the (cheap) lane lock of a busy
@@ -676,8 +656,9 @@ mod tests {
         // An all-inline epoch advances the watermark without tasks.
         wm.note_epoch(3);
         assert_eq!(wm.completed_through(), 3);
-        wm.wait_all(); // no outstanding work: returns immediately
-        wm.wait_inflight_below(1);
+        // No outstanding work: both waits hold without waiting.
+        assert!(wm.wait_all_for(Duration::ZERO));
+        assert!(wm.wait_inflight_below_for(1, Duration::ZERO));
     }
 
     #[test]
@@ -689,7 +670,7 @@ mod tests {
         let waiter = {
             let wm = Arc::clone(&wm);
             std::thread::spawn(move || {
-                wm.wait_inflight_below(2);
+                while !wm.wait_inflight_below_for(2, Duration::from_millis(10)) {}
                 wm.inflight_epochs()
             })
         };
@@ -702,8 +683,8 @@ mod tests {
     /// watermark registration *however* it leaves the pipeline — including
     /// being dropped on the floor (dying worker, shed lane, panic during
     /// `PendingEpoch` construction).  Without the guard, a dropped task
-    /// leaves the epoch permanently in flight and `wait_inflight_below` /
-    /// `wait_all` wedge forever.
+    /// leaves the epoch permanently in flight and the admission gate and the
+    /// `sync()` barrier wedge forever.
     #[test]
     fn dropped_epoch_task_completes_its_registration() {
         let wm = Arc::new(Watermark::new());
@@ -713,8 +694,8 @@ mod tests {
         drop(task);
         assert_eq!(wm.inflight_epochs(), 0);
         assert_eq!(wm.completed_through(), 1);
-        wm.wait_all(); // must not block
-        wm.wait_inflight_below(1); // must not block
+        assert!(wm.wait_all_for(Duration::ZERO));
+        assert!(wm.wait_inflight_below_for(1, Duration::ZERO));
 
         // A panic mid-construction (snapshot capture, delta clone) unwinds
         // through the already-registered task and still completes it.

@@ -110,6 +110,8 @@ struct Walked {
 pub struct WalkSlide {
     pub refreshed: usize,
     pub skipped: usize,
+    /// The subscriptions refreshed, in id order.
+    pub refreshed_ids: Vec<SubscriptionId>,
     /// Result changes, in subscription-id order.
     pub updates: Vec<ResultDelta>,
 }
@@ -188,6 +190,7 @@ impl SerialWalk {
             };
             walked.stats.refreshes += 1;
             slide.refreshed += 1;
+            slide.refreshed_ids.push(id);
             let fresh = engine.query(&walked.query, walked.algorithm).unwrap();
             self.gain_evaluations += fresh.gain_evaluations;
             slide.updates.extend(apply(id, walked, reason, fresh));

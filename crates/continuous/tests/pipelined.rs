@@ -1,7 +1,7 @@
 //! Pipelined-epoch equivalence: with snapshot-backed refreshes and the
 //! quiesce-before-write barrier gone, the asynchronous pipeline must still
 //! be **decision-identical to the per-subscription walk slide for slide** —
-//! same deltas, same counters — at every pipeline depth and pool size, because
+//! same deltas, same counters — at every pool size, because
 //! every shard processes its epochs in order against that epoch's frozen
 //! engine image.
 //!
@@ -19,25 +19,13 @@ use common::{assert_same_updates, planted_manager, walk_stream};
 use ksir_continuous::{DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig};
 
 /// Pipelined mode is decision-identical to the per-subscription walk slide
-/// for slide — across pipeline depths (1 = the old barrier, 2 = default
-/// overlap, 4 = deep) and including a forced 4-thread pool.
+/// for slide — on the default pool and on a forced 4-thread pool.
 #[test]
 fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
     for (seed, config) in [
-        (7u64, ShardConfig::default().with_pipeline_depth(1)),
-        (7u64, ShardConfig::default().with_pipeline_depth(2)),
-        (
-            7u64,
-            ShardConfig::default()
-                .with_threads(Some(4))
-                .with_pipeline_depth(2),
-        ),
-        (
-            21u64,
-            ShardConfig::default()
-                .with_threads(Some(4))
-                .with_pipeline_depth(4),
-        ),
+        (7u64, ShardConfig::default()),
+        (7u64, ShardConfig::default().with_threads(Some(4))),
+        (21u64, ShardConfig::default().with_threads(Some(4))),
     ] {
         let (mut mgr, subs, stream) = planted_manager(seed, config);
         let receivers: Vec<_> = subs
@@ -80,13 +68,11 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
         // equal the walk's.
         walk.assert_matches(&mgr, &format!("seed={seed} {config:?}"));
 
-        // Depth ≥ 2 with scheduled work runs on snapshots.
+        // Scheduled work runs on snapshots.
         let registry = mgr.telemetry().registry();
         let epochs_captured = registry.counter("snapshot.epochs_captured").get();
-        if config.pipeline_depth >= 2 {
-            assert!(epochs_captured > 0, "no epoch was ever captured");
-            assert!(registry.counter("snapshot.shard_snapshots").get() >= epochs_captured);
-        }
+        assert!(epochs_captured > 0, "no epoch was ever captured");
+        assert!(registry.counter("snapshot.shard_snapshots").get() >= epochs_captured);
     }
 }
 
@@ -97,7 +83,7 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
 /// deadlocks.
 #[test]
 fn index_write_proceeds_while_previous_epoch_refreshes() {
-    let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default().with_pipeline_depth(2));
+    let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default());
     // Give every subscription a Block-policy queue of capacity 1 and do not
     // drain: the first delivered delta of a slide fills a queue, the second
     // blocks its worker mid-epoch.

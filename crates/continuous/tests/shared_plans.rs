@@ -14,7 +14,9 @@ use common::{
     ingest_against_walk, manager_over, planted_stream, walk_stream, Manager, SerialWalk, Sub,
     TOPICS,
 };
-use ksir_continuous::{ShardConfig, SubscriptionManager};
+use std::collections::{BTreeMap, BTreeSet};
+
+use ksir_continuous::{ShardConfig, ShardKey, SubscriptionId, SubscriptionManager};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
 use ksir_stream::WindowConfig;
@@ -219,6 +221,59 @@ fn zipf_population_shares_scoring_passes_for_identical_decisions() {
     );
 }
 
+/// `refresh.cluster.skipped` counts exactly the scheduled clusters in which
+/// the per-subscription walk refreshes no member, and
+/// `refresh.cluster.covering` the clusters in which it refreshes some.  A
+/// shard is scheduled when the walk refreshes one of its residents; a plan
+/// cluster is a shard's members with one vector, `ε` and algorithm.
+#[test]
+fn skipped_clusters_are_the_walks_untouched_clusters() {
+    // Zipf templates put several plan clusters in each topic shard.
+    let stream = planted_stream(53);
+    let population = zipf_population(80, TOPICS);
+    let (mut mgr, subs) = manager_over(&stream, ShardConfig::default(), &population);
+    let mut clusters: BTreeMap<ClusterId, Vec<SubscriptionId>> = BTreeMap::new();
+    for (id, query, algorithm) in &subs {
+        let shard = mgr.shard_of(*id).expect("live subscription");
+        let plan = (query.vector().support())
+            .into_iter()
+            .map(|(topic, weight)| (topic.0, weight.to_bits()))
+            .collect();
+        let algorithm = Algorithm::ALL.iter().position(|a| a == algorithm).unwrap();
+        let key = (shard, plan, query.epsilon().to_bits(), algorithm);
+        clusters.entry(key).or_default().push(*id);
+    }
+    assert!(clusters.values().any(|members| members.len() > 1));
+
+    let (_, slides) = walk_stream(&stream, &subs);
+    let (mut skipped, mut covering_runs) = (0, 0);
+    for slide in &slides {
+        let refreshed = |id: &SubscriptionId| slide.refreshed_ids.contains(id);
+        let scheduled: BTreeSet<ShardKey> = (clusters.iter())
+            .filter(|(_, members)| members.iter().any(refreshed))
+            .map(|(key, _)| key.0)
+            .collect();
+        for (key, members) in &clusters {
+            if !scheduled.contains(&key.0) {
+                continue;
+            }
+            if members.iter().any(refreshed) {
+                covering_runs += 1;
+            } else {
+                skipped += 1;
+            }
+        }
+    }
+    mgr.ingest_stream(stream.iter_pairs()).unwrap();
+    assert!(skipped > 0, "no scheduled cluster was ever skipped");
+    assert_eq!(counter(&mgr, "refresh.cluster.skipped"), skipped);
+    assert_eq!(covering(&mgr), covering_runs);
+}
+
+/// A plan cluster as the test derives it: shard, `(topic, weight bits)` of
+/// the vector's support, `ε` bits, algorithm index.
+type ClusterId = (ShardKey, Vec<(u32, u64)>, u64, usize);
+
 /// The `refresh.cluster.*` registry counters reconcile exactly with the
 /// refresh count across churn: shards retired mid-stream keep their work in
 /// the counters, so every slide-driven refresh — live or retired shard — is
@@ -294,7 +349,7 @@ fn shared_plans_compose_with_the_pipelined_path() {
     // 4 per group so clusters hold same-k sharers (k = 2,4,6,2), not just
     // cross-k variants — both sharing modes must survive the pipeline.
     let stream = planted_stream(61);
-    let config = ShardConfig::default().with_pipeline_depth(2);
+    let config = ShardConfig::default();
     let (mut mgr, subs) = manager_over(&stream, config, &workload(6, 4));
     let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
     mgr.sync();
@@ -331,7 +386,7 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
     let cluster_of = |index: usize| index / 4;
     for pipelined in [false, true] {
         let stream = planted_stream(73);
-        let config = ShardConfig::default().with_pipeline_depth(2);
+        let config = ShardConfig::default();
         let (mut mgr, registered) = manager_over(&stream, config, &subs);
         let ids: Vec<_> = registered.iter().map(|s| s.0).collect();
         let mut refreshed_checks = 0;

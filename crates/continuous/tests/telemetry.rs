@@ -83,77 +83,74 @@ fn assert_reconciled(mgr: &Manager) -> EpochTimeline {
     timeline
 }
 
-/// The PR's acceptance scenario: pipelined epochs (depth ≥ 2) on a forced
-/// 4-thread pool, deliveries attached, tracing on.  The reconstructed
+/// The acceptance scenario: pipelined epochs on a forced 4-thread pool,
+/// deliveries attached, tracing on.  The reconstructed
 /// timeline reconciles exactly with `ManagerStats`, `ShardStats`, the
 /// snapshot counters, and the delivery queues — and the exporters render
 /// the same numbers.
 #[test]
 fn pipelined_timeline_reconciles_exactly_with_stats() {
-    for depth in [2usize, 4] {
-        let config = ShardConfig::default()
-            .with_threads(Some(4))
-            .with_pipeline_depth(depth)
-            .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
-        let (mut mgr, subs, stream) = planted_manager(7, config);
-        let receivers: Vec<_> = subs
-            .iter()
-            .map(|(id, _, _)| {
-                mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
-                    .unwrap()
-            })
-            .collect();
-        let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
-        assert!(tickets.len() >= 2, "stream must span several epochs");
-        mgr.sync();
+    let config = ShardConfig::default()
+        .with_threads(Some(4))
+        .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
+    let (mut mgr, subs, stream) = planted_manager(7, config);
+    let receivers: Vec<_> = subs
+        .iter()
+        .map(|(id, _, _)| {
+            mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(1 << 16))
+                .unwrap()
+        })
+        .collect();
+    let tickets = mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+    assert!(tickets.len() >= 2, "stream must span several epochs");
+    mgr.sync();
 
-        let timeline = assert_reconciled(&mgr);
+    let timeline = assert_reconciled(&mgr);
 
-        // Delivery accounting: ample capacity, so nothing was shed and the
-        // trace's delivered total equals both the registry counter and what
-        // the consumers actually drain.
-        let drained: usize = receivers.iter().map(|rx| rx.drain().len()).sum();
-        assert!(receivers.iter().all(|rx| rx.dropped() == 0));
-        let registry = mgr.telemetry().registry();
-        assert_eq!(registry.counter("delivery.enqueued").get(), drained as u64);
-        assert_eq!(registry.counter("delivery.dropped").get(), 0);
-        assert_eq!(timeline.total_delivered(), drained as u64);
-        assert_eq!(timeline.total_dropped(), 0);
+    // Delivery accounting: ample capacity, so nothing was shed and the
+    // trace's delivered total equals both the registry counter and what
+    // the consumers actually drain.
+    let drained: usize = receivers.iter().map(|rx| rx.drain().len()).sum();
+    assert!(receivers.iter().all(|rx| rx.dropped() == 0));
+    let registry = mgr.telemetry().registry();
+    assert_eq!(registry.counter("delivery.enqueued").get(), drained as u64);
+    assert_eq!(registry.counter("delivery.dropped").get(), 0);
+    assert_eq!(timeline.total_delivered(), drained as u64);
+    assert_eq!(timeline.total_dropped(), 0);
 
-        // The per-epoch ticket decisions are the trace's, epoch for epoch.
-        for ticket in &tickets {
-            let record = timeline.epoch(ticket.slide).expect("epoch traced");
-            assert!(record.shards_scheduled >= ticket.shards_scheduled as u64);
-            assert_eq!(record.shards_deferred, ticket.shards_deferred as u64);
-            assert!(record.shards_skipped >= ticket.shards_skipped as u64);
-        }
-
-        // Stage histograms saw the pipeline's stages.
-        for stage in [
-            "ingest.admission_wait",
-            "ingest.index_write",
-            "ingest.project",
-            "snapshot.capture",
-            "refresh.shard",
-            "worker.item",
-        ] {
-            assert!(
-                registry.histogram(stage).count() > 0,
-                "depth={depth}: stage {stage} never recorded"
-            );
-        }
-        assert!(timeline.slowest_drain().is_some());
-
-        // Exporters render the reconciled numbers under the sanitized names.
-        let prom = mgr.telemetry().render_prometheus();
-        let stats = mgr.stats();
-        assert!(prom.contains(&format!("ksir_shard_refreshes {}", stats.refreshes)));
-        assert!(prom.contains("ksir_refresh_shard_bucket"));
-        let json = mgr.telemetry().to_json();
-        assert!(json.contains(&format!("\"shard.refreshes\": {}", stats.refreshes)));
-        let timeline_json = timeline.to_json();
-        assert!(timeline_json.contains("\"truncated_events\": 0"));
+    // The per-epoch ticket decisions are the trace's, epoch for epoch.
+    for ticket in &tickets {
+        let record = timeline.epoch(ticket.slide).expect("epoch traced");
+        assert!(record.shards_scheduled >= ticket.shards_scheduled as u64);
+        assert_eq!(record.shards_deferred, ticket.shards_deferred as u64);
+        assert!(record.shards_skipped >= ticket.shards_skipped as u64);
     }
+
+    // Stage histograms saw the pipeline's stages.
+    for stage in [
+        "ingest.admission_wait",
+        "ingest.index_write",
+        "ingest.project",
+        "snapshot.capture",
+        "refresh.shard",
+        "worker.item",
+    ] {
+        assert!(
+            registry.histogram(stage).count() > 0,
+            "stage {stage} never recorded"
+        );
+    }
+    assert!(timeline.slowest_drain().is_some());
+
+    // Exporters render the reconciled numbers under the sanitized names.
+    let prom = mgr.telemetry().render_prometheus();
+    let stats = mgr.stats();
+    assert!(prom.contains(&format!("ksir_shard_refreshes {}", stats.refreshes)));
+    assert!(prom.contains("ksir_refresh_shard_bucket"));
+    let json = mgr.telemetry().to_json();
+    assert!(json.contains(&format!("\"shard.refreshes\": {}", stats.refreshes)));
+    let timeline_json = timeline.to_json();
+    assert!(timeline_json.contains("\"truncated_events\": 0"));
 }
 
 /// The synchronous path emits the same trace schema: a plain
@@ -207,7 +204,6 @@ fn delivery_accounting_reconciles_under_all_policies() {
         (OverflowPolicy::Block, 1 << 16),
     ] {
         let config = ShardConfig::default()
-            .with_pipeline_depth(2)
             .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
         let (mut mgr, subs, stream) = planted_manager(7, config);
         let receivers: Vec<_> = subs
@@ -269,7 +265,7 @@ fn delivery_accounting_reconciles_under_all_policies() {
 /// unchanged (same stats as the traced run).
 #[test]
 fn disabled_tracing_keeps_metrics_and_decisions() {
-    let traced_cfg = ShardConfig::default().with_pipeline_depth(2);
+    let traced_cfg = ShardConfig::default();
     let silent_cfg = traced_cfg.with_telemetry(TelemetryConfig::disabled());
 
     let (mut traced, _, stream) = planted_manager(7, traced_cfg);
@@ -318,7 +314,7 @@ fn trace_ring_overflow_is_reported_not_silent() {
 /// declare its name twice, which is invalid Prometheus text.
 #[test]
 fn every_metric_name_has_one_family() {
-    let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default().with_pipeline_depth(2));
+    let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default());
     mgr.inject_faults(Arc::new(FaultPlan::new(vec![
         Fault::once(2, None, FaultKind::KillWorker),
         // Every shard scheduled at epoch 3 exhausts its retry budget.

@@ -49,7 +49,7 @@
 //! profile reaches the entry, the row and every child by index, and records
 //! its children as slots.  Coverage state is keyed by [`WordId`] and by
 //! child slot, both assigned by the engine, through
-//! [`DenseMap`](crate::dense::DenseMap) — one multiply per key where the
+//! [`DenseMap`] — one multiply per key where the
 //! default hasher runs SipHash.  The one id probe left is the window's
 //! ([`QueryEvaluator::profile`], and the traversal's per popped tuple).
 //!

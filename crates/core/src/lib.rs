@@ -64,7 +64,7 @@ pub use engine::{EngineStats, IngestReport, KsirEngine};
 pub use evaluator::{
     CandidateState, CoverageTable, ElementProfile, ProfileArena, ProfileId, QueryEvaluator,
 };
-pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
+pub use query::{Algorithm, KsirQuery, QueryFrontier, QueryResult};
 pub use row::{ElementRow, ElementRows};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
 pub use shared::SharedEngine;

@@ -246,106 +246,6 @@ impl QueryFrontier {
     }
 }
 
-/// Per-topic refresh floors aggregated over *many* standing traversals — the
-/// shard-level counterpart of [`QueryFrontier`].
-///
-/// A shard of standing queries must be scheduled for refresh whenever a slide
-/// could disturb *any* resident traversal, so for every watched topic the
-/// aggregate keeps the **loosest** (minimum) floor across the absorbed
-/// frontiers; a topic watched without a floor — an exhausted ranked list, or
-/// a subscription whose algorithm reports no frontier at all — is disturbed
-/// by any touch.  [`FloorAggregate::disturbed_by`] then answers the shard
-/// scheduling question in `O(touched topics)` per slide by iterating the
-/// delta's sparse touch slice instead of the watched set.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FloorAggregate {
-    /// `topic → Some(floor)` (touches at/above disturb) or `None` (any touch
-    /// disturbs).
-    floors: std::collections::HashMap<TopicId, Option<f64>>,
-}
-
-impl FloorAggregate {
-    /// An aggregate watching no topic (disturbed by nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets every watched topic, retaining the allocation.
-    pub fn clear(&mut self) {
-        self.floors.clear();
-    }
-
-    /// Returns `true` if no topic is watched.
-    pub fn is_empty(&self) -> bool {
-        self.floors.is_empty()
-    }
-
-    /// Number of watched topics.
-    pub fn watched_topics(&self) -> usize {
-        self.floors.len()
-    }
-
-    /// The aggregated floor of one topic: `None` if the topic is not watched,
-    /// `Some(None)` if any touch disturbs it, `Some(Some(f))` if touches at
-    /// or above `f` disturb it.
-    pub fn floor(&self, topic: TopicId) -> Option<Option<f64>> {
-        self.floors.get(&topic).copied()
-    }
-
-    /// Watches `topic` with no floor: any touch of its list disturbs.  Used
-    /// for subscriptions whose algorithm carries no frontier (CELF,
-    /// SieveStreaming), which must refresh on any support-topic touch.
-    pub fn watch_any(&mut self, topic: TopicId) {
-        self.floors.insert(topic, None);
-    }
-
-    /// Watches `topic` at `floor`, keeping the loosest floor seen so far.
-    pub fn watch_at(&mut self, topic: TopicId, floor: f64) {
-        match self.floors.entry(topic) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if let Some(existing) = e.get_mut() {
-                    if floor < *existing {
-                        *existing = floor;
-                    }
-                }
-                // `None` (any touch disturbs) already dominates every floor.
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Some(floor));
-            }
-        }
-    }
-
-    /// Folds one traversal's frontier into the aggregate: per support topic,
-    /// a finite floor loosens the kept minimum and an exhausted list
-    /// downgrades the topic to any-touch-disturbs.
-    pub fn absorb(&mut self, frontier: &QueryFrontier) {
-        for &(topic, floor) in &frontier.floors {
-            match floor {
-                Some(f) => self.watch_at(topic, f),
-                None => self.watch_any(topic),
-            }
-        }
-    }
-
-    /// Returns `true` if the slide delta touches any watched topic at or
-    /// above its aggregated floor — i.e. the slide could have disturbed at
-    /// least one of the absorbed traversals.
-    pub fn disturbed_by(&self, delta: &RankedDelta) -> bool {
-        if self.floors.is_empty() {
-            return false;
-        }
-        delta
-            .touches()
-            .iter()
-            .any(|t| match self.floors.get(&t.topic) {
-                None => false,
-                Some(None) => true,
-                Some(Some(floor)) => t.high >= floor - ksir_stream::FLOOR_SLACK,
-            })
-    }
-}
-
 /// The result of processing one k-SIR query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -477,55 +377,6 @@ mod tests {
         let mut outside = RankedDelta::new(3);
         outside.record(TopicId(2), 10.0);
         assert!(!frontier.disturbed_by(&outside));
-    }
-
-    #[test]
-    fn floor_aggregate_keeps_loosest_floor_per_topic() {
-        let mut agg = FloorAggregate::new();
-        assert!(agg.is_empty());
-        agg.absorb(&QueryFrontier::new(vec![
-            (TopicId(0), Some(0.5)),
-            (TopicId(1), Some(0.2)),
-        ]));
-        agg.absorb(&QueryFrontier::new(vec![
-            (TopicId(0), Some(0.3)),
-            (TopicId(2), None),
-        ]));
-        assert_eq!(agg.watched_topics(), 3);
-        assert_eq!(agg.floor(TopicId(0)), Some(Some(0.3)), "min floor wins");
-        assert_eq!(agg.floor(TopicId(1)), Some(Some(0.2)));
-        assert_eq!(agg.floor(TopicId(2)), Some(None), "exhausted = any touch");
-        assert_eq!(agg.floor(TopicId(9)), None);
-        // A floor can never tighten an any-touch topic back.
-        agg.watch_at(TopicId(2), 0.9);
-        assert_eq!(agg.floor(TopicId(2)), Some(None));
-        agg.clear();
-        assert!(agg.is_empty());
-    }
-
-    #[test]
-    fn floor_aggregate_disturbance_matches_frontier_semantics() {
-        let mut agg = FloorAggregate::new();
-        agg.watch_at(TopicId(0), 0.5);
-        agg.watch_any(TopicId(1));
-        // Untouched index: undisturbed.
-        assert!(!agg.disturbed_by(&RankedDelta::new(3)));
-        // Touch strictly below the aggregated floor: invisible.
-        let mut below = RankedDelta::new(3);
-        below.record(TopicId(0), 0.3);
-        assert!(!agg.disturbed_by(&below));
-        // Touch at/above the floor: disturbed.
-        let mut at = RankedDelta::new(3);
-        at.record(TopicId(0), 0.5);
-        assert!(agg.disturbed_by(&at));
-        // Any touch on an any-touch topic: disturbed.
-        let mut any = RankedDelta::new(3);
-        any.record(TopicId(1), 1e-9);
-        assert!(agg.disturbed_by(&any));
-        // Touches outside the watched set are ignored.
-        let mut outside = RankedDelta::new(3);
-        outside.record(TopicId(2), 10.0);
-        assert!(!agg.disturbed_by(&outside));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! implementation here is the reference that tests (including the paper's
 //! worked examples) and the brute-force optimum check verify against.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ksir_stream::{ActiveWindow, Slot};
 use ksir_types::{Document, ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
@@ -155,8 +155,10 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
 
     /// The semantic score `R_i(S)` of a set (Equation 3): each distinct word of
     /// the set contributes the *maximum* of its weights across the members.
+    /// The weights are summed in word order, so repeated calls return the
+    /// same bits.
     pub fn semantic_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
-        let mut best: HashMap<WordId, f64> = HashMap::new();
+        let mut best: BTreeMap<WordId, f64> = BTreeMap::new();
         for &id in ids {
             let Some((doc, p_elem)) = self.element_on(topic, id) else {
                 continue;
@@ -197,8 +199,9 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     /// coverage of the window elements influenced by at least one member.
     pub fn influence_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
         // For each influenced element e, the survival probability
-        // Π_{e' ∈ S ∩ e.ref} (1 - p_i(e' ⤳ e)); the coverage is 1 - survival.
-        let mut survival: HashMap<Slot, f64> = HashMap::new();
+        // Π_{e' ∈ S ∩ e.ref} (1 - p_i(e' ⤳ e)); the coverage is 1 - survival,
+        // summed in slot order so repeated calls return the same bits.
+        let mut survival: BTreeMap<Slot, f64> = BTreeMap::new();
         for &id in ids {
             let Some(slot) = self.window.slot(id) else {
                 continue;
@@ -293,5 +296,20 @@ mod tests {
     fn propagation_prob_is_product() {
         assert!((propagation_prob(0.74, 0.67) - 0.4958).abs() < 1e-12);
         assert_eq!(propagation_prob(0.0, 1.0), 0.0);
+    }
+
+    /// The from-scratch reference sums in key order, so it repeats its own
+    /// bits: summing a hash map's values in its per-map random order let
+    /// 2 000 calls on the paper example return several bit patterns.
+    #[test]
+    fn set_score_repeats_its_bits() {
+        let engine = crate::fixtures::paper_example().build_engine();
+        let scorer = engine.scorer();
+        let ids = engine.active_ids();
+        let query = QueryVector::new(vec![0.5, 0.5]).unwrap();
+        let first = scorer.set_score(&query, &ids).to_bits();
+        for _ in 0..2_000 {
+            assert_eq!(scorer.set_score(&query, &ids).to_bits(), first);
+        }
     }
 }

@@ -16,10 +16,10 @@
 //!   exhaustive optimum on small instances.
 //! * Algorithm 1 keeps the ranked-list tuples equal to the directly computed
 //!   topic-wise scores `f_i({e})`, even across expiry and resurrection.
-//! * The shard-level refresh floors ([`FloorAggregate`]) stay a monotone,
-//!   conservative union of the absorbed frontiers, and a slide touching only
-//!   tuples below the aggregated floor disturbs neither the aggregate nor
-//!   any absorbed frontier — the soundness of the shard skip rule.
+//! * A slide touching only tuples below the loosest floor of a set of
+//!   frontiers disturbs none of them, and one touching at or above it
+//!   disturbs one — so "no resident classifies" is a sound shard and
+//!   cluster skip.
 //! * One [`QuerySource::query_per_k`] pass answers every requested size
 //!   exactly as that size's own run, bit for bit, on the live engine and on
 //!   an epoch snapshot.
@@ -33,8 +33,8 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_core::{
-    Algorithm, ElementRow, EngineConfig, FloorAggregate, KsirEngine, KsirQuery, ProfileArena,
-    QueryEvaluator, QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
+    Algorithm, ElementRow, EngineConfig, KsirEngine, KsirQuery, ProfileArena, QueryEvaluator,
+    QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
 };
 use ksir_snapshot::EngineSnapshot;
 use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
@@ -431,71 +431,17 @@ proptest! {
         }
     }
 
-    /// Absorbing more frontiers only loosens a [`FloorAggregate`]: per-topic
-    /// floors never rise (with "any touch disturbs" as the loosest state),
-    /// and anything that disturbed the aggregate before an absorb still
-    /// disturbs it afterwards.
-    #[test]
-    fn floor_aggregate_absorption_is_monotone(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let num_topics = rng.gen_range(2..=5usize);
-        let num_frontiers = rng.gen_range(1..=6);
-        let frontiers = random_frontiers(&mut rng, num_topics, num_frontiers);
-        let probes = random_touches(&mut rng, num_topics, 24);
-
-        let mut agg = FloorAggregate::new();
-        for frontier in &frontiers {
-            let before = agg.clone();
-            agg.absorb(frontier);
-            for topic_idx in 0..num_topics {
-                let topic = TopicId(topic_idx as u32);
-                match (before.floor(topic), agg.floor(topic)) {
-                    // Watched topics never become unwatched.
-                    (Some(_), None) => prop_assert!(false, "topic {topic_idx} unwatched by absorb"),
-                    // Any-touch (loosest) never tightens back to a floor.
-                    (Some(None), after) => prop_assert_eq!(after, Some(None)),
-                    // A finite floor only ever moves down (or loosens all
-                    // the way to any-touch).
-                    (Some(Some(fb)), Some(fa)) => {
-                        if let Some(fa) = fa {
-                            prop_assert!(fa <= fb);
-                        }
-                    }
-                    (None, _) => {}
-                }
-            }
-            for delta in &probes {
-                if before.disturbed_by(delta) {
-                    prop_assert!(
-                        agg.disturbed_by(delta),
-                        "absorb un-disturbed a previously disturbing touch"
-                    );
-                }
-            }
-        }
-        // The aggregate is conservative: any touch disturbing an absorbed
-        // frontier disturbs the aggregate.
-        for delta in &probes {
-            if frontiers.iter().any(|f| f.disturbed_by(delta)) {
-                prop_assert!(agg.disturbed_by(delta));
-            }
-        }
-    }
-
-    /// Skip-rule soundness: a slide touching a ranked list only below the
-    /// shard's aggregated floor (by more than [`FLOOR_SLACK`]) disturbs
-    /// neither the aggregate nor any absorbed frontier, so skipping the
-    /// shard changes no refresh decision.
+    /// Skip-rule soundness: the residents of a shard or plan cluster all
+    /// skip a slide exactly when its touches lie below their loosest floor.
+    /// A touch below the minimum floor over the residents' frontiers (by more
+    /// than [`FLOOR_SLACK`]) disturbs no frontier; a touch at or above it
+    /// disturbs the frontier that holds the minimum.
     #[test]
     fn touches_below_the_aggregated_floor_disturb_no_frontier(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let num_topics = rng.gen_range(1..=4usize);
         let num_frontiers = rng.gen_range(1..=5);
         let frontiers = random_frontiers(&mut rng, num_topics, num_frontiers);
-        let mut agg = FloorAggregate::new();
-        for frontier in &frontiers {
-            agg.absorb(frontier);
-        }
 
         for topic_idx in 0..num_topics {
             let topic = TopicId(topic_idx as u32);
@@ -504,31 +450,30 @@ proptest! {
             for id in 1..=rng.gen_range(1..=30u64) {
                 list.upsert(ElementId(id), rng.gen::<f64>(), Timestamp(id));
             }
-            let floor = match agg.floor(topic) {
-                Some(Some(floor)) => floor,
-                // Unwatched or any-touch topics: every touch counts; nothing
-                // to check.
-                _ => continue,
-            };
+            // The loosest floor on this topic: unwatched and exhausted lists
+            // (every touch counts) have nothing to check.
+            let watched: Vec<Option<f64>> = frontiers
+                .iter()
+                .flat_map(|f| f.floors.iter())
+                .filter(|&&(t, _)| t == topic)
+                .map(|&(_, floor)| floor)
+                .collect();
+            if watched.is_empty() || watched.contains(&None) {
+                continue;
+            }
+            let floor = watched.iter().flatten().copied().fold(f64::INFINITY, f64::min);
             // The list splits at `floor - FLOOR_SLACK`: a touch at the score
             // of any tuple below the split is invisible to every refresh
-            // decision.
+            // decision, and one above it reaches the loosest resident.
             for (_, score, _) in list.iter() {
-                if score >= floor - FLOOR_SLACK {
-                    continue;
-                }
                 let mut touch = RankedDelta::new(num_topics);
                 touch.record(topic, score);
-                prop_assert!(
-                    !agg.disturbed_by(&touch),
-                    "touch at {score} below floor {floor} disturbs the aggregate"
+                let disturbed = frontiers.iter().any(|f| f.disturbed_by(&touch));
+                prop_assert_eq!(
+                    disturbed,
+                    score >= floor - FLOOR_SLACK,
+                    "touch at {} against loosest floor {}", score, floor
                 );
-                for frontier in &frontiers {
-                    prop_assert!(
-                        !frontier.disturbed_by(&touch),
-                        "touch at {score} below floor {floor} disturbs a resident frontier"
-                    );
-                }
             }
         }
     }
@@ -763,21 +708,6 @@ fn random_frontiers(rng: &mut StdRng, num_topics: usize, count: usize) -> Vec<Qu
                 floors.push((TopicId(t as u32), floor));
             }
             QueryFrontier::new(floors)
-        })
-        .collect()
-}
-
-/// Random slide touch logs: a few topics touched at random scores each.
-fn random_touches(rng: &mut StdRng, num_topics: usize, count: usize) -> Vec<RankedDelta> {
-    (0..count)
-        .map(|_| {
-            let mut delta = RankedDelta::new(num_topics);
-            for t in 0..num_topics {
-                if rng.gen_bool(0.5) {
-                    delta.record(TopicId(t as u32), rng.gen::<f64>());
-                }
-            }
-            delta
         })
         .collect()
 }

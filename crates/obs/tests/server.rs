@@ -210,7 +210,6 @@ fn planted_manager(
 fn live_pipelined_run_is_scrapable_and_e2e_oracle_holds() {
     let config = ShardConfig::default()
         .with_threads(Some(2))
-        .with_pipeline_depth(2)
         .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
     let (mut mgr, subs, stream) = planted_manager(11, config);
     let receivers: Vec<_> = subs

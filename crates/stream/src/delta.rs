@@ -14,15 +14,15 @@
 //! topics happened **strictly below** that floor: the traversal would read the
 //! exact same prefix of every list and terminate at the same point, so its
 //! result is unchanged.  `ksir-continuous` builds its subscription refresh
-//! policy on exactly this invariant — and its shard scheduler projects the
-//! compact [`RankedDelta::touches`] slice onto per-shard topic floors to
-//! decide which shards a slide can disturb at all.
+//! policy on exactly this invariant, and schedules a shard only when the
+//! slide disturbs one of its subscriptions.
 //!
 //! The log is stored sparsely: one [`Touch`] entry per touched topic, in
-//! first-touch order, plus a lazily built dense topic index for `O(1)`
-//! recording.  Quiet slides therefore allocate nothing, clearing the log
-//! between slides reuses the buffers (see [`RankedDelta::clear`]), and
-//! iterating the touches is `O(touched topics)` rather than `O(z)`.
+//! first-touch order, plus a dense topic index, built at the first touch,
+//! for `O(1)` recording and lookup.  Quiet slides therefore allocate
+//! nothing, clearing the log in place reuses the buffers (see
+//! [`RankedDelta::clear`]), and iterating the touches is
+//! `O(touched topics)` rather than `O(z)`.
 //!
 //! [`WindowDelta`] bundles the ranked-list touches with the element-level
 //! churn (activated / expired / resurrected / refreshed ids) of one bucket
@@ -35,9 +35,8 @@ const UNTOUCHED: u32 = u32::MAX;
 
 /// Comparison slack for "touch at or above a score floor" checks.
 ///
-/// Every score-bound comparison must use the same slack — the frontier /
-/// floor-aggregate disturbance checks in `ksir-core` (`touch.high >= floor -
-/// FLOOR_SLACK`) and the suffix cursors of [`crate::ranked_list`] (start at
+/// Every score-bound comparison must use the same slack — the frontier
+/// disturbance check in `ksir-core` (`touch.high >= floor - FLOOR_SLACK`) and the suffix cursors of [`crate::ranked_list`] (start at
 /// `score <= high + FLOOR_SLACK`) — or a tuple within rounding of a bound
 /// could be seen by one side and missed by the other.  Exported so the
 /// invariant lives in one place.
@@ -78,16 +77,15 @@ impl Touch {
 /// Per-topic ranked-list touches accumulated over one window slide.
 ///
 /// Stored sparsely: [`RankedDelta::touches`] returns one entry per touched
-/// topic in first-touch order.  A dense `topic → entry` index is built lazily
-/// on the recording side so the hot ingestion path stays `O(1)` per touch;
-/// consumers that only read a drained delta fall back to a linear scan over
-/// the (typically short) entry list.
+/// topic in first-touch order.  A dense `topic → entry` index is built at the
+/// first recorded touch and travels with the log (through [`RankedDelta::drain`]
+/// and clones), so both recording and lookups are `O(1)` per topic.
 #[derive(Debug, Clone, Default)]
 pub struct RankedDelta {
     num_topics: usize,
     entries: Vec<Touch>,
     /// Dense `topic.index() → entries index` map ([`UNTOUCHED`] = absent).
-    /// Empty when the index has not been (re)built for `num_topics` yet.
+    /// Either empty (and then so is `entries`) or `num_topics` long.
     index: Vec<u32>,
 }
 
@@ -107,19 +105,13 @@ impl RankedDelta {
         self.num_topics
     }
 
-    /// Position of `topic`'s entry, via the dense index when it is built and
-    /// by linear scan otherwise.
+    /// Position of `topic`'s entry: `O(1)` through the dense index, which
+    /// is built whenever the log holds an entry (an unbuilt index means an
+    /// empty log).
     fn position(&self, topic: TopicId) -> Option<usize> {
-        if topic.index() >= self.num_topics {
-            return None;
-        }
-        if self.index.len() == self.num_topics {
-            match self.index[topic.index()] {
-                UNTOUCHED => None,
-                i => Some(i as usize),
-            }
-        } else {
-            self.entries.iter().position(|t| t.topic == topic)
+        match self.index.get(topic.index()) {
+            Some(&i) if i != UNTOUCHED => Some(i as usize),
+            _ => None,
         }
     }
 
@@ -203,20 +195,10 @@ impl RankedDelta {
         self.entries.clear();
     }
 
-    /// Moves the accumulated touches into a new owned delta, leaving `self`
-    /// empty but with its dense index buffer intact for the next slide.
+    /// Moves the accumulated touches, dense index included, into a new
+    /// owned delta, leaving `self` an empty log over the same topics.
     pub fn drain(&mut self) -> RankedDelta {
-        let entries = std::mem::take(&mut self.entries);
-        if self.index.len() == self.num_topics {
-            for t in &entries {
-                self.index[t.topic.index()] = UNTOUCHED;
-            }
-        }
-        RankedDelta {
-            num_topics: self.num_topics,
-            entries,
-            index: Vec::new(),
-        }
+        std::mem::replace(self, RankedDelta::new(self.num_topics))
     }
 
     /// Folds another delta into this one (used when aggregating several
@@ -224,10 +206,11 @@ impl RankedDelta {
     pub fn merge(&mut self, other: &RankedDelta) {
         if self.num_topics < other.num_topics {
             self.num_topics = other.num_topics;
-            self.index.clear(); // stale size; rebuilt on demand
+        }
+        if !self.entries.is_empty() || !other.entries.is_empty() {
+            self.ensure_index();
         }
         for t in &other.entries {
-            self.ensure_index();
             match self.index[t.topic.index()] {
                 UNTOUCHED => {
                     self.index[t.topic.index()] = self.entries.len() as u32;
@@ -291,16 +274,6 @@ impl WindowDelta {
     /// Returns `true` if `id` expired during this slide.
     pub fn lost(&self, id: ElementId) -> bool {
         self.expired.binary_search(&id).is_ok()
-    }
-
-    /// Returns `true` if any of `ids` expired during this slide — the
-    /// membership projection shard schedulers run against their resident
-    /// result sets.
-    pub fn lost_any<I>(&self, ids: I) -> bool
-    where
-        I: IntoIterator<Item = ElementId>,
-    {
-        !self.expired.is_empty() && ids.into_iter().any(|id| self.lost(id))
     }
 
     /// The slide's ranked-list touches as a borrowed slice, in first-touch
@@ -386,7 +359,7 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.num_topics(), 3);
         assert_eq!(drained.touch(TopicId(1)).unwrap().high, 0.6);
-        // The drained copy answers lookups without a dense index.
+        // The drained copy answers lookups through the index it took over.
         assert!(drained.touched(TopicId(1)));
         assert!(!drained.touched(TopicId(0)));
         // The source keeps recording correctly after the drain.
@@ -417,6 +390,13 @@ mod tests {
                 high: 0.1
             })
         );
+        // Widening by an empty delta rebuilds the index: lookups stay valid.
+        a.merge(&RankedDelta::new(4));
+        assert_eq!(a.num_topics(), 4);
+        assert_eq!(a.touch(TopicId(1)).unwrap().high, 0.1);
+        assert!(!a.touched(TopicId(3)));
+        a.record(TopicId(3), 0.4);
+        assert_eq!(a.touched_topics(), 3);
     }
 
     #[test]
@@ -440,8 +420,6 @@ mod tests {
         };
         assert!(delta.lost(ElementId(5)));
         assert!(!delta.lost(ElementId(4)));
-        assert!(delta.lost_any([ElementId(4), ElementId(9)]));
-        assert!(!delta.lost_any([ElementId(4), ElementId(6)]));
         assert!(!delta.is_empty());
         assert!(WindowDelta::default().is_empty());
         assert!(WindowDelta::default().touches().is_empty());

@@ -402,9 +402,9 @@ impl RankedLists {
         &self.delta
     }
 
-    /// Drains and returns the accumulated touch log.  The resident log keeps
-    /// its dense index buffer, so subsequent slides record without
-    /// re-allocating it.
+    /// Drains and returns the accumulated touch log, its dense topic index
+    /// included, so the returned log answers lookups in `O(1)`.  The resident
+    /// log starts empty and builds a fresh index at its next touch.
     pub fn take_delta(&mut self) -> RankedDelta {
         self.delta.drain()
     }

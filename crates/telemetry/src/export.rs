@@ -20,9 +20,11 @@ const PREFIX: &str = "ksir_";
 /// line rather than failing or inventing text.
 fn help_for(name: &str) -> Option<&'static str> {
     Some(match name {
-        "ingest.admission_wait" => "Time a bucket waited for pipeline admission (depth gate)",
+        "ingest.admission_wait" => {
+            "Time a bucket waited for pipeline admission (two epochs in flight)"
+        }
         "ingest.index_write" => "Time spent applying a bucket to the live index",
-        "ingest.project" => "Time spent projecting the slide delta onto shard touch filters",
+        "ingest.project" => "Time spent classifying shard residents against the slide delta",
         "ingest.reordered" => "Buckets re-sequenced by the reorder buffer",
         "ingest.late_dropped" => "Beyond-horizon buckets shed under LatePolicy::DropLate",
         "ingest.late_replayed" => "Beyond-horizon buckets folded in under LatePolicy::ForceReplay",
@@ -31,13 +33,13 @@ fn help_for(name: &str) -> Option<&'static str> {
         "refresh.gain_evaluations" => "Total scoring passes across all refreshes",
         "refresh.cluster.covering" => "Covering traversals run for plan clusters",
         "refresh.cluster.shared" => "Refreshes served by their cluster's covering traversal",
-        "refresh.cluster.skipped" => "Cluster-level skips (whole cluster undisturbed)",
+        "refresh.cluster.skipped" => "Clusters of scheduled shards in which no member classified",
         "worker.item" => "Time one worker spent on one queued shard refresh",
         "worker.panics" => "Refresh attempts that panicked (injected or real)",
         "worker.restarts" => "Worker threads respawned after death",
         "shard.refreshes" => "Slide-driven subscription refreshes (query re-runs)",
         "shard.skips" => "Slide-time subscription evaluations skipped by the delta rules",
-        "shard.scheduled_slides" => "Shard-slides whose touch filters fired",
+        "shard.scheduled_slides" => "Shard-slides in which some resident classified",
         "shard.skipped_slides" => "Shard-slides proven undisturbed as a whole",
         "shard.retired" => "Shards retired after their last subscription left",
         "shard.quarantined" => "Shards quarantined after exhausting the retry budget (cumulative)",

@@ -218,8 +218,8 @@ impl EpochTimeline {
     }
 
     /// The epoch whose work outlived its ingest the longest — where
-    /// `pipeline_depth` stalls come from: while this epoch drains, admission
-    /// of `epoch + depth` waits.
+    /// admission stalls come from: while this epoch drains, admission of
+    /// `epoch + 2` waits.
     pub fn slowest_drain(&self) -> Option<&EpochRecord> {
         self.epochs.iter().max_by_key(|r| r.drain_nanos())
     }

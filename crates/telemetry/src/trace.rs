@@ -47,7 +47,8 @@ pub enum TraceEventKind {
         /// Ranked lists (watched topics) the snapshot covers.
         topics: u64,
     },
-    /// A shard's touch filters fired and its residents are being classified
+    /// Some resident of a shard classified and its residents are being
+    /// classified on a worker
     /// (mirrors `ShardStats::scheduled_slides`).
     ShardScheduled,
     /// A busy shard had this epoch appended to its lane; the owning worker

@@ -148,7 +148,7 @@ fn main() -> Result<(), ksir::KsirError> {
     let scheduled = total("shard.scheduled_slides");
     let undisturbed = total("shard.skipped_slides");
     println!(
-        "{} slides ingested; shard touch filters scheduled {} shard refreshes \
+        "{} slides ingested; resident classification scheduled {} shard refreshes \
          and proved {} shard-slides undisturbed ({} epoch handoffs rode a busy \
          shard's lane).\n",
         tickets.len(),
