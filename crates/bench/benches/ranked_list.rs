@@ -1,5 +1,9 @@
 //! Micro-benchmarks of the per-topic ranked lists (Algorithm 1's data
-//! structure): inserts, score adjustments, removals and ordered traversal.
+//! structure): inserts, score adjustments and ordered traversal.
+//!
+//! Every write goes by the known key, as the engine's does: the bench keeps
+//! each element's current score beside the list (the engine keeps it by
+//! slot), since the list itself cannot find an entry by id.
 
 use std::hint::black_box;
 
@@ -8,14 +12,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ksir_stream::RankedList;
 use ksir_types::{ElementId, Timestamp};
 
+/// The score `filled_list` gives element `i`.
+fn initial_score(i: u64) -> f64 {
+    ((i * 37) % 1000) as f64 / 1000.0
+}
+
 fn filled_list(n: u64) -> RankedList {
     let mut list = RankedList::new();
     for i in 0..n {
-        list.upsert(
-            ElementId(i),
-            ((i * 37) % 1000) as f64 / 1000.0,
-            Timestamp(i),
-        );
+        list.write(ElementId(i), None, initial_score(i), Timestamp(i));
     }
     list
 }
@@ -33,10 +38,14 @@ fn bench_ranked_list(c: &mut Criterion) {
         let list = filled_list(n);
         group.bench_function(BenchmarkId::new("adjust_score", n), |b| {
             let mut list = list.clone_for_bench();
+            // Element i's current score, as the engine's tuple table holds it.
+            let mut scores: Vec<f64> = (0..n).map(initial_score).collect();
             let mut i = 0u64;
             b.iter(|| {
                 i = (i + 1) % n;
-                list.upsert(ElementId(i), ((i * 13) % 997) as f64 / 997.0, Timestamp(i));
+                let score = ((i * 13) % 997) as f64 / 997.0;
+                let old = std::mem::replace(&mut scores[i as usize], score);
+                list.write(ElementId(i), Some(old), score, Timestamp(i));
             })
         });
 
@@ -67,7 +76,7 @@ impl CloneForBench for RankedList {
     fn clone_for_bench(&self) -> RankedList {
         let mut out = RankedList::new();
         for (id, score, ts) in self.iter() {
-            out.upsert(id, score, ts);
+            out.write(id, None, score, ts);
         }
         out
     }

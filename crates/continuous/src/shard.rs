@@ -314,6 +314,14 @@ pub(crate) struct ShardSlide {
 /// [`ShardSlide`]s into.
 pub(crate) type SlideCollector = Arc<Mutex<Vec<ShardSlide>>>;
 
+/// The decisions of one refresh walk, not yet applied: the members that
+/// skip, and each refreshing member's reason and fresh result.
+#[derive(Debug, Default)]
+struct Staged {
+    skipped: Vec<SubscriptionId>,
+    refreshed: Vec<(SubscriptionId, RefreshReason, QueryResult)>,
+}
+
 /// Cost-side accounting of one scheduled slide, kept separate from
 /// [`ShardSlide`] because it describes *how* the work was served, not what
 /// was decided: the decision counters are pinned identical to a
@@ -607,6 +615,11 @@ impl Shard {
     /// Classifies and (where needed) refreshes every resident against the
     /// slide, cluster by cluster.  Runs on a worker thread; `source` is the
     /// epoch's snapshot.
+    ///
+    /// The walk only decides: it stages each member's skip or fresh result
+    /// and changes no shard state.  The decisions, the member stats and the
+    /// shard totals are committed together once the walk returns, so a walk
+    /// that panics commits nothing and its retry starts from the same state.
     pub(crate) fn refresh_scheduled(
         &mut self,
         source: &dyn QuerySource,
@@ -616,7 +629,8 @@ impl Shard {
         let started = Instant::now();
         self.telemetry.record(epoch, TraceEventKind::ShardScheduled);
         self.telemetry.record(epoch, TraceEventKind::RefreshStarted);
-        let (slide, work) = self.refresh_clusters(source, delta);
+        let (staged, work) = self.walk_clusters(source, delta);
+        let slide = self.commit(staged);
         self.scheduled_slides += 1;
         self.refreshes += slide.refreshed;
         self.skips += slide.skipped;
@@ -656,29 +670,25 @@ impl Shard {
     ///   admission and stopping rules over one retrieval order, they never
     ///   reuse one size's result for another.
     ///
-    /// The walk borrows `clusters` and `subs` as disjoint fields, so a panic
-    /// anywhere in it (a query, an `expect`) leaves every cluster in place
-    /// for the retry.
-    fn refresh_clusters(
-        &mut self,
-        source: &dyn QuerySource,
-        delta: &WindowDelta,
-    ) -> (ShardSlide, SlideWork) {
-        let mut slide = ShardSlide::default();
+    /// The walk reads the shard and writes nothing: a member's classification
+    /// reads only its own state, and each member is in one cluster, so
+    /// staging every decision until [`Shard::commit`] decides exactly what
+    /// applying them as it goes would.  A panic anywhere in the walk (a query,
+    /// an `expect`) unwinds past the staged decisions and leaves the shard
+    /// as it was.
+    fn walk_clusters(&self, source: &dyn QuerySource, delta: &WindowDelta) -> (Staged, SlideWork) {
+        let mut staged = Staged::default();
         let mut work = SlideWork::default();
         for cluster in self.clusters.values() {
             let mut to_refresh: Vec<(SubscriptionId, RefreshReason, usize)> = Vec::new();
             for &id in &cluster.members {
                 let sub = self
                     .subs
-                    .get_mut(&id)
+                    .get(&id)
                     .expect("cluster members reside in the shard");
                 match classify(sub, delta) {
                     Some(reason) => to_refresh.push((id, reason, sub.query.k())),
-                    None => {
-                        slide.skipped += 1;
-                        sub.stats.skips += 1;
-                    }
+                    None => staged.skipped.push(id),
                 }
             }
             if to_refresh.is_empty() {
@@ -704,10 +714,6 @@ impl Shard {
             }
             let mut fresh: Vec<Option<QueryResult>> = fresh.into_iter().map(Some).collect();
             for (id, reason, k) in to_refresh {
-                let sub = self
-                    .subs
-                    .get_mut(&id)
-                    .expect("cluster members reside in the shard");
                 let at = size_of(k);
                 takers[at] -= 1;
                 let result = if takers[at] == 0 {
@@ -716,17 +722,35 @@ impl Shard {
                     fresh[at].clone()
                 };
                 let result = result.expect("a size's last member takes its result");
-                slide.refreshed += 1;
-                sub.stats.refreshes += 1;
-                if let Some(update) = apply_fresh(id, sub, reason, result) {
-                    slide.updates.push(update);
-                }
+                staged.refreshed.push((id, reason, result));
             }
         }
-        // Emit updates in resident (id) order, the order a per-subscription
-        // walk produces and `SlideOutcome` presents.
+        (staged, work)
+    }
+
+    /// Applies a completed walk's decisions: a skip or a refresh charged to
+    /// each member, and each fresh result stored.  Returns the slide's
+    /// counts and its updates, in resident (id) order — the order a
+    /// per-subscription walk produces and `SlideOutcome` presents.
+    fn commit(&mut self, staged: Staged) -> ShardSlide {
+        let mut slide = ShardSlide {
+            skipped: staged.skipped.len(),
+            refreshed: staged.refreshed.len(),
+            ..ShardSlide::default()
+        };
+        for id in staged.skipped {
+            let sub = self.subs.get_mut(&id).expect("a staged member resides");
+            sub.stats.skips += 1;
+        }
+        for (id, reason, result) in staged.refreshed {
+            let sub = self.subs.get_mut(&id).expect("a staged member resides");
+            sub.stats.refreshes += 1;
+            if let Some(update) = apply_fresh(id, sub, reason, result) {
+                slide.updates.push(update);
+            }
+        }
         slide.updates.sort_by_key(|update| update.subscription);
-        (slide, work)
+        slide
     }
 
     /// Charges one skip to every resident of an unscheduled shard.  Returns
@@ -1013,6 +1037,75 @@ mod tests {
             "the resident is charged"
         );
         assert_eq!(retry.refreshed, 1);
+    }
+
+    /// The paper example's engine, with the `n`-th query (counted from 1)
+    /// panicking as a real kernel fault would.
+    struct PanicsOnQuery {
+        engine: ksir_core::KsirEngine<ksir_types::DenseTopicWordTable>,
+        n: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl QuerySource for PanicsOnQuery {
+        fn num_topics(&self) -> usize {
+            self.engine.num_topics()
+        }
+
+        fn query_per_k(
+            &self,
+            query: &KsirQuery,
+            ks: &[usize],
+            algorithm: Algorithm,
+        ) -> ksir_types::Result<Vec<QueryResult>> {
+            let call = 1 + self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert_ne!(call, self.n, "a kernel fault");
+            self.engine.query_per_k(query, ks, algorithm)
+        }
+    }
+
+    /// Regression: a walk that panics after refreshing one cluster commits
+    /// nothing, so the retry delivers every member's change and charges each
+    /// member once.  Applying results during the walk left the first
+    /// cluster's member holding its new result: the retry delivered only
+    /// the second member's change and charged the first a second refresh.
+    #[test]
+    fn a_mid_walk_panic_loses_no_delivery_and_charges_once() {
+        let two_clusters = || {
+            let mut shard = shard(ShardKey::Topic(TopicId(0)));
+            shard.insert(SubscriptionId(0), resident(&[0.6, 0.4], 0.5));
+            shard.insert(SubscriptionId(1), resident(&[0.7, 0.3], 0.2));
+            shard
+        };
+        let source = |n| PanicsOnQuery {
+            engine: ksir_core::fixtures::paper_example().build_engine(),
+            n,
+            calls: Default::default(),
+        };
+        let delta = touch_at(0.6);
+        let delivered = |slide: &ShardSlide| -> Vec<SubscriptionId> {
+            slide.updates.iter().map(|u| u.subscription).collect()
+        };
+        let clean = two_clusters().refresh_scheduled(&source(0), &delta, 1);
+        assert_eq!(delivered(&clean), [SubscriptionId(0), SubscriptionId(1)]);
+
+        let mut shard = two_clusters();
+        let faulty = source(2);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shard.refresh_scheduled(&faulty, &delta, 1)
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(shard.stats().refreshes + shard.stats().skips, 0);
+        let retry = shard.refresh_scheduled(&source(0), &delta, 1);
+        assert_eq!(delivered(&retry), delivered(&clean));
+        assert_eq!((retry.refreshed, retry.skipped), (2, 0));
+        for id in [SubscriptionId(0), SubscriptionId(1)] {
+            let stats = &shard.get(id).unwrap().stats;
+            assert_eq!((stats.refreshes, stats.skips), (1, 0), "{id:?}");
+            assert_eq!(stats.result_changes, 1, "{id:?}");
+        }
     }
 
     #[test]

@@ -498,13 +498,11 @@ fn worker_loop(
 /// faults fire at the attempt's *entry*, before any shard state is touched,
 /// so a recovering injected fault leaves decisions (and all counters)
 /// bit-identical to a clean run — the chaos oracles' pass criterion.  A
-/// *real* panic from inside the refresh walk may have mutated resident
-/// state.  Nothing needs repair: the shard derives no filter from stored
-/// results and the walk never moves its clusters out, so the retry's
-/// classify pass carries whatever results the interrupted walk left
-/// forward, though a resident charged before the panic is charged again —
-/// the per-subscription counters are best-effort across *real* mid-walk
-/// panics.
+/// *real* panic from inside the refresh walk does the same: the walk only
+/// stages its decisions, and the shard commits results, member stats and
+/// totals together once the walk returns, so a panicked attempt leaves the
+/// shard as it found it and the retry decides, delivers and charges
+/// exactly what a clean attempt would.
 fn refresh_resilient<T>(
     cell: &ShardCell,
     epoch: u64,

@@ -22,6 +22,7 @@ use crate::evaluator::QueryEvaluator;
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::row::{ElementRow, ElementRows};
 use crate::scorer::Scorer;
+use crate::tuples::{written, TupleTable};
 use crate::view::{self, QuerySource};
 
 /// Counters describing the work an engine has performed so far.
@@ -33,7 +34,9 @@ pub struct EngineStats {
     pub buckets_ingested: usize,
     /// Elements that expired out of the active window.
     pub elements_expired: usize,
-    /// Ranked-list tuple recomputations (inserts and adjustments).
+    /// Ranked-list tuple recomputations (inserts and adjustments), whether
+    /// or not the recomputed tuple differed from the stored one and was
+    /// written.
     pub tuple_updates: usize,
     /// Window mutations that deep-cloned the active window because an epoch
     /// snapshot was still reading it (copy-on-write; zero without snapshots).
@@ -62,8 +65,9 @@ pub struct IngestReport {
     pub inserted: usize,
     /// Elements discarded because they are no longer active.
     pub expired: usize,
-    /// Previously ingested elements whose ranked-list tuples were refreshed
-    /// (referenced parents and elements whose influence sets shrank).
+    /// Previously ingested elements whose ranked-list tuples changed
+    /// (referenced parents and elements whose influence sets shrank, when a
+    /// recomputed score or `t_e` differs from the stored one).
     pub refreshed: usize,
     /// Previously expired elements brought back into the active set because a
     /// bucket element references them.
@@ -125,6 +129,11 @@ pub struct KsirEngine<D> {
     /// the same operands in the same order as [`Scorer::topicwise_element`],
     /// hence the same bits.
     rows: Arc<ElementRows>,
+    /// The `⟨δ_i(e), t_e⟩` the ranked lists hold for every active element,
+    /// by slot, in its row's support order: the keys each list is written
+    /// and erased by.  Not shared with snapshots, which never look a tuple
+    /// up by id.
+    tuples: TupleTable,
     /// Every ingested element (subject to the retention policy), kept so that
     /// references from new arrivals can bring expired parents back into the
     /// active set, as required by the paper's definition of `A_t`.
@@ -156,6 +165,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             window: Arc::new(ActiveWindow::new(config.window)),
             ranked: RankedLists::new(num_topics),
             rows: Arc::new(ElementRows::new()),
+            tuples: TupleTable::default(),
             archive: HashMap::new(),
             archive_by_time: BinaryHeap::new(),
             stats: EngineStats::default(),
@@ -368,6 +378,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                             .filter_map(|&r| self.window.slot(r))
                             .collect();
                         let slot = self.window_mut().insert_resolved(payload, &back)?;
+                        self.tuples.reset(slot, row.entries().len());
                         self.rows_mut().insert(slot, row);
                         resurrected.push(parent);
                         resurrected_slots.push(slot);
@@ -393,6 +404,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
                 }
             }
             let slot = self.window_mut().insert_resolved(element, &parents)?;
+            self.tuples.reset(slot, row.entries().len());
             self.rows_mut().insert(slot, row);
             new_ids.push(id);
             new_slots.push(slot);
@@ -400,10 +412,16 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
 
         let freed = self.window_mut().advance_freeing(bucket_end)?;
         for &(id, slot) in &freed {
-            // The element's tuples sit in exactly its support lists.
+            // The element's tuples sit in exactly its support lists, under
+            // the stored keys; one admitted and expired in this slide has
+            // none yet.
             if let Some(row) = self.rows_mut().remove(slot) {
-                for &(topic, _, _) in row.entries() {
-                    self.ranked.remove(topic, id);
+                let stored = self.tuples.take(slot);
+                for (&(topic, _, _), &score) in row.entries().iter().zip(stored.scores()) {
+                    if let Some(score) = written(score) {
+                        let erased = self.ranked.erase(topic, id, score);
+                        debug_assert!(erased, "no tuple of {id} at {score} in {topic}");
+                    }
                 }
             }
         }
@@ -599,8 +617,12 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     /// Recomputes the ranked-list tuples `⟨δ_i(e), t_e⟩` of the element `id`
     /// in `slot` for every topic in its support: the row's `R_i(e)` combined
     /// with the influence score over the element's current children.
-    /// Returns `false`, writing nothing, if the slot is free (the element
-    /// expired in this slide).
+    ///
+    /// Each list is written by the stored old key, and a tuple whose score
+    /// bits and `t_e` are unchanged is not written at all: it moves nothing
+    /// in the list and logs no touch.  Returns whether any tuple was written
+    /// — `false` too if the slot is free (the element expired in this
+    /// slide).
     fn refresh_tuples(&mut self, id: ElementId, slot: Slot) -> bool {
         let (Some(row), Some(last_referenced)) =
             (self.rows.get(slot), self.window.last_referenced_at(slot))
@@ -613,13 +635,23 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             self.window.as_ref(),
             self.rows.as_ref(),
         );
-        for &(topic, _, semantic) in row.entries() {
+        let (stored_ts, stored) = self.tuples.get_mut(slot);
+        let same_ts = *stored_ts == last_referenced;
+        let mut wrote = false;
+        for (&(topic, _, semantic), old) in row.entries().iter().zip(stored) {
             let influence = scorer.influence_at(topic, slot);
             let score = self.config.scoring.combine(semantic, influence);
-            self.ranked.upsert(topic, id, score, last_referenced);
             self.stats.tuple_updates += 1;
+            if same_ts && old.to_bits() == score.to_bits() {
+                continue;
+            }
+            self.ranked
+                .write(topic, id, written(*old), score, last_referenced);
+            *old = score;
+            wrote = true;
         }
-        true
+        *stored_ts = last_referenced;
+        wrote
     }
 
     fn check_query(&self, query: &KsirQuery) -> Result<()> {
@@ -947,7 +979,8 @@ mod tests {
         assert!(engine
             .ranked_lists()
             .list(TopicId(0))
-            .contains(ElementId(1)));
+            .get(ElementId(1))
+            .is_some());
         let before = engine
             .ranked_lists()
             .list(TopicId(0))
@@ -1028,6 +1061,58 @@ mod tests {
     }
 
     #[test]
+    fn a_bit_identical_recomputation_writes_and_touches_nothing() {
+        // e1 is about topic 0 only.  Its children: e2 (topic 1 only, so its
+        // influence term on topic 0 is exactly 0.0) and e3.  When e2 leaves
+        // W_t, e1 loses a child and its tuple is recomputed — to the same
+        // bits (0.0 + x == x) and the same t_e (e3's reference).  e3 keeps
+        // e1 and e2 active, so nothing expires either.
+        let mut engine = tiny_engine();
+        let post = |id: u64, ts: u64| SocialElementBuilder::new(id).at(ts).words([0, 1]);
+        engine
+            .ingest_bucket(vec![(post(1, 1).build(), tv(&[1.0, 0.0]))], Timestamp(1))
+            .unwrap();
+        engine
+            .ingest_bucket(
+                vec![(post(2, 2).referencing(1).build(), tv(&[0.0, 1.0]))],
+                Timestamp(2),
+            )
+            .unwrap();
+        let e3 = post(3, 4).referencing(1).referencing(2).build();
+        engine
+            .ingest_bucket(vec![(e3, tv(&[1.0, 0.0]))], Timestamp(4))
+            .unwrap();
+        let lists = |e: &KsirEngine<DenseTopicWordTable>| -> Vec<Vec<(ElementId, u64, Timestamp)>> {
+            (0..2)
+                .map(|t| {
+                    let list = e.ranked_lists().list(TopicId(t)).iter();
+                    list.map(|(id, s, ts)| (id, s.to_bits(), ts)).collect()
+                })
+                .collect()
+        };
+        let before = lists(&engine);
+        let updates = engine.stats().tuple_updates;
+
+        // At t = 6 the window starts at 3: e2 has left W_t.
+        let r = engine.ingest_bucket(vec![], Timestamp(6)).unwrap();
+        assert_eq!(
+            engine.stats().tuple_updates,
+            updates + 1,
+            "e1 was recomputed"
+        );
+        assert_eq!(r.expired, 0);
+        assert_eq!(r.refreshed, 0, "nothing changed, nothing refreshed");
+        assert!(r.delta.refreshed.is_empty());
+        assert!(
+            r.delta.ranked.is_empty(),
+            "no touch: {:?}",
+            r.delta.touches()
+        );
+        assert!(r.delta.is_empty());
+        assert_eq!(lists(&engine), before);
+    }
+
+    #[test]
     fn expired_parents_are_resurrected_by_new_references() {
         // Mirrors Table 1: e2 (ts = 2) expires at t = 6 under T = 4 but must
         // be active again at t = 7 because e7 references it.
@@ -1052,7 +1137,8 @@ mod tests {
         assert!(engine
             .ranked_lists()
             .list(TopicId(0))
-            .contains(ElementId(2)));
+            .get(ElementId(2))
+            .is_some());
     }
 
     #[test]
@@ -1184,11 +1270,13 @@ mod tests {
         assert!(engine
             .ranked_lists()
             .list(TopicId(0))
-            .contains(ElementId(1)));
-        assert!(!engine
+            .get(ElementId(1))
+            .is_some());
+        assert!(engine
             .ranked_lists()
             .list(TopicId(2))
-            .contains(ElementId(1)));
+            .get(ElementId(1))
+            .is_none());
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod query;
 pub mod row;
 pub mod scorer;
 pub mod shared;
+mod tuples;
 pub mod view;
 
 pub use config::{EngineConfig, ScoringConfig};

@@ -4,15 +4,18 @@
 //! [`OldPath`] below is that procedure, as the engine ran it before it kept
 //! per-element rows: every element's sparsified distribution is a dense
 //! `z`-wide vector, every refresh recomputes `δ_i(e)` from the document and
-//! the children's dense vectors over the vector's support, expiry probes all
-//! `z` lists (`remove_everywhere`), and the archive holds deep copies.  Over a
+//! the children's dense vectors over the vector's support and writes only a
+//! tuple whose score bits or `t_e` changed, expiry probes all `z` lists, and
+//! the archive holds deep copies.  A ranked list cannot find a tuple by id,
+//! so the old path keeps its own `(topic, id) → tuple` index, as the lists
+//! once did.  Over a
 //! long-document and a short-post stream — several hundred slides each, with
 //! elements expiring and coming back, under three sparsification settings —
 //! the engine and the old path must agree after **every** slide on the
 //! report, the touch log (including its order), every stored tuple and every
 //! active element's distribution, bit for bit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ksir_core::config::ArchiveRetention;
 use ksir_core::{
@@ -31,6 +34,8 @@ struct OldPath<'a> {
     config: EngineConfig,
     window: ActiveWindow,
     ranked: RankedLists,
+    /// Every tuple the lists hold, by `(topic, id)`.
+    tuples: HashMap<(TopicId, ElementId), (f64, Timestamp)>,
     topic_vectors: HashMap<ElementId, TopicVector>,
     archive: HashMap<ElementId, (SocialElement, TopicVector)>,
     tuple_updates: usize,
@@ -43,6 +48,7 @@ impl<'a> OldPath<'a> {
             config,
             window: ActiveWindow::new(config.window),
             ranked: RankedLists::new(phi.num_topics()),
+            tuples: HashMap::new(),
             topic_vectors: HashMap::new(),
             archive: HashMap::new(),
             tuple_updates: 0,
@@ -85,10 +91,14 @@ impl<'a> OldPath<'a> {
             new_ids.push(id);
         }
         let expired = self.window.advance_to(bucket_end).unwrap();
-        for id in &expired {
-            self.ranked.remove_everywhere(*id);
-            self.topic_vectors.remove(id);
-            touched.remove(id);
+        for &id in &expired {
+            for topic in (0..self.ranked.num_topics() as u32).map(TopicId) {
+                if let Some((score, _)) = self.tuples.remove(&(topic, id)) {
+                    self.ranked.erase(topic, id, score);
+                }
+            }
+            self.topic_vectors.remove(&id);
+            touched.remove(&id);
         }
         if let ArchiveRetention::Ticks(ticks) = self.config.archive {
             let cutoff = bucket_end.saturating_sub(ticks);
@@ -96,11 +106,8 @@ impl<'a> OldPath<'a> {
         }
         let mut refreshed = Vec::new();
         for &id in new_ids.iter().chain(touched.iter()) {
-            if self.window.contains(id) {
-                self.refresh_tuples(id);
-                if !new_ids.contains(&id) {
-                    refreshed.push(id);
-                }
+            if self.window.contains(id) && self.refresh_tuples(id) && !new_ids.contains(&id) {
+                refreshed.push(id);
             }
         }
         IngestReport {
@@ -176,17 +183,29 @@ impl<'a> OldPath<'a> {
         self.config.scoring.combine(semantic, influence)
     }
 
-    fn refresh_tuples(&mut self, id: ElementId) {
+    /// Recomputes every tuple of `id` and upserts those that differ from
+    /// the stored one in score bits or `t_e`: an identical rewrite is no
+    /// change.  Returns whether any tuple was written.
+    fn refresh_tuples(&mut self, id: ElementId) -> bool {
         let last_referenced = self.window.last_referenced(id).unwrap();
         let tuples: Vec<(TopicId, f64)> = self.topic_vectors[&id]
             .support()
             .into_iter()
             .map(|(topic, _)| (topic, self.topicwise(topic, id)))
             .collect();
+        let mut wrote = false;
         for (topic, score) in tuples {
-            self.ranked.upsert(topic, id, score, last_referenced);
             self.tuple_updates += 1;
+            let new = (score, last_referenced);
+            let old = self.tuples.insert((topic, id), new);
+            if old.map(|(s, ts)| (s.to_bits(), ts)) == Some((score.to_bits(), last_referenced)) {
+                continue;
+            }
+            let old = old.map(|(s, _)| s);
+            self.ranked.write(topic, id, old, score, last_referenced);
+            wrote = true;
         }
+        wrote
     }
 }
 
@@ -278,10 +297,12 @@ fn replay_under(
 
         // Every stored tuple equals the old path's, and the direct formula.
         let scorer = engine.scorer();
+        let mut held = HashSet::new();
         for topic in (0..z as u32).map(TopicId) {
             let stored = list_bits(engine.ranked_lists(), topic);
             assert_eq!(stored, list_bits(&old.ranked, topic), "{topic}, {at}");
             for (id, bits, ts) in stored {
+                held.insert((topic, id));
                 assert_eq!(bits, scorer.topicwise_element(topic, id).to_bits(), "{at}");
                 assert_eq!(Some(ts), engine.window().last_referenced(id), "{at}");
             }
@@ -298,7 +319,7 @@ fn replay_under(
             assert_eq!(bits(&vector), expected, "{id}, {at}");
             let support = vector.support();
             for &(topic, _) in &support {
-                assert!(engine.ranked_lists().list(topic).contains(id), "{at}");
+                assert!(held.contains(&(topic, id)), "{at}");
             }
             expected_entries += support.len();
             widest = widest.max(support.len());

@@ -16,6 +16,8 @@
 //!   exhaustive optimum on small instances.
 //! * Algorithm 1 keeps the ranked-list tuples equal to the directly computed
 //!   topic-wise scores `f_i({e})`, even across expiry and resurrection.
+//! * A slide's touch log covers every change it made: lists it did not touch,
+//!   and entries above the touches of those it did, are bit-identical.
 //! * A slide touching only tuples below the loosest floor of a set of
 //!   frontiers disturbs none of them, and one touching at or above it
 //!   disturbs one — so "no resident classifies" is a sound shard and
@@ -37,7 +39,7 @@ use ksir_core::{
     QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
 };
 use ksir_snapshot::EngineSnapshot;
-use ksir_stream::{RankedDelta, RankedList, WindowConfig, WindowDelta, FLOOR_SLACK};
+use ksir_stream::{RankedDelta, RankedList, RankedLists, WindowConfig, WindowDelta, FLOOR_SLACK};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
     TopicId, TopicVector,
@@ -560,6 +562,59 @@ proptest! {
                         touch.high,
                         id
                     );
+                }
+            }
+        }
+    }
+}
+
+/// `(id, score bits, t_e)` of every tuple of one list, in list order.
+fn list_image(lists: &RankedLists, topic: TopicId) -> Vec<(ElementId, u64, Timestamp)> {
+    let list = lists.list(topic).iter();
+    list.map(|(id, score, ts)| (id, score.to_bits(), ts))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// What the skip rule relies on, from the other side: a slide changes
+    /// nothing it does not log.  After every slide, a topic with no touch
+    /// holds a list bit-identical to its image before the slide, and in a
+    /// touched topic every entry above `high + FLOOR_SLACK` is unchanged —
+    /// the same entries, in the same order, with the same score bits and
+    /// `t_e`.  A recomputed tuple equal to the stored one is no change, so it
+    /// may go unlogged only because it leaves the list as it was.
+    #[test]
+    fn a_slide_changes_no_list_entry_above_its_touches(p in instance_params()) {
+        let StreamInstance { mut engine, stream, .. } = build_stream_instance(&p);
+        let topics: Vec<TopicId> = (0..p.num_topics as u32).map(TopicId).collect();
+        for (element, tv) in stream {
+            let end = element.ts;
+            let before: Vec<_> =
+                topics.iter().map(|&t| list_image(engine.ranked_lists(), t)).collect();
+            let report = engine.ingest_bucket(vec![(element, tv)], end).unwrap();
+            for (&topic, before) in topics.iter().zip(&before) {
+                let after = list_image(engine.ranked_lists(), topic);
+                match report.delta.ranked.touch(topic) {
+                    None => prop_assert_eq!(&after, before, "untouched {:?} changed", topic),
+                    Some(touch) => {
+                        let bound = touch.high + FLOOR_SLACK;
+                        let above = |image: &[(ElementId, u64, Timestamp)]| {
+                            image
+                                .iter()
+                                .take_while(|&&(_, bits, _)| f64::from_bits(bits) > bound)
+                                .copied()
+                                .collect::<Vec<_>>()
+                        };
+                        prop_assert_eq!(
+                            above(&after),
+                            above(before),
+                            "{:?} changed above its touch at {}",
+                            topic,
+                            touch.high
+                        );
+                    }
                 }
             }
         }

@@ -7,18 +7,25 @@
 //! operations to evaluate elements in decreasing order of their upper-bound
 //! score and terminate early.
 //!
-//! The list is a [`BTreeSet`] keyed by `(descending score, element id)` plus a
-//! hash map from element id to its current key, giving `O(log n)` insert,
-//! adjust and delete, and ordered traversal with no allocation per cursor or
-//! step.
+//! A list is an order and nothing else: a [`BTreeSet`] keyed by
+//! `(descending score, element id)`, giving `O(log n)` insert and delete and
+//! ordered traversal with no allocation per cursor or step.  There is no map
+//! from element id to its key.  The writer — the engine — knows which lists
+//! each active element is in and under which score, so it writes by that key
+//! ([`RankedLists::write`], [`RankedLists::erase`]) and never hashes an id.
 //! Each ordered entry carries its `t_e` along (outside the ordering), so a
-//! traversal step reads one B-tree slot and never probes the hash map.
+//! traversal step reads one B-tree slot.
+//!
+//! The by-id forms — [`RankedList::get`], [`RankedList::upsert`],
+//! [`RankedList::remove`] and their [`RankedLists`] counterparts — find an
+//! element's key by a **linear scan** of the list.  They are inspection
+//! helpers for tests, benchmarks and replays; no engine path calls them.
 //! An ablation benchmark (`crates/bench/benches/ablation.rs`) compares this
 //! layout against a re-sorted `Vec` baseline.
 //!
 //! ## Snapshot capture
 //!
-//! Both structures live behind an `Arc` internally, so an immutable image of
+//! The order lives behind an `Arc` internally, so an immutable image of
 //! a list at one instant is an `O(1)` pointer clone ([`RankedList::share`] →
 //! [`RankedListHandle`]): the writer's next mutation pays a copy-on-write
 //! clone of that one list (counted in [`RankedList::cow_clones`]) and the
@@ -26,7 +33,7 @@
 //! `ksir-snapshot` builds its per-epoch snapshots out of exactly these
 //! handles.
 
-use std::collections::{btree_set, BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeSet};
 use std::sync::Arc;
 
 use ksir_types::{ElementId, Timestamp, TopicId};
@@ -79,7 +86,6 @@ impl Ord for ScoreKey {
 #[derive(Debug, Clone, Default)]
 struct ListCore {
     order: BTreeSet<ScoreKey>,
-    entries: HashMap<ElementId, (f64, Timestamp)>,
 }
 
 impl ListCore {
@@ -154,59 +160,84 @@ impl RankedList {
 
     /// Number of elements in the list.
     pub fn len(&self) -> usize {
-        self.core.entries.len()
+        self.core.order.len()
     }
 
     /// Returns `true` if the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.core.entries.is_empty()
+        self.core.order.is_empty()
     }
 
-    /// Returns `true` if the element is present.
-    pub fn contains(&self, id: ElementId) -> bool {
-        self.core.entries.contains_key(&id)
-    }
-
-    /// Returns the stored `(score, last-referenced time)` tuple for `id`.
-    pub fn get(&self, id: ElementId) -> Option<(f64, Timestamp)> {
-        self.core.entries.get(&id).copied()
-    }
-
-    /// Inserts or updates an element's tuple, repositioning it in the order.
-    /// Returns the tuple it replaced, if any.
-    pub fn upsert(
+    /// Writes `id`'s tuple by its known key: removes the entry stored under
+    /// `(old, id)` if `old` is `Some`, then inserts `(score, id)` carrying
+    /// `last_referenced`.  `O(log n)`; the caller vouches that `old` is the
+    /// score the list holds for `id` (or that it holds none).
+    pub fn write(
         &mut self,
         id: ElementId,
+        old: Option<f64>,
         score: f64,
         last_referenced: Timestamp,
-    ) -> Option<(f64, Timestamp)> {
+    ) {
         debug_assert!(score.is_finite(), "ranked list scores must be finite");
         let core = self.core_mut();
-        let replaced = core.entries.insert(id, (score, last_referenced));
-        if let Some((old_score, old_ts)) = replaced {
-            core.order.remove(&ScoreKey {
-                score: old_score,
+        if let Some(old) = old {
+            let removed = core.order.remove(&ScoreKey {
+                score: old,
                 id,
-                ts: old_ts,
+                ts: Timestamp::ZERO,
             });
+            debug_assert!(removed, "no entry for {id} at score {old}");
         }
         core.order.insert(ScoreKey {
             score,
             id,
             ts: last_referenced,
         });
+    }
+
+    /// Removes the entry stored under `(score, id)`, returning whether the
+    /// list held it.  `O(log n)`.
+    pub fn erase(&mut self, id: ElementId, score: f64) -> bool {
+        self.core_mut().order.remove(&ScoreKey {
+            score,
+            id,
+            ts: Timestamp::ZERO,
+        })
+    }
+
+    /// The stored `(score, last-referenced time)` tuple for `id`.
+    ///
+    /// An inspection helper: it scans the list, `O(n)`.
+    pub fn get(&self, id: ElementId) -> Option<(f64, Timestamp)> {
+        let mut keys = self.core.order.iter();
+        keys.find(|key| key.id == id).map(|key| (key.score, key.ts))
+    }
+
+    /// Inserts or updates an element's tuple, repositioning it in the order.
+    /// Returns the tuple it replaced, if any.
+    ///
+    /// An inspection helper over [`RankedList::write`]: it finds the old key
+    /// by a scan of the list, `O(n)`.
+    pub fn upsert(
+        &mut self,
+        id: ElementId,
+        score: f64,
+        last_referenced: Timestamp,
+    ) -> Option<(f64, Timestamp)> {
+        let replaced = self.get(id);
+        self.write(id, replaced.map(|(old, _)| old), score, last_referenced);
         replaced
     }
 
-    /// Removes an element (no-op if absent).  Returns the removed tuple so
-    /// callers can log the position the removal touched.
+    /// Removes an element (no-op, and no copy-on-write clone, if absent).
+    /// Returns the removed tuple.
+    ///
+    /// An inspection helper over [`RankedList::erase`]: it finds the key by
+    /// a scan of the list, `O(n)`.
     pub fn remove(&mut self, id: ElementId) -> Option<(f64, Timestamp)> {
-        if !self.core.entries.contains_key(&id) {
-            return None;
-        }
-        let core = self.core_mut();
-        let (score, ts) = core.entries.remove(&id)?;
-        core.order.remove(&ScoreKey { score, id, ts });
+        let (score, ts) = self.get(id)?;
+        self.erase(id, score);
         Some((score, ts))
     }
 
@@ -248,17 +279,12 @@ pub struct RankedListHandle {
 impl RankedListHandle {
     /// Number of elements in the captured image.
     pub fn len(&self) -> usize {
-        self.core.entries.len()
+        self.core.order.len()
     }
 
     /// Returns `true` if the captured image is empty.
     pub fn is_empty(&self) -> bool {
-        self.core.entries.is_empty()
-    }
-
-    /// The captured `(score, last-referenced time)` tuple for `id`.
-    pub fn get(&self, id: ElementId) -> Option<(f64, Timestamp)> {
-        self.core.entries.get(&id).copied()
+        self.core.order.is_empty()
     }
 
     /// Returns `true` if the captured image still shares storage with the
@@ -335,11 +361,11 @@ impl<'a> RankedListCursor<'a> {
 
 /// The full set of ranked lists, one per topic.
 ///
-/// A list changes only through [`RankedLists::upsert`] /
-/// [`RankedLists::remove`] / [`RankedLists::remove_everywhere`], and each
-/// of them also logs the change into a [`RankedDelta`] so incremental
-/// consumers (standing queries in `ksir-continuous`) can tell how high in
-/// each list a window slide reached.
+/// A list changes only through [`RankedLists::write`] /
+/// [`RankedLists::erase`] (and the by-id helpers built on them), and each
+/// change is also logged into a [`RankedDelta`] so incremental consumers
+/// (standing queries in `ksir-continuous`) can tell how high in each list a
+/// window slide reached.
 /// Call [`RankedLists::take_delta`] to drain the log; see the
 /// [`crate::delta`] module docs for the exact invariant the log guarantees.
 #[derive(Debug)]
@@ -368,31 +394,57 @@ impl RankedLists {
         &self.lists[topic.index()]
     }
 
-    /// Upserts an element's tuple in the given topic's list, logging a touch
-    /// at the higher of the old and new scores.
-    pub fn upsert(&mut self, topic: TopicId, id: ElementId, score: f64, ts: Timestamp) {
-        let touched = match self.lists[topic.index()].upsert(id, score, ts) {
-            Some((old_score, _)) => old_score.max(score),
-            None => score,
-        };
-        self.delta.record(topic, touched);
+    /// Writes `id`'s tuple in the given topic's list by its known key (see
+    /// [`RankedList::write`]), logging a touch at the higher of the old and
+    /// new scores.
+    pub fn write(
+        &mut self,
+        topic: TopicId,
+        id: ElementId,
+        old: Option<f64>,
+        score: f64,
+        ts: Timestamp,
+    ) {
+        self.lists[topic.index()].write(id, old, score, ts);
+        self.delta
+            .record(topic, old.map_or(score, |old| old.max(score)));
     }
 
-    /// Removes an element from one topic's list, logging a touch at the
-    /// removed tuple's score (no-op, and no touch, if the list does not hold
-    /// it).  A caller that knows an element's support removes it from exactly
-    /// those lists instead of probing all `z`.
-    pub fn remove(&mut self, topic: TopicId, id: ElementId) -> Option<(f64, Timestamp)> {
-        let removed = self.lists[topic.index()].remove(id)?;
-        self.delta.record(topic, removed.0);
-        Some(removed)
+    /// Removes the entry stored under `(score, id)` from the given topic's
+    /// list, logging a touch at the removed score.  Returns whether the list
+    /// held it; a miss changes and logs nothing.
+    pub fn erase(&mut self, topic: TopicId, id: ElementId, score: f64) -> bool {
+        let removed = self.lists[topic.index()].erase(id, score);
+        if removed {
+            self.delta.record(topic, score);
+        }
+        removed
+    }
+
+    /// Upserts an element's tuple in the given topic's list, logging a touch
+    /// at the higher of the old and new scores.
+    ///
+    /// An inspection helper over [`RankedLists::write`]: it finds the old
+    /// key by a scan of the list, `O(n)`.
+    pub fn upsert(&mut self, topic: TopicId, id: ElementId, score: f64, ts: Timestamp) {
+        let old = self.lists[topic.index()].get(id).map(|(old, _)| old);
+        self.write(topic, id, old, score, ts);
     }
 
     /// Removes an element from every list, logging a touch at each removed
     /// tuple's score.  Returns how many lists held it.
+    ///
+    /// An inspection helper over [`RankedLists::erase`]: it scans all `z`
+    /// lists, `O(total entries)`.
     pub fn remove_everywhere(&mut self, id: ElementId) -> usize {
         (0..self.lists.len())
-            .filter(|&i| self.remove(TopicId(i as u32), id).is_some())
+            .filter(|&i| {
+                let topic = TopicId(i as u32);
+                match self.lists[i].get(id) {
+                    Some((score, _)) => self.erase(topic, id, score),
+                    None => false,
+                }
+            })
             .count()
     }
 
@@ -595,18 +647,43 @@ mod tests {
     #[test]
     fn targeted_remove_touches_only_the_list_that_held_the_element() {
         let mut rls = RankedLists::new(3);
-        rls.upsert(TopicId(0), id(1), 0.9, Timestamp(1));
-        rls.upsert(TopicId(1), id(1), 0.7, Timestamp(1));
+        rls.write(TopicId(0), id(1), None, 0.9, Timestamp(1));
+        rls.write(TopicId(1), id(1), None, 0.7, Timestamp(1));
         rls.take_delta();
-        assert_eq!(rls.remove(TopicId(1), id(1)), Some((0.7, Timestamp(1))));
-        // Absent from the list: nothing removed, nothing logged.
-        assert_eq!(rls.remove(TopicId(2), id(1)), None);
-        assert_eq!(rls.remove(TopicId(1), id(1)), None);
+        assert!(rls.erase(TopicId(1), id(1), 0.7));
+        // No such key: nothing removed, nothing logged.
+        assert!(!rls.erase(TopicId(2), id(1), 0.7));
+        assert!(!rls.erase(TopicId(1), id(1), 0.7));
+        assert!(!rls.erase(TopicId(0), id(1), 0.5), "the score is the key");
         let d = rls.take_delta();
         assert_eq!(d.touches().len(), 1);
         assert_eq!(d.touch(TopicId(1)).unwrap().high, 0.7);
-        assert!(rls.list(TopicId(0)).contains(id(1)));
+        assert_eq!(rls.list(TopicId(0)).get(id(1)), Some((0.9, Timestamp(1))));
         assert_eq!(rls.total_entries(), 1);
+    }
+
+    #[test]
+    fn keyed_write_moves_the_entry_and_touches_at_the_higher_score() {
+        let mut rls = RankedLists::new(2);
+        rls.write(TopicId(0), id(1), None, 0.4, Timestamp(1));
+        rls.write(TopicId(0), id(2), None, 0.6, Timestamp(1));
+        rls.take_delta();
+        // Downward: the touch sits at the old score.
+        rls.write(TopicId(0), id(2), Some(0.6), 0.1, Timestamp(2));
+        assert_eq!(rls.pending_delta().touch(TopicId(0)).unwrap().high, 0.6);
+        let order: Vec<_> = rls.list(TopicId(0)).iter().collect();
+        assert_eq!(
+            order,
+            vec![(id(1), 0.4, Timestamp(1)), (id(2), 0.1, Timestamp(2))]
+        );
+        // A timestamp-only rewrite keeps the position and refreshes t_e.
+        rls.write(TopicId(0), id(1), Some(0.4), 0.4, Timestamp(5));
+        assert_eq!(
+            rls.list(TopicId(0)).first(),
+            Some((id(1), 0.4, Timestamp(5)))
+        );
+        assert_eq!(rls.list(TopicId(0)).len(), 2);
+        assert!(!rls.pending_delta().touched(TopicId(1)));
     }
 
     #[test]
@@ -622,10 +699,11 @@ mod tests {
         rl.remove(id(1));
         assert_eq!(rl.cow_clones(), 1, "first mutation pays the one clone");
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap.get(id(1)), Some((0.65, Timestamp(8))));
-        assert!(snap.get(id(3)).is_none());
-        let order: Vec<u64> = snap.iter().map(|(e, _, _)| e.raw()).collect();
-        assert_eq!(order, vec![1, 2]);
+        let frozen: Vec<_> = snap.iter().collect();
+        assert_eq!(
+            frozen,
+            vec![(id(1), 0.65, Timestamp(8)), (id(2), 0.48, Timestamp(8))]
+        );
         // ...and the live list sees only its own state.
         assert_eq!(rl.len(), 2);
         assert_eq!(rl.first().unwrap().0, id(3));

@@ -3,7 +3,8 @@
 # run in alternating order.
 #
 #   scripts/ab_pairs.sh PARENT_BIN CHANGE_BIN [--pairs N] [--workloads a,b]
-#                       [--seeds 7,11] [--out DIR] [-- HARNESS_ARGS...]
+#                       [--seeds 7,11] [--may-move f,g] [--out DIR]
+#                       [-- HARNESS_ARGS...]
 #
 # PARENT_BIN and CHANGE_BIN are `benchmark` binaries built from the two
 # checkouts (cargo build --release --manifest-path examples/benchmark/Cargo.toml).
@@ -20,14 +21,18 @@
 # counts line (slides, refreshes, skips, deliveries, gain evaluations, the
 # probe checksum and both score-ratio bits) of a change run differs from the
 # parent's at the same seed: a change that claims identical decisions must
-# not move them.
+# not move them.  The line is compared field by field.  A change that moves
+# some fields by design names them with --may-move (e.g. `--may-move
+# refreshes,skips`): those may differ, and their parent → change values are
+# printed once per workload and seed; every other field must still match.
+# A --may-move name that is not a counts field is an error.
 #
 # Defaults: 10 pairs, all four workloads, seed 7.  Every run's stdout is kept
 # under --out (default: a fresh temporary directory, printed at the end).
 set -euo pipefail
 
 usage() {
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 }
 
@@ -38,12 +43,14 @@ shift 2
 pairs=10
 workloads=ingest_dense,adhoc_wide,standing_distinct,standing_shared_async
 seeds=7
+may_move=
 out=
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) pairs=$2; shift 2 ;;
         --workloads) workloads=$2; shift 2 ;;
         --seeds) seeds=$2; shift 2 ;;
+        --may-move) may_move=$2; shift 2 ;;
         --out) out=$2; shift 2 ;;
         --) shift; break ;;
         *) usage ;;
@@ -83,11 +90,36 @@ metrics() {
         sed 's/"\([^"]*\)": {"value": /\1 /' || true
 }
 
+# `name<TAB>value` for every field of one run's counts line, in line order;
+# a bracketed value (the ratio bits) is one field.
+counts_fields() {
+    { grep '^  counts ' "$1" || true; } | sed 's/^  counts [A-Za-z]* { //; s/ }$//' |
+        grep -o '[a-z_]*: \(\[[^]]*\]\|[^,]*\)' | sed 's/: /\t/' || true
+}
+
+# One `moved|differs name parent_value change_value` line (tab-separated)
+# per counts field that differs between a parent run and a change run:
+# `moved` for a field --may-move names, `differs` for any other.
+diff_counts() {
+    awk -F'\t' -v may=",$may_move," '
+        FNR == NR { parent[$1] = $2; order[n++] = $1; next }
+        { change[$1] = $2; if (!($1 in parent)) order[n++] = $1 }
+        END {
+            for (i = 0; i < n; i++) {
+                f = order[i]
+                if (!(f in parent) || !(f in change) || parent[f] != change[f])
+                    printf "%s\t%s\t%s\t%s\n", index(may, "," f ",") ? "moved" : "differs", f, parent[f], change[f]
+            }
+        }' <(counts_fields "$1") <(counts_fields "$2")
+}
+
+IFS=, read -r -a may_list <<<"$may_move"
 IFS=, read -r -a workload_list <<<"$workloads"
 IFS=, read -r -a seed_list <<<"$seeds"
 for workload in "${workload_list[@]}"; do
     for seed in "${seed_list[@]}"; do
         echo "$workload  seed $seed  $pairs pairs"
+        : >"$out/$workload.$seed.moved"
         for ((i = 0; i < pairs; i++)); do
             if ((i % 2 == 0)); then
                 run parent "$parent" "$workload" "$seed" "$i" "$@"
@@ -98,12 +130,25 @@ for workload in "${workload_list[@]}"; do
             fi
             p="$out/$workload.$seed.parent.$i.txt"
             c="$out/$workload.$seed.change.$i.txt"
-            if [ "$(grep '^  counts ' "$p")" != "$(grep '^  counts ' "$c")" ]; then
+            for field in "${may_list[@]}"; do
+                if ! counts_fields "$p" | cut -f1 | grep -qx "$field"; then
+                    echo "ab_pairs: --may-move names no counts field: $field" >&2
+                    exit 2
+                fi
+            done
+            diffs=$(diff_counts "$p" "$c")
+            if grep -q '^differs' <<<"$diffs"; then
                 echo "  COUNTS DIFFER in pair $i:"
-                grep '^  counts ' "$p" "$c" | sed 's/^/    /'
+                grep '^differs' <<<"$diffs" | awk -F'\t' '{ printf "    %s %s -> %s\n", $2, $3, $4 }'
                 failed=1
             fi
+            { grep '^moved' <<<"$diffs" || true; } >>"$out/$workload.$seed.moved"
         done
+        # The fields --may-move let differ, each distinct move once.
+        if [ -s "$out/$workload.$seed.moved" ]; then
+            sort -u "$out/$workload.$seed.moved" |
+                awk -F'\t' '{ printf "  moved (--may-move): %s %s -> %s\n", $2, $3, $4 }'
+        fi
         # One `side pair name value` line per metric and run, summarised per
         # metric by awk.
         for ((i = 0; i < pairs; i++)); do
