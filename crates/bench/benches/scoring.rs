@@ -11,6 +11,12 @@
 //! `CoverageTable`, the layout MTTS and SieveStreaming use, and
 //! `grid_insert/<candidates>` is the admission that follows: the element
 //! profiled once and inserted into all of those columns.
+//!
+//! `profile` is the scoring pass alone: `QueryEvaluator::profile_at` over
+//! every element a query can retrieve — each element scored on a query
+//! topic, reached by slot as the traversal hands it over — into one arena
+//! that keeps them all, as MTTD's buffer does.  Time per iteration ÷
+//! profiles per iteration (printed once per window) is ns-per-profile.
 
 use std::hint::black_box;
 
@@ -96,6 +102,25 @@ fn bench_scoring(c: &mut Criterion) {
             .copied()
             .filter(|&id| evaluator.delta(id) > 0.0)
             .collect();
+        let window = s.engine.window();
+        let retrieved: Vec<_> = relevant
+            .iter()
+            .map(|&id| window.slot(id).expect("an active element has a slot"))
+            .collect();
+        println!(
+            "scoring/profile/{name}: {} profiles per iteration",
+            retrieved.len()
+        );
+        group.bench_function(BenchmarkId::new("profile", &name), |b| {
+            let mut arena = ProfileArena::default();
+            b.iter(|| {
+                arena.clear();
+                for &slot in &retrieved {
+                    black_box(evaluator.profile_at(&mut arena, slot));
+                }
+            })
+        });
+
         let (members, probes) = relevant.split_at(relevant.len() / 2);
         println!(
             "scoring/marginal_gain/{name}: {} passes per iteration",

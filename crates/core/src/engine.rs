@@ -1142,6 +1142,49 @@ mod tests {
     }
 
     #[test]
+    fn a_resurrected_element_profiles_to_its_pre_expiry_bits() {
+        // e2 is profiled with one child, expires with it, and comes back
+        // with a child of the same distribution: the row the archive kept
+        // must give the same `δ`, word weights included.
+        let mut engine = tiny_engine();
+        let query = QueryVector::new(vec![0.3, 0.7]).unwrap();
+        let child = |id: u64, ts: u64| {
+            let element = SocialElementBuilder::new(id)
+                .at(ts)
+                .words([2, 3])
+                .referencing(2)
+                .build();
+            (element, tv(&[0.35, 0.65]))
+        };
+        let delta_of_e2 = |engine: &KsirEngine<DenseTopicWordTable>| {
+            let evaluator = QueryEvaluator::new(engine.scorer(), &query);
+            let mut arena = crate::ProfileArena::default();
+            let profile = evaluator.profile(&mut arena, ElementId(2));
+            evaluator.delta_of(arena.get(profile)).to_bits()
+        };
+        let e2 = SocialElementBuilder::new(2)
+            .at(2)
+            .words([0, 1, 1, 2, 3])
+            .build();
+        engine
+            .ingest_bucket(vec![(e2, tv(&[0.55, 0.45]))], Timestamp(2))
+            .unwrap();
+        engine
+            .ingest_bucket(vec![child(3, 3)], Timestamp(3))
+            .unwrap();
+        let before = delta_of_e2(&engine);
+        assert_ne!(f64::from_bits(before), 0.0);
+
+        engine.ingest_bucket(vec![], Timestamp(8)).unwrap();
+        assert!(!engine.is_active(ElementId(2)) && !engine.is_active(ElementId(3)));
+        let r = engine
+            .ingest_bucket(vec![child(9, 9)], Timestamp(9))
+            .unwrap();
+        assert_eq!(r.resurrected, 1);
+        assert_eq!(delta_of_e2(&engine), before);
+    }
+
+    #[test]
     fn disabled_archive_ignores_references_to_expired_parents() {
         let phi = DenseTopicWordTable::uniform(2, 4);
         let config = EngineConfig::new(WindowConfig::new(4, 1).unwrap(), ScoringConfig::default())

@@ -18,9 +18,16 @@
 //! support topic — does not depend on the candidate.  An [`ElementProfile`]
 //! is exactly those columns.  Building one ([`QueryEvaluator::profile_at`])
 //! is the `O((|V_e| + |I_t(e)|)·d)` scoring pass the paper's analysis
-//! charges per retrieved element (one `ln` per word × topic, one row index
-//! per child), and the algorithms do it **at most once per element per
-//! query**, when the first consumer needs it.  `δ(e, x)`, every marginal gain
+//! charges per retrieved element, and the algorithms do it **at most once
+//! per element per query**, when the first consumer needs it.
+//!
+//! The pass weighs nothing.  The word weights were computed when the element
+//! was admitted: its [`ElementRow`](crate::ElementRow) keeps the `σ_i(w, e)`
+//! column of every support topic, and the profile copies the column of each
+//! query topic the element scores on.  The only `ln`s of the semantic half
+//! are paid once per element, at admission.  What a profile still computes
+//! is the influence half: one row index and one product per child and
+//! topic.  `δ(e, x)`, every marginal gain
 //! against every candidate, and the insert that follows an admission then
 //! only read the profile: a gain is `(|V_e| + |I_t(e)|)·d` coverage lookups
 //! with no transcendental, no allocation and no window or row access.
@@ -55,8 +62,9 @@
 //!
 //! The id-taking [`QueryEvaluator::delta`] / [`QueryEvaluator::marginal_gain`]
 //! / [`QueryEvaluator::insert`] profile into a throw-away arena and delegate,
-//! so there is one word-weight loop and one child-propagation loop in the
-//! crate outside the from-scratch reference in [`crate::scorer`].  All three
+//! so outside the from-scratch reference in [`crate::scorer`] the crate has
+//! one word-weight loop, at row construction, and one child-propagation
+//! loop, here.  All three
 //! consumers sum in the order the per-call kernel used, so every `f64` they
 //! return is bit-identical to it (pinned by `tests/kernel_identity.rs`).
 
@@ -66,7 +74,7 @@ use ksir_stream::{ActiveWindow, Slot};
 use ksir_types::{ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::dense::{DenseKey, DenseMap};
-use crate::scorer::{propagation_prob, word_weight, Scorer};
+use crate::scorer::{propagation_prob, Scorer};
 
 /// Column storage for the [`ElementProfile`]s of one query: every profile's
 /// `p_i(e)` run, word run, weight run, child run and propagation run sit back
@@ -525,9 +533,10 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
 
     /// Profiles the element in `slot` of the evaluator's window into
     /// `arena`: the single `O((|V_e| + |I_t(e)|)·d)` pass every later `δ` /
-    /// gain / insert of that element reads from — and the one word-weight
-    /// loop and one child-propagation loop of the query path.  The entry,
-    /// the row and every child are reached by slot: no id is hashed.  Not
+    /// gain / insert of that element reads from.  The word weights are
+    /// copied from the row's `σ` columns, which admission computed; the
+    /// child-propagation loop is the query path's only one.  The entry, the
+    /// row and every child are reached by slot: no id is hashed.  Not
     /// counted as a gain evaluation; the consumers are.
     ///
     /// An element with zero probability on every support topic gets an empty
@@ -565,17 +574,17 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
             slots.filter(|(_, (_, &p_elem))| p_elem > 0.0)
         };
 
-        let phi = self.scorer.phi();
+        // The weights were computed at admission: each scored slot's run is
+        // a copy of the row's column, in document order.
+        let row = row.expect("an element with a scored slot has a row");
         let n = element.doc.distinct_words();
+        arena.words.extend(element.doc.words());
         arena
             .weights
             .resize(start.weights + self.support.len() * n, 0.0);
         let weights = &mut arena.weights[start.weights..];
-        for (i, (w, freq)) in element.doc.iter().enumerate() {
-            arena.words.push(w);
-            for (slot, (&(topic, _), &p_elem)) in scored_slots() {
-                weights[slot * n + i] = word_weight(freq, phi.word_prob(topic, w), p_elem);
-            }
+        for (slot, (&(topic, _), _)) in scored_slots() {
+            weights[slot * n..(slot + 1) * n].copy_from_slice(row.weights(topic));
         }
 
         arena.children.extend(window.influenced_slots(slot));

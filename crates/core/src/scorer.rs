@@ -106,11 +106,6 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         self.config
     }
 
-    /// The topic-word distribution `p_i(w)` the scorer reads from.
-    pub fn phi(&self) -> &'a D {
-        self.phi
-    }
-
     /// The active window the scorer reads documents and children from.
     pub(crate) fn window(&self) -> &'a ActiveWindow {
         self.window

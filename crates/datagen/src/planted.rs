@@ -154,10 +154,12 @@ impl PlantedTopicModel {
     /// Samples a document of `len` tokens from a topic mixture.
     pub fn sample_document(&self, rng: &mut StdRng, mixture: &TopicVector, len: usize) -> Document {
         let support = mixture.support();
-        let mut doc = Document::new();
         if support.is_empty() {
-            return doc;
+            return Document::new();
         }
+        // Built once from all the tokens: pushing them one by one would
+        // shift the document's sorted run per new word.
+        let mut tokens = Vec::with_capacity(len.max(1));
         for _ in 0..len.max(1) {
             // Pick a topic according to the mixture, then a word from it.
             let mut target = rng.gen::<f64>() * mixture.sum();
@@ -169,9 +171,9 @@ impl PlantedTopicModel {
                 }
                 target -= p;
             }
-            doc.push(self.sample_word(rng, chosen));
+            tokens.push(self.sample_word(rng, chosen));
         }
-        doc
+        Document::from_tokens(tokens)
     }
 }
 

@@ -84,10 +84,8 @@ impl<'a> QueryWorkloadGenerator<'a> {
         let z = self.planted.num_topics();
         let topic = TopicId(rng.gen_range(0..z) as u32);
         let num_words = rng.gen_range(self.min_words..=self.max_words);
-        let mut keywords = Document::new();
-        for _ in 0..num_words {
-            keywords.push(self.planted.sample_word(rng, topic));
-        }
+        let keywords =
+            Document::from_tokens((0..num_words).map(|_| self.planted.sample_word(rng, topic)));
         let vector = infer_query_vector(self.planted, &keywords)
             .expect("keywords drawn from a topic always have positive likelihood");
         let timestamp = Timestamp(rng.gen_range(1..=end_time.raw()));

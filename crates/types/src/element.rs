@@ -1,7 +1,5 @@
 //! Social elements and their bag-of-words documents.
 
-use std::collections::BTreeMap;
-
 use crate::{ElementId, Timestamp, WordId};
 
 /// A bag-of-words document: distinct words with their in-document frequency.
@@ -9,11 +7,19 @@ use crate::{ElementId, Timestamp, WordId};
 /// This matches `e.doc` in the paper — the textual content of an element after
 /// tokenisation and stop-word removal.  Word order is not preserved; the
 /// semantic score only needs per-word frequencies `γ(w, e)`.
+///
+/// The words are kept as one run of `(word, frequency)` pairs, strictly
+/// ascending by word, every frequency positive.  Every reader walks the
+/// document in that order — the semantic score sums its terms in it, so
+/// the order fixes the bits — and a run is one allocation, read front to
+/// back, where a `BTreeMap` was a node per eleven words with a header each.
+/// The archive keeps a document per element ever ingested, so the saving
+/// is paid once per element.  The constructors sort once and size the run
+/// exactly; a lookup is a binary search.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Document {
-    /// Word → frequency.  A `BTreeMap` keeps iteration deterministic, which in
-    /// turn keeps every experiment in the repository reproducible.
-    counts: BTreeMap<WordId, u32>,
+    /// `(word, frequency)` per distinct word, strictly ascending by word.
+    counts: Vec<(WordId, u32)>,
     /// Total number of tokens (sum of frequencies).
     len: u32,
 }
@@ -28,43 +34,68 @@ impl Document {
     ///
     /// Duplicate words accumulate frequency.
     pub fn from_tokens<I: IntoIterator<Item = WordId>>(tokens: I) -> Self {
-        let mut doc = Document::new();
-        for w in tokens {
-            doc.push(w);
+        let mut tokens: Vec<WordId> = tokens.into_iter().collect();
+        tokens.sort_unstable();
+        let distinct = tokens.chunk_by(|a, b| a == b).count();
+        let mut counts = Vec::with_capacity(distinct);
+        counts.extend(
+            tokens
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32)),
+        );
+        Document {
+            counts,
+            len: tokens.len() as u32,
         }
-        doc
     }
 
     /// Builds a document from `(word, frequency)` pairs.
     ///
     /// Pairs with zero frequency are ignored; duplicate words accumulate.
     pub fn from_counts<I: IntoIterator<Item = (WordId, u32)>>(counts: I) -> Self {
-        let mut doc = Document::new();
-        for (w, c) in counts {
-            if c > 0 {
-                *doc.counts.entry(w).or_insert(0) += c;
-                doc.len += c;
+        let mut counts: Vec<(WordId, u32)> = counts.into_iter().filter(|&(_, c)| c > 0).collect();
+        counts.sort_unstable_by_key(|&(w, _)| w);
+        counts.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
+            same
+        });
+        let len = counts.iter().map(|&(_, c)| c).sum();
+        Document {
+            // Exact size: a boxed slice has no spare capacity to hand back.
+            counts: counts.into_boxed_slice().into_vec(),
+            len,
         }
-        doc
     }
 
-    /// Adds one occurrence of `word`.
+    /// Adds one occurrence of `word`, in place: a new word shifts the run's
+    /// tail, so build a whole document with [`Document::from_tokens`].
     pub fn push(&mut self, word: WordId) {
-        *self.counts.entry(word).or_insert(0) += 1;
+        match self.position(word) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (word, 1)),
+        }
         self.len += 1;
+    }
+
+    /// Where `word` sits in the run, or where it would be inserted.
+    #[inline]
+    fn position(&self, word: WordId) -> Result<usize, usize> {
+        self.counts.binary_search_by_key(&word, |&(w, _)| w)
     }
 
     /// Frequency `γ(w, e)` of `word` in this document (0 if absent).
     #[inline]
     pub fn frequency(&self, word: WordId) -> u32 {
-        self.counts.get(&word).copied().unwrap_or(0)
+        self.position(word).map_or(0, |i| self.counts[i].1)
     }
 
     /// Returns `true` if the document contains `word`.
     #[inline]
     pub fn contains(&self, word: WordId) -> bool {
-        self.counts.contains_key(&word)
+        self.position(word).is_ok()
     }
 
     /// Number of *distinct* words (`|V_e|` in the paper).
@@ -87,12 +118,12 @@ impl Document {
 
     /// Iterates over `(word, frequency)` pairs in ascending word order.
     pub fn iter(&self) -> impl Iterator<Item = (WordId, u32)> + '_ {
-        self.counts.iter().map(|(&w, &c)| (w, c))
+        self.counts.iter().copied()
     }
 
     /// Iterates over the distinct words in ascending order.
     pub fn words(&self) -> impl Iterator<Item = WordId> + '_ {
-        self.counts.keys().copied()
+        self.counts.iter().map(|&(w, _)| w)
     }
 
     /// Expands the bag back into a token multiset (each word repeated by its
@@ -213,7 +244,13 @@ impl SocialElementBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+    use rand::Rng;
+
     use super::*;
+    use crate::rng::seeded_rng;
 
     #[test]
     fn document_counts_frequencies() {
@@ -286,5 +323,73 @@ mod tests {
     fn original_element_has_no_refs() {
         let e = SocialElement::original(ElementId(1), Timestamp(0), Document::new());
         assert!(e.refs.is_empty());
+    }
+
+    /// Every observation of `doc` equals the same observation of the
+    /// `BTreeMap` the run replaced, over words `0..=vocab`.
+    fn assert_matches(doc: &Document, reference: &BTreeMap<WordId, u32>, vocab: u32) {
+        let pairs: Vec<(WordId, u32)> = reference.iter().map(|(&w, &c)| (w, c)).collect();
+        assert_eq!(doc.iter().collect::<Vec<_>>(), pairs);
+        assert_eq!(
+            doc.words().collect::<Vec<_>>(),
+            reference.keys().copied().collect::<Vec<_>>()
+        );
+        for w in (0..=vocab).map(WordId) {
+            assert_eq!(doc.frequency(w), reference.get(&w).copied().unwrap_or(0));
+            assert_eq!(doc.contains(w), reference.contains_key(&w));
+        }
+        let tokens: Vec<WordId> = pairs
+            .iter()
+            .flat_map(|&(w, c)| std::iter::repeat_n(w, c as usize))
+            .collect();
+        assert_eq!(doc.len(), tokens.len());
+        assert_eq!(doc.distinct_words(), reference.len());
+        assert_eq!(doc.is_empty(), reference.is_empty());
+        assert_eq!(doc.tokens(), tokens);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_constructor_agrees_with_a_btreemap_reference(
+            params in (any::<u64>(), 1u32..=12, 0usize..=40)
+        ) {
+            let (seed, vocab, n) = params;
+            let mut rng = seeded_rng(seed);
+            // A small vocabulary, so words repeat; counts of 0 are dropped.
+            let tokens: Vec<WordId> = (0..n).map(|_| WordId(rng.gen_range(0..vocab))).collect();
+            let counts: Vec<(WordId, u32)> = (0..n)
+                .map(|_| (WordId(rng.gen_range(0..vocab)), rng.gen_range(0..4u32)))
+                .collect();
+
+            let mut by_token = BTreeMap::new();
+            for &w in &tokens {
+                *by_token.entry(w).or_insert(0) += 1;
+            }
+            let mut by_count = BTreeMap::new();
+            for &(w, c) in counts.iter().filter(|&&(_, c)| c > 0) {
+                *by_count.entry(w).or_insert(0) += c;
+            }
+
+            let from_tokens = Document::from_tokens(tokens.iter().copied());
+            let mut pushed = Document::new();
+            for &w in &tokens {
+                pushed.push(w);
+            }
+            let from_counts = Document::from_counts(counts.iter().copied());
+            assert_matches(&from_tokens, &by_token, vocab);
+            assert_matches(&pushed, &by_token, vocab);
+            assert_matches(&from_counts, &by_count, vocab);
+            prop_assert_eq!(&pushed, &from_tokens);
+            prop_assert_eq!(
+                Document::from_counts(by_token.iter().map(|(&w, &c)| (w, c))),
+                from_tokens.clone()
+            );
+            prop_assert_eq!(from_tokens == from_counts, by_token == by_count);
+            // The constructors leave no growth slack in the run.
+            prop_assert_eq!(from_tokens.counts.capacity(), from_tokens.counts.len());
+            prop_assert_eq!(from_counts.counts.capacity(), from_counts.counts.len());
+        }
     }
 }
