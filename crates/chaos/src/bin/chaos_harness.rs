@@ -1,6 +1,7 @@
 //! Hostile-stream chaos sweep: every [`HostileMode`] under three fixed
-//! seeds, each run checked against its sync equivalence oracle.  Exits
-//! non-zero on the first report that fails, after printing every verdict.
+//! seeds, each run checked against its sync equivalence oracle, and the
+//! faults each run fired (`fired=epoch:kind@target,...`).  Exits non-zero
+//! on the first report that fails, after printing every verdict.
 //!
 //! Usage: `chaos_harness [--full]` — `--full` replays the standard-scale
 //! scenario instead of the smoke-scale default the CI job uses.
@@ -10,10 +11,25 @@
 //! respawn records) is dumped to `<dir>/<mode>_seed<seed>.json` — the CI
 //! chaos job uploads that directory as a workflow artifact.
 
-use ksir_chaos::{run_chaos, ChaosScale, HostileMode};
+use ksir_chaos::{run_chaos, ChaosScale, FaultKind, Fired, HostileMode};
 
 /// The fixed fault-plan seeds the CI `chaos` job pins.
 const SEEDS: [u64; 3] = [17, 89, 1337];
+
+/// The faults a run fired, as `epoch:kind@target` — a seed prints the same
+/// list on every run.
+fn fired(fired: &[Fired]) -> String {
+    let one = |&(epoch, kind, shard): &Fired| {
+        let at = match (kind, shard) {
+            (FaultKind::PanicBeforeQuery(n), Some(shard)) => format!("@{shard}#{n}"),
+            (FaultKind::PoisonDelivery(sub), _) => format!("@{sub}"),
+            (_, Some(shard)) => format!("@{shard}"),
+            (_, None) => String::new(),
+        };
+        format!("{epoch}:{}{at}", kind.name())
+    };
+    fired.iter().map(one).collect::<Vec<_>>().join(",")
+}
 
 fn main() {
     let full = std::env::args().any(|arg| arg == "--full");
@@ -37,7 +53,7 @@ fn main() {
                     println!(
                         "PASS {mode:>16} seed={seed:<5} slides={slides:<3} subs={subs:<3} \
                          updates={updates:<5} delivered={delivered:<5} dropped={dropped} \
-                         faults={faults} flight={flight} checks={checks}",
+                         faults={faults} flight={flight} checks={checks} fired={fired}",
                         mode = report.mode,
                         seed = report.seed,
                         slides = report.slides,
@@ -48,6 +64,7 @@ fn main() {
                         faults = report.faults_injected,
                         flight = report.fault_flight_records,
                         checks = report.checks,
+                        fired = fired(&report.fired),
                     );
                     if let Some(dir) = &flight_dir {
                         let path = dir.join(format!("{}_seed{}.json", report.mode, report.seed));

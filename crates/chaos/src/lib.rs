@@ -33,25 +33,35 @@
 //!   bit-identical to in-order replay with nothing shed.
 //! - [`HostileMode::Reconfigure`] — standing queries change `k` mid-stream
 //!   (unsubscribe + resubscribe at a slide boundary).
+//! - [`HostileMode::MidWalk`] — every standing query also runs under the
+//!   other algorithm, so each shard holds two plan clusters, and the
+//!   injected refresh panic fires before the *second* cluster query of a
+//!   walk: halfway, after the first cluster's decisions were staged.
 //!
-//! The fault-injected run threads a recovering [`FaultPlan`] through the
-//! same replay: a worker panic mid-refresh, a delayed snapshot capture, a
-//! poisoned delivery send, and a worker kill — all of which the pipeline
-//! must absorb without publishing a partial delta or stalling the
-//! watermark.  `cargo run -p ksir-chaos --bin chaos_harness` sweeps every
-//! mode under three fixed seeds and exits non-zero on any violation.
+//! The fault-injected run installs a recovering [`FaultPlan`] on the same
+//! replay: a refresh panic before a walk's cluster query, a delayed
+//! snapshot capture, a poisoned delivery send, and a worker kill — all of
+//! which the pipeline must absorb without publishing a partial delta or
+//! stalling the watermark.  Every fault names its target — shard, or
+//! subscription for the poisoned send — picked by the seed from what the
+//! oracle's own walk did, so a seed fires the same faults on every run.
+//! `cargo run -p ksir-chaos --bin chaos_harness` sweeps every mode under
+//! three fixed seeds and exits non-zero on any violation.
 
 #![warn(missing_docs)]
 
+mod fault;
 mod workload;
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
+pub use fault::{Fault, FaultKind, FaultPlan, Fired};
 use ksir_continuous::{
-    DeliveryConfig, DeliveryReceiver, Fault, FaultKind, FaultPlan, ShardConfig, SubscriptionId,
+    DeliveryConfig, DeliveryReceiver, PipelineHooks, ShardConfig, ShardKey, SubscriptionId,
     SubscriptionManager,
 };
 use ksir_core::{Algorithm, KsirQuery};
@@ -75,15 +85,18 @@ pub enum HostileMode {
     PermutedArrival,
     /// Standing queries change `k` mid-stream.
     Reconfigure,
+    /// Two plan clusters per shard; the refresh panic fires mid-walk.
+    MidWalk,
 }
 
 impl HostileMode {
     /// All modes, in the order the harness sweeps them.
-    pub const ALL: [HostileMode; 4] = [
+    pub const ALL: [HostileMode; 5] = [
         HostileMode::FlashCrowd,
         HostileMode::Churn,
         HostileMode::PermutedArrival,
         HostileMode::Reconfigure,
+        HostileMode::MidWalk,
     ];
 
     /// Stable name used in harness output.
@@ -93,6 +106,7 @@ impl HostileMode {
             HostileMode::Churn => "churn",
             HostileMode::PermutedArrival => "permuted_arrival",
             HostileMode::Reconfigure => "reconfigure",
+            HostileMode::MidWalk => "mid_walk",
         }
     }
 }
@@ -126,6 +140,8 @@ pub struct ChaosReport {
     pub dropped: u64,
     /// Faults the plan actually fired (must equal the schedule).
     pub faults_injected: u64,
+    /// The faults that fired, sorted: the same for a seed on every run.
+    pub fired: Vec<Fired>,
     /// Flight records the faulted run captured with a `fault_injected`
     /// trigger — the per-fault postmortem oracle pins this to the schedule.
     pub fault_flight_records: u64,
@@ -210,6 +226,26 @@ struct RunOutcome {
     flight_json: String,
     /// Scratch-equivalence checks that held while finishing the run.
     scratch_checks: usize,
+    /// `refreshes + skips` of every slot still live at the end.
+    ledgers: Vec<usize>,
+}
+
+/// Where the oracle's pipeline can be hit, slide by slide.  The fault plan
+/// picks its targets from this, so they follow from the script alone.
+#[derive(Debug, Default)]
+struct Seams {
+    /// `(epoch, shard) → cluster queries that shard's walk issued`.
+    queries: Mutex<BTreeMap<(u64, ShardKey), usize>>,
+    /// `epoch → subscriptions whose result changed`.
+    changed: BTreeMap<u64, Vec<SubscriptionId>>,
+}
+
+impl PipelineHooks for Seams {
+    fn before_cluster_query(&self, epoch: u64, shard: ShardKey, query: usize) {
+        let mut queries = self.queries.lock().unwrap_or_else(|p| p.into_inner());
+        let seen = queries.entry((epoch, shard)).or_default();
+        *seen = (*seen).max(query);
+    }
 }
 
 fn delivery_config() -> DeliveryConfig {
@@ -317,7 +353,23 @@ fn build_script(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Scrip
         return Err(format!("scenario too short for chaos ({n} slides < 8)"));
     }
 
-    let initial = scenario.queries.clone();
+    let mut initial = scenario.queries.clone();
+    if mode == HostileMode::MidWalk {
+        // The same query under the other algorithm is another plan cluster
+        // in the same shard.
+        let twins: Vec<_> = initial
+            .iter()
+            .map(|(query, algorithm)| {
+                let other = if *algorithm == Algorithm::Mtts {
+                    Algorithm::Mttd
+                } else {
+                    Algorithm::Mtts
+                };
+                (query.clone(), other)
+            })
+            .collect();
+        initial.extend(twins);
+    }
     let num_topics = scenario.stream.planted.num_topics();
     let mut ops = Vec::new();
     let mut horizon = 0;
@@ -347,6 +399,7 @@ fn build_script(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Scrip
                 ),
             ];
         }
+        HostileMode::MidWalk => {}
     }
     Ok(Script {
         scenario,
@@ -360,14 +413,52 @@ fn build_script(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Scrip
 
 /// The recovering fault schedule: every fault is absorbed (retried,
 /// respawned, or shed-with-accounting) without changing a single decision.
-fn fault_plan(seed: u64) -> Arc<FaultPlan> {
-    let base = 2 + seed % 2;
-    Arc::new(FaultPlan::new(vec![
-        Fault::once(base, None, FaultKind::PanicInRefresh),
-        Fault::once(base + 1, None, FaultKind::DelaySnapshot(2)),
-        Fault::once(base + 1, None, FaultKind::PoisonDelivery),
-        Fault::once(base + 2, None, FaultKind::KillWorker),
-    ]))
+///
+/// The seed moves the first fault's epoch (from `2 + seed % 7`) and picks
+/// each target among those the oracle's walk offers there: a panic before
+/// cluster query `query` of a shard whose walk issued that many, a delayed
+/// snapshot, a poisoned send to a subscription whose result changed, and a
+/// worker kill after a shard's item.  Each fault takes the first slide at or
+/// after its own epoch that offers a target.
+fn fault_plan(seed: u64, seams: &Seams, query: usize) -> Result<Vec<Fault>, String> {
+    let queries = seams.queries.lock().unwrap_or_else(|p| p.into_inner());
+    // The first slide at or after `from` whose walks issued at least
+    // `query` cluster queries, and one of those shards.
+    let shard_at = |from: u64, query: usize| {
+        let hits: Vec<(u64, ShardKey)> = queries
+            .iter()
+            .filter(|(&(epoch, _), &n)| epoch >= from && n >= query)
+            .map(|(&at, _)| at)
+            .collect();
+        let epoch = hits
+            .first()
+            .ok_or(format!(
+                "no walk at or after slide {from} issues {query} cluster queries"
+            ))?
+            .0;
+        let shards: Vec<ShardKey> = hits
+            .iter()
+            .filter(|(e, _)| *e == epoch)
+            .map(|(_, shard)| *shard)
+            .collect();
+        Ok::<_, String>((epoch, shards[seed as usize % shards.len()]))
+    };
+    let (panic_at, panicked) = shard_at(2 + seed % 7, query)?;
+    let (poison_at, poisoned) = seams
+        .changed
+        .range(panic_at + 1..)
+        .next()
+        .map(|(epoch, subs)| (*epoch, subs[seed as usize % subs.len()]))
+        .ok_or(format!("no result changes after slide {panic_at}"))?;
+    // A snapshot is captured only at a slide some shard refreshes.
+    let (delay_at, _) = shard_at(panic_at + 1, 1)?;
+    let (kill_at, killed) = shard_at(panic_at + 2, 1)?;
+    Ok(vec![
+        Fault::once(panic_at, Some(panicked), FaultKind::PanicBeforeQuery(query)),
+        Fault::once(delay_at, None, FaultKind::DelaySnapshot(2)),
+        Fault::once(poison_at, None, FaultKind::PoisonDelivery(poisoned)),
+        Fault::once(kill_at, Some(killed), FaultKind::KillWorker),
+    ])
 }
 
 fn subscribe_initial(
@@ -513,25 +604,43 @@ fn finish(
         fault_flight_records,
         flight_json: flight.to_json(),
         scratch_checks,
+        ledgers: slots
+            .entries
+            .iter()
+            .flatten()
+            .filter_map(|(id, _, _)| mgr.subscription_stats(*id))
+            .map(|stats| stats.refreshes + stats.skips)
+            .collect(),
     })
 }
 
 /// The oracle: a barrier after every slide (no overlapping epochs), no
 /// faults, and from-scratch queries over the final window in [`finish`].
-fn run_sync(script: &Script) -> Result<RunOutcome, String> {
+/// Its hooks only log the [`Seams`] the fault plan may target.
+fn run_sync(script: &Script) -> Result<(RunOutcome, Seams), String> {
     let mut mgr =
         SubscriptionManager::with_shard_config(script.scenario.engine(), ShardConfig::default());
+    let seams = Arc::new(Seams::default());
+    mgr.set_hooks(seams.clone());
     let mut slots = subscribe_initial(&mut mgr, &script.initial, None)?;
     let mut total_updates = 0;
+    let mut changed = BTreeMap::new();
     for (i, (bucket, end)) in script.buckets.iter().enumerate() {
         apply_ops(&mut mgr, &mut slots, &script.ops, i, None)?;
         let outcome = mgr
             .ingest_bucket(bucket.clone(), *end)
             .map_err(|e| format!("oracle ingest failed at slide {i}: {e:?}"))?;
         total_updates += outcome.updates.len();
+        if !outcome.updates.is_empty() {
+            let subs = outcome.updates.iter().map(|u| u.subscription).collect();
+            changed.insert(i as u64 + 1, subs);
+        }
     }
     mgr.sync();
-    finish(&mgr, &slots, total_updates, &[])
+    let outcome = finish(&mgr, &slots, total_updates, &[])?;
+    let queries = std::mem::take(&mut *seams.queries.lock().unwrap_or_else(|p| p.into_inner()));
+    let queries = Mutex::new(queries);
+    Ok((outcome, Seams { queries, changed }))
 }
 
 /// One pipelined replay under `config` — optionally through the reorder
@@ -549,7 +658,7 @@ fn run_async(
     }
     let mut mgr = SubscriptionManager::with_shard_config(script.scenario.engine(), config);
     if let Some(plan) = faults {
-        mgr.inject_faults(Arc::clone(plan));
+        plan.install(&mut mgr);
     }
     let mut receivers: Vec<DeliveryReceiver> = Vec::new();
     let mut slots = subscribe_initial(&mut mgr, &script.initial, Some(&mut receivers))?;
@@ -639,16 +748,12 @@ fn compare(oracle: &RunOutcome, run: &RunOutcome, label: &str) -> Result<usize, 
 }
 
 /// Checks the fault plan fully fired and was fully absorbed.
-fn fault_checks(plan: &FaultPlan, run: &RunOutcome) -> Result<usize, String> {
-    if plan.injected() != 4 {
+fn fault_checks(plan: &FaultPlan, scheduled: &[Fault], run: &RunOutcome) -> Result<usize, String> {
+    let fired = plan.fired();
+    if fired.len() != scheduled.len() || plan.remaining() != 0 {
         return Err(format!(
-            "fault plan fired {} of 4 scheduled faults ({} unconsumed)",
-            plan.injected(),
-            plan.remaining()
+            "the fault plan fired {fired:?} of its schedule {scheduled:?}"
         ));
-    }
-    if plan.remaining() != 0 {
-        return Err(format!("{} faults never fired", plan.remaining()));
     }
     if run.panics != 1 {
         return Err(format!(
@@ -667,10 +772,10 @@ fn fault_checks(plan: &FaultPlan, run: &RunOutcome) -> Result<usize, String> {
     }
     // Per-fault postmortem oracle: every fault that fired left exactly one
     // `fault_injected` flight record behind.
-    if run.fault_flight_records != plan.injected() {
+    if run.fault_flight_records != fired.len() as u64 {
         return Err(format!(
             "{} faults fired but the flight recorder holds {} fault_injected record(s)",
-            plan.injected(),
+            fired.len(),
             run.fault_flight_records
         ));
     }
@@ -684,7 +789,7 @@ fn fault_checks(plan: &FaultPlan, run: &RunOutcome) -> Result<usize, String> {
 /// against the oracle.
 pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<ChaosReport, String> {
     let script = build_script(mode, seed, scale)?;
-    let oracle = run_sync(&script)?;
+    let (oracle, seams) = run_sync(&script)?;
     let mut checks = oracle.scratch_checks;
 
     let clean = run_async(&script, ShardConfig::default(), false, None, false)?;
@@ -705,7 +810,9 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         checks += 2;
     }
 
-    let plan = fault_plan(seed);
+    let query = if mode == HostileMode::MidWalk { 2 } else { 1 };
+    let scheduled = fault_plan(seed, &seams, query)?;
+    let plan = Arc::new(FaultPlan::new(scheduled.clone()));
     let faulted = run_async(
         &script,
         ShardConfig::default(),
@@ -714,7 +821,7 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         false,
     )?;
     checks += compare(&oracle, &faulted, "faulted")?;
-    checks += fault_checks(&plan, &faulted)?;
+    checks += fault_checks(&plan, &scheduled, &faulted)?;
 
     if mode == HostileMode::Churn {
         if oracle.retired_shards == 0 {
@@ -730,6 +837,17 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         let serialised = run_async(&script, ShardConfig::default(), false, None, true)?;
         checks += compare(&oracle, &serialised, "serialised")?;
     }
+    if mode == HostileMode::MidWalk {
+        // A panic halfway through a walk charged no member twice: every
+        // subscription was refreshed or skipped exactly once per slide.
+        if let Some(ledger) = faulted.ledgers.iter().find(|&&n| n != faulted.slides) {
+            return Err(format!(
+                "a subscription was charged {ledger} refreshes + skips over {} slides",
+                faulted.slides
+            ));
+        }
+        checks += 1;
+    }
 
     Ok(ChaosReport {
         mode: mode.name(),
@@ -744,7 +862,8 @@ pub fn run_chaos(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Chao
         oracle_updates: oracle.total_updates,
         delivered: faulted.delivered,
         dropped: faulted.dropped,
-        faults_injected: plan.injected(),
+        faults_injected: plan.fired().len() as u64,
+        fired: plan.fired(),
         fault_flight_records: faulted.fault_flight_records,
         flight_json: faulted.flight_json,
         checks,
@@ -786,5 +905,19 @@ mod tests {
     fn reconfigure_smoke() {
         let report = run_chaos(HostileMode::Reconfigure, 17, ChaosScale::Smoke).unwrap();
         assert!(report.checks > 0);
+    }
+
+    /// The mid-walk panic fires before a walk's second cluster query, and a
+    /// seed fires the same faults on the same targets every time it runs.
+    #[test]
+    fn mid_walk_smoke_fires_the_same_faults_twice() {
+        let run = || run_chaos(HostileMode::MidWalk, 89, ChaosScale::Smoke).unwrap();
+        let (first, second) = (run(), run());
+        let (epoch, kind, shard) = first.fired[0];
+        assert_eq!(kind, FaultKind::PanicBeforeQuery(2));
+        assert!(shard.is_some(), "the panic names its shard");
+        assert!(epoch > 0);
+        assert_eq!(first.fired.len(), 4);
+        assert_eq!(first.fired, second.fired);
     }
 }

@@ -135,21 +135,21 @@
 //!   re-sequenced exactly (decisions bit-identical to in-order replay — the
 //!   reorder property test); beyond the horizon, [`LatePolicy`] decides
 //!   between counted shedding (`ingest.late_dropped`) and forced replay.
-//! * **Fault isolation** ([`fault`]): every worker refresh attempt runs
-//!   inside `catch_unwind`.  A panic never publishes a partial
-//!   [`ResultDelta`] (the shard lock poisons no state — injected faults
-//!   fire pre-mutation, and after a real one the retry classifies every
-//!   resident again, as the shard derives nothing from stored results) and
-//!   never stalls the watermark (epoch registrations complete on drop).
+//! * **Fault isolation**: every worker refresh attempt runs inside
+//!   `catch_unwind`.  A panic never publishes a partial [`ResultDelta`] (the
+//!   walk only stages its decisions, and the shard commits them once it
+//!   returns, so the retry classifies every resident again) and never
+//!   stalls the watermark (epoch registrations complete on drop).
 //!   Panicking attempts retry with bounded backoff.  A shard that exhausts
 //!   its budget is **quarantined** instead of wedging the pipeline: the
 //!   epoch is shed as counted skips, `shard.quarantined` counts it, `/ready`
 //!   reports it until [`SubscriptionManager::lift_quarantines`], and the
 //!   shard keeps refreshing later slides.  Dead worker threads are
-//!   respawned within a bounded budget (`worker.restarts`).
-//!   Deterministic [`FaultPlan`]s inject panics, snapshot delays, poisoned
-//!   delivery sends, and worker kills at exact epoch/shard coordinates for
-//!   the chaos harness.
+//!   respawned within a bounded budget (`worker.restarts`).  Tests inject
+//!   faults from outside the crate through one hidden hook object, called
+//!   before each cluster query of a walk, before each delivery send, after
+//!   each worker item and before each snapshot capture; the `ksir-chaos`
+//!   crate's `FaultPlan` is the one implementation.
 //!
 //! Because every refresh re-runs the subscription's own algorithm against
 //! the same index an ad-hoc query would use, maintained results are
@@ -191,7 +191,6 @@
 
 pub mod cluster;
 pub mod delivery;
-pub mod fault;
 pub mod manager;
 pub mod reorder;
 pub mod shard;
@@ -199,11 +198,12 @@ pub mod subscription;
 mod worker;
 
 pub use delivery::{Delivery, DeliveryConfig, DeliveryReceiver, OverflowPolicy};
-pub use fault::{Fault, FaultKind, FaultPlan};
 pub use manager::{ManagerStats, SlideOutcome, SlideTicket, SubscriptionManager};
 pub use reorder::LatePolicy;
 pub use shard::{ShardConfig, ShardKey, ShardStats};
 pub use subscription::{RefreshReason, ResultDelta, SubscriptionId, SubscriptionStats};
+#[doc(hidden)]
+pub use worker::PipelineHooks;
 
 // The observability surface ([`SubscriptionManager::telemetry`]), re-exported
 // so dashboards and exporters never import `ksir-telemetry` directly.

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLockReadGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ksir_core::{
     Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, QuerySource, SharedEngine,
@@ -13,7 +13,6 @@ use ksir_telemetry::{FlightTrigger, Telemetry, TraceEventKind};
 use ksir_types::{KsirError, Result, SocialElement, Timestamp, TopicVector, TopicWordDistribution};
 
 use crate::delivery::{delivery_queue, DeliveryConfig, DeliveryReceiver, DeliveryTelemetry};
-use crate::fault::FaultPlan;
 use crate::reorder::{Bucket, ReorderBuffer};
 use crate::shard::{
     refresh_one, LaneDecision, PendingEpoch, ShardCell, ShardConfig, ShardKey, ShardStats,
@@ -22,7 +21,7 @@ use crate::shard::{
 use crate::subscription::{
     RefreshReason, ResultDelta, Subscription, SubscriptionId, SubscriptionStats,
 };
-use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkerPool};
+use crate::worker::{deliver, DeliveryRegistry, EpochTask, PipelineHooks, Watermark, WorkerPool};
 
 /// How many epochs the asynchronous pipeline may have in flight at once:
 /// `ingest_bucket_async` admits a new epoch only while fewer earlier epochs
@@ -176,9 +175,8 @@ pub struct SubscriptionManager<D> {
     /// Bounded watermark-driven reorder buffer in front of the async ingest
     /// path (see [`SubscriptionManager::ingest_bucket_reordered`]).
     reorder: ReorderBuffer,
-    /// Deterministic fault schedule consulted at the snapshot, worker, and
-    /// delivery seams; `None` outside chaos runs.
-    faults: Option<Arc<FaultPlan>>,
+    /// Test hooks handed to the shards and the pool; `None` outside tests.
+    hooks: Option<Arc<dyn PipelineHooks>>,
     /// The unified observability bundle (metrics registry + trace ring);
     /// shared with the shards, workers, and delivery queues.  Its registry
     /// is the only store of every manager-wide tally.
@@ -207,7 +205,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             next_id: 0,
             slides: 0,
             reorder: ReorderBuffer::new(config.reorder_horizon, config.late_policy),
-            faults: None,
+            hooks: None,
             telemetry,
         }
     }
@@ -402,10 +400,10 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // out of the refresh/skip counters — they must reconcile with
         // `slides x subscriptions`.
         refresh_one(&*self.engine.read(), id, &mut sub, RefreshReason::Initial);
-        let telemetry = &self.telemetry;
+        let (telemetry, hooks) = (&self.telemetry, &self.hooks);
         self.shards
             .entry(key)
-            .or_insert_with(|| Arc::new(ShardCell::new(key, Arc::clone(telemetry))))
+            .or_insert_with(|| Arc::new(ShardCell::new(key, Arc::clone(telemetry), hooks.clone())))
             .shard()
             .insert(id, sub);
         self.route_of.insert(id, key);
@@ -559,29 +557,23 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
                 &self.deliveries,
                 self.slides as u64,
                 std::slice::from_ref(update),
-                self.faults.as_deref(),
-                &self.telemetry,
+                self.hooks.as_deref(),
             );
         }
         update
     }
 
-    /// Installs a deterministic fault schedule (see [`crate::fault`]).
-    ///
+    /// Installs test hooks at the pipeline's seams (see [`PipelineHooks`]).
     /// Quiesces and tears down any running worker pool first, so the next
-    /// spawn threads the plan through the worker, snapshot-capture, and
-    /// delivery seams.  Install the plan before the ingest run it targets;
-    /// coordinates are 1-based slide numbers.
-    pub fn inject_faults(&mut self, plan: Arc<FaultPlan>) {
+    /// spawn carries the hooks; the live shards take them at once.
+    #[doc(hidden)]
+    pub fn set_hooks(&mut self, hooks: Arc<dyn PipelineHooks>) {
         self.sync();
-        self.pool = None; // joins the workers; the next spawn carries the plan
-        self.faults = Some(plan);
-    }
-
-    /// The installed fault schedule, if any — its `injected()` / `remaining()`
-    /// tallies prove which scheduled faults actually fired.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
+        self.pool = None; // joins the workers; the next spawn carries the hooks
+        for cell in self.shards.values() {
+            cell.shard().hooks = Some(Arc::clone(&hooks));
+        }
+        self.hooks = Some(hooks);
     }
 
     /// Number of shards currently quarantined by repeated refresh panics
@@ -667,7 +659,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
                 Arc::clone(&self.deliveries),
                 Arc::clone(&self.watermark),
                 Arc::clone(&self.telemetry),
-                self.faults.clone(),
+                self.hooks.clone(),
             ));
         }
         self.pool.as_ref().expect("just spawned")
@@ -679,19 +671,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     /// watch: lists nothing can traverse are not captured and therefore
     /// never pay copy-on-write.
     fn capture_epoch(&self, epoch: u64) -> Arc<dyn QuerySource + Send + Sync> {
-        // Injection seam: a scheduled DelaySnapshot stalls the capture,
-        // widening the ingest/refresh race window without changing any
-        // decision.
-        if let Some(ms) = self
-            .faults
-            .as_ref()
-            .and_then(|plan| plan.take_snapshot_delay(epoch))
-        {
-            self.telemetry.trigger_flight(FlightTrigger::FaultInjected {
-                epoch,
-                kind: "delay_snapshot",
-            });
-            std::thread::sleep(Duration::from_millis(ms));
+        if let Some(hooks) = &self.hooks {
+            hooks.before_snapshot(epoch);
         }
         let started = Instant::now();
         let snapshot = Arc::new(EngineSnapshot::capture_watched(

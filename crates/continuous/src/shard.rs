@@ -48,6 +48,7 @@ use ksir_types::{ElementId, TopicId};
 use crate::cluster::{ClusterKey, PlanCluster};
 use crate::reorder::LatePolicy;
 use crate::subscription::{RefreshReason, ResultDelta, Subscription, SubscriptionId};
+use crate::worker::PipelineHooks;
 
 /// Identity of one shard of the subscription table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -391,6 +392,7 @@ struct Lane {
 /// shard.
 #[derive(Debug)]
 pub(crate) struct ShardCell {
+    key: ShardKey,
     lane: Mutex<Lane>,
     shard: Mutex<Shard>,
     /// Own clone of the shard's telemetry handles, so the busy-lane
@@ -399,13 +401,23 @@ pub(crate) struct ShardCell {
 }
 
 impl ShardCell {
-    pub(crate) fn new(key: ShardKey, bundle: Arc<Telemetry>) -> Self {
+    pub(crate) fn new(
+        key: ShardKey,
+        bundle: Arc<Telemetry>,
+        hooks: Option<Arc<dyn PipelineHooks>>,
+    ) -> Self {
         let telemetry = ShardTelemetry::new(bundle, key);
         ShardCell {
+            key,
             lane: Mutex::new(Lane::default()),
-            shard: Mutex::new(Shard::new(key, telemetry.clone())),
+            shard: Mutex::new(Shard::new(key, telemetry.clone(), hooks)),
             telemetry,
         }
+    }
+
+    /// The shard's identity, readable without the shard lock.
+    pub(crate) fn key(&self) -> ShardKey {
+        self.key
     }
 
     fn lane(&self) -> MutexGuard<'_, Lane> {
@@ -502,10 +514,16 @@ pub(crate) struct Shard {
     scheduled_slides: usize,
     skipped_slides: usize,
     telemetry: ShardTelemetry,
+    /// The manager's test hooks, if any (see [`PipelineHooks`]).
+    pub(crate) hooks: Option<Arc<dyn PipelineHooks>>,
 }
 
 impl Shard {
-    pub(crate) fn new(key: ShardKey, telemetry: ShardTelemetry) -> Self {
+    pub(crate) fn new(
+        key: ShardKey,
+        telemetry: ShardTelemetry,
+        hooks: Option<Arc<dyn PipelineHooks>>,
+    ) -> Self {
         Shard {
             key,
             subs: BTreeMap::new(),
@@ -517,16 +535,12 @@ impl Shard {
             scheduled_slides: 0,
             skipped_slides: 0,
             telemetry,
+            hooks,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.subs.len()
-    }
-
-    /// This shard's identity (used by the fault seams to address it).
-    pub(crate) fn key(&self) -> ShardKey {
-        self.key
     }
 
     /// Whether the shard is quarantined.
@@ -629,7 +643,7 @@ impl Shard {
         let started = Instant::now();
         self.telemetry.record(epoch, TraceEventKind::ShardScheduled);
         self.telemetry.record(epoch, TraceEventKind::RefreshStarted);
-        let (staged, work) = self.walk_clusters(source, delta);
+        let (staged, work) = self.walk_clusters(source, delta, epoch);
         let slide = self.commit(staged);
         self.scheduled_slides += 1;
         self.refreshes += slide.refreshed;
@@ -674,9 +688,14 @@ impl Shard {
     /// reads only its own state, and each member is in one cluster, so
     /// staging every decision until [`Shard::commit`] decides exactly what
     /// applying them as it goes would.  A panic anywhere in the walk (a query,
-    /// an `expect`) unwinds past the staged decisions and leaves the shard
-    /// as it was.
-    fn walk_clusters(&self, source: &dyn QuerySource, delta: &WindowDelta) -> (Staged, SlideWork) {
+    /// an `expect`, a test hook before a query) unwinds past the staged
+    /// decisions and leaves the shard as it was.
+    fn walk_clusters(
+        &self,
+        source: &dyn QuerySource,
+        delta: &WindowDelta,
+        epoch: u64,
+    ) -> (Staged, SlideWork) {
         let mut staged = Staged::default();
         let mut work = SlideWork::default();
         for cluster in self.clusters.values() {
@@ -699,6 +718,9 @@ impl Shard {
             let mut ks: Vec<usize> = to_refresh.iter().map(|&(_, _, k)| k).collect();
             ks.sort_unstable();
             ks.dedup();
+            if let Some(hooks) = &self.hooks {
+                hooks.before_cluster_query(epoch, self.key, work.covering + 1);
+            }
             let fresh = source
                 .query_per_k(&cluster.covering, &ks, cluster.algorithm)
                 .expect("subscription dimensions were validated at subscribe time");
@@ -888,6 +910,7 @@ mod tests {
         Shard::new(
             key,
             ShardTelemetry::new(Arc::new(Telemetry::default()), key),
+            None,
         )
     }
 
@@ -1126,7 +1149,7 @@ mod tests {
                 task: crate::worker::EpochTask::register(&watermark, epoch),
             }
         };
-        let cell = ShardCell::new(ShardKey::Overflow, Arc::new(Telemetry::default()));
+        let cell = ShardCell::new(ShardKey::Overflow, Arc::new(Telemetry::default()), None);
         // No residents: nothing happens, nothing is enqueued.
         assert_eq!(
             cell.project_epoch(0, &WindowDelta::default(), || task(0)),

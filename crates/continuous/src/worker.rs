@@ -30,6 +30,7 @@
 //! watermark waits on refresh compute only.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,14 +40,35 @@ use std::time::Duration;
 use ksir_telemetry::{Counter, FlightTrigger, Telemetry, TraceEventKind};
 
 use crate::delivery::DeliverySender;
-use crate::fault::FaultPlan;
-use crate::shard::{label_of, Shard, ShardCell};
+use crate::shard::{label_of, Shard, ShardCell, ShardKey};
 use crate::subscription::SubscriptionId;
 
 /// Failed refresh attempts a shard gets (after the first) before it is
 /// quarantined and the epoch shed.  Attempt `n` backs off `100µs · 2ⁿ`
 /// first, so a transiently-poisoned shard has a real chance to clear.
 const REFRESH_RETRY_BUDGET: usize = 2;
+
+/// Test seams of the refresh pipeline, installed with
+/// [`SubscriptionManager::set_hooks`](crate::SubscriptionManager::set_hooks).
+/// Every method defaults to a no-op and fires at a real seam, so a hook that
+/// panics or stalls there fails the pipeline the way a real fault would.
+#[doc(hidden)]
+pub trait PipelineHooks: std::fmt::Debug + Send + Sync {
+    /// Before the `query`-th (1-based) cluster query of one attempt at
+    /// `shard`'s walk for `epoch`, inside the worker's retry boundary.
+    fn before_cluster_query(&self, _epoch: u64, _shard: ShardKey, _query: usize) {}
+
+    /// Before each delivery send, inside the boundary that turns a panic
+    /// into a counted shed on the subscription's queue.
+    fn before_delivery(&self, _epoch: u64, _subscription: SubscriptionId) {}
+
+    /// After a worker drained `shard`'s lane through `epochs` and released
+    /// it, outside every isolation boundary: a panic here kills the worker.
+    fn after_work_item(&self, _shard: ShardKey, _epochs: RangeInclusive<u64>) {}
+
+    /// Before the epoch snapshot capture, on the ingest thread.
+    fn before_snapshot(&self, _epoch: u64) {}
+}
 
 /// Shared map from live subscription to its delivery-queue producer.
 pub(crate) type DeliveryRegistry =
@@ -60,8 +82,7 @@ pub(crate) fn deliver(
     registry: &DeliveryRegistry,
     slide: u64,
     updates: &[crate::subscription::ResultDelta],
-    faults: Option<&FaultPlan>,
-    telemetry: &Telemetry,
+    hooks: Option<&dyn PipelineHooks>,
 ) {
     if updates.is_empty() {
         return;
@@ -79,23 +100,11 @@ pub(crate) fn deliver(
     };
     for (update, sender) in updates.iter().zip(senders) {
         if let Some(sender) = sender {
-            // Fault seam: a poisoned send panics; the catch converts the
-            // loss into a *counted* shed on the queue, so
-            // `delivered + dropped == result_changes` keeps reconciling
-            // through the fault.
-            let poisoned = faults.is_some_and(|plan| plan.take_delivery_poison(slide));
-            if poisoned {
-                // Flight-record the fault at its consume seam (outside the
-                // unwind below), so chaos runs can assert one postmortem
-                // record per injected fault.
-                telemetry.trigger_flight(FlightTrigger::FaultInjected {
-                    epoch: slide,
-                    kind: "poison_delivery",
-                });
-            }
+            // A panicking send becomes a *counted* shed on the queue, so
+            // `delivered + dropped == result_changes` keeps reconciling.
             let sent = catch_unwind(AssertUnwindSafe(|| {
-                if poisoned {
-                    panic!("injected delivery fault");
+                if let Some(hooks) = hooks {
+                    hooks.before_delivery(slide, update.subscription);
                 }
                 sender.send(slide, update.clone());
             }));
@@ -267,8 +276,7 @@ impl Drop for EpochTask {
 /// `Arc<dyn QuerySource>` epoch snapshots in the shard lanes.
 ///
 /// Every `dispatch` first sweeps for dead worker threads (a worker dies on
-/// a [`FaultKind::KillWorker`](crate::FaultKind::KillWorker) injection, or
-/// on a panic that escapes the refresh isolation boundary) and replaces
+/// a panic that escapes the refresh isolation boundary) and replaces
 /// them, counting each replacement on the `worker.restarts` counter and a
 /// [`TraceEventKind::WorkerRespawned`] event.  The budget bounds restart
 /// churn at `threads × 8`; once spent, remaining workers carry the load —
@@ -280,7 +288,7 @@ pub(crate) struct WorkerPool {
     watermark: Arc<Watermark>,
     state: Mutex<PoolState>,
     /// Re-invocable worker factory (captures the channel receiver,
-    /// registry, fault plan, and telemetry by `Arc`).
+    /// registry, telemetry, and test hooks by `Arc`).
     spawner: Box<dyn Fn() -> JoinHandle<()> + Send + Sync>,
     restarts: Arc<Counter>,
     telemetry: Arc<Telemetry>,
@@ -309,13 +317,13 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `threads` workers over a delivery registry, the manager's
-    /// watermark, and an optional fault plan.
+    /// watermark, and the manager's test hooks, if any.
     pub(crate) fn spawn(
         threads: usize,
         registry: DeliveryRegistry,
         watermark: Arc<Watermark>,
         telemetry: Arc<Telemetry>,
-        faults: Option<Arc<FaultPlan>>,
+        hooks: Option<Arc<dyn PipelineHooks>>,
     ) -> Self {
         let threads = threads.max(1);
         let (tx, rx) = channel::<Arc<ShardCell>>();
@@ -326,9 +334,9 @@ impl WorkerPool {
                 let rx = Arc::clone(&rx);
                 let registry = Arc::clone(&registry);
                 let telemetry = Arc::clone(&telemetry);
-                let faults = faults.clone();
+                let hooks = hooks.clone();
                 std::thread::spawn(move || {
-                    worker_loop(&rx, &registry, &telemetry, faults.as_deref())
+                    worker_loop(&rx, &registry, &telemetry, hooks.as_deref())
                 })
             })
         };
@@ -450,7 +458,7 @@ fn worker_loop(
     rx: &Mutex<Receiver<Arc<ShardCell>>>,
     registry: &DeliveryRegistry,
     telemetry: &Telemetry,
-    faults: Option<&FaultPlan>,
+    hooks: Option<&dyn PipelineHooks>,
 ) {
     let wt = WorkerTelemetry {
         bundle: telemetry,
@@ -468,14 +476,10 @@ fn worker_loop(
             Err(_) => return, // channel closed: pool shut down
         };
         let started = std::time::Instant::now();
-        let die = drain_lane(&shard, registry, faults, &wt);
+        let drained = drain_lane(&shard, registry, hooks, &wt);
         wt.item_hist.record(started.elapsed());
-        if die {
-            // An injected KillWorker: exit *between* items, after the lane
-            // was fully drained and released, so no task is stranded.  The
-            // pool detects the death and respawns at the next dispatch or
-            // self-healing wait.
-            return;
+        if let (Some(hooks), Some(epochs)) = (hooks, drained) {
+            hooks.after_work_item(shard.key(), epochs);
         }
     }
 }
@@ -494,40 +498,22 @@ fn worker_loop(
 ///   [`EpochTask`] guard, which drops whether the attempt completed,
 ///   retried, or shed — a panicking shard can stall nothing but itself.
 ///
-/// Injected [`FaultKind::PanicInRefresh`](crate::FaultKind::PanicInRefresh)
-/// faults fire at the attempt's *entry*, before any shard state is touched,
-/// so a recovering injected fault leaves decisions (and all counters)
-/// bit-identical to a clean run — the chaos oracles' pass criterion.  A
-/// *real* panic from inside the refresh walk does the same: the walk only
-/// stages its decisions, and the shard commits results, member stats and
-/// totals together once the walk returns, so a panicked attempt leaves the
-/// shard as it found it and the retry decides, delivers and charges
-/// exactly what a clean attempt would.
+/// A panic from inside the refresh walk leaves the shard as it found it:
+/// the walk only stages its decisions, and the shard commits results,
+/// member stats and totals together once the walk returns.  So the retry
+/// decides, delivers and charges exactly what a clean attempt would, and a
+/// recovering fault leaves decisions (and all counters) bit-identical to a
+/// clean run — the chaos oracles' pass criterion.
 fn refresh_resilient<T>(
     cell: &ShardCell,
     epoch: u64,
-    faults: Option<&FaultPlan>,
     wt: &WorkerTelemetry<'_>,
     attempt: impl Fn(&mut Shard) -> T,
 ) -> Option<T> {
-    let key = cell.shard().key();
-    let label = label_of(key);
+    let label = label_of(cell.key());
     let mut failures = 0;
     loop {
-        let fire = faults.is_some_and(|plan| plan.take_refresh_panic(epoch, key));
-        if fire {
-            wt.bundle.trigger_flight(FlightTrigger::FaultInjected {
-                epoch,
-                kind: "panic_in_refresh",
-            });
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut shard = cell.shard();
-            if fire {
-                panic!("injected refresh fault at epoch {epoch} on {key}");
-            }
-            attempt(&mut shard)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| attempt(&mut cell.shard())));
         match outcome {
             Ok(done) => return Some(done),
             Err(_) => {
@@ -570,8 +556,7 @@ fn refresh_resilient<T>(
 }
 
 /// Processes a shard's pending epochs in order until its lane is empty.
-/// Returns `true` when a task consumed a `KillWorker` fault and the calling
-/// worker must exit (after this function has fully released the lane).
+/// Returns the epochs it drained, once the lane is released.
 ///
 /// The worker owns the shard for the whole drain (the lane's `busy` flag),
 /// so results stored by epoch `e` are always visible to epoch `e+1`'s
@@ -583,28 +568,21 @@ fn refresh_resilient<T>(
 fn drain_lane(
     cell: &ShardCell,
     registry: &DeliveryRegistry,
-    faults: Option<&FaultPlan>,
+    hooks: Option<&dyn PipelineHooks>,
     wt: &WorkerTelemetry<'_>,
-) -> bool {
-    let mut die = false;
+) -> Option<RangeInclusive<u64>> {
     // Pop-or-release must be atomic under the lane lock: otherwise the
     // ingest thread could observe `busy` in the instant before release and
     // strand a task in the queue.
     let mut next = cell.pop_pending_or_release();
+    let first = next.as_ref()?.epoch;
+    let mut last = first;
     while let Some(task) = next {
         // `task` owns the epoch's watermark registration (its `EpochTask`
         // drop-guard): completion happens when it drops at the end of this
         // iteration, on every path through the body.
-        if let Some(plan) = faults {
-            if plan.take_worker_kill(task.epoch, cell.shard().key()) {
-                wt.bundle.trigger_flight(FlightTrigger::FaultInjected {
-                    epoch: task.epoch,
-                    kind: "kill_worker",
-                });
-                die = true;
-            }
-        }
-        let slide = refresh_resilient(cell, task.epoch, faults, wt, |shard| {
+        last = task.epoch;
+        let slide = refresh_resilient(cell, task.epoch, wt, |shard| {
             if shard.is_touched_by(&task.delta) {
                 wt.shard_snapshots.inc();
                 Some(shard.refresh_scheduled(task.snapshot.as_ref(), &task.delta, task.epoch))
@@ -614,7 +592,7 @@ fn drain_lane(
             }
         });
         if let Some(Some(slide)) = slide {
-            deliver(registry, task.epoch, &slide.updates, faults, wt.bundle);
+            deliver(registry, task.epoch, &slide.updates, hooks);
             if let Some(collector) = &task.collector {
                 collector
                     .lock()
@@ -627,7 +605,7 @@ fn drain_lane(
         // finds the lane idle, so `ingest_bucket` never defers a shard.
         next = cell.pop_pending_or_release();
     }
-    die
+    Some(first..=last)
 }
 
 #[cfg(test)]

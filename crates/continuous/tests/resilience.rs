@@ -2,9 +2,12 @@
 //! poisoned delivery, delayed snapshots, and the reorder buffer — each pinned
 //! against a clean run of the same logical stream.
 //!
-//! The invariants under test (see `ksir_continuous::fault` / `reorder`):
+//! Faults come from `ksir_chaos::FaultPlan` through the manager's test
+//! hooks.  The invariants under test (see `ksir_continuous::reorder` for
+//! the last):
 //!
-//! * An injected worker panic mid-refresh never publishes a partial
+//! * An injected panic mid-refresh — before a walk's first cluster query or
+//!   halfway through it — never publishes a partial
 //!   [`ResultDelta`](ksir_continuous::ResultDelta) and never stalls the
 //!   watermark — `sync()` completes and `completed_epoch` reaches the last
 //!   slide (without the `catch_unwind` isolation and the epoch drop-guard,
@@ -20,14 +23,14 @@
 
 use std::sync::Arc;
 
+use ksir_chaos::{Fault, FaultKind, FaultPlan};
 use ksir_continuous::{
-    DeliveryConfig, Fault, FaultKind, FaultPlan, LatePolicy, ShardConfig, SubscriptionId,
-    SubscriptionManager,
+    DeliveryConfig, LatePolicy, ShardConfig, ShardKey, SubscriptionId, SubscriptionManager,
 };
 use ksir_core::fixtures::paper_example;
 use ksir_core::{Algorithm, KsirQuery};
 use ksir_obs::{Readiness, ReadinessPolicy};
-use ksir_types::{Document, ElementId, QueryVector, Timestamp, TopicVector};
+use ksir_types::{Document, ElementId, QueryVector, Timestamp, TopicId, TopicVector};
 
 fn query(k: usize, weights: &[f64]) -> KsirQuery {
     KsirQuery::new(k, QueryVector::new(weights.to_vec()).unwrap()).unwrap()
@@ -94,33 +97,51 @@ fn assert_matches_clean<D: ksir_types::TopicWordDistribution>(
     );
 }
 
-/// A single recovering refresh panic: caught, retried, decisions and results
-/// bit-identical to the clean run, and the schedule fully consumed.
+/// Installs a plan of `faults` on `mgr`.
+fn install<D: ksir_types::TopicWordDistribution>(
+    mgr: &mut SubscriptionManager<D>,
+    faults: Vec<Fault>,
+) -> Arc<FaultPlan> {
+    let plan = Arc::new(FaultPlan::new(faults));
+    plan.install(mgr);
+    plan
+}
+
+/// A single recovering refresh panic, before the first cluster query of
+/// shard θ0's walk or halfway through it (θ0 holds two plan clusters):
+/// caught, retried, decisions, results and every member's ledger identical
+/// to the clean run, and the schedule fully consumed.
 #[test]
 fn injected_refresh_panic_recovers_with_identical_decisions() {
     let (clean, _) = run_async_clean();
-    let ex = paper_example();
-    let mut mgr = SubscriptionManager::new(ex.empty_engine());
-    let subs = subscribe_workload(&mut mgr);
-    let plan = Arc::new(FaultPlan::new(vec![Fault::once(
-        3,
-        None,
-        FaultKind::PanicInRefresh,
-    )]));
-    mgr.inject_faults(Arc::clone(&plan));
-    mgr.ingest_stream_async(ex.stream()).unwrap();
-    mgr.sync();
+    for query in [1, 2] {
+        let ex = paper_example();
+        let mut mgr = SubscriptionManager::new(ex.empty_engine());
+        let subs = subscribe_workload(&mut mgr);
+        let theta0 = Some(ShardKey::Topic(TopicId(0)));
+        let panic = FaultKind::PanicBeforeQuery(query);
+        let plan = install(&mut mgr, vec![Fault::once(3, theta0, panic)]);
+        mgr.ingest_stream_async(ex.stream()).unwrap();
+        mgr.sync();
 
-    assert_eq!(plan.injected(), 1, "the scheduled panic fired");
-    assert_eq!(plan.remaining(), 0);
-    assert_eq!(
-        mgr.telemetry().registry().counter("worker.panics").get(),
-        1,
-        "the caught panic is counted"
-    );
-    assert_eq!(mgr.completed_epoch(), 8, "the watermark advanced past it");
-    assert_eq!(mgr.quarantined_shards(), 0, "one panic is below the budget");
-    assert_matches_clean(&mgr, &clean, &subs, "recovering panic");
+        assert_eq!(plan.fired(), [(3, panic, theta0)], "the panic fired");
+        assert_eq!(plan.remaining(), 0);
+        assert_eq!(
+            mgr.telemetry().registry().counter("worker.panics").get(),
+            1,
+            "the caught panic is counted"
+        );
+        assert_eq!(mgr.completed_epoch(), 8, "the watermark advanced past it");
+        assert_eq!(mgr.quarantined_shards(), 0, "one panic is below the budget");
+        assert_matches_clean(&mgr, &clean, &subs, &format!("panic before query {query}"));
+        for (id, _, _) in &subs {
+            assert_eq!(
+                mgr.subscription_stats(*id),
+                clean.subscription_stats(*id),
+                "{id}: charged once"
+            );
+        }
+    }
 }
 
 /// A panic that outlives the retry budget quarantines its shard instead of
@@ -137,13 +158,8 @@ fn persistent_panic_quarantines_instead_of_wedging() {
         .unwrap();
     // Three fires at epoch 1 = initial attempt + both retries: the budget is
     // exhausted and the shard is quarantined.
-    let plan = Arc::new(FaultPlan::new(vec![Fault::once(
-        1,
-        None,
-        FaultKind::PanicInRefresh,
-    )
-    .times(3)]));
-    mgr.inject_faults(Arc::clone(&plan));
+    let panic = Fault::once(1, None, FaultKind::PanicBeforeQuery(1)).times(3);
+    let plan = install(&mut mgr, vec![panic]);
     // Must complete: without the worker's catch_unwind isolation and the
     // epoch drop-guard this ingest (or the sync below) deadlocks.
     mgr.ingest_stream_async(ex.stream()).unwrap();
@@ -190,10 +206,9 @@ fn quarantined_at(
         .unwrap();
     let faults = epochs
         .iter()
-        .map(|&epoch| Fault::once(epoch, None, FaultKind::PanicInRefresh).times(3))
+        .map(|&epoch| Fault::once(epoch, None, FaultKind::PanicBeforeQuery(1)).times(3))
         .collect();
-    let plan = Arc::new(FaultPlan::new(faults));
-    mgr.inject_faults(Arc::clone(&plan));
+    let plan = install(&mut mgr, faults);
     mgr.ingest_stream_async(ex.stream()).unwrap();
     mgr.sync();
     assert_eq!(plan.remaining(), 0, "every scheduled panic fired");
@@ -247,11 +262,13 @@ fn killed_workers_respawn_and_pipeline_completes() {
     let ex = paper_example();
     let mut mgr = SubscriptionManager::new(ex.empty_engine());
     let subs = subscribe_workload(&mut mgr);
-    let plan = Arc::new(FaultPlan::new(vec![
-        Fault::once(2, None, FaultKind::KillWorker),
-        Fault::once(5, None, FaultKind::KillWorker),
-    ]));
-    mgr.inject_faults(Arc::clone(&plan));
+    let plan = install(
+        &mut mgr,
+        vec![
+            Fault::once(2, None, FaultKind::KillWorker),
+            Fault::once(5, None, FaultKind::KillWorker),
+        ],
+    );
     mgr.ingest_stream_async(ex.stream()).unwrap();
     mgr.sync();
 
@@ -265,54 +282,52 @@ fn killed_workers_respawn_and_pipeline_completes() {
 }
 
 /// A poisoned delivery send panics inside the queue push; the panic is
-/// converted into a counted shed, so `delivered + dropped` still reconciles
-/// with the clean run's delivery count — and the subscription state itself
-/// is untouched.
+/// converted into a counted shed on exactly the poisoned subscription's
+/// queue, so `delivered + dropped` still reconciles with the clean run's
+/// delivery count — and the subscription state itself is untouched.
 #[test]
 fn poisoned_delivery_send_is_a_counted_shed() {
-    // Clean run first, to learn how many deliveries the stream produces.
-    let ex = paper_example();
-    let mut clean = SubscriptionManager::new(ex.empty_engine());
-    let id = clean
-        .subscribe(query(2, &[0.5, 0.5]), Algorithm::Mttd)
-        .unwrap();
-    let rx_clean = clean
-        .attach_delivery(id, DeliveryConfig::default())
-        .unwrap();
-    clean.ingest_stream_async(ex.stream()).unwrap();
-    clean.sync();
-    let clean_deliveries = rx_clean.drain().len();
-    assert!(clean_deliveries > 0, "the stream must change the result");
+    // Two subscriptions with queues; learn each one's clean delivery count.
+    let queries = [
+        (query(2, &[0.5, 0.5]), Algorithm::Mttd),
+        (query(2, &[1.0, 0.0]), Algorithm::Mtts),
+    ];
+    let run = |poison: bool| {
+        let ex = paper_example();
+        let mut mgr = SubscriptionManager::new(ex.empty_engine());
+        let mut subs = Vec::new();
+        for (q, algorithm) in &queries {
+            let id = mgr.subscribe(q.clone(), *algorithm).unwrap();
+            subs.push((
+                id,
+                mgr.attach_delivery(id, DeliveryConfig::default()).unwrap(),
+            ));
+        }
+        // Epoch 1 produces the first delta (empty result → e1's bucket).
+        let target = FaultKind::PoisonDelivery(subs[0].0);
+        let plan = poison.then(|| install(&mut mgr, vec![Fault::once(1, None, target)]));
+        mgr.ingest_stream_async(ex.stream()).unwrap();
+        mgr.sync();
+        (mgr, subs, plan)
+    };
+    let (_, clean, _) = run(false);
+    let clean: Vec<usize> = clean.iter().map(|(_, rx)| rx.drain().len()).collect();
+    assert!(clean[0] > 0, "the stream must change the result");
 
-    let ex = paper_example();
-    let mut mgr = SubscriptionManager::new(ex.empty_engine());
-    let id = mgr
-        .subscribe(query(2, &[0.5, 0.5]), Algorithm::Mttd)
-        .unwrap();
-    let rx = mgr.attach_delivery(id, DeliveryConfig::default()).unwrap();
-    // Epoch 1 produces the first delta (empty result → e1's bucket).
-    let plan = Arc::new(FaultPlan::new(vec![Fault::once(
-        1,
-        None,
-        FaultKind::PoisonDelivery,
-    )]));
-    mgr.inject_faults(Arc::clone(&plan));
-    mgr.ingest_stream_async(ex.stream()).unwrap();
-    mgr.sync();
-
-    assert_eq!(plan.remaining(), 0, "the poison fired");
-    assert_eq!(rx.dropped(), 1, "the poisoned send became a counted shed");
-    let delivered = rx.drain().len();
-    assert_eq!(
-        delivered + 1,
-        clean_deliveries,
-        "delivered + dropped reconciles with the clean run"
-    );
+    let (mgr, subs, plan) = run(true);
+    assert_eq!(plan.unwrap().remaining(), 0, "the poison fired");
+    let dropped: Vec<u64> = subs.iter().map(|(_, rx)| rx.dropped()).collect();
+    assert_eq!(dropped, [1, 0], "only the poisoned queue counts the shed");
+    for ((_, rx), (clean, dropped)) in subs.iter().zip(clean.iter().zip(&dropped)) {
+        assert_eq!(
+            rx.drain().len() + *dropped as usize,
+            *clean,
+            "delivered + dropped reconciles with the clean run"
+        );
+    }
     // The refresh itself was not poisoned: the maintained result is intact.
-    let fresh = mgr
-        .engine()
-        .query(&query(2, &[0.5, 0.5]), Algorithm::Mttd)
-        .unwrap();
+    let (id, _) = subs[0];
+    let fresh = mgr.engine().query(&queries[0].0, queries[0].1).unwrap();
     assert_eq!(
         mgr.result(id).unwrap().sorted_elements(),
         fresh.sorted_elements()
@@ -327,12 +342,10 @@ fn delayed_snapshot_capture_changes_nothing() {
     let ex = paper_example();
     let mut mgr = SubscriptionManager::new(ex.empty_engine());
     let subs = subscribe_workload(&mut mgr);
-    let plan = Arc::new(FaultPlan::new(vec![Fault::once(
-        2,
-        None,
-        FaultKind::DelaySnapshot(5),
-    )]));
-    mgr.inject_faults(Arc::clone(&plan));
+    let plan = install(
+        &mut mgr,
+        vec![Fault::once(2, None, FaultKind::DelaySnapshot(5))],
+    );
     mgr.ingest_stream_async(ex.stream()).unwrap();
     mgr.sync();
     assert_eq!(plan.remaining(), 0, "the delay fired");

@@ -14,9 +14,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use common::{planted_manager, walk_stream, Manager};
+use ksir_chaos::{Fault, FaultKind, FaultPlan};
 use ksir_continuous::{
-    DeliveryConfig, EpochTimeline, Fault, FaultKind, FaultPlan, OverflowPolicy, ShardConfig,
-    TelemetryConfig,
+    DeliveryConfig, EpochTimeline, OverflowPolicy, ShardConfig, TelemetryConfig,
 };
 
 /// Asserts the full counter/trace/stats reconciliation on a settled manager
@@ -315,11 +315,12 @@ fn trace_ring_overflow_is_reported_not_silent() {
 #[test]
 fn every_metric_name_has_one_family() {
     let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default());
-    mgr.inject_faults(Arc::new(FaultPlan::new(vec![
+    Arc::new(FaultPlan::new(vec![
         Fault::once(2, None, FaultKind::KillWorker),
         // Every shard scheduled at epoch 3 exhausts its retry budget.
-        Fault::once(3, None, FaultKind::PanicInRefresh).times(1 << 10),
-    ])));
+        Fault::once(3, None, FaultKind::PanicBeforeQuery(1)).times(1 << 10),
+    ]))
+    .install(&mut mgr);
     let pairs: Vec<_> = stream.iter_pairs().collect();
     let half = pairs.len() / 2;
     mgr.ingest_stream_async(pairs[..half].iter().cloned())

@@ -40,12 +40,12 @@ pub enum FlightTrigger {
         /// The epoch at detection (0: detection happens at dispatch).
         epoch: u64,
     },
-    /// A scheduled fault fired at one of the injection seams; chaos runs
-    /// assert exactly one record per injected fault.
+    /// A test's fault plan fired a scheduled fault at one of the pipeline's
+    /// test hooks; chaos runs assert exactly one record per injected fault.
     FaultInjected {
         /// The epoch the fault was armed for.
         epoch: u64,
-        /// Stable name of the fault kind (e.g. `panic_in_refresh`).
+        /// Stable name of the fault kind (e.g. `panic_before_query`).
         kind: &'static str,
     },
 }
