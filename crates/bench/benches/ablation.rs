@@ -14,9 +14,9 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ksir_bench::{build_engine, ProcessingConfig};
+use ksir_core::stream::RankedList;
 use ksir_core::{ProfileArena, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::RankedList;
 use ksir_types::{ElementId, Timestamp};
 
 /// Naive alternative to [`RankedList`]: a vector kept sorted by re-sorting

@@ -34,10 +34,9 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
 use ksir_bench::{build_engine, ProcessingConfig};
-use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
+use ksir_core::stream::{ActiveWindow, WindowConfig};
+use ksir_core::{EngineConfig, EngineSnapshot, KsirEngine, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
-use ksir_snapshot::EngineSnapshot;
-use ksir_stream::{ActiveWindow, WindowConfig};
 use ksir_types::rng::seeded_rng;
 use ksir_types::{Document, ElementId, SocialElement, Timestamp, TopicVector};
 use rand::Rng as _;

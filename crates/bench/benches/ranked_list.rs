@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use ksir_stream::RankedList;
+use ksir_core::stream::RankedList;
 use ksir_types::{ElementId, Timestamp};
 
 /// The score `filled_list` gives element `i`.

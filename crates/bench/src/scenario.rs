@@ -3,9 +3,9 @@
 
 use std::time::{Duration, Instant};
 
+use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{GeneratedStream, QueryWorkloadGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, Result, Timestamp, TopicWordDistribution};
 
 /// Parameters of one processing experiment (Figures 7–14).

@@ -343,7 +343,7 @@ fn build_script(mode: HostileMode, seed: u64, scale: ChaosScale) -> Result<Scrip
     drop(engine);
     let pairs: Stream = scenario.stream.iter_pairs().collect();
     let mut buckets: Vec<(Stream, Timestamp)> = Vec::new();
-    ksir_stream::for_each_bucket(bucket_len, now, pairs, |bucket, end| {
+    ksir_core::stream::for_each_bucket(bucket_len, now, pairs, |bucket, end| {
         buckets.push((bucket, end));
         Ok(())
     })

@@ -2,9 +2,9 @@
 //! stream replayed bucket by bucket while a panel of narrow standing queries
 //! is kept current.
 
+use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, QueryVector};
 
 /// A generated stream plus the standing queries to maintain over it.

@@ -8,7 +8,7 @@
 //! whose results must be kept current as the sliding window advances.  The
 //! naive approach re-runs every subscription's query after every ingested
 //! bucket.  This crate's [`SubscriptionManager`] does better by consuming the
-//! [`WindowDelta`](ksir_stream::WindowDelta) that
+//! [`WindowDelta`](ksir_core::stream::WindowDelta) that
 //! [`KsirEngine::ingest_bucket`](ksir_core::KsirEngine::ingest_bucket) now
 //! reports and refreshing only the subscriptions a slide could actually have
 //! affected.
@@ -85,7 +85,7 @@
 //! tests); only evaluation *cost* drops — the `refresh.cluster.*` registry
 //! counters expose by how much.
 //!
-//! [`WindowDelta`]: ksir_stream::WindowDelta
+//! [`WindowDelta`]: ksir_core::stream::WindowDelta
 //!
 //! ## Asynchronous ingestion, pipelined epochs
 //!
@@ -101,7 +101,7 @@
 //!
 //! Refresh *compute* does not gate asynchronous ingestion either: each
 //! ingested slide (an **epoch**) captures an immutable
-//! [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
+//! [`EngineSnapshot`](ksir_core::EngineSnapshot) right after its index
 //! write — `O(topics)` `Arc` clones; the writer copy-on-writes around live
 //! snapshots — and refresh workers evaluate against the snapshot instead of
 //! an engine read guard.  Epoch `N+1`'s index write therefore proceeds while

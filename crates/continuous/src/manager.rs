@@ -6,9 +6,9 @@ use std::sync::{Arc, RwLockReadGuard};
 use std::time::Instant;
 
 use ksir_core::{
-    Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, QuerySource, SharedEngine,
+    Algorithm, EngineSnapshot, IngestReport, KsirEngine, KsirQuery, QueryResult, QuerySource,
+    SharedEngine,
 };
-use ksir_snapshot::EngineSnapshot;
 use ksir_telemetry::{FlightTrigger, Telemetry, TraceEventKind};
 use ksir_types::{KsirError, Result, SocialElement, Timestamp, TopicVector, TopicWordDistribution};
 
@@ -62,7 +62,7 @@ pub struct ManagerStats {
 pub struct SlideOutcome {
     /// The engine's ingestion report (including the [`WindowDelta`]).
     ///
-    /// [`WindowDelta`]: ksir_stream::WindowDelta
+    /// [`WindowDelta`]: ksir_core::stream::WindowDelta
     pub report: IngestReport,
     /// Result deltas of the subscriptions whose stored result *changed*,
     /// ordered by subscription id.  Refreshes that merely confirmed the
@@ -104,7 +104,7 @@ pub struct SlideTicket {
     pub slide: u64,
     /// The engine's ingestion report (including the [`WindowDelta`]).
     ///
-    /// [`WindowDelta`]: ksir_stream::WindowDelta
+    /// [`WindowDelta`]: ksir_core::stream::WindowDelta
     pub report: IngestReport,
     /// Idle shards in which some resident classified, handed to the worker
     /// pool with this epoch's snapshot.
@@ -141,7 +141,7 @@ impl SlideTicket {
 ///   the complete [`SlideOutcome`].
 /// * [`SubscriptionManager::ingest_bucket_async`] — pipelined: updates the
 ///   index, captures an immutable epoch snapshot
-///   ([`ksir_snapshot::EngineSnapshot`]), hands the affected shards their
+///   ([`ksir_core::EngineSnapshot`]), hands the affected shards their
 ///   epoch, and returns a [`SlideTicket`] without waiting for any refresh —
 ///   *including* the previous slide's: refreshes evaluate against their
 ///   epoch's snapshot, so the next index write never waits for refresh
@@ -813,7 +813,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
             },
         );
 
-        let mut delta: Option<Arc<ksir_stream::WindowDelta>> = None;
+        let mut delta: Option<Arc<ksir_core::stream::WindowDelta>> = None;
         let mut snapshot: Option<Arc<dyn QuerySource + Send + Sync>> = None;
         let mut handoffs: Vec<Arc<ShardCell>> = Vec::new();
         let mut shards_scheduled = 0usize;
@@ -919,7 +919,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
 
     /// Convenience wrapper mirroring [`KsirEngine::ingest_stream`]: cuts a
     /// timestamp-ordered stream into buckets of the configured length `L`
-    /// (via the shared [`ksir_stream::for_each_bucket`] convention),
+    /// (via the shared [`ksir_core::stream::for_each_bucket`] convention),
     /// ingesting each through [`SubscriptionManager::ingest_bucket`].
     /// Returns the per-slide outcomes.
     pub fn ingest_stream<I>(&mut self, stream: I) -> Result<Vec<SlideOutcome>>
@@ -929,7 +929,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         let bucket_len = self.engine.read().config().window.bucket_len();
         let now = self.engine.read().now();
         let mut outcomes = Vec::new();
-        ksir_stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
+        ksir_core::stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
             outcomes.push(self.ingest_bucket(bucket, end)?);
             Ok(())
         })?;
@@ -947,7 +947,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         let bucket_len = self.engine.read().config().window.bucket_len();
         let now = self.engine.read().now();
         let mut tickets = Vec::new();
-        ksir_stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
+        ksir_core::stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
             tickets.push(self.ingest_bucket_async(bucket, end)?);
             Ok(())
         })?;

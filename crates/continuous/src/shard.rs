@@ -38,8 +38,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use ksir_core::stream::WindowDelta;
 use ksir_core::{KsirQuery, QueryResult, QuerySource};
-use ksir_stream::WindowDelta;
 use ksir_telemetry::{
     Counter, Gauge, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind,
 };
@@ -991,7 +991,7 @@ mod tests {
     /// A slide that touched topic 0's list at `score` and nothing else.
     fn touch_at(score: f64) -> WindowDelta {
         let mut delta = WindowDelta {
-            ranked: ksir_stream::RankedDelta::new(2),
+            ranked: ksir_core::stream::RankedDelta::new(2),
             ..WindowDelta::default()
         };
         delta.ranked.record(TopicId(0), score);
@@ -1141,7 +1141,7 @@ mod tests {
             PendingEpoch {
                 epoch,
                 delta: Arc::new(WindowDelta::default()),
-                snapshot: Arc::new(ksir_snapshot::EngineSnapshot::capture(
+                snapshot: Arc::new(ksir_core::EngineSnapshot::capture(
                     &ex.empty_engine(),
                     epoch,
                 )),

@@ -7,7 +7,7 @@
 //! sits before an index write:
 //!
 //! * each ingested slide (an **epoch**) captures an immutable
-//!   [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
+//!   [`EngineSnapshot`](ksir_core::EngineSnapshot) right after its index
 //!   write, and refresh workers evaluate against the snapshot instead of a
 //!   `SharedEngine` read guard — so the *next* epoch's index write proceeds
 //!   while this epoch's refreshes drain;

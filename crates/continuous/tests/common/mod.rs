@@ -11,9 +11,9 @@ use ksir_continuous::{
     RefreshReason, ResultDelta, ShardConfig, SlideOutcome, SubscriptionId, SubscriptionManager,
     SubscriptionStats,
 };
+use ksir_core::stream::{WindowConfig, WindowDelta};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::{WindowConfig, WindowDelta};
 use ksir_types::{DenseTopicWordTable, QueryVector, SocialElement, TopicVector};
 
 pub type Engine = KsirEngine<DenseTopicWordTable>;
@@ -122,7 +122,7 @@ pub struct WalkSlide {
 /// refreshes when it has no result, a stored member left the window
 /// ([`WindowDelta::lost`]), or a support topic was touched at or above its
 /// frontier ([`QueryFrontier::disturbed_by`](ksir_core::QueryFrontier::disturbed_by);
-/// any touch, [`RankedDelta::touched`](ksir_stream::RankedDelta::touched),
+/// any touch, [`RankedDelta::touched`](ksir_core::stream::RankedDelta::touched),
 /// without one).  A refresh is a plain [`KsirEngine::query`], diffed against
 /// the stored result with the manager's `1e-12` score tolerance.  No shards,
 /// no clusters, no snapshots, no workers.
@@ -332,7 +332,7 @@ pub fn ingest_against_walk(
         (engine.config().window.bucket_len(), engine.now())
     };
     let mut outcomes = Vec::new();
-    ksir_stream::for_each_bucket(bucket_len, now, pairs, |bucket, end| {
+    ksir_core::stream::for_each_bucket(bucket_len, now, pairs, |bucket, end| {
         let outcome = mgr.ingest_bucket(bucket, end)?;
         let slide = walk.slide(&outcome.report.delta, &mgr.engine());
         let context = format!("slide {}", outcomes.len() + 1);
@@ -358,7 +358,7 @@ pub fn walk_stream(stream: &GeneratedStream, subs: &[Sub]) -> (SerialWalk, Vec<W
     let mut walk = SerialWalk::over(subs, &engine);
     let mut slides = Vec::new();
     let (bucket_len, now) = (engine.config().window.bucket_len(), engine.now());
-    ksir_stream::for_each_bucket(bucket_len, now, stream.iter_pairs(), |bucket, end| {
+    ksir_core::stream::for_each_bucket(bucket_len, now, stream.iter_pairs(), |bucket, end| {
         let report = engine.ingest_bucket(bucket, end)?;
         slides.push(walk.slide(&report.delta, &engine));
         Ok(())

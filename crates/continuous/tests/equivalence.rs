@@ -11,9 +11,9 @@
 
 use ksir_continuous::{RefreshReason, SubscriptionId, SubscriptionManager};
 use ksir_core::fixtures::paper_example;
+use ksir_core::stream::{for_each_bucket, WindowConfig};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, ElementId, QueryVector, Timestamp};
 
 fn assert_equivalent<D: ksir_types::TopicWordDistribution>(
@@ -172,7 +172,7 @@ fn planted_stream_equivalence_holds_mid_stream() {
 
     // Shared bucket cutting, asserting equivalence after each slide.
     let start = mgr.engine().now();
-    let slides = ksir_stream::for_each_bucket(10, start, stream.iter_pairs(), |bucket, end| {
+    let slides = for_each_bucket(10, start, stream.iter_pairs(), |bucket, end| {
         mgr.ingest_bucket(bucket, end)?;
         assert_equivalent(&mgr, &subs, &format!("mid-stream t={end}"));
         Ok(())

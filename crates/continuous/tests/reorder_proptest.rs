@@ -20,9 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use ksir_continuous::{LatePolicy, ManagerStats, ShardConfig, SubscriptionId, SubscriptionManager};
+use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, SocialElement, Timestamp, TopicVector};
 
 /// One random instance: a planted stream cut into buckets, a workload, and
@@ -45,11 +45,11 @@ fn params() -> impl Strategy<Value = Params> {
 type Stream = Vec<(SocialElement, TopicVector)>;
 
 /// Cuts a planted stream into `(bucket, end)` pairs with the shared
-/// [`ksir_stream::for_each_bucket`] convention — the exact slides the plain
+/// [`ksir_core::stream::for_each_bucket`] convention — the exact slides the plain
 /// async path would ingest, and the unit the reorder buffer permutes.
 fn cut_buckets(stream: Stream, bucket_len: u64, now: Timestamp) -> Vec<(Stream, Timestamp)> {
     let mut buckets = Vec::new();
-    ksir_stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
+    ksir_core::stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
         buckets.push((bucket, end));
         Ok(())
     })

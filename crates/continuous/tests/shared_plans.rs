@@ -17,9 +17,9 @@ use common::{
 use std::collections::{BTreeMap, BTreeSet};
 
 use ksir_continuous::{ShardConfig, ShardKey, SubscriptionId, SubscriptionManager};
+use ksir_core::stream::{for_each_bucket, WindowConfig};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::QueryVector;
 
 /// A clustering-heavy workload: `groups` plan groups of `per_group`
@@ -395,7 +395,7 @@ fn every_refresh_stores_what_a_fresh_query_returns() {
             let engine = mgr.engine();
             (engine.config().window.bucket_len(), engine.now())
         };
-        ksir_stream::for_each_bucket(bucket_len, start, stream.iter_pairs(), |bucket, end| {
+        for_each_bucket(bucket_len, start, stream.iter_pairs(), |bucket, end| {
             let before: Vec<usize> = ids
                 .iter()
                 .map(|id| mgr.subscription_stats(*id).unwrap().refreshes)

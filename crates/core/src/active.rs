@@ -222,13 +222,6 @@ impl ActiveWindow {
         self.slot(id).and_then(|slot| self.last_referenced_at(slot))
     }
 
-    /// Returns `true` if the element itself was posted inside the current
-    /// window (i.e. it belongs to `W_t`, not merely to `A_t`).
-    pub fn is_in_window(&self, id: ElementId) -> bool {
-        self.get(id)
-            .is_some_and(|element| self.config.in_window(element.ts, self.now))
-    }
-
     /// Iterates over all active elements in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &SocialElement> + '_ {
         self.slab.iter().flatten().map(|e| e.element.as_ref())
@@ -272,9 +265,9 @@ impl ActiveWindow {
     /// References to elements that are not active are ignored here: the
     /// window only knows the elements it holds.  Bringing a discarded parent
     /// back because a new arrival references it — which the paper's
-    /// definition of `A_t` requires — is the caller's job: `ksir-core`'s
-    /// engine re-inserts the parent from its archive *before* inserting the
-    /// child, so the reference below finds it.
+    /// definition of `A_t` requires — is the caller's job: the
+    /// [`KsirEngine`](crate::KsirEngine) re-inserts the parent from its
+    /// archive *before* inserting the child, so the reference below finds it.
     ///
     /// Accepts an owned element or an `Arc` already shared with the caller.
     ///
@@ -297,7 +290,7 @@ impl ActiveWindow {
     /// # Panics
     ///
     /// If a slot in `parents` is free.
-    pub fn insert_resolved(
+    pub(crate) fn insert_resolved(
         &mut self,
         element: Arc<SocialElement>,
         parents: &[Slot],
@@ -363,7 +356,7 @@ impl ActiveWindow {
 
     /// The slots of [`ActiveWindow::parents_losing_children`], in ascending
     /// slot order.
-    pub fn slots_losing_children(&self, new_now: Timestamp) -> Vec<Slot> {
+    pub(crate) fn slots_losing_children(&self, new_now: Timestamp) -> Vec<Slot> {
         let new_start = self.config.window_start(new_now);
         let mut out: Vec<Slot> = self
             .ticks
@@ -392,7 +385,7 @@ impl ActiveWindow {
     /// [`ActiveWindow::advance_to`], returning each discarded element with
     /// the slot it freed, ascending by id — for callers (the engine's ranked
     /// lists and element rows) that keep state by slot.
-    pub fn advance_freeing(&mut self, now: Timestamp) -> Result<Vec<(ElementId, Slot)>> {
+    pub(crate) fn advance_freeing(&mut self, now: Timestamp) -> Result<Vec<(ElementId, Slot)>> {
         if now < self.now {
             return Err(KsirError::TimestampRegression {
                 last: self.now,
@@ -527,9 +520,6 @@ mod tests {
         let mut inf = w.influenced_by(ElementId(3));
         inf.sort_unstable();
         assert_eq!(inf, vec![ElementId(6), ElementId(8)]);
-        // e1 and e2 are outside W_8 but still active (referenced).
-        assert!(!w.is_in_window(ElementId(1)));
-        assert!(w.is_in_window(ElementId(5)));
     }
 
     #[test]

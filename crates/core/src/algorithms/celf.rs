@@ -14,7 +14,7 @@
 
 use std::collections::BinaryHeap;
 
-use ksir_stream::ActiveWindow;
+use crate::stream::ActiveWindow;
 use ksir_types::{ElementId, TopicWordDistribution};
 
 use crate::algorithms::per_size;

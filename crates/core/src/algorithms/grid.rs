@@ -297,7 +297,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use ksir_stream::WindowConfig;
+    use crate::stream::WindowConfig;
     use ksir_types::{
         DenseTopicWordTable, QueryVector, SocialElementBuilder, Timestamp, TopicVector,
     };

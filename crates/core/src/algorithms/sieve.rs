@@ -12,7 +12,7 @@
 //! profiles do not: [`run`] keeps one grid per requested size, all of them
 //! columns of one coverage table, and feeds them all from one window scan.
 
-use ksir_stream::{ActiveWindow, Slot};
+use crate::stream::{ActiveWindow, Slot};
 use ksir_types::{ElementId, TopicWordDistribution};
 
 use crate::algorithms::{per_size, GridSet};

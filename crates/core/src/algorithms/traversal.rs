@@ -26,7 +26,7 @@
 //!
 //! [`QueryEvaluator::profile_at`]: crate::QueryEvaluator::profile_at
 
-use ksir_stream::{ActiveWindow, RankedListCursor, Slot};
+use crate::stream::{ActiveWindow, RankedListCursor, Slot};
 use ksir_types::{ElementId, TopicId};
 
 use crate::query::QueryFrontier;
@@ -142,7 +142,7 @@ impl<'a> SupportCursors<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksir_stream::{RankedLists, WindowConfig};
+    use crate::stream::{RankedLists, WindowConfig};
     use ksir_types::{SocialElementBuilder, Timestamp};
 
     /// A window holding e1, e3, e6 and e8, in that slab order.

@@ -1,6 +1,6 @@
 //! Scoring and engine configuration.
 
-use ksir_stream::WindowConfig;
+use crate::stream::WindowConfig;
 use ksir_types::{KsirError, Result};
 
 /// Parameters of the representativeness scoring function (Equation 2).

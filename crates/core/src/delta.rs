@@ -26,7 +26,7 @@
 //!
 //! [`WindowDelta`] bundles the ranked-list touches with the element-level
 //! churn (activated / expired / resurrected / refreshed ids) of one bucket
-//! ingestion, and is surfaced by `ksir-core`'s `IngestReport`.
+//! ingestion, and is surfaced by [`IngestReport`](crate::IngestReport).
 
 use ksir_types::{ElementId, Timestamp, TopicId};
 
@@ -36,10 +36,10 @@ const UNTOUCHED: u32 = u32::MAX;
 /// Comparison slack for "touch at or above a score floor" checks.
 ///
 /// Every score-bound comparison must use the same slack — the frontier
-/// disturbance check in `ksir-core` (`touch.high >= floor - FLOOR_SLACK`) and the suffix cursors of [`crate::ranked_list`] (start at
-/// `score <= high + FLOOR_SLACK`) — or a tuple within rounding of a bound
-/// could be seen by one side and missed by the other.  Exported so the
-/// invariant lives in one place.
+/// disturbance check (`touch.high >= floor - FLOOR_SLACK`) and the suffix
+/// cursors of the ranked lists (start at `score <= high + FLOOR_SLACK`) — or
+/// a tuple within rounding of a bound could be seen by one side and missed
+/// by the other.  Exported so the invariant lives in one place.
 pub const FLOOR_SLACK: f64 = 1e-12;
 
 /// Touch summary of one topic's ranked list over one window slide.
@@ -168,12 +168,6 @@ impl RankedDelta {
         self.position(topic).is_some()
     }
 
-    /// Iterates over the touched topics and their summaries, in first-touch
-    /// order.
-    pub fn iter_touched(&self) -> impl Iterator<Item = (TopicId, TopicTouch)> + '_ {
-        self.entries.iter().map(|t| (t.topic, t.summary()))
-    }
-
     /// Number of touched topics.
     pub fn touched_topics(&self) -> usize {
         self.entries.len()
@@ -199,32 +193,6 @@ impl RankedDelta {
     /// owned delta, leaving `self` an empty log over the same topics.
     pub fn drain(&mut self) -> RankedDelta {
         std::mem::replace(self, RankedDelta::new(self.num_topics))
-    }
-
-    /// Folds another delta into this one (used when aggregating several
-    /// slides, e.g. across the buckets of one `ingest_stream` call).
-    pub fn merge(&mut self, other: &RankedDelta) {
-        if self.num_topics < other.num_topics {
-            self.num_topics = other.num_topics;
-        }
-        if !self.entries.is_empty() || !other.entries.is_empty() {
-            self.ensure_index();
-        }
-        for t in &other.entries {
-            match self.index[t.topic.index()] {
-                UNTOUCHED => {
-                    self.index[t.topic.index()] = self.entries.len() as u32;
-                    self.entries.push(*t);
-                }
-                i => {
-                    let existing = &mut self.entries[i as usize];
-                    existing.count += t.count;
-                    if t.high > existing.high {
-                        existing.high = t.high;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -324,15 +292,18 @@ mod tests {
         let mut d = RankedDelta::new(4);
         d.record(TopicId(0), 0.1);
         d.record(TopicId(3), 0.5);
-        let touched: Vec<(TopicId, TopicTouch)> = d.iter_touched().collect();
+        let touched = d.touches();
         assert_eq!(touched.len(), 2);
-        assert_eq!(touched[0].0, TopicId(0));
-        assert_eq!(touched[1].0, TopicId(3));
-        // The borrowed slice exposes the same entries.
-        let slice = d.touches();
-        assert_eq!(slice.len(), 2);
-        assert_eq!(slice[1].topic, TopicId(3));
-        assert_eq!(slice[1].high, 0.5);
+        assert_eq!(touched[0].topic, TopicId(0));
+        assert_eq!(touched[1].topic, TopicId(3));
+        assert_eq!(touched[1].high, 0.5);
+        assert_eq!(
+            touched[1].summary(),
+            TopicTouch {
+                count: 1,
+                high: 0.5
+            }
+        );
     }
 
     #[test]
@@ -366,37 +337,6 @@ mod tests {
         d.record(TopicId(2), 0.9);
         assert_eq!(d.touch(TopicId(2)).unwrap().high, 0.9);
         assert!(!d.touched(TopicId(1)));
-    }
-
-    #[test]
-    fn merge_combines_counts_and_maxima() {
-        let mut a = RankedDelta::new(2);
-        a.record(TopicId(0), 0.3);
-        let mut b = RankedDelta::new(2);
-        b.record(TopicId(0), 0.8);
-        b.record(TopicId(1), 0.1);
-        a.merge(&b);
-        assert_eq!(
-            a.touch(TopicId(0)),
-            Some(TopicTouch {
-                count: 2,
-                high: 0.8
-            })
-        );
-        assert_eq!(
-            a.touch(TopicId(1)),
-            Some(TopicTouch {
-                count: 1,
-                high: 0.1
-            })
-        );
-        // Widening by an empty delta rebuilds the index: lookups stay valid.
-        a.merge(&RankedDelta::new(4));
-        assert_eq!(a.num_topics(), 4);
-        assert_eq!(a.touch(TopicId(1)).unwrap().high, 0.1);
-        assert!(!a.touched(TopicId(3)));
-        a.record(TopicId(3), 0.4);
-        assert_eq!(a.touched_topics(), 3);
     }
 
     #[test]

@@ -34,13 +34,13 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use ksir_stream::Slot;
+use crate::stream::Slot;
 use ksir_types::WordId;
 
 mod sealed {
     pub trait Sealed {}
     impl Sealed for ksir_types::WordId {}
-    impl Sealed for ksir_stream::Slot {}
+    impl Sealed for crate::stream::Slot {}
 }
 
 /// A key the engine assigns itself — a word id or a window slot — and so a
@@ -147,8 +147,8 @@ mod tests {
         buckets.dedup();
         assert_eq!(buckets.len(), 1024);
         // A slot hashes exactly like the word id with the same index.
-        let mut window = ksir_stream::ActiveWindow::new(
-            ksir_stream::WindowConfig::new(100, 1).expect("a valid window"),
+        let mut window = crate::stream::ActiveWindow::new(
+            crate::stream::WindowConfig::new(100, 1).expect("a valid window"),
         );
         for id in 1..=4 {
             let element = ksir_types::SocialElementBuilder::new(id).build();

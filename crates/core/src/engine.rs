@@ -11,7 +11,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ksir_stream::{ActiveWindow, RankedLists, Slot, WindowDelta};
+use crate::stream::{ActiveWindow, RankedLists, Slot, WindowDelta};
 use ksir_types::{
     ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId, TopicVector,
     TopicWordDistribution,
@@ -113,14 +113,14 @@ enum Parent {
 #[derive(Debug)]
 pub struct KsirEngine<D> {
     /// `Arc`-held so epoch snapshots can share it without cloning the table.
-    phi: Arc<D>,
+    pub(crate) phi: Arc<D>,
     config: EngineConfig,
     /// `Arc`-held with copy-on-write mutation: an epoch snapshot clones the
     /// handle in `O(1)`, and the next mutating slide pays a deep clone only
     /// if such a snapshot is still alive (counted in
     /// [`EngineStats::window_cow_clones`]).
-    window: Arc<ActiveWindow>,
-    ranked: RankedLists,
+    pub(crate) window: Arc<ActiveWindow>,
+    pub(crate) ranked: RankedLists,
     /// One row per active element — the only per-element topic store —
     /// indexed by the element's window slot, under the same copy-on-write
     /// scheme as the window (counted in
@@ -128,7 +128,7 @@ pub struct KsirEngine<D> {
     /// `combine(R_i(e), I_{i,t}(e))` with only the influence half recomputed:
     /// the same operands in the same order as [`Scorer::topicwise_element`],
     /// hence the same bits.
-    rows: Arc<ElementRows>,
+    pub(crate) rows: Arc<ElementRows>,
     /// The `⟨δ_i(e), t_e⟩` the ranked lists hold for every active element,
     /// by slot, in its row's support order: the keys each list is written
     /// and erased by.  Not shared with snapshots, which never look a tuple
@@ -206,25 +206,6 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     /// The topic-word distribution in use.
     pub fn phi(&self) -> &D {
         self.phi.as_ref()
-    }
-
-    /// A shared handle to the topic-word distribution (immutable for the
-    /// engine's lifetime) — `O(1)`, for epoch snapshots.
-    pub fn shared_phi(&self) -> Arc<D> {
-        Arc::clone(&self.phi)
-    }
-
-    /// An `O(1)` immutable image of the active window at this instant.  The
-    /// engine's next mutating slide copy-on-writes around it, so the image
-    /// stays frozen at the epoch it was taken.
-    pub fn shared_window(&self) -> Arc<ActiveWindow> {
-        Arc::clone(&self.window)
-    }
-
-    /// An `O(1)` immutable image of the per-element rows, frozen like
-    /// [`KsirEngine::shared_window`].
-    pub fn shared_rows(&self) -> Arc<ElementRows> {
-        Arc::clone(&self.rows)
     }
 
     /// Current logical time (end of the last ingested bucket).
@@ -571,7 +552,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         I: IntoIterator<Item = (SocialElement, TopicVector)>,
     {
         let bucket_len = self.config.window.bucket_len();
-        ksir_stream::for_each_bucket(bucket_len, self.window.now(), stream, |bucket, end| {
+        crate::stream::for_each_bucket(bucket_len, self.window.now(), stream, |bucket, end| {
             self.ingest_bucket(bucket, end).map(|_| ())
         })
     }
@@ -681,9 +662,9 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     /// [`KsirEngine::query`] at that `k`.  Counted as one query served per
     /// entry of `ks`.
     ///
-    /// Delegates to [`view::run_query_per_k`] over the live ranked lists —
-    /// the same dispatcher the snapshot-backed refresh path uses, so the two
-    /// can never diverge algorithmically.
+    /// Delegates to the dispatcher the snapshot-backed refresh path uses too
+    /// (`view::run_query_per_k`), over the live ranked lists, so the two can
+    /// never diverge algorithmically.
     pub fn query_per_k(
         &self,
         query: &KsirQuery,
@@ -809,7 +790,7 @@ mod tests {
     use super::*;
     use crate::config::ScoringConfig;
     use crate::fixtures::paper_example;
-    use ksir_stream::WindowConfig;
+    use crate::stream::WindowConfig;
     use ksir_types::{DenseTopicWordTable, SocialElementBuilder};
 
     fn tiny_engine() -> KsirEngine<DenseTopicWordTable> {

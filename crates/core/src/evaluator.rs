@@ -70,7 +70,7 @@
 
 use std::cell::Cell;
 
-use ksir_stream::{ActiveWindow, Slot};
+use crate::stream::{ActiveWindow, Slot};
 use ksir_types::{ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::dense::{DenseKey, DenseMap};
@@ -895,7 +895,7 @@ mod tests {
     use super::*;
     use crate::config::ScoringConfig;
     use crate::row::{ElementRow, ElementRows};
-    use ksir_stream::WindowConfig;
+    use crate::stream::WindowConfig;
     use ksir_types::{DenseTopicWordTable, SocialElementBuilder, Timestamp};
 
     /// Tiny two-topic fixture: three elements, one reference.

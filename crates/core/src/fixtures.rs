@@ -8,7 +8,7 @@
 //! worked examples (`R_2({e2, e7}) ≈ 0.53`, `I_{2,8}({e2, e3}) ≈ 0.93`,
 //! `q_8(2, (0.5, 0.5)) → {e1, e3}` with `OPT ≈ 0.65`, …).
 
-use ksir_stream::WindowConfig;
+use crate::stream::WindowConfig;
 use ksir_types::{
     DenseTopicWordTable, ElementId, SocialElement, SocialElementBuilder, Timestamp, TopicVector,
     Vocabulary,

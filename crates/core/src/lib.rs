@@ -16,9 +16,13 @@
 //! monotone submodular.  This crate provides:
 //!
 //! * [`ScoringConfig`] / [`Scorer`] — the scoring function itself (§3.2),
+//! * [`stream`] — the sliding window, the active elements and the per-topic
+//!   ranked lists, with the per-slide change summaries,
 //! * [`KsirEngine`] — sliding-window maintenance of the active elements and
 //!   the per-topic ranked lists (Algorithm 1, Figure 4), with one sparse
 //!   [`ElementRow`] per active element as its topic store,
+//! * [`EngineSnapshot`] — an immutable image of the engine at one epoch, for
+//!   pipelined standing-query refreshes,
 //! * [`KsirQuery`] / [`Algorithm`] / [`QueryResult`] — the query interface,
 //! * the query-processing algorithms: **MTTS** (Algorithm 2), **MTTD**
 //!   (Algorithm 3), and the **CELF**, **SieveStreaming** and **Top-k
@@ -47,18 +51,25 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod active;
 mod algorithms;
+mod bucket;
 pub mod config;
+mod delta;
 pub mod dense;
 pub mod engine;
 pub mod evaluator;
 pub mod fixtures;
 pub mod query;
+mod ranked_list;
 pub mod row;
 pub mod scorer;
 pub mod shared;
+pub mod snapshot;
+pub mod stream;
 mod tuples;
 pub mod view;
+mod window;
 
 pub use config::{EngineConfig, ScoringConfig};
 pub use engine::{EngineStats, IngestReport, KsirEngine};
@@ -69,4 +80,5 @@ pub use query::{Algorithm, KsirQuery, QueryFrontier, QueryResult};
 pub use row::{ElementRow, ElementRows};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
 pub use shared::SharedEngine;
-pub use view::{run_query, run_query_per_k, QuerySource, RankedView};
+pub use snapshot::EngineSnapshot;
+pub use view::QuerySource;

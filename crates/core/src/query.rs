@@ -1,6 +1,6 @@
 //! Query and result types for k-SIR processing.
 
-use ksir_stream::RankedDelta;
+use crate::stream::RankedDelta;
 use ksir_types::{ElementId, KsirError, QueryVector, Result, TopicId};
 
 /// A k-SIR query `q_t(k, x)`: retrieve at most `k` active elements maximising
@@ -177,7 +177,7 @@ impl std::fmt::Display for Algorithm {
 /// tuple the traversal did **not** read — `None` when the list was exhausted.
 /// The traversal's behaviour depends only on the tuples at or above these
 /// floors: a later index mutation whose touch score (see
-/// [`ksir_stream::delta`]) stays strictly below every floor cannot change
+/// [`stream`](crate::stream)) stays strictly below every floor cannot change
 /// what the same query would retrieve, evaluate, or return.  This is the
 /// invariant the `ksir-continuous` subscription manager uses to skip
 /// refreshing standing queries.
@@ -186,7 +186,7 @@ impl std::fmt::Display for Algorithm {
 ///
 /// ```
 /// use ksir_core::QueryFrontier;
-/// use ksir_stream::RankedDelta;
+/// use ksir_core::stream::RankedDelta;
 /// use ksir_types::TopicId;
 ///
 /// // A traversal that read topic 0 down to score 0.5 and drained topic 1.
@@ -241,7 +241,7 @@ impl QueryFrontier {
             .any(|&(topic, floor)| match (delta.touch(topic), floor) {
                 (None, _) => false,
                 (Some(_), None) => true,
-                (Some(touch), Some(floor)) => touch.high >= floor - ksir_stream::FLOOR_SLACK,
+                (Some(touch), Some(floor)) => touch.high >= floor - crate::stream::FLOOR_SLACK,
             })
     }
 }

@@ -30,7 +30,7 @@
 //! [`RankedListHandle`]): the writer's next mutation pays a copy-on-write
 //! clone of that one list (counted in [`RankedList::cow_clones`]) and the
 //! reader keeps traversing the frozen image for as long as it likes.
-//! `ksir-snapshot` builds its per-epoch snapshots out of exactly these
+//! [`EngineSnapshot`](crate::EngineSnapshot) is built out of exactly these
 //! handles.
 
 use std::collections::{btree_set, BTreeSet};
@@ -144,7 +144,7 @@ impl RankedList {
     /// Number of mutations that paid a copy-on-write clone because a
     /// [`RankedListHandle`] was outstanding.  The writer-side cost of
     /// snapshot capture; zero in pure-synchronous use.
-    pub fn cow_clones(&self) -> usize {
+    pub(crate) fn cow_clones(&self) -> usize {
         self.cow_clones
     }
 
@@ -152,7 +152,7 @@ impl RankedList {
     /// keeps observing exactly today's tuples no matter how the list is
     /// mutated afterwards; the first subsequent mutation pays one
     /// copy-on-write clone (see [`RankedList::cow_clones`]).
-    pub fn share(&self) -> RankedListHandle {
+    pub(crate) fn share(&self) -> RankedListHandle {
         RankedListHandle {
             core: Arc::clone(&self.core),
         }
@@ -259,7 +259,7 @@ impl RankedList {
     /// Starts an ordered traversal over the *suffix* of entries whose score
     /// is at or below `high` (with the same comparison slack the
     /// floor/frontier checks use).  With `high` taken from a slide's
-    /// [`Touch`](crate::Touch) entry, the suffix contains every tuple that
+    /// [`Touch`](crate::stream::Touch) entry, the suffix contains every tuple that
     /// slide upserted or removed in this list — touches are logged at
     /// `max(old, new)` score, so nothing the slide rewrote can sit above it.
     /// `O(log n)` to position, then `O(1)` per step.
@@ -272,41 +272,14 @@ impl RankedList {
 /// writer (see [`RankedList::share`]).  Readers traverse it exactly like the
 /// live list; the writer advances underneath without ever invalidating it.
 #[derive(Debug, Clone)]
-pub struct RankedListHandle {
+pub(crate) struct RankedListHandle {
     core: Arc<ListCore>,
 }
 
 impl RankedListHandle {
-    /// Number of elements in the captured image.
-    pub fn len(&self) -> usize {
-        self.core.order.len()
-    }
-
-    /// Returns `true` if the captured image is empty.
-    pub fn is_empty(&self) -> bool {
-        self.core.order.is_empty()
-    }
-
-    /// Returns `true` if the captured image still shares storage with the
-    /// list it was taken from (i.e. the writer has not mutated it since).
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.core) > 1
-    }
-
-    /// Iterates over the captured entries in descending score order.
-    pub fn iter(&self) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
-        self.core.iter()
-    }
-
     /// Starts an ordered traversal over the captured image.
-    pub fn cursor(&self) -> RankedListCursor<'_> {
+    pub(crate) fn cursor(&self) -> RankedListCursor<'_> {
         self.core.cursor()
-    }
-
-    /// Starts an ordered traversal over the captured suffix of entries whose
-    /// score is at or below `high` — see [`RankedList::suffix_cursor`].
-    pub fn suffix_cursor(&self, high: f64) -> RankedListCursor<'_> {
-        self.core.suffix_cursor(high)
     }
 }
 
@@ -367,7 +340,7 @@ impl<'a> RankedListCursor<'a> {
 /// (standing queries in `ksir-continuous`) can tell how high in each list a
 /// window slide reached.
 /// Call [`RankedLists::take_delta`] to drain the log; see the
-/// [`crate::delta`] module docs for the exact invariant the log guarantees.
+/// [`stream`](crate::stream) module docs for the invariant the log guarantees.
 #[derive(Debug)]
 pub struct RankedLists {
     lists: Vec<RankedList>,
@@ -475,17 +448,9 @@ impl RankedLists {
         self.lists.iter().map(|l| l.len()).sum()
     }
 
-    /// `O(num_topics)` immutable image of every list at this instant — the
-    /// epoch-snapshot primitive.  Each handle is an `Arc` clone; the writer
-    /// pays a copy-on-write clone per list it subsequently mutates while the
-    /// handles are alive (see [`RankedLists::cow_clones`]).
-    pub fn share_all(&self) -> Vec<RankedListHandle> {
-        self.lists.iter().map(|l| l.share()).collect()
-    }
-
     /// Total copy-on-write clones the lists have paid for outstanding
     /// snapshot handles.
-    pub fn cow_clones(&self) -> usize {
+    pub(crate) fn cow_clones(&self) -> usize {
         self.lists.iter().map(|l| l.cow_clones()).sum()
     }
 }
@@ -496,6 +461,26 @@ mod tests {
 
     fn id(i: u64) -> ElementId {
         ElementId(i)
+    }
+
+    /// Reads of a captured image that only these tests make.
+    impl RankedListHandle {
+        fn len(&self) -> usize {
+            self.core.order.len()
+        }
+
+        fn is_shared(&self) -> bool {
+            Arc::strong_count(&self.core) > 1
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
+            self.core.iter()
+        }
+    }
+
+    /// An image of every list at this instant, one handle per topic.
+    fn share_all(rls: &RankedLists) -> Vec<RankedListHandle> {
+        rls.lists.iter().map(RankedList::share).collect()
     }
 
     #[test]
@@ -742,10 +727,6 @@ mod tests {
         assert_eq!(walk(rl.suffix_cursor(0.5)), vec![2, 3, 4]);
         assert_eq!(walk(rl.suffix_cursor(2.0)), vec![1, 2, 3, 4]);
         assert_eq!(walk(rl.suffix_cursor(0.0)), Vec::<u64>::new());
-        // The handle agrees with the live list.
-        let snap = rl.share();
-        assert_eq!(walk(snap.suffix_cursor(0.5)), vec![2, 3, 4]);
-        assert_eq!(walk(snap.suffix_cursor(0.05)), Vec::<u64>::new());
     }
 
     #[test]
@@ -753,7 +734,7 @@ mod tests {
         let mut rls = RankedLists::new(3);
         rls.upsert(TopicId(0), id(1), 0.6, Timestamp(1));
         rls.upsert(TopicId(1), id(2), 0.4, Timestamp(1));
-        let handles = rls.share_all();
+        let handles = share_all(&rls);
         assert_eq!(handles.len(), 3);
         assert_eq!(handles[0].len(), 1);
         assert_eq!(handles[2].len(), 0);

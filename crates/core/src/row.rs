@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use ksir_stream::Slot;
+use crate::stream::Slot;
 use ksir_types::{Document, TopicId, TopicVector, TopicWordDistribution};
 
 use crate::scorer::word_weight;
@@ -218,7 +218,7 @@ impl ElementRow {
 mod tests {
     use std::sync::Arc;
 
-    use ksir_stream::{ActiveWindow, WindowConfig};
+    use crate::stream::{ActiveWindow, WindowConfig};
     use ksir_types::{DenseTopicWordTable, ElementId, SocialElement, Timestamp, TopicId, WordId};
 
     use super::*;

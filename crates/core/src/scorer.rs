@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use ksir_stream::{ActiveWindow, Slot};
+use crate::stream::{ActiveWindow, Slot};
 use ksir_types::{Document, ElementId, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::config::ScoringConfig;

@@ -1,13 +1,41 @@
-//! The epoch snapshot type.
+//! Immutable, epoch-bounded snapshots of the engine, for **pipelined**
+//! standing-query maintenance.
+//!
+//! Instead of handing refresh workers a read guard on the live engine, each
+//! slide of the asynchronous pipeline in `ksir-continuous` captures an
+//! [`EngineSnapshot`] — a frozen image of exactly the state a refresh reads
+//! — and the workers evaluate against it while the next epoch's index update
+//! proceeds underneath (the batch discipline of differential dataflow).
+//!
+//! Capture is cheap by construction:
+//!
+//! * the per-topic ranked lists, the active window, and the map of
+//!   per-element rows (the engine's one topic store) all live behind `Arc`s
+//!   inside the engine, so one capture is `O(z)` pointer clones;
+//! * the *writer* pays for isolation copy-on-write, and only for the
+//!   structures it actually mutates while a snapshot is still alive (the
+//!   engine's `EngineStats::*_cow_clones` counters make that cost visible);
+//! * [`EngineSnapshot::capture_watched`] bounds a capture to the topics the
+//!   standing queries can traverse, so the writer never copies a list no
+//!   refresh reads.
+//!
+//! The snapshot serves the same ranked-list reads as the live lists and
+//! implements [`QuerySource`], so a subscription refresh is *identical code*
+//! whether it reads the live engine or a snapshot: re-running a query
+//! against it returns bit-for-bit what the live engine would have returned
+//! at that epoch, no matter how deep the traversal descends.
 
 use std::sync::Arc;
 
-use ksir_core::{
-    run_query_per_k, Algorithm, ElementRows, KsirEngine, KsirQuery, QueryResult, QuerySource,
-    RankedView, ScoringConfig,
-};
-use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle};
 use ksir_types::{Result, TopicId, TopicWordDistribution};
+
+use crate::config::ScoringConfig;
+use crate::engine::KsirEngine;
+use crate::query::{Algorithm, KsirQuery, QueryResult};
+use crate::ranked_list::RankedListHandle;
+use crate::row::ElementRows;
+use crate::stream::{ActiveWindow, RankedListCursor};
+use crate::view::{run_query_per_k, QuerySource, RankedView};
 
 /// A frozen image of everything a k-SIR query evaluation reads, captured at
 /// one epoch boundary (immediately after an index update).
@@ -22,8 +50,7 @@ use ksir_types::{Result, TopicId, TopicWordDistribution};
 /// # Example
 ///
 /// ```
-/// use ksir_core::{fixtures::paper_example, Algorithm, KsirQuery, QuerySource};
-/// use ksir_snapshot::EngineSnapshot;
+/// use ksir_core::{fixtures::paper_example, Algorithm, EngineSnapshot, KsirQuery, QuerySource};
 /// use ksir_types::QueryVector;
 ///
 /// let engine = paper_example().build_engine();
@@ -52,19 +79,8 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
     /// Captures the engine's current state as epoch `epoch`, all topics
     /// included.
     pub fn capture(engine: &KsirEngine<D>, epoch: u64) -> Self {
-        EngineSnapshot {
-            epoch,
-            lists: engine
-                .ranked_lists()
-                .share_all()
-                .into_iter()
-                .map(Some)
-                .collect(),
-            window: engine.shared_window(),
-            rows: engine.shared_rows(),
-            phi: engine.shared_phi(),
-            scoring: engine.config().scoring,
-        }
+        let topics = 0..engine.num_topics() as u32;
+        Self::capture_watched(engine, epoch, topics.map(TopicId))
     }
 
     /// Captures only the given topics' ranked lists (plus the full window
@@ -76,7 +92,7 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
     where
         I: IntoIterator<Item = TopicId>,
     {
-        let ranked = engine.ranked_lists();
+        let ranked = &engine.ranked;
         let mut lists: Vec<Option<RankedListHandle>> = Vec::new();
         lists.resize_with(ranked.num_topics(), || None);
         for topic in watched {
@@ -87,9 +103,9 @@ impl<D: TopicWordDistribution> EngineSnapshot<D> {
         EngineSnapshot {
             epoch,
             lists,
-            window: engine.shared_window(),
-            rows: engine.shared_rows(),
-            phi: engine.shared_phi(),
+            window: Arc::clone(&engine.window),
+            rows: Arc::clone(&engine.rows),
+            phi: Arc::clone(&engine.phi),
             scoring: engine.config().scoring,
         }
     }
@@ -122,13 +138,6 @@ impl<D> RankedView for EngineSnapshot<D> {
             None => RankedListCursor::empty(),
         }
     }
-
-    fn suffix_cursor(&self, topic: TopicId, high: f64) -> RankedListCursor<'_> {
-        match &self.lists[topic.index()] {
-            Some(list) => list.suffix_cursor(high),
-            None => RankedListCursor::empty(),
-        }
-    }
 }
 
 impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
@@ -158,8 +167,8 @@ impl<D: TopicWordDistribution> QuerySource for EngineSnapshot<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksir_core::fixtures::paper_example;
-    use ksir_types::QueryVector;
+    use crate::fixtures::paper_example;
+    use ksir_types::{ElementId, QueryVector, SocialElement, Timestamp, TopicVector};
 
     fn query(k: usize, weights: &[f64]) -> KsirQuery {
         KsirQuery::new(k, QueryVector::new(weights.to_vec()).unwrap()).unwrap()
@@ -209,5 +218,67 @@ mod tests {
             engine.query(&q, Algorithm::Mttd).unwrap().score,
             frozen[1].score
         );
+    }
+
+    /// A bounded capture answers a query inside its watched set exactly as
+    /// the live engine did at the capture epoch, reads an unwatched topic as
+    /// an empty list, and costs the writer a copy-on-write clone only when a
+    /// watched list is written.
+    #[test]
+    fn watched_capture_serves_its_topics_and_spares_the_rest() {
+        let ex = paper_example();
+        let mut engine = ex.build_engine();
+        let (watched, unwatched) = (TopicId(0), TopicId(1));
+        let snap = EngineSnapshot::capture_watched(&engine, 8, [watched]);
+        let q = KsirQuery::new(2, QueryVector::single_topic(2, watched).unwrap()).unwrap();
+        let index_based = [
+            Algorithm::Mtts,
+            Algorithm::Mttd,
+            Algorithm::TopkRepresentative,
+        ];
+        let live: Vec<_> = index_based
+            .iter()
+            .map(|&alg| engine.query(&q, alg).unwrap())
+            .collect();
+
+        assert!(engine.ranked_lists().list(unwatched).first().is_some());
+        assert_eq!(RankedView::cursor(&snap, unwatched).current(), None);
+
+        // A slide at the same time that writes only the unwatched list: a
+        // new element on that topic alone, referencing nothing.
+        let post = |id: u64, topic: TopicId| {
+            let element =
+                SocialElement::original(ElementId(id), Timestamp(8), ex.element(7).doc.clone());
+            let mut weights = vec![0.0; 2];
+            weights[topic.index()] = 1.0;
+            (element, TopicVector::from_values(weights).unwrap())
+        };
+        let clones = engine.stats().ranked_cow_clones;
+        let report = engine.ingest_bucket(vec![post(9, unwatched)], Timestamp(8));
+        let touches = report.unwrap().delta.ranked;
+        assert!(touches.touched(unwatched) && !touches.touched(watched));
+        assert_eq!(engine.stats().ranked_cow_clones, clones);
+        // A write to the watched list pays the one clone.
+        engine
+            .ingest_bucket(vec![post(10, watched)], Timestamp(8))
+            .unwrap();
+        assert_eq!(engine.stats().ranked_cow_clones, clones + 1);
+
+        for (&alg, expected) in index_based.iter().zip(&live) {
+            let got = snap.query(&q, alg).unwrap();
+            assert_eq!(&got, expected, "{alg}");
+            assert_eq!(got.score.to_bits(), expected.score.to_bits(), "{alg}");
+        }
+        // The live list moved on; the captured one did not.
+        let listed = |mut cursor: RankedListCursor<'_>| {
+            let mut ids = Vec::new();
+            while let Some((id, _, _)) = cursor.current() {
+                ids.push(id);
+                cursor.advance();
+            }
+            ids
+        };
+        assert!(listed(engine.ranked_lists().list(watched).cursor()).contains(&ElementId(10)));
+        assert!(!listed(RankedView::cursor(&snap, watched)).contains(&ElementId(10)));
     }
 }

@@ -11,7 +11,7 @@
 //! the archive (which shares rows) nor epoch snapshots (whose queries never
 //! read a tuple by id) see it.
 
-use ksir_stream::Slot;
+use crate::stream::Slot;
 use ksir_types::Timestamp;
 
 /// Support widths up to this many topics keep their scores inline, with no
@@ -110,7 +110,7 @@ impl TupleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksir_stream::{ActiveWindow, WindowConfig};
+    use crate::stream::{ActiveWindow, WindowConfig};
     use ksir_types::SocialElementBuilder;
 
     #[test]

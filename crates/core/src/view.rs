@@ -2,29 +2,25 @@
 //! holds the ranked lists.
 //!
 //! The index-based algorithms (MTTS, MTTD, Top-k Representative) consume the
-//! per-topic ranked lists exclusively through ordered cursors.  [`RankedView`]
+//! per-topic ranked lists exclusively through ordered cursors.  `RankedView`
 //! abstracts that access so the same algorithm code runs against
 //!
 //! * the **live** [`RankedLists`] inside a [`KsirEngine`](crate::KsirEngine)
 //!   (the ad-hoc query path), and
-//! * an **immutable snapshot** of those lists captured at an epoch boundary
-//!   (`ksir-snapshot`'s `EngineSnapshot`), which is what
-//!   lets standing-query refreshes evaluate *behind* the writer while the
-//!   next epoch's index update proceeds.
+//! * an [`EngineSnapshot`](crate::EngineSnapshot) of those lists captured at
+//!   an epoch boundary, which is what lets standing-query refreshes evaluate
+//!   *behind* the writer while the next epoch's index update proceeds.
 //!
-//! [`run_query_per_k`] is the algorithm dispatcher over an arbitrary view
+//! `run_query_per_k` is the algorithm dispatcher over an arbitrary view
 //! plus the window-side state a query additionally needs: one pass of the
 //! chosen algorithm answers the query's vector and `ε` at a whole set of
 //! result sizes, each bit-identical to a run at that size alone.
-//! [`run_query`] is its one-size case, and
-//! [`KsirEngine::query`](crate::KsirEngine::query) delegates to it with the
-//! live view.  [`QuerySource`] packages the whole thing as an object-safe
-//! "something you can run a k-SIR query against", implemented by both the
-//! engine and the snapshot types, so consumers like `ksir-continuous` can
-//! refresh a subscription — or every size of a plan cluster at once —
-//! without caring which side of the epoch boundary they are reading.
+//! [`QuerySource`] packages the whole thing as an object-safe "something you
+//! can run a k-SIR query against", implemented by both the engine and the
+//! snapshot, so consumers like `ksir-continuous` can refresh a subscription
+//! — or every size of a plan cluster at once — without caring which side of
+//! the epoch boundary they are reading.
 
-use ksir_stream::{ActiveWindow, RankedListCursor, RankedLists, FLOOR_SLACK};
 use ksir_types::{KsirError, Result, TopicId, TopicWordDistribution};
 
 use crate::algorithms;
@@ -33,56 +29,17 @@ use crate::evaluator::QueryEvaluator;
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::row::ElementRows;
 use crate::scorer::Scorer;
+use crate::stream::{ActiveWindow, RankedListCursor, RankedLists};
 
 /// Ordered read access to per-topic ranked lists — implemented by the live
-/// [`RankedLists`] and by epoch snapshots (`ksir-snapshot`).
-///
-/// # Example
-///
-/// ```
-/// use ksir_core::RankedView;
-/// use ksir_stream::RankedLists;
-/// use ksir_types::{ElementId, Timestamp, TopicId};
-///
-/// let mut lists = RankedLists::new(1);
-/// lists.upsert(TopicId(0), ElementId(1), 0.9, Timestamp(0));
-/// lists.upsert(TopicId(0), ElementId(2), 0.4, Timestamp(0));
-///
-/// // Full traversal starts at the head ...
-/// let cursor = RankedView::cursor(&lists, TopicId(0));
-/// assert_eq!(cursor.current().map(|(id, _, _)| id), Some(ElementId(1)));
-///
-/// // ... while a suffix cursor skips everything scoring above the bound —
-/// // the shape of a `Touch`-restricted read after a slide.
-/// let suffix = lists.suffix_cursor(TopicId(0), 0.5);
-/// assert_eq!(suffix.current().map(|(id, _, _)| id), Some(ElementId(2)));
-/// ```
-pub trait RankedView {
+/// [`RankedLists`] and by epoch snapshots.
+pub(crate) trait RankedView {
     /// Number of topics the view covers.
     fn num_topics(&self) -> usize;
 
     /// An ordered traversal cursor over one topic's list.  Callers only ask
     /// for topics with `topic.index() < num_topics()`.
     fn cursor(&self, topic: TopicId) -> RankedListCursor<'_>;
-
-    /// An ordered cursor over the *suffix* of one topic's list: every tuple
-    /// with score `≤ high + FLOOR_SLACK`, highest first.  With `high` taken
-    /// from a slide's [`Touch`](ksir_stream::Touch) entry this is exactly
-    /// the part of the list the slide may have rewritten — every tuple the
-    /// maintenance pass upserted or removed lies at or below the touch score.
-    ///
-    /// The default implementation advances a full cursor past the prefix;
-    /// views with ordered storage override it with a positioned seek.
-    fn suffix_cursor(&self, topic: TopicId, high: f64) -> RankedListCursor<'_> {
-        let mut cursor = self.cursor(topic);
-        while let Some((_, score, _)) = cursor.current() {
-            if score <= high + FLOOR_SLACK {
-                break;
-            }
-            cursor.advance();
-        }
-        cursor
-    }
 }
 
 impl RankedView for RankedLists {
@@ -92,10 +49,6 @@ impl RankedView for RankedLists {
 
     fn cursor(&self, topic: TopicId) -> RankedListCursor<'_> {
         self.list(topic).cursor()
-    }
-
-    fn suffix_cursor(&self, topic: TopicId, high: f64) -> RankedListCursor<'_> {
-        self.list(topic).suffix_cursor(high)
     }
 }
 
@@ -152,8 +105,8 @@ pub trait QuerySource {
 /// sources and the plan-cluster refresh.
 ///
 /// The query's vector and `ε` are used, its `k` is not.  One pass of the
-/// algorithm serves every size; entry `i` of the result equals
-/// [`run_query`] at `ks[i]`, field by field — elements in order, score bits,
+/// algorithm serves every size; entry `i` of the result equals a run at
+/// `ks[i]` alone, field by field — elements in order, score bits,
 /// both work counters and the frontier with its bar.  `ks` may be in any
 /// order and hold duplicates; an empty `ks` returns nothing.
 ///
@@ -166,7 +119,7 @@ pub trait QuerySource {
 ///
 /// [`KsirEngine::query`]: crate::KsirEngine::query
 #[allow(clippy::too_many_arguments)]
-pub fn run_query_per_k<V, D>(
+pub(crate) fn run_query_per_k<V, D>(
     view: &V,
     window: &ActiveWindow,
     rows: &ElementRows,
@@ -203,31 +156,27 @@ where
     })
 }
 
-/// Processes one k-SIR query at its own `k`: [`run_query_per_k`] with the
-/// single size `query.k()`.
-pub fn run_query<V, D>(
-    view: &V,
-    window: &ActiveWindow,
-    rows: &ElementRows,
-    phi: &D,
-    scoring: ScoringConfig,
-    query: &KsirQuery,
-    algorithm: Algorithm,
-) -> Result<QueryResult>
-where
-    V: RankedView + ?Sized,
-    D: TopicWordDistribution,
-{
-    let ks = [query.k()];
-    let mut results = run_query_per_k(view, window, rows, phi, scoring, query, &ks, algorithm)?;
-    Ok(results.pop().expect("one result per requested size"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::paper_example;
-    use ksir_types::{ElementId, QueryVector, Timestamp};
+    use crate::KsirEngine;
+    use ksir_types::{DenseTopicWordTable, ElementId, QueryVector, Timestamp};
+
+    /// [`run_query_per_k`] at the query's own size, over `view` and the
+    /// engine's window-side state.
+    fn run_at_k<V: RankedView + ?Sized>(
+        view: &V,
+        engine: &KsirEngine<DenseTopicWordTable>,
+        query: &KsirQuery,
+        algorithm: Algorithm,
+    ) -> Result<QueryResult> {
+        let (window, rows, phi) = (engine.window(), engine.rows(), engine.phi());
+        let scoring = engine.config().scoring;
+        let ks = [query.k()];
+        let mut results = run_query_per_k(view, window, rows, phi, scoring, query, &ks, algorithm)?;
+        Ok(results.pop().expect("one result per requested size"))
+    }
 
     /// The generic dispatcher over the live view must agree with the
     /// engine's own query path for every algorithm.
@@ -238,16 +187,7 @@ mod tests {
         let query = KsirQuery::new(2, QueryVector::new(vec![0.5, 0.5]).unwrap()).unwrap();
         for algorithm in Algorithm::ALL {
             let via_engine = engine.query(&query, algorithm).unwrap();
-            let via_view = run_query(
-                engine.ranked_lists(),
-                engine.window(),
-                engine.rows(),
-                engine.phi(),
-                engine.config().scoring,
-                &query,
-                algorithm,
-            )
-            .unwrap();
+            let via_view = run_at_k(engine.ranked_lists(), &engine, &query, algorithm).unwrap();
             assert_eq!(via_engine, via_view, "{algorithm} diverged");
         }
     }
@@ -258,15 +198,7 @@ mod tests {
         let engine = ex.build_engine();
         let query = KsirQuery::new(2, QueryVector::new(vec![1.0, 1.0, 1.0]).unwrap()).unwrap();
         assert!(matches!(
-            run_query(
-                engine.ranked_lists(),
-                engine.window(),
-                engine.rows(),
-                engine.phi(),
-                engine.config().scoring,
-                &query,
-                Algorithm::Mtts,
-            ),
+            run_at_k(engine.ranked_lists(), &engine, &query, Algorithm::Mtts),
             Err(KsirError::DimensionMismatch { .. })
         ));
     }
@@ -330,11 +262,8 @@ mod tests {
         }
         let head = lists.list(TopicId(0)).first().unwrap().1;
         lists.upsert(TopicId(0), ghost, head + 1.0, Timestamp::ZERO);
-        let run = |view: &RankedLists, algorithm| {
-            let (window, rows, phi) = (engine.window(), engine.rows(), engine.phi());
-            let scoring = engine.config().scoring;
-            run_query(view, window, rows, phi, scoring, &query, algorithm).unwrap()
-        };
+        let run =
+            |view: &RankedLists, algorithm| run_at_k(view, &engine, &query, algorithm).unwrap();
         for algorithm in Algorithm::ALL {
             let stepped = run(&lists, algorithm);
             assert!(!stepped.elements.contains(&ghost), "{algorithm}");
@@ -346,6 +275,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A full cursor starts at the head of a list, while a suffix cursor
+    /// skips everything scoring above its bound — the shape of a
+    /// touch-restricted read after a slide.
+    #[test]
+    fn ranked_lists_serve_full_and_suffix_cursors() {
+        let mut lists = RankedLists::new(1);
+        lists.upsert(TopicId(0), ElementId(1), 0.9, Timestamp(0));
+        lists.upsert(TopicId(0), ElementId(2), 0.4, Timestamp(0));
+        let cursor = RankedView::cursor(&lists, TopicId(0));
+        assert_eq!(cursor.current().map(|(id, _, _)| id), Some(ElementId(1)));
+        let suffix = lists.list(TopicId(0)).suffix_cursor(0.5);
+        assert_eq!(suffix.current().map(|(id, _, _)| id), Some(ElementId(2)));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! that keyword queries inferred through the topic model retrieve elements
 //! from the right community.
 
+use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
-use ksir_stream::WindowConfig;
 use ksir_text::TextPipeline;
 use ksir_topics::{LdaTrainer, TopicModel, TopicOracle};
 use ksir_types::{ElementId, QueryVector, SocialElementBuilder, Timestamp};

@@ -26,9 +26,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ksir_core::config::ArchiveRetention;
+use ksir_core::stream::WindowConfig;
 use ksir_core::{EngineConfig, KsirEngine, ScoringConfig};
 use ksir_datagen::{DatasetProfile, StreamGenerator};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, SocialElement, TopicId, TopicVector, TopicWordDistribution};
 
 /// The system allocator, keeping a running total of the bytes it has live.

@@ -18,11 +18,11 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ksir_core::config::ArchiveRetention;
+use ksir_core::stream::{ActiveWindow, RankedLists, WindowConfig, WindowDelta};
 use ksir_core::{
     propagation_prob, word_weight, EngineConfig, IngestReport, KsirEngine, ScoringConfig,
 };
 use ksir_datagen::{DatasetProfile, StreamGenerator};
-use ksir_stream::{ActiveWindow, RankedLists, WindowConfig, WindowDelta};
 use ksir_types::{
     DenseTopicWordTable, ElementId, SocialElement, Timestamp, TopicId, TopicVector,
     TopicWordDistribution,
@@ -282,7 +282,7 @@ fn replay_under(
 
     let (mut slides, mut expired, mut resurrected, mut refreshed) = (0, 0, 0, 0);
     let mut widest = 0;
-    ksir_stream::for_each_bucket(15, Timestamp::ZERO, pairs, |bucket, end| {
+    ksir_core::stream::for_each_bucket(15, Timestamp::ZERO, pairs, |bucket, end| {
         let expected = old.ingest_bucket(bucket.clone(), end);
         let report = engine.ingest_bucket(bucket, end)?;
         let at = format!("{name} slide {slides} (t = {end})");

@@ -23,12 +23,12 @@
 
 use std::fmt::Write as _;
 
+use ksir_core::stream::WindowConfig;
 use ksir_core::{
-    Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, QuerySource, ScoringConfig,
+    Algorithm, EngineConfig, EngineSnapshot, KsirEngine, KsirQuery, QueryResult, QuerySource,
+    ScoringConfig,
 };
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_snapshot::EngineSnapshot;
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, QueryVector};
 
 const FIXTURE: &str = include_str!("fixtures/kernel_identity.txt");

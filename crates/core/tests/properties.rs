@@ -34,12 +34,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
-use ksir_core::{
-    Algorithm, ElementRow, EngineConfig, KsirEngine, KsirQuery, ProfileArena, QueryEvaluator,
-    QueryFrontier, QueryResult, QuerySource, RankedView, Scorer, ScoringConfig,
+use ksir_core::stream::{
+    RankedDelta, RankedList, RankedLists, WindowConfig, WindowDelta, FLOOR_SLACK,
 };
-use ksir_snapshot::EngineSnapshot;
-use ksir_stream::{RankedDelta, RankedList, RankedLists, WindowConfig, WindowDelta, FLOOR_SLACK};
+use ksir_core::{
+    Algorithm, ElementRow, EngineConfig, EngineSnapshot, KsirEngine, KsirQuery, ProfileArena,
+    QueryEvaluator, QueryFrontier, QueryResult, QuerySource, Scorer, ScoringConfig,
+};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
     TopicId, TopicVector,
@@ -514,7 +515,7 @@ proptest! {
     /// The touched-suffix contract behind touch-restricted reads: every
     /// stored tuple of a changed element lies within the slide's touched
     /// suffix of that topic's list — the touch exists, bounds the tuple's
-    /// score from above, and a [`RankedView::suffix_cursor`] started at the
+    /// score from above, and a [`RankedList::suffix_cursor`] started at the
     /// touch height reaches the tuple.
     #[test]
     fn changed_tuples_lie_within_touched_suffixes(p in instance_params()) {
@@ -541,7 +542,7 @@ proptest! {
                         "tuple score {score} above touch high {}",
                         touch.high
                     );
-                    let mut cursor = lists.suffix_cursor(topic, touch.high);
+                    let mut cursor = lists.list(topic).suffix_cursor(touch.high);
                     let mut found = false;
                     while let Some((cid, cscore, _)) = cursor.current() {
                         if cid == id {

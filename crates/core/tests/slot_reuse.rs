@@ -7,9 +7,10 @@
 //! snapshot must still answer exactly as it did at capture: the same ids and
 //! the same score bits, for every size, under MTTS and MTTD alike.
 
-use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, QuerySource, ScoringConfig};
-use ksir_snapshot::EngineSnapshot;
-use ksir_stream::WindowConfig;
+use ksir_core::stream::WindowConfig;
+use ksir_core::{
+    Algorithm, EngineConfig, EngineSnapshot, KsirEngine, KsirQuery, QuerySource, ScoringConfig,
+};
 use ksir_types::{
     DenseTopicWordTable, ElementId, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
     TopicVector,

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
-use ksir_stream::{ActiveWindow, WindowConfig};
+use ksir_core::stream::{ActiveWindow, WindowConfig};
 use ksir_types::{Document, ElementId, SocialElement, Timestamp};
 
 /// The full-scan window: the retention rule and the reverse references

@@ -14,10 +14,10 @@ use std::time::Duration;
 use ksir_continuous::{
     DeliveryConfig, ShardConfig, SubscriptionId, SubscriptionManager, Telemetry, TelemetryConfig,
 };
+use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, GeneratedStream, StreamGenerator};
 use ksir_obs::{ObsConfig, ObsServer, ReadinessPolicy};
-use ksir_stream::WindowConfig;
 use ksir_types::{DenseTopicWordTable, QueryVector};
 
 /// One blocking HTTP GET over a fresh connection; returns (status, body).

@@ -22,8 +22,8 @@
 //! | [`types`] | `ksir-types` | social elements, topic/query vectors, vocabularies |
 //! | [`text`] | `ksir-text` | tokenisation, stop words, TF-IDF |
 //! | [`topics`] | `ksir-topics` | LDA and BTM trainers, topic-model oracle |
-//! | [`stream`] | `ksir-stream` | sliding window, active elements, ranked lists |
-//! | [`core`] | `ksir-core` | scoring, the engine, MTTS/MTTD/CELF/SieveStreaming/Top-k |
+//! | [`stream`] | `ksir-core` | sliding window, active elements, ranked lists, slide deltas |
+//! | [`core`] | `ksir-core` | scoring, the engine, epoch snapshots, MTTS/MTTD/CELF/SieveStreaming/Top-k |
 //! | [`continuous`] | `ksir-continuous` | standing queries with delta-driven result maintenance |
 //! | [`obs`] | `ksir-obs` | live introspection HTTP server over the telemetry bundle |
 //! | [`baselines`] | `ksir-baselines` | TF-IDF, DIV, Sumblr, REL effectiveness baselines |
@@ -55,10 +55,10 @@
 pub use ksir_baselines as baselines;
 pub use ksir_continuous as continuous;
 pub use ksir_core as core;
+pub use ksir_core::stream;
 pub use ksir_datagen as datagen;
 pub use ksir_eval as eval;
 pub use ksir_obs as obs;
-pub use ksir_stream as stream;
 pub use ksir_text as text;
 pub use ksir_topics as topics;
 pub use ksir_types as types;
@@ -66,11 +66,11 @@ pub use ksir_types as types;
 pub use ksir_continuous::{
     ResultDelta, ShardConfig, ShardKey, ShardStats, SubscriptionId, SubscriptionManager,
 };
+pub use ksir_core::stream::{WindowConfig, WindowDelta};
 pub use ksir_core::{
     Algorithm, EngineConfig, IngestReport, KsirEngine, KsirQuery, QueryFrontier, QueryResult,
     Scorer, ScoringConfig,
 };
-pub use ksir_stream::{WindowConfig, WindowDelta};
 pub use ksir_topics::{BtmTrainer, LdaTrainer, TopicModel, TopicOracle};
 pub use ksir_types::{
     Document, ElementId, KsirError, QueryVector, SocialElement, SocialElementBuilder, Timestamp,
