@@ -249,8 +249,8 @@ impl PipelineHooks for Seams {
 }
 
 fn delivery_config() -> DeliveryConfig {
-    // Large enough that only a poisoned send ever drops; DropOldest keeps
-    // the pipeline from blocking if a run overflows anyway.
+    // Large enough that only a poisoned send ever drops; a full queue
+    // sheds its oldest delta, so an overflowing run never blocks anyway.
     DeliveryConfig::default().with_capacity(4096)
 }
 

@@ -1,12 +1,11 @@
 //! Per-subscriber delivery queues for the asynchronous pipeline.
 //!
 //! Refresh workers *produce* [`ResultDelta`]s; subscribers *consume* them at
-//! their own pace through a bounded queue.  The bound plus an explicit
-//! [`OverflowPolicy`] is what guarantees a slow consumer back-pressures only
-//! itself: with the default [`OverflowPolicy::DropOldest`], a full queue
-//! sheds its oldest delta (counted in [`DeliveryReceiver::dropped`]) instead
-//! of blocking the shard's refresh worker, so ingestion latency stays
-//! independent of how fast — or whether — any subscriber drains.
+//! their own pace through a bounded queue.  A full queue sheds its oldest
+//! delta (counted in [`DeliveryReceiver::dropped`]) instead of blocking the
+//! shard's refresh worker, so a slow consumer back-pressures only itself and
+//! ingestion latency stays independent of how fast — or whether — any
+//! subscriber drains.
 //!
 //! A queue is attached to a live subscription with
 //! [`SubscriptionManager::attach_delivery`](crate::SubscriptionManager::attach_delivery)
@@ -17,32 +16,12 @@
 //! until the subscription is removed or the queue detached.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ksir_telemetry::{Counter, Histogram, Telemetry, TraceEventKind};
 
 use crate::subscription::ResultDelta;
-
-/// What a producer does when a subscriber's queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Drop the **oldest** queued delta to make room (the default).  The
-    /// subscriber keeps seeing the freshest changes and the producer never
-    /// blocks; [`DeliveryReceiver::dropped`] counts the shed deltas so a
-    /// consumer can detect the gap and force a full refresh if it cares.
-    #[default]
-    DropOldest,
-    /// Drop the **incoming** delta instead, preserving the queued prefix.
-    /// Useful when a consumer replays deltas in order and would rather lose
-    /// the tail than the head of the sequence.
-    DropNewest,
-    /// Block the producing worker until the consumer makes room.  This
-    /// back-pressures the whole shard (and, through the epoch barrier, the
-    /// next index update) — only for callers that prefer losing throughput
-    /// over losing deltas.
-    Block,
-}
 
 /// One delta as delivered to a subscriber, stamped with the slide (1-based
 /// ingestion epoch) that produced it.
@@ -60,7 +39,7 @@ pub struct Delivery {
 /// # Example
 ///
 /// ```
-/// use ksir_continuous::{DeliveryConfig, OverflowPolicy, SubscriptionManager};
+/// use ksir_continuous::{DeliveryConfig, SubscriptionManager};
 /// use ksir_core::{fixtures::paper_example, Algorithm, KsirQuery};
 /// use ksir_types::QueryVector;
 ///
@@ -69,10 +48,8 @@ pub struct Delivery {
 /// let query = KsirQuery::new(2, QueryVector::new(vec![0.5, 0.5])?)?;
 /// let sub = manager.subscribe(query, Algorithm::Mtts)?;
 ///
-/// // A small queue that keeps the *head* of the delta sequence on overflow.
-/// let config = DeliveryConfig::default()
-///     .with_capacity(8)
-///     .with_policy(OverflowPolicy::DropNewest);
+/// // A small queue: on overflow it sheds its oldest delta.
+/// let config = DeliveryConfig::default().with_capacity(8);
 /// let receiver = manager.attach_delivery(sub, config).unwrap();
 ///
 /// for (element, tv) in example.stream() {
@@ -88,18 +65,13 @@ pub struct Delivery {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryConfig {
-    /// Maximum queued deliveries before the overflow policy applies.
+    /// Maximum queued deliveries; a send to a full queue sheds the oldest.
     pub capacity: usize,
-    /// What to do when the queue is full.
-    pub policy: OverflowPolicy,
 }
 
 impl Default for DeliveryConfig {
     fn default() -> Self {
-        DeliveryConfig {
-            capacity: 1024,
-            policy: OverflowPolicy::DropOldest,
-        }
+        DeliveryConfig { capacity: 1024 }
     }
 }
 
@@ -107,12 +79,6 @@ impl DeliveryConfig {
     /// Overrides the capacity.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Overrides the overflow policy.
-    pub fn with_policy(mut self, policy: OverflowPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -127,24 +93,14 @@ struct QueueState {
     receiver_alive: bool,
 }
 
-#[derive(Debug)]
-struct Channel {
-    state: Mutex<QueueState>,
-    /// Signalled when an item is popped (for [`OverflowPolicy::Block`]
-    /// producers) or when the channel closes.
-    space: Condvar,
-}
-
 /// The queue layer's handle into the manager's [`Telemetry`] bundle:
 /// pre-resolved `delivery.*` counters plus the shared trace.
 ///
 /// Accounting convention: `delivery.enqueued` counts deltas **accepted into
-/// a queue**, `delivery.dropped` counts deltas **shed by an overflow
-/// policy** — so `enqueued - dropped` under [`OverflowPolicy::DropOldest`]
-/// (where a delta can be accepted and later shed) and `enqueued` under the
-/// other policies both equal what a draining consumer receives.  Sends to a
-/// closed queue or one whose receiver is gone are not counted at all,
-/// matching [`DeliveryReceiver::dropped`].
+/// a queue**, `delivery.dropped` counts accepted deltas **later shed** from a
+/// full queue — so `enqueued - dropped` equals what a draining consumer
+/// receives.  Sends to a closed queue or one whose receiver is gone are not
+/// counted at all, matching [`DeliveryReceiver::dropped`].
 #[derive(Debug, Clone)]
 pub(crate) struct DeliveryTelemetry {
     bundle: Arc<Telemetry>,
@@ -154,8 +110,8 @@ pub(crate) struct DeliveryTelemetry {
     /// recorded at enqueue, so its count equals `delivery.enqueued` exactly
     /// (the slide-for-slide e2e oracle the chaos harness asserts).
     e2e: Arc<Histogram>,
-    /// Ingest-to-shed age of every delta an overflow policy (or a counted
-    /// fault shed) dropped — the per-outcome twin of `delivery.e2e`.
+    /// Ingest-to-shed age of every delta a full queue (or a counted fault
+    /// shed) dropped — the per-outcome twin of `delivery.e2e`.
     e2e_dropped: Arc<Histogram>,
 }
 
@@ -188,74 +144,44 @@ impl DeliveryTelemetry {
 /// workers.  Crate-internal: subscribers only ever see the receiver.
 #[derive(Debug, Clone)]
 pub(crate) struct DeliverySender {
-    channel: Arc<Channel>,
-    config: DeliveryConfig,
+    channel: Arc<Mutex<QueueState>>,
+    capacity: usize,
     telemetry: Option<DeliveryTelemetry>,
 }
 
 impl DeliverySender {
-    /// Enqueues one delta under the configured overflow policy.
+    /// Enqueues one delta, shedding the oldest queued one if the queue is
+    /// full.
     pub(crate) fn send(&self, slide: u64, delta: ResultDelta) {
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
+        if !state.receiver_alive || state.closed {
+            // No consumer, or the queue was closed (unsubscribe/detach):
+            // deliveries are shed uncounted.
+            return;
+        }
+        if state.items.len() >= self.capacity {
+            let shed = state.items.pop_front();
+            state.dropped += 1;
+            if let (Some(telemetry), Some(shed)) = (&self.telemetry, shed) {
+                telemetry.dropped.inc();
+                telemetry.observe_e2e(&telemetry.e2e_dropped, shed.slide);
+                telemetry.bundle.record(
+                    shed.slide,
+                    None,
+                    TraceEventKind::DeltaDropped {
+                        subscription: shed.delta.subscription.raw(),
+                    },
+                );
+            }
+        }
         let subscription = delta.subscription.raw();
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if !state.receiver_alive || state.closed {
-                // No consumer, or the queue was closed (unsubscribe/detach):
-                // deliveries are shed.  Checking `closed` inside the loop is
-                // what lets a close() unwedge a Block-policy producer whose
-                // consumer stopped draining.
-                return;
-            }
-            if state.items.len() < self.config.capacity {
-                state.items.push_back(Delivery { slide, delta });
-                if let Some(telemetry) = &self.telemetry {
-                    telemetry.enqueued.inc();
-                    telemetry.observe_e2e(&telemetry.e2e, slide);
-                    telemetry.bundle.record(
-                        slide,
-                        None,
-                        TraceEventKind::DeltaDelivered { subscription },
-                    );
-                }
-                return;
-            }
-            match self.config.policy {
-                OverflowPolicy::DropOldest => {
-                    let shed = state.items.pop_front();
-                    state.dropped += 1;
-                    if let (Some(telemetry), Some(shed)) = (&self.telemetry, shed) {
-                        telemetry.dropped.inc();
-                        telemetry.observe_e2e(&telemetry.e2e_dropped, shed.slide);
-                        telemetry.bundle.record(
-                            shed.slide,
-                            None,
-                            TraceEventKind::DeltaDropped {
-                                subscription: shed.delta.subscription.raw(),
-                            },
-                        );
-                    }
-                }
-                OverflowPolicy::DropNewest => {
-                    state.dropped += 1;
-                    if let Some(telemetry) = &self.telemetry {
-                        telemetry.dropped.inc();
-                        telemetry.observe_e2e(&telemetry.e2e_dropped, slide);
-                        telemetry.bundle.record(
-                            slide,
-                            None,
-                            TraceEventKind::DeltaDropped { subscription },
-                        );
-                    }
-                    return;
-                }
-                OverflowPolicy::Block => {
-                    state = self
-                        .channel
-                        .space
-                        .wait(state)
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-            }
+        state.items.push_back(Delivery { slide, delta });
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.enqueued.inc();
+            telemetry.observe_e2e(&telemetry.e2e, slide);
+            telemetry
+                .bundle
+                .record(slide, None, TraceEventKind::DeltaDelivered { subscription });
         }
     }
 
@@ -263,13 +189,13 @@ impl DeliverySender {
     /// this queue, without enqueueing anything: the queue's `dropped` tally,
     /// the `delivery.dropped` counter, and a
     /// [`TraceEventKind::DeltaDropped`] event are all charged, exactly as if
-    /// an overflow policy had shed the delta.  Called by the worker's
+    /// a full queue had shed the delta.  Called by the worker's
     /// delivery seam after it catches a poisoned (panicking) send, keeping
     /// `delivered + dropped == result_changes` reconciled through the fault.
     /// No-op once the consumer is gone or the queue closed — matching
     /// [`DeliverySender::send`], which doesn't count those sheds either.
     pub(crate) fn shed(&self, slide: u64, subscription: crate::subscription::SubscriptionId) {
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
         if !state.receiver_alive || state.closed {
             return;
         }
@@ -291,7 +217,6 @@ impl DeliverySender {
     /// into the `delivery.queue_depth` gauge).
     pub(crate) fn len(&self) -> usize {
         self.channel
-            .state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .items
@@ -300,9 +225,8 @@ impl DeliverySender {
 
     /// Marks the producer side closed (subscription removed / detached).
     pub(crate) fn close(&self) {
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
         state.closed = true;
-        self.channel.space.notify_all();
     }
 }
 
@@ -314,34 +238,25 @@ impl DeliverySender {
 /// without blocking.
 #[derive(Debug)]
 pub struct DeliveryReceiver {
-    channel: Arc<Channel>,
+    channel: Arc<Mutex<QueueState>>,
 }
 
 impl DeliveryReceiver {
     /// Pops the oldest queued delivery, if any.
     pub fn try_recv(&self) -> Option<Delivery> {
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
-        let item = state.items.pop_front();
-        if item.is_some() {
-            self.channel.space.notify_one();
-        }
-        item
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
+        state.items.pop_front()
     }
 
     /// Takes every queued delivery at once, oldest first.
     pub fn drain(&self) -> Vec<Delivery> {
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
-        let items: Vec<Delivery> = state.items.drain(..).collect();
-        if !items.is_empty() {
-            self.channel.space.notify_all();
-        }
-        items
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
+        state.items.drain(..).collect()
     }
 
     /// Number of deliveries currently queued.
     pub fn len(&self) -> usize {
         self.channel
-            .state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .items
@@ -353,10 +268,9 @@ impl DeliveryReceiver {
         self.len() == 0
     }
 
-    /// Deltas shed by the overflow policy since attach.
+    /// Deltas shed from the full queue since attach.
     pub fn dropped(&self) -> u64 {
         self.channel
-            .state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .dropped
@@ -366,7 +280,6 @@ impl DeliveryReceiver {
     /// removed or the queue detached) — no further deliveries will arrive.
     pub fn is_closed(&self) -> bool {
         self.channel
-            .state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .closed
@@ -375,10 +288,9 @@ impl DeliveryReceiver {
 
 impl Drop for DeliveryReceiver {
     fn drop(&mut self) {
-        let mut state = self.channel.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self.channel.lock().unwrap_or_else(|p| p.into_inner());
         state.receiver_alive = false;
         state.items.clear();
-        self.channel.space.notify_all();
     }
 }
 
@@ -389,17 +301,15 @@ pub(crate) fn delivery_queue(
     config: DeliveryConfig,
     telemetry: Option<DeliveryTelemetry>,
 ) -> (DeliverySender, DeliveryReceiver) {
-    let channel = Arc::new(Channel {
-        state: Mutex::new(QueueState {
-            receiver_alive: true,
-            ..QueueState::default()
-        }),
-        space: Condvar::new(),
-    });
+    let channel = Arc::new(Mutex::new(QueueState {
+        receiver_alive: true,
+        ..QueueState::default()
+    }));
     (
         DeliverySender {
             channel: Arc::clone(&channel),
-            config,
+            // A zero capacity (settable through the public field) holds one.
+            capacity: config.capacity.max(1),
             telemetry,
         },
         DeliveryReceiver { channel },
@@ -453,89 +363,28 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_sheds_the_incoming() {
-        let (tx, rx) = delivery_queue(
-            DeliveryConfig::default()
-                .with_capacity(2)
-                .with_policy(OverflowPolicy::DropNewest),
-            None,
-        );
-        for i in 0..4 {
+    fn zero_capacity_holds_one_delta() {
+        let (tx, rx) = delivery_queue(DeliveryConfig { capacity: 0 }, None);
+        for i in 0..3 {
             tx.send(i + 1, delta(i));
         }
         assert_eq!(rx.dropped(), 2);
-        let items = rx.drain();
         assert_eq!(
-            items.iter().map(|d| d.slide).collect::<Vec<_>>(),
-            vec![1, 2],
-            "the queued prefix survives"
+            rx.drain().iter().map(|d| d.slide).collect::<Vec<_>>(),
+            vec![3]
         );
-    }
-
-    #[test]
-    fn block_policy_waits_for_the_consumer() {
-        let (tx, rx) = delivery_queue(
-            DeliveryConfig::default()
-                .with_capacity(1)
-                .with_policy(OverflowPolicy::Block),
-            None,
-        );
-        tx.send(1, delta(0));
-        let producer = std::thread::spawn(move || {
-            tx.send(2, delta(1)); // blocks until the consumer pops
-            tx.send(3, delta(2));
-        });
-        // Drain until the producer has pushed all three.
-        let mut seen = Vec::new();
-        while seen.len() < 3 {
-            match rx.try_recv() {
-                Some(d) => seen.push(d.slide),
-                None => std::thread::yield_now(),
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, vec![1, 2, 3]);
-        assert_eq!(rx.dropped(), 0);
     }
 
     #[test]
     fn dropped_receiver_unblocks_and_discards() {
-        let (tx, rx) = delivery_queue(
-            DeliveryConfig::default()
-                .with_capacity(1)
-                .with_policy(OverflowPolicy::Block),
-            None,
-        );
+        let (tx, rx) = delivery_queue(DeliveryConfig::default().with_capacity(1), None);
         tx.send(1, delta(0));
-        let producer = {
-            let tx = tx.clone();
-            std::thread::spawn(move || tx.send(2, delta(1)))
-        };
         drop(rx);
-        // The producer must return (receiver gone ⇒ deltas shed, not queued).
-        producer.join().unwrap();
+        // Receiver gone ⇒ the send is shed: not queued and not counted.
+        tx.send(2, delta(1));
+        assert_eq!(tx.len(), 0, "dropping the receiver clears the queue");
+        assert_eq!(tx.channel.lock().unwrap().dropped, 0);
         tx.close();
-    }
-
-    #[test]
-    fn close_unblocks_a_stalled_block_producer() {
-        let (tx, rx) = delivery_queue(
-            DeliveryConfig::default()
-                .with_capacity(1)
-                .with_policy(OverflowPolicy::Block),
-            None,
-        );
-        tx.send(1, delta(0));
-        let producer = {
-            let tx = tx.clone();
-            std::thread::spawn(move || tx.send(2, delta(1))) // full queue: blocks
-        };
-        // Give the producer a moment to park, then close: it must return
-        // (shedding the delta) even though the consumer never drained.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.close();
-        producer.join().unwrap();
-        assert_eq!(rx.len(), 1, "only the first delta was queued");
     }
 
     #[test]
@@ -553,7 +402,7 @@ mod tests {
         }
         let registry = bundle.registry();
         // Accept-time recording: e2e count == enqueued, per-outcome twin ==
-        // dropped (slide 1 was accepted, then shed by DropOldest).
+        // dropped (slide 1 was accepted, then shed by the full queue).
         assert_eq!(registry.counter("delivery.enqueued").get(), 3);
         assert_eq!(registry.histogram("delivery.e2e").count(), 3);
         assert_eq!(registry.counter("delivery.dropped").get(), 1);

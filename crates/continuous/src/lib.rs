@@ -94,10 +94,9 @@
 //! affected shards their epoch, and returns a [`SlideTicket`] immediately.
 //! Each worker streams the [`ResultDelta`]s it produces into bounded
 //! **per-subscriber delivery queues** ([`delivery`]) that consumers drain
-//! through a [`DeliveryReceiver`] at their own pace; under the default
-//! [`OverflowPolicy::DropOldest`] a slow consumer sheds its own oldest deltas
-//! instead of back-pressuring the workers, so ingestion latency is
-//! independent of subscriber count and drain speed.
+//! through a [`DeliveryReceiver`] at their own pace; a slow consumer's full
+//! queue sheds its own oldest deltas instead of back-pressuring the workers,
+//! so ingestion latency is independent of subscriber count and drain speed.
 //!
 //! Refresh *compute* does not gate asynchronous ingestion either: each
 //! ingested slide (an **epoch**) captures an immutable
@@ -133,8 +132,8 @@
 //!   ([`SubscriptionManager::ingest_bucket_reordered`]).  Any bucket
 //!   displaced by at most [`ShardConfig::reorder_horizon`] positions is
 //!   re-sequenced exactly (decisions bit-identical to in-order replay — the
-//!   reorder property test); beyond the horizon, [`LatePolicy`] decides
-//!   between counted shedding (`ingest.late_dropped`) and forced replay.
+//!   reorder property test); a bucket beyond the horizon is shed and counted
+//!   (`ingest.late_dropped`).
 //! * **Fault isolation**: every worker refresh attempt runs inside
 //!   `catch_unwind`.  A panic never publishes a partial [`ResultDelta`] (the
 //!   walk only stages its decisions, and the shard commits them once it
@@ -197,9 +196,8 @@ pub mod shard;
 pub mod subscription;
 mod worker;
 
-pub use delivery::{Delivery, DeliveryConfig, DeliveryReceiver, OverflowPolicy};
+pub use delivery::{Delivery, DeliveryConfig, DeliveryReceiver};
 pub use manager::{ManagerStats, SlideOutcome, SlideTicket, SubscriptionManager};
-pub use reorder::LatePolicy;
 pub use shard::{ShardConfig, ShardKey, ShardStats};
 pub use subscription::{RefreshReason, ResultDelta, SubscriptionId, SubscriptionStats};
 #[doc(hidden)]

@@ -51,8 +51,7 @@ pub struct ManagerStats {
     /// buffer ([`SubscriptionManager::ingest_bucket_reordered`]), the
     /// `ingest.reordered` counter.
     pub reordered: usize,
-    /// Buckets that arrived beyond the reorder horizon and were shed under
-    /// [`LatePolicy::DropLate`](crate::LatePolicy::DropLate), the
+    /// Buckets that arrived beyond the reorder horizon and were shed, the
     /// `ingest.late_dropped` counter.
     pub late_dropped: usize,
 }
@@ -204,7 +203,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             watched_topics: BTreeMap::new(),
             next_id: 0,
             slides: 0,
-            reorder: ReorderBuffer::new(config.reorder_horizon, config.late_policy),
+            reorder: ReorderBuffer::new(config.reorder_horizon),
             hooks: None,
             telemetry,
         }
@@ -419,9 +418,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         if !self.route_of.contains_key(&id) {
             return false;
         }
-        // Close the queue *before* the barrier: if a Block-policy producer is
-        // stalled on a consumer that stopped draining, the close is what
-        // unwedges it so the sync below can complete.
         self.close_delivery(id);
         self.sync();
         let Some(key) = self.route_of.remove(&id) else {
@@ -482,7 +478,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// Attaches a bounded delivery queue to a live subscription, returning
     /// the consumer handle.  From the next slide on, every [`ResultDelta`]
     /// the subscription's refreshes produce — through either ingestion API —
-    /// is enqueued under the queue's overflow policy.  Replaces (and closes)
+    /// is enqueued; a full queue sheds its oldest delta.  Replaces (and closes)
     /// any previously attached queue.  Returns `None` for unknown ids.
     pub fn attach_delivery(
         &mut self,
@@ -492,9 +488,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         if !self.route_of.contains_key(&id) {
             return None;
         }
-        // Close any previous queue before the barrier (a stalled Block-policy
-        // producer on the old queue must be unwedged for sync to complete),
-        // then quiesce so the new queue starts at a slide boundary.
+        // Close any previous queue, then quiesce so the new queue starts at a
+        // slide boundary.
         self.close_delivery(id);
         self.sync();
         let (sender, receiver) = delivery_queue(
@@ -511,8 +506,8 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// Detaches (and closes) a subscription's delivery queue.  Returns `true`
     /// if one was attached.
     pub fn detach_delivery(&mut self, id: SubscriptionId) -> bool {
-        // Close first (unwedging any stalled Block-policy producer), then
-        // quiesce so no worker still holds the removed sender.
+        // Close first, then quiesce so no worker still holds the removed
+        // sender.
         let detached = self.close_delivery(id);
         self.sync();
         detached
@@ -606,15 +601,14 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
 
     /// The reorder buffer's released watermark: the highest bucket end
     /// already forwarded to ingestion.  Arrivals at or before it are late
-    /// and fall to [`ShardConfig::late_policy`]; `None` until the first
-    /// release.
+    /// and shed; `None` until the first release.
     pub fn reorder_released_through(&self) -> Option<Timestamp> {
         self.reorder.released_through()
     }
 
     /// Folds one reorder-buffer outcome into the registry counters
     /// [`SubscriptionManager::stats`] reads and the trace ring.
-    fn account_reorder(&self, reordered: bool, dropped: Option<usize>, replayed: Option<usize>) {
+    fn account_reorder(&self, reordered: bool, dropped: Option<usize>) {
         let registry = self.telemetry.registry();
         if reordered {
             registry.counter("ingest.reordered").inc();
@@ -628,23 +622,12 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
                     elements: elements as u64,
                 },
             );
-            let burst = self.config.telemetry.late_drop_burst;
-            if burst > 0 && elements as u64 >= burst {
+            if elements > 0 {
                 self.telemetry.trigger_flight(FlightTrigger::LateDropBurst {
                     epoch: self.slides as u64,
                     dropped: elements as u64,
                 });
             }
-        }
-        if let Some(elements) = replayed {
-            registry.counter("ingest.late_replayed").inc();
-            self.telemetry.record(
-                self.slides as u64,
-                None,
-                TraceEventKind::LateBucketReplayed {
-                    elements: elements as u64,
-                },
-            );
         }
     }
 }
@@ -881,10 +864,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     /// [`SubscriptionManager::ingest_bucket_async`] in timestamp order and
     /// yield decisions bit-identical to in-order replay.  A bucket arriving
     /// *beyond* the horizon (its end is at or before the released watermark)
-    /// is handled per [`ShardConfig::late_policy`]: shed and charged to
-    /// [`ManagerStats::late_dropped`] / the `ingest.late_dropped` counter, or
-    /// folded into the next release under
-    /// [`LatePolicy::ForceReplay`](crate::LatePolicy::ForceReplay).
+    /// is shed and charged to [`ManagerStats::late_dropped`] / the
+    /// `ingest.late_dropped` counter.
     ///
     /// Returns the tickets of the slides this arrival released (often none —
     /// the bucket is merely buffered).  Call
@@ -896,14 +877,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         bucket_end: Timestamp,
     ) -> Result<Vec<SlideTicket>> {
         let outcome = self.reorder.offer(bucket, bucket_end);
-        self.account_reorder(outcome.reordered, outcome.dropped, outcome.replayed);
+        self.account_reorder(outcome.reordered, outcome.dropped);
         self.ingest_released(outcome.released)
     }
 
     /// Drains the reorder buffer, ingesting every held bucket in timestamp
     /// order — the end-of-stream companion to
-    /// [`SubscriptionManager::ingest_bucket_reordered`].  Any stashed
-    /// `ForceReplay` elements are emitted at the released watermark.
+    /// [`SubscriptionManager::ingest_bucket_reordered`].
     pub fn flush_reorder_buffer(&mut self) -> Result<Vec<SlideTicket>> {
         let released = self.reorder.flush();
         self.ingest_released(released)
@@ -1211,37 +1191,6 @@ mod tests {
         assert!(mgr.detach_delivery(id));
         assert!(!mgr.detach_delivery(id));
         assert!(rx.is_closed());
-    }
-
-    #[test]
-    fn unsubscribe_unwedges_a_stalled_block_queue() {
-        // A Block-policy queue whose consumer never drains stalls the
-        // producing worker; unsubscribe must close the queue *before* its
-        // sync barrier, or this test hangs instead of completing.
-        let ex = paper_example();
-        let mut mgr = SubscriptionManager::new(ex.empty_engine());
-        let id = mgr
-            .subscribe(query(2, &[0.5, 0.5]), Algorithm::Mttd)
-            .unwrap();
-        let rx = mgr
-            .attach_delivery(
-                id,
-                crate::delivery::DeliveryConfig::default()
-                    .with_capacity(1)
-                    .with_policy(crate::delivery::OverflowPolicy::Block),
-            )
-            .unwrap();
-        // Two slides that each change the result: the first delta fills the
-        // queue, the second leaves a worker blocked in send().
-        for (element, tv) in ex.stream().into_iter().take(2) {
-            let end = element.ts;
-            mgr.ingest_bucket_async(vec![(element, tv)], end)
-                .unwrap()
-                .detach();
-        }
-        assert!(mgr.unsubscribe(id), "must complete despite the stall");
-        assert!(rx.is_closed());
-        assert!(rx.len() <= 1);
     }
 
     #[test]

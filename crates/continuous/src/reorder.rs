@@ -24,17 +24,15 @@
 //!   refresh decisions — bit-identical to in-order replay.
 //! * A bucket whose end is at or before the release watermark
 //!   (`released_through`) arrived **too late** to
-//!   re-sequence.  The explicit [`LatePolicy`] decides: shed the bucket
-//!   whole ([`LatePolicy::DropLate`], the default — counted, never silently
-//!   lost) or stash its elements and fold them into the next released
-//!   bucket ([`LatePolicy::ForceReplay`] — nothing is lost, but replayed
-//!   elements are charged to a later slide than their timestamps, so
-//!   decision-identity with an in-order oracle is deliberately given up).
+//!   re-sequence.  It is shed whole — counted, never silently lost.
+//!   Charging its elements to a later slide than their timestamps would
+//!   break the window semantics `W_t = {e : ts ∈ (t − T, t]}` that every
+//!   result is a function of.
 //!
 //! The buffer is a pure data structure; the manager owns the accounting
 //! (`ManagerStats::reordered` / `ManagerStats::late_dropped`, the
 //! `ingest.reordered` / `ingest.late_dropped` registry counters, and the
-//! `late_bucket_dropped` / `late_bucket_replayed` trace events).
+//! `late_bucket_dropped` trace event).
 
 use std::collections::BTreeMap;
 
@@ -43,25 +41,6 @@ use ksir_types::{SocialElement, Timestamp, TopicVector};
 /// One bucket as the reorder layer moves it around: its elements and its
 /// end timestamp.
 pub(crate) type Bucket = (Vec<(SocialElement, TopicVector)>, Timestamp);
-
-/// What to do with a bucket that arrives beyond the reorder horizon (its end
-/// is at or before the release watermark, so re-sequencing it is no longer
-/// possible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LatePolicy {
-    /// Shed the whole bucket (the default).  The shed is counted in
-    /// `ManagerStats::late_dropped` and the `ingest.late_dropped` registry
-    /// counter, so a beyond-horizon arrival is visible, never silent.
-    #[default]
-    DropLate,
-    /// Keep the elements: they are folded into the next bucket the buffer
-    /// releases (or a final flush bucket at the watermark).  The engine
-    /// accepts them — element timestamps never exceed the adoptive bucket's
-    /// end — but they are charged to a later slide than their timestamps,
-    /// so results may differ from an in-order replay.  Counted in
-    /// `ManagerStats::reordered` via the `ingest.late_replayed` counter.
-    ForceReplay,
-}
 
 /// Outcome of offering one bucket to the buffer: zero or more released
 /// (in-order) buckets plus the accounting of what happened to the arrival.
@@ -72,40 +51,31 @@ pub(crate) struct OfferOutcome {
     /// `true` when the offered bucket arrived out of order but within the
     /// horizon (it was buffered behind a later-ended bucket already seen).
     pub(crate) reordered: bool,
-    /// Elements of a beyond-horizon bucket shed under
-    /// [`LatePolicy::DropLate`] (`None` when the bucket was not late).
+    /// Elements of a shed beyond-horizon bucket (`None` when the bucket
+    /// was not late).
     pub(crate) dropped: Option<usize>,
-    /// Elements of a beyond-horizon bucket stashed for replay under
-    /// [`LatePolicy::ForceReplay`] (`None` when the bucket was not late).
-    pub(crate) replayed: Option<usize>,
 }
 
 /// The bounded re-sequencing buffer.  See the module docs for the invariant.
 #[derive(Debug)]
 pub(crate) struct ReorderBuffer {
     horizon: usize,
-    policy: LatePolicy,
     /// Buffered buckets, keyed (and merged) by end timestamp.
     pending: BTreeMap<Timestamp, Vec<(SocialElement, TopicVector)>>,
     /// End timestamp of the last released bucket — the release watermark.
     /// Arrivals at or before it are late.
     released_through: Option<Timestamp>,
-    /// Elements of late buckets awaiting adoption under
-    /// [`LatePolicy::ForceReplay`]; prepended to the next release.
-    replay: Vec<(SocialElement, TopicVector)>,
     /// Highest bucket end ever offered; an in-horizon arrival below it is a
     /// reorder.
     highest_offered: Option<Timestamp>,
 }
 
 impl ReorderBuffer {
-    pub(crate) fn new(horizon: usize, policy: LatePolicy) -> Self {
+    pub(crate) fn new(horizon: usize) -> Self {
         ReorderBuffer {
             horizon,
-            policy,
             pending: BTreeMap::new(),
             released_through: None,
-            replay: Vec::new(),
             highest_offered: None,
         }
     }
@@ -122,8 +92,7 @@ impl ReorderBuffer {
 
     /// Offers one arrival.  Releases the earliest buffered buckets until at
     /// most `horizon` remain; a horizon of 0 is a pass-through that still
-    /// sheds (or replays) regressions instead of letting them reach the
-    /// engine as errors.
+    /// sheds regressions instead of letting them reach the engine as errors.
     pub(crate) fn offer(
         &mut self,
         bucket: Vec<(SocialElement, TopicVector)>,
@@ -134,13 +103,7 @@ impl ReorderBuffer {
             .released_through
             .is_some_and(|through| bucket_end <= through)
         {
-            match self.policy {
-                LatePolicy::DropLate => outcome.dropped = Some(bucket.len()),
-                LatePolicy::ForceReplay => {
-                    outcome.replayed = Some(bucket.len());
-                    self.replay.extend(bucket);
-                }
-            }
+            outcome.dropped = Some(bucket.len());
             return outcome;
         }
         outcome.reordered = self
@@ -160,36 +123,18 @@ impl ReorderBuffer {
         outcome
     }
 
-    /// Releases everything still buffered, in order.  Replay leftovers with
-    /// no bucket to adopt them are emitted as a final bucket at the release
-    /// watermark (the engine accepts `bucket_end == now`).
+    /// Releases everything still buffered, in order.
     pub(crate) fn flush(&mut self) -> Vec<Bucket> {
         let mut released = Vec::new();
         while let Some((end, elements)) = self.pending.pop_first() {
             released.push(self.release(elements, end));
-        }
-        if !self.replay.is_empty() {
-            // Only reachable under ForceReplay with an empty buffer: adopt
-            // the stragglers into a zero-progress bucket at the watermark.
-            let end = self
-                .released_through
-                .expect("late elements imply a prior release");
-            released.push((std::mem::take(&mut self.replay), end));
         }
         released
     }
 
     fn release(&mut self, elements: Vec<(SocialElement, TopicVector)>, end: Timestamp) -> Bucket {
         self.released_through = Some(end);
-        if self.replay.is_empty() {
-            (elements, end)
-        } else {
-            // Adopted replay elements go first: their timestamps are the
-            // oldest, and every one of them is ≤ the old watermark < `end`.
-            let mut adopted = std::mem::take(&mut self.replay);
-            adopted.extend(elements);
-            (adopted, end)
-        }
+        (elements, end)
     }
 }
 
@@ -220,7 +165,7 @@ mod tests {
 
     #[test]
     fn in_order_stream_passes_through_in_order() {
-        let mut buf = ReorderBuffer::new(2, LatePolicy::DropLate);
+        let mut buf = ReorderBuffer::new(2);
         let mut out = Vec::new();
         for end in 1..=5 {
             let (elements, end) = bucket(end, 1);
@@ -237,7 +182,7 @@ mod tests {
     fn bounded_displacement_is_fully_resequenced() {
         // Displacement ≤ 2 everywhere: a horizon-2 buffer must emit sorted.
         let arrival = [2u64, 1, 4, 3, 6, 5, 7];
-        let mut buf = ReorderBuffer::new(2, LatePolicy::DropLate);
+        let mut buf = ReorderBuffer::new(2);
         let mut out = Vec::new();
         let mut reorders = 0;
         for end in arrival {
@@ -254,7 +199,7 @@ mod tests {
 
     #[test]
     fn beyond_horizon_arrival_is_dropped_and_counted() {
-        let mut buf = ReorderBuffer::new(1, LatePolicy::DropLate);
+        let mut buf = ReorderBuffer::new(1);
         let mut out = Vec::new();
         for end in [1u64, 2, 3] {
             let (elements, end) = bucket(end, 1);
@@ -272,44 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn force_replay_folds_late_elements_into_the_next_release() {
-        let mut buf = ReorderBuffer::new(1, LatePolicy::ForceReplay);
-        let mut out = Vec::new();
-        for end in [1u64, 2, 3] {
-            let (elements, end) = bucket(end, 1);
-            out.extend(buf.offer(elements, end).released);
-        }
-        let (elements, end) = bucket(1, 2);
-        let outcome = buf.offer(elements, end);
-        assert_eq!(outcome.replayed, Some(2));
-        // The stragglers ride along with the next released bucket (end 3),
-        // ahead of its own elements.
-        let released = buf.flush();
-        assert_eq!(ends(&released), vec![3]);
-        let (elements, _) = &released[0];
-        assert_eq!(elements.len(), 3);
-        assert!(elements.iter().all(|(e, _)| e.ts <= Timestamp(3)));
-        assert_eq!(elements[0].0.ts, Timestamp(1), "replayed elements lead");
-    }
-
-    #[test]
-    fn force_replay_flush_emits_stragglers_at_the_watermark() {
-        let mut buf = ReorderBuffer::new(0, LatePolicy::ForceReplay);
-        let (elements, end) = bucket(5, 1);
-        let released = buf.offer(elements, end).released;
-        assert_eq!(ends(&released), vec![5], "horizon 0 passes through");
-        let (elements, end) = bucket(4, 2);
-        assert_eq!(buf.offer(elements, end).replayed, Some(2));
-        // No further bucket arrives: flush must still surface the elements,
-        // at the watermark (the engine accepts bucket_end == now).
-        let released = buf.flush();
-        assert_eq!(ends(&released), vec![5]);
-        assert_eq!(released[0].0.len(), 2);
-    }
-
-    #[test]
     fn duplicate_ends_merge_into_one_bucket() {
-        let mut buf = ReorderBuffer::new(2, LatePolicy::DropLate);
+        let mut buf = ReorderBuffer::new(2);
         let (a, end) = bucket(1, 1);
         buf.offer(a, end);
         let (b, end) = bucket(1, 2);

@@ -46,7 +46,6 @@ use ksir_telemetry::{
 use ksir_types::{ElementId, TopicId};
 
 use crate::cluster::{ClusterKey, PlanCluster};
-use crate::reorder::LatePolicy;
 use crate::subscription::{RefreshReason, ResultDelta, Subscription, SubscriptionId};
 use crate::worker::PipelineHooks;
 
@@ -93,12 +92,9 @@ pub struct ShardConfig {
     /// How many out-of-order bucket positions
     /// [`ingest_bucket_reordered`](crate::SubscriptionManager::ingest_bucket_reordered)
     /// re-sequences before releasing to the engine.  `0` (the default) is a
-    /// pass-through that still sheds regressions under `late_policy` instead
-    /// of surfacing them as ingest errors.  See [`crate::reorder`].
+    /// pass-through that still sheds regressions instead of surfacing them
+    /// as ingest errors.  See [`crate::reorder`].
     pub reorder_horizon: usize,
-    /// What the reorder buffer does with a bucket that arrives beyond the
-    /// horizon (see [`LatePolicy`]).
-    pub late_policy: LatePolicy,
 }
 
 impl Default for ShardConfig {
@@ -108,7 +104,6 @@ impl Default for ShardConfig {
             max_threads: None,
             telemetry: TelemetryConfig::default(),
             reorder_horizon: 0,
-            late_policy: LatePolicy::DropLate,
         }
     }
 }
@@ -153,12 +148,6 @@ impl ShardConfig {
     /// reordered ingest path re-sequences before releasing).
     pub fn with_reorder_horizon(mut self, horizon: usize) -> Self {
         self.reorder_horizon = horizon;
-        self
-    }
-
-    /// Overrides the beyond-horizon arrival policy.
-    pub fn with_late_policy(mut self, policy: LatePolicy) -> Self {
-        self.late_policy = policy;
         self
     }
 

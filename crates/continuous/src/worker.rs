@@ -25,8 +25,8 @@
 //!   registered only for shards handed to a pool, and the pool is dropped
 //!   only after a barrier.
 //!
-//! Slow *subscribers* still never extend any of these waits: delivery queues
-//! are bounded and non-blocking under the default overflow policy, so the
+//! Slow *subscribers* never extend any of these waits: a delivery queue is
+//! bounded and a full one sheds its oldest delta instead of blocking, so the
 //! watermark waits on refresh compute only.
 
 use std::collections::BTreeMap;
@@ -88,9 +88,8 @@ pub(crate) fn deliver(
         return;
     }
     // Clone the senders out and release the registry lock before sending: a
-    // Block-policy queue may stall its producer, and that stall must never
-    // extend to other subscriptions' deliveries (or to the manager methods
-    // that take the registry lock).
+    // send, or a test hook that fires inside it, must never run under the
+    // lock that `publish_gauges` and `close_delivery` take.
     let senders: Vec<_> = {
         let registry = registry.lock().unwrap_or_else(|p| p.into_inner());
         updates

@@ -16,7 +16,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{assert_same_updates, planted_manager, walk_stream, Manager};
-use ksir_continuous::{DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig};
+use ksir_continuous::{DeliveryConfig, ResultDelta, ShardConfig};
 use ksir_core::Algorithm;
 
 /// The deltas drained from the per-subscriber queues equal the
@@ -160,12 +160,7 @@ fn slow_consumer_sheds_deltas_without_losing_account() {
     let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default().with_threads(Some(2)));
     let victim = subs[0].0;
     let rx = mgr
-        .attach_delivery(
-            victim,
-            DeliveryConfig::default()
-                .with_capacity(2)
-                .with_policy(OverflowPolicy::DropOldest),
-        )
+        .attach_delivery(victim, DeliveryConfig::default().with_capacity(2))
         .unwrap();
     mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
     mgr.sync();
@@ -178,7 +173,7 @@ fn slow_consumer_sheds_deltas_without_losing_account() {
         changes as u64,
         "every result change was either delivered or counted as dropped"
     );
-    // The freshest deltas survive under DropOldest.
+    // The freshest deltas survive: a full queue sheds its oldest.
     if let Some(last) = drained.last() {
         assert!(drained.iter().all(|d| d.slide <= last.slide));
     }

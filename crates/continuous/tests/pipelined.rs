@@ -13,10 +13,12 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use common::{assert_same_updates, planted_manager, walk_stream};
-use ksir_continuous::{DeliveryConfig, OverflowPolicy, ResultDelta, ShardConfig};
+use ksir_continuous::{DeliveryConfig, PipelineHooks, ResultDelta, ShardConfig, ShardKey};
 
 /// Pipelined mode is decision-identical to the per-subscription walk slide
 /// for slide — on the default pool and on a forced 4-thread pool.
@@ -76,84 +78,81 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
     }
 }
 
+/// Parks every cluster query of epoch 1 until the test releases it.
+#[derive(Debug, Default)]
+struct ParkEpochOne {
+    parked: AtomicBool,
+    released: Mutex<bool>,
+    release: Condvar,
+}
+
+impl ParkEpochOne {
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.release.notify_all();
+    }
+}
+
+impl PipelineHooks for ParkEpochOne {
+    fn before_cluster_query(&self, epoch: u64, _shard: ShardKey, _query: usize) {
+        if epoch != 1 {
+            return;
+        }
+        self.parked.store(true, Ordering::SeqCst);
+        let mut released = self.released.lock().unwrap();
+        while !*released {
+            released = self.release.wait(released).unwrap();
+        }
+    }
+}
+
 /// The write path genuinely overlaps refresh work: with a worker provably
-/// stalled mid-refresh of epoch `N` (blocked on a full Block-policy delivery
-/// queue), `ingest_bucket_async` for epoch `N+1` must complete its index
-/// write and return.  Under the old quiesce-before-write barrier this test
-/// deadlocks.
+/// parked mid-refresh of epoch `N` (in a `before_cluster_query` hook),
+/// `ingest_bucket_async` for epoch `N+1` must complete its index write and
+/// return.  Under the old quiesce-before-write barrier this test deadlocks.
 #[test]
 fn index_write_proceeds_while_previous_epoch_refreshes() {
     let (mut mgr, subs, stream) = planted_manager(7, ShardConfig::default());
-    // Give every subscription a Block-policy queue of capacity 1 and do not
-    // drain: the first delivered delta of a slide fills a queue, the second
-    // blocks its worker mid-epoch.
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|(id, _, _)| {
-            mgr.attach_delivery(
-                *id,
-                DeliveryConfig::default()
-                    .with_capacity(1)
-                    .with_policy(OverflowPolicy::Block),
-            )
-            .unwrap()
-        })
-        .collect();
+    let hooks = Arc::new(ParkEpochOne::default());
+    mgr.set_hooks(hooks.clone());
 
-    let mut pairs = stream.iter_pairs();
-    let mut bucket: Vec<_> = Vec::new();
-    let mut tickets = Vec::new();
-    let mut bucket_end = 15u64;
-    for (element, tv) in &mut pairs {
-        while element.ts.raw() > bucket_end {
-            let t = mgr
-                .ingest_bucket_async(
-                    std::mem::take(&mut bucket),
-                    ksir_types::Timestamp(bucket_end),
-                )
-                .unwrap();
-            tickets.push(t);
-            bucket_end += 15;
-            if tickets.len() == 2 {
-                break;
-            }
+    // The first two 15-tick buckets of the stream.
+    let mut buckets = vec![Vec::new(), Vec::new()];
+    for (element, tv) in stream.iter_pairs() {
+        match element.ts.raw() {
+            ..=15 => buckets[0].push((element, tv)),
+            16..=30 => buckets[1].push((element, tv)),
+            _ => break,
         }
-        if tickets.len() == 2 {
-            break;
-        }
-        bucket.push((element, tv));
     }
-    assert_eq!(tickets.len(), 2, "stream long enough for two epochs");
-    // Epoch 1 scheduled refresh work that is now stalled on the undrained
-    // Block queues; epoch 2's ingest nevertheless returned above.  Give the
-    // workers a moment and confirm epoch 1 is genuinely still in flight.
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(
-        mgr.completed_epoch() < 2,
-        "with undrained Block queues some epoch must still be in flight"
+    let mut ends = [15u64, 30].into_iter().map(ksir_types::Timestamp);
+    let mut buckets = buckets.into_iter();
+    let first = mgr
+        .ingest_bucket_async(buckets.next().unwrap(), ends.next().unwrap())
+        .unwrap();
+    // Wait until a worker is parked inside epoch 1's refresh.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !hooks.parked.load(Ordering::SeqCst) {
+        assert!(
+            Instant::now() < deadline,
+            "epoch 1 never reached a cluster query"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Epoch 2's ingest returns while epoch 1 is still in flight.
+    let second = mgr
+        .ingest_bucket_async(buckets.next().unwrap(), ends.next().unwrap())
+        .unwrap();
+    assert_eq!((first.slide, second.slide), (1, 2));
+    assert_eq!(
+        mgr.completed_epoch(),
+        0,
+        "epoch 1 is parked, so no epoch has completed"
     );
-    // Drain everything; the pipeline must settle.
-    let drainer = std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        loop {
-            let mut any = false;
-            let mut all_closed = true;
-            for rx in &receivers {
-                any |= rx.try_recv().is_some();
-                all_closed &= rx.is_closed();
-            }
-            if all_closed || std::time::Instant::now() > deadline {
-                return receivers;
-            }
-            if !any {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    });
+    hooks.release();
     mgr.sync();
     assert_eq!(mgr.completed_epoch(), 2);
     for (id, _, _) in &subs {
         assert!(mgr.unsubscribe(*id));
     }
-    drainer.join().unwrap();
 }

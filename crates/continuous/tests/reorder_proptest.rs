@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
-use ksir_continuous::{LatePolicy, ManagerStats, ShardConfig, SubscriptionId, SubscriptionManager};
+use ksir_continuous::{ManagerStats, ShardConfig, SubscriptionId, SubscriptionManager};
 use ksir_core::stream::WindowConfig;
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, ScoringConfig};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
@@ -183,9 +183,7 @@ proptest! {
     /// in-order stream's.
     #[test]
     fn beyond_horizon_drops_equal_the_charged_buckets(p in params()) {
-        let config = ShardConfig::default()
-            .with_reorder_horizon(p.horizon)
-            .with_late_policy(LatePolicy::DropLate);
+        let config = ShardConfig::default().with_reorder_horizon(p.horizon);
         let (mut mgr, inst) = build_manager(&p, config);
         let mut rng = StdRng::seed_from_u64(p.seed ^ 0x1a7e);
 

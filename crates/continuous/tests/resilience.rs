@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use ksir_chaos::{Fault, FaultKind, FaultPlan};
 use ksir_continuous::{
-    DeliveryConfig, LatePolicy, ShardConfig, ShardKey, SubscriptionId, SubscriptionManager,
+    DeliveryConfig, FlightTrigger, ShardConfig, ShardKey, SubscriptionId, SubscriptionManager,
 };
 use ksir_core::fixtures::paper_example;
 use ksir_core::{Algorithm, KsirQuery};
@@ -383,17 +383,15 @@ fn reordered_arrival_within_horizon_matches_in_order_replay() {
     assert_matches_clean(&mgr, &clean, &subs, "reordered arrival");
 }
 
-/// An arrival beyond the horizon is shed under the default `DropLate`
-/// policy, charged bucket-for-bucket to `late_dropped`, and everything else
-/// proceeds as if it never happened.
+/// An arrival beyond the horizon is shed, charged bucket-for-bucket to
+/// `late_dropped`, leaves one `late_drop_burst` flight record, and
+/// everything else proceeds as if it never happened.
 #[test]
 fn beyond_horizon_arrival_is_dropped_and_charged() {
     let ex = paper_example();
     let mut mgr = SubscriptionManager::with_shard_config(
         ex.empty_engine(),
-        ShardConfig::default()
-            .with_reorder_horizon(1)
-            .with_late_policy(LatePolicy::DropLate),
+        ShardConfig::default().with_reorder_horizon(1),
     );
     let subs = subscribe_workload(&mut mgr);
     for (element, tv) in ex.stream() {
@@ -426,6 +424,18 @@ fn beyond_horizon_arrival_is_dropped_and_charged() {
         1,
         "drops are charged bucket-for-bucket"
     );
+    let late_records: Vec<_> = mgr
+        .telemetry()
+        .flight()
+        .records()
+        .into_iter()
+        .filter(|record| record.trigger.name() == "late_drop_burst")
+        .collect();
+    assert_eq!(late_records.len(), 1, "the shed leaves one flight record");
+    assert!(matches!(
+        late_records[0].trigger,
+        FlightTrigger::LateDropBurst { dropped: 1, .. }
+    ));
     // The maintained results are those of the clean 8-slide stream.
     for (id, q, algorithm) in &subs {
         let fresh = mgr.engine().query(q, *algorithm).unwrap();

@@ -15,9 +15,7 @@ use std::sync::Arc;
 
 use common::{planted_manager, walk_stream, Manager};
 use ksir_chaos::{Fault, FaultKind, FaultPlan};
-use ksir_continuous::{
-    DeliveryConfig, EpochTimeline, OverflowPolicy, ShardConfig, TelemetryConfig,
-};
+use ksir_continuous::{DeliveryConfig, EpochTimeline, ShardConfig, TelemetryConfig};
 
 /// Asserts the full counter/trace/stats reconciliation on a settled manager
 /// (no unsubscribes, ample trace ring).  Every equality here is exact.
@@ -185,10 +183,10 @@ fn sync_path_trace_reconciles_with_shard_stats() {
     }
 }
 
-/// Delivery accounting under all three overflow policies with telemetry on:
-/// what the consumers drain plus what the policies shed equals the result
-/// changes the run produced, and the registry/trace views agree with the
-/// per-receiver tallies.
+/// Delivery accounting through full queues with telemetry on: what the
+/// consumers drain plus what the queues shed equals the result changes the
+/// run produced, and the registry/trace views agree with the per-receiver
+/// tallies.
 #[test]
 fn delivery_accounting_reconciles_under_all_policies() {
     // Reference: the total result changes the walk makes on this stream.
@@ -197,67 +195,39 @@ fn delivery_accounting_reconciles_under_all_policies() {
     let total_updates: usize = slides.iter().map(|s| s.updates.len()).sum();
     assert!(total_updates > 0, "stream must change some results");
 
-    for (policy, capacity) in [
-        (OverflowPolicy::DropOldest, 2),
-        (OverflowPolicy::DropNewest, 2),
-        // Block with ample capacity: nothing shed, nothing blocked.
-        (OverflowPolicy::Block, 1 << 16),
-    ] {
-        let config = ShardConfig::default()
-            .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
-        let (mut mgr, subs, stream) = planted_manager(7, config);
-        let receivers: Vec<_> = subs
-            .iter()
-            .map(|(id, _, _)| {
-                mgr.attach_delivery(
-                    *id,
-                    DeliveryConfig::default()
-                        .with_capacity(capacity)
-                        .with_policy(policy),
-                )
+    let config = ShardConfig::default()
+        .with_telemetry(TelemetryConfig::default().with_trace_capacity(1 << 20));
+    let (mut mgr, subs, stream) = planted_manager(7, config);
+    let receivers: Vec<_> = subs
+        .iter()
+        .map(|(id, _, _)| {
+            mgr.attach_delivery(*id, DeliveryConfig::default().with_capacity(2))
                 .unwrap()
-            })
-            .collect();
-        mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
-        mgr.sync();
+        })
+        .collect();
+    mgr.ingest_stream_async(stream.iter_pairs()).unwrap();
+    mgr.sync();
 
-        let drained: u64 = receivers.iter().map(|rx| rx.drain().len() as u64).sum();
-        let shed: u64 = receivers.iter().map(|rx| rx.dropped()).sum();
-        assert_eq!(
-            drained + shed,
-            total_updates as u64,
-            "{policy:?}: every result change is either drained or shed"
-        );
+    let drained: u64 = receivers.iter().map(|rx| rx.drain().len() as u64).sum();
+    let shed: u64 = receivers.iter().map(|rx| rx.dropped()).sum();
+    assert_eq!(
+        drained + shed,
+        total_updates as u64,
+        "every result change is either drained or shed"
+    );
 
-        let registry = mgr.telemetry().registry();
-        let enqueued = registry.counter("delivery.enqueued").get();
-        let dropped = registry.counter("delivery.dropped").get();
-        assert_eq!(
-            dropped, shed,
-            "{policy:?}: registry sheds == receiver sheds"
-        );
-        match policy {
-            // Every delta is accepted; sheds evict already-enqueued deltas.
-            OverflowPolicy::DropOldest => {
-                assert_eq!(enqueued, total_updates as u64);
-                assert_eq!(enqueued - dropped, drained);
-            }
-            // Sheds reject deltas before they are ever enqueued.
-            OverflowPolicy::DropNewest => {
-                assert_eq!(enqueued + dropped, total_updates as u64);
-                assert_eq!(enqueued, drained);
-            }
-            OverflowPolicy::Block => {
-                assert_eq!(dropped, 0);
-                assert_eq!(enqueued, drained);
-            }
-        }
+    let registry = mgr.telemetry().registry();
+    let enqueued = registry.counter("delivery.enqueued").get();
+    let dropped = registry.counter("delivery.dropped").get();
+    assert_eq!(dropped, shed, "registry sheds == receiver sheds");
+    // Every delta is accepted; sheds evict already-enqueued deltas.
+    assert_eq!(enqueued, total_updates as u64);
+    assert_eq!(enqueued - dropped, drained);
 
-        // The trace saw the same flow.
-        let timeline = mgr.telemetry().timeline();
-        assert_eq!(timeline.total_delivered(), enqueued);
-        assert_eq!(timeline.total_dropped(), dropped);
-    }
+    // The trace saw the same flow.
+    let timeline = mgr.telemetry().timeline();
+    assert_eq!(timeline.total_delivered(), enqueued);
+    assert_eq!(timeline.total_dropped(), dropped);
 }
 
 /// Tracing off is a clean degradation: no events, empty timeline, but the

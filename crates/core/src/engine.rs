@@ -684,31 +684,6 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         )
     }
 
-    /// Processes a query with MTTS (Algorithm 2).
-    pub fn query_mtts(&self, query: &KsirQuery) -> Result<QueryResult> {
-        self.query(query, Algorithm::Mtts)
-    }
-
-    /// Processes a query with MTTD (Algorithm 3).
-    pub fn query_mttd(&self, query: &KsirQuery) -> Result<QueryResult> {
-        self.query(query, Algorithm::Mttd)
-    }
-
-    /// Processes a query with the CELF baseline.
-    pub fn query_celf(&self, query: &KsirQuery) -> Result<QueryResult> {
-        self.query(query, Algorithm::Celf)
-    }
-
-    /// Processes a query with the SieveStreaming baseline.
-    pub fn query_sieve_streaming(&self, query: &KsirQuery) -> Result<QueryResult> {
-        self.query(query, Algorithm::SieveStreaming)
-    }
-
-    /// Processes a query with the Top-k Representative baseline.
-    pub fn query_topk_representative(&self, query: &KsirQuery) -> Result<QueryResult> {
-        self.query(query, Algorithm::TopkRepresentative)
-    }
-
     /// Exhaustively enumerates all size-`min(k, n_t)` subsets of the active
     /// elements and returns the best one.
     ///

@@ -421,12 +421,6 @@ impl RankedLists {
             .count()
     }
 
-    /// The touches accumulated since the last [`RankedLists::take_delta`] /
-    /// [`RankedLists::clear_delta`].
-    pub fn pending_delta(&self) -> &RankedDelta {
-        &self.delta
-    }
-
     /// Drains and returns the accumulated touch log, its dense topic index
     /// included, so the returned log answers lookups in `O(1)`.  The resident
     /// log starts empty and builds a fresh index at its next touch.
@@ -601,24 +595,24 @@ mod tests {
     #[test]
     fn touch_log_tracks_upserts_adjustments_and_removals() {
         let mut rls = RankedLists::new(3);
-        assert!(rls.pending_delta().is_empty());
+        assert!(rls.delta.is_empty());
         // fresh insert touches at the new score
         rls.upsert(TopicId(0), id(1), 0.4, Timestamp(1));
-        assert_eq!(rls.pending_delta().touch(TopicId(0)).unwrap().high, 0.4);
+        assert_eq!(rls.delta.touch(TopicId(0)).unwrap().high, 0.4);
         // a downward adjustment touches at the *old* (higher) score
         rls.upsert(TopicId(0), id(1), 0.1, Timestamp(2));
-        let t = rls.pending_delta().touch(TopicId(0)).unwrap();
+        let t = rls.delta.touch(TopicId(0)).unwrap();
         assert_eq!(t.high, 0.4);
         assert_eq!(t.count, 2);
         // an upward adjustment touches at the new score
         rls.upsert(TopicId(0), id(1), 0.9, Timestamp(3));
-        assert_eq!(rls.pending_delta().touch(TopicId(0)).unwrap().high, 0.9);
+        assert_eq!(rls.delta.touch(TopicId(0)).unwrap().high, 0.9);
         // untouched topics stay clean
-        assert!(!rls.pending_delta().touched(TopicId(1)));
+        assert!(!rls.delta.touched(TopicId(1)));
         // draining resets the log
         let drained = rls.take_delta();
         assert_eq!(drained.touch(TopicId(0)).unwrap().count, 3);
-        assert!(rls.pending_delta().is_empty());
+        assert!(rls.delta.is_empty());
         // removal touches every list that held the element, at the old scores
         rls.upsert(TopicId(1), id(1), 0.7, Timestamp(4));
         rls.take_delta();
@@ -655,7 +649,7 @@ mod tests {
         rls.take_delta();
         // Downward: the touch sits at the old score.
         rls.write(TopicId(0), id(2), Some(0.6), 0.1, Timestamp(2));
-        assert_eq!(rls.pending_delta().touch(TopicId(0)).unwrap().high, 0.6);
+        assert_eq!(rls.delta.touch(TopicId(0)).unwrap().high, 0.6);
         let order: Vec<_> = rls.list(TopicId(0)).iter().collect();
         assert_eq!(
             order,
@@ -668,7 +662,7 @@ mod tests {
             Some((id(1), 0.4, Timestamp(5)))
         );
         assert_eq!(rls.list(TopicId(0)).len(), 2);
-        assert!(!rls.pending_delta().touched(TopicId(1)));
+        assert!(!rls.delta.touched(TopicId(1)));
     }
 
     #[test]

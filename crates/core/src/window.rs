@@ -63,23 +63,6 @@ impl WindowConfig {
     pub fn window_start(&self, now: Timestamp) -> Timestamp {
         Timestamp(now.raw().saturating_sub(self.window_len - 1))
     }
-
-    /// Returns `true` if an element posted at `ts` is inside the window at
-    /// time `now`.
-    #[inline]
-    pub fn in_window(&self, ts: Timestamp, now: Timestamp) -> bool {
-        ts <= now && ts >= self.window_start(now)
-    }
-
-    /// The end time of the bucket containing `ts`: the smallest multiple of
-    /// `L` that is `≥ ts` (buckets end at `L, 2L, 3L, …`).
-    #[inline]
-    pub fn bucket_end(&self, ts: Timestamp) -> Timestamp {
-        let l = self.bucket_len;
-        let t = ts.raw();
-        let k = t.div_ceil(l).max(1);
-        Timestamp(k * l)
-    }
 }
 
 #[cfg(test)]
@@ -102,24 +85,11 @@ mod tests {
         // T = 4, t = 8 → window covers [5, 8] (Example 3.2 of the paper).
         let c = WindowConfig::new(4, 1).unwrap();
         assert_eq!(c.window_start(Timestamp(8)), Timestamp(5));
-        assert!(c.in_window(Timestamp(5), Timestamp(8)));
-        assert!(c.in_window(Timestamp(8), Timestamp(8)));
-        assert!(!c.in_window(Timestamp(4), Timestamp(8)));
-        assert!(!c.in_window(Timestamp(9), Timestamp(8)));
     }
 
     #[test]
     fn window_start_saturates_at_zero() {
         let c = WindowConfig::new(100, 1).unwrap();
         assert_eq!(c.window_start(Timestamp(5)), Timestamp(0));
-    }
-
-    #[test]
-    fn bucket_end_rounds_up_to_multiples_of_l() {
-        let c = WindowConfig::new(24, 5).unwrap();
-        assert_eq!(c.bucket_end(Timestamp(1)), Timestamp(5));
-        assert_eq!(c.bucket_end(Timestamp(5)), Timestamp(5));
-        assert_eq!(c.bucket_end(Timestamp(6)), Timestamp(10));
-        assert_eq!(c.bucket_end(Timestamp(0)), Timestamp(5));
     }
 }

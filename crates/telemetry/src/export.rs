@@ -26,8 +26,7 @@ fn help_for(name: &str) -> Option<&'static str> {
         "ingest.index_write" => "Time spent applying a bucket to the live index",
         "ingest.project" => "Time spent classifying shard residents against the slide delta",
         "ingest.reordered" => "Buckets re-sequenced by the reorder buffer",
-        "ingest.late_dropped" => "Beyond-horizon buckets shed under LatePolicy::DropLate",
-        "ingest.late_replayed" => "Beyond-horizon buckets folded in under LatePolicy::ForceReplay",
+        "ingest.late_dropped" => "Beyond-horizon buckets shed by the reorder buffer",
         "snapshot.capture" => "Time spent capturing an epoch's frozen engine image",
         "refresh.shard" => "Time one scheduled shard spent refreshing its residents",
         "refresh.gain_evaluations" => "Total scoring passes across all refreshes",
@@ -45,9 +44,9 @@ fn help_for(name: &str) -> Option<&'static str> {
         "shard.quarantined" => "Shards quarantined after exhausting the retry budget (cumulative)",
         "shard.quarantine_active" => "Shards currently quarantined (live occupancy)",
         "delivery.enqueued" => "Result deltas accepted into delivery queues",
-        "delivery.dropped" => "Result deltas shed by an overflow policy",
+        "delivery.dropped" => "Result deltas shed from a full delivery queue",
         "delivery.e2e" => "Ingest-to-delivery freshness of accepted result deltas",
-        "delivery.e2e.dropped" => "Ingest-to-shed age of result deltas dropped by overflow policy",
+        "delivery.e2e.dropped" => "Ingest-to-shed age of result deltas shed from a full queue",
         "delivery.queue_depth" => "Result deltas sitting in delivery queues, summed",
         "manager.slides" => "Slides ingested",
         "manager.subscriptions" => "Standing subscriptions currently registered",

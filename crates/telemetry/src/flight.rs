@@ -27,8 +27,7 @@ pub enum FlightTrigger {
         /// The quarantined shard.
         shard: ShardLabel,
     },
-    /// A single arrival shed at least the configured burst threshold of
-    /// late elements (see `TelemetryConfig::late_drop_burst`).
+    /// A beyond-horizon arrival shed at least one late element.
     LateDropBurst {
         /// The epoch (slide count) at the shed.
         epoch: u64,
@@ -158,41 +157,22 @@ struct Ring {
     dropped: u64,
 }
 
-/// The bounded ring of flight records.  `capacity == 0` disables capture
-/// entirely (triggers become no-ops).
-#[derive(Debug)]
+/// Records the ring retains; the oldest are shed beyond it.
+const CAPACITY: usize = 32;
+
+/// The bounded ring of flight records.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    capacity: usize,
     ring: Mutex<Ring>,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(32)
-    }
-}
-
 impl FlightRecorder {
-    /// A recorder bounded to `capacity` records (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            capacity,
-            ring: Mutex::new(Ring::default()),
-        }
-    }
-
     /// The ring's bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        CAPACITY
     }
 
-    /// Whether triggers capture anything.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Appends one record, shedding the oldest when full.  Returns `false`
-    /// while disabled.  Prefer
+    /// Appends one record, shedding the oldest when full.  Prefer
     /// [`Telemetry::trigger_flight`](crate::Telemetry::trigger_flight),
     /// which fills in the snapshot fields and bumps the `flight.*` counters.
     pub fn capture(
@@ -202,12 +182,9 @@ impl FlightRecorder {
         trace_events_dropped: u64,
         metrics_json: String,
         trace: &[TraceEvent],
-    ) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
+    ) {
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.records.len() >= self.capacity {
+        if ring.records.len() >= CAPACITY {
             ring.records.pop_front();
             ring.dropped += 1;
         }
@@ -221,7 +198,6 @@ impl FlightRecorder {
             metrics_json,
             trace_json: trace_json(trace),
         });
-        true
     }
 
     /// Records currently retained, oldest first.
@@ -260,7 +236,7 @@ impl FlightRecorder {
         let records = self.records();
         let mut out = format!(
             "{{\n\"capacity\": {},\n\"dropped\": {},\n\"records\": [",
-            self.capacity,
+            CAPACITY,
             self.dropped()
         );
         for (i, record) in records.iter().enumerate() {
@@ -286,27 +262,24 @@ mod tests {
 
     #[test]
     fn ring_sheds_oldest_and_seq_never_reuses() {
-        let recorder = FlightRecorder::new(2);
-        for epoch in 1..=4 {
-            assert!(recorder.capture(epoch * 10, trigger(epoch), 0, "{}".into(), &[]));
+        let recorder = FlightRecorder::default();
+        let total = CAPACITY as u64 + 2;
+        for epoch in 1..=total {
+            recorder.capture(epoch * 10, trigger(epoch), 0, "{}".into(), &[]);
         }
-        assert_eq!(recorder.len(), 2);
+        assert_eq!(recorder.len(), CAPACITY);
         assert_eq!(recorder.dropped(), 2);
         let seqs: Vec<u64> = recorder.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2, 3], "freshest records survive, seq is global");
-    }
-
-    #[test]
-    fn zero_capacity_disables_capture() {
-        let recorder = FlightRecorder::new(0);
-        assert!(!recorder.is_enabled());
-        assert!(!recorder.capture(1, trigger(1), 0, "{}".into(), &[]));
-        assert!(recorder.is_empty());
+        assert_eq!(
+            seqs,
+            (2..total).collect::<Vec<_>>(),
+            "freshest records survive, seq is global"
+        );
     }
 
     #[test]
     fn record_json_embeds_trigger_metrics_and_trace() {
-        let recorder = FlightRecorder::new(4);
+        let recorder = FlightRecorder::default();
         let events = [TraceEvent {
             at_nanos: 5,
             epoch: 2,

@@ -56,13 +56,6 @@ pub struct TelemetryConfig {
     pub tracing: bool,
     /// Bound on the trace ring; the oldest events are shed beyond it.
     pub trace_capacity: usize,
-    /// Bound on the flight-recorder ring of postmortem records; `0` disables
-    /// the recorder (triggers become no-ops).
-    pub flight_capacity: usize,
-    /// A single late arrival shedding at least this many elements trips a
-    /// [`FlightTrigger::LateDropBurst`] flight record; `0` disables the
-    /// trigger.
-    pub late_drop_burst: u64,
 }
 
 impl Default for TelemetryConfig {
@@ -70,15 +63,12 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             tracing: true,
             trace_capacity: 65_536,
-            flight_capacity: 32,
-            late_drop_burst: 1,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Tracing off (metrics stay on).  The CI telemetry-overhead gate
-    /// compares default against this.
+    /// Tracing off (metrics stay on).
     pub fn disabled() -> Self {
         TelemetryConfig {
             tracing: false,
@@ -89,18 +79,6 @@ impl TelemetryConfig {
     /// Overrides the trace ring bound.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Overrides the flight-recorder bound (`0` = recorder off).
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight_capacity = capacity;
-        self
-    }
-
-    /// Overrides the late-drop burst threshold (`0` = trigger off).
-    pub fn with_late_drop_burst(mut self, elements: u64) -> Self {
-        self.late_drop_burst = elements;
         self
     }
 }
@@ -129,7 +107,7 @@ impl Telemetry {
             registry: MetricsRegistry::new(),
             trace: TraceLog::new(config.trace_capacity, config.tracing),
             freshness: FreshnessClock::default(),
-            flight: FlightRecorder::new(config.flight_capacity),
+            flight: FlightRecorder::default(),
             origin: Instant::now(),
         }
     }
@@ -157,25 +135,19 @@ impl Telemetry {
     /// Fires one flight-recorder trigger: atomically snapshots the metrics
     /// surface and the trace ring alongside the trigger's metadata into a
     /// [`FlightRecord`], and bumps the `flight.records` / `flight.dropped`
-    /// counters.  A no-op (beyond one length check) when the recorder is
-    /// disabled (`flight_capacity == 0`).
+    /// counters.
     pub fn trigger_flight(&self, trigger: FlightTrigger) {
-        if !self.flight.is_enabled() {
-            return;
-        }
         let shed_before = self.flight.len() >= self.flight.capacity();
-        let captured = self.flight.capture(
+        self.flight.capture(
             self.now_nanos(),
             trigger,
             self.trace.events_dropped(),
             self.to_json(),
             &self.trace.snapshot(),
         );
-        if captured {
-            self.registry.counter("flight.records").inc();
-            if shed_before {
-                self.registry.counter("flight.dropped").inc();
-            }
+        self.registry.counter("flight.records").inc();
+        if shed_before {
+            self.registry.counter("flight.dropped").inc();
         }
     }
 
@@ -303,22 +275,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_flight_recorder_captures_nothing() {
-        let telemetry = Telemetry::new(TelemetryConfig::default().with_flight_capacity(0));
-        telemetry.trigger_flight(FlightTrigger::WorkerRespawned { epoch: 0 });
-        assert!(telemetry.flight().is_empty());
-        assert_eq!(telemetry.registry().counter("flight.records").get(), 0);
-    }
-
-    #[test]
     fn flight_ring_overflow_counts_dropped_records() {
-        let telemetry = Telemetry::new(TelemetryConfig::default().with_flight_capacity(2));
-        for epoch in 1..=3 {
+        let telemetry = Telemetry::default();
+        let capacity = telemetry.flight().capacity() as u64;
+        for epoch in 1..=capacity + 1 {
             telemetry.trigger_flight(FlightTrigger::WorkerRespawned { epoch });
         }
-        assert_eq!(telemetry.flight().len(), 2);
+        assert_eq!(telemetry.flight().len() as u64, capacity);
         assert_eq!(telemetry.flight().dropped(), 1);
-        assert_eq!(telemetry.registry().counter("flight.records").get(), 3);
+        let records = telemetry.registry().counter("flight.records").get();
+        assert_eq!(records, capacity + 1);
         assert_eq!(telemetry.registry().counter("flight.dropped").get(), 1);
     }
 }

@@ -49,14 +49,12 @@ pub struct EpochRecord {
     pub updates: u64,
     /// Deltas accepted into delivery queues.
     pub delivered: u64,
-    /// Deltas shed by overflow policies.
+    /// Deltas shed from full delivery queues.
     pub dropped: u64,
     /// Buckets shed for arriving beyond the reorder horizon.
     pub late_buckets_dropped: u64,
     /// Elements those shed buckets carried.
     pub late_elements_dropped: u64,
-    /// Elements force-replayed into a later bucket.
-    pub late_elements_replayed: u64,
     /// Refresh panics caught at the worker isolation boundary.
     pub worker_panics: u64,
     /// Dead workers replaced at dispatch.
@@ -128,9 +126,6 @@ impl EpochRecord {
             TraceEventKind::LateBucketDropped { elements } => {
                 self.late_buckets_dropped += 1;
                 self.late_elements_dropped += elements;
-            }
-            TraceEventKind::LateBucketReplayed { elements } => {
-                self.late_elements_replayed += elements;
             }
             TraceEventKind::WorkerPanicked => self.worker_panics += 1,
             TraceEventKind::WorkerRespawned => self.worker_respawns += 1,
@@ -212,7 +207,7 @@ impl EpochTimeline {
         self.epochs.iter().map(|r| r.delivered).sum()
     }
 
-    /// Total deltas shed by overflow policies.
+    /// Total deltas shed from full delivery queues.
     pub fn total_dropped(&self) -> u64 {
         self.epochs.iter().map(|r| r.dropped).sum()
     }

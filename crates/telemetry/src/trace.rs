@@ -77,21 +77,15 @@ pub enum TraceEventKind {
         /// Raw subscription id.
         subscription: u64,
     },
-    /// A result delta was shed by the queue's overflow policy.
+    /// A result delta was shed from a full delivery queue.
     DeltaDropped {
         /// Raw subscription id.
         subscription: u64,
     },
-    /// A bucket arrived beyond the reorder horizon and was shed under
-    /// `LatePolicy::DropLate` (mirrors `ManagerStats::late_dropped`).
+    /// A bucket arrived beyond the reorder horizon and was shed (mirrors
+    /// `ManagerStats::late_dropped`).
     LateBucketDropped {
         /// Elements the shed bucket carried.
-        elements: u64,
-    },
-    /// A bucket arrived beyond the reorder horizon and its elements were
-    /// folded into the next released bucket under `LatePolicy::ForceReplay`.
-    LateBucketReplayed {
-        /// Elements force-replayed into a later bucket.
         elements: u64,
     },
     /// A shard refresh panicked and was caught at the worker's isolation
@@ -128,7 +122,6 @@ impl TraceEventKind {
             TraceEventKind::DeltaDelivered { .. } => "delta_delivered",
             TraceEventKind::DeltaDropped { .. } => "delta_dropped",
             TraceEventKind::LateBucketDropped { .. } => "late_bucket_dropped",
-            TraceEventKind::LateBucketReplayed { .. } => "late_bucket_replayed",
             TraceEventKind::WorkerPanicked => "worker_panicked",
             TraceEventKind::WorkerRespawned => "worker_respawned",
             TraceEventKind::ShardQuarantined { .. } => "shard_quarantined",

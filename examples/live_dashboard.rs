@@ -95,7 +95,7 @@ fn main() -> Result<(), ksir::KsirError> {
     // appears twice (two users, same view), and both copies get the same
     // answer.  Each panel
     // consumes its result changes from a bounded delivery queue (capacity
-    // 256, DropOldest): a panel that falls behind sheds its own oldest
+    // 256): a panel that falls behind sheds its own oldest
     // updates instead of slowing ingestion down.
     let mut panels = Vec::new();
     for mix in 0..5 {
