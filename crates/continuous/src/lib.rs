@@ -56,7 +56,8 @@
 //! first resident that must refresh: a shard with none is skipped whole on
 //! the ingest thread.  The per-subscription rules are the only touch filter
 //! — no shard or cluster keeps a derived copy of them.  Scheduled shards
-//! refresh concurrently on the long-lived worker pool;
+//! refresh concurrently on the long-lived worker pool — and, for the slide
+//! a synchronous `ingest_bucket` ingested, on its calling thread too;
 //! within a shard the rules above run unchanged, so the per-subscription
 //! refresh/skip decisions — and the work counters, which still reconcile to
 //! `slides × subscriptions` — are identical to a per-subscription walk (the
@@ -134,8 +135,8 @@
 //!   re-sequenced exactly (decisions bit-identical to in-order replay — the
 //!   reorder property test); a bucket beyond the horizon is shed and counted
 //!   (`ingest.late_dropped`).
-//! * **Fault isolation**: every worker refresh attempt runs inside
-//!   `catch_unwind`.  A panic never publishes a partial [`ResultDelta`] (the
+//! * **Fault isolation**: every refresh attempt, on a worker or on the
+//!   ingest thread, runs inside `catch_unwind`.  A panic never publishes a partial [`ResultDelta`] (the
 //!   walk only stages its decisions, and the shard commits them once it
 //!   returns, so the retry classifies every resident again) and never
 //!   stalls the watermark (epoch registrations complete on drop).

@@ -73,7 +73,7 @@ pub struct SlideOutcome {
     /// Number of subscriptions skipped by the delta rules this slide.
     pub skipped: usize,
     /// Shards in which some resident classified, so that every resident
-    /// was classified on a worker.
+    /// was classified on a pool worker or on the calling thread.
     pub shards_scheduled: usize,
     /// Shards proven undisturbed as a whole (their residents were all
     /// skipped without classification).
@@ -682,9 +682,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     /// pipelined ingest of [`SubscriptionManager::ingest_bucket_async`]
     /// between two [`SubscriptionManager::sync`] barriers.  The opening
     /// barrier leaves every shard lane idle, so each touched shard is
-    /// scheduled (never deferred) on the worker pool against this epoch's
-    /// snapshot; the closing barrier awaits those refreshes, publishes the
-    /// gauges, and retires the epoch's freshness stamp.  Result deltas
+    /// scheduled (never deferred) on the pool's run queue against this
+    /// epoch's snapshot.  The closing barrier helps before it waits: the
+    /// calling thread pops scheduled shards and refreshes them itself,
+    /// beside the pool workers, until the queue is empty; only then does it
+    /// await the refreshes a worker holds, publish the gauges, and retire
+    /// the epoch's freshness stamp.  Either thread runs the same lane drain,
+    /// so which one refreshes a shard changes no decision.  Result deltas
     /// additionally stream into any attached delivery queues.
     pub fn ingest_bucket(
         &mut self,
@@ -694,6 +698,9 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         self.sync();
         let collector = SlideCollector::default();
         let ticket = self.ingest_epoch(bucket, bucket_end, Some(&collector))?;
+        if let Some(pool) = &self.pool {
+            pool.help();
+        }
         self.sync();
         debug_assert_eq!(ticket.shards_deferred, 0, "the barrier idled every lane");
         let slides = std::mem::take(&mut *collector.lock().unwrap_or_else(|p| p.into_inner()));
@@ -706,8 +713,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
             skipped += slide.skipped;
             updates.extend(slide.updates);
         }
-        // Shards complete out of order on the pool; present the deltas
-        // deterministically.
+        // Shards complete out of order on the caller and the pool; present
+        // the deltas deterministically.
         updates.sort_by_key(|u| u.subscription);
 
         Ok(SlideOutcome {

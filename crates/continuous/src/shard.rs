@@ -9,7 +9,8 @@
 //! or a support topic was touched at or above its traversal floor.  A slide
 //! schedules a shard iff some resident classifies, checked on the ingest
 //! thread and stopping at the first resident that fires.  Scheduled shards
-//! classify every resident again on a worker, so the refresh/skip decision
+//! classify every resident again where their lane is drained (a pool
+//! worker, or a synchronous slide's calling thread), so the refresh/skip decision
 //! for every individual subscription — and therefore the work counters —
 //! are **identical** to the per-subscription walk.  Unscheduled shards
 //! charge one skip per resident without touching them.
@@ -83,8 +84,12 @@ pub struct ShardConfig {
     /// to the [`ShardKey::Overflow`] shard instead of a topic shard.
     pub overflow_support_threshold: usize,
     /// Size of the refresh worker pool; `None` uses
-    /// [`std::thread::available_parallelism`].  `Some(1)` runs one worker,
-    /// so scheduled shards refresh one after another.
+    /// [`std::thread::available_parallelism`].  `Some(1)` runs one worker:
+    /// the async path refreshes scheduled shards one after another, while
+    /// a synchronous
+    /// [`ingest_bucket`](crate::SubscriptionManager::ingest_bucket) also
+    /// refreshes on its calling thread, beside the worker, for the slide it
+    /// ingested.
     pub max_threads: Option<usize>,
     /// How much telemetry the manager collects (see [`TelemetryConfig`]).
     /// Tracing is on by default; metrics are always on.
@@ -109,8 +114,9 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Topic-sharded routing with a one-worker pool: scheduled shards
-    /// refresh one at a time.
+    /// Topic-sharded routing with a one-worker pool: on the async path
+    /// scheduled shards refresh one at a time; a synchronous slide's calling
+    /// thread refreshes beside the worker.
     pub fn serial() -> Self {
         ShardConfig::default().with_threads(Some(1))
     }
@@ -201,7 +207,7 @@ pub struct ShardStats {
     /// Slide-time evaluations skipped (shard-level and per-resident).
     pub skips: usize,
     /// Slides for which some resident classified, so every resident was
-    /// classified on a worker.
+    /// classified on a pool worker or on the ingest thread.
     pub scheduled_slides: usize,
     /// Slides the shard was proven undisturbed as a whole.
     pub skipped_slides: usize,
@@ -616,8 +622,8 @@ impl Shard {
     }
 
     /// Classifies and (where needed) refreshes every resident against the
-    /// slide, cluster by cluster.  Runs on a worker thread; `source` is the
-    /// epoch's snapshot.
+    /// slide, cluster by cluster.  Runs on whichever thread drains the lane;
+    /// `source` is the epoch's snapshot.
     ///
     /// The walk only decides: it stages each member's skip or fresh result
     /// and changes no shard state.  The decisions, the member stats and the

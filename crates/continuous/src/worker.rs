@@ -1,10 +1,15 @@
-//! Long-lived shard-refresh workers fed by a channel, plus the epoch
+//! Long-lived shard-refresh workers fed by one run queue, plus the epoch
 //! watermark that replaced the quiesce-before-write barrier.
 //!
-//! Every scheduled shard refresh — from either ingestion API — runs on this
-//! fixed pool of workers, which live as long as the
-//! [`SubscriptionManager`](crate::SubscriptionManager).  No global barrier
-//! sits before an index write:
+//! Every scheduled shard goes through the pool's run queue, and whoever pops
+//! it drains its lane: one of a fixed pool of workers, which live as long
+//! as the [`SubscriptionManager`](crate::SubscriptionManager), or — for the
+//! slide it ingested — the thread that called
+//! [`ingest_bucket`](crate::SubscriptionManager::ingest_bucket), which pops
+//! queued shards beside the workers before it waits (see
+//! [`WorkerPool::help`]).  Both run the same [`drain_lane`] inside the same
+//! retry/quarantine boundary.  No global barrier sits before an index
+//! write:
 //!
 //! * each ingested slide (an **epoch**) captures an immutable
 //!   [`EngineSnapshot`](ksir_core::EngineSnapshot) right after its index
@@ -14,25 +19,25 @@
 //! * ordering is per shard, not global: every shard processes its pending
 //!   epochs strictly in order (the shard's *lane*, see
 //!   [`crate::shard::Lane`]), which is exactly the ordering the refresh
-//!   decisions depend on — cross-shard interleaving never influenced them;
+//!   decisions depend on — cross-shard interleaving never influenced them,
+//!   and neither does which thread drains a lane;
 //! * the [`Watermark`] tracks outstanding shard-epoch tasks per epoch: the
 //!   pool's [`WorkerPool::wait_idle`] is the `sync()` barrier (the
-//!   synchronous `ingest_bucket` closes every slide with it), and
-//!   [`WorkerPool::wait_admission`] is the pipeline-admission gate that
-//!   bounds how many epochs may be in flight (and with them the snapshot
-//!   memory the writer keeps alive).  Both loop over the watermark's
-//!   bounded waits.  Without a pool nothing can be outstanding: tasks are
-//!   registered only for shards handed to a pool, and the pool is dropped
-//!   only after a barrier.
+//!   synchronous `ingest_bucket` closes every slide with it, once its own
+//!   help has emptied the run queue), and [`WorkerPool::wait_admission`] is
+//!   the pipeline-admission gate that bounds how many epochs may be in
+//!   flight (and with them the snapshot memory the writer keeps alive).
+//!   Both loop over the watermark's bounded waits.  Without a pool nothing
+//!   can be outstanding: tasks are registered only for shards handed to a
+//!   pool, and the pool is dropped only after a barrier.
 //!
 //! Slow *subscribers* never extend any of these waits: a delivery queue is
 //! bounded and a full one sheds its oldest delta instead of blocking, so the
 //! watermark waits on refresh compute only.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -52,18 +57,26 @@ const REFRESH_RETRY_BUDGET: usize = 2;
 /// [`SubscriptionManager::set_hooks`](crate::SubscriptionManager::set_hooks).
 /// Every method defaults to a no-op and fires at a real seam, so a hook that
 /// panics or stalls there fails the pipeline the way a real fault would.
+///
+/// A lane is drained by a pool worker or, during
+/// [`ingest_bucket`](crate::SubscriptionManager::ingest_bucket), by the
+/// ingest thread itself, so `before_cluster_query` and `before_delivery`
+/// may fire on either; `after_work_item` fires on pool workers only.
 #[doc(hidden)]
 pub trait PipelineHooks: std::fmt::Debug + Send + Sync {
     /// Before the `query`-th (1-based) cluster query of one attempt at
-    /// `shard`'s walk for `epoch`, inside the worker's retry boundary.
+    /// `shard`'s walk for `epoch`, inside the drain's retry boundary — on a
+    /// pool worker or on the ingest thread.
     fn before_cluster_query(&self, _epoch: u64, _shard: ShardKey, _query: usize) {}
 
     /// Before each delivery send, inside the boundary that turns a panic
-    /// into a counted shed on the subscription's queue.
+    /// into a counted shed on the subscription's queue — on a pool worker
+    /// or on the ingest thread.
     fn before_delivery(&self, _epoch: u64, _subscription: SubscriptionId) {}
 
-    /// After a worker drained `shard`'s lane through `epochs` and released
-    /// it, outside every isolation boundary: a panic here kills the worker.
+    /// After a pool worker drained `shard`'s lane through `epochs` and
+    /// released it, outside every isolation boundary: a panic here kills
+    /// the worker.  Lanes the ingest thread drains never reach it.
     fn after_work_item(&self, _shard: ShardKey, _epochs: RangeInclusive<u64>) {}
 
     /// Before the epoch snapshot capture, on the ingest thread.
@@ -280,17 +293,70 @@ impl Drop for EpochTask {
 /// [`TraceEventKind::WorkerRespawned`] event.  The budget bounds restart
 /// churn at `threads × 8`; once spent, remaining workers carry the load —
 /// except that a fully dead pool always earns one emergency respawn, so
-/// dispatched work can never be silently stranded on a channel nobody
+/// dispatched work can never be silently stranded on a queue nobody
 /// reads.
 pub(crate) struct WorkerPool {
-    tx: Option<Sender<Arc<ShardCell>>>,
+    shared: Arc<PoolShared>,
     watermark: Arc<Watermark>,
     state: Mutex<PoolState>,
-    /// Re-invocable worker factory (captures the channel receiver,
-    /// registry, telemetry, and test hooks by `Arc`).
+    /// Re-invocable worker factory (captures the shared run queue by `Arc`).
     spawner: Box<dyn Fn() -> JoinHandle<()> + Send + Sync>,
+    /// The calling thread's handles for [`WorkerPool::help`]: its lanes
+    /// are timed on `refresh.caller_item`, never on `worker.item`.
+    caller: DrainTelemetry,
     restarts: Arc<Counter>,
     telemetry: Arc<Telemetry>,
+}
+
+/// What every thread that drains lanes shares: the run queue of shards
+/// whose lanes await a drain, and what a drain needs.
+struct PoolShared {
+    queue: Mutex<RunQueue>,
+    /// Signalled when shards are queued or the pool shuts down.
+    ready: Condvar,
+    registry: DeliveryRegistry,
+    hooks: Option<Arc<dyn PipelineHooks>>,
+}
+
+#[derive(Default)]
+struct RunQueue {
+    shards: VecDeque<Arc<ShardCell>>,
+    closed: bool,
+}
+
+impl PoolShared {
+    fn queue(&self) -> std::sync::MutexGuard<'_, RunQueue> {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// A worker's pop: blocks until a shard is queued; `None` once the pool
+    /// shuts down.  The wait releases the queue lock, so a caller's
+    /// [`PoolShared::try_pop`] is never held up by an idle worker.
+    fn pop(&self) -> Option<Arc<ShardCell>> {
+        let mut queue = self.queue();
+        loop {
+            if let Some(shard) = queue.shards.pop_front() {
+                return Some(shard);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self.ready.wait(queue).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// The caller's pop: the next queued shard, without waiting.
+    fn try_pop(&self) -> Option<Arc<ShardCell>> {
+        self.queue().shards.pop_front()
+    }
+
+    /// Drains `shard`'s lane and times it on the drainer's item histogram.
+    fn drain(&self, shard: &ShardCell, wt: &DrainTelemetry) -> Option<RangeInclusive<u64>> {
+        let started = std::time::Instant::now();
+        let drained = drain_lane(shard, &self.registry, self.hooks.as_deref(), wt);
+        wt.item_hist.record(started.elapsed());
+        drained
+    }
 }
 
 struct PoolState {
@@ -325,43 +391,59 @@ impl WorkerPool {
         hooks: Option<Arc<dyn PipelineHooks>>,
     ) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = channel::<Arc<ShardCell>>();
-        let rx = Arc::new(Mutex::new(rx));
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::default(),
+            ready: Condvar::new(),
+            registry,
+            hooks,
+        });
         let spawner = {
+            let shared = Arc::clone(&shared);
             let telemetry = Arc::clone(&telemetry);
             Box::new(move || {
-                let rx = Arc::clone(&rx);
-                let registry = Arc::clone(&registry);
-                let telemetry = Arc::clone(&telemetry);
-                let hooks = hooks.clone();
-                std::thread::spawn(move || {
-                    worker_loop(&rx, &registry, &telemetry, hooks.as_deref())
-                })
+                let shared = Arc::clone(&shared);
+                let wt = DrainTelemetry::new(Arc::clone(&telemetry), "worker.item");
+                std::thread::spawn(move || worker_loop(&shared, &wt))
             })
         };
         let handles = (0..threads).map(|_| spawner()).collect();
         WorkerPool {
-            tx: Some(tx),
+            shared,
             watermark,
             state: Mutex::new(PoolState {
                 handles,
                 respawns_left: threads * 8,
             }),
             spawner,
+            caller: DrainTelemetry::new(Arc::clone(&telemetry), "refresh.caller_item"),
             restarts: telemetry.registry().counter("worker.restarts"),
             telemetry,
         }
     }
 
-    /// Hands shards to the workers, each of which drains its shard's lane
-    /// of pending epochs (the lane carries the payloads).  Returns
+    /// Queues shards for the workers, each of which drains its shard's
+    /// lane of pending epochs (the lane carries the payloads).  Returns
     /// immediately; the caller has already registered the matching
     /// watermark tasks.
     pub(crate) fn dispatch(&self, shards: Vec<Arc<ShardCell>>) {
         self.ensure_workers();
-        let tx = self.tx.as_ref().expect("pool not shut down");
-        for shard in shards {
-            tx.send(shard).expect("worker channel closed");
+        let queued = shards.len();
+        self.shared.queue().shards.extend(shards);
+        match queued {
+            0 => {}
+            1 => self.shared.ready.notify_one(),
+            _ => self.shared.ready.notify_all(),
+        }
+    }
+
+    /// Drains queued shards on the calling thread until the run queue is
+    /// empty — the same [`drain_lane`], retry/quarantine boundary and
+    /// delivery a worker runs, so which thread pops a shard changes no
+    /// decision.  Lanes a worker already popped are left to it: the caller
+    /// waits for them on the watermark afterwards.
+    pub(crate) fn help(&self) {
+        while let Some(shard) = self.shared.try_pop() {
+            self.shared.drain(&shard, &self.caller);
         }
     }
 
@@ -431,9 +513,10 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel ends every worker's recv loop; join so shard
-        // and engine handles are released before the manager is torn down.
-        self.tx.take();
+        // Closing the queue ends every worker's pop loop; join so shard and
+        // engine handles are released before the manager is torn down.
+        self.shared.queue().closed = true;
+        self.shared.ready.notify_all();
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         for handle in state.handles.drain(..) {
             let _ = handle.join();
@@ -441,10 +524,11 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A worker's pre-resolved telemetry handles (the name-map lookups stay off
-/// the per-item path).
-struct WorkerTelemetry<'a> {
-    bundle: &'a Telemetry,
+/// One draining thread's pre-resolved telemetry handles (the name-map
+/// lookups stay off the per-item path).
+struct DrainTelemetry {
+    bundle: Arc<Telemetry>,
+    /// `worker.item` on a pool worker, `refresh.caller_item` on the caller.
     item_hist: Arc<ksir_telemetry::Histogram>,
     panics: Arc<Counter>,
     quarantines: Arc<Counter>,
@@ -453,37 +537,29 @@ struct WorkerTelemetry<'a> {
     shard_snapshots: Arc<Counter>,
 }
 
-fn worker_loop(
-    rx: &Mutex<Receiver<Arc<ShardCell>>>,
-    registry: &DeliveryRegistry,
-    telemetry: &Telemetry,
-    hooks: Option<&dyn PipelineHooks>,
-) {
-    let wt = WorkerTelemetry {
-        bundle: telemetry,
-        item_hist: telemetry.registry().histogram("worker.item"),
-        panics: telemetry.registry().counter("worker.panics"),
-        quarantines: telemetry.registry().counter("shard.quarantined"),
-        shard_snapshots: telemetry.registry().counter("snapshot.shard_snapshots"),
-    };
-    loop {
-        // Hold the receiver lock only while pulling the next item, never
-        // while refreshing, so idle workers queue on the channel rather than
-        // behind a busy one.
-        let shard = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-            Ok(shard) => shard,
-            Err(_) => return, // channel closed: pool shut down
-        };
-        let started = std::time::Instant::now();
-        let drained = drain_lane(&shard, registry, hooks, &wt);
-        wt.item_hist.record(started.elapsed());
-        if let (Some(hooks), Some(epochs)) = (hooks, drained) {
+impl DrainTelemetry {
+    fn new(bundle: Arc<Telemetry>, item: &'static str) -> Self {
+        let registry = bundle.registry();
+        DrainTelemetry {
+            item_hist: registry.histogram(item),
+            panics: registry.counter("worker.panics"),
+            quarantines: registry.counter("shard.quarantined"),
+            shard_snapshots: registry.counter("snapshot.shard_snapshots"),
+            bundle,
+        }
+    }
+}
+
+fn worker_loop(shared: &PoolShared, wt: &DrainTelemetry) {
+    while let Some(shard) = shared.pop() {
+        let drained = shared.drain(&shard, wt);
+        if let (Some(hooks), Some(epochs)) = (&shared.hooks, drained) {
             hooks.after_work_item(shard.key(), epochs);
         }
     }
 }
 
-/// Runs one shard refresh inside the worker's fault-isolation boundary:
+/// Runs one shard refresh inside the drain's fault-isolation boundary:
 /// `catch_unwind` around the attempt, bounded retry with exponential
 /// backoff, and quarantine + epoch shed when the budget is exhausted.
 ///
@@ -506,7 +582,7 @@ fn worker_loop(
 fn refresh_resilient<T>(
     cell: &ShardCell,
     epoch: u64,
-    wt: &WorkerTelemetry<'_>,
+    wt: &DrainTelemetry,
     attempt: impl Fn(&mut Shard) -> T,
 ) -> Option<T> {
     let label = label_of(cell.key());
@@ -557,18 +633,19 @@ fn refresh_resilient<T>(
 /// Processes a shard's pending epochs in order until its lane is empty.
 /// Returns the epochs it drained, once the lane is released.
 ///
-/// The worker owns the shard for the whole drain (the lane's `busy` flag),
-/// so results stored by epoch `e` are always visible to epoch `e+1`'s
-/// scheduling decision — per-shard decisions are exactly those of a barrier
-/// after every slide.
-/// The ingest thread only ever touches the (cheap) lane lock of a busy
+/// Whoever popped the shard from the run queue — a pool worker, or the
+/// ingest thread in [`WorkerPool::help`] — owns it for the whole drain (the
+/// lane's `busy` flag), so results stored by epoch `e` are always visible
+/// to epoch `e+1`'s scheduling decision — per-shard decisions are exactly
+/// those of a barrier after every slide.
+/// The async ingest path only ever touches the (cheap) lane lock of a busy
 /// shard, never its shard lock, so a long refresh here cannot stall
 /// ingestion.
 fn drain_lane(
     cell: &ShardCell,
     registry: &DeliveryRegistry,
     hooks: Option<&dyn PipelineHooks>,
-    wt: &WorkerTelemetry<'_>,
+    wt: &DrainTelemetry,
 ) -> Option<RangeInclusive<u64>> {
     // Pop-or-release must be atomic under the lane lock: otherwise the
     // ingest thread could observe `busy` in the instant before release and

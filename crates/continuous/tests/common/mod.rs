@@ -6,10 +6,15 @@
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use ksir_continuous::{
-    RefreshReason, ResultDelta, ShardConfig, SlideOutcome, SubscriptionId, SubscriptionManager,
-    SubscriptionStats,
+    PipelineHooks, RefreshReason, ResultDelta, ShardConfig, ShardKey, SlideOutcome, SubscriptionId,
+    SubscriptionManager, SubscriptionStats,
 };
 use ksir_core::stream::{WindowConfig, WindowDelta};
 use ksir_core::{Algorithm, EngineConfig, KsirEngine, KsirQuery, QueryResult, ScoringConfig};
@@ -365,4 +370,94 @@ pub fn walk_stream(stream: &GeneratedStream, subs: &[Sub]) -> (SerialWalk, Vec<W
     })
     .unwrap();
     (walk, slides)
+}
+
+/// Parks the pool worker inside `after_work_item` once it has finished its
+/// `target`-th work item — every lane it drained is released by then, so
+/// its epochs are complete — until [`ParkWorker::release`].  Every other
+/// seam is forwarded to `inner`, if any.
+#[derive(Debug)]
+pub struct ParkWorker {
+    target: usize,
+    inner: Option<Arc<dyn PipelineHooks>>,
+    items: AtomicUsize,
+    /// `(parked, released)`.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl ParkWorker {
+    pub fn new(target: usize, inner: Option<Arc<dyn PipelineHooks>>) -> Self {
+        ParkWorker {
+            target,
+            inner,
+            items: AtomicUsize::new(0),
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until the worker is parked (at most 30 s).
+    pub fn wait_parked(&self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut state = self.state.lock().unwrap();
+        while !state.0 {
+            let left = deadline
+                .checked_duration_since(Instant::now())
+                .expect("the worker never finished its items");
+            state = self.changed.wait_timeout(state, left).unwrap().0;
+        }
+    }
+
+    /// Lets the parked worker go.
+    pub fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl PipelineHooks for ParkWorker {
+    fn before_cluster_query(&self, epoch: u64, shard: ShardKey, query: usize) {
+        if let Some(inner) = &self.inner {
+            inner.before_cluster_query(epoch, shard, query);
+        }
+    }
+
+    fn before_delivery(&self, epoch: u64, subscription: SubscriptionId) {
+        if let Some(inner) = &self.inner {
+            inner.before_delivery(epoch, subscription);
+        }
+    }
+
+    fn after_work_item(&self, _shard: ShardKey, _epochs: RangeInclusive<u64>) {
+        if self.items.fetch_add(1, Ordering::SeqCst) + 1 != self.target {
+            return;
+        }
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn before_snapshot(&self, epoch: u64) {
+        if let Some(inner) = &self.inner {
+            inner.before_snapshot(epoch);
+        }
+    }
+}
+
+/// Runs `work` on a thread of its own and returns its value, failing the
+/// test after 10 s instead of hanging on a barrier that never completes.
+pub fn within_10s<T: Send + 'static>(what: &str, work: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(work());
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 10 s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
 }

@@ -7,8 +7,10 @@
 //!
 //! Also pinned here: the property the whole subsystem exists for (an index
 //! write proceeds while the previous epoch's refreshes are demonstrably
-//! still in flight), the completion watermark, and the snapshot capture /
-//! copy-on-write accounting.
+//! still in flight), the completion watermark, the snapshot capture /
+//! copy-on-write accounting, and a synchronous slide that completes with
+//! its only pool worker parked, because the calling thread refreshes the
+//! shards itself.
 
 mod common;
 
@@ -17,8 +19,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use common::{assert_same_updates, planted_manager, walk_stream};
+use common::{assert_same_updates, planted_manager, walk_stream, within_10s, ParkWorker};
 use ksir_continuous::{DeliveryConfig, PipelineHooks, ResultDelta, ShardConfig, ShardKey};
+use ksir_core::stream::for_each_bucket;
+use ksir_datagen::GeneratedStream;
+use ksir_types::{SocialElement, Timestamp, TopicVector};
 
 /// Pipelined mode is decision-identical to the per-subscription walk slide
 /// for slide — on the default pool and on a forced 4-thread pool.
@@ -155,4 +160,58 @@ fn index_write_proceeds_while_previous_epoch_refreshes() {
     for (id, _, _) in &subs {
         assert!(mgr.unsubscribe(*id));
     }
+}
+
+/// The stream cut into the engine's 15-tick buckets.
+fn buckets_of(stream: &GeneratedStream) -> Vec<(Vec<(SocialElement, TopicVector)>, Timestamp)> {
+    let mut buckets = Vec::new();
+    for_each_bucket(15, Timestamp(0), stream.iter_pairs(), |bucket, end| {
+        buckets.push((bucket, end));
+        Ok(())
+    })
+    .unwrap();
+    buckets
+}
+
+/// A barrier whose worker never runs still completes, by helping: with the
+/// one pool worker parked (after it released the lanes of an async slide),
+/// `ingest_bucket` refreshes every scheduled shard on its calling thread,
+/// and its outcome equals a clean manager's.
+#[test]
+fn sync_slide_completes_while_the_only_worker_is_parked() {
+    let config = ShardConfig::default().with_threads(Some(1));
+    let (mut clean, _, stream) = planted_manager(7, config);
+    let mut buckets = buckets_of(&stream).into_iter();
+    let (first, first_end) = buckets.next().unwrap();
+    let (second, second_end) = buckets.next().unwrap();
+    let scheduled = clean
+        .ingest_bucket(first.clone(), first_end)
+        .unwrap()
+        .shards_scheduled;
+    assert!(scheduled > 0, "the first slide must schedule a shard");
+    let expected = clean.ingest_bucket(second.clone(), second_end).unwrap();
+    assert!(expected.shards_scheduled > 0, "the second slide must too");
+
+    let (mut mgr, _, _) = planted_manager(7, config);
+    let hooks = Arc::new(ParkWorker::new(scheduled, None));
+    mgr.set_hooks(hooks.clone());
+    mgr.ingest_bucket_async(first, first_end).unwrap().detach();
+    hooks.wait_parked();
+    let (mgr, outcome) = within_10s("ingest_bucket with its worker parked", move || {
+        let outcome = mgr.ingest_bucket(second, second_end).unwrap();
+        (mgr, outcome)
+    });
+    assert_eq!(outcome, expected, "decisions equal the clean manager's");
+    let registry = mgr.telemetry().registry();
+    assert_eq!(
+        registry.histogram("refresh.caller_item").count(),
+        outcome.shards_scheduled as u64,
+        "the calling thread drained every scheduled shard"
+    );
+    assert_eq!(
+        registry.histogram("worker.item").count(),
+        scheduled as u64,
+        "the parked worker ran only the async slide's shards"
+    );
+    hooks.release();
 }

@@ -20,12 +20,19 @@
 //!   retired.
 //! * Arrival permuted within the reorder horizon yields decisions identical
 //!   to in-order replay; beyond-horizon arrivals are shed and counted.
+//! * The same isolation holds on the ingest thread: a synchronous slide
+//!   whose shards the calling thread refreshes itself retries, quarantines
+//!   and sheds exactly as a pool worker does.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{within_10s, Manager, ParkWorker, Sub};
 use ksir_chaos::{Fault, FaultKind, FaultPlan};
 use ksir_continuous::{
-    DeliveryConfig, FlightTrigger, ShardConfig, ShardKey, SubscriptionId, SubscriptionManager,
+    DeliveryConfig, FlightTrigger, ShardConfig, ShardKey, SlideOutcome, SubscriptionId,
+    SubscriptionManager,
 };
 use ksir_core::fixtures::paper_example;
 use ksir_core::{Algorithm, KsirQuery};
@@ -279,6 +286,104 @@ fn killed_workers_respawn_and_pipeline_completes() {
         "at least one dead worker was respawned"
     );
     assert_matches_clean(&mgr, &clean, &subs, "worker kills");
+}
+
+/// Ingests the paper stream with the one pool worker parked after slide 1
+/// (async), so `ingest_bucket` refreshes slides 2–8 on the calling thread
+/// under `faults`.  Returns the manager, the plan and the sync outcomes.
+fn run_sync_on_caller(
+    faults: Vec<Fault>,
+) -> (Manager, Vec<Sub>, Arc<FaultPlan>, Vec<SlideOutcome>) {
+    let ex = paper_example();
+    let config = ShardConfig::default().with_threads(Some(1));
+    let mut stream = ex.stream().into_iter();
+    let (e1, tv1) = stream.next().unwrap();
+    // Slide 1's scheduled shards: the worker parks after draining them.
+    let mut probe = SubscriptionManager::with_shard_config(ex.empty_engine(), config);
+    subscribe_workload(&mut probe);
+    let end = e1.ts;
+    let scheduled = probe
+        .ingest_bucket(vec![(e1.clone(), tv1.clone())], end)
+        .unwrap()
+        .shards_scheduled;
+    assert!(scheduled > 0, "slide 1 must schedule a shard");
+
+    let mut mgr = SubscriptionManager::with_shard_config(ex.empty_engine(), config);
+    let subs = subscribe_workload(&mut mgr);
+    // Installed for its flight records, then wrapped by the parking hook.
+    let plan = install(&mut mgr, faults);
+    let park = Arc::new(ParkWorker::new(scheduled, Some(plan.clone())));
+    mgr.set_hooks(park.clone());
+    mgr.ingest_bucket_async(vec![(e1, tv1)], end)
+        .unwrap()
+        .detach();
+    park.wait_parked();
+    let rest: Vec<_> = stream.collect();
+    let (mgr, outcomes) = within_10s("ingest_bucket with its worker parked", move || {
+        let outcomes: Vec<_> = rest
+            .into_iter()
+            .map(|(element, tv)| {
+                let end = element.ts;
+                mgr.ingest_bucket(vec![(element, tv)], end).unwrap()
+            })
+            .collect();
+        (mgr, outcomes)
+    });
+    let caller_items = mgr
+        .telemetry()
+        .registry()
+        .histogram("refresh.caller_item")
+        .count();
+    let scheduled: usize = outcomes.iter().map(|o| o.shards_scheduled).sum();
+    assert_eq!(
+        caller_items, scheduled as u64,
+        "the caller drained them all"
+    );
+    park.release();
+    (mgr, subs, plan, outcomes)
+}
+
+/// A refresh panic during a synchronous slide whose shards the calling
+/// thread refreshes (the pool's only worker is parked) is caught and
+/// retried on the caller: decisions, results and every member's ledger
+/// equal the clean run's.  A panic that outlives the budget quarantines the
+/// shard and sheds the epoch there too, and `ingest_bucket` still returns.
+#[test]
+fn refresh_panic_on_the_calling_thread_is_isolated() {
+    let (clean, _) = run_async_clean();
+    let theta0 = Some(ShardKey::Topic(TopicId(0)));
+    let panic = FaultKind::PanicBeforeQuery(1);
+
+    let (mgr, subs, plan, _) = run_sync_on_caller(vec![Fault::once(3, theta0, panic)]);
+    assert_eq!(plan.fired(), [(3, panic, theta0)], "the panic fired");
+    let registry = mgr.telemetry().registry();
+    assert_eq!(registry.counter("worker.panics").get(), 1, "retry counted");
+    assert_eq!(mgr.quarantined_shards(), 0, "one panic is below the budget");
+    assert_eq!(mgr.completed_epoch(), 8);
+    assert_matches_clean(&mgr, &clean, &subs, "panic on the calling thread");
+    for (id, _, _) in &subs {
+        assert_eq!(
+            mgr.subscription_stats(*id),
+            clean.subscription_stats(*id),
+            "{id}: charged once"
+        );
+    }
+
+    let persistent = Fault::once(3, theta0, panic).times(1 << 10);
+    let (mgr, _, plan, outcomes) = run_sync_on_caller(vec![persistent]);
+    assert_eq!(plan.fired().len(), 3, "the first attempt and both retries");
+    let registry = mgr.telemetry().registry();
+    assert_eq!(registry.counter("worker.panics").get(), 3);
+    assert_eq!(registry.counter("shard.quarantined").get(), 1);
+    assert_eq!(mgr.quarantined_shards(), 1);
+    assert_eq!(mgr.completed_epoch(), 8, "the shed epoch completed");
+    assert_eq!(outcomes.len(), 7, "every ingest_bucket returned");
+    let stats = mgr.stats();
+    assert_eq!(
+        stats.refreshes + stats.skips,
+        stats.slides * mgr.subscription_count(),
+        "the shed classifications reconcile"
+    );
 }
 
 /// A poisoned delivery send panics inside the queue push; the panic is

@@ -138,6 +138,8 @@ fn pipelined_timeline_reconciles_exactly_with_stats() {
             "stage {stage} never recorded"
         );
     }
+    // Only a synchronous slide's calling thread drains lanes itself.
+    assert_eq!(registry.histogram("refresh.caller_item").count(), 0);
     assert!(timeline.slowest_drain().is_some());
 
     // Exporters render the reconciled numbers under the sanitized names.
@@ -154,6 +156,8 @@ fn pipelined_timeline_reconciles_exactly_with_stats() {
 /// The synchronous path emits the same trace schema: a plain
 /// `ingest_bucket` run (auto-sized and forced 4-thread pools) reconciles the
 /// timeline against the stats and reproduces the per-slide outcome counts.
+/// Every scheduled shard is one work item, on a pool worker
+/// (`worker.item`) or on the calling thread (`refresh.caller_item`).
 #[test]
 fn sync_path_trace_reconciles_with_shard_stats() {
     for threads in [None, Some(4)] {
@@ -177,6 +181,17 @@ fn sync_path_trace_reconciles_with_shard_stats() {
         // released before the next index write.
         let scheduling = outcomes.iter().filter(|o| o.shards_scheduled > 0);
         assert_eq!(timeline.total_snapshots(), scheduling.count() as u64);
+        let registry = mgr.telemetry().registry();
+        let items: Vec<u64> = ["worker.item", "refresh.caller_item"]
+            .into_iter()
+            .map(|stage| registry.histogram(stage).count())
+            .collect();
+        let scheduled: usize = outcomes.iter().map(|o| o.shards_scheduled).sum();
+        assert_eq!(items.iter().sum::<u64>(), scheduled as u64, "{items:?}");
+        let prom = mgr.telemetry().render_prometheus();
+        for stage in ["worker_item", "refresh_caller_item"] {
+            assert!(prom.contains(&format!("# HELP ksir_{stage} ")), "{stage}");
+        }
         let engine = mgr.engine().stats();
         let clones = engine.ranked_cow_clones + engine.window_cow_clones;
         assert_eq!(clones + engine.topic_vector_cow_clones, 0);

@@ -33,7 +33,10 @@ fn help_for(name: &str) -> Option<&'static str> {
         "refresh.cluster.covering" => "Covering traversals run for plan clusters",
         "refresh.cluster.shared" => "Refreshes served by their cluster's covering traversal",
         "refresh.cluster.skipped" => "Clusters of scheduled shards in which no member classified",
-        "worker.item" => "Time one worker spent on one queued shard refresh",
+        "worker.item" => "Time one pool worker spent on one queued shard refresh",
+        "refresh.caller_item" => {
+            "Time a synchronous slide's calling thread spent on one queued shard refresh"
+        }
         "worker.panics" => "Refresh attempts that panicked (injected or real)",
         "worker.restarts" => "Worker threads respawned after death",
         "shard.refreshes" => "Slide-driven subscription refreshes (query re-runs)",
